@@ -413,21 +413,9 @@ func BenchmarkAblationProportionalTaps(b *testing.B) {
 // quiescence machinery parks every per-tick task, so the engine executes
 // a handful of instants instead of 600k.
 func BenchmarkEngineIdleDevice(b *testing.B) {
-	benchIdleDevice(b, sim.ModeNextEvent)
-}
-
-// BenchmarkEngineIdleDeviceFixedTick is the same device under the
-// fixed-tick compat engine — the seed's behaviour — for the A/B ratio
-// recorded in BENCH_engine.json.
-func BenchmarkEngineIdleDeviceFixedTick(b *testing.B) {
-	benchIdleDevice(b, sim.ModeFixedTick)
-}
-
-func benchIdleDevice(b *testing.B, mode sim.Mode) {
-	b.Helper()
 	var consumed units.Energy
 	for i := 0; i < b.N; i++ {
-		k := kernel.New(kernel.Config{Seed: 42, EngineMode: mode})
+		k := kernel.New(kernel.Config{Seed: 42})
 		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 		k.AddDevice(r)
 		k.Run(10 * units.Minute)
@@ -440,21 +428,9 @@ func benchIdleDevice(b *testing.B, mode sim.Mode) {
 // on the workload it was built for: a device with an always-active
 // constant tap and periodic radio polls, simulated for 10 minutes.
 func BenchmarkBusyTapDevice(b *testing.B) {
-	benchBusyTapDevice(b, kernel.SettleClosedForm)
-}
-
-// BenchmarkBusyTapDevicePerBatch is the same device with settlement
-// disabled — the PR 2 busy path — for the A/B ratio recorded in
-// BENCH_flow.json.
-func BenchmarkBusyTapDevicePerBatch(b *testing.B) {
-	benchBusyTapDevice(b, kernel.SettlePerBatch)
-}
-
-func benchBusyTapDevice(b *testing.B, settle kernel.SettleMode) {
-	b.Helper()
 	var consumed units.Energy
 	for i := 0; i < b.N; i++ {
-		k := kernel.New(kernel.Config{Seed: 42, Settle: settle})
+		k := kernel.New(kernel.Config{Seed: 42})
 		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 		k.AddDevice(r)
 		app := k.CreateReserve(k.Root, "app", label.Public())
@@ -478,18 +454,8 @@ func benchBusyTapDevice(b *testing.B, settle kernel.SettleMode) {
 }
 
 // BenchmarkFleetDayInTheLifeMix runs the scaled-down day-in-the-life mix
-// (64 devices × 4 simulated hours) under closed-form settlement.
+// (64 devices × 4 simulated hours).
 func BenchmarkFleetDayInTheLifeMix(b *testing.B) {
-	benchDayInTheLifeMix(b, kernel.SettleClosedForm)
-}
-
-// BenchmarkFleetDayInTheLifeMixPerBatch is the per-batch A/B twin.
-func BenchmarkFleetDayInTheLifeMixPerBatch(b *testing.B) {
-	benchDayInTheLifeMix(b, kernel.SettlePerBatch)
-}
-
-func benchDayInTheLifeMix(b *testing.B, settle kernel.SettleMode) {
-	b.Helper()
 	var rep fleet.Report
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -498,7 +464,6 @@ func benchDayInTheLifeMix(b *testing.B, settle kernel.SettleMode) {
 			Seed:     1,
 			Duration: 4 * units.Hour,
 			Scenario: fleet.DayInTheLife(),
-			Settle:   settle,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -19,6 +19,11 @@
 //	cinder-fleet -devices 1000000 -duration 168h -scenario weekinthelife -checkpoint-dir ckpt -resume
 //	cinder-fleet -devices 1000000 -duration 168h -scenario weekinthelife -shard 0/4 -o part0.json
 //	cinder-fleet -merge part0.json part1.json part2.json part3.json
+//
+// Checking production against the reference configuration (fixed-tick
+// engine, every periodic task executed, every device built fresh):
+//
+//	cinder-fleet -devices 200 -duration 10m -scenario dayinthelife -json -canonical -reference
 package main
 
 import (
@@ -33,8 +38,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -53,24 +56,19 @@ func realMain() int {
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = one per CPU)")
 		batteryJ  = flag.Float64("battery-j", 0, "override battery capacity in joules (0 = profile default)")
 		perDevice = flag.Bool("per-device", false, "also print one line per device (with -json: include per-device results)")
-		fixedTick = flag.Bool("fixed-tick", false, "use the fixed-tick compat engine (A/B timing)")
-		perBatch  = flag.Bool("per-batch", false, "disable closed-form tap settlement (A/B timing)")
-		perSweep  = flag.Bool("per-sweep", false, "disable closed-form netd sweep settlement (A/B timing)")
-		perCharge = flag.Bool("per-charge", false, "disable closed-form charger settlement (A/B timing)")
-		noRecycle = flag.Bool("no-recycle", false, "construct every device from scratch instead of recycling worker machinery (A/B timing)")
+		reference = flag.Bool("reference", false, "run the reference configuration: fixed-tick engine, every periodic task executed, every device built fresh (single-process only)")
 		jsonOut   = flag.Bool("json", false, "emit the deterministic JSON report (docs/fleet-report.md) instead of text")
-		canonOut  = flag.Bool("canonical", false, "with -json: zero the engine diagnostics (engine_steps, flow_walks, settled_batches, settled_sweeps, settled_charges) — the form that is byte-identical across engine/settle modes and checkpoint/resume")
+		canonOut  = flag.Bool("canonical", false, "with -json: zero the engine diagnostics (engine_steps, flow_walks, settled_batches, settled_sweeps, settled_charges) — the form that is byte-identical between production and -reference, across worker counts, shards and checkpoint/resume")
 		sweep     = flag.String("sweep", "", "sweep mode, e.g. battery-j=15000,30000,60000: run the fleet once per value")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 
-		ckptDir    = flag.String("checkpoint-dir", "", "write resumable epoch files (one per sim-day boundary) to this directory")
-		ckptEvery  = flag.Duration("checkpoint-every", 24*time.Hour, "simulated interval between checkpoints")
-		resume     = flag.Bool("resume", false, "continue from the newest complete epoch file in -checkpoint-dir")
-		shard      = flag.String("shard", "", "run one shard of the fleet, e.g. 2/8: emit a mergeable partial report")
-		merge      = flag.Bool("merge", false, "merge partial reports (the positional args) into the full fleet report")
-		outPath    = flag.String("o", "", "write the report to this file instead of stdout")
-		denseWatch = flag.Bool("dense-watch", false, "poll the battery every second instead of the adaptive watch (A/B timing)")
+		ckptDir   = flag.String("checkpoint-dir", "", "write resumable epoch files (one per sim-day boundary) to this directory")
+		ckptEvery = flag.Duration("checkpoint-every", 24*time.Hour, "simulated interval between checkpoints")
+		resume    = flag.Bool("resume", false, "continue from the newest complete epoch file in -checkpoint-dir")
+		shard     = flag.String("shard", "", "run one shard of the fleet, e.g. 2/8: emit a mergeable partial report")
+		merge     = flag.Bool("merge", false, "merge partial reports (the positional args) into the full fleet report")
+		outPath   = flag.String("o", "", "write the report to this file instead of stdout")
 
 		runnerURL = flag.String("runner", "", "attach to a cinder-coord service at this URL as a work-stealing runner")
 		runnerID  = flag.String("runner-id", "", "runner name in leases and logs (default hostname-pid)")
@@ -80,6 +78,10 @@ func realMain() int {
 		perDevOut = flag.String("per-device-out", "", "stream one NDJSON line per device to this file, in device-index order, without retaining the per-device array in memory")
 	)
 	flag.Parse()
+
+	if *reference && (*shard != "" || *shardsN > 0 || *runnersN > 0 || *runnerURL != "" || *merge) {
+		return fail(fmt.Errorf("-reference is single-process: it cannot combine with -shard, -shards, -runners, -runner or -merge"))
+	}
 
 	if *runnerURL != "" {
 		if *merge || *shard != "" || *sweep != "" || *shardsN > 0 || *jsonOut || *perDevice || *perDevOut != "" {
@@ -140,8 +142,7 @@ func realMain() int {
 		// Per-device output needs the result array retained; otherwise
 		// the run streams results and stays O(workers + buckets).
 		KeepResults:     *perDevice,
-		NoRecycle:       *noRecycle,
-		DenseWatch:      *denseWatch,
+		Reference:       *reference,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: units.Time(ckptEvery.Milliseconds()),
 		Resume:          *resume,
@@ -149,18 +150,6 @@ func realMain() int {
 	}
 	if *batteryJ > 0 {
 		cfg.BatteryCapacity = units.Joules(*batteryJ)
-	}
-	if *fixedTick {
-		cfg.EngineMode = sim.ModeFixedTick
-	}
-	if *perBatch {
-		cfg.Settle = kernel.SettlePerBatch
-	}
-	if *perSweep {
-		cfg.NetdSettle = kernel.SettlePerBatch
-	}
-	if *perCharge {
-		cfg.ChargerSettle = kernel.SettlePerBatch
 	}
 
 	if *shardsN > 0 || *runnersN > 0 {
@@ -175,8 +164,6 @@ func realMain() int {
 			return fail(fmt.Errorf("-shards manages resumption itself (lost shards are re-leased with resume); drop -resume"))
 		case *perDevice || *perDevOut != "":
 			return fail(fmt.Errorf("per-device output needs the single-process path: shard partials do not carry per-device results"))
-		case *noRecycle:
-			return fail(fmt.Errorf("-no-recycle is a single-process A/B knob; jobs do not carry it"))
 		}
 		if err := runLocalCoord(cfg, shards, *runnersN, *jsonOut, *canonOut, *progress, *outPath); err != nil {
 			return fail(err)

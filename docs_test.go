@@ -99,3 +99,70 @@ func TestReadmeCoversEntryPoints(t *testing.T) {
 		}
 	}
 }
+
+// fleetFlagDef matches a flag definition in cmd/cinder-fleet.
+var fleetFlagDef = regexp.MustCompile(`flag\.\w+\("([a-z0-9-]+)"`)
+
+// cliFlag matches a -flag token on a command line.
+var cliFlag = regexp.MustCompile(`\s-([a-z][a-z0-9-]*)`)
+
+// TestDocsUseDefinedFleetFlags: every -flag on a cinder-fleet command
+// line in the user-facing documents must be a flag cmd/cinder-fleet
+// defines, so removing or renaming a flag cannot leave a copy-pasteable
+// example behind. A command line runs from "cinder-fleet" to the end of
+// the line (backslash continuations joined), stopping at a pipe,
+// redirection, command separator, comment or closing backtick.
+func TestDocsUseDefinedFleetFlags(t *testing.T) {
+	defined := map[string]bool{}
+	srcs, err := filepath.Glob("cmd/cinder-fleet/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range srcs {
+		b, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range fleetFlagDef.FindAllStringSubmatch(string(b), -1) {
+			defined[m[1]] = true
+		}
+	}
+	if !defined["devices"] || !defined["scenario"] {
+		t.Fatalf("flag scan of cmd/cinder-fleet found %d flags; the scan looks broken", len(defined))
+	}
+
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+	seen := 0
+	for _, doc := range docs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(b), "\n")
+		for i := 0; i < len(lines); i++ {
+			start, line := i+1, lines[i]
+			for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+				i++
+				line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+			}
+			for _, seg := range strings.Split(line, "cinder-fleet")[1:] {
+				if end := strings.IndexAny(seg, "|>&;#`"); end >= 0 {
+					seg = seg[:end]
+				}
+				for _, m := range cliFlag.FindAllStringSubmatch(seg, -1) {
+					seen++
+					if !defined[m[1]] {
+						t.Errorf("%s:%d: cinder-fleet has no -%s flag", doc, start, m[1])
+					}
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("found no cinder-fleet flags in the documents; the scan looks broken")
+	}
+}

@@ -41,8 +41,6 @@ func reference(t *testing.T, job fleet.Job) (full, canonical []byte) {
 		Scenario: job.Scenario, Devices: job.Devices, Seed: job.Seed,
 		DurationMS: job.DurationMS, Shards: 1,
 		BatteryUJ: job.BatteryUJ, LifeResolutionMS: job.LifeResolutionMS,
-		EngineMode: job.EngineMode, SettleMode: job.SettleMode,
-		NetdSettleMode: job.NetdSettleMode, DenseWatch: job.DenseWatch,
 		CheckpointDir: t.TempDir(), CheckpointEveryMS: job.CheckpointEveryMS,
 	}
 	cfg, err := ref.ShardConfig(0)

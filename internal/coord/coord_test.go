@@ -59,8 +59,6 @@ func singleProcess(t *testing.T, job fleet.Job) fleet.Report {
 		Scenario: job.Scenario, Devices: job.Devices, Seed: job.Seed,
 		DurationMS: job.DurationMS, Shards: 1,
 		BatteryUJ: job.BatteryUJ, LifeResolutionMS: job.LifeResolutionMS,
-		EngineMode: job.EngineMode, SettleMode: job.SettleMode,
-		NetdSettleMode: job.NetdSettleMode, DenseWatch: job.DenseWatch,
 	}
 	if job.CheckpointDir != "" {
 		ref.CheckpointDir = t.TempDir()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -119,14 +118,14 @@ func Adversarial(opts AdversarialOptions) Result {
 
 	// Shape check 5: the measurement is engine-independent — the same
 	// population at reduced scale produces byte-identical canonical
-	// reports under the fixed-tick reference engine.
+	// reports under the reference configuration.
 	eqOK := false
 	eqDetail := ""
 	{
 		small := cfg
 		small.Devices = 40
 		ref, err1 := fleet.Run(small)
-		small.EngineMode = sim.ModeFixedTick
+		small.Reference = true
 		ft, err2 := fleet.Run(small)
 		if err1 == nil && err2 == nil {
 			a, _ := ref.CanonicalJSON(false)
@@ -139,7 +138,7 @@ func Adversarial(opts AdversarialOptions) Result {
 	}
 	res.Checks = append(res.Checks, check(
 		"containment metrics are engine-exact",
-		"canonical JSON byte-identical under fixed-tick reference",
+		"canonical JSON byte-identical under the reference configuration",
 		eqOK, "%s", eqDetail))
 
 	res.Headline = fmt.Sprintf(

@@ -21,7 +21,10 @@ import (
 //     activation only every two minutes achieve twice the service rate
 //     under Cinder's pooling, while currentcy tasks cannot combine at
 //     all.
-func BaselineComparison() Result {
+//
+// reference builds both Cinder kernels on the reference configuration
+// (kernel.Config.Reference), for the engine-equivalence tests.
+func BaselineComparison(reference bool) Result {
 	res := Result{
 		ID:    "baseline",
 		Title: "Cinder vs ECOSystem currentcy (the §2.3 comparison)",
@@ -48,7 +51,7 @@ func BaselineComparison() Result {
 	// Cinder: same budget, plugin behind a 70 mW tap. The plugin
 	// spinner burns flat out; the browser's 620 mW residual keeps it
 	// fully responsive.
-	k := kernel.New(kernel.Config{Seed: 41, DecayHalfLife: -1})
+	k := kernel.New(kernel.Config{Seed: 41, DecayHalfLife: -1, Reference: reference})
 	b, err := apps.NewBrowser(k, k.Root, k.KernelPriv(), k.Battery(), apps.BrowserConfig{
 		Rate:       units.Milliwatts(690),
 		PluginRate: units.Milliwatts(70),
@@ -84,7 +87,7 @@ func BaselineComparison() Result {
 	}
 
 	// Cinder: the same 79 mW apiece through netd's pool.
-	k2 := kernel.New(kernel.Config{Seed: 42, DecayHalfLife: -1})
+	k2 := kernel.New(kernel.Config{Seed: 42, DecayHalfLife: -1, Reference: reference})
 	r2 := radio.New(k2.Eng, k2.Graph, k2.Root, k2.KernelPriv(), radio.Config{Profile: k2.Profile})
 	k2.AddDevice(r2)
 	if _, err := netd.New(k2, r2, netd.Config{Cooperative: true}); err != nil {

@@ -7,70 +7,82 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
-	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
-// engineConfigs are the three advancement strategies every experiment
-// must agree under: the original tick-by-tick engine, next-event
-// advancement with per-batch tap flows (PR 1), and next-event
-// advancement with closed-form tap/device settlement (the busy fast
-// path). The first entry is the oracle.
-var engineConfigs = []struct {
-	name   string
-	mode   sim.Mode
-	settle kernel.SettleMode
-}{
-	{"fixed-tick", sim.ModeFixedTick, kernel.SettlePerBatch},
-	{"next-event-per-batch", sim.ModeNextEvent, kernel.SettlePerBatch},
-	{"next-event-closed-form", sim.ModeNextEvent, kernel.SettleClosedForm},
+// referenceRegistry runs every paper-registry experiment with its
+// default options on the reference configuration
+// (kernel.Config.Reference), the oracle production is checked against.
+var referenceRegistry = map[string]Runner{
+	"baseline": func() Result { return BaselineComparison(true) },
+	"fig3": func() Result {
+		o := DefaultFig3Options()
+		o.Reference = true
+		return Fig3RadioFlows(o)
+	},
+	"fig4": func() Result {
+		o := DefaultFig4Options()
+		o.Reference = true
+		return Fig4RadioActivation(o)
+	},
+	"fig9": func() Result {
+		o := DefaultFig9Options()
+		o.Reference = true
+		return Fig9Isolation(o)
+	},
+	"fig10": func() Result {
+		o := DefaultViewerOptions(false)
+		o.Reference = true
+		return Fig10ViewerNoScaling(o)
+	},
+	"fig11": func() Result {
+		o := DefaultViewerOptions(true)
+		o.Reference = true
+		return Fig11ViewerScaling(o)
+	},
+	"fig12a": func() Result {
+		o := DefaultFig12aOptions()
+		o.Reference = true
+		return Fig12Foreground(o)
+	},
+	"fig12b": func() Result {
+		o := DefaultFig12bOptions()
+		o.Reference = true
+		return Fig12Foreground(o)
+	},
+	"table1": func() Result {
+		o := DefaultTable1Options()
+		o.Reference = true
+		return Table1Cooperative(o)
+	},
+	"gallery":    func() Result { return GraphGallery(true) },
+	"powermodel": func() Result { return PowerModel(true) },
 }
 
-func setEngineConfig(mode sim.Mode, settle kernel.SettleMode) {
-	sim.SetDefaultMode(mode)
-	kernel.SetDefaultSettleMode(settle)
-}
-
-func resetEngineConfig() {
-	sim.SetDefaultMode(sim.ModeNextEvent)
-	kernel.SetDefaultSettleMode(kernel.SettleClosedForm)
-}
-
-// TestEngineEquivalence is the three-way differential test behind the
-// next-event engine and closed-form settlement: every paper-registry
-// experiment must produce a byte-identical Result under all three
-// advancement strategies. Series contents, tables, headlines and check
-// outcomes are all compared structurally and as formatted text.
+// TestEngineEquivalence is the differential test behind the next-event
+// engine and closed-form settlement: every paper-registry experiment
+// must produce a byte-identical Result in production and on the
+// reference configuration. Series contents, tables, headlines and
+// check outcomes are all compared structurally and as formatted text.
+// A missing reference runner fails the test: adding a paper experiment
+// requires adding its reference twin.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	defer resetEngineConfig()
-
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			var oracle Result
-			var oracleText string
-			for i, c := range engineConfigs {
-				setEngineConfig(c.mode, c.settle)
-				got, err := Run(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				text := got.Format(true)
-				if i == 0 {
-					oracle, oracleText = got, text
-					continue
-				}
-				if !reflect.DeepEqual(oracle, got) {
-					t.Errorf("results diverge: %s vs %s", engineConfigs[0].name, c.name)
-				}
-				if text != oracleText {
-					t.Errorf("formatted output diverges under %s:\n--- %s ---\n%s\n--- %s ---\n%s",
-						c.name, engineConfigs[0].name, oracleText, c.name, text)
-				}
+			ref, ok := referenceRegistry[name]
+			if !ok {
+				t.Fatalf("paper experiment %q has no reference runner: add it to referenceRegistry", name)
+			}
+			oracle, got := ref(), registry[name]()
+			if !reflect.DeepEqual(oracle, got) {
+				t.Errorf("results diverge between the reference and production")
+			}
+			if want, text := oracle.Format(true), got.Format(true); text != want {
+				t.Errorf("formatted output diverges:\n--- reference ---\n%s\n--- production ---\n%s", want, text)
 			}
 		})
 	}
@@ -131,7 +143,7 @@ var extendedEquivalence = map[string]fleet.Config{
 	// fig13 reuses the §6.4 kernel-level experiment; its fleet-fidelity
 	// stand-in is the poller scenario (the same rss+mail pair per
 	// device), long enough for dozens of pooled activations per device
-	// to cross the settled busy path under every engine strategy.
+	// to cross the settled busy path in production and the reference.
 	"fig13": {
 		Devices:  4,
 		Seed:     7,
@@ -142,16 +154,15 @@ var extendedEquivalence = map[string]fleet.Config{
 }
 
 // TestExtendedEngineEquivalence runs every extended-registry experiment's
-// fleet semantics under all three advancement strategies and asserts the
-// canonical reports are byte-identical. A busier synthetic mix (every
-// workload primitive compressed into 20 minutes) rides along so call,
-// SMS, browse and poller phases all cross the settled busy path at
-// differential fidelity.
+// fleet semantics in production and under the reference configuration
+// and asserts the canonical reports are byte-identical. A busier
+// synthetic mix (every workload primitive compressed into 20 minutes)
+// rides along so call, SMS, browse and poller phases all cross the
+// settled busy path at differential fidelity.
 func TestExtendedEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	defer resetEngineConfig()
 
 	cases := make(map[string]fleet.Config, len(extendedEquivalence)+1)
 	for _, name := range ExtendedNames() {
@@ -172,12 +183,9 @@ func TestExtendedEngineEquivalence(t *testing.T) {
 	for name, cfg := range cases {
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
-			var oracle []byte
-			for i, c := range engineConfigs {
+			canonical := func(reference bool) []byte {
 				run := cfg
-				run.EngineMode = c.mode
-				run.Settle = c.settle
-				setEngineConfig(c.mode, c.settle)
+				run.Reference = reference
 				rep, err := fleet.Run(run)
 				if err != nil {
 					t.Fatal(err)
@@ -186,14 +194,10 @@ func TestExtendedEngineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if i == 0 {
-					oracle = js
-					continue
-				}
-				if !bytes.Equal(oracle, js) {
-					t.Errorf("canonical fleet report diverges: %s vs %s\n%s",
-						engineConfigs[0].name, c.name, firstDiff(oracle, js))
-				}
+				return js
+			}
+			if oracle, got := canonical(true), canonical(false); !bytes.Equal(oracle, got) {
+				t.Errorf("canonical fleet report diverges from the reference\n%s", firstDiff(oracle, got))
 			}
 		})
 	}

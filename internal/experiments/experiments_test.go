@@ -59,18 +59,18 @@ func TestTable1(t *testing.T) {
 }
 
 func TestGallery(t *testing.T) {
-	requirePass(t, GraphGallery())
+	requirePass(t, GraphGallery(false))
 }
 
 func TestBaselineComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: 20 simulated minutes")
 	}
-	requirePass(t, BaselineComparison())
+	requirePass(t, BaselineComparison(false))
 }
 
 func TestPowerModel(t *testing.T) {
-	requirePass(t, PowerModel())
+	requirePass(t, PowerModel(false))
 }
 
 func TestRegistry(t *testing.T) {

@@ -20,6 +20,9 @@ type Fig12Options struct {
 	BackgroundRate units.Power
 	// Duration of the run (60 s).
 	Duration units.Time
+	// Reference builds the kernels on the reference configuration
+	// (kernel.Config.Reference), for the engine-equivalence tests.
+	Reference bool
 }
 
 // DefaultFig12aOptions matches Figure 12a.
@@ -41,7 +44,7 @@ func DefaultFig12bOptions() Fig12Options {
 // Fig12Foreground regenerates Figure 12: two spinners under the task
 // manager; A foregrounded during 10–20 s, B during 30–40 s.
 func Fig12Foreground(opts Fig12Options) Result {
-	k := kernel.New(kernel.Config{Seed: 12}) // decay ON: it caps hoarding
+	k := kernel.New(kernel.Config{Seed: 12, Reference: opts.Reference}) // decay ON: it caps hoarding
 	tm, err := apps.NewTaskManager(k, k.Root, k.KernelPriv(), k.Battery(), apps.TaskManagerConfig{
 		ForegroundRate: opts.ForegroundRate,
 		BackgroundRate: opts.BackgroundRate,

@@ -19,6 +19,9 @@ type Fig3Options struct {
 	Rates []int
 	// FlowDuration is the flow length (10 s in the paper).
 	FlowDuration units.Time
+	// Reference builds the kernels on the reference configuration
+	// (kernel.Config.Reference), for the engine-equivalence tests.
+	Reference bool
 }
 
 // DefaultFig3Options returns the paper's grid.
@@ -33,8 +36,8 @@ func DefaultFig3Options() Fig3Options {
 // flowEnergy runs one UDP-echo flow against a fresh radio and returns
 // its total above-baseline energy (activation + plateau + data), i.e.
 // what Fig. 3 plots.
-func flowEnergy(size, pps int, dur units.Time) units.Energy {
-	k := kernel.New(kernel.Config{Seed: 11, DecayHalfLife: -1})
+func flowEnergy(size, pps int, dur units.Time, reference bool) units.Energy {
+	k := kernel.New(kernel.Config{Seed: 11, DecayHalfLife: -1, Reference: reference})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 	k.AddDevice(r)
 
@@ -77,7 +80,7 @@ func Fig3RadioFlows(opts Fig3Options) Result {
 	for _, size := range opts.Sizes {
 		row := []string{fmt.Sprintf("%d", size)}
 		for _, pps := range opts.Rates {
-			e := flowEnergy(size, pps, opts.FlowDuration)
+			e := flowEnergy(size, pps, opts.FlowDuration, opts.Reference)
 			perSize[size] = append(perSize[size], e)
 			row = append(row, fmt.Sprintf("%.1f", e.Joules()))
 			sum += e

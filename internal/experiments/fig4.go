@@ -18,6 +18,9 @@ type Fig4Options struct {
 	SendInterval units.Time
 	// Activations is the number of power-up episodes to record.
 	Activations int
+	// Reference builds the kernels on the reference configuration
+	// (kernel.Config.Reference), for the engine-equivalence tests.
+	Reference bool
 }
 
 // DefaultFig4Options matches the paper's ≈400 s trace.
@@ -30,7 +33,7 @@ func DefaultFig4Options() Fig4Options {
 // per-activation energy spread the paper observed (9.5 J mean, 8.8 min,
 // 11.9 max, occasional outliers).
 func Fig4RadioActivation(opts Fig4Options) Result {
-	k := kernel.New(kernel.Config{Seed: 1701, DecayHalfLife: -1})
+	k := kernel.New(kernel.Config{Seed: 1701, DecayHalfLife: -1, Reference: opts.Reference})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{
 		Profile: k.Profile,
 		Jitter:  true,

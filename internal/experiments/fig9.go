@@ -19,6 +19,9 @@ type Fig9Options struct {
 	ShareRate units.Power
 	// Fork1At and Fork2At are B's fork instants (≈5 s and ≈10 s).
 	Fork1At, Fork2At units.Time
+	// Reference builds the kernels on the reference configuration
+	// (kernel.Config.Reference), for the engine-equivalence tests.
+	Reference bool
 }
 
 // DefaultFig9Options matches the figure.
@@ -53,7 +56,7 @@ func sampleThread(k *kernel.Kernel, name string, th *sched.Thread) *powerSampler
 // the CPU's power; B forks B1 and B2, subdividing its own share, and A
 // is unaffected.
 func Fig9Isolation(opts Fig9Options) Result {
-	k := kernel.New(kernel.Config{Seed: 9, DecayHalfLife: -1})
+	k := kernel.New(kernel.Config{Seed: 9, DecayHalfLife: -1, Reference: opts.Reference})
 
 	a, err := apps.NewSpinner(k, k.Root, "A", k.KernelPriv(), k.Battery(), opts.ShareRate, labelPublic())
 	if err != nil {

@@ -12,8 +12,10 @@ import (
 // diagrams rather than measurements — Fig. 1 (battery→tap→browser),
 // Fig. 6a/6b (browser/plugin subdivision with and without reclamation),
 // and Fig. 7 (task-manager foreground/background) — and verifies their
-// structural properties.
-func GraphGallery() Result {
+// structural properties. reference builds every kernel on the reference
+// configuration (kernel.Config.Reference), for the engine-equivalence
+// tests.
+func GraphGallery(reference bool) Result {
 	res := Result{
 		ID:    "gallery",
 		Title: "Resource consumption graph wiring (Figures 1, 6a, 6b, 7)",
@@ -30,7 +32,7 @@ func GraphGallery() Result {
 	// Fig. 1: 15 kJ battery feeding a browser reserve via a 750 mW tap
 	// lasts at least 5 hours (15000 J / 0.750 W ≈ 5.6 h).
 	{
-		k := kernel.New(kernel.Config{Seed: 31, DecayHalfLife: -1})
+		k := kernel.New(kernel.Config{Seed: 31, DecayHalfLife: -1, Reference: reference})
 		res1, tap, err := k.Wrap(k.Root, "browser", k.KernelPriv(), k.Battery(),
 			units.Milliwatts(750), labelPublic())
 		if err != nil {
@@ -44,7 +46,7 @@ func GraphGallery() Result {
 
 	// Fig. 6a: plugin limited to 10% of the browser's power.
 	{
-		k := kernel.New(kernel.Config{Seed: 32, DecayHalfLife: -1})
+		k := kernel.New(kernel.Config{Seed: 32, DecayHalfLife: -1, Reference: reference})
 		b, err := apps.NewBrowser(k, k.Root, k.KernelPriv(), k.Battery(), apps.BrowserConfig{
 			Rate:       units.Milliwatts(690),
 			PluginRate: units.Milliwatts(69),
@@ -60,7 +62,7 @@ func GraphGallery() Result {
 	// Fig. 6b: with reclamation, an idle plugin reserve converges to
 	// rate/frac (70 mW / 0.1×/s = 700 mJ) and the browser's to 7000 mJ.
 	{
-		k := kernel.New(kernel.Config{Seed: 33, DecayHalfLife: -1})
+		k := kernel.New(kernel.Config{Seed: 33, DecayHalfLife: -1, Reference: reference})
 		b, err := apps.NewBrowser(k, k.Root, k.KernelPriv(), k.Battery(), apps.BrowserConfig{
 			Rate:       units.Milliwatts(700),
 			PluginRate: units.Milliwatts(70),
@@ -82,7 +84,7 @@ func GraphGallery() Result {
 
 	// Fig. 7: foreground taps modifiable only by the task manager.
 	{
-		k := kernel.New(kernel.Config{Seed: 34, DecayHalfLife: -1})
+		k := kernel.New(kernel.Config{Seed: 34, DecayHalfLife: -1, Reference: reference})
 		tm, err := apps.NewTaskManager(k, k.Root, k.KernelPriv(), k.Battery(), apps.TaskManagerConfig{
 			ForegroundRate: units.Milliwatts(137),
 			BackgroundRate: units.Milliwatts(14),

@@ -13,15 +13,17 @@ import (
 // the simulated bench supply (idle 699 mW, backlight +555 mW, CPU spin
 // +137 mW, memory-bound +13 %). It validates that the kernel's billing
 // paths compose to exactly the published constants — the premise every
-// other experiment builds on.
-func PowerModel() Result {
+// other experiment builds on. reference measures on the reference
+// configuration (kernel.Config.Reference), for the engine-equivalence
+// tests.
+func PowerModel(reference bool) Result {
 	res := Result{
 		ID:    "powermodel",
 		Title: "Device power states (§4.2 characterization)",
 	}
 
 	measure := func(configure func(k *kernel.Kernel)) units.Power {
-		k := kernel.New(kernel.Config{Seed: 51, DecayHalfLife: -1})
+		k := kernel.New(kernel.Config{Seed: 51, DecayHalfLife: -1, Reference: reference})
 		configure(k)
 		meter := k.NewMeter("supply")
 		start := k.Consumed()

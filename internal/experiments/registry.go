@@ -15,7 +15,7 @@ type Runner func() Result
 // reproduction's regression baseline (an md5 over the full -all output)
 // survives growth.
 var registry = map[string]Runner{
-	"baseline":   BaselineComparison,
+	"baseline":   func() Result { return BaselineComparison(false) },
 	"fig3":       func() Result { return Fig3RadioFlows(DefaultFig3Options()) },
 	"fig4":       func() Result { return Fig4RadioActivation(DefaultFig4Options()) },
 	"fig9":       func() Result { return Fig9Isolation(DefaultFig9Options()) },
@@ -24,8 +24,8 @@ var registry = map[string]Runner{
 	"fig12a":     func() Result { return Fig12Foreground(DefaultFig12aOptions()) },
 	"fig12b":     func() Result { return Fig12Foreground(DefaultFig12bOptions()) },
 	"table1":     func() Result { return Table1Cooperative(DefaultTable1Options()) },
-	"gallery":    GraphGallery,
-	"powermodel": PowerModel,
+	"gallery":    func() Result { return GraphGallery(false) },
+	"powermodel": func() Result { return PowerModel(false) },
 }
 
 // extended maps the beyond-the-paper experiments: runnable by name

@@ -40,6 +40,9 @@ type Table1Options struct {
 	RespJitterPct int
 	// RTT is the cellular round-trip latency.
 	RTT units.Time
+	// Reference builds the kernels on the reference configuration
+	// (kernel.Config.Reference), for the engine-equivalence tests.
+	Reference bool
 }
 
 // DefaultTable1Options matches the paper's experiment.
@@ -77,7 +80,7 @@ type coopRun struct {
 
 // runCoop executes one condition of the experiment.
 func runCoop(opts Table1Options, cooperative bool) coopRun {
-	k := kernel.New(kernel.Config{Seed: 13, DecayHalfLife: -1})
+	k := kernel.New(kernel.Config{Seed: 13, DecayHalfLife: -1, Reference: opts.Reference})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{
 		Profile: k.Profile,
 		RTT:     opts.RTT,

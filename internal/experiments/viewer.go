@@ -16,6 +16,9 @@ type ViewerOptions struct {
 	Config apps.ViewerConfig
 	// MaxRuntime bounds the simulation.
 	MaxRuntime units.Time
+	// Reference builds the kernels on the reference configuration
+	// (kernel.Config.Reference), for the engine-equivalence tests.
+	Reference bool
 }
 
 // DefaultViewerOptions returns the §6.2 schedule.
@@ -33,6 +36,7 @@ func runViewer(opts ViewerOptions) (*apps.ImageViewer, *kernel.Kernel) {
 		Seed:          21,
 		Profile:       power.LaptopT60p(),
 		DecayHalfLife: -1,
+		Reference:     opts.Reference,
 	})
 	v, err := apps.NewImageViewer(k, k.Root, k.KernelPriv(), k.Battery(), opts.Config)
 	if err != nil {

@@ -36,7 +36,8 @@ import (
 // and its LifeP50 recovers toward adv-victim's while adv-lax dies
 // early. DeviceResult.Reclaimed sums the policy tap's lifetime Moved
 // with both hoard reserves' decay returns, so the metric is exact
-// integer energy, independent of settle mode and worker count.
+// integer energy, identical under the reference configuration and
+// across worker counts.
 
 const (
 	// advStream separates cohort/battery assignment from Build's

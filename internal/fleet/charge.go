@@ -14,9 +14,8 @@ import (
 // precisely what the kernel's BatteryCharger was built to guarantee
 // (see internal/kernel/charger.go).
 //
-// The first Charge phase installed on a device attaches the charger
-// with the fleet's A/B settle knob (Device.ChargerSettle, the
-// -per-charge flag); later phases reuse it. Charge windows on one
+// The first Charge phase installed on a device attaches the charger;
+// later phases reuse it. Charge windows on one
 // device must not overlap — Plug while plugged is a no-op, so an
 // overlapped window's unplug would cut the earlier window short.
 type Charge struct {
@@ -39,7 +38,7 @@ func (c Charge) Install(d *Device, w Window) error {
 	}
 	k := d.Kernel
 	if k.Charger() == nil {
-		k.AttachCharger(kernel.ChargerConfig{Settle: d.ChargerSettle})
+		k.AttachCharger(kernel.ChargerConfig{})
 	}
 	ch := k.Charger()
 	k.Eng.At(w.Start, func(*sim.Engine) { ch.Plug(supply) })

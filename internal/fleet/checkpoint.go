@@ -246,6 +246,9 @@ func epochPath(cfg Config, e int) string {
 
 // epochHeader is the identity every epoch file carries: a resume may
 // only continue from a file written by an identically configured run.
+// Whether that run was the reference is not recorded here: every device
+// record's engine section carries its mode, and sim.Engine.Restore
+// refuses a reference/production mismatch.
 func writeEpochHeader(w *snap.Writer, cfg Config, plan epochPlan, e, lo, hi int) {
 	w.Section("epoch-header")
 	w.String(cfg.Scenario.Name())
@@ -258,11 +261,6 @@ func writeEpochHeader(w *snap.Writer, cfg Config, plan epochPlan, e, lo, hi int)
 	w.U64(uint64(hi))
 	w.I64(int64(cfg.BatteryCapacity))
 	w.I64(int64(cfg.LifeResolution))
-	w.U64(uint64(cfg.EngineMode))
-	w.U64(uint64(cfg.Settle))
-	w.U64(uint64(cfg.NetdSettle))
-	w.U64(uint64(cfg.ChargerSettle))
-	w.Bool(cfg.DenseWatch)
 }
 
 func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int) error {
@@ -277,12 +275,7 @@ func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int)
 	fhi := int(r.U64())
 	battery := units.Energy(r.I64())
 	lifeRes := units.Time(r.I64())
-	engineMode := r.U64()
-	settle := r.U64()
-	netdSettle := r.U64()
-	chargerSettle := r.U64()
-	dense := r.Bool()
-	if err := r.Err(); err != nil {
+	if err := r.Close(); err != nil {
 		return err
 	}
 	switch {
@@ -301,13 +294,6 @@ func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int)
 		return fmt.Errorf("fleet: epoch file battery override %v, run has %v", battery, cfg.BatteryCapacity)
 	case lifeRes != cfg.LifeResolution:
 		return fmt.Errorf("fleet: epoch file life resolution %v, run has %v", lifeRes, cfg.LifeResolution)
-	case engineMode != uint64(cfg.EngineMode) || settle != uint64(cfg.Settle) ||
-		netdSettle != uint64(cfg.NetdSettle) || chargerSettle != uint64(cfg.ChargerSettle):
-		return fmt.Errorf("fleet: epoch file engine/settle/netd-settle/charger-settle modes (%d,%d,%d,%d) differ from run (%d,%d,%d,%d)",
-			engineMode, settle, netdSettle, chargerSettle,
-			uint64(cfg.EngineMode), uint64(cfg.Settle), uint64(cfg.NetdSettle), uint64(cfg.ChargerSettle))
-	case dense != cfg.DenseWatch:
-		return fmt.Errorf("fleet: epoch file dense-watch %v, run has %v", dense, cfg.DenseWatch)
 	}
 	return nil
 }
@@ -480,6 +466,11 @@ func verifyEpoch(cfg Config, plan epochPlan, e, lo, hi int) error {
 		return fmt.Errorf("missing epoch header (leading frame kind %d)", kind)
 	}
 	hr, err := snap.Open(blob)
+	if errors.Is(err, snap.ErrVersion) {
+		// Written by a build with another snapshot layout: sound, just
+		// not resumable here, so skip it like a foreign run's file.
+		return fmt.Errorf("%w: %v", errEpochMismatch, err)
+	}
 	if err != nil {
 		return fmt.Errorf("epoch header: %w", err)
 	}

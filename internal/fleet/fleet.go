@@ -73,10 +73,6 @@ type Device struct {
 	// report breakdowns. runDevice seeds it with the config scenario's
 	// name; Mix overrides it with the chosen entry's name.
 	Scenario string
-	// ChargerSettle is the fleet-level charger settlement mode, copied
-	// here so scenarios that attach a charger at Build time pass the
-	// A/B knob through (kernel.ChargerConfig.Settle).
-	ChargerSettle kernel.SettleMode
 	// Probes are scenario-installed callbacks run after the simulation
 	// to add workload counters into the DeviceResult (PollerScenario
 	// accumulates completed polls into Polls this way).
@@ -236,41 +232,19 @@ type Config struct {
 	BatteryCapacity units.Energy
 	// LifeResolution overrides DefaultLifeResolution.
 	LifeResolution units.Time
-	// EngineMode selects the time-advancement strategy (default
-	// next-event; the fixed-tick compat mode exists for differential testing).
-	EngineMode sim.Mode
-	// Settle selects the busy-path strategy (default closed-form
-	// settlement; the per-batch compat mode exists for A/B timing and
-	// differential tests).
-	Settle kernel.SettleMode
-	// NetdSettle selects netd's sweep strategy independently of the
-	// kernel's (default closed-form pool-crossing prediction; the
-	// per-sweep compat mode exists for A/B timing and differential
-	// tests — the cinder-fleet -per-sweep flag). Reports are
-	// byte-identical either way.
-	NetdSettle kernel.SettleMode
-	// ChargerSettle selects the battery charger's settlement strategy
-	// for scenarios that plug devices in overnight (default closed-form
-	// telescoped recharge; the per-quantum compat mode exists for A/B
-	// timing and differential tests — the cinder-fleet -per-charge
-	// flag). Reports are byte-identical either way; scenarios read it
-	// off Device.ChargerSettle when attaching the charger.
-	ChargerSettle kernel.SettleMode
+	// Reference runs every device on the reference configuration
+	// (kernel.Config.Reference: fixed-tick engine, every periodic task
+	// executed, the battery watch polling every LifeResolution) and
+	// builds each one fresh instead of recycling worker machinery — the
+	// oracle the differential tests and cinder-fleet -reference check
+	// production against. Canonical reports are byte-identical either
+	// way. The reference is single-process: jobs and shards refuse it.
+	Reference bool
 	// KeepResults retains the per-device result array on the Report.
 	// Off (the default) the run streams each DeviceResult into the
 	// aggregate and drops it, so fleet memory stays O(workers + buckets)
 	// regardless of size. Turn it on for per-device output.
 	KeepResults bool
-	// NoRecycle constructs every device from scratch instead of
-	// recycling each worker's kernel/radio/netd machinery. It exists for
-	// A/B benchmarks and the recycling-equivalence tests; reports are
-	// byte-identical either way.
-	NoRecycle bool
-	// DenseWatch disables the adaptive battery-watch deferral and polls
-	// the battery every LifeResolution instead, the pre-optimization
-	// behaviour. It exists for A/B benchmarks and the watch-equivalence
-	// tests; reports are byte-identical either way.
-	DenseWatch bool
 
 	// PerDevice, when set, streams every completed device's result out
 	// of the reduction frontier, in strict device-index order, without
@@ -780,6 +754,9 @@ func (cfg *Config) validate() (workers int, err error) {
 	if cfg.ShardCount > 0 && cfg.KeepResults {
 		return 0, fmt.Errorf("fleet: per-device results are not supported on sharded runs")
 	}
+	if cfg.ShardCount > 0 && cfg.Reference {
+		return 0, errReferenceSharded
+	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return 0, fmt.Errorf("fleet: -resume needs a checkpoint dir")
 	}
@@ -1031,6 +1008,11 @@ type rig struct {
 	dev *Device
 }
 
+// errReferenceSharded is the refusal every sharded or job entry point
+// gives the reference configuration.
+var errReferenceSharded = fmt.Errorf("fleet: the reference configuration (-reference) is single-process; " +
+	"jobs, shards and partials do not carry it")
+
 // buildDevice assembles one fleet member — recycled rig machinery, the
 // scenario's workloads, and the battery watch — leaving it ready to
 // run (or to overlay a checkpoint snapshot). The returned DeviceResult
@@ -1040,18 +1022,14 @@ type rig struct {
 // The recycled construction sequence is identical to the fresh one —
 // kernel, then radio (and its funding reserve), then netd — so object
 // IDs, seeds and every downstream result are byte-identical; the
-// equivalence tests assert it.
+// equivalence tests assert it. The reference configuration builds every
+// device on a fresh rig.
 func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 	seed := DeriveSeed(cfg.Seed, idx)
-	mode := cfg.EngineMode
-	if mode == sim.ModeAuto {
-		mode = sim.DefaultMode()
-	}
 	kcfg := kernel.Config{
 		Seed:            seed,
 		BatteryCapacity: cfg.BatteryCapacity,
-		EngineMode:      mode,
-		Settle:          cfg.Settle,
+		Reference:       cfg.Reference,
 	}
 	if p, ok := cfg.Scenario.(Provisioner); ok {
 		prov := p.Provision(idx, seed)
@@ -1068,8 +1046,8 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 		}
 		kcfg.StrictHoarding = prov.StrictHoarding
 	}
-	ncfg := netd.Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true, Settle: cfg.NetdSettle}
-	if cfg.NoRecycle {
+	ncfg := netd.Config{Cooperative: true, QuiescentSweep: !cfg.Reference, NoPoolTrace: true}
+	if cfg.Reference {
 		*rg = rig{}
 	}
 	if rg.k == nil {
@@ -1106,16 +1084,15 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 		rand.state = uint64(seed)
 	}
 	*d = Device{
-		Index:         idx,
-		Seed:          seed,
-		Rand:          rand,
-		Kernel:        k,
-		Radio:         rg.r,
-		Netd:          rg.n,
-		Scenario:      cfg.Scenario.Name(),
-		ChargerSettle: cfg.ChargerSettle,
-		Probes:        probes,
-		Hooks:         hooks,
+		Index:    idx,
+		Seed:     seed,
+		Rand:     rand,
+		Kernel:   k,
+		Radio:    rg.r,
+		Netd:     rg.n,
+		Scenario: cfg.Scenario.Name(),
+		Probes:   probes,
+		Hooks:    hooks,
 	}
 	if err := cfg.Scenario.Build(d); err != nil {
 		return nil, nil, err
@@ -1134,13 +1111,11 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 			e.Stop() // dead device: nothing left to measure
 			return
 		}
-		if cfg.DenseWatch {
-			return
-		}
 		// While the device is provably quiescent, skip ahead: the kernel
 		// bounds how far the battery could possibly drain, and the
 		// deferral lands the next check at the exact grid instant dense
-		// polling would first have detected anything.
+		// polling would first have detected anything. (The reference
+		// kernel's horizon is always 0: its watch polls densely.)
 		if h := k.WatchHorizon(watch); h > e.Now() {
 			watch.DeferUntil(h)
 		}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/units"
 )
@@ -122,8 +121,8 @@ func TestFleetBatteryDeath(t *testing.T) {
 }
 
 func TestFleetModeEquivalence(t *testing.T) {
-	// The whole fleet must produce identical results under the
-	// next-event and fixed-tick engines.
+	// The whole fleet must produce identical results in production and
+	// under the reference configuration.
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -133,33 +132,29 @@ func TestFleetModeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.EngineMode = sim.ModeFixedTick
+	cfg.Reference = true
 	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// EngineSteps, FlowWalks, SettledBatches and SettledSweeps are the
-	// fields that legitimately differ between modes (they measure how
-	// many instants the engine visited and how flow batches and netd
-	// sweeps were advanced — precisely what next-event advancement and
-	// closed-form settlement reduce); instants must be *fewer* under
-	// next-event, and everything else identical.
+	// EngineSteps, FlowWalks and the Settled* counters are the fields
+	// that legitimately differ (they measure how many instants the
+	// engine visited and how flow batches, netd sweeps and charger
+	// quanta were advanced — precisely what next-event advancement and
+	// closed-form settlement reduce); instants must be *fewer* in
+	// production, and everything else identical.
 	for i := range a.Results {
 		if b.Results[i].EngineSteps < a.Results[i].EngineSteps {
-			t.Fatalf("device %d: next-event executed more instants (%d) than fixed-tick (%d)",
+			t.Fatalf("device %d: production executed more instants (%d) than the reference (%d)",
 				i, a.Results[i].EngineSteps, b.Results[i].EngineSteps)
 		}
-		a.Results[i].EngineSteps = 0
-		b.Results[i].EngineSteps = 0
-		a.Results[i].FlowWalks = 0
-		b.Results[i].FlowWalks = 0
-		a.Results[i].SettledBatches = 0
-		b.Results[i].SettledBatches = 0
-		a.Results[i].SettledSweeps = 0
-		b.Results[i].SettledSweeps = 0
+		for _, r := range []*DeviceResult{&a.Results[i], &b.Results[i]} {
+			r.EngineSteps, r.FlowWalks = 0, 0
+			r.SettledBatches, r.SettledSweeps, r.SettledCharges = 0, 0, 0
+		}
 	}
 	if !reflect.DeepEqual(a.Results, b.Results) {
-		t.Fatalf("engine mode changed fleet results:\n%s\nvs\n%s", a.Format(), b.Format())
+		t.Fatalf("the reference changed fleet results:\n%s\nvs\n%s", a.Format(), b.Format())
 	}
 	// The canonical JSON — the engine-invariant projection — must be
 	// byte-identical without any scrubbing.
@@ -172,8 +167,45 @@ func TestFleetModeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(aj, bj) {
-		t.Fatal("canonical JSON diverges between engine modes")
+		t.Fatal("canonical JSON diverges between production and the reference")
 	}
+}
+
+// runFresh is Run with every device built on a fresh rig instead of
+// recycling its worker's machinery — production devices otherwise, so
+// the full report, engine diagnostics included, must match Run's.
+func runFresh(t *testing.T, cfg Config) Report {
+	t.Helper()
+	workers, err := cfg.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := newAggregate()
+	var results []DeviceResult
+	err = pass(cfg, workers, 0, cfg.Devices, nil,
+		func(idx int, _ []byte, rg *rig) outcome {
+			*rg = rig{}
+			d, res, err := buildDevice(cfg, idx, rg)
+			if err != nil {
+				return outcome{err: err}
+			}
+			d.Kernel.Run(cfg.Duration)
+			extractResult(d, res)
+			return outcome{res: *res}
+		},
+		func(_ int, o outcome) error {
+			agg.add(o.res)
+			if cfg.KeepResults {
+				results = append(results, o.res)
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := agg.finish(cfg, workers)
+	rep.Results = results
+	return rep
 }
 
 // TestFleetRecycleEquivalence: recycling a worker's kernel/radio/netd
@@ -187,11 +219,7 @@ func TestFleetRecycleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoRecycle = true
-	fresh, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := runFresh(t, cfg)
 	rj, err := recycled.JSON(true)
 	if err != nil {
 		t.Fatal(err)
@@ -227,11 +255,7 @@ func TestFleetRecycleEquivalenceMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoRecycle = true
-	fresh, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := runFresh(t, cfg)
 	rj, err := recycled.JSON(true)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -45,15 +43,6 @@ type Job struct {
 	BatteryUJ        int64 `json:"battery_uj,omitempty"`
 	LifeResolutionMS int64 `json:"life_resolution_ms,omitempty"`
 
-	// EngineMode/SettleMode/NetdSettleMode/DenseWatch pin the engine
-	// configuration, so every runner of a job simulates identically (the
-	// same fields Partial records and Merge verifies).
-	EngineMode        uint8 `json:"engine_mode,omitempty"`
-	SettleMode        uint8 `json:"settle_mode,omitempty"`
-	NetdSettleMode    uint8 `json:"netd_settle_mode,omitempty"`
-	ChargerSettleMode uint8 `json:"charger_settle_mode,omitempty"`
-	DenseWatch        bool  `json:"dense_watch,omitempty"`
-
 	// CheckpointDir, when set, makes every ShardRun interruptible: epoch
 	// files land there (per-shard names), and a reassigned shard resumes
 	// from the newest complete epoch instead of t = 0 — runner loss
@@ -70,13 +59,14 @@ type Job struct {
 
 // NewJob derives a job spec from a run config and a shard plan,
 // capturing cfg.Scenario so non-registry scenarios work in-process.
+// Jobs always run production devices: the reference configuration is
+// refused.
 func NewJob(cfg Config, shards int) (Job, error) {
 	if cfg.Scenario == nil {
 		return Job{}, fmt.Errorf("fleet: job needs a scenario")
 	}
-	mode := cfg.EngineMode
-	if mode == sim.ModeAuto {
-		mode = sim.DefaultMode()
+	if cfg.Reference {
+		return Job{}, errReferenceSharded
 	}
 	j := Job{
 		Scenario:          cfg.Scenario.Name(),
@@ -86,11 +76,6 @@ func NewJob(cfg Config, shards int) (Job, error) {
 		Shards:            shards,
 		BatteryUJ:         int64(cfg.BatteryCapacity),
 		LifeResolutionMS:  int64(cfg.LifeResolution),
-		EngineMode:        uint8(mode),
-		SettleMode:        uint8(cfg.Settle),
-		NetdSettleMode:    uint8(cfg.NetdSettle),
-		ChargerSettleMode: uint8(cfg.ChargerSettle),
-		DenseWatch:        cfg.DenseWatch,
 		CheckpointDir:     cfg.CheckpointDir,
 		CheckpointEveryMS: int64(cfg.CheckpointEvery),
 		scenario:          cfg.Scenario,
@@ -170,11 +155,6 @@ func (j Job) ShardConfig(shard int) (Config, error) {
 		Scenario:        sc,
 		BatteryCapacity: units.Energy(j.BatteryUJ),
 		LifeResolution:  units.Time(j.LifeResolutionMS),
-		EngineMode:      sim.Mode(j.EngineMode),
-		Settle:          kernel.SettleMode(j.SettleMode),
-		NetdSettle:      kernel.SettleMode(j.NetdSettleMode),
-		ChargerSettle:   kernel.SettleMode(j.ChargerSettleMode),
-		DenseWatch:      j.DenseWatch,
 		ShardIndex:      shard,
 		ShardCount:      j.Shards,
 		CheckpointDir:   j.CheckpointDir,

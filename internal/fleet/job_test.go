@@ -114,3 +114,35 @@ func TestShardRunDegenerateMatchesRun(t *testing.T) {
 		t.Fatalf("degenerate job run diverged from fleet.Run:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestReferenceRefusedOnJobPaths: the reference configuration is
+// single-process. Every entry point that would carry it into a job, a
+// shard or a partial refuses it with an error naming -reference.
+func TestReferenceRefusedOnJobPaths(t *testing.T) {
+	cfg := shardBase(8)
+	cfg.Reference = true
+	if _, err := NewJob(cfg, 2); err == nil || !strings.Contains(err.Error(), "-reference") {
+		t.Errorf("NewJob: got %v, want a refusal naming -reference", err)
+	}
+	cfg.ShardIndex, cfg.ShardCount = 1, 2
+	if _, err := RunShard(cfg); err == nil || !strings.Contains(err.Error(), "-reference") {
+		t.Errorf("RunShard: got %v, want a refusal naming -reference", err)
+	}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "-reference") {
+		t.Errorf("Run of a sharded config: got %v, want a refusal naming -reference", err)
+	}
+}
+
+// TestParsePartialRejectsStaleFormat: a partial in the older format,
+// which still recorded engine and settle modes, is refused instead of
+// merged.
+func TestParsePartialRejectsStaleFormat(t *testing.T) {
+	stale := `{"format":"cinder-fleet-partial","version":1,"scenario":"poller","devices":4,"seed":1,` +
+		`"duration_ms":1000,"battery_uj":0,"engine_mode":1,"settle_mode":0,"netd_settle_mode":0,` +
+		`"life_resolution_ms":1000,"shard_index":0,"shard_count":1,"range_lo":0,"range_hi":4,` +
+		`"agg":{"seen":4},"buckets":[]}`
+	_, err := ParsePartial([]byte(stale))
+	if err == nil || !strings.Contains(err.Error(), "partial report v1") {
+		t.Fatalf("stale partial: got %v, want a version refusal", err)
+	}
+}

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -234,5 +237,69 @@ func TestCheckpointBoundaryMidPollNamesWorkload(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("boundary error %q does not mention %q", err, want)
 		}
+	}
+}
+
+// TestResumeSkipsStaleFormatEpoch: an epoch file written under the older
+// snapshot layout, whose header still carried engine and settle modes,
+// is neither resumed from nor quarantined. Resume skips it with a
+// warning naming both versions; a strict -resume then fails loudly.
+func TestResumeSkipsStaleFormatEpoch(t *testing.T) {
+	dir := t.TempDir()
+	cfg := weekCfg(t, 4, dir)
+	cfg.Duration = 2 * 24 * units.Hour // one epoch file
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	path := epochPath(cfg, 0)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(b, []byte(snap.Magic)) // the header frame's snapshot
+	binary.LittleEndian.PutUint32(b[i+len(snap.Magic):], 1)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := openEpochReader(cfg, planEpochs(cfg), 0, 0, cfg.Devices); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("snapshot is v1, this build reads v%d", snap.Version)) {
+		t.Fatalf("opening a stale-format epoch: got %v, want a descriptive version error", err)
+	}
+	rcfg := cfg
+	rcfg.Resume = true
+	var warns []string
+	rcfg.Warnf = func(format string, args ...any) { warns = append(warns, fmt.Sprintf(format, args...)) }
+	if _, err := Run(rcfg); err == nil || !strings.Contains(err.Error(), "no complete epoch file") {
+		t.Fatalf("resume from a stale-format epoch: got %v, want a loud refusal", err)
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], "skipping") || !strings.Contains(warns[0], "v1") {
+		t.Fatalf("want one skip warning naming the stale version, got %q", warns)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("stale-format epoch file was moved: %v", err)
+	}
+}
+
+// TestResumeRefusesReferenceEpoch: epoch headers no longer record the
+// engine configuration, so a production resume from a reference run's
+// epoch file is caught by the engine section's mode check — loudly.
+func TestResumeRefusesReferenceEpoch(t *testing.T) {
+	cfg := Config{
+		Devices:         1,
+		Seed:            3,
+		Duration:        20 * units.Minute,
+		Workers:         1,
+		Scenario:        Scenarios()["idle"],
+		Reference:       true,
+		CheckpointDir:   t.TempDir(),
+		CheckpointEvery: 10 * units.Minute,
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Reference, cfg.Resume = false, true
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "snapshot mode fixed-tick, engine mode next-event") {
+		t.Fatalf("production resume of a reference epoch: got %v, want the engine mode mismatch", err)
 	}
 }

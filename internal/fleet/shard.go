@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/units"
 )
@@ -22,8 +21,10 @@ import (
 // sketch merges by counter addition. No full-population array ever
 // exists on any machine.
 
-// PartialVersion is the partial-report schema version.
-const PartialVersion = 1
+// PartialVersion is the partial-report schema version. Version 2
+// dropped the engine and settle modes: partials always come from
+// production runs.
+const PartialVersion = 2
 
 // Partial is one shard's mergeable report.
 type Partial struct {
@@ -31,17 +32,12 @@ type Partial struct {
 	Version int    `json:"version"`
 
 	// Identity: every shard of a run must agree on these exactly.
-	Scenario          string `json:"scenario"`
-	Devices           int    `json:"devices"`
-	Seed              int64  `json:"seed"`
-	DurationMS        int64  `json:"duration_ms"`
-	BatteryUJ         int64  `json:"battery_uj"`
-	EngineMode        uint8  `json:"engine_mode"`
-	SettleMode        uint8  `json:"settle_mode"`
-	NetdSettleMode    uint8  `json:"netd_settle_mode"`
-	ChargerSettleMode uint8  `json:"charger_settle_mode,omitempty"`
-	LifeResolutionMS  int64  `json:"life_resolution_ms"`
-	DenseWatch        bool   `json:"dense_watch,omitempty"`
+	Scenario         string `json:"scenario"`
+	Devices          int    `json:"devices"`
+	Seed             int64  `json:"seed"`
+	DurationMS       int64  `json:"duration_ms"`
+	BatteryUJ        int64  `json:"battery_uj"`
+	LifeResolutionMS int64  `json:"life_resolution_ms"`
 
 	ShardIndex int `json:"shard_index"`
 	ShardCount int `json:"shard_count"`
@@ -120,28 +116,19 @@ func RunShard(cfg Config) (*Partial, error) {
 // packPartial converts an aggregate into its wire form.
 func packPartial(cfg Config, a *aggregate) *Partial {
 	lo, hi := cfg.shardRange()
-	mode := cfg.EngineMode
-	if mode == sim.ModeAuto {
-		mode = sim.DefaultMode()
-	}
 	p := &Partial{
-		Format:            "cinder-fleet-partial",
-		Version:           PartialVersion,
-		Scenario:          cfg.Scenario.Name(),
-		Devices:           cfg.Devices,
-		Seed:              cfg.Seed,
-		DurationMS:        int64(cfg.Duration),
-		BatteryUJ:         int64(cfg.BatteryCapacity),
-		EngineMode:        uint8(mode),
-		SettleMode:        uint8(cfg.Settle),
-		NetdSettleMode:    uint8(cfg.NetdSettle),
-		ChargerSettleMode: uint8(cfg.ChargerSettle),
-		LifeResolutionMS:  int64(cfg.LifeResolution),
-		DenseWatch:        cfg.DenseWatch,
-		ShardIndex:        cfg.ShardIndex,
-		ShardCount:        cfg.ShardCount,
-		RangeLo:           lo,
-		RangeHi:           hi,
+		Format:           "cinder-fleet-partial",
+		Version:          PartialVersion,
+		Scenario:         cfg.Scenario.Name(),
+		Devices:          cfg.Devices,
+		Seed:             cfg.Seed,
+		DurationMS:       int64(cfg.Duration),
+		BatteryUJ:        int64(cfg.BatteryCapacity),
+		LifeResolutionMS: int64(cfg.LifeResolution),
+		ShardIndex:       cfg.ShardIndex,
+		ShardCount:       cfg.ShardCount,
+		RangeLo:          lo,
+		RangeHi:          hi,
 		Agg: partialAgg{
 			Seen:            a.seen,
 			TotalConsumedUJ: int64(a.totalConsumed),
@@ -305,11 +292,7 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 		switch {
 		case p.Scenario != ref.Scenario || p.Devices != ref.Devices || p.Seed != ref.Seed ||
 			p.DurationMS != ref.DurationMS || p.BatteryUJ != ref.BatteryUJ ||
-			p.EngineMode != ref.EngineMode || p.SettleMode != ref.SettleMode ||
-			p.NetdSettleMode != ref.NetdSettleMode ||
-			p.ChargerSettleMode != ref.ChargerSettleMode ||
-			p.LifeResolutionMS != ref.LifeResolutionMS || p.DenseWatch != ref.DenseWatch ||
-			p.ShardCount != ref.ShardCount:
+			p.LifeResolutionMS != ref.LifeResolutionMS || p.ShardCount != ref.ShardCount:
 			return Report{}, fmt.Errorf("fleet: partial %d/%d does not match partial %d/%d: "+
 				"shards must come from one identically configured run",
 				p.ShardIndex, p.ShardCount, ref.ShardIndex, ref.ShardCount)

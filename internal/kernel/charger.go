@@ -35,8 +35,9 @@ import (
 // Inside such a window credits and drains are pure integer additions
 // with no clamp and no starvation, so they commute: replaying the
 // skipped credits after the window's lazily-settled drains yields the
-// byte-identical state per-quantum execution would have. The fleet's
-// -per-charge A/B flag and the differential tests assert exactly that.
+// byte-identical state per-quantum execution would have. The reference
+// configuration (Config.Reference) credits every quantum, and the
+// differential tests assert exactly that equality.
 
 // DefaultChargeQuantum is the charger's crediting interval. Coarser
 // than the tap batch: charge arrives in 30 s quanta, which bounds the
@@ -48,16 +49,6 @@ const DefaultChargeQuantum = 30 * units.Second
 type ChargerConfig struct {
 	// Quantum overrides DefaultChargeQuantum.
 	Quantum units.Time
-	// Settle selects closed-form charge settlement: instead of executing
-	// a crediting task firing every quantum while plugged, the charger
-	// defers the task across stretches where neither the full-battery
-	// clamp nor any reserve exhaustion can occur, and replays the
-	// skipped credits in one exact fixup. SettleAuto (the zero value)
-	// resolves to the kernel package default; the mode only engages when
-	// the kernel itself runs closed-form settlement on a next-event
-	// engine. SettlePerBatch forces per-quantum execution — the fleet's
-	// -per-charge A/B flag.
-	Settle SettleMode
 }
 
 // ChargerStats counts charger activity.
@@ -71,7 +62,7 @@ type ChargerStats struct {
 	Clamped units.Energy
 	// SettledCharges is the number of charge boundaries accounted in
 	// closed form instead of executed as task firings. Reported outside
-	// the canonical fleet JSON: per-charge A/B runs legitimately differ.
+	// the canonical fleet JSON: the reference legitimately differs.
 	SettledCharges int64
 }
 
@@ -110,14 +101,10 @@ func (k *Kernel) AttachCharger(cfg ChargerConfig) *BatteryCharger {
 	if cfg.Quantum == 0 {
 		cfg.Quantum = DefaultChargeQuantum
 	}
-	settle := cfg.Settle
-	if settle == SettleAuto {
-		settle = DefaultSettleMode()
-	}
 	c := &BatteryCharger{k: k, quantum: cfg.Quantum}
 	c.task = k.Eng.Every("kernel:charger", cfg.Quantum, func(e *sim.Engine) { c.fire(e.Now()) })
 	c.task.Park()
-	c.closedForm = settle == SettleClosedForm && k.LazySettle()
+	c.closedForm = k.LazySettle()
 	if c.closedForm {
 		k.AddSweepSettler(c)
 	}
@@ -184,7 +171,7 @@ func (c *BatteryCharger) fire(now units.Time) {
 // would — as long as no intermediate boundary would have clamped, which
 // every deferral guarantees (see the file comment). On a clamp the
 // sub-µJ carry is discarded with the surplus: the charge controller is
-// in top-off, and both settle modes share this code path.
+// in top-off, and the reference shares this code path.
 func (c *BatteryCharger) creditThrough(t units.Time) {
 	if t <= c.lastCharge {
 		return
@@ -352,8 +339,8 @@ func (c *BatteryCharger) Restore(r *snap.Reader) error {
 	}
 	if settling && !c.closedForm {
 		return fmt.Errorf("kernel: charger restore: snapshot recorded a deferred charge " +
-			"prediction but the rebuilt charger runs per-quantum settlement — resume with " +
-			"the settle mode the checkpoint was written under")
+			"prediction but the rebuilt charger credits every quantum (reference configuration) — " +
+			"resume in the configuration the checkpoint was written under")
 	}
 	c.plugged = plugged
 	c.supply = power.Charger{Name: name, Rate: rate}

@@ -17,9 +17,8 @@ import (
 // trickle window, a second off-quantum unplug, and a final discharge to
 // depletion. A constant app tap drains alongside the baseline so
 // credits always race live outflows.
-func chargeScenario(mode sim.Mode, settle SettleMode, chargerSettle SettleMode) *Kernel {
-	k := New(Config{Seed: 9, EngineMode: mode, Settle: settle,
-		BatteryCapacity: 40 * units.Joule})
+func chargeScenario(reference bool) *Kernel {
+	k := New(Config{Seed: 9, Reference: reference, BatteryCapacity: 40 * units.Joule})
 	app := k.CreateReserve(k.Root, "app", label.Public())
 	tap, err := k.CreateTap(k.Root, "app-tap", k.KernelPriv(), k.Battery(), app, label.Public())
 	if err != nil {
@@ -28,7 +27,7 @@ func chargeScenario(mode sim.Mode, settle SettleMode, chargerSettle SettleMode) 
 	if err := tap.SetRate(k.KernelPriv(), units.Milliwatts(150)); err != nil {
 		panic(err)
 	}
-	c := k.AttachCharger(ChargerConfig{Settle: chargerSettle})
+	c := k.AttachCharger(ChargerConfig{})
 	k.Eng.At(10*units.Second, func(*sim.Engine) { c.Plug(power.ACCharger()) })
 	k.Eng.At(73*units.Second+400, func(*sim.Engine) { c.Unplug() })
 	k.Eng.At(100*units.Second, func(*sim.Engine) { c.Plug(power.USBCharger()) })
@@ -38,8 +37,8 @@ func chargeScenario(mode sim.Mode, settle SettleMode, chargerSettle SettleMode) 
 
 // chargeSnapshot captures every canonically observable quantity. The
 // charger's SettledCharges counter is deliberately absent: it counts
-// boundaries accounted in closed form, which per-quantum runs
-// legitimately report as zero.
+// boundaries accounted in closed form, which the reference legitimately
+// reports as zero.
 func chargeSnapshot(k *Kernel) string {
 	lvl, _ := k.Battery().Level(k.KernelPriv())
 	cs := k.Charger().Stats()
@@ -47,48 +46,34 @@ func chargeSnapshot(k *Kernel) string {
 		lvl, k.Consumed(), cs.Recharged, cs.Clamped, cs.Plugs, k.Graph.ConservationError())
 }
 
-// TestChargerSettlementModeEquivalence is the charger's three-way
-// differential: the non-monotone battery trajectory must be identical
-// under fixed-tick, per-quantum next-event, and closed-form charge
-// settlement — at every Run boundary, including odd-length spans that
-// land mid-quantum and a final span that drains the battery to
-// depletion after its last recharge.
+// TestChargerSettlementModeEquivalence is the charger's differential:
+// the non-monotone battery trajectory must be identical under the
+// reference configuration and closed-form charge settlement — at every
+// Run boundary, including odd-length spans that land mid-quantum and a
+// final span that drains the battery to depletion after its last
+// recharge.
 func TestChargerSettlementModeEquivalence(t *testing.T) {
-	type cfg struct {
-		name    string
-		mode    sim.Mode
-		settle  SettleMode
-		charger SettleMode
-	}
-	configs := []cfg{
-		{"fixed-tick", sim.ModeFixedTick, SettlePerBatch, SettlePerBatch},
-		{"per-quantum", sim.ModeNextEvent, SettleClosedForm, SettlePerBatch},
-		{"closed-form", sim.ModeNextEvent, SettleClosedForm, SettleClosedForm},
-	}
 	spans := []units.Time{
 		9 * units.Second, 4*units.Second + 3, 60 * units.Second,
 		30*units.Second + 7, 96*units.Second + 990,
 	}
-	var ref []string
-	for ci, c := range configs {
-		k := chargeScenario(c.mode, c.settle, c.charger)
+	run := func(reference bool) []string {
+		k := chargeScenario(reference)
 		var snaps []string
 		for _, d := range spans {
 			k.Run(d)
 			snaps = append(snaps, chargeSnapshot(k))
 		}
 		if cs := k.Charger().Stats(); cs.Clamped == 0 {
-			t.Fatalf("%s: scenario never hit the full-battery clamp — top-off regime untested", c.name)
+			t.Fatalf("reference=%v: scenario never hit the full-battery clamp — top-off regime untested", reference)
 		}
-		if ci == 0 {
-			ref = snaps
-			continue
-		}
-		for i := range snaps {
-			if snaps[i] != ref[i] {
-				t.Errorf("%s diverges from fixed-tick after span %d:\n  fixed-tick:  %s\n  %s: %s",
-					c.name, i, ref[i], c.name, snaps[i])
-			}
+		return snaps
+	}
+	ref, got := run(true), run(false)
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Errorf("closed-form diverges from the reference after span %d:\n  reference:   %s\n  closed-form: %s",
+				i, ref[i], got[i])
 		}
 	}
 }
@@ -98,8 +83,7 @@ func TestChargerSettlementModeEquivalence(t *testing.T) {
 // level sits at capacity, and conservation (extended by Recharged)
 // stays exact.
 func TestChargerClampNeverOvershoots(t *testing.T) {
-	k := New(Config{Seed: 2, EngineMode: sim.ModeNextEvent,
-		BatteryCapacity: 20 * units.Joule})
+	k := New(Config{Seed: 2, BatteryCapacity: 20 * units.Joule})
 	c := k.AttachCharger(ChargerConfig{})
 	k.Eng.At(5*units.Second, func(*sim.Engine) { c.Plug(power.ACCharger()) })
 	k.Run(2 * units.Minute)
@@ -131,7 +115,7 @@ func TestChargerClampNeverOvershoots(t *testing.T) {
 // executes no extra instants and credits nothing.
 func TestChargerUnpluggedIsFree(t *testing.T) {
 	steps := func(attach bool) (uint64, units.Energy) {
-		k := New(Config{Seed: 4, EngineMode: sim.ModeNextEvent})
+		k := New(Config{Seed: 4})
 		if attach {
 			k.AttachCharger(ChargerConfig{})
 		}
@@ -148,8 +132,8 @@ func TestChargerUnpluggedIsFree(t *testing.T) {
 }
 
 // FuzzChargerSettle races randomized recharge windows against a
-// randomized drain under per-quantum and closed-form settlement. The
-// two modes must agree byte for byte, conservation must hold exactly,
+// randomized drain under the reference configuration and closed-form
+// settlement. The two must agree byte for byte, conservation must hold exactly,
 // and the battery must never overshoot capacity — across mid-charge
 // unplugs, clamped top-offs, and charges completing right at the
 // depletion horizon.
@@ -174,9 +158,8 @@ func FuzzChargerSettle(f *testing.F) {
 		chargers := []power.Charger{power.USBCharger(), power.ACCharger(), power.LaptopCharger()}
 		sup := chargers[int(supply)%len(chargers)]
 
-		run := func(chargerSettle SettleMode) string {
-			k := New(Config{Seed: 31, EngineMode: sim.ModeNextEvent,
-				BatteryCapacity: capacity})
+		run := func(reference bool) string {
+			k := New(Config{Seed: 31, Reference: reference, BatteryCapacity: capacity})
 			if drain > 0 {
 				app := k.CreateReserve(k.Root, "app", label.Public())
 				tap, err := k.CreateTap(k.Root, "app-tap", k.KernelPriv(), k.Battery(), app, label.Public())
@@ -187,7 +170,7 @@ func FuzzChargerSettle(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			c := k.AttachCharger(ChargerConfig{Settle: chargerSettle})
+			c := k.AttachCharger(ChargerConfig{})
 			k.Eng.At(p1, func(*sim.Engine) { c.Plug(sup) })
 			k.Eng.At(u1, func(*sim.Engine) { c.Unplug() })
 			if p2 < horizon {
@@ -200,14 +183,14 @@ func FuzzChargerSettle(f *testing.F) {
 				t.Fatalf("battery %v overshot capacity %v", lvl, capacity)
 			}
 			if err := k.Graph.ConservationError(); err != 0 {
-				t.Fatalf("conservation error %v (settle %v)", err, chargerSettle)
+				t.Fatalf("conservation error %v (reference=%v)", err, reference)
 			}
 			return chargeSnapshot(k)
 		}
-		per := run(SettlePerBatch)
-		closed := run(SettleClosedForm)
-		if per != closed {
-			t.Fatalf("settle modes diverge:\n  per-quantum: %s\n  closed-form: %s", per, closed)
+		ref := run(true)
+		closed := run(false)
+		if ref != closed {
+			t.Fatalf("closed-form diverges from the reference:\n  reference:   %s\n  closed-form: %s", ref, closed)
 		}
 	})
 }

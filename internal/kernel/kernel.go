@@ -22,7 +22,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/kobj"
@@ -35,59 +34,6 @@ import (
 
 // DefaultTapBatch is the tap flow batching interval.
 const DefaultTapBatch = 10 * units.Millisecond
-
-// SettleMode selects how the kernel advances tap flows and device draw
-// on a next-event engine.
-type SettleMode uint8
-
-const (
-	// SettleAuto resolves to the package default (see SetDefaultSettleMode).
-	SettleAuto SettleMode = iota
-	// SettleClosedForm parks the flow/baseline/device tasks and settles
-	// the batches and ticks they skipped in closed form, lazily, before
-	// every executed instant. Byte-identical to per-batch execution; the
-	// differential tests assert it.
-	SettleClosedForm
-	// SettlePerBatch keeps the busy path on per-batch task firings (the
-	// pre-settlement behaviour). It exists for differential testing and
-	// A/B benchmarks.
-	SettlePerBatch
-)
-
-// String returns the mode name.
-func (m SettleMode) String() string {
-	switch m {
-	case SettleAuto:
-		return "auto"
-	case SettleClosedForm:
-		return "closed-form"
-	case SettlePerBatch:
-		return "per-batch"
-	default:
-		return fmt.Sprintf("settlemode(%d)", uint8(m))
-	}
-}
-
-// defaultSettleMode holds the mode SettleAuto resolves to; stored
-// atomically so concurrent kernel construction (the fleet runner) is
-// race-free.
-var defaultSettleMode atomic.Int32
-
-func init() { defaultSettleMode.Store(int32(SettleClosedForm)) }
-
-// SetDefaultSettleMode changes what SettleAuto resolves to for
-// subsequently created kernels. The three-way differential tests use it
-// to run the whole experiment registry with and without closed-form
-// settlement.
-func SetDefaultSettleMode(m SettleMode) {
-	if m == SettleAuto {
-		m = SettleClosedForm
-	}
-	defaultSettleMode.Store(int32(m))
-}
-
-// DefaultSettleMode returns the mode SettleAuto currently resolves to.
-func DefaultSettleMode() SettleMode { return SettleMode(defaultSettleMode.Load()) }
 
 // BillingMode selects how gate calls attribute resource consumption
 // (§7.1).
@@ -117,13 +63,14 @@ type Config struct {
 	TapBatch units.Time
 	// Billing selects gate billing semantics; default BillCaller.
 	Billing BillingMode
-	// EngineMode selects the engine's time-advancement strategy;
-	// ModeAuto (the zero value) uses the sim package default.
-	EngineMode sim.Mode
-	// Settle selects the busy-path advancement strategy; SettleAuto (the
-	// zero value) uses the kernel package default. Only effective on a
-	// next-event engine.
-	Settle SettleMode
+	// Reference selects the reference configuration the differential
+	// tests check production against: the fixed-tick engine with every
+	// periodic task — scheduler, tap flows, baseline billing, devices,
+	// netd sweeps, charger quanta — executed at its period, and nothing
+	// settled in closed form. Production (the zero value) runs the
+	// next-event engine with closed-form settlement; the two are
+	// byte-identical in every energy, lifetime and workload quantity.
+	Reference bool
 	// StrictHoarding enables the §5.2.2 fundamental anti-hoarding rule.
 	StrictHoarding bool
 	// BacklightOn adds the backlight draw to the baseline.
@@ -152,11 +99,11 @@ type Kernel struct {
 	// so the per-instant quiescence checks do no dynamic type tests.
 	devices []deviceEntry
 
-	// Quiescence and settlement machinery (next-event engines only).
-	// When no thread is runnable the scheduler task defers to the
-	// earliest sleeping-thread wake (or parks), and skipped quanta are
-	// settled as idle ticks. Under closed-form settlement (the default)
-	// the tap-flow, baseline and device tasks park outright whenever
+	// Quiescence and settlement machinery (production kernels only; the
+	// reference executes every firing). When no thread is runnable the
+	// scheduler task defers to the earliest sleeping-thread wake (or
+	// parks), and skipped quanta are settled as idle ticks. The
+	// tap-flow, baseline and device tasks park outright whenever
 	// possible and everything they skipped — flow batches, baseline
 	// batches, device ticks — settles lazily via syncAt before any
 	// callback at an executed instant, in closed form inside the
@@ -174,13 +121,14 @@ type Kernel struct {
 	// billed; lastSchedAt is the instant of the last scheduler quantum.
 	baselinePending units.Time
 	lastSchedAt     units.Time
-	// Closed-form settlement state (SettleClosedForm on a next-event
-	// engine): the flow and device tasks park outright and the work they
-	// skipped — tap batches, baseline batches, device ticks — settles
-	// lazily, in closed form where the depletion horizon allows and by
-	// exact replay where it does not, before any callback at an executed
-	// instant. tapsPending / devicesPending are the earliest tap batch
-	// boundary not yet flowed and the earliest tick not yet device-ticked.
+	// Closed-form settlement state: lazySettle is set on production
+	// kernels, whose engine is next-event, and clear on the reference.
+	// The flow and device tasks park outright and the work they skipped
+	// — tap batches, baseline batches, device ticks — settles lazily, in
+	// closed form where the depletion horizon allows and by exact replay
+	// where it does not, before any callback at an executed instant.
+	// tapsPending / devicesPending are the earliest tap batch boundary
+	// not yet flowed and the earliest tick not yet device-ticked.
 	lazySettle     bool
 	tapsPending    units.Time
 	devicesPending units.Time
@@ -324,11 +272,15 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	if cfg.TapBatch == 0 {
 		cfg.TapBatch = DefaultTapBatch
 	}
+	mode := sim.ModeNextEvent
+	if cfg.Reference {
+		mode = sim.ModeFixedTick
+	}
 	if recycle {
-		k.Eng.Reset(cfg.Seed, cfg.EngineMode)
+		k.Eng.Reset(cfg.Seed, mode)
 		k.Table.Reset()
 	} else {
-		k.Eng = sim.NewEngineMode(cfg.Seed, cfg.EngineMode)
+		k.Eng = sim.NewEngineMode(cfg.Seed, mode)
 		k.Table = kobj.NewTable()
 	}
 	eng := k.Eng
@@ -370,20 +322,13 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 		k.Sched = sched.New(k.Table, cfg.Profile.CPUActive)
 	}
 
-	settle := cfg.Settle
-	if settle == SettleAuto {
-		settle = DefaultSettleMode()
-	}
-	k.lazySettle = settle == SettleClosedForm && eng.Mode() == sim.ModeNextEvent
+	k.lazySettle = !cfg.Reference
 
 	tick := eng.Tick()
 	k.tapBatch = cfg.TapBatch
 	k.taskDevices = eng.Every("kernel:devices", tick, func(e *sim.Engine) {
 		k.fireDevices(e.Now())
-		if e.Mode() != sim.ModeNextEvent {
-			return
-		}
-		if k.devicesQuiescent() || (k.lazySettle && k.devicesSettleable()) {
+		if k.lazySettle && (k.devicesQuiescent() || k.devicesSettleable()) {
 			k.taskDevices.Park()
 		}
 	})
@@ -400,17 +345,13 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 		k.fireTaps(e.Now())
 		if k.lazySettle {
 			k.taskTaps.Park()
-			return
 		}
-		k.maybeDeferBatchTask(e, k.taskTaps)
 	})
 	k.taskBaseline = eng.Every("kernel:baseline", cfg.TapBatch, func(e *sim.Engine) {
 		k.fireBaseline(e.Now())
 		if k.lazySettle {
 			k.taskBaseline.Park()
-			return
 		}
-		k.maybeDeferBatchTask(e, k.taskBaseline)
 	})
 	k.taskDecay = nil
 	if k.Graph.HalfLife() >= 0 {
@@ -431,7 +372,7 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 			k.invalidateSettlers()
 		})
 	}
-	if eng.Mode() == sim.ModeNextEvent {
+	if k.lazySettle {
 		eng.SetAdvanceHook(k.syncAtAdvance)
 		k.Sched.SetActivityHook(k.resumeKernelTasks)
 		k.Graph.SetTapActivityHook(k.resumeKernelTasks)
@@ -462,7 +403,7 @@ func (k *Kernel) devicesQuiescent() bool {
 // from within the scheduler task's own callback — the engine preserves
 // a self-deferral instead of rearming the task on its period grid.
 func (k *Kernel) maybeQuiesceSched(now units.Time) {
-	if k.Eng.Mode() != sim.ModeNextEvent {
+	if !k.lazySettle {
 		return
 	}
 	if k.Sched.RunnableCount() > 0 {
@@ -609,37 +550,10 @@ func (k *Kernel) threadPayableBound(t *sched.Thread, cost units.Energy, now, tic
 	return earliest, sound
 }
 
-// maybeDeferBatchTask parks a batch-grained task (tap flows, baseline
-// billing) while the whole kernel is quiescent: scheduler and device
-// tasks both deferred past the next tick and no tap carrying a rate.
-// The active-tap condition matters twice over: an active tap is work in
-// itself, and it may observe the battery level that lazily-billed
-// baseline batches would leave stale.
-func (k *Kernel) maybeDeferBatchTask(e *sim.Engine, t *sim.Task) {
-	if e.Mode() != sim.ModeNextEvent || k.Graph.ActiveTapCount() > 0 {
-		return
-	}
-	now := e.Now()
-	horizon := k.taskSched.NextDue()
-	if d := k.taskDevices.NextDue(); d < horizon {
-		horizon = d
-	}
-	if horizon <= now+e.Tick() {
-		return // kernel not quiescent beyond the next tick
-	}
-	if horizon == sim.MaxTime {
-		t.Park()
-	} else {
-		t.DeferUntil(horizon)
-	}
-}
-
 // resumeKernelTasks revives every deferred kernel task; it runs from the
 // activity hooks (thread created or woken, tap activated, radio woken)
-// and is a near-no-op when nothing is deferred. The baseline task
-// resumes at the first boundary the closed-form catch-up has not billed,
-// so no batch is ever billed twice. Under lazy settlement the flow and
-// baseline tasks stay parked — their boundaries settle lazily and the
+// and is a near-no-op when nothing is deferred. The flow and baseline
+// tasks stay parked — their boundaries settle lazily and the
 // boundary-at-now dance in syncAt hands them back their registration
 // slot — but the device task is revived so it can re-evaluate whether
 // its settlement preconditions still hold (a freshly activated tap may
@@ -647,10 +561,6 @@ func (k *Kernel) maybeDeferBatchTask(e *sim.Engine, t *sim.Task) {
 func (k *Kernel) resumeKernelTasks() {
 	k.taskSched.Resume()
 	k.taskDevices.Resume()
-	if !k.lazySettle {
-		k.taskTaps.Resume()
-		k.taskBaseline.ResumeAt(k.baselinePending)
-	}
 	// Every activity this hook observes — a thread able to run, a tap
 	// activated, changed or released, the radio waking — can perturb a
 	// sweep settler's closed-form prediction; drop it and let the settler
@@ -674,7 +584,7 @@ func (k *Kernel) invalidateSettlers() {
 // boundary work at pre-event rates, which is only exact when nothing at
 // the instant can change them.
 func (k *Kernel) syncAtAdvance(now units.Time) {
-	if k.lazySettle && k.fastBoundary(now) {
+	if k.fastBoundary(now) {
 		return
 	}
 	k.syncAt(now)
@@ -693,7 +603,7 @@ func (k *Kernel) syncAtAdvance(now units.Time) {
 //   - every device is quiescent or settleable, so the device boundary
 //     tick telescopes like the rest of the span;
 //   - the boundary tasks themselves are parked past now (always true
-//     under lazy settlement once each has fired once);
+//     once each has fired once);
 //   - this is not a RunUntil entry instant, where rewindDue is about to
 //     re-arm the parked tasks for the Run-boundary re-step — settling
 //     through now as well would perform the boundary work twice.
@@ -759,13 +669,10 @@ func (k *Kernel) settleWindow(devLimit, flowLimit, baseLimit units.Time) {
 // parked task, which then fires in its registration slot after the
 // instant's events — an event at the boundary may change a rate
 // (SetRate, SetBacklight, a radio Send), and the fixed-tick engine
-// performs the boundary's work at the post-event rate.
+// performs the boundary's work at the post-event rate. A reference
+// kernel executes every firing, so there is nothing to settle.
 func (k *Kernel) syncAt(now units.Time) {
 	if !k.lazySettle {
-		k.syncBaselineBefore(now)
-		if k.baselinePending == now && k.taskBaseline.NextDue() > now {
-			k.taskBaseline.ResumeAt(now)
-		}
 		return
 	}
 	k.syncPendingBefore(now)
@@ -982,29 +889,6 @@ func (k *Kernel) devicesPeakDraw() units.Power {
 	return p
 }
 
-// syncBaselineBefore bills pending boundaries strictly before now (and
-// before the task's next firing).
-func (k *Kernel) syncBaselineBefore(now units.Time) {
-	limit := syncLimit(now, k.taskBaseline)
-	if k.baselinePending > limit {
-		return
-	}
-	n := int64((limit-k.baselinePending)/k.tapBatch) + 1
-	k.billBaselineBatches(n)
-	k.baselinePending += units.Time(n) * k.tapBatch
-}
-
-// syncBaselineThrough bills pending boundaries up to and including now;
-// settle uses it once a Run has ended and no task firing can cover the
-// final boundary.
-func (k *Kernel) syncBaselineThrough(now units.Time) {
-	k.syncBaselineBefore(now)
-	if k.baselinePending == now && k.taskBaseline.NextDue() > now {
-		k.billBaselineBatches(1)
-		k.baselinePending += k.tapBatch
-	}
-}
-
 // settle closes out lazily-deferred accounting at the end of a Run: any
 // tap batches, baseline batches, device ticks and idle quanta the parked
 // tasks would have performed up to the stop instant are applied in
@@ -1028,8 +912,6 @@ func (k *Kernel) settle() {
 		for _, s := range k.settlers {
 			s.SettleSweeps(now)
 		}
-	} else {
-		k.syncBaselineThrough(now)
 	}
 	if n := int64((now - k.lastSchedAt) / k.Eng.Tick()); n > 0 {
 		k.Sched.AddIdleTicks(n)
@@ -1138,11 +1020,11 @@ func (k *Kernel) AddSweepSettler(s SweepSettler) {
 	k.settlers = append(k.settlers, s)
 }
 
-// LazySettle reports whether this kernel runs closed-form settlement on
-// a next-event engine — the regime in which a SweepSettler's parked task
-// has its skipped firings replayed lazily. Sweep settlers refuse to
-// predict outside it: on a fixed-tick engine or under per-batch
-// settlement every instant executes anyway, so there is nothing to save.
+// LazySettle reports whether this kernel runs closed-form settlement —
+// true on every production (next-event) kernel, false on the reference
+// configuration. It is the regime in which a SweepSettler's parked task
+// has its skipped firings replayed lazily; sweep settlers refuse to
+// predict outside it, since the reference executes every firing.
 func (k *Kernel) LazySettle() bool { return k.lazySettle }
 
 // TapsSettledThrough returns the last tap-batch boundary whose flows
@@ -1210,9 +1092,10 @@ func (k *Kernel) BatteryExhaustedFor(d units.Time) bool {
 // before exhaustion, and (b) the engine's earliest other pending work
 // (`except` is the watchdog itself). Deferring to the horizon detects
 // battery death at exactly the same grid instant dense polling would,
-// which the fleet's dense-watch differential test asserts.
+// which the fleet's watch-equivalence test asserts against the
+// reference, whose watch never defers.
 func (k *Kernel) WatchHorizon(except *sim.Task) units.Time {
-	if k.Eng.Mode() != sim.ModeNextEvent {
+	if !k.lazySettle {
 		return 0
 	}
 	if k.Graph.ActiveTapCount() > 0 || k.Sched.RunnableCount() > 0 || !k.devicesQuiescent() {

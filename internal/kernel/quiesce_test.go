@@ -17,17 +17,17 @@ import (
 // events, so the parked baseline task is handed that boundary back
 // rather than having the advance hook bill it at the pre-event rate.
 func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
-	consumed := func(mode sim.Mode) units.Energy {
-		k := New(Config{Seed: 1, BacklightOn: true, EngineMode: mode})
+	consumed := func(reference bool) units.Energy {
+		k := New(Config{Seed: 1, BacklightOn: true, Reference: reference})
 		// No threads, no taps, no devices: fully quiescent immediately.
 		k.Eng.At(5*units.Second, func(*sim.Engine) { k.SetBacklight(false) })
 		k.Run(10 * units.Second)
 		return k.Consumed()
 	}
-	fixed, next := consumed(sim.ModeFixedTick), consumed(sim.ModeNextEvent)
-	if fixed != next {
-		t.Fatalf("consumed diverges: fixed-tick %v vs next-event %v (Δ %v)",
-			fixed, next, next-fixed)
+	ref, got := consumed(true), consumed(false)
+	if ref != got {
+		t.Fatalf("consumed diverges: reference %v vs production %v (Δ %v)",
+			ref, got, got-ref)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
 // to zero, and the remainder of the run re-enters the next-event fast
 // path (executed instants ≪ ticks).
 func TestReserveDeletionRestoresQuiescence(t *testing.T) {
-	k := New(Config{Seed: 3, EngineMode: sim.ModeNextEvent})
+	k := New(Config{Seed: 3})
 	// An app whose reserve lives in its own container while the feeding
 	// tap lives in root: deleting the app container kills the reserve
 	// but not the tap — the exact shape that leaked.
@@ -74,8 +74,8 @@ func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 		t.Fatalf("idle run executed %d instants over %d ticks — quiescence fast path not restored", steps, ticks)
 	}
 
-	// And the accounting must still match a tick-by-tick run.
-	k2 := New(Config{Seed: 3, EngineMode: sim.ModeFixedTick})
+	// And the accounting must still match the reference.
+	k2 := New(Config{Seed: 3, Reference: true})
 	app2 := kobj.NewContainer(k2.Table, k2.Root, "app", label.Public())
 	res2 := k2.CreateReserve(app2, "app-reserve", label.Public())
 	tap2, err := k2.CreateTap(k2.Root, "app-tap", k2.KernelPriv(), k2.Battery(), res2, label.Public())
@@ -91,13 +91,13 @@ func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	}
 	k2.Run(idle)
 	if k.Consumed() != k2.Consumed() {
-		t.Fatalf("post-deletion consumption diverges: next-event %v vs fixed-tick %v",
+		t.Fatalf("post-deletion consumption diverges: production %v vs reference %v",
 			k.Consumed(), k2.Consumed())
 	}
 }
 
 // TestQuiescentIdleAccounting asserts the closed-form settlement: an
-// idle kernel's utilization and consumption match between engines even
+// idle kernel's utilization and consumption match the reference even
 // across multiple Run calls (whose boundary instants are re-stepped).
 func TestQuiescentIdleAccounting(t *testing.T) {
 	type snap struct {
@@ -105,18 +105,18 @@ func TestQuiescentIdleAccounting(t *testing.T) {
 		busy, idle  int64
 		utilization float64
 	}
-	run := func(mode sim.Mode) snap {
-		k := New(Config{Seed: 2, EngineMode: mode})
+	run := func(reference bool) snap {
+		k := New(Config{Seed: 2, Reference: reference})
 		for i := 0; i < 3; i++ {
 			k.Run(7 * units.Second)
 		}
 		return snap{k.Consumed(), k.Sched.BusyTicks(), k.Sched.IdleTicks(), k.Sched.Utilization()}
 	}
-	fixed, next := run(sim.ModeFixedTick), run(sim.ModeNextEvent)
-	if fixed != next {
-		t.Fatalf("idle accounting diverges:\nfixed-tick %+v\nnext-event %+v", fixed, next)
+	ref, got := run(true), run(false)
+	if ref != got {
+		t.Fatalf("idle accounting diverges:\nreference  %+v\nproduction %+v", ref, got)
 	}
-	if next.idle == 0 {
+	if got.idle == 0 {
 		t.Fatal("no idle ticks recorded for an idle kernel")
 	}
 }

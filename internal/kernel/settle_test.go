@@ -17,8 +17,8 @@ import (
 // sleep cycles with fund billing), a thread that alternates compute and
 // sleep, and a backlight toggle landing exactly on a batch boundary.
 // It returns the kernel and the radio for post-run inspection.
-func busyScenario(mode sim.Mode, settle SettleMode) (*Kernel, *radio.Radio) {
-	k := New(Config{Seed: 11, EngineMode: mode, Settle: settle})
+func busyScenario(reference bool) (*Kernel, *radio.Radio) {
+	k := New(Config{Seed: 11, Reference: reference})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 	k.AddDevice(r)
 
@@ -73,43 +73,30 @@ func busySnapshot(k *Kernel, r *radio.Radio) string {
 		k.Graph.ActiveTapCount())
 }
 
-// TestBusySettlementModeEquivalence is the kernel-level three-way
-// differential: the busy scenario must produce identical observable
-// state under fixed-tick, per-batch next-event, and closed-form
-// settlement — at every Run boundary, including short odd-length Runs
-// whose entry instants are re-stepped.
+// TestBusySettlementModeEquivalence is the kernel-level differential:
+// the busy scenario must produce identical observable state under the
+// reference configuration and closed-form settlement — at every Run
+// boundary, including short odd-length Runs whose entry instants are
+// re-stepped.
 func TestBusySettlementModeEquivalence(t *testing.T) {
-	type cfg struct {
-		name   string
-		mode   sim.Mode
-		settle SettleMode
-	}
-	configs := []cfg{
-		{"fixed-tick", sim.ModeFixedTick, SettlePerBatch},
-		{"per-batch", sim.ModeNextEvent, SettlePerBatch},
-		{"closed-form", sim.ModeNextEvent, SettleClosedForm},
-	}
 	spans := []units.Time{
 		3 * units.Second, 7*units.Second + 3, 10 * units.Second,
 		til(21*units.Second, 20*units.Second+3), 25 * units.Second,
 	}
-	var ref []string
-	for ci, c := range configs {
-		k, r := busyScenario(c.mode, c.settle)
+	run := func(reference bool) []string {
+		k, r := busyScenario(reference)
 		var snaps []string
 		for _, d := range spans {
 			k.Run(d)
 			snaps = append(snaps, busySnapshot(k, r))
 		}
-		if ci == 0 {
-			ref = snaps
-			continue
-		}
-		for i := range snaps {
-			if snaps[i] != ref[i] {
-				t.Errorf("%s diverges from fixed-tick after span %d:\n  fixed-tick: %s\n  %s: %s",
-					c.name, i, ref[i], c.name, snaps[i])
-			}
+		return snaps
+	}
+	ref, got := run(true), run(false)
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Errorf("closed-form diverges from the reference after span %d:\n  reference:   %s\n  closed-form: %s",
+				i, ref[i], got[i])
 		}
 	}
 }
@@ -119,13 +106,14 @@ func TestBusySettlementModeEquivalence(t *testing.T) {
 func til(b, a units.Time) units.Time { return b - a }
 
 // TestBusyTapFastPath is the busy-path regression: a device with an
-// active constant tap and a sleeping thread must execute far fewer
-// instants under closed-form settlement than under per-batch flows —
-// PR 1 gave this device its idle fast path; settlement gives it the
-// busy one.
+// always-active constant tap must execute far fewer instants than the
+// one-per-batch a per-batch flow walk would need — next-event
+// advancement gives an idle device its fast path; closed-form
+// settlement gives a busy one its.
 func TestBusyTapFastPath(t *testing.T) {
-	steps := func(settle SettleMode) uint64 {
-		k := New(Config{Seed: 5, EngineMode: sim.ModeNextEvent, Settle: settle})
+	const horizon = 10 * units.Minute
+	run := func(reference bool) (steps uint64, consumed units.Energy) {
+		k := New(Config{Seed: 5, Reference: reference})
 		app := k.CreateReserve(k.Root, "app", label.Public())
 		tap, err := k.CreateTap(k.Root, "tap", k.KernelPriv(), k.Battery(), app, label.Public())
 		if err != nil {
@@ -134,38 +122,28 @@ func TestBusyTapFastPath(t *testing.T) {
 		if err := tap.SetRate(k.KernelPriv(), units.Milliwatts(79)); err != nil {
 			t.Fatal(err)
 		}
-		k.Run(10 * units.Minute)
-		return k.Eng.Steps()
+		k.Run(horizon)
+		lvl, _ := app.Level(k.KernelPriv())
+		return k.Eng.Steps(), k.Consumed()*1_000_000 + lvl%1_000_000 // fold both into one comparand
 	}
-	per, closed := steps(SettlePerBatch), steps(SettleClosedForm)
-	if closed*20 >= per {
-		t.Fatalf("closed-form executed %d instants vs %d per-batch — busy fast path not engaged (want ≥ 20x fewer)", closed, per)
+	_, want := run(true)
+	steps, got := run(false)
+	if batches := uint64(horizon / DefaultTapBatch); steps*20 >= batches {
+		t.Fatalf("closed-form executed %d instants over %d tap batches — busy fast path not engaged (want ≥ 20x fewer)", steps, batches)
 	}
 	// And the accounting must agree exactly.
-	consumed := func(settle SettleMode) units.Energy {
-		k := New(Config{Seed: 5, EngineMode: sim.ModeNextEvent, Settle: settle})
-		app := k.CreateReserve(k.Root, "app", label.Public())
-		tap, _ := k.CreateTap(k.Root, "tap", k.KernelPriv(), k.Battery(), app, label.Public())
-		if err := tap.SetRate(k.KernelPriv(), units.Milliwatts(79)); err != nil {
-			t.Fatal(err)
-		}
-		k.Run(10 * units.Minute)
-		lvl, _ := app.Level(k.KernelPriv())
-		return k.Consumed()*1_000_000 + lvl%1_000_000 // fold both into one comparand
-	}
-	if a, b := consumed(SettlePerBatch), consumed(SettleClosedForm); a != b {
-		t.Fatalf("accounting diverges: per-batch %d vs closed-form %d", a, b)
+	if got != want {
+		t.Fatalf("accounting diverges: reference %d vs closed-form %d", want, got)
 	}
 }
 
 // TestDyingDeviceSettlementEquivalence drives a tiny battery through
 // taps, radio draw and baseline billing to exhaustion: the clamped
 // partial-drain endgame takes the exact-replay path and must match the
-// fixed-tick engine microjoule for microjoule.
+// reference microjoule for microjoule.
 func TestDyingDeviceSettlementEquivalence(t *testing.T) {
-	run := func(mode sim.Mode, settle SettleMode) string {
-		k := New(Config{Seed: 3, EngineMode: mode, Settle: settle,
-			BatteryCapacity: 12 * units.Joule})
+	run := func(reference bool) string {
+		k := New(Config{Seed: 3, Reference: reference, BatteryCapacity: 12 * units.Joule})
 		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 		k.AddDevice(r)
 		app := k.CreateReserve(k.Root, "app", label.Public())
@@ -187,9 +165,9 @@ func TestDyingDeviceSettlementEquivalence(t *testing.T) {
 		}
 		return fmt.Sprint(snaps)
 	}
-	fixed := run(sim.ModeFixedTick, SettlePerBatch)
-	closed := run(sim.ModeNextEvent, SettleClosedForm)
-	if fixed != closed {
-		t.Fatalf("dying device diverges:\nfixed-tick:  %s\nclosed-form: %s", fixed, closed)
+	ref := run(true)
+	closed := run(false)
+	if ref != closed {
+		t.Fatalf("dying device diverges:\nreference:   %s\nclosed-form: %s", ref, closed)
 	}
 }

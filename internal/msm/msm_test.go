@@ -326,8 +326,8 @@ func TestBatteryPercentDropsAsSystemRuns(t *testing.T) {
 // DeviceTick's per-tick interleaving splits the spill-to-battery
 // between the two draws in a way sequential per-stream telescoping
 // cannot reproduce — so closed-form settlement must replay this case
-// per tick, and every accounting figure must match the per-batch
-// engine exactly.
+// per tick, and every accounting figure must match the reference
+// configuration exactly.
 func TestSharedReserveCallPlusGPSSettleEquivalence(t *testing.T) {
 	type outcome struct {
 		consumed units.Energy
@@ -336,8 +336,8 @@ func TestSharedReserveCallPlusGPSSettleEquivalence(t *testing.T) {
 		calls    int64
 		fixes    int64
 	}
-	run := func(settle kernel.SettleMode) outcome {
-		k := kernel.New(kernel.Config{Seed: 8, DecayHalfLife: -1, Settle: settle})
+	run := func(reference bool) outcome {
+		k := kernel.New(kernel.Config{Seed: 8, DecayHalfLife: -1, Reference: reference})
 		d, err := NewSmdd(k, DefaultSmddConfig(), DefaultARM9Config())
 		if err != nil {
 			t.Fatal(err)
@@ -366,8 +366,8 @@ func TestSharedReserveCallPlusGPSSettleEquivalence(t *testing.T) {
 			}), res)
 		k.Run(20 * units.Second)
 		if d.arm9.CallStateNow() != CallActive || !d.arm9.GPSOn() {
-			t.Fatalf("settle=%v: call %v gps %v, want both active",
-				settle, d.arm9.CallStateNow(), d.arm9.GPSOn())
+			t.Fatalf("reference=%v: call %v gps %v, want both active",
+				reference, d.arm9.CallStateNow(), d.arm9.GPSOn())
 		}
 		st, err := res.Stats(k.KernelPriv())
 		if err != nil {
@@ -380,10 +380,10 @@ func TestSharedReserveCallPlusGPSSettleEquivalence(t *testing.T) {
 		s := d.Stats()
 		return outcome{k.Consumed(), lvl, st, s.CallsPlaced, s.GPSFixes}
 	}
-	closed := run(kernel.SettleClosedForm)
-	batch := run(kernel.SettlePerBatch)
-	if closed != batch {
-		t.Fatalf("closed-form settlement diverges on a shared non-debt reserve:\n%+v\nvs per-batch\n%+v",
-			closed, batch)
+	closed := run(false)
+	ref := run(true)
+	if closed != ref {
+		t.Fatalf("closed-form settlement diverges on a shared non-debt reserve:\n%+v\nvs reference\n%+v",
+			closed, ref)
 	}
 }

@@ -2,11 +2,12 @@ package netd
 
 // Differential and fuzz coverage for closed-form sweep settlement. The
 // oracle is exactness: a cooperative-pooling scenario must produce
-// byte-identical observable state whether sweeps execute every period
-// (per-sweep), are accounted in closed form, or the whole simulation
-// walks every tick. Scenarios are decoded from byte strings so the same
-// generator feeds both the fixed three-way test and the fuzzer, which
-// mutates waiter arrival/departure timing and tap rates freely.
+// byte-identical observable state whether sweeps are accounted in
+// closed form (production) or the reference configuration walks every
+// tick and executes every sweep. Scenarios are decoded from byte strings
+// so the same generator feeds both the fixed differential test and the
+// fuzzer, which mutates waiter arrival/departure timing and tap rates
+// freely.
 
 import (
 	"fmt"
@@ -90,7 +91,7 @@ func decodeScenario(data []byte) scenario {
 
 // chunkState is the observable device state at a chunk boundary.
 // SettledSweeps is zeroed before comparison: it is the one counter the
-// settlement modes legitimately disagree on.
+// reference and production legitimately disagree on.
 type chunkState struct {
 	now      units.Time
 	done     []int
@@ -115,8 +116,9 @@ func newRigMode(t testing.TB, kcfg kernel.Config, cfg Config) *rig {
 	return &rig{k: k, radio: r, netd: n}
 }
 
-// runScenario executes sc on one rig and returns the state at every
-// chunk boundary. With invariants set (the closed-form rig), a 500 ms
+// runScenario executes sc on one rig — the reference configuration or
+// production — and returns the state at every chunk boundary. On the
+// production rig, a 500 ms
 // probe asserts mid-run properties the chunk comparison cannot see:
 //
 //   - the predicted fire instant is strictly in the future, on the
@@ -128,17 +130,17 @@ func newRigMode(t testing.TB, kcfg kernel.Config, cfg Config) *rig {
 //     threshold plus at most one sweep period of inflow — a later
 //     crossing would have fired at its boundary.
 //
-// The probe task executes identical instants on every rig (invariants
-// or not) so it cannot perturb a next-event comparison.
+// The probe task executes on both rigs so the two register identical
+// task lists.
 //
 // Each chunk boundary also checks conservation: the battery's initial
 // charge equals battery + app reserves + pool + radio fund + consumed,
 // exactly, in integer microjoules.
-func runScenario(t testing.TB, em sim.Mode, km, nm kernel.SettleMode, sc scenario, invariants bool) []chunkState {
+func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 	t.Helper()
 	r := newRigMode(t,
-		kernel.Config{Seed: 7, DecayHalfLife: -1, EngineMode: em, Settle: km},
-		Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true, Settle: nm})
+		kernel.Config{Seed: 7, DecayHalfLife: -1, Reference: reference},
+		Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true})
 	kp := r.k.KernelPriv()
 
 	var (
@@ -164,7 +166,7 @@ func runScenario(t testing.TB, em sim.Mode, km, nm kernel.SettleMode, sc scenari
 	maxRate := units.Milliwatts(float64(240 * len(sc.pollers)))
 	var lastSweepSeen units.Time
 	r.k.Eng.Every("probe", 500*units.Millisecond, func(e *sim.Engine) {
-		if !invariants {
+		if reference {
 			return
 		}
 		now := e.Now()
@@ -263,7 +265,7 @@ func diffStates(a, b []chunkState) string {
 	return ""
 }
 
-// fuzzSeeds are shared by the three-way test and FuzzPoolSettle's seed
+// fuzzSeeds are shared by the differential test and FuzzPoolSettle's seed
 // corpus: the zero scenario, a single slow poller, a three-poller mix
 // with rate changes, and a sequence that drives a tap to zero mid-wait.
 var fuzzSeeds = [][]byte{
@@ -273,26 +275,21 @@ var fuzzSeeds = [][]byte{
 	{1, 0, 10, 0, 2, 3, 3, 1, 20, 0, 0, 50, 80, 20},
 }
 
-// TestThreeWaySettleDifferential runs each seed scenario under three
-// regimes — a fixed-tick engine, a next-event engine with per-sweep
-// netd execution, and the closed-form settlement path — and requires
-// identical observable state at every chunk boundary.
-func TestThreeWaySettleDifferential(t *testing.T) {
+// TestPoolSettleDifferential runs each seed scenario under the
+// reference configuration and the closed-form settlement path and
+// requires identical observable state at every chunk boundary.
+func TestPoolSettleDifferential(t *testing.T) {
 	for i, seed := range fuzzSeeds {
 		sc := decodeScenario(seed)
-		fixed := runScenario(t, sim.ModeFixedTick, kernel.SettleAuto, kernel.SettleAuto, sc, false)
-		perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
-		closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
-		if d := diffStates(fixed, perSweep); d != "" {
-			t.Errorf("scenario %d: fixed-tick vs per-sweep: %s", i, d)
-		}
-		if d := diffStates(perSweep, closed); d != "" {
-			t.Errorf("scenario %d: per-sweep vs closed-form: %s", i, d)
+		ref := runScenario(t, true, sc)
+		closed := runScenario(t, false, sc)
+		if d := diffStates(ref, closed); d != "" {
+			t.Errorf("scenario %d: reference vs closed-form: %s", i, d)
 		}
 	}
 }
 
-// FuzzPoolSettle drives per-sweep and closed-form rigs through the same
+// FuzzPoolSettle drives reference and closed-form rigs through the same
 // fuzz-decoded scenario and requires identical chunk states, alongside
 // the mid-run probe invariants (future-only predictions, monotonicity
 // absent new information, no pool overshoot, conservation).
@@ -302,10 +299,10 @@ func FuzzPoolSettle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeScenario(data)
-		perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
-		closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
-		if d := diffStates(perSweep, closed); d != "" {
-			t.Fatalf("per-sweep vs closed-form diverged: %s", d)
+		ref := runScenario(t, true, sc)
+		closed := runScenario(t, false, sc)
+		if d := diffStates(ref, closed); d != "" {
+			t.Fatalf("reference vs closed-form diverged: %s", d)
 		}
 	})
 }

@@ -76,17 +76,6 @@ type Config struct {
 	// so the fleet runner turns it off. Zero value keeps the trace, as
 	// the experiments require.
 	NoPoolTrace bool
-	// Settle selects closed-form sweep settlement: instead of executing
-	// a sweep every 100 ms while callers wait, netd computes the exact
-	// boundary at which the pool crosses the threshold, defers the sweep
-	// task there, and replays the skipped drains in one exact fixup per
-	// waiter when the prediction is synchronized or dropped. SettleAuto
-	// (the zero value) resolves to the kernel package default; the mode
-	// only engages when the kernel itself runs closed-form settlement on
-	// a next-event engine (every firing executes anyway otherwise) and
-	// Cooperative pooling is on. SettlePerBatch forces per-sweep
-	// execution — the fleet's -per-sweep A/B flag.
-	Settle kernel.SettleMode
 }
 
 // Request is the argument applications pass through the netd gate: a
@@ -127,8 +116,8 @@ type Stats struct {
 	// SettledSweeps is the number of sweep boundaries accounted in
 	// closed form instead of executed as task firings. Together with the
 	// engine's step counter it quantifies the busy-path win; it is
-	// reported outside the canonical fleet JSON because per-sweep A/B
-	// runs legitimately differ here.
+	// reported outside the canonical fleet JSON because the reference
+	// configuration legitimately differs here.
 	SettledSweeps int64
 }
 
@@ -154,8 +143,13 @@ type Netd struct {
 	poolTrace *trace.Series
 	sweepTask *sim.Task
 
-	// Closed-form sweep settlement (see Config.Settle). closedForm is
-	// the resolved mode; settling marks the sweep task deferred to the
+	// Closed-form sweep settlement: instead of executing a sweep every
+	// 100 ms while callers wait, netd computes the exact boundary at
+	// which the pool crosses the threshold, defers the sweep task there,
+	// and replays the skipped drains in one exact fixup per waiter when
+	// the prediction is synchronized or dropped. closedForm marks the
+	// regime it engages in — cooperative pooling on a production kernel
+	// (the reference executes every sweep); settling marks the sweep task deferred to the
 	// predicted pool-crossing instant; lastSweep is the last boundary
 	// whose waiter drains are applied (executed or replayed); predicted
 	// is the deferred-to instant, for diagnostics. The scratch slices
@@ -224,11 +218,7 @@ func (n *Netd) Reset(k *kernel.Kernel, r *radio.Radio, cfg Config) error {
 	}
 	n.sweepTask = k.Eng.Every("netd:sweep", cfg.SweepPeriod, func(e *sim.Engine) { n.sweep(e.Now()) })
 
-	settle := cfg.Settle
-	if settle == kernel.SettleAuto {
-		settle = kernel.DefaultSettleMode()
-	}
-	n.closedForm = cfg.Cooperative && settle == kernel.SettleClosedForm && k.LazySettle()
+	n.closedForm = cfg.Cooperative && k.LazySettle()
 	n.settling = false
 	n.lastSweep = 0
 	n.predicted = 0

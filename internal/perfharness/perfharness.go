@@ -2,7 +2,7 @@
 // registry of named end-to-end fleet scenarios (scenarios.go), each
 // declaring per-tier wall-time budgets and a baseline with tolerance
 // bands, run by cmd/cinder-perfcheck on two cadences — a PR-time smoke
-// tier (small populations, embedded A/B equivalence cross-checks) and a
+// tier (small populations, embedded equivalence cross-checks) and a
 // scheduled nightly tier at full registry scale.
 //
 // Every scenario run appends one schema-versioned NDJSON record to a

@@ -12,14 +12,13 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/fleet"
-	"repro/internal/kernel"
 	"repro/internal/units"
 )
 
 // Tier names. Smoke is the PR-time tier: small populations with the
-// A/B equivalence cross-checks that used to live as one-off ci.yml
-// steps folded in. Nightly is the full-registry-scale tier the
-// scheduled workflow runs.
+// equivalence cross-checks (worker counts, shard/merge, the reference
+// configuration) that used to live as one-off ci.yml steps folded in.
+// Nightly is the full-registry-scale tier the scheduled workflow runs.
 const (
 	TierSmoke   = "smoke"
 	TierNightly = "nightly"
@@ -59,7 +58,7 @@ func Registry() []Scenario {
 	scens := []Scenario{
 		{
 			Name:  "dayinthelife",
-			About: "heterogeneous 5-bucket daily mix; smoke folds in the worker-count, tap-settlement and netd-sweep equivalence checks",
+			About: "idle/commuter/chatty daily mix weighted 5/3/2; smoke folds in the worker-count and reference equivalence checks",
 			Tiers: map[string]Spec{
 				TierSmoke:   {Budget: time.Minute, Run: runDaySmoke},
 				TierNightly: {Budget: 3 * time.Minute, Run: plainRun(fleetCfg("dayinthelife", 1000, 1, 24*units.Hour))},
@@ -67,7 +66,7 @@ func Registry() []Scenario {
 		},
 		{
 			Name:  "weekinthelife",
-			About: "1k-device week with recharge cycles; smoke folds in the shard/merge equivalence check",
+			About: "1k-device heterogeneous week (per-device batteries, weekday/weekend days, no charger); smoke folds in the shard/merge equivalence check",
 			Tiers: map[string]Spec{
 				TierSmoke:   {Budget: time.Minute, Run: runWeekSmoke},
 				TierNightly: {Budget: 5 * time.Minute, Run: plainRun(fleetCfg("weekinthelife", 1000, 1, 7*24*units.Hour))},
@@ -75,7 +74,7 @@ func Registry() []Scenario {
 		},
 		{
 			Name:  "monthinthelife",
-			About: "30-day horizon with overnight charges; smoke folds in the charger-settlement equivalence check",
+			About: "30-day horizon with overnight charges; smoke folds in the reference equivalence check across one charge window",
 			Tiers: map[string]Spec{
 				TierSmoke:   {Budget: time.Minute, Run: runMonthSmoke},
 				TierNightly: {Budget: 5 * time.Minute, Run: plainRun(fleetCfg("monthinthelife", 150, 11, 30*24*units.Hour))},
@@ -83,7 +82,7 @@ func Registry() []Scenario {
 		},
 		{
 			Name:  "adversarial",
-			About: "hostile cohorts (drainers, thrashers, oscillators) at full population",
+			About: "§5.2.2 hoarding cohorts (victim, lax hoarder, strict hoarder) at full population",
 			Tiers: map[string]Spec{
 				TierSmoke:   {Budget: time.Minute, Run: plainRun(fleetCfg("adversarial", 64, 1, 6*units.Hour))},
 				TierNightly: {Budget: 10 * time.Minute, Run: plainRun(fleetCfg("adversarial", 1000, 1, 24*units.Hour))},
@@ -160,83 +159,75 @@ func plainRun(cfg fleet.Config) func() (Sample, error) {
 	}
 }
 
-// equalAs runs a variant config and fails unless its per-device JSON
-// matches want's byte for byte — full JSON when canonical is false
-// (engine diagnostics included: right for worker-count variants, which
-// are exactly deterministic), canonical JSON when true (energy-shaped
-// fields only: right for settle-mode variants, whose executed-instant
-// diagnostics legitimately differ). Returns the variant's simulated
-// coverage for throughput accounting.
-func equalAs(label string, want []byte, cfg fleet.Config, canonical bool) (float64, error) {
-	rep, err := fleet.Run(cfg)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", label, err)
+// sameReports runs every config and fails unless their per-device
+// reports match the first's byte for byte — full JSON (engine
+// diagnostics included: right for worker-count variants, which are
+// exactly deterministic) or, with canonical set, canonical JSON
+// (energy-shaped fields only: right for the reference configuration,
+// whose executed-instant diagnostics legitimately differ). It returns
+// the first report and the variants' simulated coverage for throughput
+// accounting.
+func sameReports(label string, canonical bool, cfgs ...fleet.Config) (fleet.Report, float64, error) {
+	var first fleet.Report
+	var want []byte
+	variantDays := 0.0
+	for i, cfg := range cfgs {
+		cfg.KeepResults = true
+		rep, err := fleet.Run(cfg)
+		if err != nil {
+			return first, 0, fmt.Errorf("%s: %w", label, err)
+		}
+		got, err := rep.JSON(true)
+		if canonical {
+			got, err = rep.CanonicalJSON(true)
+		}
+		if err != nil {
+			return first, 0, err
+		}
+		if i == 0 {
+			first, want = rep, got
+			continue
+		}
+		if string(got) != string(want) {
+			return first, 0, fmt.Errorf("equivalence check %q diverged: variant report differs from the run it checks", label)
+		}
+		variantDays += deviceDays(cfg)
 	}
-	var got []byte
-	if canonical {
-		got, err = rep.CanonicalJSON(true)
-	} else {
-		got, err = rep.JSON(true)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if string(got) != string(want) {
-		return 0, fmt.Errorf("equivalence check %q diverged: variant report differs from the reference run", label)
-	}
-	return deviceDays(cfg), nil
+	return first, variantDays, nil
 }
 
-// runDaySmoke is the PR-tier day scenario: the reference run plus the
-// worker-count, closed-form-tap and netd-sweep equivalence checks that
-// replaced four ad-hoc ci.yml smoke steps.
+// referenceCheck runs cfg in production and under the reference
+// configuration, whose canonical reports must match, and returns both
+// runs' simulated coverage. The reference walks every tick, so cfg must
+// be a window it can walk in seconds.
+func referenceCheck(cfg fleet.Config) (float64, error) {
+	ref := cfg
+	ref.Reference = true
+	_, dd, err := sameReports("reference", true, cfg, ref)
+	return dd + deviceDays(cfg), err
+}
+
+// runDaySmoke is the PR-tier day scenario: the main run plus the
+// worker-count equivalence checks and a reference check on an 8-device
+// hour of the same mix.
 func runDaySmoke() (Sample, error) {
 	cfg := fleetCfg("dayinthelife", 48, 1, 4*units.Hour)
-	cfg.KeepResults = true
-	ref, err := fleet.Run(cfg)
+	one, four := cfg, cfg
+	one.Workers, four.Workers = 1, 4
+	rep, extra, err := sameReports("workers", false, cfg, one, four)
 	if err != nil {
 		return Sample{}, err
 	}
-	wantFull, err := ref.JSON(true)
+	dd, err := referenceCheck(fleetCfg("dayinthelife", 8, 1, units.Hour))
 	if err != nil {
 		return Sample{}, err
 	}
-	wantCanon, err := ref.CanonicalJSON(true)
+	extra += dd
+	sum, err := canonicalMD5(rep, false)
 	if err != nil {
 		return Sample{}, err
 	}
-	extra := 0.0
-	for _, v := range []struct {
-		label     string
-		canonical bool
-		mut       func(*fleet.Config)
-	}{
-		{"workers=1", false, func(c *fleet.Config) { c.Workers = 1 }},
-		{"workers=4", false, func(c *fleet.Config) { c.Workers = 4 }},
-		{"per-batch taps", true, func(c *fleet.Config) { c.Settle = kernel.SettlePerBatch }},
-		{"per-sweep netd", true, func(c *fleet.Config) { c.NetdSettle = kernel.SettlePerBatch }},
-		{"per-sweep netd + per-batch taps", true, func(c *fleet.Config) {
-			c.NetdSettle = kernel.SettlePerBatch
-			c.Settle = kernel.SettlePerBatch
-		}},
-	} {
-		vc := cfg
-		v.mut(&vc)
-		want := wantFull
-		if v.canonical {
-			want = wantCanon
-		}
-		dd, err := equalAs(v.label, want, vc, v.canonical)
-		if err != nil {
-			return Sample{}, err
-		}
-		extra += dd
-	}
-	sum, err := canonicalMD5(ref, false)
-	if err != nil {
-		return Sample{}, err
-	}
-	return Sample{Report: ref, MD5: sum, ExtraDeviceDays: extra}, nil
+	return Sample{Report: rep, MD5: sum, ExtraDeviceDays: extra}, nil
 }
 
 // runWeekSmoke folds the shard/merge equivalence check into the week
@@ -286,44 +277,24 @@ func runWeekSmoke() (Sample, error) {
 }
 
 // runMonthSmoke folds the charger-settlement equivalence check into the
-// month scenario: the 26 h horizon crosses an overnight charge, and
-// per-charge settlement (alone and stacked on per-batch taps) must
-// reproduce the closed-form report exactly.
+// month scenario: the 26 h horizon crosses an overnight charge, and on
+// two of its devices (a laptop and a phone) closed-form charging must
+// reproduce the reference, which credits every quantum, exactly.
 func runMonthSmoke() (Sample, error) {
 	cfg := fleetCfg("monthinthelife", 16, 11, 26*units.Hour)
-	cfg.KeepResults = true
-	ref, err := fleet.Run(cfg)
+	rep, err := fleet.Run(cfg)
 	if err != nil {
 		return Sample{}, err
 	}
-	want, err := ref.CanonicalJSON(true)
+	extra, err := referenceCheck(fleetCfg("monthinthelife", 2, 11, 26*units.Hour))
 	if err != nil {
 		return Sample{}, err
 	}
-	extra := 0.0
-	for _, v := range []struct {
-		label string
-		mut   func(*fleet.Config)
-	}{
-		{"per-charge", func(c *fleet.Config) { c.ChargerSettle = kernel.SettlePerBatch }},
-		{"per-charge + per-batch taps", func(c *fleet.Config) {
-			c.ChargerSettle = kernel.SettlePerBatch
-			c.Settle = kernel.SettlePerBatch
-		}},
-	} {
-		vc := cfg
-		v.mut(&vc)
-		dd, err := equalAs(v.label, want, vc, true)
-		if err != nil {
-			return Sample{}, err
-		}
-		extra += dd
-	}
-	sum, err := canonicalMD5(ref, false)
+	sum, err := canonicalMD5(rep, false)
 	if err != nil {
 		return Sample{}, err
 	}
-	return Sample{Report: ref, MD5: sum, ExtraDeviceDays: extra}, nil
+	return Sample{Report: rep, MD5: sum, ExtraDeviceDays: extra}, nil
 }
 
 // clusterRun drives cfg as a 4-shard job over two HTTP-loopback runners

@@ -7,10 +7,10 @@
 // task's per-task nextDue arrives — is executed exactly as a fixed-tick
 // engine would execute it (due events first, then due tasks in
 // registration order), but the clock jumps directly from one due instant
-// to the next instead of visiting every tick in between. A compatibility
-// mode (ModeFixedTick) still walks every tick; the two modes execute the
-// identical callback sequence and are asserted byte-equivalent by the
-// differential tests in internal/experiments.
+// to the next instead of visiting every tick in between. ModeFixedTick
+// still walks every tick: it is the engine of the reference
+// configuration (kernel.Config.Reference), and the differential tests
+// assert the two modes byte-equivalent.
 //
 // Determinism is a design requirement — every experiment in the paper's
 // evaluation is reproduced as an exact, repeatable run — so the engine
@@ -24,7 +24,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/snap"
 	"repro/internal/units"
@@ -43,21 +42,19 @@ const MaxTime = units.Time(math.MaxInt64)
 type Mode uint8
 
 const (
-	// ModeAuto resolves to the package default (see SetDefaultMode).
-	ModeAuto Mode = iota
-	// ModeNextEvent jumps the clock directly between due instants.
-	ModeNextEvent
+	// ModeNextEvent (the zero value) jumps the clock directly between due
+	// instants.
+	ModeNextEvent Mode = iota
 	// ModeFixedTick visits every tick, reproducing the original
-	// fixed-quantum engine. It exists for differential testing and
-	// A/B benchmarks.
+	// fixed-quantum engine. It is the engine of the reference
+	// configuration (kernel.Config.Reference) the differential tests
+	// check production against.
 	ModeFixedTick
 )
 
 // String returns the mode name.
 func (m Mode) String() string {
 	switch m {
-	case ModeAuto:
-		return "auto"
 	case ModeNextEvent:
 		return "next-event"
 	case ModeFixedTick:
@@ -66,25 +63,6 @@ func (m Mode) String() string {
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
 }
-
-// defaultMode holds the mode ModeAuto resolves to; stored atomically so
-// concurrent engine construction (the fleet runner) is race-free.
-var defaultMode atomic.Int32
-
-func init() { defaultMode.Store(int32(ModeNextEvent)) }
-
-// SetDefaultMode changes what ModeAuto resolves to for subsequently
-// created engines. The differential tests use it to run the whole
-// experiment registry under both advancement strategies.
-func SetDefaultMode(m Mode) {
-	if m == ModeAuto {
-		m = ModeNextEvent
-	}
-	defaultMode.Store(int32(m))
-}
-
-// DefaultMode returns the mode ModeAuto currently resolves to.
-func DefaultMode() Mode { return Mode(defaultMode.Load()) }
 
 // Event is a one-shot callback scheduled for a particular simulated time.
 type Event struct {
@@ -281,17 +259,14 @@ type Engine struct {
 	entry bool
 }
 
-// NewEngine returns an engine at time zero with the default 1 ms tick,
-// the package-default advancement mode and the given random seed.
+// NewEngine returns a next-event engine at time zero with the default
+// 1 ms tick and the given random seed.
 func NewEngine(seed int64) *Engine {
-	return NewEngineMode(seed, ModeAuto)
+	return NewEngineMode(seed, ModeNextEvent)
 }
 
 // NewEngineMode returns an engine with an explicit advancement mode.
 func NewEngineMode(seed int64, mode Mode) *Engine {
-	if mode == ModeAuto {
-		mode = DefaultMode()
-	}
 	src := newCountingSource(seed)
 	return &Engine{
 		tick: DefaultTick,
@@ -309,9 +284,6 @@ func NewEngineMode(seed int64, mode Mode) *Engine {
 // freelist and task objects are reused by subsequent Every calls, so
 // callers must drop all of them alongside the Reset.
 func (e *Engine) Reset(seed int64, mode Mode) {
-	if mode == ModeAuto {
-		mode = DefaultMode()
-	}
 	for _, ev := range e.events {
 		ev.Fn = nil
 		ev.index = -1
@@ -342,7 +314,7 @@ func (e *Engine) Now() units.Time { return e.now }
 // Tick returns the engine quantum.
 func (e *Engine) Tick() units.Time { return e.tick }
 
-// Mode returns the resolved advancement mode.
+// Mode returns the advancement mode.
 func (e *Engine) Mode() Mode { return e.mode }
 
 // Rand returns the engine's deterministic random source.

@@ -245,17 +245,19 @@ func TestAdvanceHookRunsOncePerInstant(t *testing.T) {
 	}
 }
 
-func TestDefaultModeToggle(t *testing.T) {
-	defer SetDefaultMode(ModeNextEvent)
-	SetDefaultMode(ModeFixedTick)
-	if e := NewEngine(1); e.Mode() != ModeFixedTick {
-		t.Fatalf("Mode() = %v, want fixed-tick", e.Mode())
-	}
-	SetDefaultMode(ModeNextEvent)
+// TestEngineModeSelection: NewEngine is next-event (the zero Mode), and
+// an explicit mode is honoured by construction and by Reset — there is
+// no process-wide default to consult.
+func TestEngineModeSelection(t *testing.T) {
 	if e := NewEngine(1); e.Mode() != ModeNextEvent {
-		t.Fatalf("Mode() = %v, want next-event", e.Mode())
+		t.Fatalf("NewEngine mode = %v, want next-event", e.Mode())
 	}
-	if got := NewEngineMode(1, ModeFixedTick).Mode(); got != ModeFixedTick {
-		t.Fatalf("explicit mode ignored: %v", got)
+	e := NewEngineMode(1, ModeFixedTick)
+	if e.Mode() != ModeFixedTick {
+		t.Fatalf("explicit mode ignored: %v", e.Mode())
+	}
+	e.Reset(1, ModeNextEvent)
+	if e.Mode() != ModeNextEvent {
+		t.Fatalf("Reset mode = %v, want next-event", e.Mode())
 	}
 }

@@ -25,7 +25,9 @@ const Magic = "CNDSNAP1"
 
 // Version is the current snapshot format version. Bump it whenever a
 // section's field layout changes; Open rejects mismatches loudly.
-const Version uint32 = 1
+// Version 2 dropped the engine/settle modes from the fleet's epoch
+// header and renumbered the engine section's mode.
+const Version uint32 = 2
 
 // Errors the reader can return (wrapped with context).
 var (
