@@ -3,7 +3,8 @@ package main
 // The coordinator-facing side of cinder-fleet: the -runner mode that
 // attaches this process to a cinder-coord service as a work-stealing
 // runner, the -shards/-runners local mode that runs the same
-// coordinator/runner stack in-process, and the -progress stderr meter
+// coordinator/runner stack over an HTTP loopback, and the -progress
+// stderr meter
 // both feed from the fleet's strict-index Progress stream.
 
 import (
@@ -137,10 +138,10 @@ func runRunner(url, id string, workers int, progress bool) error {
 	return nil
 }
 
-// runLocalCoord executes the run through the in-process coordinator/
-// runner stack: the full cluster code path (shard queue, leases,
-// JSON-round-tripped delivery, partial merge) minus the network. The
-// report is byte-identical to the plain single-process path.
+// runLocalCoord executes the run through the coordinator/runner stack
+// on an HTTP loopback: the full cluster code path (shard queue, leases,
+// HTTP delivery, partial merge) inside one process. The report is
+// byte-identical to the plain single-process path.
 func runLocalCoord(cfg fleet.Config, shards, runners int, jsonOut, canonical, progress bool, outPath string) error {
 	if runners <= 0 {
 		runners = 1
@@ -152,8 +153,8 @@ func runLocalCoord(cfg fleet.Config, shards, runners int, jsonOut, canonical, pr
 	opt := coord.LocalOptions{Runners: runners, Workers: cfg.Workers}
 	if opt.Workers == 0 && runners > 1 {
 		// Split the CPUs between runner pools instead of oversubscribing
-		// runners × NumCPU workers.
-		if opt.Workers = runtime.NumCPU() / runners; opt.Workers < 1 {
+		// runners × GOMAXPROCS workers (the plain path's pool size).
+		if opt.Workers = runtime.GOMAXPROCS(0) / runners; opt.Workers < 1 {
 			opt.Workers = 1
 		}
 	}
@@ -162,7 +163,7 @@ func runLocalCoord(cfg fleet.Config, shards, runners int, jsonOut, canonical, pr
 		opt.OnProgress = func(runner string, shard int, p fleet.Progress) { pm.update(shard, p) }
 	}
 	start := time.Now()
-	rep, err := coord.RunLocal(context.Background(), job, opt)
+	rep, err := coord.RunHTTP(context.Background(), job, opt)
 	if err != nil {
 		return err
 	}

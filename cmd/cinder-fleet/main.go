@@ -72,8 +72,8 @@ func realMain() int {
 
 		runnerURL = flag.String("runner", "", "attach to a cinder-coord service at this URL as a work-stealing runner")
 		runnerID  = flag.String("runner-id", "", "runner name in leases and logs (default hostname-pid)")
-		shardsN   = flag.Int("shards", 0, "run through the in-process coordinator with this many shards (the cluster code path, minus the network)")
-		runnersN  = flag.Int("runners", 0, "with -shards: concurrent in-process runner loops (default 1)")
+		shardsN   = flag.Int("shards", 0, "run through a coordinator on an HTTP loopback with this many shards (the cluster code path, in one process)")
+		runnersN  = flag.Int("runners", 0, "with -shards: concurrent runner loops dialing the loopback coordinator (default 1)")
 		progress  = flag.Bool("progress", false, "print a progress line (completion, device-days/s, ETA, checkpoint) to stderr every few seconds")
 		perDevOut = flag.String("per-device-out", "", "stream one NDJSON line per device to this file, in device-index order, without retaining the per-device array in memory")
 	)
@@ -123,6 +123,21 @@ func realMain() int {
 	}
 
 	if *merge {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-sweep", *sweep != ""},
+			{"-shard", *shard != ""},
+			{"-shards", *shardsN > 0},
+			{"-runners", *runnersN > 0},
+			{"-checkpoint-dir", *ckptDir != ""},
+			{"-resume", *resume},
+		} {
+			if f.set {
+				return fail(fmt.Errorf("-merge combines finished partials; it cannot combine with %s", f.name))
+			}
+		}
 		if err := runMerge(flag.Args(), *jsonOut, *canonOut, *perDevice, *outPath); err != nil {
 			return fail(err)
 		}
@@ -175,6 +190,9 @@ func realMain() int {
 	}
 
 	if *shard != "" {
+		if *sweep != "" {
+			return fail(fmt.Errorf("-shard runs one shard of one fleet; it cannot combine with -sweep"))
+		}
 		var err error
 		cfg.ShardIndex, cfg.ShardCount, err = parseShard(*shard)
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"strings"
@@ -16,6 +17,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// fleetCmd returns a command that runs cinder-fleet with args.
+func fleetCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "CINDER_FLEET_RUN_MAIN=1")
+	return cmd
+}
+
 // TestReferenceRefusedWithShardingFlags: -reference is single-process,
 // so every sharded or job entry point of the CLI refuses it, naming
 // -reference, before any simulation starts.
@@ -27,11 +35,50 @@ func TestReferenceRefusedWithShardingFlags(t *testing.T) {
 		{"-runner", "http://127.0.0.1:1"},
 		{"-merge", "part0.json"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-reference", "-devices", "4", "-duration", "1s"}, args...)...)
-		cmd.Env = append(os.Environ(), "CINDER_FLEET_RUN_MAIN=1")
-		out, err := cmd.CombinedOutput()
+		out, err := fleetCmd(append([]string{"-reference", "-devices", "4", "-duration", "1s"}, args...)...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "-reference is single-process") {
 			t.Errorf("%v: exit %v, output %q; want a refusal naming -reference", args, err, out)
 		}
+	}
+}
+
+// TestIgnoredFlagCombinationsRefused: a flag the chosen mode would
+// silently drop is an error naming both flags, before any simulation
+// starts.
+func TestIgnoredFlagCombinationsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args        []string
+		mode, other string
+	}{
+		{[]string{"-shard", "0/2", "-sweep", "battery-j=100"}, "-shard", "-sweep"},
+		{[]string{"-merge", "-sweep", "battery-j=100", "part0.json"}, "-merge", "-sweep"},
+		{[]string{"-merge", "-shard", "0/2", "part0.json"}, "-merge", "-shard"},
+		{[]string{"-merge", "-shards", "2", "part0.json"}, "-merge", "-shards"},
+		{[]string{"-merge", "-runners", "2", "part0.json"}, "-merge", "-runners"},
+		{[]string{"-merge", "-checkpoint-dir", "ckpt", "part0.json"}, "-merge", "-checkpoint-dir"},
+		{[]string{"-merge", "-resume", "part0.json"}, "-merge", "-resume"},
+	} {
+		out, err := fleetCmd(append([]string{"-devices", "4", "-duration", "1s"}, tc.args...)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.mode) || !strings.HasSuffix(string(out), " "+tc.other+"\n") {
+			t.Errorf("%v: exit %v, output %q; want a refusal naming %s and %s", tc.args, err, out, tc.mode, tc.other)
+		}
+	}
+}
+
+// TestShardsMatchesSingleProcess: -shards 4 -runners 2 runs the
+// coordinator/runner stack over an HTTP loopback and must print the
+// plain single-process run's JSON report byte for byte.
+func TestShardsMatchesSingleProcess(t *testing.T) {
+	base := []string{"-devices", "40", "-duration", "6h", "-scenario", "dayinthelife", "-workers", "2", "-json"}
+	plain, err := fleetCmd(base...).Output()
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	sharded, err := fleetCmd(append(base, "-shards", "4", "-runners", "2")...).Output()
+	if err != nil {
+		t.Fatalf("-shards run: %v", err)
+	}
+	if !bytes.Equal(plain, sharded) {
+		t.Fatalf("-shards 4 -runners 2 diverged from the single-process report:\n%s\nvs\n%s", sharded, plain)
 	}
 }

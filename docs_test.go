@@ -1,6 +1,9 @@
 package cinder
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -131,13 +134,8 @@ func TestDocsUseDefinedFleetFlags(t *testing.T) {
 		t.Fatalf("flag scan of cmd/cinder-fleet found %d flags; the scan looks broken", len(defined))
 	}
 
-	docs, err := filepath.Glob("docs/*.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 	seen := 0
-	for _, doc := range docs {
+	for _, doc := range userDocs(t) {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -164,5 +162,103 @@ func TestDocsUseDefinedFleetFlags(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("found no cinder-fleet flags in the documents; the scan looks broken")
+	}
+}
+
+// userDocs lists the user-facing documents the doc checks scan.
+func userDocs(t *testing.T) []string {
+	t.Helper()
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+}
+
+// codeSpan matches an inline backticked span on one line.
+var codeSpan = regexp.MustCompile("`([^`\n]+)`")
+
+// qualifiedIdent matches a package-qualified exported identifier.
+var qualifiedIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+
+// TestDocsNameDeclaredIdentifiers: every backticked pkg.Name in the
+// user-facing documents, where internal/**/pkg is a package of this
+// repository, must name a top-level declaration of that package — so
+// deleting or renaming an API cannot leave a stale reference behind.
+func TestDocsNameDeclaredIdentifiers(t *testing.T) {
+	pkgDirs := map[string][]string{}
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() {
+			pkgDirs[d.Name()] = append(pkgDirs[d.Name()], path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	declared := func(pkg string) map[string]bool {
+		if names, ok := decls[pkg]; ok {
+			return names
+		}
+		names := map[string]bool{}
+		for _, dir := range pkgDirs[pkg] {
+			fset := token.NewFileSet()
+			pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+				return !strings.HasSuffix(fi.Name(), "_test.go")
+			}, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pkgs {
+				for _, f := range p.Files {
+					for _, d := range f.Decls {
+						switch d := d.(type) {
+						case *ast.FuncDecl:
+							if d.Recv == nil {
+								names[d.Name.Name] = true
+							}
+						case *ast.GenDecl:
+							for _, spec := range d.Specs {
+								switch spec := spec.(type) {
+								case *ast.TypeSpec:
+									names[spec.Name.Name] = true
+								case *ast.ValueSpec:
+									for _, n := range spec.Names {
+										names[n.Name] = true
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		decls[pkg] = names
+		return names
+	}
+
+	checked := 0
+	for _, doc := range userDocs(t) {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				for _, m := range qualifiedIdent.FindAllStringSubmatch(span[1], -1) {
+					if _, ok := pkgDirs[m[1]]; !ok {
+						continue
+					}
+					checked++
+					if !declared(m[1])[m[2]] {
+						t.Errorf("%s:%d: `%s.%s`: package %s declares no %s", doc, i+1, m[1], m[2], m[1], m[2])
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no package-qualified identifiers in the documents; the scan looks broken")
 	}
 }

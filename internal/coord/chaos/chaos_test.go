@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -71,10 +72,24 @@ func fastBackoff(seed int64) delivery.Backoff {
 	}
 }
 
-// runChaotic executes job on a coordinator behind tr with two runners
-// whose connections are wrapped by plans, and returns the merged
-// report bytes.
-func runChaotic(t *testing.T, co *coord.Coordinator, tr *delivery.Inproc, plans []chaos.Plan) {
+// serve puts svc behind the HTTP delivery handler on a test server and
+// submits job through it. Both services under test serialize their
+// calls on a mutex, so concurrent requests are safe.
+func serve(t *testing.T, svc delivery.Service, job fleet.Job) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(delivery.Handler(svc))
+	t.Cleanup(srv.Close)
+	conn := delivery.DialHTTP(srv.URL)
+	defer conn.Close()
+	if err := conn.Submit(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// runChaotic executes the job submitted to co behind srv with two
+// runners whose connections are wrapped by plans.
+func runChaotic(t *testing.T, co *coord.Coordinator, srv *httptest.Server, plans []chaos.Plan) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -82,7 +97,7 @@ func runChaotic(t *testing.T, co *coord.Coordinator, tr *delivery.Inproc, plans 
 	for i, plan := range plans {
 		r := &coord.Runner{
 			ID:      []string{"chaos-a", "chaos-b"}[i%2],
-			Conn:    chaos.Wrap(tr.Conn(), plan),
+			Conn:    chaos.Wrap(delivery.DialHTTP(srv.URL), plan),
 			Workers: 2,
 			Poll:    5 * time.Millisecond,
 			Backoff: fastBackoff(int64(i) + 100),
@@ -138,12 +153,7 @@ func TestChaosSchedulesPreserveBytes(t *testing.T) {
 				MaxAttempts: 30, Logf: t.Logf,
 			})
 			defer co.Close()
-			tr := delivery.ServeInproc(co)
-			defer tr.Close()
-			if err := tr.Conn().Submit(context.Background(), job); err != nil {
-				t.Fatal(err)
-			}
-			runChaotic(t, co, tr, tc.plans)
+			runChaotic(t, co, serve(t, co, job), tc.plans)
 
 			got, err := co.Result(false)
 			if err != nil {
@@ -188,11 +198,7 @@ func TestCoordinatorKillRestart(t *testing.T) {
 		return c
 	}
 	rest := chaos.NewRestarter(coord.New(opts), rebuild, 15, 60)
-	tr := delivery.ServeInproc(rest)
-	defer tr.Close()
-	if err := tr.Conn().Submit(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
+	srv := serve(t, rest, job)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -200,7 +206,7 @@ func TestCoordinatorKillRestart(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		r := &coord.Runner{
 			ID:      []string{"kr-a", "kr-b"}[i],
-			Conn:    chaos.Wrap(tr.Conn(), chaos.Plan{Seed: int64(401 + i), Drop: 0.05, DropReply: 0.05}),
+			Conn:    chaos.Wrap(delivery.DialHTTP(srv.URL), chaos.Plan{Seed: int64(401 + i), Drop: 0.05, DropReply: 0.05}),
 			Workers: 2,
 			Poll:    5 * time.Millisecond,
 			Backoff: fastBackoff(int64(i) + 400),

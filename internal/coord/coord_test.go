@@ -86,9 +86,10 @@ func mustJSON(t *testing.T, rep fleet.Report) []byte {
 	return b
 }
 
-// TestRunLocalMatchesSingleProcess: the full coordinator/runner/
-// delivery stack, in-process, must reproduce a plain fleet.Run byte
-// for byte — including the degenerate one-runner one-shard case.
+// TestRunLocalMatchesSingleProcess: a local cluster — the full
+// coordinator/runner/delivery stack that RunHTTP starts over an HTTP
+// loopback — must reproduce a plain fleet.Run byte for byte, including
+// the degenerate one-runner one-shard case.
 func TestRunLocalMatchesSingleProcess(t *testing.T) {
 	job := dayJob(t, 50, 1)
 	want := mustJSON(t, singleProcess(t, job))
@@ -102,7 +103,7 @@ func TestRunLocalMatchesSingleProcess(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			job := dayJob(t, 50, tc.shards)
-			rep, err := RunLocal(context.Background(), job, LocalOptions{
+			rep, err := RunHTTP(context.Background(), job, LocalOptions{
 				Runners: tc.runners,
 				Workers: 2,
 				Logf:    t.Logf,
@@ -111,7 +112,7 @@ func TestRunLocalMatchesSingleProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := mustJSON(t, rep); !bytes.Equal(got, want) {
-				t.Fatalf("RunLocal diverged from single process:\n%s\nvs\n%s", got, want)
+				t.Fatalf("RunHTTP diverged from single process:\n%s\nvs\n%s", got, want)
 			}
 		})
 	}

@@ -2,17 +2,18 @@
 // a small transport interface, in the spirit of rdsys's pkg/core /
 // pkg/delivery split: the mergeable model (fleet.Job in, fleet.Partial
 // out) lives in the core packages, and a delivery mechanism is a thin
-// adapter that moves those values between processes. Two mechanisms
-// ship — in-process channels (Inproc, used by tests and by
-// cinder-fleet's local -shards mode, proving the layering is
-// semantics-free) and HTTP (JSON over loopback or LAN). Sockets or RPC
-// slot in later by implementing Conn against the same Service, without
-// touching the coordinator or the runners.
+// adapter that moves those values between processes. One mechanism
+// ships: HTTP, JSON over loopback or LAN (Handler on the coordinator
+// side, DialHTTP on the runner side). It serves remote runners and, on
+// a 127.0.0.1 listener, cinder-fleet's local -shards mode and the test
+// suites alike. Sockets or RPC slot in later by implementing Conn
+// against the same Service, without touching the coordinator or the
+// runners.
 //
-// Every transport delivers by value: even the in-process mechanism
-// round-trips each message through its JSON wire form, so a job that
-// could not survive a real network hop (say, one referencing a
-// non-registry scenario) fails identically on every transport.
+// Delivery is by value: every message crosses its JSON wire form, so a
+// job that cannot survive a network hop (say, one referencing a
+// non-registry scenario) is refused by the server's parse gate before
+// the Service sees it.
 package delivery
 
 import (
@@ -37,8 +38,6 @@ var (
 	ErrLeaseLost = errors.New("delivery: lease lost")
 	// ErrNotDone : the merged report was requested before completion.
 	ErrNotDone = errors.New("delivery: job not done yet")
-	// ErrClosed : the transport was shut down.
-	ErrClosed = errors.New("delivery: transport closed")
 )
 
 // Task is one leased unit of work: a shard of a job.

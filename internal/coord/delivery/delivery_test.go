@@ -74,10 +74,21 @@ type namedScenario struct{ fleet.Scenario }
 
 func (namedScenario) Name() string { return "not-in-the-registry" }
 
-// TestInprocDeliversByValue: the in-process mechanism must behave like
-// a wire, not like a function call — a job referencing a non-registry
-// scenario has to fail through it exactly as it would over HTTP.
-func TestInprocDeliversByValue(t *testing.T) {
+// serveStub puts svc behind the HTTP mechanism on a test server and
+// dials it.
+func serveStub(t *testing.T, svc Service) Conn {
+	t.Helper()
+	srv := httptest.NewServer(Handler(svc))
+	t.Cleanup(srv.Close)
+	conn := DialHTTP(srv.URL)
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// TestHTTPDeliversByValue: delivery is a wire, not a function call — a
+// job referencing a non-registry scenario dies in the server's parse
+// gate, and the service never sees it.
+func TestHTTPDeliversByValue(t *testing.T) {
 	custom := namedScenario{fleet.Scenarios()["idle"]}
 	job, err := fleet.NewJob(fleet.Config{
 		Devices:  4,
@@ -90,20 +101,18 @@ func TestInprocDeliversByValue(t *testing.T) {
 	}
 
 	svc := &stubService{}
-	tr := ServeInproc(svc)
-	defer tr.Close()
-	err = tr.Conn().Submit(context.Background(), job)
+	err = serveStub(t, svc).Submit(context.Background(), job)
 	if err == nil || !strings.Contains(err.Error(), "unknown scenario") {
-		t.Fatalf("non-registry job crossed the in-process wire: %v", err)
+		t.Fatalf("non-registry job crossed the wire: %v", err)
 	}
 	if svc.submitted != nil {
 		t.Fatal("service saw a job that should have died in serialization")
 	}
 }
 
-// TestInprocRoundTrip: every message type survives the in-process
-// mechanism's JSON round-trip intact.
-func TestInprocRoundTrip(t *testing.T) {
+// TestHTTPRoundTrip: every message type survives the HTTP mechanism's
+// JSON round-trip intact.
+func TestHTTPRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	job := registryJob(t)
 	svc := &stubService{
@@ -114,9 +123,7 @@ func TestInprocRoundTrip(t *testing.T) {
 		},
 		result: []byte(`{"ok":true}`),
 	}
-	tr := ServeInproc(svc)
-	defer tr.Close()
-	conn := tr.Conn()
+	conn := serveStub(t, svc)
 
 	if err := conn.Submit(ctx, job); err != nil {
 		t.Fatal(err)
@@ -157,9 +164,9 @@ func TestInprocRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInprocPartialRoundTrip: a real shard partial survives Complete's
-// parse gate and merges back into the exact report.
-func TestInprocPartialRoundTrip(t *testing.T) {
+// TestHTTPPartialRoundTrip: a real shard partial survives Complete's
+// parse gate byte for byte.
+func TestHTTPPartialRoundTrip(t *testing.T) {
 	job := registryJob(t)
 	cfg, err := job.ShardConfig(0)
 	if err != nil {
@@ -171,9 +178,7 @@ func TestInprocPartialRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := &stubService{}
-	tr := ServeInproc(svc)
-	defer tr.Close()
-	if err := tr.Conn().Complete(context.Background(), "r", 0, part); err != nil {
+	if err := serveStub(t, svc).Complete(context.Background(), "r", 0, part); err != nil {
 		t.Fatal(err)
 	}
 	if len(svc.completed) != 1 {
@@ -183,20 +188,6 @@ func TestInprocPartialRoundTrip(t *testing.T) {
 	b, _ := svc.completed[0].JSON()
 	if string(a) != string(b) {
 		t.Fatalf("partial mangled in delivery:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestInprocClosed: connections of a closed transport fail with
-// ErrClosed instead of hanging.
-func TestInprocClosed(t *testing.T) {
-	tr := ServeInproc(&stubService{})
-	conn := tr.Conn()
-	tr.Close()
-	if _, err := conn.Claim(context.Background(), "r"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("claim on closed transport: got %v", err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
 	}
 }
 

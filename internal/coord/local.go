@@ -3,13 +3,16 @@ package coord
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/http"
 	"sync"
+	"time"
 
 	"repro/internal/coord/delivery"
 	"repro/internal/fleet"
 )
 
-// LocalOptions tunes RunLocal.
+// LocalOptions tunes RunHTTP.
 type LocalOptions struct {
 	// Runners is the number of concurrent runner loops (default 1).
 	Runners int
@@ -24,14 +27,16 @@ type LocalOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// RunLocal executes a job entirely in this process: an embedded
-// coordinator served over the in-process delivery mechanism, with
-// opt.Runners runner loops claiming shards from it. It is the full
-// coordinator/runner/delivery stack minus the network — a one-runner
-// RunLocal of a one-shard job is the degenerate case whose report is
-// byte-identical to a plain fleet.Run (asserted in tests), and
-// "cinder-fleet -shards n -runners k" is this function.
-func RunLocal(ctx context.Context, job fleet.Job, opt LocalOptions) (fleet.Report, error) {
+// RunHTTP executes a job entirely in this process over a real HTTP
+// loopback: an embedded coordinator behind delivery.Handler on a
+// 127.0.0.1 listener, with opt.Runners runner loops dialing it through
+// the wire like remote processes would. Every claim, heartbeat, partial
+// and status crosses a TCP connection and the full JSON encode/decode
+// path, so "cinder-fleet -shards n -runners k" (this function) is a
+// faithful rehearsal of a cluster run. A one-runner RunHTTP of a
+// one-shard job is the degenerate case whose report is byte-identical
+// to a plain fleet.Run (asserted in tests).
+func RunHTTP(ctx context.Context, job fleet.Job, opt LocalOptions) (fleet.Report, error) {
 	runners := opt.Runners
 	if runners <= 0 {
 		runners = 1
@@ -41,10 +46,25 @@ func RunLocal(ctx context.Context, job fleet.Job, opt LocalOptions) (fleet.Repor
 		co.opts.Logf = opt.Logf
 	}
 	defer co.Close()
-	srv := delivery.ServeInproc(co)
-	defer srv.Close()
 
-	if err := srv.Conn().Submit(ctx, job); err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return fleet.Report{}, fmt.Errorf("coord: loopback listener: %w", err)
+	}
+	srv := &http.Server{Handler: delivery.Handler(co)}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(sctx)
+		<-serveErr // http.ErrServerClosed once Shutdown finishes
+	}()
+
+	base := "http://" + ln.Addr().String()
+	submit := delivery.DialHTTP(base)
+	defer submit.Close()
+	if err := submit.Submit(ctx, job); err != nil {
 		return fleet.Report{}, err
 	}
 
@@ -52,14 +72,22 @@ func RunLocal(ctx context.Context, job fleet.Job, opt LocalOptions) (fleet.Repor
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < runners; i++ {
-		id := fmt.Sprintf("local-%d", i)
-		r := &Runner{ID: id, Conn: srv.Conn(), Workers: opt.Workers, Logf: opt.Logf}
+		id := fmt.Sprintf("http-%d", i)
+		conn := delivery.DialHTTP(base)
+		r := &Runner{
+			ID:      id,
+			Conn:    conn,
+			Workers: opt.Workers,
+			Poll:    20 * time.Millisecond,
+			Logf:    opt.Logf,
+		}
 		if opt.OnProgress != nil {
 			r.OnProgress = func(shard int, p fleet.Progress) { opt.OnProgress(id, shard, p) }
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer conn.Close()
 			r.Run(ctx)
 		}()
 	}

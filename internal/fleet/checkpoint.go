@@ -15,8 +15,10 @@ import (
 	"repro/internal/units"
 )
 
-// This file implements checkpoint/resume for fleet runs. A checkpointed
-// run proceeds epoch by epoch (default: one simulated day). Every pass
+// This file implements the fleet's one range runner and its
+// checkpoint/resume. A run proceeds epoch by epoch: one epoch covering
+// the whole horizon without a checkpoint dir, one per CheckpointEvery
+// (default: one simulated day) with one. Every pass
 // runs the whole device range through the worker pool; at a non-final
 // boundary each surviving device serializes its complete state — engine
 // clock and schedules, RNG position, object census, reserve levels, tap
@@ -214,7 +216,12 @@ type epochPlan struct {
 	count int
 }
 
+// planEpochs partitions the horizon. Without a checkpoint dir the whole
+// horizon is one final epoch, which writes no file.
 func planEpochs(cfg Config) epochPlan {
+	if cfg.CheckpointDir == "" {
+		return epochPlan{every: cfg.Duration, count: 1}
+	}
 	every := cfg.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -528,7 +535,8 @@ func blobKind(blob []byte) (string, error) {
 	return r.String(), r.Err()
 }
 
-// runEpochs is the checkpointed run path (see the file comment).
+// runEpochs simulates the config's device range into the aggregate,
+// epoch by epoch (see the file comment).
 func runEpochs(cfg Config, workers int, agg *aggregate) error {
 	lo, hi := cfg.shardRange()
 	plan := planEpochs(cfg)

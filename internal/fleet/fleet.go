@@ -781,13 +781,17 @@ func (cfg Config) shardRange() (lo, hi int) {
 // Run simulates the fleet and returns the aggregate report. With
 // Config.CheckpointDir set the run proceeds epoch by epoch, writing a
 // resumable snapshot of every device at each boundary (checkpoint.go);
-// otherwise each device runs its whole horizon in one pass.
+// otherwise the whole horizon is one final epoch that writes no file.
 //
 // Devices are dispatched to the worker pool through a bounded admission
 // window and their results are reduced strictly in index order as they
 // stream back, so the run never holds more than O(workers) in-flight
 // results plus O(buckets) aggregate state — per-device results are
 // dropped after reduction unless cfg.KeepResults asks for them.
+//
+// A single-process run is the one-shard case of a sharded run: it packs
+// its aggregate into a Partial and builds the report through Merge, the
+// same code a cluster merge runs.
 func Run(cfg Config) (Report, error) {
 	workers, err := cfg.validate()
 	if err != nil {
@@ -809,24 +813,17 @@ func Run(cfg Config) (Report, error) {
 			return nil
 		}
 	}
-	agg := newAggregate()
-	if err := runRange(cfg, workers, agg); err != nil {
+	p, err := runShard(cfg, workers)
+	if err != nil {
 		return Report{}, err
 	}
-	rep := agg.finish(cfg, workers)
+	rep, err := Merge([]*Partial{p}, cfg.Scenario)
+	if err != nil {
+		return Report{}, err
+	}
+	rep.Workers = workers
 	rep.Results = results
 	return rep, nil
-}
-
-// runRange simulates the config's device range into the aggregate —
-// the code path Run, RunShard, and every coordinator-dispatched
-// ShardRun share. With a checkpoint dir the range proceeds epoch by
-// epoch; otherwise each device runs its whole horizon in one pass.
-func runRange(cfg Config, workers int, agg *aggregate) error {
-	if cfg.CheckpointDir != "" {
-		return runEpochs(cfg, workers, agg)
-	}
-	return runWhole(cfg, workers, agg)
 }
 
 // accept folds one final device result into the aggregate and streams
@@ -837,30 +834,6 @@ func accept(cfg *Config, agg *aggregate, res DeviceResult) error {
 		return nil
 	}
 	return cfg.PerDevice(res)
-}
-
-// runWhole is the single-pass path: every device simulates its full
-// horizon in one go.
-func runWhole(cfg Config, workers int, agg *aggregate) error {
-	lo, hi := cfg.shardRange()
-	m := newMeter(&cfg, lo, hi, 1)
-	m.pass(0, 0, cfg.Duration)
-	return pass(cfg, workers, lo, hi, nil,
-		func(idx int, _ []byte, rg *rig) outcome {
-			d, res, err := buildDevice(cfg, idx, rg)
-			if err != nil {
-				return outcome{err: err}
-			}
-			d.Kernel.Run(cfg.Duration)
-			extractResult(d, res)
-			return outcome{res: *res}
-		},
-		func(_ int, o outcome) error {
-			if err := accept(&cfg, agg, o.res); err != nil {
-				return err
-			}
-			return m.device()
-		})
 }
 
 // outcome is one device's product from a pass: a final result, or (on
@@ -1157,28 +1130,16 @@ func extractResult(d *Device, res *DeviceResult) {
 
 // aggregate is the mergeable core of a Report: integer sums, counts and
 // quantile sketches only — no retained per-device arrays (Results is
-// kept solely under KeepResults), and no floats until finish. Merging
-// two aggregates is element-wise addition, so shard partials combine
-// into exactly the aggregate a single process builds.
+// kept solely under KeepResults), and no floats until finish. Every
+// device lands in exactly one scenario bucket, so the buckets carry
+// every counter and finish derives the fleet-wide totals from them;
+// only the consumption extremes, which do not sum, live at the top.
+// Merging two aggregates is element-wise addition, so shard partials
+// combine into exactly the aggregate a single process builds.
 type aggregate struct {
-	seen           int
-	totalConsumed  units.Energy
-	minConsumed    units.Energy
-	maxConsumed    units.Energy
-	recharged      units.Energy
-	reclaimed      units.Energy
-	busyTicks      int64
-	idleTicks      int64
-	polls          int64
-	activations    int64
-	powerUps       int64
-	engineSteps    uint64
-	flowWalks      int64
-	settled        int64
-	settledSweeps  int64
-	settledCharges int64
-	dead           int
-	lives          sketch.Hist
+	seen        int
+	minConsumed units.Energy
+	maxConsumed units.Energy
 
 	byName map[string]*bucketAgg
 }
@@ -1210,55 +1171,53 @@ func newAggregate() *aggregate {
 	return &aggregate{byName: make(map[string]*bucketAgg)}
 }
 
-// add folds one device's result into the aggregate.
-func (a *aggregate) add(r DeviceResult) {
-	a.totalConsumed += r.Consumed
-	if a.seen == 0 || r.Consumed < a.minConsumed {
-		a.minConsumed = r.Consumed
-	}
-	if r.Consumed > a.maxConsumed {
-		a.maxConsumed = r.Consumed
-	}
-	a.recharged += r.Recharged
-	a.reclaimed += r.Reclaimed
-	a.busyTicks += r.BusyTicks
-	a.idleTicks += r.IdleTicks
-	a.polls += r.Polls
-	a.activations += r.RadioActivations
-	a.powerUps += r.PowerUps
-	a.engineSteps += r.EngineSteps
-	a.flowWalks += r.FlowWalks
-	a.settled += r.SettledBatches
-	a.settledSweeps += r.SettledSweeps
-	a.settledCharges += r.SettledCharges
-	if r.Died {
-		a.dead++
-		a.lives.Add(int64(r.DiedAt))
-	}
-	a.seen++
-
-	b := a.byName[r.Scenario]
+// bucket returns the named bucket, creating it on first use.
+func (a *aggregate) bucket(name string) *bucketAgg {
+	b := a.byName[name]
 	if b == nil {
 		b = &bucketAgg{}
-		a.byName[r.Scenario] = b
+		a.byName[name] = b
 	}
-	b.devices++
-	b.consumed += r.Consumed
-	b.recharged += r.Recharged
-	b.reclaimed += r.Reclaimed
-	b.busyTicks += r.BusyTicks
-	b.idleTicks += r.IdleTicks
-	b.polls += r.Polls
-	b.pages += r.Pages
-	b.activations += r.RadioActivations
-	b.powerUps += r.PowerUps
-	b.sms += r.SMSSent
-	b.calls += r.CallsPlaced
-	b.steps += r.EngineSteps
-	b.flowWalks += r.FlowWalks
-	b.settled += r.SettledBatches
-	b.settledSweeps += r.SettledSweeps
-	b.settledCharges += r.SettledCharges
+	return b
+}
+
+// extremes folds a consumption range of n devices into the top level.
+func (a *aggregate) extremes(n int, lo, hi units.Energy) {
+	if n == 0 {
+		return
+	}
+	if a.seen == 0 || lo < a.minConsumed {
+		a.minConsumed = lo
+	}
+	if hi > a.maxConsumed {
+		a.maxConsumed = hi
+	}
+	a.seen += n
+}
+
+// add folds one device's result into the aggregate.
+func (a *aggregate) add(r DeviceResult) {
+	a.extremes(1, r.Consumed, r.Consumed)
+	b := a.bucket(r.Scenario)
+	b.merge(&bucketAgg{
+		devices:        1,
+		consumed:       r.Consumed,
+		recharged:      r.Recharged,
+		reclaimed:      r.Reclaimed,
+		busyTicks:      r.BusyTicks,
+		idleTicks:      r.IdleTicks,
+		polls:          r.Polls,
+		pages:          r.Pages,
+		activations:    r.RadioActivations,
+		powerUps:       r.PowerUps,
+		sms:            r.SMSSent,
+		calls:          r.CallsPlaced,
+		steps:          r.EngineSteps,
+		flowWalks:      r.FlowWalks,
+		settled:        r.SettledBatches,
+		settledSweeps:  r.SettledSweeps,
+		settledCharges: r.SettledCharges,
+	})
 	if r.Died {
 		b.dead++
 		b.lives.Add(int64(r.DiedAt))
@@ -1269,56 +1228,33 @@ func (a *aggregate) add(r DeviceResult) {
 // integer sum, a min/max, or a sketch merge — all associative — so any
 // shard grouping produces the identical aggregate.
 func (a *aggregate) merge(o *aggregate) {
-	if o.seen > 0 {
-		if a.seen == 0 || o.minConsumed < a.minConsumed {
-			a.minConsumed = o.minConsumed
-		}
-		if o.maxConsumed > a.maxConsumed {
-			a.maxConsumed = o.maxConsumed
-		}
-	}
-	a.seen += o.seen
-	a.totalConsumed += o.totalConsumed
-	a.recharged += o.recharged
-	a.reclaimed += o.reclaimed
-	a.busyTicks += o.busyTicks
-	a.idleTicks += o.idleTicks
-	a.polls += o.polls
-	a.activations += o.activations
-	a.powerUps += o.powerUps
-	a.engineSteps += o.engineSteps
-	a.flowWalks += o.flowWalks
-	a.settled += o.settled
-	a.settledSweeps += o.settledSweeps
-	a.settledCharges += o.settledCharges
-	a.dead += o.dead
-	a.lives.Merge(&o.lives)
+	a.extremes(o.seen, o.minConsumed, o.maxConsumed)
 	for name, ob := range o.byName {
-		b := a.byName[name]
-		if b == nil {
-			b = &bucketAgg{}
-			a.byName[name] = b
-		}
-		b.devices += ob.devices
-		b.consumed += ob.consumed
-		b.recharged += ob.recharged
-		b.reclaimed += ob.reclaimed
-		b.busyTicks += ob.busyTicks
-		b.idleTicks += ob.idleTicks
-		b.polls += ob.polls
-		b.pages += ob.pages
-		b.activations += ob.activations
-		b.powerUps += ob.powerUps
-		b.sms += ob.sms
-		b.calls += ob.calls
-		b.steps += ob.steps
-		b.flowWalks += ob.flowWalks
-		b.settled += ob.settled
-		b.settledSweeps += ob.settledSweeps
-		b.settledCharges += ob.settledCharges
-		b.dead += ob.dead
-		b.lives.Merge(&ob.lives)
+		a.bucket(name).merge(ob)
 	}
+}
+
+// merge adds another bucket's counters into this one.
+func (b *bucketAgg) merge(o *bucketAgg) {
+	b.devices += o.devices
+	b.consumed += o.consumed
+	b.recharged += o.recharged
+	b.reclaimed += o.reclaimed
+	b.busyTicks += o.busyTicks
+	b.idleTicks += o.idleTicks
+	b.polls += o.polls
+	b.pages += o.pages
+	b.activations += o.activations
+	b.powerUps += o.powerUps
+	b.sms += o.sms
+	b.calls += o.calls
+	b.steps += o.steps
+	b.flowWalks += o.flowWalks
+	b.settled += o.settled
+	b.settledSweeps += o.settledSweeps
+	b.settledCharges += o.settledCharges
+	b.dead += o.dead
+	b.lives.Merge(&o.lives)
 }
 
 // utilizationPct converts tick sums to the busy percentage.
@@ -1330,43 +1266,38 @@ func utilizationPct(busy, idle int64) float64 {
 	return 100 * float64(busy) / float64(total)
 }
 
-// finish computes means, percentiles and the sorted bucket list.
+// finish computes the fleet-wide totals from the bucket sums, then
+// means, percentiles and the sorted bucket list.
 func (a *aggregate) finish(cfg Config, workers int) Report {
 	rep := Report{
-		Scenario:            cfg.Scenario.Name(),
-		Devices:             cfg.Devices,
-		Seed:                cfg.Seed,
-		Duration:            cfg.Duration,
-		Workers:             workers,
-		TotalConsumed:       a.totalConsumed,
-		MinConsumed:         a.minConsumed,
-		MaxConsumed:         a.maxConsumed,
-		TotalRecharged:      a.recharged,
-		TotalReclaimed:      a.reclaimed,
-		MeanUtilization:     utilizationPct(a.busyTicks, a.idleTicks),
-		TotalPolls:          a.polls,
-		TotalActivations:    a.activations,
-		TotalPowerUps:       a.powerUps,
-		Dead:                a.dead,
-		TotalEngineSteps:    a.engineSteps,
-		TotalFlowWalks:      a.flowWalks,
-		TotalSettledBatches: a.settled,
-		TotalSettledSweeps:  a.settledSweeps,
-		TotalSettledCharges: a.settledCharges,
+		Scenario:    cfg.Scenario.Name(),
+		Devices:     cfg.Devices,
+		Seed:        cfg.Seed,
+		Duration:    cfg.Duration,
+		Workers:     workers,
+		MinConsumed: a.minConsumed,
+		MaxConsumed: a.maxConsumed,
 	}
-	rep.MeanConsumed = rep.TotalConsumed / units.Energy(rep.Devices)
-	if a.dead > 0 {
-		rep.LifeP50 = units.Time(a.lives.Quantile(50))
-		rep.LifeP90 = units.Time(a.lives.Quantile(90))
-	}
-	names := make([]string, 0, len(a.byName))
-	for n := range a.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	rep.Buckets = make([]Bucket, 0, len(names))
-	for _, n := range names {
+	var busy, idle int64
+	var lives sketch.Hist
+	for _, n := range a.names() {
 		b := a.byName[n]
+		rep.TotalConsumed += b.consumed
+		rep.TotalRecharged += b.recharged
+		rep.TotalReclaimed += b.reclaimed
+		busy += b.busyTicks
+		idle += b.idleTicks
+		rep.TotalPolls += b.polls
+		rep.TotalActivations += b.activations
+		rep.TotalPowerUps += b.powerUps
+		rep.Dead += b.dead
+		rep.TotalEngineSteps += b.steps
+		rep.TotalFlowWalks += b.flowWalks
+		rep.TotalSettledBatches += b.settled
+		rep.TotalSettledSweeps += b.settledSweeps
+		rep.TotalSettledCharges += b.settledCharges
+		lives.Merge(&b.lives)
+
 		bk := Bucket{
 			Name:               n,
 			Devices:            b.devices,
@@ -1394,7 +1325,23 @@ func (a *aggregate) finish(cfg Config, workers int) Report {
 		}
 		rep.Buckets = append(rep.Buckets, bk)
 	}
+	rep.MeanConsumed = rep.TotalConsumed / units.Energy(rep.Devices)
+	rep.MeanUtilization = utilizationPct(busy, idle)
+	if rep.Dead > 0 {
+		rep.LifeP50 = units.Time(lives.Quantile(50))
+		rep.LifeP90 = units.Time(lives.Quantile(90))
+	}
 	return rep
+}
+
+// names returns the bucket names in sorted order.
+func (a *aggregate) names() []string {
+	names := make([]string, 0, len(a.byName))
+	for n := range a.byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // DeriveSeed maps (fleet seed, device index) to a device RNG seed via

@@ -12,11 +12,11 @@ import (
 // (ShardRun). The layering follows rdsys's core/delivery split — the
 // Job and the mergeable Partial are the in-memory model, and any
 // process that can execute a ShardRun and hand back its Partial is a
-// valid runner, whether it lives on the other side of a channel, an
-// HTTP connection, or inside this very process. A single-process
-// fleet.Run is the degenerate one-runner case: one ShardRun covering
-// the whole device range, reduced through exactly the same code path
-// (internal/coord asserts the byte identity).
+// valid runner, whether it lives on the other side of an HTTP
+// connection or inside this very process. A single-process fleet.Run is
+// the degenerate one-runner case: the shard body over the whole device
+// range, packed into a Partial and reduced through the same Merge a
+// cluster run uses.
 
 // Job is the immutable spec of a fleet run: scenario, population,
 // horizon, seed, and the shard plan. It is what a coordinator accepts,

@@ -133,16 +133,27 @@ func TestReferenceRefusedOnJobPaths(t *testing.T) {
 	}
 }
 
-// TestParsePartialRejectsStaleFormat: a partial in the older format,
-// which still recorded engine and settle modes, is refused instead of
-// merged.
+// TestParsePartialRejectsStaleFormat: a partial in an older format is
+// refused instead of merged — v1 still recorded engine and settle modes,
+// v2 still carried fleet-wide counter copies beside the bucket sums.
 func TestParsePartialRejectsStaleFormat(t *testing.T) {
-	stale := `{"format":"cinder-fleet-partial","version":1,"scenario":"poller","devices":4,"seed":1,` +
-		`"duration_ms":1000,"battery_uj":0,"engine_mode":1,"settle_mode":0,"netd_settle_mode":0,` +
-		`"life_resolution_ms":1000,"shard_index":0,"shard_count":1,"range_lo":0,"range_hi":4,` +
-		`"agg":{"seen":4},"buckets":[]}`
-	_, err := ParsePartial([]byte(stale))
-	if err == nil || !strings.Contains(err.Error(), "partial report v1") {
-		t.Fatalf("stale partial: got %v, want a version refusal", err)
+	for _, tc := range []struct{ version, partial string }{
+		{"v1", `{"format":"cinder-fleet-partial","version":1,"scenario":"poller","devices":4,"seed":1,` +
+			`"duration_ms":1000,"battery_uj":0,"engine_mode":1,"settle_mode":0,"netd_settle_mode":0,` +
+			`"life_resolution_ms":1000,"shard_index":0,"shard_count":1,"range_lo":0,"range_hi":4,` +
+			`"agg":{"seen":4},"buckets":[]}`},
+		{"v2", `{"format":"cinder-fleet-partial","version":2,"scenario":"poller","devices":4,"seed":1,` +
+			`"duration_ms":1000,"battery_uj":0,"life_resolution_ms":1000,"shard_index":0,"shard_count":1,` +
+			`"range_lo":0,"range_hi":4,"agg":{"seen":4,"total_consumed_uj":40,"min_consumed_uj":10,` +
+			`"max_consumed_uj":10,"busy_ticks":0,"idle_ticks":4,"polls":0,"radio_activations":0,` +
+			`"netd_power_ups":0,"engine_steps":4,"flow_walks":0,"settled_batches":0,"settled_sweeps":0,"dead":0},` +
+			`"buckets":[{"name":"poller","devices":4,"total_consumed_uj":40,"busy_ticks":0,"idle_ticks":4,` +
+			`"polls":0,"pages":0,"radio_activations":0,"netd_power_ups":0,"sms_sent":0,"calls_placed":0,` +
+			`"engine_steps":4,"flow_walks":0,"settled_batches":0,"settled_sweeps":0,"dead":0}]}`},
+	} {
+		_, err := ParsePartial([]byte(tc.partial))
+		if err == nil || !strings.Contains(err.Error(), "partial report "+tc.version) {
+			t.Errorf("stale %s partial: got %v, want a version refusal", tc.version, err)
+		}
 	}
 }

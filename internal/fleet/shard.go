@@ -23,8 +23,9 @@ import (
 
 // PartialVersion is the partial-report schema version. Version 2
 // dropped the engine and settle modes: partials always come from
-// production runs.
-const PartialVersion = 2
+// production runs. Version 3 dropped the fleet-wide counter copies from
+// Agg: the bucket sums carry every total.
+const PartialVersion = 3
 
 // Partial is one shard's mergeable report.
 type Partial struct {
@@ -48,26 +49,13 @@ type Partial struct {
 	Buckets []partialBucket `json:"buckets"`
 }
 
-// partialAgg is the wire form of the shard's top-level aggregate.
+// partialAgg is the wire form of the shard's top-level aggregate: the
+// device count and consumption extremes, the only fleet-wide figures
+// that are not sums over the buckets.
 type partialAgg struct {
-	Seen            int        `json:"seen"`
-	TotalConsumedUJ int64      `json:"total_consumed_uj"`
-	MinConsumedUJ   int64      `json:"min_consumed_uj"`
-	MaxConsumedUJ   int64      `json:"max_consumed_uj"`
-	BusyTicks       int64      `json:"busy_ticks"`
-	IdleTicks       int64      `json:"idle_ticks"`
-	Polls           int64      `json:"polls"`
-	Activations     int64      `json:"radio_activations"`
-	PowerUps        int64      `json:"netd_power_ups"`
-	EngineSteps     uint64     `json:"engine_steps"`
-	FlowWalks       int64      `json:"flow_walks"`
-	SettledBatches  int64      `json:"settled_batches"`
-	SettledSweeps   int64      `json:"settled_sweeps"`
-	SettledCharges  int64      `json:"settled_charges,omitempty"`
-	RechargedUJ     int64      `json:"recharged_uj,omitempty"`
-	ReclaimedUJ     int64      `json:"reclaimed_uj,omitempty"`
-	Dead            int        `json:"dead"`
-	Lives           [][2]int64 `json:"lives,omitempty"`
+	Seen          int   `json:"seen"`
+	MinConsumedUJ int64 `json:"min_consumed_uj"`
+	MaxConsumedUJ int64 `json:"max_consumed_uj"`
 }
 
 // partialBucket is the wire form of one scenario bucket's aggregate.
@@ -106,8 +94,15 @@ func RunShard(cfg Config) (*Partial, error) {
 	if cfg.ShardCount <= 0 {
 		return nil, fmt.Errorf("fleet: RunShard needs ShardCount > 0")
 	}
+	return runShard(cfg, workers)
+}
+
+// runShard simulates the config's device range into a partial — the
+// code path Run, RunShard, and every coordinator-dispatched ShardRun
+// share.
+func runShard(cfg Config, workers int) (*Partial, error) {
 	agg := newAggregate()
-	if err := runRange(cfg, workers, agg); err != nil {
+	if err := runEpochs(cfg, workers, agg); err != nil {
 		return nil, err
 	}
 	return packPartial(cfg, agg), nil
@@ -130,32 +125,12 @@ func packPartial(cfg Config, a *aggregate) *Partial {
 		RangeLo:          lo,
 		RangeHi:          hi,
 		Agg: partialAgg{
-			Seen:            a.seen,
-			TotalConsumedUJ: int64(a.totalConsumed),
-			MinConsumedUJ:   int64(a.minConsumed),
-			MaxConsumedUJ:   int64(a.maxConsumed),
-			BusyTicks:       a.busyTicks,
-			IdleTicks:       a.idleTicks,
-			Polls:           a.polls,
-			Activations:     a.activations,
-			PowerUps:        a.powerUps,
-			EngineSteps:     a.engineSteps,
-			FlowWalks:       a.flowWalks,
-			SettledBatches:  a.settled,
-			SettledSweeps:   a.settledSweeps,
-			SettledCharges:  a.settledCharges,
-			RechargedUJ:     int64(a.recharged),
-			ReclaimedUJ:     int64(a.reclaimed),
-			Dead:            a.dead,
-			Lives:           sparseLives(&a.lives),
+			Seen:          a.seen,
+			MinConsumedUJ: int64(a.minConsumed),
+			MaxConsumedUJ: int64(a.maxConsumed),
 		},
 	}
-	names := make([]string, 0, len(a.byName))
-	for n := range a.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range a.names() {
 		b := a.byName[n]
 		p.Buckets = append(p.Buckets, partialBucket{
 			Name:            n,
@@ -216,25 +191,8 @@ func ParsePartial(b []byte) (*Partial, error) {
 func (p *Partial) unpack() *aggregate {
 	a := newAggregate()
 	a.seen = p.Agg.Seen
-	a.totalConsumed = units.Energy(p.Agg.TotalConsumedUJ)
 	a.minConsumed = units.Energy(p.Agg.MinConsumedUJ)
 	a.maxConsumed = units.Energy(p.Agg.MaxConsumedUJ)
-	a.busyTicks = p.Agg.BusyTicks
-	a.idleTicks = p.Agg.IdleTicks
-	a.polls = p.Agg.Polls
-	a.activations = p.Agg.Activations
-	a.powerUps = p.Agg.PowerUps
-	a.engineSteps = p.Agg.EngineSteps
-	a.flowWalks = p.Agg.FlowWalks
-	a.settled = p.Agg.SettledBatches
-	a.settledSweeps = p.Agg.SettledSweeps
-	a.settledCharges = p.Agg.SettledCharges
-	a.recharged = units.Energy(p.Agg.RechargedUJ)
-	a.reclaimed = units.Energy(p.Agg.ReclaimedUJ)
-	a.dead = p.Agg.Dead
-	for _, pair := range p.Agg.Lives {
-		a.lives.AddBucket(int(pair[0]), uint64(pair[1]))
-	}
 	for _, pb := range p.Buckets {
 		b := &bucketAgg{
 			devices:        pb.Devices,
