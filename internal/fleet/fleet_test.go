@@ -269,6 +269,36 @@ func TestFleetRecycleEquivalenceMixed(t *testing.T) {
 	}
 }
 
+// maxRecycledIdleBuildAllocs is the allocation ceiling of one recycled
+// idle device build: the per-device object graph (root container,
+// reserves, gates, labels) and the device's result and battery watch.
+// The engine seeds its RNG on the first draw and the kernel binds its
+// task bodies and hooks once per rig, so neither costs a recycled build
+// anything.
+const maxRecycledIdleBuildAllocs = 24
+
+// TestRecycledIdleBuildAllocs pins the per-device fixed cost of a
+// recycled rig: an idle device never draws from its RNG and runs no
+// workload, so what a build allocates is what a million idle devices
+// pay a million times.
+func TestRecycledIdleBuildAllocs(t *testing.T) {
+	cfg := Config{Devices: 1000, Seed: 1, Duration: 24 * units.Hour, Workers: 1, Scenario: IdleScenario{}}
+	var rg rig
+	idx := 0
+	build := func() {
+		if _, _, err := buildDevice(cfg, idx%cfg.Devices, &rg); err != nil {
+			t.Fatal(err)
+		}
+		idx++
+	}
+	for i := 0; i < 3; i++ {
+		build() // the first build makes the rig; the rest warm its freelists
+	}
+	if n := testing.AllocsPerRun(200, build); n > maxRecycledIdleBuildAllocs {
+		t.Fatalf("recycled idle build allocates %v objects, ceiling %d", n, maxRecycledIdleBuildAllocs)
+	}
+}
+
 // TestFleetStreamingDropsResults: without KeepResults the run reduces
 // results as they stream and the report must not retain the per-device
 // array — the property that keeps 100k-device fleets in O(workers)

@@ -132,10 +132,16 @@ type Kernel struct {
 	lazySettle     bool
 	tapsPending    units.Time
 	devicesPending units.Time
-	// billBaselineFn is billBaselineBatches bound once at construction,
-	// so settleBatches can hand SettleFlows its interleave callback
-	// without allocating a closure per settlement window.
-	billBaselineFn func(int64)
+	// fn holds the task bodies and hooks bound once per Kernel (bind),
+	// so a recycled Reset re-registers them without allocating a
+	// closure, and settleBatches hands SettleFlows its interleave
+	// callback without allocating one per settlement window.
+	fn struct {
+		devices, sched, taps, baseline, decay func(*sim.Engine)
+		decayActivity, resume                 func()
+		advance                               func(units.Time)
+		billBaseline                          func(int64)
+	}
 	// settlers are the registered SweepSettlers (netd, the battery
 	// charger), synchronized at every executed instant and invalidated
 	// from the activity hooks.
@@ -249,8 +255,23 @@ type SettleGuardDevice interface {
 // engine.
 func New(cfg Config) *Kernel {
 	k := &Kernel{}
+	k.bind()
 	k.init(cfg, false)
 	return k
+}
+
+// bind creates the kernel's task bodies and hooks as method values once;
+// init registers them on every (re)initialization.
+func (k *Kernel) bind() {
+	k.fn.devices = k.devicesTask
+	k.fn.sched = k.schedTask
+	k.fn.taps = k.tapsTask
+	k.fn.baseline = k.baselineTask
+	k.fn.decay = k.decayTask
+	k.fn.decayActivity = k.decayActivity
+	k.fn.resume = k.resumeKernelTasks
+	k.fn.advance = k.syncAtAdvance
+	k.fn.billBaseline = k.billBaselineBatches
 }
 
 // Reset reinitializes the kernel in place to the exact state New(cfg)
@@ -303,7 +324,6 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	k.lastSchedAt = 0
 	k.tapsPending = 0
 	k.devicesPending = 0
-	k.billBaselineFn = k.billBaselineBatches
 	clear(k.settlers)
 	k.settlers = k.settlers[:0]
 	k.charger = nil
@@ -326,57 +346,77 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 
 	tick := eng.Tick()
 	k.tapBatch = cfg.TapBatch
-	k.taskDevices = eng.Every("kernel:devices", tick, func(e *sim.Engine) {
-		k.fireDevices(e.Now())
-		if k.lazySettle && (k.devicesQuiescent() || k.devicesSettleable()) {
-			k.taskDevices.Park()
-		}
-	})
-	k.taskSched = eng.Every("kernel:sched", tick, func(e *sim.Engine) {
-		now := e.Now()
-		if skipped := int64((now-k.lastSchedAt)/tick) - 1; skipped > 0 {
-			k.Sched.AddIdleTicks(skipped)
-		}
-		k.lastSchedAt = now
-		k.Sched.Tick(now, tick)
-		k.maybeQuiesceSched(now)
-	})
-	k.taskTaps = eng.Every("kernel:taps", cfg.TapBatch, func(e *sim.Engine) {
-		k.fireTaps(e.Now())
-		if k.lazySettle {
-			k.taskTaps.Park()
-		}
-	})
-	k.taskBaseline = eng.Every("kernel:baseline", cfg.TapBatch, func(e *sim.Engine) {
-		k.fireBaseline(e.Now())
-		if k.lazySettle {
-			k.taskBaseline.Park()
-		}
-	})
+	k.taskDevices = eng.Every("kernel:devices", tick, k.fn.devices)
+	k.taskSched = eng.Every("kernel:sched", tick, k.fn.sched)
+	k.taskTaps = eng.Every("kernel:taps", cfg.TapBatch, k.fn.taps)
+	k.taskBaseline = eng.Every("kernel:baseline", cfg.TapBatch, k.fn.baseline)
 	k.taskDecay = nil
 	if k.Graph.HalfLife() >= 0 {
-		k.taskDecay = eng.Every("kernel:decay", units.Second, func(*sim.Engine) {
-			k.Graph.Decay(units.Second)
-			// While no decayable reserve exists, every firing is a no-op
-			// by construction; park until one is created. This is what
-			// lets a quiescent device skip whole simulated hours — the
-			// 1 s decay cadence is otherwise the densest permanent task.
-			if k.Graph.DecayableCount() == 0 {
-				k.taskDecay.Park()
-			}
-		})
-		k.Graph.SetDecayActivityHook(func() {
-			k.taskDecay.Resume()
-			// A new decayable reserve introduces 1 s decay bites that a
-			// sweep settler's prediction did not model.
-			k.invalidateSettlers()
-		})
+		k.taskDecay = eng.Every("kernel:decay", units.Second, k.fn.decay)
+		k.Graph.SetDecayActivityHook(k.fn.decayActivity)
 	}
 	if k.lazySettle {
-		eng.SetAdvanceHook(k.syncAtAdvance)
-		k.Sched.SetActivityHook(k.resumeKernelTasks)
-		k.Graph.SetTapActivityHook(k.resumeKernelTasks)
+		eng.SetAdvanceHook(k.fn.advance)
+		k.Sched.SetActivityHook(k.fn.resume)
+		k.Graph.SetTapActivityHook(k.fn.resume)
 	}
+}
+
+// devicesTask is the kernel:devices task body.
+func (k *Kernel) devicesTask(e *sim.Engine) {
+	k.fireDevices(e.Now())
+	if k.lazySettle && (k.devicesQuiescent() || k.devicesSettleable()) {
+		k.taskDevices.Park()
+	}
+}
+
+// schedTask is the kernel:sched task body: it settles the quanta a
+// deferral skipped as idle ticks, then runs this quantum.
+func (k *Kernel) schedTask(e *sim.Engine) {
+	now, tick := e.Now(), e.Tick()
+	if skipped := int64((now-k.lastSchedAt)/tick) - 1; skipped > 0 {
+		k.Sched.AddIdleTicks(skipped)
+	}
+	k.lastSchedAt = now
+	k.Sched.Tick(now, tick)
+	k.maybeQuiesceSched(now)
+}
+
+// tapsTask is the kernel:taps task body.
+func (k *Kernel) tapsTask(e *sim.Engine) {
+	k.fireTaps(e.Now())
+	if k.lazySettle {
+		k.taskTaps.Park()
+	}
+}
+
+// baselineTask is the kernel:baseline task body.
+func (k *Kernel) baselineTask(e *sim.Engine) {
+	k.fireBaseline(e.Now())
+	if k.lazySettle {
+		k.taskBaseline.Park()
+	}
+}
+
+// decayTask is the kernel:decay task body.
+func (k *Kernel) decayTask(*sim.Engine) {
+	k.Graph.Decay(units.Second)
+	// While no decayable reserve exists, every firing is a no-op by
+	// construction; park until one is created. This is what lets a
+	// quiescent device skip whole simulated hours — the 1 s decay
+	// cadence is otherwise the densest permanent task.
+	if k.Graph.DecayableCount() == 0 {
+		k.taskDecay.Park()
+	}
+}
+
+// decayActivity is the graph's decay-activity hook: a new decayable
+// reserve resumes the decay task.
+func (k *Kernel) decayActivity() {
+	k.taskDecay.Resume()
+	// A new decayable reserve introduces 1 s decay bites that a sweep
+	// settler's prediction did not model.
+	k.invalidateSettlers()
 }
 
 // devicesQuiescent reports whether every registered device declares its
@@ -806,7 +846,7 @@ func (k *Kernel) settleBatches(flowLimit, baseLimit units.Time) {
 			if nb := int64((baseLimit-bt)/k.tapBatch) + 1; nb < n {
 				n = nb
 			}
-			k.Graph.SettleFlows(k.tapBatch, n, k.baselinePower(), k.billBaselineFn)
+			k.Graph.SettleFlows(k.tapBatch, n, k.baselinePower(), k.fn.billBaseline)
 			d := units.Time(n) * k.tapBatch
 			k.tapsPending += d
 			k.baselinePending += d
@@ -1009,7 +1049,7 @@ func (k *Kernel) AddDevice(d Device) {
 	}
 	k.devices = append(k.devices, e)
 	if n, ok := d.(deviceActivityNotifier); ok {
-		n.SetActivityHook(k.resumeKernelTasks)
+		n.SetActivityHook(k.fn.resume)
 	}
 	k.taskDevices.Resume()
 }

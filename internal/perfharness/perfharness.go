@@ -153,7 +153,11 @@ type Record struct {
 	DeviceDays float64            `json:"device_days"`
 	Metrics    map[string]float64 `json:"metrics"`
 	MD5        string             `json:"md5"`
-	Pass       bool               `json:"pass"`
+	// PeakRSSProcessWide labels a peak_rss_bytes the per-scenario VmHWM
+	// reset could not clear: it is the process's monotone high-water
+	// mark over everything run before it, not this scenario's own peak.
+	PeakRSSProcessWide bool `json:"peak_rss_process_wide,omitempty"`
+	Pass               bool `json:"pass"`
 	// Violations carries the gate diagnostics verbatim when Pass is
 	// false (an errored scenario records its error the same way).
 	Violations []string `json:"violations,omitempty"`
@@ -450,7 +454,7 @@ func measure(name, tier string, spec Spec, now func() time.Time) (Record, map[st
 		Pass:     true,
 	}
 
-	resetPeakRSS() // best-effort; without it VmHWM is monotone across scenarios
+	rssReset := resetPeakRSS() // without it VmHWM is monotone across scenarios
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
@@ -484,6 +488,7 @@ func measure(name, tier string, spec Spec, now func() time.Time) (Record, map[st
 	}
 	if rss := peakRSSBytes(); rss > 0 {
 		metrics[MetricPeakRSS] = float64(rss)
+		rec.PeakRSSProcessWide = !rssReset
 	}
 	for bucket, v := range fm.BucketInstantsPerDeviceDay {
 		metrics[MetricInstants+"/"+bucket] = v

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/units"
 )
 
 // TestRegistryShape pins the registry's contract: every scenario
@@ -161,6 +163,35 @@ func TestBaselinesSchemaGuard(t *testing.T) {
 	_, err := LoadBaselines(path)
 	if err == nil || !strings.Contains(err.Error(), "-update-baseline") {
 		t.Fatalf("want schema error with regeneration hint, got %v", err)
+	}
+}
+
+// TestPeakRSSLabeledWhenResetFails: when the VmHWM reset is refused,
+// the trend record must label its peak_rss_bytes as the process-wide
+// high-water mark instead of passing it off as the scenario's own.
+func TestPeakRSSLabeledWhenResetFails(t *testing.T) {
+	if peakRSSBytes() == 0 {
+		t.Skip("no /proc/self/status VmHWM on this platform")
+	}
+	spec := Spec{Budget: time.Minute, Run: plainRun(fleetCfg("idle", 4, 1, units.Hour))}
+	defer func(p string) { clearRefsPath = p }(clearRefsPath)
+
+	clearRefsPath = filepath.Join(t.TempDir(), "missing", "clear_refs")
+	rec, metrics, _ := measure("idle-fleet", TierSmoke, spec, time.Now)
+	if _, ok := metrics[MetricPeakRSS]; !ok {
+		t.Fatalf("run recorded no %s: %+v", MetricPeakRSS, rec)
+	}
+	if !rec.PeakRSSProcessWide {
+		t.Fatalf("reset failed but the record does not label %s process-wide: %+v", MetricPeakRSS, rec)
+	}
+
+	// A reset that takes leaves the label off.
+	clearRefsPath = filepath.Join(t.TempDir(), "clear_refs")
+	if err := os.WriteFile(clearRefsPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _, _ := measure("idle-fleet", TierSmoke, spec, time.Now); rec.PeakRSSProcessWide {
+		t.Fatalf("reset succeeded but the record is labeled process-wide: %+v", rec)
 	}
 }
 

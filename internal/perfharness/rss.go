@@ -35,16 +35,22 @@ func peakRSSBytes() int64 {
 	return 0
 }
 
+// clearRefsPath is the procfs file whose "5" write resets VmHWM.
+var clearRefsPath = "/proc/self/clear_refs"
+
 // resetPeakRSS clears the VmHWM high-water mark (write "5" to
 // /proc/self/clear_refs) so each scenario's peak is its own, not the
-// max over everything the process ran before it. Best-effort: on
-// kernels or sandboxes that refuse the write, peaks stay monotone
-// across scenarios — still a valid ceiling gate, just a looser one.
-func resetPeakRSS() {
-	f, err := os.OpenFile("/proc/self/clear_refs", os.O_WRONLY, 0)
+// max over everything the process ran before it, and reports whether
+// the reset took. On kernels or sandboxes that refuse the write, peaks
+// stay monotone across scenarios — still a valid ceiling gate, just a
+// looser one — and the trend record is labeled so
+// (Record.PeakRSSProcessWide).
+func resetPeakRSS() bool {
+	f, err := os.OpenFile(clearRefsPath, os.O_WRONLY, 0)
 	if err != nil {
-		return
+		return false
 	}
-	defer f.Close()
-	f.Write([]byte("5"))
+	_, werr := f.Write([]byte("5"))
+	cerr := f.Close()
+	return werr == nil && cerr == nil
 }

@@ -97,6 +97,14 @@ func Registry() []Scenario {
 			},
 		},
 		{
+			Name:  "idle-fleet",
+			About: "idle devices that run no workload and never draw from their RNG: the per-device fixed cost of a recycled rig",
+			Tiers: map[string]Spec{
+				TierSmoke:   {Budget: time.Minute, Run: plainRun(fleetCfg("idle", 20_000, 1, 7*24*units.Hour))},
+				TierNightly: {Budget: 5 * time.Minute, Run: plainRun(fleetCfg("idle", 200_000, 1, 7*24*units.Hour))},
+			},
+		},
+		{
 			Name:  "checkpoint-kill-resume",
 			About: "run killed right after its first epoch checkpoint, resumed, byte-checked against the uninterrupted run",
 			Tiers: map[string]Spec{

@@ -134,3 +134,29 @@ func BenchmarkSteadyEngineStep(b *testing.B) {
 		e.Run(units.Millisecond)
 	}
 }
+
+// BenchmarkSteadyEngineReset: the fixed cost of recycling an engine for
+// a device that never draws from its RNG — Reset, then re-register a
+// kernel-shaped task population from prebuilt task funcs. Seeding is
+// deferred to the first draw, so no draw means no seeding; CI-guarded
+// to 0 B/op.
+func BenchmarkSteadyEngineReset(b *testing.B) {
+	e := allocEngine()
+	fns := make([]func(*Engine), 5)
+	for i := range fns {
+		fns[i] = func(*Engine) {}
+	}
+	reset := func(seed int64) {
+		e.Reset(seed, ModeNextEvent)
+		for _, fn := range fns[:4] {
+			e.Every("tick", units.Millisecond, fn)
+		}
+		e.Every("slow", 10*units.Millisecond, fns[4])
+	}
+	reset(0) // warm the task freelist
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reset(int64(i))
+	}
+}

@@ -180,44 +180,64 @@ func firstDueAt(period, phase, from units.Time) units.Time {
 	return from + period - r
 }
 
-// countingSource wraps the engine's seeded random source and counts
-// draws. The wrapper delegates every call, so the random stream is
-// bit-identical to an unwrapped rand.NewSource — but the draw count
+// countingSource wraps the engine's random source, seeds it lazily and
+// counts draws. Seed only records the seed: the math/rand source (607
+// words of state) is created or re-seeded on the first draw after it,
+// so a device that never draws — an idle phone — never pays for
+// seeding. Every draw delegates to that source, so the random stream is
+// bit-identical to an unwrapped rand.NewSource(seed). The draw count
 // makes the RNG state snapshotable: Restore replays the recorded number
-// of draws against a freshly seeded source instead of serializing
-// math/rand's opaque internals. Both Int63 and Uint64 advance the
-// underlying generator by exactly one step, so a replay of n Uint64
-// calls reproduces any mix of n draws.
+// of draws through the same lazy path instead of serializing
+// math/rand's opaque internals, so a zero-draw snapshot never seeds.
+// Both Int63 and Uint64 advance the underlying generator by exactly one
+// step, so a replay of n Uint64 calls reproduces any mix of n draws.
 type countingSource struct {
-	src   rand.Source64
-	draws uint64
+	src    rand.Source64 // nil until the engine's first draw ever
+	seed   int64
+	seeded bool // src holds the stream of seed
+	draws  uint64
 }
 
 func (s *countingSource) Int63() int64 {
+	if !s.seeded {
+		s.seedNow()
+	}
 	s.draws++
 	return s.src.Int63()
 }
 
 func (s *countingSource) Uint64() uint64 {
+	if !s.seeded {
+		s.seedNow()
+	}
 	s.draws++
 	return s.src.Uint64()
 }
 
+// Seed restarts the stream at seed; the source itself is seeded on the
+// next draw.
 func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
+	s.seed = seed
+	s.seeded = false
 	s.draws = 0
 }
 
-// newCountingSource seeds a counting source. rand.NewSource's concrete
-// type has implemented Source64 since Go 1.8; the assertion is checked
-// so a toolchain change fails loudly instead of silently changing every
-// experiment's random stream.
-func newCountingSource(seed int64) *countingSource {
-	s64, ok := rand.NewSource(seed).(rand.Source64)
-	if !ok {
-		panic("sim: rand.NewSource does not implement Source64")
+// seedNow seeds the underlying source with the recorded seed, creating
+// it on the first use. rand.NewSource's concrete type has implemented
+// Source64 since Go 1.8; the assertion is checked so a toolchain change
+// fails loudly instead of silently changing every experiment's random
+// stream.
+func (s *countingSource) seedNow() {
+	if s.src == nil {
+		s64, ok := rand.NewSource(s.seed).(rand.Source64)
+		if !ok {
+			panic("sim: rand.NewSource does not implement Source64")
+		}
+		s.src = s64
+	} else {
+		s.src.Seed(s.seed)
 	}
-	return &countingSource{src: s64}
+	s.seeded = true
 }
 
 // Engine drives simulated time forward.
@@ -267,13 +287,15 @@ func NewEngine(seed int64) *Engine {
 
 // NewEngineMode returns an engine with an explicit advancement mode.
 func NewEngineMode(seed int64, mode Mode) *Engine {
-	src := newCountingSource(seed)
-	return &Engine{
+	src := &countingSource{}
+	e := &Engine{
 		tick: DefaultTick,
 		mode: mode,
 		rng:  rand.New(src),
 		src:  src,
 	}
+	e.rng.Seed(seed)
+	return e
 }
 
 // Reset reinitializes the engine in place to the exact state
@@ -303,8 +325,9 @@ func (e *Engine) Reset(seed int64, mode Mode) {
 	e.stopRequested = false
 	e.tasksDirty = false
 	e.advanceHook = nil
-	// rand.Rand.Seed delegates to the counting source's Seed, which also
-	// zeroes the draw counter.
+	// rand.Rand.Seed delegates to the counting source's Seed, which
+	// records the seed and zeroes the draw counter; the source itself is
+	// seeded on the first draw.
 	e.rng.Seed(seed)
 }
 
@@ -799,7 +822,9 @@ func (e *Engine) Restore(r *snap.Reader) error {
 
 	// Fast-forward the RNG: both Int63 and Uint64 advance the underlying
 	// source one step, so replaying the draw-count difference lands the
-	// generator in the exact snapshot state.
+	// generator in the exact snapshot state. The replay draws through the
+	// lazy path, so a snapshot taken before any draw leaves the source
+	// unseeded.
 	for e.src.draws < draws {
 		e.src.Uint64()
 	}
