@@ -191,6 +191,31 @@ func TestHTTPPartialRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHTTPCompleteRefusesInconsistentPartial: a partial that contradicts
+// itself dies in Complete's parse gate with an error naming its shard
+// and bucket; the service behind the handler never sees it.
+func TestHTTPCompleteRefusesInconsistentPartial(t *testing.T) {
+	job := registryJob(t)
+	cfg, err := job.ShardConfig(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := fleet.RunShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.Buckets[0].Devices = 0
+	svc := &stubService{}
+	err = serveStub(t, svc).Complete(context.Background(), "r", 0, part)
+	// The error travels as a JSON body, so the bucket name arrives quoted.
+	if err == nil || !strings.Contains(err.Error(), `partial 0/2 bucket \"poller\" has 0 devices`) {
+		t.Fatalf("inconsistent partial: got %v, want a refusal naming shard and bucket", err)
+	}
+	if len(svc.completed) != 0 {
+		t.Fatal("service saw a partial that should have died in the parse gate")
+	}
+}
+
 // TestSentinelWireCodes: every sentinel must survive the HTTP error
 // mapping in both directions (unit-level, no server).
 func TestSentinelWireCodes(t *testing.T) {

@@ -91,7 +91,7 @@ func DayInTheLife(opts DayInTheLifeOptions) Result {
 		tbl.Rows = append(tbl.Rows, []string{
 			b.Name, fmt.Sprint(b.Devices), b.MeanConsumed.String(), life,
 			fmt.Sprint(b.Polls), fmt.Sprint(b.Pages), fmt.Sprint(b.SMSSent),
-			fmt.Sprint(b.Calls), fmt.Sprint(b.MeanSteps),
+			fmt.Sprint(b.Calls), fmt.Sprint(b.Mean.EngineSteps),
 		})
 	}
 	res.Tables = append(res.Tables, tbl)
@@ -101,13 +101,13 @@ func DayInTheLife(opts DayInTheLifeOptions) Result {
 	// engine must have visited well under 1/50th of those ticks.
 	idle, okIdle := buckets["idle-day"]
 	var idleRatio float64
-	if okIdle && idle.MeanSteps > 0 {
+	if okIdle && idle.Mean.EngineSteps > 0 {
 		span := opts.Duration
 		if idle.Dead > 0 && idle.LifeP50 > 0 {
 			span = idle.LifeP50
 		}
 		ticks := uint64(span / units.Millisecond)
-		idleRatio = float64(ticks) / float64(idle.MeanSteps)
+		idleRatio = float64(ticks) / float64(idle.Mean.EngineSteps)
 	}
 	res.Checks = append(res.Checks, check(
 		"idle-dominant day rides the quiescent fast path",

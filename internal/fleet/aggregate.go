@@ -23,27 +23,14 @@ type aggregate struct {
 	byName map[string]*bucketAgg
 }
 
-// bucketAgg is one scenario bucket's mergeable aggregate.
+// bucketAgg is one scenario bucket's mergeable aggregate: its device
+// and death counts, the life sketch of its dead, and the sum of its
+// devices' Counters.
 type bucketAgg struct {
-	devices        int
-	consumed       units.Energy
-	recharged      units.Energy
-	reclaimed      units.Energy
-	busyTicks      int64
-	idleTicks      int64
-	polls          int64
-	pages          int64
-	activations    int64
-	powerUps       int64
-	sms            int64
-	calls          int64
-	steps          uint64
-	flowWalks      int64
-	settled        int64
-	settledSweeps  int64
-	settledCharges int64
-	dead           int
-	lives          sketch.Hist
+	devices int
+	dead    int
+	lives   sketch.Hist
+	sum     Counters
 }
 
 func newAggregate() *aggregate {
@@ -78,25 +65,8 @@ func (a *aggregate) extremes(n int, lo, hi units.Energy) {
 func (a *aggregate) add(r DeviceResult) {
 	a.extremes(1, r.Consumed, r.Consumed)
 	b := a.bucket(r.Scenario)
-	b.merge(&bucketAgg{
-		devices:        1,
-		consumed:       r.Consumed,
-		recharged:      r.Recharged,
-		reclaimed:      r.Reclaimed,
-		busyTicks:      r.BusyTicks,
-		idleTicks:      r.IdleTicks,
-		polls:          r.Polls,
-		pages:          r.Pages,
-		activations:    r.RadioActivations,
-		powerUps:       r.PowerUps,
-		sms:            r.SMSSent,
-		calls:          r.CallsPlaced,
-		steps:          r.EngineSteps,
-		flowWalks:      r.FlowWalks,
-		settled:        r.SettledBatches,
-		settledSweeps:  r.SettledSweeps,
-		settledCharges: r.SettledCharges,
-	})
+	b.devices++
+	b.sum.add(&r.Counters)
 	if r.Died {
 		b.dead++
 		b.lives.Add(int64(r.DiedAt))
@@ -113,27 +83,12 @@ func (a *aggregate) merge(o *aggregate) {
 	}
 }
 
-// merge adds another bucket's counters into this one.
+// merge adds another bucket's counts, sketch and sums into this one.
 func (b *bucketAgg) merge(o *bucketAgg) {
 	b.devices += o.devices
-	b.consumed += o.consumed
-	b.recharged += o.recharged
-	b.reclaimed += o.reclaimed
-	b.busyTicks += o.busyTicks
-	b.idleTicks += o.idleTicks
-	b.polls += o.polls
-	b.pages += o.pages
-	b.activations += o.activations
-	b.powerUps += o.powerUps
-	b.sms += o.sms
-	b.calls += o.calls
-	b.steps += o.steps
-	b.flowWalks += o.flowWalks
-	b.settled += o.settled
-	b.settledSweeps += o.settledSweeps
-	b.settledCharges += o.settledCharges
 	b.dead += o.dead
 	b.lives.Merge(&o.lives)
+	b.sum.add(&o.sum)
 }
 
 // utilizationPct converts tick sums to the busy percentage.
@@ -157,46 +112,31 @@ func (a *aggregate) finish(cfg Config, workers int) Report {
 		MinConsumed: a.minConsumed,
 		MaxConsumed: a.maxConsumed,
 	}
-	var busy, idle int64
+	var total Counters
 	var lives sketch.Hist
 	for _, n := range a.names() {
 		b := a.byName[n]
-		rep.TotalConsumed += b.consumed
-		rep.TotalRecharged += b.recharged
-		rep.TotalReclaimed += b.reclaimed
-		busy += b.busyTicks
-		idle += b.idleTicks
-		rep.TotalPolls += b.polls
-		rep.TotalActivations += b.activations
-		rep.TotalPowerUps += b.powerUps
+		total.add(&b.sum)
 		rep.Dead += b.dead
-		rep.TotalEngineSteps += b.steps
-		rep.TotalFlowWalks += b.flowWalks
-		rep.TotalSettledBatches += b.settled
-		rep.TotalSettledSweeps += b.settledSweeps
-		rep.TotalSettledCharges += b.settledCharges
 		lives.Merge(&b.lives)
 
+		s := &b.sum
 		bk := Bucket{
-			Name:               n,
-			Devices:            b.devices,
-			TotalConsumed:      b.consumed,
-			MeanConsumed:       b.consumed / units.Energy(b.devices),
-			Recharged:          b.recharged,
-			Reclaimed:          b.reclaimed,
-			MeanUtilization:    utilizationPct(b.busyTicks, b.idleTicks),
-			Polls:              b.polls,
-			Pages:              b.pages,
-			Activations:        b.activations,
-			PowerUps:           b.powerUps,
-			SMSSent:            b.sms,
-			Calls:              b.calls,
-			MeanSteps:          b.steps / uint64(b.devices),
-			MeanFlowWalks:      b.flowWalks / int64(b.devices),
-			MeanSettledBatches: b.settled / int64(b.devices),
-			MeanSettledSweeps:  b.settledSweeps / int64(b.devices),
-			MeanSettledCharges: b.settledCharges / int64(b.devices),
-			Dead:               b.dead,
+			Name:            n,
+			Devices:         b.devices,
+			TotalConsumed:   s.Consumed,
+			MeanConsumed:    s.Consumed / units.Energy(b.devices),
+			Recharged:       s.Recharged,
+			Reclaimed:       s.Reclaimed,
+			MeanUtilization: utilizationPct(s.BusyTicks, s.IdleTicks),
+			Polls:           s.Polls,
+			Pages:           s.Pages,
+			Activations:     s.RadioActivations,
+			PowerUps:        s.PowerUps,
+			SMSSent:         s.SMSSent,
+			Calls:           s.CallsPlaced,
+			Mean:            s.Diagnostics.mean(b.devices),
+			Dead:            b.dead,
 		}
 		if b.dead > 0 {
 			bk.LifeP50 = units.Time(b.lives.Quantile(50))
@@ -204,8 +144,19 @@ func (a *aggregate) finish(cfg Config, workers int) Report {
 		}
 		rep.Buckets = append(rep.Buckets, bk)
 	}
-	rep.MeanConsumed = rep.TotalConsumed / units.Energy(rep.Devices)
-	rep.MeanUtilization = utilizationPct(busy, idle)
+	rep.TotalConsumed = total.Consumed
+	rep.MeanConsumed = total.Consumed / units.Energy(rep.Devices)
+	rep.TotalRecharged = total.Recharged
+	rep.TotalReclaimed = total.Reclaimed
+	rep.MeanUtilization = utilizationPct(total.BusyTicks, total.IdleTicks)
+	rep.TotalPolls = total.Polls
+	rep.TotalActivations = total.RadioActivations
+	rep.TotalPowerUps = total.PowerUps
+	rep.TotalEngineSteps = total.EngineSteps
+	rep.TotalFlowWalks = total.FlowWalks
+	rep.TotalSettledBatches = total.SettledBatches
+	rep.TotalSettledSweeps = total.SettledSweeps
+	rep.TotalSettledCharges = total.SettledCharges
 	if rep.Dead > 0 {
 		rep.LifeP50 = units.Time(lives.Quantile(50))
 		rep.LifeP90 = units.Time(lives.Quantile(90))
@@ -221,4 +172,15 @@ func (a *aggregate) names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// mean divides every diagnostic by n devices (integer division).
+func (d Diagnostics) mean(n int) Diagnostics {
+	return Diagnostics{
+		EngineSteps:    d.EngineSteps / uint64(n),
+		FlowWalks:      d.FlowWalks / int64(n),
+		SettledBatches: d.SettledBatches / int64(n),
+		SettledSweeps:  d.SettledSweeps / int64(n),
+		SettledCharges: d.SettledCharges / int64(n),
+	}
 }

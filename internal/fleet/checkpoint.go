@@ -149,26 +149,11 @@ func encodeResult(res DeviceResult) ([]byte, error) {
 	w.U64(uint64(res.Index))
 	w.I64(res.Seed)
 	w.String(res.Scenario)
-	w.I64(int64(res.Consumed))
 	w.I64(int64(res.BatteryLeft))
-	w.I64(int64(res.Recharged))
-	w.I64(int64(res.Reclaimed))
 	w.Bool(res.Died)
 	w.I64(int64(res.DiedAt))
 	w.U64(math.Float64bits(res.Utilization))
-	w.I64(res.BusyTicks)
-	w.I64(res.IdleTicks)
-	w.I64(res.RadioActivations)
-	w.I64(res.Polls)
-	w.I64(res.Pages)
-	w.I64(res.PowerUps)
-	w.I64(res.SMSSent)
-	w.I64(res.CallsPlaced)
-	w.U64(res.EngineSteps)
-	w.I64(res.FlowWalks)
-	w.I64(res.SettledBatches)
-	w.I64(res.SettledSweeps)
-	w.I64(res.SettledCharges)
+	res.Counters.save(w)
 	return w.Finish()
 }
 
@@ -184,30 +169,54 @@ func decodeResult(blob []byte) (DeviceResult, error) {
 		Seed:     r.I64(),
 		Scenario: r.String(),
 	}
-	res.Consumed = units.Energy(r.I64())
 	res.BatteryLeft = units.Energy(r.I64())
-	res.Recharged = units.Energy(r.I64())
-	res.Reclaimed = units.Energy(r.I64())
 	res.Died = r.Bool()
 	res.DiedAt = units.Time(r.I64())
 	res.Utilization = math.Float64frombits(r.U64())
-	res.BusyTicks = r.I64()
-	res.IdleTicks = r.I64()
-	res.RadioActivations = r.I64()
-	res.Polls = r.I64()
-	res.Pages = r.I64()
-	res.PowerUps = r.I64()
-	res.SMSSent = r.I64()
-	res.CallsPlaced = r.I64()
-	res.EngineSteps = r.U64()
-	res.FlowWalks = r.I64()
-	res.SettledBatches = r.I64()
-	res.SettledSweeps = r.I64()
-	res.SettledCharges = r.I64()
+	res.Counters.load(r)
 	if err := r.Err(); err != nil {
 		return DeviceResult{}, err
 	}
 	return res, r.Close()
+}
+
+// save writes every counter in declaration order; load reads them back.
+func (c *Counters) save(w *snap.Writer) {
+	w.I64(int64(c.Consumed))
+	w.I64(int64(c.Recharged))
+	w.I64(int64(c.Reclaimed))
+	w.I64(c.BusyTicks)
+	w.I64(c.IdleTicks)
+	w.I64(c.RadioActivations)
+	w.I64(c.Polls)
+	w.I64(c.Pages)
+	w.I64(c.PowerUps)
+	w.I64(c.SMSSent)
+	w.I64(c.CallsPlaced)
+	w.U64(c.EngineSteps)
+	w.I64(c.FlowWalks)
+	w.I64(c.SettledBatches)
+	w.I64(c.SettledSweeps)
+	w.I64(c.SettledCharges)
+}
+
+func (c *Counters) load(r *snap.Reader) {
+	c.Consumed = units.Energy(r.I64())
+	c.Recharged = units.Energy(r.I64())
+	c.Reclaimed = units.Energy(r.I64())
+	c.BusyTicks = r.I64()
+	c.IdleTicks = r.I64()
+	c.RadioActivations = r.I64()
+	c.Polls = r.I64()
+	c.Pages = r.I64()
+	c.PowerUps = r.I64()
+	c.SMSSent = r.I64()
+	c.CallsPlaced = r.I64()
+	c.EngineSteps = r.U64()
+	c.FlowWalks = r.I64()
+	c.SettledBatches = r.I64()
+	c.SettledSweeps = r.I64()
+	c.SettledCharges = r.I64()
 }
 
 // epochPlan describes the epoch partition of a run's horizon.

@@ -110,59 +110,98 @@ type DeviceResult struct {
 	// Scenario is the workload bucket the device was assigned (the
 	// scenario name, or the Mix entry's name for mixed fleets).
 	Scenario string
-	// Consumed is total energy drawn over the run.
-	Consumed units.Energy
 	// BatteryLeft is the battery level at the end.
 	BatteryLeft units.Energy
-	// Recharged is external energy credited into the battery by a
-	// charger over the run (zero on discharge-only scenarios). It is
-	// energy-shaped and mode-independent, so it stays in CanonicalJSON.
-	Recharged units.Energy
-	// Reclaimed is energy the §5.2.2 anti-hoarding decay pulled back
-	// out of scenario-flagged hoard reserves (scenario probes fill it;
-	// zero elsewhere). Canonical: decay is deterministic.
-	Reclaimed units.Energy
 	// Died reports battery exhaustion; DiedAt is the instant it was
 	// detected (which can legitimately be 0 for a battery too small to
 	// cover a single baseline batch).
 	Died   bool
 	DiedAt units.Time
-	// Utilization is the CPU busy percentage; BusyTicks and IdleTicks
-	// are the integer quantum counts behind it (the mergeable form the
-	// aggregator actually sums).
+	// Utilization is the CPU busy percentage: BusyTicks over
+	// BusyTicks+IdleTicks.
 	Utilization float64
-	BusyTicks   int64
-	IdleTicks   int64
+	// Counters is the summable rest of the outcome.
+	Counters
+}
+
+// Counters is the summable part of a device's outcome: every field is
+// an integer that aggregates by addition, so a bucket's sum is itself a
+// Counters. It is declared once and carried unchanged through the fleet
+// aggregate, the shard partial (its JSON tags are a partial bucket's sum
+// fields) and the epoch record; a new counter is a field here plus a
+// line in add, save and load, and TestCountersRoundTrip fails until
+// every codec carries it.
+type Counters struct {
+	// Consumed is total energy drawn over the run.
+	Consumed units.Energy `json:"consumed_uj"`
+	// Recharged is external energy credited into the battery by a
+	// charger over the run (zero on discharge-only scenarios). It is
+	// energy-shaped and mode-independent, so it stays in CanonicalJSON.
+	Recharged units.Energy `json:"recharged_uj,omitempty"`
+	// Reclaimed is energy the §5.2.2 anti-hoarding decay pulled back
+	// out of scenario-flagged hoard reserves (scenario probes fill it;
+	// zero elsewhere). Canonical: decay is deterministic.
+	Reclaimed units.Energy `json:"reclaimed_uj,omitempty"`
+	// BusyTicks and IdleTicks are the integer scheduler quantum counts
+	// behind Utilization (the mergeable form the aggregator sums).
+	BusyTicks int64 `json:"busy_ticks"`
+	IdleTicks int64 `json:"idle_ticks"`
 	// RadioActivations counts radio power-ups.
-	RadioActivations int64
+	RadioActivations int64 `json:"radio_activations"`
 	// Polls counts completed application-level polls (scenario-defined).
-	Polls int64
+	Polls int64 `json:"polls"`
 	// Pages counts completed browsing page loads (Browse workload).
-	Pages int64
+	Pages int64 `json:"pages"`
 	// PowerUps counts netd-funded activations.
-	PowerUps int64
+	PowerUps int64 `json:"netd_power_ups"`
 	// SMSSent and CallsPlaced count baseband activity (devices with an
 	// Smdd only).
-	SMSSent     int64
-	CallsPlaced int64
+	SMSSent     int64 `json:"sms_sent"`
+	CallsPlaced int64 `json:"calls_placed"`
+	Diagnostics
+}
+
+// Diagnostics are the engine-level counters: how the simulation advanced
+// a device, not what the device did. They are the only figures that
+// differ between production and the reference configuration (or between
+// a checkpointed and an uninterrupted run), so canonical output is the
+// full output with every Diagnostics zeroed.
+type Diagnostics struct {
 	// EngineSteps is the number of simulation instants the device's
 	// engine actually executed — the quiescence fast path shows up as
 	// EngineSteps ≪ simulated ticks.
-	EngineSteps uint64
+	EngineSteps uint64 `json:"engine_steps"`
 	// FlowWalks counts per-batch tap walks the device's graph performed;
 	// SettledBatches counts batches advanced by closed-form settlement
-	// instead. Their ratio is the busy-path fast-path engagement measure
-	// (engine-level diagnostics, excluded from CanonicalJSON).
-	FlowWalks      int64
-	SettledBatches int64
+	// instead. Their ratio is the busy-path fast-path engagement measure.
+	FlowWalks      int64 `json:"flow_walks"`
+	SettledBatches int64 `json:"settled_batches"`
 	// SettledSweeps counts netd sweep boundaries accounted in closed
-	// form instead of executed (diagnostics, excluded from
-	// CanonicalJSON).
-	SettledSweeps int64
+	// form instead of executed.
+	SettledSweeps int64 `json:"settled_sweeps"`
 	// SettledCharges counts charger quantum boundaries accounted in
-	// closed form instead of executed (diagnostics, excluded from
-	// CanonicalJSON).
-	SettledCharges int64
+	// closed form instead of executed.
+	SettledCharges int64 `json:"settled_charges,omitempty"`
+}
+
+// add folds o into c, field by field.
+func (c *Counters) add(o *Counters) {
+	c.Consumed += o.Consumed
+	c.Recharged += o.Recharged
+	c.Reclaimed += o.Reclaimed
+	c.BusyTicks += o.BusyTicks
+	c.IdleTicks += o.IdleTicks
+	c.RadioActivations += o.RadioActivations
+	c.Polls += o.Polls
+	c.Pages += o.Pages
+	c.PowerUps += o.PowerUps
+	c.SMSSent += o.SMSSent
+	c.CallsPlaced += o.CallsPlaced
+	c.EngineSteps += o.EngineSteps
+	c.FlowWalks += o.FlowWalks
+	c.SettledBatches += o.SettledBatches
+	c.SettledSweeps += o.SettledSweeps
+	c.SettledCharges += o.SettledCharges
 }
 
 // Scenario builds a workload onto a device. Implementations must be

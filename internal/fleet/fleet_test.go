@@ -137,8 +137,7 @@ func TestFleetModeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// EngineSteps, FlowWalks and the Settled* counters are the fields
-	// that legitimately differ (they measure how many instants the
+	// The Diagnostics are the fields that legitimately differ (they measure how many instants the
 	// engine visited and how flow batches, netd sweeps and charger
 	// quanta were advanced — precisely what next-event advancement and
 	// closed-form settlement reduce); instants must be *fewer* in
@@ -148,10 +147,8 @@ func TestFleetModeEquivalence(t *testing.T) {
 			t.Fatalf("device %d: production executed more instants (%d) than the reference (%d)",
 				i, a.Results[i].EngineSteps, b.Results[i].EngineSteps)
 		}
-		for _, r := range []*DeviceResult{&a.Results[i], &b.Results[i]} {
-			r.EngineSteps, r.FlowWalks = 0, 0
-			r.SettledBatches, r.SettledSweeps, r.SettledCharges = 0, 0, 0
-		}
+		a.Results[i].Diagnostics = Diagnostics{}
+		b.Results[i].Diagnostics = Diagnostics{}
 	}
 	if !reflect.DeepEqual(a.Results, b.Results) {
 		t.Fatalf("the reference changed fleet results:\n%s\nvs\n%s", a.Format(), b.Format())

@@ -135,7 +135,8 @@ func TestReferenceRefusedOnJobPaths(t *testing.T) {
 
 // TestParsePartialRejectsStaleFormat: a partial in an older format is
 // refused instead of merged — v1 still recorded engine and settle modes,
-// v2 still carried fleet-wide counter copies beside the bucket sums.
+// v2 still carried fleet-wide counter copies beside the bucket sums, v3
+// named and ordered the bucket sums differently from Counters.
 func TestParsePartialRejectsStaleFormat(t *testing.T) {
 	for _, tc := range []struct{ version, partial string }{
 		{"v1", `{"format":"cinder-fleet-partial","version":1,"scenario":"poller","devices":4,"seed":1,` +
@@ -147,6 +148,12 @@ func TestParsePartialRejectsStaleFormat(t *testing.T) {
 			`"range_lo":0,"range_hi":4,"agg":{"seen":4,"total_consumed_uj":40,"min_consumed_uj":10,` +
 			`"max_consumed_uj":10,"busy_ticks":0,"idle_ticks":4,"polls":0,"radio_activations":0,` +
 			`"netd_power_ups":0,"engine_steps":4,"flow_walks":0,"settled_batches":0,"settled_sweeps":0,"dead":0},` +
+			`"buckets":[{"name":"poller","devices":4,"total_consumed_uj":40,"busy_ticks":0,"idle_ticks":4,` +
+			`"polls":0,"pages":0,"radio_activations":0,"netd_power_ups":0,"sms_sent":0,"calls_placed":0,` +
+			`"engine_steps":4,"flow_walks":0,"settled_batches":0,"settled_sweeps":0,"dead":0}]}`},
+		{"v3", `{"format":"cinder-fleet-partial","version":3,"scenario":"poller","devices":4,"seed":1,` +
+			`"duration_ms":1000,"battery_uj":0,"life_resolution_ms":1000,"shard_index":0,"shard_count":1,` +
+			`"range_lo":0,"range_hi":4,"agg":{"seen":4,"min_consumed_uj":10,"max_consumed_uj":10},` +
 			`"buckets":[{"name":"poller","devices":4,"total_consumed_uj":40,"busy_ticks":0,"idle_ticks":4,` +
 			`"polls":0,"pages":0,"radio_activations":0,"netd_power_ups":0,"sms_sent":0,"calls_placed":0,` +
 			`"engine_steps":4,"flow_walks":0,"settled_batches":0,"settled_sweeps":0,"dead":0}]}`},

@@ -89,15 +89,12 @@ type Bucket struct {
 	SMSSent     int64
 	Calls       int64
 
-	// MeanSteps is the mean executed-instant count per device — the
-	// per-bucket measure of how deeply the quiescence fast path was
-	// engaged. MeanFlowWalks and MeanSettledBatches split the bucket's
-	// tap batches into per-batch walks vs closed-form settlement.
-	MeanSteps          uint64
-	MeanFlowWalks      int64
-	MeanSettledBatches int64
-	MeanSettledSweeps  int64
-	MeanSettledCharges int64
+	// Mean is the per-device mean of every engine diagnostic:
+	// Mean.EngineSteps is the per-bucket measure of how deeply the
+	// quiescence fast path was engaged, Mean.FlowWalks against
+	// Mean.SettledBatches splits the bucket's tap batches into per-batch
+	// walks vs closed-form settlement.
+	Mean Diagnostics
 
 	Dead    int
 	LifeP50 units.Time
@@ -171,62 +168,60 @@ type reportJSON struct {
 	LifeP50MS int64 `json:"life_p50_ms"`
 	LifeP90MS int64 `json:"life_p90_ms"`
 
-	EngineSteps    uint64 `json:"engine_steps"`
-	FlowWalks      int64  `json:"flow_walks"`
-	SettledBatches int64  `json:"settled_batches"`
-	SettledSweeps  int64  `json:"settled_sweeps"`
-	SettledCharges int64  `json:"settled_charges,omitempty"`
+	Diagnostics
 
 	Buckets []bucketJSON `json:"buckets"`
 	Results []deviceJSON `json:"results,omitempty"`
 }
 
 type bucketJSON struct {
-	Name               string  `json:"name"`
-	Devices            int     `json:"devices"`
-	TotalConsumedUJ    int64   `json:"total_consumed_uj"`
-	MeanConsumedUJ     int64   `json:"mean_consumed_uj"`
-	RechargedUJ        int64   `json:"recharged_uj,omitempty"`
-	ReclaimedUJ        int64   `json:"reclaimed_uj,omitempty"`
-	MeanUtilization    float64 `json:"mean_utilization_pct"`
-	Polls              int64   `json:"polls"`
-	Pages              int64   `json:"pages"`
-	Activations        int64   `json:"radio_activations"`
-	PowerUps           int64   `json:"netd_power_ups"`
-	SMSSent            int64   `json:"sms_sent"`
-	Calls              int64   `json:"calls_placed"`
-	MeanSteps          uint64  `json:"mean_engine_steps"`
-	MeanFlowWalks      int64   `json:"mean_flow_walks"`
-	MeanSettled        int64   `json:"mean_settled_batches"`
-	MeanSettledSweeps  int64   `json:"mean_settled_sweeps"`
-	MeanSettledCharges int64   `json:"mean_settled_charges,omitempty"`
-	Dead               int     `json:"dead"`
-	LifeP50MS          int64   `json:"life_p50_ms"`
-	LifeP90MS          int64   `json:"life_p90_ms"`
+	Name            string  `json:"name"`
+	Devices         int     `json:"devices"`
+	TotalConsumedUJ int64   `json:"total_consumed_uj"`
+	MeanConsumedUJ  int64   `json:"mean_consumed_uj"`
+	RechargedUJ     int64   `json:"recharged_uj,omitempty"`
+	ReclaimedUJ     int64   `json:"reclaimed_uj,omitempty"`
+	MeanUtilization float64 `json:"mean_utilization_pct"`
+	Polls           int64   `json:"polls"`
+	Pages           int64   `json:"pages"`
+	Activations     int64   `json:"radio_activations"`
+	PowerUps        int64   `json:"netd_power_ups"`
+	SMSSent         int64   `json:"sms_sent"`
+	Calls           int64   `json:"calls_placed"`
+	meanDiagnostics
+	Dead      int   `json:"dead"`
+	LifeP50MS int64 `json:"life_p50_ms"`
+	LifeP90MS int64 `json:"life_p90_ms"`
+}
+
+// meanDiagnostics is Diagnostics under a bucket's mean_* wire names; the
+// two convert into each other (conversion ignores tags).
+type meanDiagnostics struct {
+	EngineSteps    uint64 `json:"mean_engine_steps"`
+	FlowWalks      int64  `json:"mean_flow_walks"`
+	SettledBatches int64  `json:"mean_settled_batches"`
+	SettledSweeps  int64  `json:"mean_settled_sweeps"`
+	SettledCharges int64  `json:"mean_settled_charges,omitempty"`
 }
 
 type deviceJSON struct {
-	Index          int     `json:"index"`
-	Seed           int64   `json:"seed"`
-	Scenario       string  `json:"scenario"`
-	ConsumedUJ     int64   `json:"consumed_uj"`
-	BatteryLeftUJ  int64   `json:"battery_left_uj"`
-	RechargedUJ    int64   `json:"recharged_uj,omitempty"`
-	ReclaimedUJ    int64   `json:"reclaimed_uj,omitempty"`
-	Died           bool    `json:"died"`
-	DiedAtMS       int64   `json:"died_at_ms,omitempty"`
-	Utilization    float64 `json:"utilization_pct"`
-	Activations    int64   `json:"radio_activations"`
-	Polls          int64   `json:"polls"`
-	Pages          int64   `json:"pages"`
-	PowerUps       int64   `json:"netd_power_ups"`
-	SMSSent        int64   `json:"sms_sent"`
-	Calls          int64   `json:"calls_placed"`
-	EngineSteps    uint64  `json:"engine_steps"`
-	FlowWalks      int64   `json:"flow_walks"`
-	SettledBatches int64   `json:"settled_batches"`
-	SettledSweeps  int64   `json:"settled_sweeps"`
-	SettledCharges int64   `json:"settled_charges,omitempty"`
+	Index         int     `json:"index"`
+	Seed          int64   `json:"seed"`
+	Scenario      string  `json:"scenario"`
+	ConsumedUJ    int64   `json:"consumed_uj"`
+	BatteryLeftUJ int64   `json:"battery_left_uj"`
+	RechargedUJ   int64   `json:"recharged_uj,omitempty"`
+	ReclaimedUJ   int64   `json:"reclaimed_uj,omitempty"`
+	Died          bool    `json:"died"`
+	DiedAtMS      int64   `json:"died_at_ms,omitempty"`
+	Utilization   float64 `json:"utilization_pct"`
+	Activations   int64   `json:"radio_activations"`
+	Polls         int64   `json:"polls"`
+	Pages         int64   `json:"pages"`
+	PowerUps      int64   `json:"netd_power_ups"`
+	SMSSent       int64   `json:"sms_sent"`
+	Calls         int64   `json:"calls_placed"`
+	Diagnostics
 }
 
 // JSON renders the report as deterministic, worker-count-independent
@@ -235,10 +230,10 @@ func (r Report) JSON(perDevice bool) ([]byte, error) {
 	return r.marshalJSON(perDevice, false)
 }
 
-// CanonicalJSON renders the report with every engine-level diagnostic
-// (executed instants, flow walks, settled batches) zeroed: the bytes
-// that must be identical across engine and settlement modes — and
-// across checkpointed, resumed, sharded and merged runs — which the
+// CanonicalJSON renders the report with every Diagnostics (executed
+// instants, flow walks, settled batches, sweeps and charges) zeroed:
+// the bytes that must be identical across engine and settlement modes —
+// and across checkpointed, resumed, sharded and merged runs — which the
 // invariance suites assert. Everything energy- or workload-shaped —
 // consumption, lifetimes, utilization, polls, pages, SMS, calls —
 // stays.
@@ -265,16 +260,16 @@ func (r Report) marshalJSON(perDevice, canonical bool) ([]byte, error) {
 		Dead:            r.Dead,
 		LifeP50MS:       int64(r.LifeP50),
 		LifeP90MS:       int64(r.LifeP90),
-	}
-	if !canonical {
-		out.EngineSteps = r.TotalEngineSteps
-		out.FlowWalks = r.TotalFlowWalks
-		out.SettledBatches = r.TotalSettledBatches
-		out.SettledSweeps = r.TotalSettledSweeps
-		out.SettledCharges = r.TotalSettledCharges
+		Diagnostics: Diagnostics{
+			EngineSteps:    r.TotalEngineSteps,
+			FlowWalks:      r.TotalFlowWalks,
+			SettledBatches: r.TotalSettledBatches,
+			SettledSweeps:  r.TotalSettledSweeps,
+			SettledCharges: r.TotalSettledCharges,
+		}.wire(canonical),
 	}
 	for _, b := range r.Buckets {
-		bj := bucketJSON{
+		out.Buckets = append(out.Buckets, bucketJSON{
 			Name:            b.Name,
 			Devices:         b.Devices,
 			TotalConsumedUJ: int64(b.TotalConsumed),
@@ -288,18 +283,11 @@ func (r Report) marshalJSON(perDevice, canonical bool) ([]byte, error) {
 			PowerUps:        b.PowerUps,
 			SMSSent:         b.SMSSent,
 			Calls:           b.Calls,
+			meanDiagnostics: meanDiagnostics(b.Mean.wire(canonical)),
 			Dead:            b.Dead,
 			LifeP50MS:       int64(b.LifeP50),
 			LifeP90MS:       int64(b.LifeP90),
-		}
-		if !canonical {
-			bj.MeanSteps = b.MeanSteps
-			bj.MeanFlowWalks = b.MeanFlowWalks
-			bj.MeanSettled = b.MeanSettledBatches
-			bj.MeanSettledSweeps = b.MeanSettledSweeps
-			bj.MeanSettledCharges = b.MeanSettledCharges
-		}
-		out.Buckets = append(out.Buckets, bj)
+		})
 	}
 	if perDevice {
 		for _, d := range r.Results {
@@ -313,7 +301,7 @@ func (r Report) marshalJSON(perDevice, canonical bool) ([]byte, error) {
 // entries of the report's results array, and the records the NDJSON
 // emitter streams.
 func deviceWire(d DeviceResult, canonical bool) deviceJSON {
-	dj := deviceJSON{
+	return deviceJSON{
 		Index:         d.Index,
 		Seed:          d.Seed,
 		Scenario:      d.Scenario,
@@ -330,22 +318,24 @@ func deviceWire(d DeviceResult, canonical bool) deviceJSON {
 		PowerUps:      d.PowerUps,
 		SMSSent:       d.SMSSent,
 		Calls:         d.CallsPlaced,
+		Diagnostics:   d.Diagnostics.wire(canonical),
 	}
-	if !canonical {
-		dj.EngineSteps = d.EngineSteps
-		dj.FlowWalks = d.FlowWalks
-		dj.SettledBatches = d.SettledBatches
-		dj.SettledSweeps = d.SettledSweeps
-		dj.SettledCharges = d.SettledCharges
-	}
-	return dj
 }
 
 // NDJSON renders the result as one compact JSON line (no trailing
 // newline), the per-device streaming form: the same schema as the
 // report's results array, so a file of these lines is the results
-// array unrolled. canonical zeroes the engine diagnostics exactly as
+// array unrolled. canonical zeroes the Diagnostics exactly as
 // Report.CanonicalJSON does.
 func (d DeviceResult) NDJSON(canonical bool) ([]byte, error) {
 	return json.Marshal(deviceWire(d, canonical))
+}
+
+// wire returns the diagnostics as a report renders them. Zeroing them
+// here is the whole difference between canonical and full output.
+func (d Diagnostics) wire(canonical bool) Diagnostics {
+	if canonical {
+		return Diagnostics{}
+	}
+	return d
 }

@@ -24,8 +24,9 @@ import (
 // PartialVersion is the partial-report schema version. Version 2
 // dropped the engine and settle modes: partials always come from
 // production runs. Version 3 dropped the fleet-wide counter copies from
-// Agg: the bucket sums carry every total.
-const PartialVersion = 3
+// Agg: the bucket sums carry every total. Version 4 writes each bucket's
+// sums as its Counters, in their declaration order.
+const PartialVersion = 4
 
 // Partial is one shard's mergeable report.
 type Partial struct {
@@ -58,28 +59,14 @@ type partialAgg struct {
 	MaxConsumedUJ int64 `json:"max_consumed_uj"`
 }
 
-// partialBucket is the wire form of one scenario bucket's aggregate.
+// partialBucket is the wire form of one scenario bucket's aggregate:
+// the bucket's Counters sum travels as-is under its own JSON tags.
 type partialBucket struct {
-	Name            string     `json:"name"`
-	Devices         int        `json:"devices"`
-	TotalConsumedUJ int64      `json:"total_consumed_uj"`
-	BusyTicks       int64      `json:"busy_ticks"`
-	IdleTicks       int64      `json:"idle_ticks"`
-	Polls           int64      `json:"polls"`
-	Pages           int64      `json:"pages"`
-	Activations     int64      `json:"radio_activations"`
-	PowerUps        int64      `json:"netd_power_ups"`
-	SMSSent         int64      `json:"sms_sent"`
-	Calls           int64      `json:"calls_placed"`
-	EngineSteps     uint64     `json:"engine_steps"`
-	FlowWalks       int64      `json:"flow_walks"`
-	SettledBatches  int64      `json:"settled_batches"`
-	SettledSweeps   int64      `json:"settled_sweeps"`
-	SettledCharges  int64      `json:"settled_charges,omitempty"`
-	RechargedUJ     int64      `json:"recharged_uj,omitempty"`
-	ReclaimedUJ     int64      `json:"reclaimed_uj,omitempty"`
-	Dead            int        `json:"dead"`
-	Lives           [][2]int64 `json:"lives,omitempty"`
+	Name    string `json:"name"`
+	Devices int    `json:"devices"`
+	Counters
+	Dead  int        `json:"dead"`
+	Lives [][2]int64 `json:"lives,omitempty"`
 }
 
 // RunShard simulates one shard of the fleet (cfg.ShardIndex of
@@ -133,26 +120,11 @@ func packPartial(cfg Config, a *aggregate) *Partial {
 	for _, n := range a.names() {
 		b := a.byName[n]
 		p.Buckets = append(p.Buckets, partialBucket{
-			Name:            n,
-			Devices:         b.devices,
-			TotalConsumedUJ: int64(b.consumed),
-			BusyTicks:       b.busyTicks,
-			IdleTicks:       b.idleTicks,
-			Polls:           b.polls,
-			Pages:           b.pages,
-			Activations:     b.activations,
-			PowerUps:        b.powerUps,
-			SMSSent:         b.sms,
-			Calls:           b.calls,
-			EngineSteps:     b.steps,
-			FlowWalks:       b.flowWalks,
-			SettledBatches:  b.settled,
-			SettledSweeps:   b.settledSweeps,
-			SettledCharges:  b.settledCharges,
-			RechargedUJ:     int64(b.recharged),
-			ReclaimedUJ:     int64(b.reclaimed),
-			Dead:            b.dead,
-			Lives:           sparseLives(&b.lives),
+			Name:     n,
+			Devices:  b.devices,
+			Counters: b.sum,
+			Dead:     b.dead,
+			Lives:    sparseLives(&b.lives),
 		})
 	}
 	return p
@@ -172,7 +144,11 @@ func (p *Partial) JSON() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// ParsePartial deserializes and sanity-checks a partial report.
+// ParsePartial deserializes and checks a partial report. Partials
+// arrive from outside the process — -merge files, a runner's Complete,
+// coordinator journal replay — so an internally inconsistent one is
+// refused here, naming the shard and bucket, before Merge could divide
+// by a zero device count or grow a life sketch to an absurd slot.
 func ParsePartial(b []byte) (*Partial, error) {
 	var p Partial
 	if err := json.Unmarshal(b, &p); err != nil {
@@ -184,7 +160,55 @@ func ParsePartial(b []byte) (*Partial, error) {
 	if p.Version != PartialVersion {
 		return nil, fmt.Errorf("fleet: partial report v%d, this build reads v%d", p.Version, PartialVersion)
 	}
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	return &p, nil
+}
+
+// check verifies a partial against itself: a non-empty device range
+// inside the fleet, seen exactly once; uniquely named buckets with
+// positive device counts summing to it; deaths within each bucket; and
+// life sketches whose slots exist and whose counts sum to the deaths.
+func (p *Partial) check() error {
+	shard := fmt.Sprintf("fleet: partial %d/%d", p.ShardIndex, p.ShardCount)
+	if p.RangeLo < 0 || p.RangeLo >= p.RangeHi || p.RangeHi > p.Devices {
+		return fmt.Errorf("%s: device range [%d,%d) is empty or outside the fleet's [0,%d)",
+			shard, p.RangeLo, p.RangeHi, p.Devices)
+	}
+	if p.Agg.Seen != p.RangeHi-p.RangeLo {
+		return fmt.Errorf("%s saw %d devices for range [%d,%d)", shard, p.Agg.Seen, p.RangeLo, p.RangeHi)
+	}
+	devices := 0
+	named := make(map[string]bool, len(p.Buckets))
+	for _, b := range p.Buckets {
+		bucket := fmt.Sprintf("%s bucket %q", shard, b.Name)
+		switch {
+		case named[b.Name]:
+			return fmt.Errorf("%s appears twice", bucket)
+		case b.Devices <= 0 || b.Devices > p.Agg.Seen:
+			return fmt.Errorf("%s has %d devices (shard saw %d)", bucket, b.Devices, p.Agg.Seen)
+		case b.Dead < 0 || b.Dead > b.Devices:
+			return fmt.Errorf("%s has %d dead of %d devices", bucket, b.Dead, b.Devices)
+		}
+		named[b.Name] = true
+		devices += b.Devices
+		var lives int64
+		for _, pair := range b.Lives {
+			if pair[0] < 0 || pair[0] > sketch.MaxIndex || pair[1] <= 0 || pair[1] > int64(b.Dead) {
+				return fmt.Errorf("%s has life sketch pair %v (slots 0..%d, counts 1..%d)",
+					bucket, pair, sketch.MaxIndex, b.Dead)
+			}
+			lives += pair[1]
+		}
+		if lives != int64(b.Dead) {
+			return fmt.Errorf("%s has %d deaths in its life sketch but %d dead", bucket, lives, b.Dead)
+		}
+	}
+	if devices != p.Agg.Seen {
+		return fmt.Errorf("%s: buckets hold %d devices, shard saw %d", shard, devices, p.Agg.Seen)
+	}
+	return nil
 }
 
 // unpack converts a partial's wire form back into an aggregate.
@@ -194,26 +218,7 @@ func (p *Partial) unpack() *aggregate {
 	a.minConsumed = units.Energy(p.Agg.MinConsumedUJ)
 	a.maxConsumed = units.Energy(p.Agg.MaxConsumedUJ)
 	for _, pb := range p.Buckets {
-		b := &bucketAgg{
-			devices:        pb.Devices,
-			consumed:       units.Energy(pb.TotalConsumedUJ),
-			busyTicks:      pb.BusyTicks,
-			idleTicks:      pb.IdleTicks,
-			polls:          pb.Polls,
-			pages:          pb.Pages,
-			activations:    pb.Activations,
-			powerUps:       pb.PowerUps,
-			sms:            pb.SMSSent,
-			calls:          pb.Calls,
-			steps:          pb.EngineSteps,
-			flowWalks:      pb.FlowWalks,
-			settled:        pb.SettledBatches,
-			settledSweeps:  pb.SettledSweeps,
-			settledCharges: pb.SettledCharges,
-			recharged:      units.Energy(pb.RechargedUJ),
-			reclaimed:      units.Energy(pb.ReclaimedUJ),
-			dead:           pb.Dead,
-		}
+		b := &bucketAgg{devices: pb.Devices, dead: pb.Dead, sum: pb.Counters}
 		for _, pair := range pb.Lives {
 			b.lives.AddBucket(int(pair[0]), uint64(pair[1]))
 		}
@@ -223,8 +228,9 @@ func (p *Partial) unpack() *aggregate {
 }
 
 // Merge combines every shard's partial report into the full fleet
-// Report. The partials must form an exact partition of the device range
-// and agree on the run identity; any gap, overlap or mismatch is a loud
+// Report. Each partial must pass ParsePartial's consistency check, and
+// together they must form an exact partition of the device range and
+// agree on the run identity; any gap, overlap or mismatch is a loud
 // error. The merged report's canonical JSON is byte-identical to a
 // single-process run of the same config, which the shard invariance
 // suite asserts.
@@ -247,6 +253,9 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 	agg := newAggregate()
 	covered := 0
 	for _, p := range sorted {
+		if err := p.check(); err != nil {
+			return Report{}, err
+		}
 		switch {
 		case p.Scenario != ref.Scenario || p.Devices != ref.Devices || p.Seed != ref.Seed ||
 			p.DurationMS != ref.DurationMS || p.BatteryUJ != ref.BatteryUJ ||
@@ -257,9 +266,6 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 		case p.RangeLo != covered:
 			return Report{}, fmt.Errorf("fleet: shard coverage gap or overlap at device %d (next shard starts at %d)",
 				covered, p.RangeLo)
-		case p.Agg.Seen != p.RangeHi-p.RangeLo:
-			return Report{}, fmt.Errorf("fleet: shard %d/%d saw %d devices for range [%d,%d)",
-				p.ShardIndex, p.ShardCount, p.Agg.Seen, p.RangeLo, p.RangeHi)
 		}
 		covered = p.RangeHi
 		agg.merge(p.unpack())

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/units"
 )
 
@@ -129,6 +130,77 @@ func TestMergeValidation(t *testing.T) {
 	}
 	if _, err := Merge(nil, cfg.Scenario); err == nil {
 		t.Fatal("empty merge succeeded")
+	}
+}
+
+// TestParsePartialRejectsInconsistent: a partial arriving from outside
+// the process (a -merge file, a runner's Complete, journal replay) that
+// contradicts itself is refused by ParsePartial with an error naming the
+// shard and bucket — and Merge refuses it too — instead of panicking in
+// finish on a zero device count or growing a sketch to a bogus slot.
+func TestParsePartialRejectsInconsistent(t *testing.T) {
+	base := func() *Partial {
+		return &Partial{
+			Format: "cinder-fleet-partial", Version: PartialVersion,
+			Scenario: "idle", Devices: 4, Seed: 1, DurationMS: int64(units.Hour),
+			ShardIndex: 0, ShardCount: 1, RangeLo: 0, RangeHi: 4,
+			Agg: partialAgg{Seen: 4},
+			Buckets: []partialBucket{
+				{Name: "browse", Devices: 3, Dead: 2, Lives: [][2]int64{{100, 1}, {4000, 1}}},
+				{Name: "idle", Devices: 1},
+			},
+		}
+	}
+	if _, err := Merge([]*Partial{base()}, IdleScenario{}); err != nil {
+		t.Fatalf("consistent base partial refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *Partial)
+		want   string
+	}{
+		{"zero-device bucket", func(p *Partial) { p.Buckets[0].Devices, p.Buckets[1].Devices = 4, 0 },
+			`bucket "idle" has 0 devices`},
+		{"negative-device bucket", func(p *Partial) { p.Buckets[0].Devices = -1 },
+			`bucket "browse" has -1 devices`},
+		{"buckets not summing to seen", func(p *Partial) { p.Buckets[1].Devices = 2 },
+			"buckets hold 5 devices, shard saw 4"},
+		{"duplicate bucket", func(p *Partial) { p.Buckets[1].Name = "browse" },
+			`bucket "browse" appears twice`},
+		{"dead above devices", func(p *Partial) { p.Buckets[1].Dead = 2 },
+			`bucket "idle" has 2 dead of 1 devices`},
+		{"negative dead", func(p *Partial) { p.Buckets[1].Dead = -1 },
+			`bucket "idle" has -1 dead of 1 devices`},
+		{"life slot past the sketch", func(p *Partial) { p.Buckets[0].Lives[1][0] = sketch.MaxIndex + 1 },
+			`bucket "browse" has life sketch pair`},
+		{"negative life slot", func(p *Partial) { p.Buckets[0].Lives[0][0] = -1 },
+			`bucket "browse" has life sketch pair`},
+		{"zero life count", func(p *Partial) { p.Buckets[0].Lives[0][1] = 0 },
+			`bucket "browse" has life sketch pair`},
+		{"life count above dead", func(p *Partial) { p.Buckets[0].Lives[0][1] = 3 },
+			`bucket "browse" has life sketch pair`},
+		{"lives not summing to dead", func(p *Partial) { p.Buckets[0].Dead = 3 },
+			`bucket "browse" has 2 deaths in its life sketch but 3 dead`},
+		{"seen disagreeing with range", func(p *Partial) { p.Agg.Seen = 3 },
+			"saw 3 devices for range [0,4)"},
+		{"empty fleet", func(p *Partial) { p.Devices, p.RangeHi, p.Agg.Seen, p.Buckets = 0, 0, 0, nil },
+			"device range [0,0) is empty"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := base()
+			tc.mutate(p)
+			b, err := p.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ParsePartial(b)
+			if err == nil || !strings.Contains(err.Error(), "partial 0/1") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ParsePartial: got %v, want an error naming partial 0/1 and %q", err, tc.want)
+			}
+			if _, err := Merge([]*Partial{p}, IdleScenario{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Merge: got %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

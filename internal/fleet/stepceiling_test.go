@@ -34,9 +34,9 @@ func TestBusyBucketStepCeiling(t *testing.T) {
 		switch b.Name {
 		case "chatty-day", "commuter-day":
 			checked++
-			if b.MeanSteps >= ceiling {
+			if b.Mean.EngineSteps >= ceiling {
 				t.Errorf("bucket %q: mean %d executed instants per device-day, ceiling %d",
-					b.Name, b.MeanSteps, ceiling)
+					b.Name, b.Mean.EngineSteps, ceiling)
 			}
 		}
 	}

@@ -23,6 +23,11 @@ import "math/bits"
 // (≈0.78 %).
 const SubBits = 7
 
+// MaxIndex is the last counter slot any sample can occupy: the slot of
+// math.MaxInt64 (the top sub-bucket of octave 62). A sparse form naming
+// a slot past it did not come from a Hist.
+const MaxIndex = (63-SubBits)<<SubBits + 1<<SubBits - 1
+
 // Hist is a mergeable log-linear histogram of non-negative int64
 // samples. The zero value is ready to use.
 type Hist struct {

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -111,5 +112,11 @@ func TestNegativeClampsToZero(t *testing.T) {
 	h.Add(-5)
 	if got := h.Quantile(100); got != 0 {
 		t.Fatalf("negative sample bucketed at %d", got)
+	}
+}
+
+func TestMaxIndexIsTopSlot(t *testing.T) {
+	if got := bucketIndex(math.MaxInt64); got != MaxIndex {
+		t.Fatalf("bucketIndex(MaxInt64) = %d, MaxIndex = %d", got, MaxIndex)
 	}
 }

@@ -26,8 +26,10 @@ const Magic = "CNDSNAP1"
 // Version is the current snapshot format version. Bump it whenever a
 // section's field layout changes; Open rejects mismatches loudly.
 // Version 2 dropped the engine/settle modes from the fleet's epoch
-// header and renumbered the engine section's mode.
-const Version uint32 = 2
+// header and renumbered the engine section's mode. Version 3 reordered
+// the fleet's dead-device result record to carry its counters as one
+// block.
+const Version uint32 = 3
 
 // Errors the reader can return (wrapped with context).
 var (
