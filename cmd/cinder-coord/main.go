@@ -39,7 +39,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/coord/delivery"
 	"repro/internal/fleet"
-	"repro/internal/units"
 )
 
 func main() {
@@ -116,38 +115,6 @@ func runServe(args []string) error {
 	return http.Serve(ln, delivery.Handler(co))
 }
 
-// jobFlags declares the job-spec flags shared with cinder-fleet and
-// builds the Job.
-func jobFlags(fs *flag.FlagSet) func(shards int) (fleet.Job, error) {
-	var (
-		devices   = fs.Int("devices", 1000, "fleet size")
-		seed      = fs.Int64("seed", 1, "fleet master seed")
-		duration  = fs.Duration("duration", 20*time.Minute, "simulated time per device")
-		scenario  = fs.String("scenario", "poller", "workload scenario (registry name)")
-		batteryJ  = fs.Float64("battery-j", 0, "override battery capacity in joules (0 = profile default)")
-		ckptDir   = fs.String("checkpoint-dir", "", "shared epoch-file directory: makes shards resumable after runner loss")
-		ckptEvery = fs.Duration("checkpoint-every", 24*time.Hour, "simulated interval between checkpoints")
-	)
-	return func(shards int) (fleet.Job, error) {
-		sc, ok := fleet.Scenarios()[*scenario]
-		if !ok {
-			return fleet.Job{}, fmt.Errorf("unknown scenario %q", *scenario)
-		}
-		cfg := fleet.Config{
-			Devices:         *devices,
-			Seed:            *seed,
-			Duration:        units.Time(duration.Milliseconds()),
-			Scenario:        sc,
-			CheckpointDir:   *ckptDir,
-			CheckpointEvery: units.Time(ckptEvery.Milliseconds()),
-		}
-		if *batteryJ > 0 {
-			cfg.BatteryCapacity = units.Joules(*batteryJ)
-		}
-		return fleet.NewJob(cfg, shards)
-	}
-}
-
 func runSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	var (
@@ -158,11 +125,15 @@ func runSubmit(args []string) error {
 		outPath   = fs.String("o", "", "with -wait: write the report to this file instead of stdout")
 		every     = fs.Duration("status-every", 2*time.Second, "with -wait: poll and progress-line interval")
 	)
-	build := jobFlags(fs)
+	build := fleet.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	job, err := build(*shards)
+	cfg, err := build()
+	if err != nil {
+		return err
+	}
+	job, err := fleet.NewJob(cfg, *shards)
 	if err != nil {
 		return err
 	}
@@ -174,8 +145,7 @@ func runSubmit(args []string) error {
 	}); err != nil {
 		return err
 	}
-	logf("submitted: %s, %d devices × %v, %d shards",
-		job.Scenario, job.Devices, time.Duration(job.DurationMS)*time.Millisecond, job.Shards)
+	logf("submitted: %v", job)
 	if !*wait {
 		return nil
 	}
@@ -205,12 +175,7 @@ func runSubmit(args []string) error {
 	}); err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	if *outPath == "" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(*outPath, b, 0o644)
+	return writeReport(*outPath, b)
 }
 
 // progressLine renders one human status line from a coordinator
@@ -293,12 +258,18 @@ func runResult(args []string) error {
 	if err != nil {
 		return err
 	}
+	return writeReport(*outPath, b)
+}
+
+// writeReport writes a report and its final newline to path, or to
+// stdout when path is empty.
+func writeReport(path string, b []byte) error {
 	b = append(b, '\n')
-	if *outPath == "" {
-		_, err = os.Stdout.Write(b)
+	if path == "" {
+		_, err := os.Stdout.Write(b)
 		return err
 	}
-	return os.WriteFile(*outPath, b, 0o644)
+	return os.WriteFile(path, b, 0o644)
 }
 
 func fail(err error) int {

@@ -32,7 +32,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -49,12 +48,7 @@ func main() {
 
 func realMain() int {
 	var (
-		devices   = flag.Int("devices", 1000, "fleet size")
-		seed      = flag.Int64("seed", 1, "fleet master seed")
-		duration  = flag.Duration("duration", 20*time.Minute, "simulated time per device")
-		scenario  = flag.String("scenario", "poller", "workload: "+scenarioNames())
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = one per CPU)")
-		batteryJ  = flag.Float64("battery-j", 0, "override battery capacity in joules (0 = profile default)")
 		perDevice = flag.Bool("per-device", false, "also print one line per device (with -json: include per-device results)")
 		reference = flag.Bool("reference", false, "run the reference configuration: fixed-tick engine, every periodic task executed, every device built fresh (single-process only)")
 		jsonOut   = flag.Bool("json", false, "emit the deterministic JSON report (docs/fleet-report.md) instead of text")
@@ -63,12 +57,10 @@ func realMain() int {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "write resumable epoch files (one per sim-day boundary) to this directory")
-		ckptEvery = flag.Duration("checkpoint-every", 24*time.Hour, "simulated interval between checkpoints")
-		resume    = flag.Bool("resume", false, "continue from the newest complete epoch file in -checkpoint-dir")
-		shard     = flag.String("shard", "", "run one shard of the fleet, e.g. 2/8: emit a mergeable partial report")
-		merge     = flag.Bool("merge", false, "merge partial reports (the positional args) into the full fleet report")
-		outPath   = flag.String("o", "", "write the report to this file instead of stdout")
+		resume  = flag.Bool("resume", false, "continue from the newest complete epoch file in -checkpoint-dir")
+		shard   = flag.String("shard", "", "run one shard of the fleet, e.g. 2/8: emit a mergeable partial report")
+		merge   = flag.Bool("merge", false, "merge partial reports (the positional args) into the full fleet report")
+		outPath = flag.String("o", "", "write the report to this file instead of stdout")
 
 		runnerURL = flag.String("runner", "", "attach to a cinder-coord service at this URL as a work-stealing runner")
 		runnerID  = flag.String("runner-id", "", "runner name in leases and logs (default hostname-pid)")
@@ -77,6 +69,7 @@ func realMain() int {
 		progress  = flag.Bool("progress", false, "print a progress line (completion, device-days/s, ETA, checkpoint) to stderr every few seconds")
 		perDevOut = flag.String("per-device-out", "", "stream one NDJSON line per device to this file, in device-index order, without retaining the per-device array in memory")
 	)
+	build := fleet.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *reference && (*shard != "" || *shardsN > 0 || *runnersN > 0 || *runnerURL != "" || *merge) {
@@ -122,6 +115,10 @@ func realMain() int {
 		}()
 	}
 
+	cfg, err := build()
+	if err != nil {
+		return fail(err)
+	}
 	if *merge {
 		for _, f := range []struct {
 			name string
@@ -131,7 +128,7 @@ func realMain() int {
 			{"-shard", *shard != ""},
 			{"-shards", *shardsN > 0},
 			{"-runners", *runnersN > 0},
-			{"-checkpoint-dir", *ckptDir != ""},
+			{"-checkpoint-dir", cfg.CheckpointDir != ""},
 			{"-resume", *resume},
 		} {
 			if f.set {
@@ -144,28 +141,13 @@ func realMain() int {
 		return 0
 	}
 
-	sc, ok := fleet.Scenarios()[*scenario]
-	if !ok {
-		return fail(fmt.Errorf("unknown scenario %q (have %s)", *scenario, scenarioNames()))
-	}
-	cfg := fleet.Config{
-		Devices:  *devices,
-		Seed:     *seed,
-		Duration: units.Time(duration.Milliseconds()),
-		Workers:  *workers,
-		Scenario: sc,
-		// Per-device output needs the result array retained; otherwise
-		// the run streams results and stays O(workers + buckets).
-		KeepResults:     *perDevice,
-		Reference:       *reference,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: units.Time(ckptEvery.Milliseconds()),
-		Resume:          *resume,
-		Warnf:           logf,
-	}
-	if *batteryJ > 0 {
-		cfg.BatteryCapacity = units.Joules(*batteryJ)
-	}
+	cfg.Workers = *workers
+	// Per-device output needs the result array retained; otherwise the
+	// run streams results and stays O(workers + buckets).
+	cfg.KeepResults = *perDevice
+	cfg.Reference = *reference
+	cfg.Resume = *resume
+	cfg.Warnf = logf
 
 	if *shardsN > 0 || *runnersN > 0 {
 		shards := *shardsN
@@ -185,31 +167,43 @@ func realMain() int {
 		}
 		return 0
 	}
-	if *sweep != "" && (*perDevOut != "" || *progress) {
-		return fail(fmt.Errorf("-sweep runs several fleets; -per-device-out and -progress apply to a single run"))
+	if *sweep != "" {
+		switch {
+		case *shard != "":
+			return fail(fmt.Errorf("-shard runs one shard of one fleet; it cannot combine with -sweep"))
+		case *perDevOut != "" || *progress:
+			return fail(fmt.Errorf("-sweep runs several fleets; -per-device-out and -progress apply to a single run"))
+		}
+		if err := runSweep(cfg, *sweep, *jsonOut, *perDevice); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+	if *shard != "" {
+		if cfg.ShardIndex, cfg.ShardCount, err = parseShard(*shard); err != nil {
+			return fail(err)
+		}
 	}
 
-	if *shard != "" {
-		if *sweep != "" {
-			return fail(fmt.Errorf("-shard runs one shard of one fleet; it cannot combine with -sweep"))
-		}
-		var err error
-		cfg.ShardIndex, cfg.ShardCount, err = parseShard(*shard)
-		if err != nil {
-			return fail(err)
-		}
-		closeStreams, err := attachStreams(&cfg, *perDevOut, *canonOut, *progress)
-		if err != nil {
-			return fail(err)
-		}
-		start := time.Now()
-		part, err := fleet.RunShard(cfg)
-		if cerr := closeStreams(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fail(err)
-		}
+	closeStreams, err := attachStreams(&cfg, *perDevOut, *canonOut, *progress)
+	if err != nil {
+		return fail(err)
+	}
+	start := time.Now()
+	var rep fleet.Report
+	var part *fleet.Partial
+	if cfg.ShardCount > 0 {
+		part, err = fleet.RunShard(cfg)
+	} else {
+		rep, err = fleet.Run(cfg)
+	}
+	if cerr := closeStreams(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if part != nil {
 		b, err := part.JSON()
 		if err != nil {
 			return fail(err)
@@ -221,26 +215,6 @@ func realMain() int {
 			cfg.ShardIndex, cfg.ShardCount, part.RangeLo, part.RangeHi,
 			time.Since(start).Round(time.Millisecond))
 		return 0
-	}
-
-	if *sweep != "" {
-		if err := runSweep(cfg, *sweep, *jsonOut, *perDevice); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	closeStreams, err := attachStreams(&cfg, *perDevOut, *canonOut, *progress)
-	if err != nil {
-		return fail(err)
-	}
-	start := time.Now()
-	rep, err := fleet.Run(cfg)
-	if cerr := closeStreams(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fail(err)
 	}
 	elapsed := time.Since(start)
 
@@ -296,11 +270,7 @@ func runMerge(paths []string, jsonOut, canonical, perDevice bool, outPath string
 		}
 		parts = append(parts, part)
 	}
-	sc, ok := fleet.Scenarios()[parts[0].Scenario]
-	if !ok {
-		return fmt.Errorf("partials reference unknown scenario %q", parts[0].Scenario)
-	}
-	rep, err := fleet.Merge(parts, sc)
+	rep, err := fleet.Merge(parts)
 	if err != nil {
 		return err
 	}
@@ -426,16 +396,6 @@ func runSweep(cfg fleet.Config, spec string, jsonOut, perDevice bool) error {
 		}
 	}
 	return nil
-}
-
-func scenarioNames() string {
-	scenarios := fleet.Scenarios()
-	names := make([]string, 0, len(scenarios))
-	for n := range scenarios {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "|")
 }
 
 // fail reports an error and returns realMain's failure exit code.

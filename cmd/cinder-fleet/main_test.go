@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -80,5 +81,33 @@ func TestShardsMatchesSingleProcess(t *testing.T) {
 	}
 	if !bytes.Equal(plain, sharded) {
 		t.Fatalf("-shards 4 -runners 2 diverged from the single-process report:\n%s\nvs\n%s", sharded, plain)
+	}
+}
+
+// TestMergeFilesMatchesSingleProcess: two -shard partials written to
+// files and combined with -merge print the plain single-process JSON
+// report byte for byte. The merge reads the run's identity, scenario
+// included, from the partials alone.
+func TestMergeFilesMatchesSingleProcess(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-devices", "40", "-duration", "6h", "-scenario", "dayinthelife", "-battery-j", "2000", "-workers", "2"}
+	plain, err := fleetCmd(append(base, "-json")...).Output()
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	var parts []string
+	for _, shard := range []string{"0/2", "1/2"} {
+		path := filepath.Join(dir, "part"+strings.ReplaceAll(shard, "/", "of")+".json")
+		if out, err := fleetCmd(append(base, "-shard", shard, "-o", path)...).CombinedOutput(); err != nil {
+			t.Fatalf("-shard %s: %v\n%s", shard, err, out)
+		}
+		parts = append(parts, path)
+	}
+	merged, err := fleetCmd(append([]string{"-merge", "-json"}, parts...)...).Output()
+	if err != nil {
+		t.Fatalf("-merge: %v", err)
+	}
+	if !bytes.Equal(plain, merged) {
+		t.Fatalf("-merge of the shard files diverged from the single-process report:\n%s\nvs\n%s", merged, plain)
 	}
 }

@@ -1,6 +1,7 @@
 package cinder
 
 import (
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // mdLink matches inline markdown links/images: [text](target).
@@ -111,8 +114,9 @@ var cliFlag = regexp.MustCompile(`\s-([a-z][a-z0-9-]*)`)
 
 // TestDocsUseDefinedFleetFlags: every -flag on a cinder-fleet command
 // line in the user-facing documents must be a flag cmd/cinder-fleet
-// defines, so removing or renaming a flag cannot leave a copy-pasteable
-// example behind. A command line runs from "cinder-fleet" to the end of
+// defines — its own, or the run flags fleet.BindFlags declares for it —
+// so removing or renaming a flag cannot leave a copy-pasteable example
+// behind. A command line runs from "cinder-fleet" to the end of
 // the line (backslash continuations joined), stopping at a pipe,
 // redirection, command separator, comment or closing backtick.
 func TestDocsUseDefinedFleetFlags(t *testing.T) {
@@ -130,9 +134,12 @@ func TestDocsUseDefinedFleetFlags(t *testing.T) {
 			defined[m[1]] = true
 		}
 	}
-	if !defined["devices"] || !defined["scenario"] {
+	if !defined["shard"] || !defined["merge"] {
 		t.Fatalf("flag scan of cmd/cinder-fleet found %d flags; the scan looks broken", len(defined))
 	}
+	run := flag.NewFlagSet("run", flag.ContinueOnError)
+	fleet.BindFlags(run)
+	run.VisitAll(func(f *flag.Flag) { defined[f.Name] = true })
 
 	seen := 0
 	for _, doc := range userDocs(t) {

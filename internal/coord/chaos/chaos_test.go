@@ -39,9 +39,7 @@ func chaosJob(t *testing.T, shards int, dir string) fleet.Job {
 func reference(t *testing.T, job fleet.Job) (full, canonical []byte) {
 	t.Helper()
 	ref := fleet.Job{
-		Scenario: job.Scenario, Devices: job.Devices, Seed: job.Seed,
-		DurationMS: job.DurationMS, Shards: 1,
-		BatteryUJ: job.BatteryUJ, LifeResolutionMS: job.LifeResolutionMS,
+		Identity: job.Identity, Shards: 1,
 		CheckpointDir: t.TempDir(), CheckpointEveryMS: job.CheckpointEveryMS,
 	}
 	cfg, err := ref.ShardConfig(0)

@@ -121,10 +121,10 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// installJob seeds the shard table for job. Caller holds c.mu.
-func (c *Coordinator) installJob(job fleet.Job) {
-	c.job = &job
-	c.jobJSON, _ = json.Marshal(job)
+// installJob seeds the shard table for job, whose wire form is
+// jobJSON. Caller holds c.mu.
+func (c *Coordinator) installJob(job fleet.Job, jobJSON []byte) {
+	c.job, c.jobJSON = &job, jobJSON
 	c.start = c.opts.Now()
 	c.shards = make([]shardState, job.Shards)
 	c.remain = job.Shards
@@ -132,8 +132,7 @@ func (c *Coordinator) installJob(job fleet.Job) {
 		lo, hi := job.ShardRange(i)
 		c.shards[i] = shardState{lo: lo, hi: hi, state: "pending", lastCheckpoint: -1, failedAt: -1}
 	}
-	c.logf("coord: job submitted: %s, %d devices × %v, %d shards",
-		job.Scenario, job.Devices, time.Duration(job.DurationMS)*time.Millisecond, job.Shards)
+	c.logf("coord: job submitted: %v", job)
 }
 
 // Submit installs the job. A coordinator runs exactly one job;
@@ -147,10 +146,14 @@ func (c *Coordinator) Submit(job fleet.Job) error {
 	if err := job.Validate(); err != nil {
 		return err
 	}
+	jobJSON, err := json.Marshal(job)
+	if err != nil {
+		return fmt.Errorf("coord: marshal job: %w", err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.job != nil {
-		if b, err := json.Marshal(job); err == nil && bytes.Equal(b, c.jobJSON) {
+		if bytes.Equal(jobJSON, c.jobJSON) {
 			return nil
 		}
 		return fmt.Errorf("coord: a different job is already submitted")
@@ -173,11 +176,7 @@ func (c *Coordinator) Submit(job fleet.Job) error {
 				return fmt.Errorf("coord: discard finished journal: %w", err)
 			}
 		}
-		jobJSON, err := json.Marshal(job)
-		if err != nil {
-			return fmt.Errorf("coord: marshal job: %w", err)
-		}
-		jnl, err := createJournal(path)
+		jnl, err := openJournal(path, os.O_CREATE|os.O_TRUNC)
 		if err != nil {
 			return err
 		}
@@ -187,7 +186,7 @@ func (c *Coordinator) Submit(job fleet.Job) error {
 		}
 		c.jnl = jnl
 	}
-	c.installJob(job)
+	c.installJob(job, jobJSON)
 	return nil
 }
 
@@ -270,7 +269,7 @@ func (c *Coordinator) applyComplete(shard int, runner string, p *fleet.Partial) 
 	s.state, s.runner, s.partial = "done", "", p
 	s.completedBy = runner
 	s.devicesDone = s.hi - s.lo
-	s.simDoneMS = int64(units.Time(s.hi-s.lo) * c.job.Horizon())
+	s.simDoneMS = int64(units.Time(s.hi-s.lo) * c.job.Duration)
 	c.remain--
 	c.logf("coord: shard %d completed by %s (%d shards left)", shard, runner, c.remain)
 	if c.remain > 0 {
@@ -391,9 +390,8 @@ func (c *Coordinator) Complete(runner string, shard int, p *fleet.Partial) error
 		}
 		return delivery.ErrLeaseLost
 	}
-	if p == nil || p.ShardIndex != shard || p.ShardCount != c.job.Shards ||
-		p.RangeLo != s.lo || p.RangeHi != s.hi {
-		return fmt.Errorf("coord: partial does not describe shard %d of this job", shard)
+	if err := c.job.CheckPartial(shard, p); err != nil {
+		return fmt.Errorf("coord: %w", err)
 	}
 	if c.jnl != nil {
 		pj, err := p.JSON()
@@ -544,7 +542,7 @@ func replayState(opts Options, recs []jrec) (*Coordinator, error) {
 	c := New(opts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.installJob(job)
+	c.installJob(job, recs[0].job)
 	now := c.opts.Now()
 	for i, rec := range recs[1:] {
 		if rec.kind != jrSubmit && (rec.shard < 0 || rec.shard >= len(c.shards)) {
@@ -563,10 +561,8 @@ func replayState(opts Options, recs []jrec) (*Coordinator, error) {
 			if err != nil {
 				return nil, fmt.Errorf("coord: journal record %d partial: %w", i+1, err)
 			}
-			s := &c.shards[rec.shard]
-			if p.ShardIndex != rec.shard || p.ShardCount != c.job.Shards ||
-				p.RangeLo != s.lo || p.RangeHi != s.hi {
-				return nil, fmt.Errorf("coord: journal record %d partial does not describe shard %d", i+1, rec.shard)
+			if err := c.job.CheckPartial(rec.shard, p); err != nil {
+				return nil, fmt.Errorf("coord: journal record %d: %w", i+1, err)
 			}
 			c.applyComplete(rec.shard, rec.runner, p)
 		case jrFail:
@@ -609,29 +605,16 @@ func Recover(opts Options, dir string) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := openJournalAppend(path)
+	jnl, err := openJournal(path, os.O_APPEND)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	c.jnl = jnl
+	c.logf("coord: recovered job from %s: %d records, %d/%d shards done",
+		path, len(recs), len(c.shards)-c.remain, len(c.shards))
 	c.mu.Unlock()
-	if opts.Logf != nil {
-		st := c.Status()
-		opts.Logf("coord: recovered job from %s: %d records, %d/%d shards done",
-			path, len(recs), countDone(st), len(st.Shards))
-	}
 	return c, nil
-}
-
-func countDone(st delivery.Status) int {
-	n := 0
-	for _, s := range st.Shards {
-		if s.State == "done" {
-			n++
-		}
-	}
-	return n
 }
 
 var _ delivery.Service = (*Coordinator)(nil)

@@ -56,9 +56,7 @@ func weekJob(t *testing.T, devices, shards int, dir string) fleet.Job {
 func singleProcess(t *testing.T, job fleet.Job) fleet.Report {
 	t.Helper()
 	ref := fleet.Job{
-		Scenario: job.Scenario, Devices: job.Devices, Seed: job.Seed,
-		DurationMS: job.DurationMS, Shards: 1,
-		BatteryUJ: job.BatteryUJ, LifeResolutionMS: job.LifeResolutionMS,
+		Identity: job.Identity, Shards: 1,
 	}
 	if job.CheckpointDir != "" {
 		ref.CheckpointDir = t.TempDir()

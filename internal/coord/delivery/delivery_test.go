@@ -56,11 +56,14 @@ func (s *stubService) Result(canonical bool) ([]byte, error) { return s.result, 
 func registryJob(t *testing.T) fleet.Job {
 	t.Helper()
 	job := fleet.Job{
-		Scenario:   "poller",
-		Devices:    8,
-		Seed:       7,
-		DurationMS: int64(units.Hour),
-		Shards:     2,
+		Identity: fleet.Identity{
+			Scenario:       "poller",
+			Devices:        8,
+			Seed:           7,
+			Duration:       units.Hour,
+			LifeResolution: fleet.DefaultLifeResolution,
+		},
+		Shards: 2,
 	}
 	if err := job.Validate(); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 package coord
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -16,9 +17,9 @@ import (
 // (write-ahead), so a coordinator killed at any instant can be
 // restarted with `cinder-coord serve -recover` and replay the journal
 // into identical lease/attempt state. Records reuse the internal/snap
-// tagged-section + CRC-32 format inside the same frame layout as the
-// fleet's epoch files (uvarint kind, uvarint length, snap blob), so a
-// torn final append is detected exactly like a torn epoch write.
+// tagged-section + CRC-32 format inside snap's frames, the container
+// the fleet's epoch files use too, so a torn final append is detected
+// exactly like a torn epoch write.
 //
 // The write-ahead discipline makes any valid journal prefix a correct
 // resume point: an operation that was journaled but whose in-memory
@@ -41,21 +42,9 @@ const (
 	jrFail     = 5 // attempt failed: shard, runner, attempt (0-based), msg
 )
 
-// jrTag is the snap section tag cross-checking each frame's kind.
-func jrTag(kind int) string {
-	switch kind {
-	case jrSubmit:
-		return "submit"
-	case jrGrant:
-		return "grant"
-	case jrBeat:
-		return "beat"
-	case jrComplete:
-		return "complete"
-	case jrFail:
-		return "fail"
-	}
-	return fmt.Sprintf("jr%d", kind)
+// jrTags are the snap section tags cross-checking each frame's kind.
+var jrTags = map[int]string{
+	jrSubmit: "submit", jrGrant: "grant", jrBeat: "beat", jrComplete: "complete", jrFail: "fail",
 }
 
 // jrec is one journal record, in memory. Only the fields of its kind
@@ -79,7 +68,7 @@ type jrec struct {
 // encodeJrec renders one record as a framed snap blob.
 func encodeJrec(rec jrec) ([]byte, error) {
 	w := snap.NewWriter()
-	w.Section(jrTag(rec.kind))
+	w.Section(jrTags[rec.kind])
 	switch rec.kind {
 	case jrSubmit:
 		w.Bytes(rec.job)
@@ -109,23 +98,21 @@ func encodeJrec(rec jrec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tmp [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(rec.kind))
-	n += binary.PutUvarint(tmp[n:], uint64(len(blob)))
-	return append(tmp[:n:n], blob...), nil
+	return snap.AppendFrame(nil, rec.kind, blob), nil
 }
 
-// decodeJrec parses one frame's snap blob (CRC already covers it).
+// decodeJrec parses one frame's snap blob (CRC already covers it). The
+// blob is the frame's own copy, so the record may keep slices of it.
 func decodeJrec(kind int, blob []byte) (jrec, error) {
 	r, err := snap.Open(blob)
 	if err != nil {
 		return jrec{}, err
 	}
-	r.Section(jrTag(kind))
+	r.Section(jrTags[kind])
 	rec := jrec{kind: kind}
 	switch kind {
 	case jrSubmit:
-		rec.job = append([]byte(nil), r.Bytes()...)
+		rec.job = r.Bytes()
 	case jrGrant:
 		rec.shard = int(r.U64())
 		rec.runner = r.String()
@@ -139,7 +126,7 @@ func decodeJrec(kind int, blob []byte) (jrec, error) {
 	case jrComplete:
 		rec.shard = int(r.U64())
 		rec.runner = r.String()
-		rec.partial = append([]byte(nil), r.Bytes()...)
+		rec.partial = r.Bytes()
 	case jrFail:
 		rec.shard = int(r.U64())
 		rec.runner = r.String()
@@ -160,23 +147,14 @@ type journal struct {
 	path string
 }
 
-// createJournal starts a fresh journal at path (truncating any
-// previous file — the caller decides whether an existing journal may
-// be discarded).
-func createJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// openJournal opens the journal at path for appending: a fresh one
+// (os.O_CREATE|os.O_TRUNC, discarding any previous file — the caller
+// decides whether that is allowed) or, after recovery replayed it, the
+// existing one (os.O_APPEND).
+func openJournal(path string, flag int) (*journal, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("coord: create journal: %w", err)
-	}
-	return &journal{f: f, path: path}, nil
-}
-
-// openJournalAppend reopens an existing journal for appending (after
-// recovery replayed it).
-func openJournalAppend(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return nil, fmt.Errorf("coord: reopen journal: %w", err)
+		return nil, fmt.Errorf("coord: open journal: %w", err)
 	}
 	return &journal{f: f, path: path}, nil
 }
@@ -214,31 +192,22 @@ func readJournal(path string) ([]jrec, int64, error) {
 		return nil, 0, err
 	}
 	var recs []jrec
-	off := 0
-	for off < len(b) {
-		start := off
-		kind, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return recs, int64(start), fmt.Errorf("coord: journal: bad frame kind at offset %d", start)
+	r := bytes.NewReader(b)
+	for {
+		start := r.Size() - int64(r.Len())
+		kind, blob, err := snap.ReadFrame(r)
+		if err == io.EOF {
+			return recs, start, nil
 		}
-		off += n
-		ln, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return recs, int64(start), fmt.Errorf("coord: journal: bad frame length at offset %d", start)
+		var rec jrec
+		if err == nil {
+			rec, err = decodeJrec(kind, blob)
 		}
-		off += n
-		if uint64(len(b)-off) < ln {
-			return recs, int64(start), fmt.Errorf("coord: journal: truncated frame at offset %d (%d of %d bytes)",
-				start, len(b)-off, ln)
-		}
-		rec, err := decodeJrec(int(kind), b[off:off+int(ln)])
 		if err != nil {
-			return recs, int64(start), fmt.Errorf("coord: journal: frame at offset %d: %w", start, err)
+			return recs, start, fmt.Errorf("coord: journal: frame at offset %d: %w", start, err)
 		}
-		off += int(ln)
 		recs = append(recs, rec)
 	}
-	return recs, int64(len(b)), nil
 }
 
 // JournalPath returns the journal file path for a checkpoint dir (for

@@ -102,13 +102,12 @@ func utilizationPct(busy, idle int64) float64 {
 
 // finish computes the fleet-wide totals from the bucket sums, then
 // means, percentiles and the sorted bucket list.
-func (a *aggregate) finish(cfg Config, workers int) Report {
+func (a *aggregate) finish(id Identity) Report {
 	rep := Report{
-		Scenario:    cfg.Scenario.Name(),
-		Devices:     cfg.Devices,
-		Seed:        cfg.Seed,
-		Duration:    cfg.Duration,
-		Workers:     workers,
+		Scenario:    id.Scenario,
+		Devices:     id.Devices,
+		Seed:        id.Seed,
+		Duration:    id.Duration,
 		MinConsumed: a.minConsumed,
 		MaxConsumed: a.maxConsumed,
 	}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -40,9 +39,6 @@ import (
 // DefaultCheckpointEvery is the epoch length: one simulated day, the
 // boundary the week-in-the-life scenario quiesces at.
 const DefaultCheckpointEvery = 24 * units.Hour
-
-// epochMagic heads an epoch file.
-const epochMagic = "CNDEPOCH1"
 
 // Epoch record kinds.
 const (
@@ -260,68 +256,66 @@ func epochPath(cfg Config, e int) string {
 	return filepath.Join(cfg.CheckpointDir, name)
 }
 
-// epochHeader is the identity every epoch file carries: a resume may
-// only continue from a file written by an identically configured run.
-// Whether that run was the reference is not recorded here: every device
-// record's engine section carries its mode, and sim.Engine.Restore
-// refuses a reference/production mismatch.
-func writeEpochHeader(w *snap.Writer, cfg Config, plan epochPlan, e, lo, hi int) {
-	w.Section("epoch-header")
-	w.String(cfg.Scenario.Name())
-	w.U64(uint64(cfg.Devices))
-	w.I64(cfg.Seed)
-	w.I64(int64(cfg.Duration))
-	w.I64(int64(plan.every))
-	w.U64(uint64(e))
-	w.U64(uint64(lo))
-	w.U64(uint64(hi))
-	w.I64(int64(cfg.BatteryCapacity))
-	w.I64(int64(cfg.LifeResolution))
+// epochHeader heads every epoch file: the run's Identity, then the
+// checkpoint interval, the epoch index and the device range. A resume
+// continues only from a file whose header equals the one this run
+// would write. Whether the writing run was the reference is not
+// recorded here: every device record's engine section carries its
+// mode, and sim.Engine.Restore refuses a reference/production mismatch.
+type epochHeader struct {
+	id     Identity
+	every  units.Time
+	epoch  int
+	lo, hi int
 }
 
-func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int) error {
+func (h *epochHeader) save(w *snap.Writer) {
+	w.Section("epoch-header")
+	h.id.save(w)
+	w.I64(int64(h.every))
+	w.U64(uint64(h.epoch))
+	w.U64(uint64(h.lo))
+	w.U64(uint64(h.hi))
+}
+
+func (h *epochHeader) load(r *snap.Reader) error {
 	r.Section("epoch-header")
-	scenario := r.String()
-	devices := int(r.U64())
-	seed := r.I64()
-	duration := units.Time(r.I64())
-	every := units.Time(r.I64())
-	epoch := int(r.U64())
-	flo := int(r.U64())
-	fhi := int(r.U64())
-	battery := units.Energy(r.I64())
-	lifeRes := units.Time(r.I64())
-	if err := r.Close(); err != nil {
-		return err
-	}
-	switch {
-	case scenario != cfg.Scenario.Name():
-		return fmt.Errorf("fleet: epoch file is scenario %q, run is %q", scenario, cfg.Scenario.Name())
-	case devices != cfg.Devices || seed != cfg.Seed || duration != cfg.Duration:
-		return fmt.Errorf("fleet: epoch file is for %d devices seed %d over %v; run is %d devices seed %d over %v",
-			devices, seed, duration, cfg.Devices, cfg.Seed, cfg.Duration)
-	case every != plan.every:
-		return fmt.Errorf("fleet: epoch file uses checkpoint interval %v, run uses %v", every, plan.every)
-	case epoch != e:
-		return fmt.Errorf("fleet: epoch file is epoch %d, expected %d", epoch, e)
-	case flo != lo || fhi != hi:
-		return fmt.Errorf("fleet: epoch file covers devices [%d,%d), run covers [%d,%d)", flo, fhi, lo, hi)
-	case battery != cfg.BatteryCapacity:
-		return fmt.Errorf("fleet: epoch file battery override %v, run has %v", battery, cfg.BatteryCapacity)
-	case lifeRes != cfg.LifeResolution:
-		return fmt.Errorf("fleet: epoch file life resolution %v, run has %v", lifeRes, cfg.LifeResolution)
-	}
-	return nil
+	h.id.load(r)
+	h.every = units.Time(r.I64())
+	h.epoch = int(r.U64())
+	h.lo = int(r.U64())
+	h.hi = int(r.U64())
+	return r.Close()
+}
+
+// save writes the identity in declaration order; load reads it back.
+func (id *Identity) save(w *snap.Writer) {
+	w.String(id.Scenario)
+	w.U64(uint64(id.Devices))
+	w.I64(id.Seed)
+	w.I64(int64(id.Duration))
+	w.I64(int64(id.BatteryCapacity))
+	w.I64(int64(id.LifeResolution))
+}
+
+func (id *Identity) load(r *snap.Reader) {
+	id.Scenario = r.String()
+	id.Devices = int(r.U64())
+	id.Seed = r.I64()
+	id.Duration = units.Time(r.I64())
+	id.BatteryCapacity = units.Energy(r.I64())
+	id.LifeResolution = units.Time(r.I64())
 }
 
 // epochWriter streams records into a temporary epoch file, renamed into
 // place only once every device in the range has been written — an
 // existing epoch file is therefore always complete.
 type epochWriter struct {
-	f    *os.File
-	bw   *bufio.Writer
-	path string
-	next int
+	f     *os.File
+	bw    *bufio.Writer
+	path  string
+	next  int
+	frame []byte // reused frame buffer
 }
 
 func newEpochWriter(cfg Config, plan epochPlan, e, lo, hi int) (*epochWriter, error) {
@@ -335,7 +329,8 @@ func newEpochWriter(cfg Config, plan epochPlan, e, lo, hi int) (*epochWriter, er
 	}
 	ew := &epochWriter{f: f, bw: bufio.NewWriterSize(f, 1<<20), path: path, next: lo}
 	hw := snap.NewWriter()
-	writeEpochHeader(hw, cfg, plan, e, lo, hi)
+	h := epochHeader{cfg.identity(), plan.every, e, lo, hi}
+	h.save(hw)
 	blob, err := hw.Finish()
 	if err != nil {
 		return nil, err
@@ -344,14 +339,10 @@ func newEpochWriter(cfg Config, plan epochPlan, e, lo, hi int) (*epochWriter, er
 	return ew, nil
 }
 
-// writeFrame emits one length-prefixed frame: kind, index, payload.
+// writeFrame emits one snap frame.
 func (ew *epochWriter) writeFrame(kind int, blob []byte) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(kind))
-	ew.bw.Write(tmp[:n])
-	n = binary.PutUvarint(tmp[:], uint64(len(blob)))
-	ew.bw.Write(tmp[:n])
-	ew.bw.Write(blob)
+	ew.frame = snap.AppendFrame(ew.frame[:0], kind, blob)
+	ew.bw.Write(ew.frame)
 }
 
 // add appends device idx's record; records must arrive in index order
@@ -394,47 +385,44 @@ type epochReader struct {
 	next int
 }
 
+// openEpochReader opens epoch e's file and checks its header frame
+// against the run, leaving the reader at device lo's record. A missing
+// file is fs.ErrNotExist and a file from a build with another snapshot
+// layout snap.ErrVersion (both wrapped); a sound header naming another
+// run is errEpochMismatch; anything else is corruption.
 func openEpochReader(cfg Config, plan epochPlan, e, lo, hi int) (*epochReader, error) {
 	f, err := os.Open(epochPath(cfg, e))
 	if err != nil {
 		return nil, err
 	}
 	er := &epochReader{f: f, br: bufio.NewReaderSize(f, 1<<20), next: lo}
-	kind, blob, err := er.readFrame()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s: %w", epochPath(cfg, e), err)
-	}
-	if kind != 0 {
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s: missing epoch header", epochPath(cfg, e))
-	}
-	hr, err := snap.Open(blob)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s: %w", epochPath(cfg, e), err)
-	}
-	if err := checkEpochHeader(hr, cfg, plan, e, lo, hi); err != nil {
+	if err := er.checkHeader(cfg, plan, e, lo, hi); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return er, nil
 }
 
-func (er *epochReader) readFrame() (kind int, blob []byte, err error) {
-	k, err := binary.ReadUvarint(er.br)
+func (er *epochReader) checkHeader(cfg Config, plan epochPlan, e, lo, hi int) error {
+	kind, blob, err := snap.ReadFrame(er.br)
 	if err != nil {
-		return 0, nil, err
+		return fmt.Errorf("epoch header frame: %w", err)
 	}
-	n, err := binary.ReadUvarint(er.br)
+	if kind != 0 {
+		return fmt.Errorf("missing epoch header (leading frame kind %d)", kind)
+	}
+	hr, err := snap.Open(blob)
 	if err != nil {
-		return 0, nil, err
+		return fmt.Errorf("epoch header: %w", err)
 	}
-	blob = make([]byte, n)
-	if _, err := io.ReadFull(er.br, blob); err != nil {
-		return 0, nil, err
+	var got epochHeader
+	if err := got.load(hr); err != nil {
+		return fmt.Errorf("%w: %v", errEpochMismatch, err)
 	}
-	return int(k), blob, nil
+	if want := (epochHeader{cfg.identity(), plan.every, e, lo, hi}); got != want {
+		return fmt.Errorf("%w: file is %+v, run is %+v", errEpochMismatch, got, want)
+	}
+	return nil
 }
 
 // read returns device idx's record; calls must arrive in index order.
@@ -443,7 +431,7 @@ func (er *epochReader) read(idx int) ([]byte, error) {
 		return nil, fmt.Errorf("fleet: epoch read out of order: device %d, expected %d", idx, er.next)
 	}
 	er.next++
-	_, blob, err := er.readFrame()
+	_, blob, err := snap.ReadFrame(er.br)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: epoch record for device %d: %w", idx, err)
 	}
@@ -467,34 +455,18 @@ var errEpochMismatch = errors.New("fleet: epoch file belongs to a different run"
 // makes complete files the common case, but salvage exists precisely
 // for the storage failures that break that assumption.
 func verifyEpoch(cfg Config, plan epochPlan, e, lo, hi int) error {
-	path := epochPath(cfg, e)
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	er := &epochReader{f: f, br: bufio.NewReaderSize(f, 1<<20), next: lo}
-	kind, blob, err := er.readFrame()
-	if err != nil {
-		return fmt.Errorf("epoch header frame: %w", err)
-	}
-	if kind != 0 {
-		return fmt.Errorf("missing epoch header (leading frame kind %d)", kind)
-	}
-	hr, err := snap.Open(blob)
+	er, err := openEpochReader(cfg, plan, e, lo, hi)
 	if errors.Is(err, snap.ErrVersion) {
 		// Written by a build with another snapshot layout: sound, just
 		// not resumable here, so skip it like a foreign run's file.
 		return fmt.Errorf("%w: %v", errEpochMismatch, err)
 	}
 	if err != nil {
-		return fmt.Errorf("epoch header: %w", err)
+		return err
 	}
-	if err := checkEpochHeader(hr, cfg, plan, e, lo, hi); err != nil {
-		return fmt.Errorf("%w: %v", errEpochMismatch, err)
-	}
+	defer er.close()
 	for idx := lo; idx < hi; idx++ {
-		kind, blob, err := er.readFrame()
+		kind, blob, err := snap.ReadFrame(er.br)
 		if err != nil {
 			return fmt.Errorf("record for device %d: %w", idx, err)
 		}
@@ -505,7 +477,7 @@ func verifyEpoch(cfg Config, plan epochPlan, e, lo, hi int) error {
 			return fmt.Errorf("record for device %d: %w", idx, err)
 		}
 	}
-	if _, _, err := er.readFrame(); err != io.EOF {
+	if _, _, err := snap.ReadFrame(er.br); err != io.EOF {
 		if err == nil {
 			return fmt.Errorf("trailing data after final device %d", hi-1)
 		}
@@ -605,7 +577,7 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 			var err error
 			in, err = openEpochReader(cfg, plan, e-1, lo, hi)
 			if err != nil {
-				return err
+				return fmt.Errorf("fleet: %s: %w", epochPath(cfg, e-1), err)
 			}
 		}
 		var out *epochWriter

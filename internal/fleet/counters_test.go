@@ -88,7 +88,7 @@ func TestCountersRoundTrip(t *testing.T) {
 	})
 
 	t.Run("aggregate", func(t *testing.T) {
-		rep := agg.finish(cfg, 0)
+		rep := agg.finish(cfg.identity())
 		if len(rep.Buckets) != 1 {
 			t.Fatalf("%d buckets, want 1", len(rep.Buckets))
 		}
@@ -145,7 +145,7 @@ func TestCanonicalZeroesExactlyDiagnostics(t *testing.T) {
 	cfg := Config{Devices: 1, Seed: 77, Duration: 6 * units.Hour, Scenario: IdleScenario{}}
 	agg := newAggregate()
 	agg.add(res)
-	rep := agg.finish(cfg, 0)
+	rep := agg.finish(cfg.identity())
 	rep.Results = []DeviceResult{res}
 
 	decode := func(b []byte, err error) any {

@@ -372,21 +372,14 @@ func (cfg *Config) warnf(format string, args ...any) {
 // validate normalizes and checks a config, returning the resolved
 // worker count.
 func (cfg *Config) validate() (workers int, err error) {
-	if cfg.Devices <= 0 {
-		return 0, fmt.Errorf("fleet: need at least 1 device, got %d", cfg.Devices)
-	}
 	if cfg.Scenario == nil {
 		return 0, fmt.Errorf("fleet: nil scenario")
 	}
-	if cfg.Duration <= 0 {
-		return 0, fmt.Errorf("fleet: non-positive duration %v", cfg.Duration)
+	id := cfg.identity()
+	if err := id.check(); err != nil {
+		return 0, err
 	}
-	if cfg.LifeResolution == 0 {
-		cfg.LifeResolution = DefaultLifeResolution
-	}
-	if cfg.LifeResolution < 0 {
-		return 0, fmt.Errorf("fleet: negative life resolution %v", cfg.LifeResolution)
-	}
+	cfg.LifeResolution = id.LifeResolution
 	if cfg.ShardCount < 0 || (cfg.ShardCount > 0 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount)) {
 		return 0, fmt.Errorf("fleet: shard %d of %d out of range", cfg.ShardIndex, cfg.ShardCount)
 	}
@@ -459,7 +452,7 @@ func Run(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rep, err := Merge([]*Partial{p}, cfg.Scenario)
+	rep, err := Merge([]*Partial{p})
 	if err != nil {
 		return Report{}, err
 	}

@@ -200,7 +200,8 @@ func runFresh(t *testing.T, cfg Config) Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := agg.finish(cfg, workers)
+	rep := agg.finish(cfg.identity())
+	rep.Workers = workers
 	rep.Results = results
 	return rep
 }

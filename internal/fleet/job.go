@@ -2,7 +2,12 @@ package fleet
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"time"
 
 	"repro/internal/units"
 )
@@ -18,30 +23,90 @@ import (
 // range, packed into a Partial and reduced through the same Merge a
 // cluster run uses.
 
-// Job is the immutable spec of a fleet run: scenario, population,
-// horizon, seed, and the shard plan. It is what a coordinator accepts,
-// what crosses the delivery wire, and what every shard of a run must
-// agree on — the same identity fields Partial carries and Merge
-// checks. The scenario travels by registry name (Scenarios()); tests
-// that need a non-registry scenario attach one with NewJob, but such
-// jobs cannot cross a process boundary.
+// Identity names a fleet run: the fields (Config's, under the
+// partial's JSON names) that the job, every shard's partial, every
+// epoch header, the coordinator and the merge must agree on exactly.
+// It is declared once and carried unchanged. Config.identity
+// normalizes defaults, so two identities name one run exactly when ==.
+type Identity struct {
+	Scenario        string       `json:"scenario"` // registry name
+	Devices         int          `json:"devices"`
+	Seed            int64        `json:"seed"`
+	Duration        units.Time   `json:"duration_ms"`
+	BatteryCapacity units.Energy `json:"battery_uj"`         // 0 = profile battery
+	LifeResolution  units.Time   `json:"life_resolution_ms"` // never 0 once normalized
+}
+
+// identity returns cfg's run identity, a zero life resolution
+// normalized to DefaultLifeResolution.
+func (cfg Config) identity() Identity {
+	id := Identity{
+		Devices:         cfg.Devices,
+		Seed:            cfg.Seed,
+		Duration:        cfg.Duration,
+		BatteryCapacity: cfg.BatteryCapacity,
+		LifeResolution:  cfg.LifeResolution,
+	}
+	if cfg.Scenario != nil {
+		id.Scenario = cfg.Scenario.Name()
+	}
+	if id.LifeResolution == 0 {
+		id.LifeResolution = DefaultLifeResolution
+	}
+	return id
+}
+
+// config is identity's inverse: the run config of id over workload sc.
+func (id Identity) config(sc Scenario) Config {
+	return Config{
+		Devices:         id.Devices,
+		Seed:            id.Seed,
+		Duration:        id.Duration,
+		Scenario:        sc,
+		BatteryCapacity: id.BatteryCapacity,
+		LifeResolution:  id.LifeResolution,
+	}
+}
+
+// check refuses an empty fleet and a non-positive horizon or life
+// resolution.
+func (id Identity) check() error {
+	switch {
+	case id.Devices <= 0:
+		return fmt.Errorf("fleet: need at least 1 device, got %d", id.Devices)
+	case id.Duration <= 0:
+		return fmt.Errorf("fleet: non-positive duration %v", id.Duration)
+	case id.LifeResolution <= 0:
+		return fmt.Errorf("fleet: non-positive life resolution %v", id.LifeResolution)
+	}
+	return nil
+}
+
+// drift names the first field, by its JSON name, on which got differs
+// from id, with both values (empty when there is none).
+func (id Identity) drift(got Identity) string {
+	want, have := reflect.ValueOf(id), reflect.ValueOf(got)
+	for i := 0; i < want.NumField(); i++ {
+		if want.Field(i).Interface() != have.Field(i).Interface() {
+			name := want.Type().Field(i).Tag.Get("json")
+			return fmt.Sprintf("%s is %v, want %v", name, have.Field(i), want.Field(i))
+		}
+	}
+	return ""
+}
+
+// Job is the immutable spec of a fleet run: its identity and the shard
+// plan. It is what a coordinator accepts, what crosses the delivery
+// wire, and what every shard of a run must agree on (CheckPartial). The
+// scenario travels by registry name (Scenarios()); tests that need a
+// non-registry scenario attach one with NewJob, but such jobs cannot
+// cross a process boundary.
 type Job struct {
-	// Scenario is the workload's registry name.
-	Scenario string `json:"scenario"`
-	// Devices is the fleet size; Seed the fleet master seed; DurationMS
-	// the per-device horizon in milliseconds.
-	Devices    int   `json:"devices"`
-	Seed       int64 `json:"seed"`
-	DurationMS int64 `json:"duration_ms"`
+	Identity
 	// Shards is the shard plan: the device index range is partitioned
 	// into this many contiguous ShardRun units (1 = the degenerate
 	// single-runner job).
 	Shards int `json:"shards"`
-
-	// BatteryUJ overrides the profile battery (0 = profile default);
-	// LifeResolutionMS overrides DefaultLifeResolution (0 = default).
-	BatteryUJ        int64 `json:"battery_uj,omitempty"`
-	LifeResolutionMS int64 `json:"life_resolution_ms,omitempty"`
 
 	// CheckpointDir, when set, makes every ShardRun interruptible: epoch
 	// files land there (per-shard names), and a reassigned shard resumes
@@ -69,18 +134,57 @@ func NewJob(cfg Config, shards int) (Job, error) {
 		return Job{}, errReferenceSharded
 	}
 	j := Job{
-		Scenario:          cfg.Scenario.Name(),
-		Devices:           cfg.Devices,
-		Seed:              cfg.Seed,
-		DurationMS:        int64(cfg.Duration),
+		Identity:          cfg.identity(),
 		Shards:            shards,
-		BatteryUJ:         int64(cfg.BatteryCapacity),
-		LifeResolutionMS:  int64(cfg.LifeResolution),
 		CheckpointDir:     cfg.CheckpointDir,
 		CheckpointEveryMS: int64(cfg.CheckpointEvery),
 		scenario:          cfg.Scenario,
 	}
 	return j, j.Validate()
+}
+
+// BindFlags declares the run flags cinder-fleet and cinder-coord
+// submit share on fs. The returned function builds their Config once fs
+// is parsed, refusing an unknown scenario with the registry's names.
+func BindFlags(fs *flag.FlagSet) func() (Config, error) {
+	var (
+		devices   = fs.Int("devices", 1000, "fleet size")
+		seed      = fs.Int64("seed", 1, "fleet master seed")
+		duration  = fs.Duration("duration", 20*time.Minute, "simulated time per device")
+		scenario  = fs.String("scenario", "poller", "workload: "+scenarioNames())
+		batteryJ  = fs.Float64("battery-j", 0, "override battery capacity in joules (0 = profile default)")
+		ckptDir   = fs.String("checkpoint-dir", "", "write resumable epoch files to this directory (shared by a job's runners, so a lost runner's shard resumes)")
+		ckptEvery = fs.Duration("checkpoint-every", 24*time.Hour, "simulated interval between checkpoints")
+	)
+	return func() (Config, error) {
+		sc, ok := Scenarios()[*scenario]
+		if !ok {
+			return Config{}, fmt.Errorf("unknown scenario %q (have %s)", *scenario, scenarioNames())
+		}
+		cfg := Config{
+			Devices:         *devices,
+			Seed:            *seed,
+			Duration:        units.Time(duration.Milliseconds()),
+			Scenario:        sc,
+			CheckpointDir:   *ckptDir,
+			CheckpointEvery: units.Time(ckptEvery.Milliseconds()),
+		}
+		if *batteryJ > 0 {
+			cfg.BatteryCapacity = units.Joules(*batteryJ)
+		}
+		return cfg, nil
+	}
+}
+
+// scenarioNames lists the registry's names, sorted.
+func scenarioNames() string {
+	scenarios := Scenarios()
+	names := make([]string, 0, len(scenarios))
+	for n := range scenarios {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, "|")
 }
 
 // ParseJob deserializes and validates a wire job.
@@ -92,23 +196,17 @@ func ParseJob(b []byte) (Job, error) {
 	return j, j.Validate()
 }
 
-// Validate checks the spec: a resolvable scenario, a positive
-// population and horizon, and a shard plan that partitions it.
+// Validate checks the spec: a resolvable scenario, a valid identity,
+// and a shard plan that partitions the fleet.
 func (j Job) Validate() error {
 	if _, err := j.ResolveScenario(); err != nil {
 		return err
 	}
-	if j.Devices <= 0 {
-		return fmt.Errorf("fleet: job needs at least 1 device, got %d", j.Devices)
-	}
-	if j.DurationMS <= 0 {
-		return fmt.Errorf("fleet: job has non-positive duration %d ms", j.DurationMS)
+	if err := j.check(); err != nil {
+		return err
 	}
 	if j.Shards <= 0 || j.Shards > j.Devices {
 		return fmt.Errorf("fleet: job shard plan %d over %d devices", j.Shards, j.Devices)
-	}
-	if j.LifeResolutionMS < 0 {
-		return fmt.Errorf("fleet: job has negative life resolution %d ms", j.LifeResolutionMS)
 	}
 	return nil
 }
@@ -126,12 +224,15 @@ func (j Job) ResolveScenario() (Scenario, error) {
 	return sc, nil
 }
 
-// Horizon is the per-device simulated duration.
-func (j Job) Horizon() units.Time { return units.Time(j.DurationMS) }
+// String describes the job in one line for logs.
+func (j Job) String() string {
+	return fmt.Sprintf("%s, %d devices × %v, %d shards",
+		j.Scenario, j.Devices, time.Duration(j.Duration)*time.Millisecond, j.Shards)
+}
 
 // SimTotal is the job's total simulated device-time — the work measure
 // behind device-days/s and ETA reporting.
-func (j Job) SimTotal() units.Time { return units.Time(j.Devices) * j.Horizon() }
+func (j Job) SimTotal() units.Time { return units.Time(j.Devices) * j.Duration }
 
 // ShardRange returns shard i's contiguous device index range.
 func (j Job) ShardRange(i int) (lo, hi int) {
@@ -148,18 +249,30 @@ func (j Job) ShardConfig(shard int) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	return Config{
-		Devices:         j.Devices,
-		Seed:            j.Seed,
-		Duration:        units.Time(j.DurationMS),
-		Scenario:        sc,
-		BatteryCapacity: units.Energy(j.BatteryUJ),
-		LifeResolution:  units.Time(j.LifeResolutionMS),
-		ShardIndex:      shard,
-		ShardCount:      j.Shards,
-		CheckpointDir:   j.CheckpointDir,
-		CheckpointEvery: units.Time(j.CheckpointEveryMS),
-	}, nil
+	cfg := j.config(sc)
+	cfg.ShardIndex, cfg.ShardCount = shard, j.Shards
+	cfg.CheckpointDir = j.CheckpointDir
+	cfg.CheckpointEvery = units.Time(j.CheckpointEveryMS)
+	return cfg, nil
+}
+
+// CheckPartial accepts p only as shard's output under this job: its
+// identity, shard plan and device range. A partial from another run is
+// refused naming the field that drifted. The coordinator's Complete,
+// its journal replay and Job.Merge all check partials with it.
+func (j Job) CheckPartial(shard int, p *Partial) error {
+	if p == nil {
+		return fmt.Errorf("fleet: no partial for shard %d", shard)
+	}
+	if p.Identity != j.Identity {
+		return fmt.Errorf("fleet: partial for shard %d is from another run: %s", shard, j.drift(p.Identity))
+	}
+	lo, hi := j.ShardRange(shard)
+	if p.ShardIndex != shard || p.ShardCount != j.Shards || p.RangeLo != lo || p.RangeHi != hi {
+		return fmt.Errorf("fleet: partial %d/%d over [%d,%d) does not describe shard %d/%d over [%d,%d)",
+			p.ShardIndex, p.ShardCount, p.RangeLo, p.RangeHi, shard, j.Shards, lo, hi)
+	}
+	return nil
 }
 
 // ShardRun is the unit of distributed work: shard Shard of the job's
@@ -202,12 +315,14 @@ func (s ShardRun) Run() (*Partial, error) {
 	return RunShard(cfg)
 }
 
-// Merge combines a complete set of shard partials under the job into
-// the full fleet report (see the package-level Merge for the checks).
+// Merge combines the job's complete set of shard partials, parts[i]
+// being shard i's, into the full fleet report (see the package-level
+// Merge for the checks they must pass together).
 func (j Job) Merge(parts []*Partial) (Report, error) {
-	sc, err := j.ResolveScenario()
-	if err != nil {
-		return Report{}, err
+	for i, p := range parts {
+		if err := j.CheckPartial(i, p); err != nil {
+			return Report{}, err
+		}
 	}
-	return Merge(parts, sc)
+	return Merge(parts)
 }

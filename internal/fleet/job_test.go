@@ -3,10 +3,13 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -60,7 +63,8 @@ func TestJobWireRoundTrip(t *testing.T) {
 
 // TestJobValidate: every malformed spec must be rejected loudly.
 func TestJobValidate(t *testing.T) {
-	good := Job{Scenario: "poller", Devices: 10, DurationMS: 1000, Shards: 2}
+	good := Job{Identity: Identity{Scenario: "poller", Devices: 10, Duration: units.Second,
+		LifeResolution: DefaultLifeResolution}, Shards: 2}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +75,11 @@ func TestJobValidate(t *testing.T) {
 	}{
 		{"unknown scenario", func(j *Job) { j.Scenario = "nope" }, "unknown scenario"},
 		{"zero devices", func(j *Job) { j.Devices = 0 }, "at least 1 device"},
-		{"zero duration", func(j *Job) { j.DurationMS = 0 }, "duration"},
+		{"zero duration", func(j *Job) { j.Duration = 0 }, "duration"},
 		{"zero shards", func(j *Job) { j.Shards = 0 }, "shard plan"},
 		{"more shards than devices", func(j *Job) { j.Shards = 11 }, "shard plan"},
-		{"negative life resolution", func(j *Job) { j.LifeResolutionMS = -1 }, "life resolution"},
+		{"negative life resolution", func(j *Job) { j.LifeResolution = -1 }, "life resolution"},
+		{"unnormalized life resolution", func(j *Job) { j.LifeResolution = 0 }, "life resolution"},
 	} {
 		j := good
 		tc.mut(&j)
@@ -162,5 +167,135 @@ func TestParsePartialRejectsStaleFormat(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "partial report "+tc.version) {
 			t.Errorf("stale %s partial: got %v, want a version refusal", tc.version, err)
 		}
+	}
+}
+
+// distinctIdentity sets every Identity field, found by reflection, to a
+// distinct non-zero value, so a field added later is covered below
+// without editing this helper.
+func distinctIdentity(t *testing.T) Identity {
+	t.Helper()
+	var id Identity
+	v := reflect.ValueOf(&id).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(fmt.Sprintf("run-%d", i))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i+1) * 1_000_003)
+		default:
+			t.Fatalf("Identity field %s is a %v; teach distinctIdentity and the codecs about it",
+				v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return id
+}
+
+// renamed is a workload answering to an arbitrary name.
+type renamed struct {
+	IdleScenario
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
+
+// TestIdentityRoundTrip: every Identity field survives each codec that
+// carries it — the epoch header, the partial's and the job's JSON, and
+// the conversion to a Config and back — and a change to any one field
+// is named by drift.
+func TestIdentityRoundTrip(t *testing.T) {
+	id := distinctIdentity(t)
+
+	t.Run("epoch header", func(t *testing.T) {
+		w := snap.NewWriter()
+		id.save(w)
+		blob, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := snap.Open(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Identity
+		back.load(r)
+		if err := r.Close(); err != nil || back != id {
+			t.Fatalf("load(save(id)) = %+v, %v; want %+v", back, err, id)
+		}
+	})
+	t.Run("partial and job JSON", func(t *testing.T) {
+		b, err := json.Marshal(Partial{Identity: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p Partial
+		if err := json.Unmarshal(b, &p); err != nil || p.Identity != id {
+			t.Fatalf("partial round trip: %+v, %v; want %+v", p.Identity, err, id)
+		}
+		if b, err = json.Marshal(Job{Identity: id}); err != nil {
+			t.Fatal(err)
+		}
+		var j Job
+		if err := json.Unmarshal(b, &j); err != nil || j.Identity != id {
+			t.Fatalf("job round trip: %+v, %v; want %+v", j.Identity, err, id)
+		}
+	})
+	t.Run("config", func(t *testing.T) {
+		if back := id.config(renamed{name: id.Scenario}).identity(); back != id {
+			t.Fatalf("config(id).identity() = %+v, want %+v", back, id)
+		}
+	})
+	t.Run("drift", func(t *testing.T) {
+		if d := id.drift(id); d != "" {
+			t.Fatalf("identical runs drift: %s", d)
+		}
+		typ := reflect.TypeOf(id)
+		for i := 0; i < typ.NumField(); i++ {
+			got := id
+			f := reflect.ValueOf(&got).Elem().Field(i)
+			if f.Kind() == reflect.String {
+				f.SetString("other")
+			} else {
+				f.SetInt(-f.Int())
+			}
+			name := typ.Field(i).Tag.Get("json")
+			if d := id.drift(got); !strings.HasPrefix(d, name+" is ") {
+				t.Errorf("changing %s: drift %q does not name %s", typ.Field(i).Name, d, name)
+			}
+		}
+	})
+}
+
+// TestBindFlags: the run flags both CLIs share parse into the expected
+// Config, and an unknown scenario is refused naming the registry.
+func TestBindFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	build := BindFlags(fs)
+	if err := fs.Parse([]string{"-devices", "40", "-seed", "9", "-duration", "6h", "-scenario", "dayinthelife",
+		"-battery-j", "2000", "-checkpoint-dir", "ckpt", "-checkpoint-every", "2h"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Scenario == nil || cfg.Scenario.Name() != "dayinthelife" {
+		t.Fatalf("scenario %v, want dayinthelife", cfg.Scenario)
+	}
+	cfg.Scenario = nil
+	want := Config{Devices: 40, Seed: 9, Duration: 6 * units.Hour, BatteryCapacity: units.Joules(2000),
+		CheckpointDir: "ckpt", CheckpointEvery: 2 * units.Hour}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("flags built\n%+v\nwant\n%+v", cfg, want)
+	}
+
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	build = BindFlags(fs)
+	if err := fs.Parse([]string{"-scenario", "nope"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := build(); err == nil || !strings.Contains(err.Error(), `unknown scenario "nope"`) ||
+		!strings.Contains(err.Error(), scenarioNames()) {
+		t.Fatalf("unknown scenario: got %v, want a refusal listing %s", err, scenarioNames())
 	}
 }

@@ -33,13 +33,8 @@ type Partial struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
 
-	// Identity: every shard of a run must agree on these exactly.
-	Scenario         string `json:"scenario"`
-	Devices          int    `json:"devices"`
-	Seed             int64  `json:"seed"`
-	DurationMS       int64  `json:"duration_ms"`
-	BatteryUJ        int64  `json:"battery_uj"`
-	LifeResolutionMS int64  `json:"life_resolution_ms"`
+	// Identity names the run; every shard of it must carry the same.
+	Identity
 
 	ShardIndex int `json:"shard_index"`
 	ShardCount int `json:"shard_count"`
@@ -99,18 +94,13 @@ func runShard(cfg Config, workers int) (*Partial, error) {
 func packPartial(cfg Config, a *aggregate) *Partial {
 	lo, hi := cfg.shardRange()
 	p := &Partial{
-		Format:           "cinder-fleet-partial",
-		Version:          PartialVersion,
-		Scenario:         cfg.Scenario.Name(),
-		Devices:          cfg.Devices,
-		Seed:             cfg.Seed,
-		DurationMS:       int64(cfg.Duration),
-		BatteryUJ:        int64(cfg.BatteryCapacity),
-		LifeResolutionMS: int64(cfg.LifeResolution),
-		ShardIndex:       cfg.ShardIndex,
-		ShardCount:       cfg.ShardCount,
-		RangeLo:          lo,
-		RangeHi:          hi,
+		Format:     "cinder-fleet-partial",
+		Version:    PartialVersion,
+		Identity:   cfg.identity(),
+		ShardIndex: cfg.ShardIndex,
+		ShardCount: cfg.ShardCount,
+		RangeLo:    lo,
+		RangeHi:    hi,
 		Agg: partialAgg{
 			Seen:          a.seen,
 			MinConsumedUJ: int64(a.minConsumed),
@@ -230,22 +220,15 @@ func (p *Partial) unpack() *aggregate {
 // Merge combines every shard's partial report into the full fleet
 // Report. Each partial must pass ParsePartial's consistency check, and
 // together they must form an exact partition of the device range and
-// agree on the run identity; any gap, overlap or mismatch is a loud
+// carry one run Identity; any gap, overlap or mismatch is a loud
 // error. The merged report's canonical JSON is byte-identical to a
 // single-process run of the same config, which the shard invariance
 // suite asserts.
-func Merge(parts []*Partial, scenario Scenario) (Report, error) {
+func Merge(parts []*Partial) (Report, error) {
 	if len(parts) == 0 {
 		return Report{}, fmt.Errorf("fleet: merge of zero partials")
 	}
 	ref := parts[0]
-	if scenario == nil || scenario.Name() != ref.Scenario {
-		name := "<nil>"
-		if scenario != nil {
-			name = scenario.Name()
-		}
-		return Report{}, fmt.Errorf("fleet: merge scenario %q does not match partials' %q", name, ref.Scenario)
-	}
 	sorted := make([]*Partial, len(parts))
 	copy(sorted, parts)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RangeLo < sorted[j].RangeLo })
@@ -257,9 +240,7 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 			return Report{}, err
 		}
 		switch {
-		case p.Scenario != ref.Scenario || p.Devices != ref.Devices || p.Seed != ref.Seed ||
-			p.DurationMS != ref.DurationMS || p.BatteryUJ != ref.BatteryUJ ||
-			p.LifeResolutionMS != ref.LifeResolutionMS || p.ShardCount != ref.ShardCount:
+		case p.Identity != ref.Identity || p.ShardCount != ref.ShardCount:
 			return Report{}, fmt.Errorf("fleet: partial %d/%d does not match partial %d/%d: "+
 				"shards must come from one identically configured run",
 				p.ShardIndex, p.ShardCount, ref.ShardIndex, ref.ShardCount)
@@ -273,13 +254,5 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 	if covered != ref.Devices {
 		return Report{}, fmt.Errorf("fleet: shards cover %d of %d devices", covered, ref.Devices)
 	}
-
-	cfg := Config{
-		Devices:         ref.Devices,
-		Seed:            ref.Seed,
-		Duration:        units.Time(ref.DurationMS),
-		Scenario:        scenario,
-		BatteryCapacity: units.Energy(ref.BatteryUJ),
-	}
-	return agg.finish(cfg, 0), nil
+	return agg.finish(ref.Identity), nil
 }

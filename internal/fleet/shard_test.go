@@ -52,7 +52,7 @@ func TestShardMergeMatchesSingleProcess(t *testing.T) {
 		parts = append(parts, back)
 	}
 	// Merge in scrambled order; Merge sorts by range.
-	merged, err := Merge([]*Partial{parts[2], parts[0], parts[1]}, cfg.Scenario)
+	merged, err := Merge([]*Partial{parts[2], parts[0], parts[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,23 +112,30 @@ func TestMergeValidation(t *testing.T) {
 	}
 	p0, p1, p2 := mk(0, 3), mk(1, 3), mk(2, 3)
 
-	if _, err := Merge([]*Partial{p0, p2}, cfg.Scenario); err == nil ||
+	if _, err := Merge([]*Partial{p0, p2}); err == nil ||
 		!strings.Contains(err.Error(), "coverage gap") {
 		t.Fatalf("gap: want coverage error, got %v", err)
 	}
-	if _, err := Merge([]*Partial{p0, p1, p1, p2}, cfg.Scenario); err == nil {
+	if _, err := Merge([]*Partial{p0, p1, p1, p2}); err == nil {
 		t.Fatal("duplicate shard merged silently")
 	}
 	drift := *p1
 	drift.Seed = 999
-	if _, err := Merge([]*Partial{p0, &drift, p2}, cfg.Scenario); err == nil ||
+	if _, err := Merge([]*Partial{p0, &drift, p2}); err == nil ||
 		!strings.Contains(err.Error(), "identically configured") {
 		t.Fatalf("seed drift: want identity error, got %v", err)
 	}
-	if _, err := Merge([]*Partial{p0, p1, p2}, IdleScenario{}); err == nil {
-		t.Fatal("wrong scenario merged silently")
+	other := cfg
+	other.Scenario = IdleScenario{}
+	job, err := NewJob(other, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Merge(nil, cfg.Scenario); err == nil {
+	if _, err := job.Merge([]*Partial{p0, p1, p2}); err == nil ||
+		!strings.Contains(err.Error(), `scenario is `+cfg.Scenario.Name()+`, want idle`) {
+		t.Fatalf("wrong scenario merged silently: %v", err)
+	}
+	if _, err := Merge(nil); err == nil {
 		t.Fatal("empty merge succeeded")
 	}
 }
@@ -142,7 +149,7 @@ func TestParsePartialRejectsInconsistent(t *testing.T) {
 	base := func() *Partial {
 		return &Partial{
 			Format: "cinder-fleet-partial", Version: PartialVersion,
-			Scenario: "idle", Devices: 4, Seed: 1, DurationMS: int64(units.Hour),
+			Identity:   Identity{Scenario: "idle", Devices: 4, Seed: 1, Duration: units.Hour},
 			ShardIndex: 0, ShardCount: 1, RangeLo: 0, RangeHi: 4,
 			Agg: partialAgg{Seen: 4},
 			Buckets: []partialBucket{
@@ -151,7 +158,7 @@ func TestParsePartialRejectsInconsistent(t *testing.T) {
 			},
 		}
 	}
-	if _, err := Merge([]*Partial{base()}, IdleScenario{}); err != nil {
+	if _, err := Merge([]*Partial{base()}); err != nil {
 		t.Fatalf("consistent base partial refused: %v", err)
 	}
 	for _, tc := range []struct {
@@ -197,7 +204,7 @@ func TestParsePartialRejectsInconsistent(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "partial 0/1") || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("ParsePartial: got %v, want an error naming partial 0/1 and %q", err, tc.want)
 			}
-			if _, err := Merge([]*Partial{p}, IdleScenario{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := Merge([]*Partial{p}); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Merge: got %v, want an error containing %q", err, tc.want)
 			}
 		})

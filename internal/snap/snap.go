@@ -28,8 +28,9 @@ const Magic = "CNDSNAP1"
 // Version 2 dropped the engine/settle modes from the fleet's epoch
 // header and renumbered the engine section's mode. Version 3 reordered
 // the fleet's dead-device result record to carry its counters as one
-// block.
-const Version uint32 = 3
+// block. Version 4 writes the fleet's epoch header as the run identity
+// block followed by the interval, epoch and range.
+const Version uint32 = 4
 
 // Errors the reader can return (wrapped with context).
 var (

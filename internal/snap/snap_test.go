@@ -1,7 +1,9 @@
 package snap
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -123,5 +125,46 @@ func TestUnreadTrailerFailsLoudly(t *testing.T) {
 	_ = r.U64()
 	if err := r.Close(); !errors.Is(err, ErrSection) {
 		t.Fatalf("want ErrSection for unread payload, got %v", err)
+	}
+}
+
+// TestFrameRoundTripAndTruncation: frames written with AppendFrame read
+// back in order with their kinds, the stream ends with a bare io.EOF on
+// a frame boundary, and a stream cut inside a frame's length or payload
+// is ErrTruncated rather than a short frame.
+func TestFrameRoundTripAndTruncation(t *testing.T) {
+	big := bytes.Repeat([]byte{7}, 300) // a two-byte length varint
+	var b []byte
+	b = AppendFrame(b, 0, []byte("header"))
+	b = AppendFrame(b, 2, nil)
+	b = AppendFrame(b, 1, big)
+	r := bytes.NewReader(b)
+	for i, want := range []struct {
+		kind int
+		blob []byte
+	}{{0, []byte("header")}, {2, []byte{}}, {1, big}} {
+		kind, blob, err := ReadFrame(r)
+		if err != nil || kind != want.kind || !bytes.Equal(blob, want.blob) {
+			t.Fatalf("frame %d: kind %d, %d bytes, %v; want kind %d, %d bytes",
+				i, kind, len(blob), err, want.kind, len(want.blob))
+		}
+	}
+	if _, _, err := ReadFrame(r); err != io.EOF {
+		t.Fatalf("end of stream: got %v, want io.EOF", err)
+	}
+
+	last := AppendFrame(nil, 1, big)
+	for _, tc := range []struct {
+		name string
+		cut  int
+		want string
+	}{
+		{"truncated length", 2, "frame length"},
+		{"truncated payload", len(last) - 1, "frame payload (299 of 300 bytes)"},
+	} {
+		_, _, err := ReadFrame(bytes.NewReader(last[:tc.cut]))
+		if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want ErrTruncated naming %q", tc.name, err, tc.want)
+		}
 	}
 }
