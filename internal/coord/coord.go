@@ -373,7 +373,9 @@ func (c *Coordinator) Heartbeat(runner string, beat delivery.Beat) error {
 // finished anyway delivers an identical partial (resumed shard runs
 // are byte-identical), so its late result is accepted as long as the
 // shard is still open. A retried duplicate from the completing runner
-// is an idempotent success.
+// is an idempotent success. A partial that does not belong to the
+// shard is refused (delivery.ErrRefused); a journal write failure is
+// returned plain, so the runner retries it.
 func (c *Coordinator) Complete(runner string, shard int, p *fleet.Partial) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -391,7 +393,7 @@ func (c *Coordinator) Complete(runner string, shard int, p *fleet.Partial) error
 		return delivery.ErrLeaseLost
 	}
 	if err := c.job.CheckPartial(shard, p); err != nil {
-		return fmt.Errorf("coord: %w", err)
+		return fmt.Errorf("%w: coord: %w", delivery.ErrRefused, err)
 	}
 	if c.jnl != nil {
 		pj, err := p.JSON()

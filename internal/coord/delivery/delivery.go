@@ -38,6 +38,12 @@ var (
 	ErrLeaseLost = errors.New("delivery: lease lost")
 	// ErrNotDone : the merged report was requested before completion.
 	ErrNotDone = errors.New("delivery: job not done yet")
+	// ErrRefused : the coordinator refused a Complete's payload (a
+	// malformed request body, or a partial that fails its parse gate or
+	// does not belong to the leased shard). Redelivering the same
+	// partial cannot succeed; the runner reports the attempt failed.
+	// The error's text names what was refused.
+	ErrRefused = errors.New("delivery: refused")
 )
 
 // Task is one leased unit of work: a shard of a job.

@@ -3,6 +3,7 @@ package delivery
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -210,8 +211,8 @@ func TestHTTPCompleteRefusesInconsistentPartial(t *testing.T) {
 	part.Buckets[0].Devices = 0
 	svc := &stubService{}
 	err = serveStub(t, svc).Complete(context.Background(), "r", 0, part)
-	// The error travels as a JSON body, so the bucket name arrives quoted.
-	if err == nil || !strings.Contains(err.Error(), `partial 0/2 bucket \"poller\" has 0 devices`) {
+	// The refusal decodes to ErrRefused and keeps the coordinator's text.
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), `partial 0/2 bucket "poller" has 0 devices`) {
 		t.Fatalf("inconsistent partial: got %v, want a refusal naming shard and bucket", err)
 	}
 	if len(svc.completed) != 0 {
@@ -237,6 +238,14 @@ func TestSentinelWireCodes(t *testing.T) {
 		if got := decodeErr(status, body); got != sentinel {
 			t.Fatalf("code %q decoded to %v, want %v", code, got, sentinel)
 		}
+	}
+	refused := []byte(`{"code":"refused","error":"delivery: refused: coord: partial 0/2 is from another run"}`)
+	if err := decodeErr(http.StatusUnprocessableEntity, refused); !errors.Is(err, ErrRefused) ||
+		err.Error() != "delivery: refused: coord: partial 0/2 is from another run" {
+		t.Fatalf("refusal decoded to %q, want ErrRefused with the coordinator's text", err)
+	}
+	if !IsProtocol(fmt.Errorf("coord: %w", ErrRefused)) {
+		t.Fatal("a wrapped refusal is not a protocol outcome: Retry would redeliver it")
 	}
 	if err := decodeErr(500, []byte("something broke")); err == nil ||
 		!strings.Contains(err.Error(), "something broke") {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,7 +38,8 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
-// Sentinel ↔ wire-code mapping.
+// Sentinel ↔ wire-code mapping. A refusal keeps the coordinator's
+// text, which says what was refused; the other outcomes decode bare.
 var errCodes = []struct {
 	err    error
 	code   string
@@ -47,13 +49,14 @@ var errCodes = []struct {
 	{ErrDone, "done", http.StatusGone},
 	{ErrLeaseLost, "lease_lost", http.StatusConflict},
 	{ErrNotDone, "not_done", http.StatusNotFound},
+	{ErrRefused, "refused", http.StatusUnprocessableEntity},
 }
 
 func writeErr(w http.ResponseWriter, err error) {
 	he := httpError{Error: err.Error()}
 	status := http.StatusBadRequest
 	for _, m := range errCodes {
-		if err == m.err {
+		if errors.Is(err, m.err) {
 			he.Code, status = m.code, m.status
 			break
 		}
@@ -68,9 +71,13 @@ func decodeErr(status int, body []byte) error {
 	var he httpError
 	if json.Unmarshal(body, &he) == nil && he.Code != "" {
 		for _, m := range errCodes {
-			if he.Code == m.code {
-				return m.err
+			if he.Code != m.code {
+				continue
 			}
+			if m.err == ErrRefused {
+				return fmt.Errorf("%w%s", ErrRefused, strings.TrimPrefix(he.Error, ErrRefused.Error()))
+			}
+			return m.err
 		}
 	}
 	msg := strings.TrimSpace(string(body))
@@ -165,12 +172,12 @@ func Handler(svc Service) http.Handler {
 	post(pathComplete, func(w http.ResponseWriter, body []byte) {
 		var req completeReq
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeErr(w, fmt.Errorf("delivery: bad complete request: %w", err))
+			writeErr(w, fmt.Errorf("%w: bad complete request: %v", ErrRefused, err))
 			return
 		}
 		p, err := fleet.ParsePartial(req.Partial)
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, fmt.Errorf("%w: %w", ErrRefused, err))
 			return
 		}
 		if err := svc.Complete(req.Runner, req.Shard, p); err != nil {

@@ -108,7 +108,8 @@ func (b Backoff) Delay(attempt int) time.Duration {
 // failure worth retrying.
 func IsProtocol(err error) bool {
 	return errors.Is(err, ErrNoWork) || errors.Is(err, ErrDone) ||
-		errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrNotDone)
+		errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrNotDone) ||
+		errors.Is(err, ErrRefused)
 }
 
 // Retry runs call until it succeeds, returns a protocol outcome, the

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/coord/delivery"
 	"repro/internal/fleet"
@@ -78,5 +79,59 @@ func TestCompleteRefusesForeignRun(t *testing.T) {
 				t.Fatalf("the genuine partial after the refusals: %v", err)
 			}
 		})
+	}
+}
+
+// refusingConn forwards a runner's conversation, counting its Complete
+// and Fail calls, and delivers every partial under another seed so the
+// coordinator refuses it.
+type refusingConn struct {
+	delivery.Conn
+	completes, fails int
+	failMsg          string
+}
+
+func (c *refusingConn) Complete(ctx context.Context, runner string, shard int, p *fleet.Partial) error {
+	c.completes++
+	drifted := *p
+	drifted.Seed++
+	return c.Conn.Complete(ctx, runner, shard, &drifted)
+}
+
+func (c *refusingConn) Fail(ctx context.Context, runner string, shard, attempt int, msg string) error {
+	c.fails++
+	c.failMsg = msg
+	return c.Conn.Fail(ctx, runner, shard, attempt, msg)
+}
+
+// TestRunnerReportsRefusedPartial: a partial the coordinator refuses
+// over HTTP is not redelivered. The runner makes exactly one Complete
+// call, then reports the attempt failed with the refusal's text, and
+// the coordinator charges it (here its last attempt, failing the job).
+func TestRunnerReportsRefusedPartial(t *testing.T) {
+	job := dayJob(t, 4, 1)
+	co := New(Options{MaxAttempts: 1})
+	if err := co.Submit(job); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(delivery.Handler(co))
+	defer srv.Close()
+	conn := &refusingConn{Conn: delivery.DialHTTP(srv.URL)}
+	defer conn.Close()
+	r := &Runner{ID: "r", Conn: conn, Workers: 2}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := r.Run(ctx); err != nil {
+		t.Fatalf("runner: %v", err)
+	}
+	if conn.completes != 1 || conn.fails != 1 {
+		t.Fatalf("runner made %d Complete and %d Fail calls, want 1 and 1", conn.completes, conn.fails)
+	}
+	if !strings.Contains(conn.failMsg, "seed is ") {
+		t.Fatalf("Fail carried %q, want the refusal naming the seed", conn.failMsg)
+	}
+	if _, err := co.Result(false); err == nil || !strings.Contains(err.Error(), "failed 1 times") ||
+		!strings.Contains(err.Error(), "seed is ") {
+		t.Fatalf("Result after the refusal: %v, want the charged attempt's refusal", err)
 	}
 }

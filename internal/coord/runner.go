@@ -24,7 +24,9 @@ import (
 // fleet of runners rides out a coordinator restart or partition and
 // reattaches when it returns), and a finished shard's Complete is
 // retried until it is delivered or the context ends — the partial in
-// hand may be the last copy of hours of simulation.
+// hand may be the last copy of hours of simulation. A partial the
+// coordinator refuses is not retried: the runner reports the attempt
+// failed with the refusal's text, and the coordinator charges it.
 type Runner struct {
 	// ID names this runner in leases and logs.
 	ID string
@@ -230,6 +232,9 @@ func (r *Runner) runTask(ctx context.Context, task delivery.Task) error {
 			r.logf("runner %s: shard %d complete", r.ID, task.Shard)
 		case errors.Is(cerr, delivery.ErrLeaseLost), errors.Is(cerr, delivery.ErrDone):
 			r.logf("runner %s: shard %d finished but lease was gone", r.ID, task.Shard)
+		case errors.Is(cerr, delivery.ErrRefused):
+			r.logf("runner %s: shard %d result refused: %v", r.ID, task.Shard, cerr)
+			r.fail(ctx, task, cerr.Error())
 		case ctx.Err() != nil:
 			return ctx.Err()
 		default:
@@ -243,16 +248,20 @@ func (r *Runner) runTask(ctx context.Context, task delivery.Task) error {
 		return ctx.Err()
 	default:
 		r.logf("runner %s: shard %d failed: %v", r.ID, task.Shard, err)
-		// Bounded best effort: lease expiry covers us if this doesn't
-		// arrive, so a few retries are worth it but forever is not.
-		fb := r.backoff()
-		fb.MaxAttempts = 5
-		msg := err.Error()
-		delivery.Retry(ctx, fb, func(cctx context.Context) error {
-			return r.Conn.Fail(cctx, r.ID, task.Shard, task.Attempt, msg)
-		})
+		r.fail(ctx, task, err.Error())
 		return nil
 	}
+}
+
+// fail reports the task's attempt failed with msg. Bounded best
+// effort: lease expiry covers us if this doesn't arrive, so a few
+// retries are worth it but forever is not.
+func (r *Runner) fail(ctx context.Context, task delivery.Task, msg string) {
+	fb := r.backoff()
+	fb.MaxAttempts = 5
+	delivery.Retry(ctx, fb, func(cctx context.Context) error {
+		return r.Conn.Fail(cctx, r.ID, task.Shard, task.Attempt, msg)
+	})
 }
 
 // sleep waits d or until the context ends.

@@ -485,9 +485,9 @@ func (r *Radio) SettleAccounts() []*core.Reserve { return r.accounts[:] }
 // ramp until the first tick at/after rampEnd (which bills ramp power and
 // flips to Active, as the per-tick code does), a plateau until the first
 // tick at/after the idle deadline (which bills nothing, sweeps the fund
-// and sleeps), then nothing. Constant-power spans telescope their carry
-// exactly; a span the fund cannot cover replays tick by tick so the
-// fund→battery spill sequence matches a per-tick run to the microjoule.
+// and sleeps), then nothing. Each constant-power span telescopes its
+// carry exactly; one the fund cannot cover splits in closed form, the
+// fund paying its whole level and the battery the rest (settleSpan).
 func (r *Radio) SettleTicks(from, to, dt units.Time) {
 	for t := from; t <= to; {
 		switch r.state {
@@ -533,9 +533,14 @@ func (r *Radio) SettleTicks(from, to, dt units.Time) {
 	}
 }
 
-// settleSpan bills n ticks of constant extra power in one telescoped
-// debit when the fund covers the total, or tick by tick when it does not
-// (so the exact instant billing spills to the battery is preserved).
+// settleSpan bills n ticks of constant extra power exactly as n
+// DeviceTick calls would. Tick j's cumulative draw is ⌊(x·j+c₀)/1000⌋
+// (x = power·dt, c₀ = the carry), so the per-tick run drains the fund
+// as a prefix: every tick the fund covers bills it, the first tick it
+// cannot cover drains its remainder and sends the shortfall to the
+// battery, and every later tick bills the battery alone. Whatever tick
+// the crossing falls on, the fund pays exactly its level and the battery
+// the rest, so the span settles as at most two debits.
 func (r *Radio) settleSpan(n int64, dt units.Time, extra units.Power) {
 	if n <= 0 {
 		return
@@ -543,22 +548,37 @@ func (r *Radio) settleSpan(n int64, dt units.Time, extra units.Power) {
 	total := int64(extra)*int64(dt)*n + r.carry
 	e := units.Energy(total / 1000)
 	if e > 0 && !r.fund.CanConsume(r.priv, e) {
-		for i := int64(0); i < n; i++ {
-			var ei units.Energy
-			ei, r.carry = extra.OverRem(dt, r.carry)
-			if ei > 0 {
-				r.consumeDevice(ei)
-				r.stats.StateEnergy += ei
-			}
-			r.stats.ActiveTime += dt
+		fund, err := r.fund.Level(r.priv)
+		if err != nil || !r.fund.CanConsume(r.priv, fund) {
+			fund = 0 // dead or closed to the radio: consumeDevice skips it
 		}
-		return
+		battery := r.graph.Battery()
+		if !battery.CanConsume(r.priv, e-fund) {
+			// Closed-form settlement only runs while the battery's
+			// depletion horizon covers the radio's PeakDraw, so
+			// production never reaches this: a battery that cannot pay
+			// the remainder replays tick by tick, failing each
+			// Consume it cannot cover as a per-tick run would.
+			for i := int64(0); i < n; i++ {
+				var ei units.Energy
+				ei, r.carry = extra.OverRem(dt, r.carry)
+				if ei > 0 {
+					r.consumeDevice(ei)
+					r.stats.StateEnergy += ei
+				}
+				r.stats.ActiveTime += dt
+			}
+			return
+		}
+		if fund > 0 {
+			_ = r.fund.Consume(r.priv, fund)
+		}
+		_ = battery.Consume(r.priv, e-fund)
+	} else if e > 0 {
+		_ = r.fund.Consume(r.priv, e)
 	}
 	r.carry = total % 1000
-	if e > 0 {
-		r.consumeDevice(e)
-		r.stats.StateEnergy += e
-	}
+	r.stats.StateEnergy += e
 	r.stats.ActiveTime += units.Time(n) * dt
 }
 
