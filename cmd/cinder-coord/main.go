@@ -39,6 +39,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/coord/delivery"
 	"repro/internal/fleet"
+	"repro/internal/units"
 )
 
 func main() {
@@ -129,6 +130,9 @@ func runSubmit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *every <= 0 {
+		return fmt.Errorf("-status-every must be positive, got %v", *every)
+	}
 	cfg, err := build()
 	if err != nil {
 		return err
@@ -185,20 +189,9 @@ func progressLine(st delivery.Status) string {
 	if !st.Submitted {
 		return "no job submitted yet"
 	}
-	pct := 0.0
-	if st.SimTotalMS > 0 {
-		pct = 100 * float64(st.SimDoneMS) / float64(st.SimTotalMS)
-	}
-	line := fmt.Sprintf("%5.1f%%  %d/%d devices", pct, st.DevicesDone, st.Devices)
-	if st.ElapsedMS > 0 {
-		days := float64(st.SimDoneMS) / float64(24*time.Hour.Milliseconds())
-		rate := days / (float64(st.ElapsedMS) / 1000)
-		line += fmt.Sprintf("  %.1f device-days/s", rate)
-		if st.SimDoneMS > 0 && !st.Done {
-			etaMS := float64(st.SimTotalMS-st.SimDoneMS) * float64(st.ElapsedMS) / float64(st.SimDoneMS)
-			line += fmt.Sprintf("  ETA %v", (time.Duration(etaMS) * time.Millisecond).Round(time.Second))
-		}
-	}
+	line := fleet.ProgressText(units.Time(st.SimDoneMS), units.Time(st.SimTotalMS),
+		time.Duration(st.ElapsedMS)*time.Millisecond)
+	line += fmt.Sprintf("  %d/%d devices", st.DevicesDone, st.Devices)
 	running, done := 0, 0
 	lastCk := -1
 	for _, s := range st.Shards {

@@ -71,19 +71,7 @@ func (pm *progressMeter) update(shard int, p fleet.Progress) {
 			total += q.SimTotal()
 		}
 	}
-	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(simDone) / float64(total)
-	}
-	line := fmt.Sprintf("%5.1f%%", pct)
-	if elapsed := now.Sub(pm.start); elapsed > 0 && simDone > 0 {
-		days := float64(simDone) / float64(24*units.Hour)
-		line += fmt.Sprintf("  %.1f device-days/s", days/elapsed.Seconds())
-		if total > simDone {
-			etaMS := float64(total-simDone) * elapsed.Seconds() * 1000 / float64(simDone)
-			line += fmt.Sprintf("  ETA %v", (time.Duration(etaMS) * time.Millisecond).Round(time.Second))
-		}
-	}
+	line := fleet.ProgressText(simDone, total, now.Sub(pm.start))
 	if len(pm.shards) == 1 {
 		for _, q := range pm.shards {
 			if q.Epochs > 1 {
@@ -193,9 +181,8 @@ func attachStreams(cfg *fleet.Config, perDevOut string, canonical, progress bool
 	}
 	if progress {
 		pm := newProgressMeter(0)
-		shard := cfg.ShardIndex
 		cfg.Progress = func(p fleet.Progress) error {
-			pm.update(shard, p)
+			pm.update(0, p) // the run's one range
 			return nil
 		}
 	}

@@ -24,6 +24,10 @@
 // engine, every periodic task executed, every device built fresh):
 //
 //	cinder-fleet -devices 200 -duration 10m -scenario dayinthelife -json -canonical -reference
+//
+// Each mode (-runner, -merge, -shards, -shard, -sweep, or a plain run)
+// refuses by name any flag set on the command line that it would
+// ignore.
 package main
 
 import (
@@ -72,18 +76,45 @@ func realMain() int {
 	build := fleet.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *reference && (*shard != "" || *shardsN > 0 || *runnersN > 0 || *runnerURL != "" || *merge) {
+	// The modes, in the order they take precedence, each with the flags
+	// it reads (every mode reads the profiling flags too). A set flag
+	// the chosen mode would ignore is refused by name.
+	const run = " devices seed duration scenario battery-j checkpoint-dir checkpoint-every"
+	modes := []struct {
+		flag, does, reads string
+		on                bool
+	}{
+		{"-runner", "takes its work from the coordinator", "runner runner-id workers progress", *runnerURL != ""},
+		{"-merge", "combines finished partials", "merge json canonical o", *merge},
+		{"-shards", "runs the whole job through a coordinator",
+			"shards runners workers json canonical progress o" + run, *shardsN > 0 || *runnersN > 0},
+		{"-shard", "runs one shard of one fleet",
+			"shard workers canonical progress per-device-out resume o" + run, *shard != ""},
+		{"-sweep", "runs one fleet per battery",
+			"sweep workers reference json per-device resume devices seed duration scenario checkpoint-dir checkpoint-every", *sweep != ""},
+		{"a plain run", "simulates one fleet in this process",
+			"workers reference json canonical per-device per-device-out progress resume o" + run, true},
+	}
+	i := 0
+	for !modes[i].on {
+		i++
+	}
+	m := modes[i]
+	reads := map[string]bool{"cpuprofile": true, "memprofile": true}
+	for _, name := range strings.Fields(m.reads) {
+		reads[name] = true
+	}
+	if *reference && !reads["reference"] {
 		return fail(fmt.Errorf("-reference is single-process: it cannot combine with -shard, -shards, -runners, -runner or -merge"))
 	}
-
-	if *runnerURL != "" {
-		if *merge || *shard != "" || *sweep != "" || *shardsN > 0 || *jsonOut || *perDevice || *perDevOut != "" {
-			return fail(fmt.Errorf("-runner takes its work from the coordinator; it cannot combine with -merge, -shard, -sweep, -shards, -json, -per-device or -per-device-out"))
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			ignored = append(ignored, f.Name)
 		}
-		if err := runRunner(*runnerURL, *runnerID, *workers, *progress); err != nil {
-			return fail(err)
-		}
-		return 0
+	})
+	if len(ignored) > 0 {
+		return fail(fmt.Errorf("%s %s; it cannot combine with -%s", m.flag, m.does, ignored[0]))
 	}
 
 	if *cpuProf != "" {
@@ -119,28 +150,6 @@ func realMain() int {
 	if err != nil {
 		return fail(err)
 	}
-	if *merge {
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-sweep", *sweep != ""},
-			{"-shard", *shard != ""},
-			{"-shards", *shardsN > 0},
-			{"-runners", *runnersN > 0},
-			{"-checkpoint-dir", cfg.CheckpointDir != ""},
-			{"-resume", *resume},
-		} {
-			if f.set {
-				return fail(fmt.Errorf("-merge combines finished partials; it cannot combine with %s", f.name))
-			}
-		}
-		if err := runMerge(flag.Args(), *jsonOut, *canonOut, *perDevice, *outPath); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	cfg.Workers = *workers
 	// Per-device output needs the result array retained; otherwise the
 	// run streams results and stays O(workers + buckets).
@@ -149,50 +158,56 @@ func realMain() int {
 	cfg.Resume = *resume
 	cfg.Warnf = logf
 
-	if *shardsN > 0 || *runnersN > 0 {
+	switch m.flag {
+	case "-runner":
+		err = runRunner(*runnerURL, *runnerID, *workers, *progress)
+	case "-merge":
+		err = runMerge(flag.Args(), *jsonOut, *canonOut, *outPath)
+	case "-shards":
 		shards := *shardsN
 		if shards <= 0 {
 			shards = *runnersN
 		}
-		switch {
-		case *shard != "" || *sweep != "":
-			return fail(fmt.Errorf("-shards runs the whole job; it cannot combine with -shard or -sweep"))
-		case *resume:
-			return fail(fmt.Errorf("-shards manages resumption itself (lost shards are re-leased with resume); drop -resume"))
-		case *perDevice || *perDevOut != "":
-			return fail(fmt.Errorf("per-device output needs the single-process path: shard partials do not carry per-device results"))
-		}
-		if err := runLocalCoord(cfg, shards, *runnersN, *jsonOut, *canonOut, *progress, *outPath); err != nil {
-			return fail(err)
-		}
-		return 0
+		err = runLocalCoord(cfg, shards, *runnersN, *jsonOut, *canonOut, *progress, *outPath)
+	case "-sweep":
+		err = runSweep(cfg, *sweep, *jsonOut, *perDevice)
+	default:
+		err = runFleet(cfg, *shard, *perDevOut, *jsonOut, *canonOut, *perDevice, *progress, *outPath)
 	}
-	if *sweep != "" {
-		switch {
-		case *shard != "":
-			return fail(fmt.Errorf("-shard runs one shard of one fleet; it cannot combine with -sweep"))
-		case *perDevOut != "" || *progress:
-			return fail(fmt.Errorf("-sweep runs several fleets; -per-device-out and -progress apply to a single run"))
-		}
-		if err := runSweep(cfg, *sweep, *jsonOut, *perDevice); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-	if *shard != "" {
-		if cfg.ShardIndex, cfg.ShardCount, err = parseShard(*shard); err != nil {
-			return fail(err)
-		}
-	}
-
-	closeStreams, err := attachStreams(&cfg, *perDevOut, *canonOut, *progress)
 	if err != nil {
 		return fail(err)
+	}
+	return 0
+}
+
+// runFleet simulates the fleet in this process and prints its report,
+// or, given a -shard spec "i/n", runs shard i of the job's n-shard plan
+// and writes its partial report.
+func runFleet(cfg fleet.Config, spec, perDevOut string, jsonOut, canonical, perDevice, progress bool, outPath string) error {
+	if spec != "" {
+		idx, count, err := parseShard(spec)
+		if err != nil {
+			return err
+		}
+		job, err := fleet.NewJob(cfg, count)
+		if err != nil {
+			return err
+		}
+		scfg, err := job.ShardConfig(idx)
+		if err != nil {
+			return err
+		}
+		scfg.Workers, scfg.Resume, scfg.Warnf = cfg.Workers, cfg.Resume, cfg.Warnf
+		cfg = scfg
+	}
+	closeStreams, err := attachStreams(&cfg, perDevOut, canonical, progress)
+	if err != nil {
+		return err
 	}
 	start := time.Now()
 	var rep fleet.Report
 	var part *fleet.Partial
-	if cfg.ShardCount > 0 {
+	if spec != "" {
 		part, err = fleet.RunShard(cfg)
 	} else {
 		rep, err = fleet.Run(cfg)
@@ -201,38 +216,32 @@ func realMain() int {
 		err = cerr
 	}
 	if err != nil {
-		return fail(err)
+		return err
 	}
+	elapsed := time.Since(start)
 	if part != nil {
 		b, err := part.JSON()
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		if err := emit(*outPath, append(b, '\n')); err != nil {
-			return fail(err)
+		if err := emit(outPath, append(b, '\n')); err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "cinder-fleet: shard %d/%d (devices [%d,%d)) done in %v\n",
-			cfg.ShardIndex, cfg.ShardCount, part.RangeLo, part.RangeHi,
-			time.Since(start).Round(time.Millisecond))
-		return 0
+			part.ShardIndex, part.ShardCount, part.RangeLo, part.RangeHi, elapsed.Round(time.Millisecond))
+		return nil
 	}
-	elapsed := time.Since(start)
-
-	if *jsonOut {
-		if err := emitJSON(rep, *perDevice, *canonOut, *outPath); err != nil {
-			return fail(err)
-		}
-		return 0
+	if jsonOut {
+		return emitJSON(rep, perDevice, canonical, outPath)
 	}
 	fmt.Print(rep.Format())
 	simulated := time.Duration(int64(cfg.Duration)) * time.Millisecond * time.Duration(cfg.Devices)
 	fmt.Printf("  wall clock: %v with %d workers (%s realtime across the fleet)\n",
 		elapsed.Round(time.Millisecond), rep.Workers, realtimeRatio(simulated, elapsed))
-
-	if *perDevice {
+	if perDevice {
 		printPerDevice(rep)
 	}
-	return 0
+	return nil
 }
 
 // parseShard parses "i/n".
@@ -251,12 +260,9 @@ func parseShard(s string) (idx, count int, err error) {
 }
 
 // runMerge combines shard partials into the full fleet report.
-func runMerge(paths []string, jsonOut, canonical, perDevice bool, outPath string) error {
+func runMerge(paths []string, jsonOut, canonical bool, outPath string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("-merge needs partial-report files as arguments")
-	}
-	if perDevice {
-		return fmt.Errorf("-merge cannot reconstruct per-device results (shards do not carry them)")
 	}
 	parts := make([]*fleet.Partial, 0, len(paths))
 	for _, p := range paths {

@@ -46,7 +46,6 @@ func reference(t *testing.T, job fleet.Job) (full, canonical []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ShardCount = 0
 	cfg.Workers = 2
 	rep, err := fleet.Run(cfg)
 	if err != nil {

@@ -66,7 +66,6 @@ func singleProcess(t *testing.T, job fleet.Job) fleet.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ShardCount = 0
 	cfg.Workers = 2
 	rep, err := fleet.Run(cfg)
 	if err != nil {
@@ -158,15 +157,14 @@ func TestLeaseExpiryReassignsWithResume(t *testing.T) {
 
 	// Runner "a" dies right after its first checkpoint lands.
 	died := errors.New("runner a died")
-	_, err = (fleet.ShardRun{
-		Job: taskA.Job, Shard: taskA.Shard, Workers: 2,
-		Progress: func(p fleet.Progress) error {
-			if p.Checkpointed {
-				return died
-			}
-			return nil
-		},
-	}).Run()
+	cfgA := taskConfig(t, taskA)
+	cfgA.Progress = func(p fleet.Progress) error {
+		if p.Checkpointed {
+			return died
+		}
+		return nil
+	}
+	_, err = fleet.RunShard(cfgA)
 	if !errors.Is(err, died) {
 		t.Fatalf("induced death: got %v", err)
 	}
@@ -187,15 +185,14 @@ func TestLeaseExpiryReassignsWithResume(t *testing.T) {
 	}
 
 	var firstEpoch = -1
-	part, err := (fleet.ShardRun{
-		Job: taskB.Job, Shard: taskB.Shard, Resume: taskB.Resume, Workers: 2,
-		Progress: func(p fleet.Progress) error {
-			if firstEpoch < 0 {
-				firstEpoch = p.Epoch
-			}
-			return nil
-		},
-	}).Run()
+	cfgB := taskConfig(t, taskB)
+	cfgB.Progress = func(p fleet.Progress) error {
+		if firstEpoch < 0 {
+			firstEpoch = p.Epoch
+		}
+		return nil
+	}
+	part, err := fleet.RunShard(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +301,7 @@ func TestStaleRunnerLosesLease(t *testing.T) {
 
 	// The stale runner finishing anyway is accepted (first valid result
 	// wins; resumed reruns are byte-identical)…
-	part, err := (fleet.ShardRun{Job: taskA.Job, Shard: taskA.Shard, Workers: 2}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := runShard(t, taskA)
 	if err := co.Complete("a", taskA.Shard, part); err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,21 @@ import (
 	"repro/internal/fleet"
 )
 
+// taskConfig is a leased shard's run config the way a runner makes it.
+func taskConfig(t *testing.T, task delivery.Task) fleet.Config {
+	t.Helper()
+	cfg, err := task.Job.ShardConfig(task.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers, cfg.ResumeAuto = 2, task.Resume
+	return cfg
+}
+
 // runShard executes one leased shard the way a runner would.
 func runShard(t *testing.T, task delivery.Task) *fleet.Partial {
 	t.Helper()
-	part, err := (fleet.ShardRun{
-		Job: task.Job, Shard: task.Shard, Resume: task.Resume, Workers: 2,
-	}).Run()
+	part, err := fleet.RunShard(taskConfig(t, task))
 	if err != nil {
 		t.Fatal(err)
 	}

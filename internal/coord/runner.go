@@ -152,6 +152,14 @@ func (r *Runner) runTask(ctx context.Context, task delivery.Task) error {
 	lo, hi := task.Job.ShardRange(task.Shard)
 	r.logf("runner %s: shard %d [%d,%d) attempt %d (resume %v)",
 		r.ID, task.Shard, lo, hi, task.Attempt, task.Resume)
+	cfg, err := task.Job.ShardConfig(task.Shard)
+	if err != nil {
+		// This build cannot run the job (a scenario it does not know).
+		r.logf("runner %s: shard %d failed: %v", r.ID, task.Shard, err)
+		r.fail(ctx, task, err.Error())
+		return nil
+	}
+	cfg.Workers, cfg.ResumeAuto, cfg.Warnf = r.Workers, task.Resume, r.Logf
 
 	var mu sync.Mutex
 	beat := delivery.Beat{Shard: task.Shard, LastCheckpoint: -1}
@@ -192,30 +200,23 @@ func (r *Runner) runTask(ctx context.Context, task delivery.Task) error {
 		}
 	}()
 
-	run := fleet.ShardRun{
-		Job:     task.Job,
-		Shard:   task.Shard,
-		Resume:  task.Resume,
-		Workers: r.Workers,
-		Warnf:   r.Logf,
-		Progress: func(p fleet.Progress) error {
-			mu.Lock()
-			beat.DevicesDone = p.Done
-			beat.SimDoneMS = int64(p.SimDone())
-			beat.LastCheckpoint = p.LastCheckpoint
-			mu.Unlock()
-			if r.OnProgress != nil {
-				r.OnProgress(task.Shard, p)
-			}
-			select {
-			case <-lost:
-				return delivery.ErrLeaseLost
-			default:
-			}
-			return ctx.Err()
-		},
+	cfg.Progress = func(p fleet.Progress) error {
+		mu.Lock()
+		beat.DevicesDone = p.Done
+		beat.SimDoneMS = int64(p.SimDone())
+		beat.LastCheckpoint = p.LastCheckpoint
+		mu.Unlock()
+		if r.OnProgress != nil {
+			r.OnProgress(task.Shard, p)
+		}
+		select {
+		case <-lost:
+			return delivery.ErrLeaseLost
+		default:
+		}
+		return ctx.Err()
 	}
-	part, err := run.Run()
+	part, err := fleet.RunShard(cfg)
 	close(hbStop)
 	<-hbDone
 

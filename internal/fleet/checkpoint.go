@@ -250,8 +250,8 @@ func (p epochPlan) end(cfg Config, e int) units.Time {
 // epochPath names epoch e's file; sharded runs get per-shard files.
 func epochPath(cfg Config, e int) string {
 	name := fmt.Sprintf("epoch-%04d.bin", e)
-	if cfg.ShardCount > 0 {
-		name = fmt.Sprintf("epoch-%04d.shard-%d-of-%d.bin", e, cfg.ShardIndex, cfg.ShardCount)
+	if cfg.shardCount > 0 {
+		name = fmt.Sprintf("epoch-%04d.shard-%d-of-%d.bin", e, cfg.shardIndex, cfg.shardCount)
 	}
 	return filepath.Join(cfg.CheckpointDir, name)
 }

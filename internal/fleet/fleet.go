@@ -18,9 +18,10 @@
 //   - every aggregate is integer-mergeable (sums, counts, and a
 //     log-linear quantile sketch instead of retained sample arrays), so
 //     reports stay O(buckets) at any fleet size;
-//   - a run can be partitioned with Config.ShardIndex/ShardCount into
-//     independent processes whose partial reports merge into the exact
-//     canonical JSON a single process produces;
+//   - a run can be partitioned by a Job into shards (Job.ShardConfig,
+//     RunShard), run in independent processes, whose partial reports
+//     merge (Job.Merge) into the exact canonical JSON a single process
+//     produces;
 //   - a run can checkpoint every device's full state into epoch files at
 //     sim-day boundaries and resume after an interruption, byte-identical
 //     to an uninterrupted run.
@@ -29,6 +30,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/msm"
@@ -303,12 +305,11 @@ type Config struct {
 	// example. Nil discards them; warnings never fail the run.
 	Warnf func(format string, args ...any)
 
-	// ShardIndex/ShardCount partition the device index range across
-	// independent processes: shard i of n runs the contiguous range
-	// [i·N/n, (i+1)·N/n). Zero ShardCount means unsharded. Sharded runs
-	// go through RunShard, which emits a mergeable partial report.
-	ShardIndex int
-	ShardCount int
+	// shardIndex/shardCount place the run in a Job's shard plan: shard
+	// i of n runs the contiguous range [i·N/n, (i+1)·N/n). Only
+	// Job.ShardConfig sets them; zero shardCount means unsharded.
+	shardIndex int
+	shardCount int
 
 	// CheckpointDir, when set, makes the run interruptible: every
 	// device's full state is snapshotted at each CheckpointEvery
@@ -361,6 +362,29 @@ func (p Progress) SimTotal() units.Time {
 	return units.Time(p.Hi-p.Lo) * p.Horizon
 }
 
+// ProgressText renders how far a run has come for a status line: the
+// percent of its simulated device-time done, then — once work and wall
+// time have both passed — simulated device-days per wall second and,
+// while work remains, the ETA at that rate. cinder-fleet's -progress
+// line and cinder-coord's submit -wait line both lead with it.
+func ProgressText(done, total units.Time, elapsed time.Duration) string {
+	pct := 0.0
+	if total > 0 {
+		pct = 100 * float64(done) / float64(total)
+	}
+	line := fmt.Sprintf("%5.1f%%", pct)
+	if elapsed <= 0 || done <= 0 {
+		return line
+	}
+	days := float64(done) / float64(24*units.Hour)
+	line += fmt.Sprintf("  %.1f device-days/s", days/elapsed.Seconds())
+	if total > done {
+		eta := time.Duration(float64(total-done) / float64(done) * float64(elapsed))
+		line += fmt.Sprintf("  ETA %v", eta.Round(time.Second))
+	}
+	return line
+}
+
 // warnf emits an operator-facing warning line (discarded when no
 // Warnf sink is wired).
 func (cfg *Config) warnf(format string, args ...any) {
@@ -380,16 +404,10 @@ func (cfg *Config) validate() (workers int, err error) {
 		return 0, err
 	}
 	cfg.LifeResolution = id.LifeResolution
-	if cfg.ShardCount < 0 || (cfg.ShardCount > 0 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount)) {
-		return 0, fmt.Errorf("fleet: shard %d of %d out of range", cfg.ShardIndex, cfg.ShardCount)
-	}
-	if cfg.ShardCount > cfg.Devices {
-		return 0, fmt.Errorf("fleet: %d shards over %d devices", cfg.ShardCount, cfg.Devices)
-	}
-	if cfg.ShardCount > 0 && cfg.KeepResults {
+	if cfg.shardCount > 0 && cfg.KeepResults {
 		return 0, fmt.Errorf("fleet: per-device results are not supported on sharded runs")
 	}
-	if cfg.ShardCount > 0 && cfg.Reference {
+	if cfg.shardCount > 0 && cfg.Reference {
 		return 0, errReferenceSharded
 	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
@@ -403,14 +421,16 @@ func (cfg *Config) validate() (workers int, err error) {
 }
 
 // shardRange returns the contiguous device index range this config
-// covers: the whole fleet when unsharded, shard i's slice otherwise.
+// covers: the whole fleet when unsharded.
 func (cfg Config) shardRange() (lo, hi int) {
-	if cfg.ShardCount <= 0 {
-		return 0, cfg.Devices
-	}
-	lo = cfg.ShardIndex * cfg.Devices / cfg.ShardCount
-	hi = (cfg.ShardIndex + 1) * cfg.Devices / cfg.ShardCount
-	return lo, hi
+	return planRange(cfg.Devices, cfg.shardIndex, max(cfg.shardCount, 1))
+}
+
+// planRange returns shard i of an n-shard plan's slice of a fleet's
+// device indices: [i·devices/n, (i+1)·devices/n). The slices of a plan
+// tile [0, devices) in shard order.
+func planRange(devices, i, n int) (lo, hi int) {
+	return i * devices / n, (i + 1) * devices / n
 }
 
 // Run simulates the fleet and returns the aggregate report. With
@@ -425,15 +445,17 @@ func (cfg Config) shardRange() (lo, hi int) {
 // dropped after reduction unless cfg.KeepResults asks for them.
 //
 // A single-process run is the one-shard case of a sharded run: it packs
-// its aggregate into a Partial and builds the report through Merge, the
-// same code a cluster merge runs.
+// its aggregate into the Partial of shard 0 of 1 and builds the report
+// through Merge, the same code a cluster merge runs. Run also accepts
+// that shard's config from Job.ShardConfig; any other shard runs
+// through RunShard.
 func Run(cfg Config) (Report, error) {
 	workers, err := cfg.validate()
 	if err != nil {
 		return Report{}, err
 	}
-	if cfg.ShardCount > 0 {
-		return Report{}, fmt.Errorf("fleet: sharded configs run through RunShard")
+	if cfg.shardCount > 1 {
+		return Report{}, fmt.Errorf("fleet: shard %d of %d runs through RunShard", cfg.shardIndex, cfg.shardCount)
 	}
 	var results []DeviceResult
 	if cfg.KeepResults {

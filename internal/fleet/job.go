@@ -13,15 +13,16 @@ import (
 )
 
 // This file is the job layer of the fleet: the immutable, wire-
-// serializable spec of a run (Job) and the unit of distributed work
-// (ShardRun). The layering follows rdsys's core/delivery split — the
-// Job and the mergeable Partial are the in-memory model, and any
-// process that can execute a ShardRun and hand back its Partial is a
-// valid runner, whether it lives on the other side of an HTTP
-// connection or inside this very process. A single-process fleet.Run is
-// the degenerate one-runner case: the shard body over the whole device
-// range, packed into a Partial and reduced through the same Merge a
-// cluster run uses.
+// serializable spec of a run (Job), the one maker of shard configs
+// (Job.ShardConfig) and the one merge check (Job.Merge). The layering
+// follows rdsys's core/delivery split — the Job and the mergeable
+// Partial are the in-memory model, and any process that can run a
+// shard's config through RunShard and hand back its Partial is a valid
+// runner, whether it lives on the other side of an HTTP connection or
+// inside this very process. A single-process fleet.Run is the
+// degenerate one-runner case: the shard body over the whole device
+// range, packed into the Partial of shard 0 of 1 and reduced through
+// the same Merge a cluster run uses.
 
 // Identity names a fleet run: the fields (Config's, under the
 // partial's JSON names) that the job, every shard's partial, every
@@ -104,11 +105,11 @@ func (id Identity) drift(got Identity) string {
 type Job struct {
 	Identity
 	// Shards is the shard plan: the device index range is partitioned
-	// into this many contiguous ShardRun units (1 = the degenerate
-	// single-runner job).
+	// into this many contiguous shards (1 = the degenerate single-runner
+	// job).
 	Shards int `json:"shards"`
 
-	// CheckpointDir, when set, makes every ShardRun interruptible: epoch
+	// CheckpointDir, when set, makes every shard interruptible: epoch
 	// files land there (per-shard names), and a reassigned shard resumes
 	// from the newest complete epoch instead of t = 0 — runner loss
 	// costs at most one checkpoint interval of re-simulation. Runners
@@ -236,21 +237,23 @@ func (j Job) SimTotal() units.Time { return units.Time(j.Devices) * j.Duration }
 
 // ShardRange returns shard i's contiguous device index range.
 func (j Job) ShardRange(i int) (lo, hi int) {
-	cfg := Config{Devices: j.Devices, ShardIndex: i, ShardCount: j.Shards}
-	return cfg.shardRange()
+	return planRange(j.Devices, i, j.Shards)
 }
 
-// ShardConfig materializes the run config for one shard of the plan.
+// ShardConfig validates the job and materializes the run config for
+// one shard of its plan — the only way to make a shard's config. The
+// caller adds the local knobs (Workers, Resume or ResumeAuto, Progress,
+// PerDevice, Warnf) and runs it with RunShard.
 func (j Job) ShardConfig(shard int) (Config, error) {
+	if err := j.Validate(); err != nil {
+		return Config{}, err
+	}
 	if shard < 0 || shard >= j.Shards {
 		return Config{}, fmt.Errorf("fleet: shard %d of %d out of range", shard, j.Shards)
 	}
-	sc, err := j.ResolveScenario()
-	if err != nil {
-		return Config{}, err
-	}
+	sc, _ := j.ResolveScenario() // Validate resolved it
 	cfg := j.config(sc)
-	cfg.ShardIndex, cfg.ShardCount = shard, j.Shards
+	cfg.shardIndex, cfg.shardCount = shard, j.Shards
 	cfg.CheckpointDir = j.CheckpointDir
 	cfg.CheckpointEvery = units.Time(j.CheckpointEveryMS)
 	return cfg, nil
@@ -275,54 +278,37 @@ func (j Job) CheckPartial(shard int, p *Partial) error {
 	return nil
 }
 
-// ShardRun is the unit of distributed work: shard Shard of the job's
-// plan. Its output is the mergeable Partial every delivery transport
-// carries; Merge over a job's complete ShardRun outputs reproduces the
-// single-process report byte for byte, regardless of which runners
-// executed which shards, in what order, or how many times a shard was
-// reassigned after a runner loss.
-type ShardRun struct {
-	Job   Job
-	Shard int
-	// Resume asks for an opportunistic resume: continue from the newest
-	// complete epoch file in the job's checkpoint dir if one exists,
-	// start from t = 0 otherwise. The coordinator sets it when
-	// reassigning a shard whose runner was lost.
-	Resume bool
-	// Workers bounds the local worker pool (0 = one per CPU).
-	Workers int
-	// Progress and PerDevice stream out of the shard's admission window
-	// (see Config); runners feed heartbeats and NDJSON emitters from
-	// them.
-	Progress  func(Progress) error
-	PerDevice func(DeviceResult) error
-	// Warnf receives rare warning lines (see Config.Warnf); runners wire
-	// it to their log.
-	Warnf func(format string, args ...any)
-}
-
-// Run executes the shard and returns its partial report.
-func (s ShardRun) Run() (*Partial, error) {
-	cfg, err := s.Job.ShardConfig(s.Shard)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Workers = s.Workers
-	cfg.ResumeAuto = s.Resume
-	cfg.Progress = s.Progress
-	cfg.PerDevice = s.PerDevice
-	cfg.Warnf = s.Warnf
-	return RunShard(cfg)
-}
-
-// Merge combines the job's complete set of shard partials, parts[i]
-// being shard i's, into the full fleet report (see the package-level
-// Merge for the checks they must pass together).
+// Merge combines the job's shard partials, in any order, into the full
+// fleet report. Each partial is placed by its ShardIndex: an index
+// outside the plan, a second partial for one shard and a shard with no
+// partial are refused by number. Every partial then passes CheckPartial
+// and its own consistency check once, and they fold in shard order —
+// the plan's ranges tile the fleet, so the merged report is the
+// single-process report byte for byte.
 func (j Job) Merge(parts []*Partial) (Report, error) {
-	for i, p := range parts {
+	if j.Shards <= 0 {
+		return Report{}, fmt.Errorf("fleet: merge under a %d-shard plan", j.Shards)
+	}
+	placed := make([]*Partial, j.Shards)
+	for _, p := range parts {
+		switch i := p.ShardIndex; {
+		case i < 0 || i >= j.Shards:
+			return Report{}, fmt.Errorf("fleet: partial for shard %d is outside the %d-shard plan", i, j.Shards)
+		case placed[i] != nil:
+			return Report{}, fmt.Errorf("fleet: two partials for shard %d", i)
+		default:
+			placed[i] = p
+		}
+	}
+	agg := newAggregate()
+	for i, p := range placed {
 		if err := j.CheckPartial(i, p); err != nil {
 			return Report{}, err
 		}
+		if err := p.check(); err != nil {
+			return Report{}, err
+		}
+		agg.merge(p.unpack())
 	}
-	return Merge(parts)
+	return agg.finish(j.Identity), nil
 }

@@ -89,10 +89,11 @@ func TestJobValidate(t *testing.T) {
 	}
 }
 
-// TestShardRunDegenerateMatchesRun: a one-shard ShardRun merged back
-// is exactly fleet.Run — the single-process run is the degenerate
-// one-runner case of the job path, byte for byte.
-func TestShardRunDegenerateMatchesRun(t *testing.T) {
+// TestOneShardJobMatchesRun: the one shard of a one-shard job, run
+// through RunShard and merged back, is exactly fleet.Run — the
+// single-process run is the degenerate one-runner case of the job path,
+// byte for byte. Run accepts that shard's config too.
+func TestOneShardJobMatchesRun(t *testing.T) {
 	cfg := shardBase(40)
 	whole, err := Run(cfg)
 	if err != nil {
@@ -102,7 +103,12 @@ func TestShardRunDegenerateMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := (ShardRun{Job: job, Shard: 0, Workers: 2}).Run()
+	scfg, err := job.ShardConfig(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg.Workers = 2
+	part, err := RunShard(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +116,18 @@ func TestShardRunDegenerateMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	viaRun, err := Run(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, err1 := whole.JSON(false)
 	b, err2 := merged.JSON(false)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	c, err3 := viaRun.JSON(false)
+	if err1 != nil || err2 != nil || err3 != nil {
+		t.Fatal(err1, err2, err3)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("degenerate job run diverged from fleet.Run:\n%s\nvs\n%s", a, b)
+	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
+		t.Fatalf("degenerate job run diverged from fleet.Run:\n%s\nvs\n%s\nvs\n%s", a, b, c)
 	}
 }
 
@@ -129,7 +140,14 @@ func TestReferenceRefusedOnJobPaths(t *testing.T) {
 	if _, err := NewJob(cfg, 2); err == nil || !strings.Contains(err.Error(), "-reference") {
 		t.Errorf("NewJob: got %v, want a refusal naming -reference", err)
 	}
-	cfg.ShardIndex, cfg.ShardCount = 1, 2
+	job, err := NewJob(shardBase(8), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err = job.ShardConfig(1); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Reference = true
 	if _, err := RunShard(cfg); err == nil || !strings.Contains(err.Error(), "-reference") {
 		t.Errorf("RunShard: got %v, want a refusal naming -reference", err)
 	}

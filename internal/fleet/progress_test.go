@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/units"
 )
@@ -235,5 +236,29 @@ func TestNDJSONForms(t *testing.T) {
 	}
 	if strings.Count(string(line), "{") < 1 {
 		t.Fatal("not a JSON object")
+	}
+}
+
+// TestProgressText: the shared status-line arithmetic. Nothing but the
+// percent is printed before work and wall time have both passed, and no
+// ETA once the work is done.
+func TestProgressText(t *testing.T) {
+	day := 24 * units.Hour
+	for _, tc := range []struct {
+		name        string
+		done, total units.Time
+		elapsed     time.Duration
+		want        string
+	}{
+		{"zero elapsed", day, 4 * day, 0, " 25.0%"},
+		{"zero done", 0, 4 * day, time.Second, "  0.0%"},
+		{"zero total", 0, 0, time.Second, "  0.0%"},
+		{"running", day, 4 * day, 2 * time.Second, " 25.0%  0.5 device-days/s  ETA 6s"},
+		{"done", 4 * day, 4 * day, 2 * time.Second, "100.0%  2.0 device-days/s"},
+		{"past total", 5 * day, 4 * day, 2 * time.Second, "125.0%  2.5 device-days/s"},
+	} {
+		if got := ProgressText(tc.done, tc.total, tc.elapsed); got != tc.want {
+			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

@@ -3,19 +3,18 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/sketch"
 	"repro/internal/units"
 )
 
-// This file implements sharded fleet runs: `cinder-fleet -shard i/n`
+// This file implements sharded fleet runs: a Job's shard plan
 // partitions the device index range deterministically into n contiguous
-// slices, each shard simulates its slice independently (its own
-// process, machine, or checkpoint directory) and emits a *partial*
+// slices (Job.ShardConfig), RunShard simulates one slice independently
+// (its own process, machine, or checkpoint directory) into a *partial*
 // report — the raw mergeable aggregate: integer sums, counts, and the
-// sparse form of the life-percentile quantile sketch. `-merge` combines
-// the partials and produces the same canonical JSON a single-process
+// sparse form of the life-percentile quantile sketch — and Job.Merge
+// combines the partials into the same canonical JSON a single-process
 // run of the whole fleet emits, byte for byte, because every aggregate
 // field is associative: sums and counts add, min/max compose, and the
 // sketch merges by counter addition. No full-population array ever
@@ -64,8 +63,8 @@ type partialBucket struct {
 	Lives [][2]int64 `json:"lives,omitempty"`
 }
 
-// RunShard simulates one shard of the fleet (cfg.ShardIndex of
-// cfg.ShardCount) and returns its mergeable partial report. Checkpoint
+// RunShard simulates one shard of a job, its config made by
+// Job.ShardConfig, and returns its mergeable partial report. Checkpoint
 // options apply per shard: each shard keeps its own epoch files in the
 // shared checkpoint directory.
 func RunShard(cfg Config) (*Partial, error) {
@@ -73,15 +72,15 @@ func RunShard(cfg Config) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ShardCount <= 0 {
-		return nil, fmt.Errorf("fleet: RunShard needs ShardCount > 0")
+	if cfg.shardCount == 0 {
+		return nil, fmt.Errorf("fleet: RunShard runs a job's shard: make its config with Job.ShardConfig")
 	}
 	return runShard(cfg, workers)
 }
 
 // runShard simulates the config's device range into a partial — the
-// code path Run, RunShard, and every coordinator-dispatched ShardRun
-// share.
+// code path Run, RunShard, every -shard process and every coordinator
+// runner share.
 func runShard(cfg Config, workers int) (*Partial, error) {
 	agg := newAggregate()
 	if err := runEpochs(cfg, workers, agg); err != nil {
@@ -97,8 +96,8 @@ func packPartial(cfg Config, a *aggregate) *Partial {
 		Format:     "cinder-fleet-partial",
 		Version:    PartialVersion,
 		Identity:   cfg.identity(),
-		ShardIndex: cfg.ShardIndex,
-		ShardCount: cfg.ShardCount,
+		ShardIndex: cfg.shardIndex,
+		ShardCount: max(cfg.shardCount, 1), // an unsharded run is shard 0 of 1
 		RangeLo:    lo,
 		RangeHi:    hi,
 		Agg: partialAgg{
@@ -217,42 +216,13 @@ func (p *Partial) unpack() *aggregate {
 	return a
 }
 
-// Merge combines every shard's partial report into the full fleet
-// Report. Each partial must pass ParsePartial's consistency check, and
-// together they must form an exact partition of the device range and
-// carry one run Identity; any gap, overlap or mismatch is a loud
-// error. The merged report's canonical JSON is byte-identical to a
-// single-process run of the same config, which the shard invariance
-// suite asserts.
+// Merge combines a complete set of shard partials, in any order, into
+// the full fleet Report. The job is read from the partials themselves —
+// the first one's Identity and ShardCount — and Job.Merge checks every
+// partial against it.
 func Merge(parts []*Partial) (Report, error) {
 	if len(parts) == 0 {
 		return Report{}, fmt.Errorf("fleet: merge of zero partials")
 	}
-	ref := parts[0]
-	sorted := make([]*Partial, len(parts))
-	copy(sorted, parts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RangeLo < sorted[j].RangeLo })
-
-	agg := newAggregate()
-	covered := 0
-	for _, p := range sorted {
-		if err := p.check(); err != nil {
-			return Report{}, err
-		}
-		switch {
-		case p.Identity != ref.Identity || p.ShardCount != ref.ShardCount:
-			return Report{}, fmt.Errorf("fleet: partial %d/%d does not match partial %d/%d: "+
-				"shards must come from one identically configured run",
-				p.ShardIndex, p.ShardCount, ref.ShardIndex, ref.ShardCount)
-		case p.RangeLo != covered:
-			return Report{}, fmt.Errorf("fleet: shard coverage gap or overlap at device %d (next shard starts at %d)",
-				covered, p.RangeLo)
-		}
-		covered = p.RangeHi
-		agg.merge(p.unpack())
-	}
-	if covered != ref.Devices {
-		return Report{}, fmt.Errorf("fleet: shards cover %d of %d devices", covered, ref.Devices)
-	}
-	return agg.finish(ref.Identity), nil
+	return Job{Identity: parts[0].Identity, Shards: parts[0].ShardCount}.Merge(parts)
 }

@@ -31,11 +31,17 @@ func TestShardMergeMatchesSingleProcess(t *testing.T) {
 	}
 
 	const n = 3
+	job, err := NewJob(cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := make([]*Partial, 0, n)
 	for i := 0; i < n; i++ {
-		scfg := cfg
-		scfg.ShardIndex = i
-		scfg.ShardCount = n
+		scfg, err := job.ShardConfig(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg.Workers = cfg.Workers
 		p, err := RunShard(scfg)
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +57,7 @@ func TestShardMergeMatchesSingleProcess(t *testing.T) {
 		}
 		parts = append(parts, back)
 	}
-	// Merge in scrambled order; Merge sorts by range.
+	// Merge in scrambled order; Merge places each by its shard index.
 	merged, err := Merge([]*Partial{parts[2], parts[0], parts[1]})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +88,7 @@ func TestShardRangesPartition(t *testing.T) {
 			}
 			covered := 0
 			for i := 0; i < n; i++ {
-				cfg := Config{Devices: devices, ShardIndex: i, ShardCount: n}
-				lo, hi := cfg.shardRange()
+				lo, hi := planRange(devices, i, n)
 				if lo != covered {
 					t.Fatalf("devices=%d n=%d shard %d starts at %d, want %d", devices, n, i, lo, covered)
 				}
@@ -96,34 +101,47 @@ func TestShardRangesPartition(t *testing.T) {
 	}
 }
 
-// TestMergeValidation: gaps, duplicates, and identity drift must be
-// loud errors.
+// TestMergeValidation: gaps, duplicates, shards outside the plan and
+// identity drift must be loud errors naming the shard or the field.
 func TestMergeValidation(t *testing.T) {
 	cfg := shardBase(30)
-	mk := func(i, n int) *Partial {
-		scfg := cfg
-		scfg.ShardIndex = i
-		scfg.ShardCount = n
+	plan, err := NewJob(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(i int) *Partial {
+		scfg, err := plan.ShardConfig(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg.Workers = cfg.Workers
 		p, err := RunShard(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	p0, p1, p2 := mk(0, 3), mk(1, 3), mk(2, 3)
+	p0, p1, p2 := mk(0), mk(1), mk(2)
 
 	if _, err := Merge([]*Partial{p0, p2}); err == nil ||
-		!strings.Contains(err.Error(), "coverage gap") {
-		t.Fatalf("gap: want coverage error, got %v", err)
+		!strings.Contains(err.Error(), "no partial for shard 1") {
+		t.Fatalf("gap: want the missing shard named, got %v", err)
 	}
-	if _, err := Merge([]*Partial{p0, p1, p1, p2}); err == nil {
-		t.Fatal("duplicate shard merged silently")
+	if _, err := Merge([]*Partial{p0, p1, p1, p2}); err == nil ||
+		!strings.Contains(err.Error(), "two partials for shard 1") {
+		t.Fatalf("duplicate: want the doubled shard named, got %v", err)
+	}
+	outside := *p2
+	outside.ShardIndex = 3
+	if _, err := Merge([]*Partial{p0, p1, &outside}); err == nil ||
+		!strings.Contains(err.Error(), "shard 3 is outside the 3-shard plan") {
+		t.Fatalf("shard outside the plan: got %v", err)
 	}
 	drift := *p1
 	drift.Seed = 999
 	if _, err := Merge([]*Partial{p0, &drift, p2}); err == nil ||
-		!strings.Contains(err.Error(), "identically configured") {
-		t.Fatalf("seed drift: want identity error, got %v", err)
+		!strings.Contains(err.Error(), "seed is 999, want 21") {
+		t.Fatalf("seed drift: want the field named, got %v", err)
 	}
 	other := cfg
 	other.Scenario = IdleScenario{}
@@ -214,17 +232,21 @@ func TestParsePartialRejectsInconsistent(t *testing.T) {
 // TestShardedCheckpointResume: sharding composes with checkpoint/resume
 // — a shard interrupted and resumed produces the same partial.
 func TestShardedCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
+	job, err := NewJob(Config{
 		Devices:       9,
 		Seed:          13,
 		Duration:      3 * 24 * units.Hour,
-		Workers:       2,
 		Scenario:      WeekInTheLife(),
-		ShardIndex:    1,
-		ShardCount:    2,
-		CheckpointDir: dir,
+		CheckpointDir: t.TempDir(),
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg, err := job.ShardConfig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 2
 	full, err := RunShard(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -259,7 +259,12 @@ func runWeekSmoke() (Sample, error) {
 	}
 	var parts []*fleet.Partial
 	for s := 0; s < 2; s++ {
-		p, err := fleet.ShardRun{Job: job, Shard: s, Workers: cfg.Workers}.Run()
+		scfg, err := job.ShardConfig(s)
+		if err != nil {
+			return Sample{}, err
+		}
+		scfg.Workers = cfg.Workers
+		p, err := fleet.RunShard(scfg)
 		if err != nil {
 			return Sample{}, fmt.Errorf("shard %d: %w", s, err)
 		}
