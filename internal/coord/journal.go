@@ -16,10 +16,10 @@ import (
 // the job's shared checkpoint dir before the in-memory state mutates
 // (write-ahead), so a coordinator killed at any instant can be
 // restarted with `cinder-coord serve -recover` and replay the journal
-// into identical lease/attempt state. Records reuse the internal/snap
-// tagged-section + CRC-32 format inside snap's frames, the container
-// the fleet's epoch files use too, so a torn final append is detected
-// exactly like a torn epoch write.
+// into identical lease/attempt state. Each record is one snap section,
+// declared once by jrec.codec for both the append and the replay, inside
+// snap's frames — the container the fleet's epoch files use too, so a
+// torn final append is detected exactly like a torn epoch write.
 //
 // The write-ahead discipline makes any valid journal prefix a correct
 // resume point: an operation that was journaled but whose in-memory
@@ -65,80 +65,41 @@ type jrec struct {
 	msg     string // jrFail
 }
 
-// encodeJrec renders one record as a framed snap blob.
-func encodeJrec(rec jrec) ([]byte, error) {
-	w := snap.NewWriter()
-	w.Section(jrTags[rec.kind])
+// codec saves or loads the fields of the record's kind, under the
+// kind's section tag. The caller checks the kind first.
+func (rec *jrec) codec(c *snap.Codec) {
+	c.Section(jrTags[rec.kind])
 	switch rec.kind {
 	case jrSubmit:
-		w.Bytes(rec.job)
+		c.Bytes(&rec.job)
 	case jrGrant:
-		w.U64(uint64(rec.shard))
-		w.String(rec.runner)
-		w.U64(uint64(rec.attempt))
-		w.Bool(rec.resume)
+		snap.Uint(c, &rec.shard)
+		c.String(&rec.runner)
+		snap.Uint(c, &rec.attempt)
+		c.Bool(&rec.resume)
 	case jrBeat:
-		w.U64(uint64(rec.shard))
-		w.U64(uint64(rec.devicesDone))
-		w.I64(rec.simDoneMS)
-		w.I64(int64(rec.lastCheckpoint))
+		snap.Uint(c, &rec.shard)
+		snap.Uint(c, &rec.devicesDone)
+		snap.Int(c, &rec.simDoneMS)
+		snap.Int(c, &rec.lastCheckpoint)
 	case jrComplete:
-		w.U64(uint64(rec.shard))
-		w.String(rec.runner)
-		w.Bytes(rec.partial)
+		snap.Uint(c, &rec.shard)
+		c.String(&rec.runner)
+		c.Bytes(&rec.partial)
 	case jrFail:
-		w.U64(uint64(rec.shard))
-		w.String(rec.runner)
-		w.U64(uint64(rec.attempt))
-		w.String(rec.msg)
-	default:
-		return nil, fmt.Errorf("coord: unknown journal record kind %d", rec.kind)
+		snap.Uint(c, &rec.shard)
+		c.String(&rec.runner)
+		snap.Uint(c, &rec.attempt)
+		c.String(&rec.msg)
 	}
-	blob, err := w.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return snap.AppendFrame(nil, rec.kind, blob), nil
 }
 
-// decodeJrec parses one frame's snap blob (CRC already covers it). The
-// blob is the frame's own copy, so the record may keep slices of it.
-func decodeJrec(kind int, blob []byte) (jrec, error) {
-	r, err := snap.Open(blob)
-	if err != nil {
-		return jrec{}, err
+// checkKind refuses a record kind the journal does not define.
+func checkKind(kind int) error {
+	if _, ok := jrTags[kind]; !ok {
+		return fmt.Errorf("coord: unknown journal record kind %d", kind)
 	}
-	r.Section(jrTags[kind])
-	rec := jrec{kind: kind}
-	switch kind {
-	case jrSubmit:
-		rec.job = r.Bytes()
-	case jrGrant:
-		rec.shard = int(r.U64())
-		rec.runner = r.String()
-		rec.attempt = int(r.U64())
-		rec.resume = r.Bool()
-	case jrBeat:
-		rec.shard = int(r.U64())
-		rec.devicesDone = int(r.U64())
-		rec.simDoneMS = r.I64()
-		rec.lastCheckpoint = int(r.I64())
-	case jrComplete:
-		rec.shard = int(r.U64())
-		rec.runner = r.String()
-		rec.partial = r.Bytes()
-	case jrFail:
-		rec.shard = int(r.U64())
-		rec.runner = r.String()
-		rec.attempt = int(r.U64())
-		rec.msg = r.String()
-	default:
-		return jrec{}, fmt.Errorf("coord: unknown journal record kind %d", kind)
-	}
-	if err := r.Close(); err != nil {
-		return jrec{}, err
-	}
-	return rec, nil
+	return nil
 }
 
 // journal is an open, appendable journal file.
@@ -164,11 +125,14 @@ func openJournal(path string, flag int) (*journal, error) {
 // mutation. Heartbeats skip the sync: losing a beat to a crash only
 // costs a stale progress counter, never correctness.
 func (j *journal) append(rec jrec, sync bool) error {
-	frame, err := encodeJrec(rec)
+	if err := checkKind(rec.kind); err != nil {
+		return err
+	}
+	blob, err := snap.Save(rec.codec)
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(snap.AppendFrame(nil, rec.kind, blob)); err != nil {
 		return fmt.Errorf("coord: journal append: %w", err)
 	}
 	if sync {
@@ -199,9 +163,14 @@ func readJournal(path string) ([]jrec, int64, error) {
 		if err == io.EOF {
 			return recs, start, nil
 		}
-		var rec jrec
+		rec := jrec{kind: kind}
 		if err == nil {
-			rec, err = decodeJrec(kind, blob)
+			err = checkKind(kind)
+		}
+		if err == nil {
+			// The blob is the frame's own copy, so the record may keep
+			// slices of it.
+			err = snap.Load(blob, rec.codec)
 		}
 		if err != nil {
 			return recs, start, fmt.Errorf("coord: journal: frame at offset %d: %w", start, err)

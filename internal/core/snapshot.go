@@ -1,127 +1,54 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/snap"
-	"repro/internal/units"
-)
+import "repro/internal/snap"
 
 // This file implements checkpoint/resume for the resource consumption
 // graph. A snapshot records the numeric state of every live reserve and
 // tap — levels, accounting, flow carries — plus the graph's own
-// counters; it does not record structure. Restore runs against a graph
+// counters; it does not record structure. A load runs against a graph
 // whose owner has rebuilt the identical permanent object population
 // (battery, radio fund, netd pool, ...) by re-running the device's
-// deterministic construction path, and validates name-by-name that the
-// rebuilt world matches before overlaying any state.
+// deterministic construction path: the reserve and tap lists must match
+// the snapshot exactly (same count, same names, same creation order),
+// and any drift is a loud error.
 
-// Snapshot serializes the graph's mutable state.
-func (g *Graph) Snapshot(w *snap.Writer) {
-	w.Section("graph")
-	w.I64(int64(g.consumed))
-	w.I64(int64(g.recharged))
-	w.I64(int64(g.capacity))
-	w.U64(g.tapSeq)
-	w.I64(g.flowWalks)
-	w.I64(g.settledBatches)
-	w.U64(uint64(len(g.reserves)))
-	for _, r := range g.reserves {
-		w.String(r.name)
-		w.I64(int64(r.level))
-		w.I64(int64(r.stats.Consumed))
-		w.I64(int64(r.stats.In))
-		w.I64(int64(r.stats.Out))
-		w.I64(int64(r.stats.Decayed))
-		w.I64(r.stats.ConsumeFailures)
-		w.I64(r.decayCarry)
+// Codec saves or restores the graph's mutable state.
+func (g *Graph) Codec(c *snap.Codec) {
+	c.Section("graph")
+	snap.Int(c, &g.consumed)
+	snap.Int(c, &g.recharged)
+	snap.SameInt(c, "battery capacity", g.capacity)
+	snap.Uint(c, &g.tapSeq)
+	snap.Int(c, &g.flowWalks)
+	snap.Int(c, &g.settledBatches)
+	snap.SameUint(c, "reserves", len(g.reserves))
+	for i, r := range g.reserves {
+		c.Name("reserve", i, r.name)
+		snap.Int(c, &r.level)
+		snap.Int(c, &r.stats.Consumed)
+		snap.Int(c, &r.stats.In)
+		snap.Int(c, &r.stats.Out)
+		snap.Int(c, &r.stats.Decayed)
+		snap.Int(c, &r.stats.ConsumeFailures)
+		snap.Int(c, &r.decayCarry)
 	}
-	w.U64(uint64(len(g.taps)))
-	for _, t := range g.taps {
-		w.String(t.name)
-		w.U64(uint64(t.kind))
-		w.I64(int64(t.rate))
-		w.I64(int64(t.frac))
-		w.I64(t.carry)
-		w.I64(int64(t.stats.Moved))
-		w.I64(int64(t.stats.Starved))
+	// A tap created mid-run means the device was not quiescent at the
+	// checkpoint.
+	snap.SameUint(c, "live taps", len(g.taps))
+	for i, t := range g.taps {
+		c.Name("tap", i, t.name)
+		snap.Uint(c, &t.kind)
+		snap.Int(c, &t.rate)
+		snap.Int(c, &t.frac)
+		snap.Int(c, &t.carry)
+		snap.Int(c, &t.stats.Moved)
+		snap.Int(c, &t.stats.Starved)
 	}
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt graph. The rebuilt
-// reserve and tap populations must match the snapshot exactly (same
-// count, same names, same creation order); any drift is a loud error.
-func (g *Graph) Restore(r *snap.Reader) error {
-	r.Section("graph")
-	consumed := units.Energy(r.I64())
-	recharged := units.Energy(r.I64())
-	capacity := units.Energy(r.I64())
-	tapSeq := r.U64()
-	flowWalks := r.I64()
-	settledBatches := r.I64()
-	nRes := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if capacity != g.capacity {
-		return fmt.Errorf("core: restore: snapshot battery capacity %v, rebuilt graph has %v", capacity, g.capacity)
-	}
-	if nRes != len(g.reserves) {
-		return fmt.Errorf("core: restore: snapshot has %d reserves, rebuilt graph has %d", nRes, len(g.reserves))
-	}
-	for i := 0; i < nRes; i++ {
-		name := r.String()
-		level := units.Energy(r.I64())
-		stats := Accounting{
-			Consumed:        units.Energy(r.I64()),
-			In:              units.Energy(r.I64()),
-			Out:             units.Energy(r.I64()),
-			Decayed:         units.Energy(r.I64()),
-			ConsumeFailures: r.I64(),
-		}
-		decayCarry := r.I64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		res := g.reserves[i]
-		if res.name != name {
-			return fmt.Errorf("core: restore: reserve %d is %q, snapshot has %q", i, res.name, name)
-		}
-		res.level = level
-		res.stats = stats
-		res.decayCarry = decayCarry
-	}
-	nTaps := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nTaps != len(g.taps) {
-		return fmt.Errorf("core: restore: snapshot has %d live taps, rebuilt graph has %d "+
-			"(a tap created mid-run means the device was not quiescent at the checkpoint)",
-			nTaps, len(g.taps))
-	}
-	for i := 0; i < nTaps; i++ {
-		name := r.String()
-		kind := TapKind(r.U64())
-		rate := units.Power(r.I64())
-		frac := PPM(r.I64())
-		carry := r.I64()
-		stats := TapStats{Moved: units.Energy(r.I64()), Starved: units.Energy(r.I64())}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		t := g.taps[i]
-		if t.name != name {
-			return fmt.Errorf("core: restore: tap %d is %q, snapshot has %q", i, t.name, name)
-		}
-		t.kind = kind
-		t.rate = rate
-		t.frac = frac
-		t.carry = carry
-		t.stats = stats
+	if !c.Loading() {
+		return
 	}
 	// Rebuild the active set from the restored rates, bypassing the
-	// activity hook (restore must not perturb the kernel task schedules,
+	// activity hook (a load must not perturb the kernel task schedules,
 	// which are themselves restored afterwards).
 	g.active = g.active[:0]
 	for _, t := range g.taps {
@@ -131,10 +58,4 @@ func (g *Graph) Restore(r *snap.Reader) error {
 			g.active = append(g.active, t)
 		}
 	}
-	g.consumed = consumed
-	g.recharged = recharged
-	g.tapSeq = tapSeq
-	g.flowWalks = flowWalks
-	g.settledBatches = settledBatches
-	return nil
 }

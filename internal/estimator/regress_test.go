@@ -66,9 +66,7 @@ func TestBoundsZeroBeforeFirstObservation(t *testing.T) {
 
 func snapBytes(t *testing.T, e *ActivationEstimator) []byte {
 	t.Helper()
-	w := snap.NewWriter()
-	e.Snapshot(w)
-	b, err := w.Finish()
+	b, err := snap.Save(e.Codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +80,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	b := snapBytes(t, e)
 
-	r, err := snap.Open(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e2 := seeded(25, units.Joules(9.5))
-	if err := e2.Restore(r); err != nil {
+	if err := snap.Load(b, e2.Codec); err != nil {
 		t.Fatal(err)
 	}
 	if e2.String() != e.String() {
@@ -104,12 +98,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestRestoreRejectsAlphaMismatch(t *testing.T) {
 	e := seeded(25, units.Joules(9.5))
 	e.Observe(units.Joules(9))
-	r, err := snap.Open(snapBytes(t, e))
-	if err != nil {
-		t.Fatal(err)
-	}
 	e2 := seeded(30, units.Joules(9.5))
-	if err := e2.Restore(r); err == nil || !strings.Contains(err.Error(), "α") {
+	if err := snap.Load(snapBytes(t, e), e2.Codec); err == nil || !strings.Contains(err.Error(), "α") {
 		t.Fatalf("α mismatch restore err = %v, want loud α complaint", err)
 	}
 }
@@ -132,12 +122,8 @@ func TestRestoreRejectsOversizedHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := snap.Open(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := seeded(25, units.Joules(9.5))
-	if err := e.Restore(r); err == nil || !strings.Contains(err.Error(), "caps at 64") {
+	if err := snap.Load(b, e.Codec); err == nil || !strings.Contains(err.Error(), "caps at 64") {
 		t.Fatalf("oversized history restore err = %v, want ring-cap complaint", err)
 	}
 }

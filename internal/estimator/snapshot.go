@@ -1,60 +1,32 @@
 package estimator
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/snap"
-	"repro/internal/units"
 )
 
-// Snapshot serializes the estimator's mutable state. The radio
+// Codec saves or restores the estimator's mutable state. The radio
 // subscription and α are structural — the rebuilt world re-creates
-// them — so only the running estimate, the extremes and the diagnostic
-// history travel.
-func (e *ActivationEstimator) Snapshot(w *snap.Writer) {
-	w.Section("estimator")
-	w.I64(e.alphaPct)
-	w.I64(int64(e.estimate))
-	w.I64(e.observations)
-	w.I64(int64(e.min))
-	w.I64(int64(e.max))
-	w.U64(uint64(len(e.history)))
-	for _, h := range e.history {
-		w.I64(int64(h))
-	}
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt estimator. A
-// differing α means the rebuilt device was configured differently from
-// the checkpointed one; that is a loud error, not a silent divergence.
-func (e *ActivationEstimator) Restore(r *snap.Reader) error {
-	r.Section("estimator")
-	alphaPct := r.I64()
-	estimate := units.Energy(r.I64())
-	observations := r.I64()
-	minE := units.Energy(r.I64())
-	maxE := units.Energy(r.I64())
-	n := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if alphaPct != e.alphaPct {
-		return fmt.Errorf("estimator: restore: snapshot α=%d%%, rebuilt estimator α=%d%%", alphaPct, e.alphaPct)
-	}
+// them, and a differing α means the rebuilt device was configured
+// differently from the checkpointed one — so only the running
+// estimate, the extremes and the diagnostic history travel.
+func (e *ActivationEstimator) Codec(c *snap.Codec) {
+	c.Section("estimator")
+	snap.SameInt(c, "α (percent)", e.alphaPct)
+	snap.Int(c, &e.estimate)
+	snap.Int(c, &e.observations)
+	snap.Int(c, &e.min)
+	snap.Int(c, &e.max)
+	n := c.Count(len(e.history))
 	if n > 64 {
-		return fmt.Errorf("estimator: restore: snapshot history holds %d entries, ring caps at 64", n)
+		c.Failf("estimator: restore: snapshot history holds %d entries, ring caps at 64", n)
+		return
 	}
-	hist := e.history[:0]
-	for i := 0; i < n; i++ {
-		hist = append(hist, units.Energy(r.I64()))
+	if c.Loading() {
+		e.history = slices.Grow(e.history[:0], n)[:n]
 	}
-	if err := r.Err(); err != nil {
-		return err
+	for i := range e.history {
+		snap.Int(c, &e.history[i])
 	}
-	e.estimate = estimate
-	e.observations = observations
-	e.min = minE
-	e.max = maxE
-	e.history = hist
-	return nil
 }

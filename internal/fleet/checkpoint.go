@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -14,27 +13,24 @@ import (
 	"repro/internal/units"
 )
 
-// This file implements the fleet's one range runner and its
-// checkpoint/resume. A run proceeds epoch by epoch: one epoch covering
-// the whole horizon without a checkpoint dir, one per CheckpointEvery
-// (default: one simulated day) with one. Every pass
-// runs the whole device range through the worker pool; at a non-final
-// boundary each surviving device serializes its complete state — engine
-// clock and schedules, RNG position, object census, reserve levels, tap
-// carries, scheduler accounting, radio/netd/baseband state, workload
-// hook counters — and the reducer streams the snapshots into an epoch
-// file in strict device-index order. Devices that died during the epoch
-// contribute their final DeviceResult instead, which later epochs pass
-// through untouched. The final pass aggregates exactly as an
-// uninterrupted run would.
+// This file implements the fleet's one range runner and its epoch
+// files. A run proceeds epoch by epoch: one epoch covering the whole
+// horizon without a checkpoint dir, one per CheckpointEvery (default:
+// one simulated day) with one. Every pass runs the whole device range
+// through the worker pool; at a non-final boundary each surviving
+// device saves its record (snapshot.go declares every record) and the
+// reducer streams the records into an epoch file in strict device-index
+// order. Devices that died during the epoch contribute their final
+// DeviceResult instead, which later epochs pass through untouched. The
+// final pass aggregates exactly as an uninterrupted run would.
 //
 // Epoch files are written to a temporary name and renamed only when
 // complete, so the newest file with a matching header is always a
 // consistent resume point: -resume rebuilds every device from its
-// deterministic construction path, overlays the snapshot, and continues
-// with kernel.ResumeRun — no Run-boundary re-step — making the resumed
-// run's canonical report byte-identical to an uninterrupted one (the
-// resume-equivalence suite asserts it).
+// deterministic construction path, loads its record onto it, and
+// continues with kernel.ResumeRun — no Run-boundary re-step — making
+// the resumed run's canonical report byte-identical to an uninterrupted
+// one (the resume-equivalence suite asserts it).
 
 // DefaultCheckpointEvery is the epoch length: one simulated day, the
 // boundary the week-in-the-life scenario quiesces at.
@@ -45,175 +41,6 @@ const (
 	recSnapshot = 1 // a live device's state snapshot
 	recResult   = 2 // a dead device's final result, passed through
 )
-
-// snapshotDevice serializes a device's complete state at a quiescent
-// epoch boundary.
-func snapshotDevice(d *Device) ([]byte, error) {
-	if n := d.Netd.WaitingThreads(); n > 0 {
-		// Netd's parked-sweep and settled-sweep state snapshots fine; what
-		// cannot is a waiter itself — a live reference to a blocked thread
-		// and its billing reserve, plus a pool-crossing prediction over
-		// them, in an object world the restore rebuilds from scratch.
-		return nil, fmt.Errorf("fleet: device %d (scenario %q) not checkpoint-quiet: %d callers blocked in netd; "+
-			"a cooperative-pooling session (and its predicted pool-crossing) cannot span a "+
-			"checkpoint — the %q workload has a poll in flight at this epoch boundary; "+
-			"move the boundary (-checkpoint-every) to an instant where no poll is in flight",
-			d.Index, d.Scenario, n, d.Scenario)
-	}
-	w := snap.NewWriter()
-	w.Section("fleet-device")
-	w.U64(uint64(d.Index))
-	w.I64(d.Seed)
-	w.String(d.Scenario)
-	w.Bool(d.Smdd != nil)
-	d.Kernel.Snapshot(w)
-	d.Radio.Snapshot(w)
-	d.Netd.Snapshot(w)
-	if d.Smdd != nil {
-		d.Smdd.Snapshot(w)
-	}
-	w.U64(uint64(len(d.Hooks)))
-	for _, h := range d.Hooks {
-		h.Save(w)
-	}
-	return w.Finish()
-}
-
-// restoreDevice overlays a snapshot onto a freshly built device. Every
-// divergence between the snapshot and the rebuilt device — different
-// scenario bucket, workload drift, mid-run state the rebuild cannot
-// reproduce — fails with a descriptive error rather than producing a
-// silently wrong device.
-func restoreDevice(d *Device, blob []byte) error {
-	r, err := snap.Open(blob)
-	if err != nil {
-		return err
-	}
-	r.Section("fleet-device")
-	idx := int(r.U64())
-	seed := r.I64()
-	scenario := r.String()
-	hasSmdd := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if idx != d.Index || seed != d.Seed {
-		return fmt.Errorf("fleet: restore: snapshot of device %d (seed %d) onto device %d (seed %d)",
-			idx, seed, d.Index, d.Seed)
-	}
-	if scenario != d.Scenario {
-		return fmt.Errorf("fleet: restore: snapshot bucket %q, rebuilt device drew %q", scenario, d.Scenario)
-	}
-	if hasSmdd != (d.Smdd != nil) {
-		return fmt.Errorf("fleet: restore: snapshot smdd presence %v, rebuilt device %v", hasSmdd, d.Smdd != nil)
-	}
-	if err := d.Kernel.Restore(r); err != nil {
-		return err
-	}
-	if err := d.Radio.Restore(r); err != nil {
-		return err
-	}
-	if err := d.Netd.Restore(r); err != nil {
-		return err
-	}
-	if hasSmdd {
-		if err := d.Smdd.Restore(r); err != nil {
-			return err
-		}
-	}
-	nHooks := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nHooks != len(d.Hooks) {
-		return fmt.Errorf("fleet: restore: snapshot has %d workload hooks, rebuilt device registered %d",
-			nHooks, len(d.Hooks))
-	}
-	for i, h := range d.Hooks {
-		if err := h.Load(r); err != nil {
-			return fmt.Errorf("fleet: restore: workload hook %d: %w", i, err)
-		}
-	}
-	return r.Close()
-}
-
-// encodeResult serializes a dead device's final result for epoch-file
-// passthrough.
-func encodeResult(res DeviceResult) ([]byte, error) {
-	w := snap.NewWriter()
-	w.Section("fleet-result")
-	w.U64(uint64(res.Index))
-	w.I64(res.Seed)
-	w.String(res.Scenario)
-	w.I64(int64(res.BatteryLeft))
-	w.Bool(res.Died)
-	w.I64(int64(res.DiedAt))
-	w.U64(math.Float64bits(res.Utilization))
-	res.Counters.save(w)
-	return w.Finish()
-}
-
-// decodeResult deserializes a passthrough result record.
-func decodeResult(blob []byte) (DeviceResult, error) {
-	r, err := snap.Open(blob)
-	if err != nil {
-		return DeviceResult{}, err
-	}
-	r.Section("fleet-result")
-	res := DeviceResult{
-		Index:    int(r.U64()),
-		Seed:     r.I64(),
-		Scenario: r.String(),
-	}
-	res.BatteryLeft = units.Energy(r.I64())
-	res.Died = r.Bool()
-	res.DiedAt = units.Time(r.I64())
-	res.Utilization = math.Float64frombits(r.U64())
-	res.Counters.load(r)
-	if err := r.Err(); err != nil {
-		return DeviceResult{}, err
-	}
-	return res, r.Close()
-}
-
-// save writes every counter in declaration order; load reads them back.
-func (c *Counters) save(w *snap.Writer) {
-	w.I64(int64(c.Consumed))
-	w.I64(int64(c.Recharged))
-	w.I64(int64(c.Reclaimed))
-	w.I64(c.BusyTicks)
-	w.I64(c.IdleTicks)
-	w.I64(c.RadioActivations)
-	w.I64(c.Polls)
-	w.I64(c.Pages)
-	w.I64(c.PowerUps)
-	w.I64(c.SMSSent)
-	w.I64(c.CallsPlaced)
-	w.U64(c.EngineSteps)
-	w.I64(c.FlowWalks)
-	w.I64(c.SettledBatches)
-	w.I64(c.SettledSweeps)
-	w.I64(c.SettledCharges)
-}
-
-func (c *Counters) load(r *snap.Reader) {
-	c.Consumed = units.Energy(r.I64())
-	c.Recharged = units.Energy(r.I64())
-	c.Reclaimed = units.Energy(r.I64())
-	c.BusyTicks = r.I64()
-	c.IdleTicks = r.I64()
-	c.RadioActivations = r.I64()
-	c.Polls = r.I64()
-	c.Pages = r.I64()
-	c.PowerUps = r.I64()
-	c.SMSSent = r.I64()
-	c.CallsPlaced = r.I64()
-	c.EngineSteps = r.U64()
-	c.FlowWalks = r.I64()
-	c.SettledBatches = r.I64()
-	c.SettledSweeps = r.I64()
-	c.SettledCharges = r.I64()
-}
 
 // epochPlan describes the epoch partition of a run's horizon.
 type epochPlan struct {
@@ -261,50 +88,12 @@ func epochPath(cfg Config, e int) string {
 // continues only from a file whose header equals the one this run
 // would write. Whether the writing run was the reference is not
 // recorded here: every device record's engine section carries its
-// mode, and sim.Engine.Restore refuses a reference/production mismatch.
+// mode, and loading it refuses a reference/production mismatch.
 type epochHeader struct {
 	id     Identity
 	every  units.Time
 	epoch  int
 	lo, hi int
-}
-
-func (h *epochHeader) save(w *snap.Writer) {
-	w.Section("epoch-header")
-	h.id.save(w)
-	w.I64(int64(h.every))
-	w.U64(uint64(h.epoch))
-	w.U64(uint64(h.lo))
-	w.U64(uint64(h.hi))
-}
-
-func (h *epochHeader) load(r *snap.Reader) error {
-	r.Section("epoch-header")
-	h.id.load(r)
-	h.every = units.Time(r.I64())
-	h.epoch = int(r.U64())
-	h.lo = int(r.U64())
-	h.hi = int(r.U64())
-	return r.Close()
-}
-
-// save writes the identity in declaration order; load reads it back.
-func (id *Identity) save(w *snap.Writer) {
-	w.String(id.Scenario)
-	w.U64(uint64(id.Devices))
-	w.I64(id.Seed)
-	w.I64(int64(id.Duration))
-	w.I64(int64(id.BatteryCapacity))
-	w.I64(int64(id.LifeResolution))
-}
-
-func (id *Identity) load(r *snap.Reader) {
-	id.Scenario = r.String()
-	id.Devices = int(r.U64())
-	id.Seed = r.I64()
-	id.Duration = units.Time(r.I64())
-	id.BatteryCapacity = units.Energy(r.I64())
-	id.LifeResolution = units.Time(r.I64())
 }
 
 // epochWriter streams records into a temporary epoch file, renamed into
@@ -328,10 +117,8 @@ func newEpochWriter(cfg Config, plan epochPlan, e, lo, hi int) (*epochWriter, er
 		return nil, err
 	}
 	ew := &epochWriter{f: f, bw: bufio.NewWriterSize(f, 1<<20), path: path, next: lo}
-	hw := snap.NewWriter()
 	h := epochHeader{cfg.identity(), plan.every, e, lo, hi}
-	h.save(hw)
-	blob, err := hw.Finish()
+	blob, err := snap.Save(h.codec)
 	if err != nil {
 		return nil, err
 	}
@@ -411,12 +198,13 @@ func (er *epochReader) checkHeader(cfg Config, plan epochPlan, e, lo, hi int) er
 	if kind != 0 {
 		return fmt.Errorf("missing epoch header (leading frame kind %d)", kind)
 	}
-	hr, err := snap.Open(blob)
-	if err != nil {
+	// A header that does not open is damage; one that opens but does not
+	// load is a sound header of another layout.
+	if _, err := snap.Open(blob); err != nil {
 		return fmt.Errorf("epoch header: %w", err)
 	}
 	var got epochHeader
-	if err := got.load(hr); err != nil {
+	if err := snap.Load(blob, got.codec); err != nil {
 		return fmt.Errorf("%w: %v", errEpochMismatch, err)
 	}
 	if want := (epochHeader{cfg.identity(), plan.every, e, lo, hi}); got != want {
@@ -609,7 +397,8 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 					// Died in an earlier epoch: pass the final result
 					// through (and decode it on the aggregating pass).
 					if final {
-						res, err := decodeResult(blob)
+						var res DeviceResult
+						err := snap.Load(blob, res.codec)
 						return outcome{res: res, err: err}
 					}
 					return outcome{blob: blob, kind: recResult}
@@ -618,7 +407,7 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 				if err != nil {
 					return outcome{err: err}
 				}
-				if err := restoreDevice(d, blob); err != nil {
+				if err := snap.Load(blob, d.codec); err != nil {
 					return outcome{err: err}
 				}
 				d.Kernel.ResumeRun(endT)
@@ -674,7 +463,7 @@ func concludeEpoch(d *Device, res *DeviceResult, final bool) outcome {
 		if final {
 			return outcome{res: *res}
 		}
-		blob, err := encodeResult(*res)
+		blob, err := snap.Save(res.codec)
 		return outcome{blob: blob, kind: recResult, err: err}
 	}
 	blob, err := snapshotDevice(d)

@@ -161,30 +161,30 @@ func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
 	}
 
 	// The pristine snapshot must restore.
-	if err := restoreDevice(rebuild(), blob); err != nil {
+	if err := snap.Load(blob, rebuild().codec); err != nil {
 		t.Fatalf("pristine snapshot failed to restore: %v", err)
 	}
 
 	corrupt := bytes.Clone(blob)
 	corrupt[len(corrupt)/2] ^= 0xFF
-	if err := restoreDevice(rebuild(), corrupt); !errors.Is(err, snap.ErrChecksum) {
+	if err := snap.Load(corrupt, rebuild().codec); !errors.Is(err, snap.ErrChecksum) {
 		t.Fatalf("corrupted payload: want ErrChecksum, got %v", err)
 	}
 
 	truncated := bytes.Clone(blob[:len(blob)/3])
-	err = restoreDevice(rebuild(), truncated)
+	err = snap.Load(truncated, rebuild().codec)
 	if !errors.Is(err, snap.ErrChecksum) && !errors.Is(err, snap.ErrTruncated) {
 		t.Fatalf("truncated snapshot: want checksum/truncation error, got %v", err)
 	}
 
 	notSnap := []byte("GARBAGEGARBAGEGARBAGE")
-	if err := restoreDevice(rebuild(), notSnap); !errors.Is(err, snap.ErrMagic) {
+	if err := snap.Load(notSnap, rebuild().codec); !errors.Is(err, snap.ErrMagic) {
 		t.Fatalf("non-snapshot bytes: want ErrMagic, got %v", err)
 	}
 
 	wrongVer := bytes.Clone(blob)
 	wrongVer[len(snap.Magic)] ^= 0x7F // version field follows the magic
-	if err := restoreDevice(rebuild(), wrongVer); !errors.Is(err, snap.ErrVersion) {
+	if err := snap.Load(wrongVer, rebuild().codec); !errors.Is(err, snap.ErrVersion) {
 		t.Fatalf("wrong version: want ErrVersion, got %v", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestRestoreOntoWrongDeviceFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = restoreDevice(d1, blob)
+	err = snap.Load(blob, d1.codec)
 	if err == nil || !strings.Contains(err.Error(), "onto device") {
 		t.Fatalf("want wrong-device error, got %v", err)
 	}
@@ -246,7 +246,7 @@ func TestCheckpointRefusesNonQuietBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rerr := restoreDevice(d2, blob); rerr == nil {
+	if rerr := snap.Load(blob, d2.codec); rerr == nil {
 		t.Fatal("snapshot of a mid-phase device restored without error")
 	}
 }
@@ -405,7 +405,7 @@ func TestSnapshotQuietNetdRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rerr := restoreDevice(d2, blob); rerr != nil {
+	if rerr := snap.Load(blob, d2.codec); rerr != nil {
 		t.Fatal(rerr)
 	}
 	// Continue both through the second phase to its teardown and beyond.

@@ -357,16 +357,9 @@ func (b Browse) Install(d *Device, w Window) error {
 	// The loaded-page count lives only in this install's closure; carry
 	// it across checkpoints so a resumed device reports the same Pages
 	// total an uninterrupted run would.
-	d.Hooks = append(d.Hooks, SnapHook{
-		Save: func(sw *snap.Writer) {
-			sw.Section("browse")
-			sw.I64(int64(br.loaded))
-		},
-		Load: func(sr *snap.Reader) error {
-			sr.Section("browse")
-			br.loaded = int(sr.I64())
-			return sr.Err()
-		},
+	d.Hooks = append(d.Hooks, func(c *snap.Codec) {
+		c.Section("browse")
+		snap.Int(c, &br.loaded)
 	})
 	return nil
 }
@@ -508,20 +501,16 @@ func (p Pollers) Install(d *Device, w Window) error {
 			res.Polls += int64(pl.Completed)
 		}
 	})
-	d.Hooks = append(d.Hooks, SnapHook{
-		Save: func(sw *snap.Writer) {
-			sw.Section("pollers")
-			total := carried
-			for _, pl := range pollers {
-				total += int64(pl.Completed)
-			}
-			sw.I64(total)
-		},
-		Load: func(sr *snap.Reader) error {
-			sr.Section("pollers")
-			carried = sr.I64()
-			return sr.Err()
-		},
+	d.Hooks = append(d.Hooks, func(c *snap.Codec) {
+		c.Section("pollers")
+		total := carried
+		for _, pl := range pollers {
+			total += int64(pl.Completed)
+		}
+		snap.Int(c, &total)
+		if c.Loading() {
+			carried = total
+		}
 	})
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -55,16 +56,16 @@ func TestCountersRoundTrip(t *testing.T) {
 	res := deadResult(c)
 
 	t.Run("epoch record", func(t *testing.T) {
-		blob, err := encodeResult(res)
+		blob, err := snap.Save(res.codec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := decodeResult(blob)
-		if err != nil {
+		var back DeviceResult
+		if err := snap.Load(blob, back.codec); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(back, res) {
-			t.Fatalf("decodeResult(encodeResult(r)) =\n%+v\nwant\n%+v", back, res)
+			t.Fatalf("load(save(r)) =\n%+v\nwant\n%+v", back, res)
 		}
 	})
 

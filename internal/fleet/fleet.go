@@ -81,13 +81,10 @@ type Device struct {
 	Hooks []SnapHook
 }
 
-// SnapHook is one workload's checkpoint participation: Save serializes
-// its counters into a device snapshot, Load restores them after the
-// workload was rebuilt.
-type SnapHook struct {
-	Save func(*snap.Writer)
-	Load func(*snap.Reader) error
-}
+// SnapHook is one workload's checkpoint participation: a codec over
+// its counters, run when the device's record is saved and again when
+// it is loaded onto the rebuilt workload.
+type SnapHook func(*snap.Codec)
 
 // EnsureSmdd boots the device's baseband daemon (shared-memory channel,
 // ARM9 model, smd.* gates) on first use and returns it. Workloads that
@@ -131,7 +128,7 @@ type DeviceResult struct {
 // Counters. It is declared once and carried unchanged through the fleet
 // aggregate, the shard partial (its JSON tags are a partial bucket's sum
 // fields) and the epoch record; a new counter is a field here plus a
-// line in add, save and load, and TestCountersRoundTrip fails until
+// line in add and codec, and TestCountersRoundTrip fails until
 // every codec carries it.
 type Counters struct {
 	// Consumed is total energy drawn over the run.

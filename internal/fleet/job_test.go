@@ -225,19 +225,12 @@ func TestIdentityRoundTrip(t *testing.T) {
 	id := distinctIdentity(t)
 
 	t.Run("epoch header", func(t *testing.T) {
-		w := snap.NewWriter()
-		id.save(w)
-		blob, err := w.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := snap.Open(blob)
+		blob, err := snap.Save(id.codec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var back Identity
-		back.load(r)
-		if err := r.Close(); err != nil || back != id {
+		if err := snap.Load(blob, back.codec); err != nil || back != id {
 			t.Fatalf("load(save(id)) = %+v, %v; want %+v", back, err, id)
 		}
 	})

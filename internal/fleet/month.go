@@ -113,7 +113,7 @@ func (m monthScenario) Build(d *Device) error {
 	// running state is checkpointed alongside the device.
 	est := estimator.NewActivationEstimator(d.Radio, estimator.DefaultAlphaPct)
 	d.Netd.SetEstimator(est)
-	d.Hooks = append(d.Hooks, SnapHook{Save: est.Snapshot, Load: est.Restore})
+	d.Hooks = append(d.Hooks, est.Codec)
 
 	// The monthly data plan all browsing is metered against. The plan
 	// is a second, byte-denominated consumption graph; its allowance
@@ -129,7 +129,7 @@ func (m monthScenario) Build(d *Device) error {
 	if err := plan.Grant(browseAllow, monthPlanQuota); err != nil {
 		return err
 	}
-	d.Hooks = append(d.Hooks, SnapHook{Save: plan.Snapshot, Load: plan.Restore})
+	d.Hooks = append(d.Hooks, plan.Codec)
 
 	// Habit draws happen for every device — laptops included, even
 	// where a habit goes unused — so the construction stream stays

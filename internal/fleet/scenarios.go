@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/label"
+	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -59,7 +60,8 @@ func (s PollerScenario) Build(d *Device) error {
 	if jitter == 0 {
 		jitter = 20
 	}
-	for i := 0; i < n; i++ {
+	pollers := make([]*apps.Poller, n)
+	for i := range pollers {
 		phase := units.Time(d.Rand.Intn(int64(interval)))
 		p, err := apps.NewPoller(d.Kernel, d.Kernel.Root, fmt.Sprintf("poller-%d", i),
 			d.Kernel.KernelPriv(), d.Kernel.Battery(), apps.PollerConfig{
@@ -73,11 +75,22 @@ func (s PollerScenario) Build(d *Device) error {
 		if err != nil {
 			return err
 		}
-		poller := p
-		d.Probes = append(d.Probes, func(res *DeviceResult) {
-			res.Polls += int64(poller.Completed)
-		})
+		pollers[i] = p
 	}
+	d.Probes = append(d.Probes, func(res *DeviceResult) {
+		for _, p := range pollers {
+			res.Polls += int64(p.Completed)
+		}
+	})
+	// A resumed device rebuilds its pollers with no completed polls, so
+	// the counts travel with the device's record. The next poll instant
+	// needs no hook: it travels as the thread's wake time.
+	d.Hooks = append(d.Hooks, func(c *snap.Codec) {
+		c.Section("poller")
+		for _, p := range pollers {
+			snap.Int(c, &p.Completed)
+		}
+	})
 	return nil
 }
 

@@ -1,11 +1,8 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -296,60 +293,6 @@ func (c *BatteryCharger) PredictedFire() units.Time {
 		return 0
 	}
 	return c.predicted
-}
-
-// Snapshot serializes the charger's mutable state. The task's own
-// schedule belongs to the engine section; mid-charge checkpoints work
-// because the credit cursor, carry and supply rate travel here.
-func (c *BatteryCharger) Snapshot(w *snap.Writer) {
-	w.Section("charger")
-	w.Bool(c.plugged)
-	w.String(c.supply.Name)
-	w.I64(int64(c.supply.Rate))
-	w.I64(int64(c.lastCharge))
-	w.I64(c.carry)
-	w.Bool(c.settling)
-	w.I64(int64(c.predicted))
-	w.I64(c.stats.Plugs)
-	w.I64(int64(c.stats.Recharged))
-	w.I64(int64(c.stats.Clamped))
-	w.I64(c.stats.SettledCharges)
-}
-
-// Restore overlays a snapshot onto a freshly attached charger. The
-// task schedule is restored by the engine section; Restore must not
-// touch it.
-func (c *BatteryCharger) Restore(r *snap.Reader) error {
-	r.Section("charger")
-	plugged := r.Bool()
-	name := r.String()
-	rate := units.Power(r.I64())
-	lastCharge := units.Time(r.I64())
-	carry := r.I64()
-	settling := r.Bool()
-	predicted := units.Time(r.I64())
-	stats := ChargerStats{
-		Plugs:          r.I64(),
-		Recharged:      units.Energy(r.I64()),
-		Clamped:        units.Energy(r.I64()),
-		SettledCharges: r.I64(),
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if settling && !c.closedForm {
-		return fmt.Errorf("kernel: charger restore: snapshot recorded a deferred charge " +
-			"prediction but the rebuilt charger credits every quantum (reference configuration) — " +
-			"resume in the configuration the checkpoint was written under")
-	}
-	c.plugged = plugged
-	c.supply = power.Charger{Name: name, Rate: rate}
-	c.lastCharge = lastCharge
-	c.carry = carry
-	c.settling = settling
-	c.predicted = predicted
-	c.stats = stats
-	return nil
 }
 
 var _ SweepSettler = (*BatteryCharger)(nil)

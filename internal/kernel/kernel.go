@@ -160,13 +160,8 @@ type deviceEntry struct {
 	dev Device
 	// quiescent is non-nil iff dev implements QuiescentDevice.
 	quiescent QuiescentDevice
-	// settleable is non-nil iff dev implements SettleableDevice;
-	// accounts caches its SettleAccounts result (the reserve set is
-	// fixed for the device's lifetime). guard is non-nil iff dev
-	// implements SettleGuardDevice, which replaces the accounts check.
+	// settleable is non-nil iff dev implements SettleableDevice.
 	settleable SettleableDevice
-	guard      SettleGuardDevice
-	accounts   []*core.Reserve
 }
 
 // Device is a peripheral that advances once per tick.
@@ -206,14 +201,14 @@ type SettleableDevice interface {
 	// PeakDraw bounds the device's possible per-tick draw, charged
 	// against the battery's depletion horizon before a span is settled.
 	PeakDraw() units.Power
-	// SettleAccounts lists the device's private billing reserves.
-	// Settlement reorders device billing against tap flows, which is
-	// only exact while no active tap touches these. The set must be
-	// fixed for the device's registration lifetime: the kernel caches it
-	// at AddDevice so the per-instant settleability check allocates
-	// nothing. Devices whose billing targets change over time implement
-	// SettleGuardDevice instead, which supersedes the account check.
-	SettleAccounts() []*core.Reserve
+	// SettleSafe reports whether the device's pending ticks commute
+	// with tap flows right now. Settlement reorders device billing
+	// against tap flows, which is only exact while no active tap
+	// interferes with the device's billing targets; the device judges
+	// that from its own knowledge of those targets (the radio: no active
+	// tap touches its fund; smdd: see its commutation argument). It runs
+	// at every executed instant, so it must not allocate.
+	SettleSafe() bool
 }
 
 // SweepSettler is implemented by subsystems that own a periodic task
@@ -237,18 +232,6 @@ type SweepSettler interface {
 	SyncSweeps(now units.Time)
 	SettleSweeps(now units.Time)
 	InvalidateSweeps()
-}
-
-// SettleGuardDevice optionally refines SettleableDevice for devices
-// whose billing targets vary (smdd bills whichever thread placed the
-// current call): SettleSafe judges, from the device's own knowledge of
-// its targets and the graph, whether its pending ticks commute with tap
-// flows — e.g. debt-allowed debits of level-independent amounts commute
-// with taps feeding the same reserve, which the kernel's coarse
-// SettleAccounts ∩ active-taps test would refuse. When implemented it
-// replaces that test.
-type SettleGuardDevice interface {
-	SettleSafe() bool
 }
 
 // New builds a kernel and registers its periodic activities on a fresh
@@ -890,28 +873,15 @@ func (k *Kernel) replayWindow(devLimit, flowLimit, baseLimit units.Time) {
 }
 
 // devicesSettleable reports whether every non-quiescent device can be
-// settled in closed form, including the account check: settlement
-// reorders device billing against tap flows, which is only exact while
-// no active tap touches a device's private reserves.
+// settled in closed form right now (see SettleableDevice.SettleSafe).
 func (k *Kernel) devicesSettleable() bool {
 	for i := range k.devices {
 		d := &k.devices[i]
 		if d.quiescent != nil && d.quiescent.Quiescent() {
 			continue
 		}
-		if d.settleable == nil {
+		if d.settleable == nil || !d.settleable.SettleSafe() {
 			return false
-		}
-		if d.guard != nil {
-			if !d.guard.SettleSafe() {
-				return false
-			}
-			continue
-		}
-		for _, r := range d.accounts {
-			if k.Graph.ReserveTapped(r) {
-				return false
-			}
 		}
 	}
 	return true
@@ -1040,13 +1010,7 @@ func (k *Kernel) NewCategory() label.Category {
 func (k *Kernel) AddDevice(d Device) {
 	e := deviceEntry{dev: d}
 	e.quiescent, _ = d.(QuiescentDevice)
-	if s, ok := d.(SettleableDevice); ok {
-		e.settleable = s
-		e.guard, _ = d.(SettleGuardDevice)
-		if e.guard == nil {
-			e.accounts = s.SettleAccounts()
-		}
-	}
+	e.settleable, _ = d.(SettleableDevice)
 	k.devices = append(k.devices, e)
 	if n, ok := d.(deviceActivityNotifier); ok {
 		n.SetActivityHook(k.fn.resume)

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"repro/internal/label"
-	"repro/internal/snap"
 )
 
 // ID names a kernel object uniquely within one Table. ID 0 is never
@@ -140,39 +139,6 @@ func (t *Table) Reset() {
 	t.next = 1
 	clear(t.objs)
 	clear(t.parent)
-}
-
-// Snapshot serializes the table's allocation state: the next ID and the
-// live object census. Objects themselves are not serialized — restore
-// runs against a table whose owner has rebuilt the identical object
-// population — but the census lets Restore detect a rebuild that
-// diverged from the snapshotted world.
-func (t *Table) Snapshot(w *snap.Writer) {
-	w.Section("kobj")
-	w.U64(uint64(t.next))
-	w.U64(uint64(len(t.objs)))
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt table: the live
-// object count must match (the rebuild produced the same permanent
-// population the snapshotted device had), and the ID allocator jumps
-// forward so objects created after the restore receive the same IDs
-// they would have in an uninterrupted run.
-func (t *Table) Restore(r *snap.Reader) error {
-	r.Section("kobj")
-	next := ID(r.U64())
-	count := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if count != len(t.objs) {
-		return fmt.Errorf("kobj: restore: snapshot has %d live objects, rebuilt table has %d", count, len(t.objs))
-	}
-	if next < t.next {
-		return fmt.Errorf("kobj: restore: snapshot next ID %d behind rebuilt table's %d", next, t.next)
-	}
-	t.next = next
-	return nil
 }
 
 // Register assigns an ID to the object, initializes its Base, and files

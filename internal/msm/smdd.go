@@ -361,7 +361,7 @@ func (d *Smdd) billPeripheral(e units.Energy, bill *core.Reserve, p label.Priv) 
 	_ = d.k.Battery().Consume(d.k.KernelPriv(), e)
 }
 
-// Closed-form settlement (kernel.SettleableDevice / SettleGuardDevice):
+// Closed-form settlement (kernel.SettleableDevice):
 // between executed instants the baseband's continuous draws are fully
 // determined — call state and GPS power change only from gate calls and
 // ARM9 events, which happen at executed instants after settlement has
@@ -390,12 +390,7 @@ func (d *Smdd) PeakDraw() units.Power {
 	return d.cfg.CallExtraPower + d.cfg.GPSExtraPower
 }
 
-// SettleAccounts implements kernel.SettleableDevice. Smdd's billing
-// targets vary per call/session, so the static account list is empty
-// and SettleSafe (the SettleGuardDevice refinement) supersedes it.
-func (d *Smdd) SettleAccounts() []*core.Reserve { return nil }
-
-// SettleSafe implements kernel.SettleGuardDevice: it reports whether
+// SettleSafe implements kernel.SettleableDevice: it reports whether
 // the currently active billing targets commute with tap flows (see the
 // commutation argument above).
 func (d *Smdd) SettleSafe() bool {
@@ -489,4 +484,3 @@ func (d *Smdd) settleSpan(n int64, dt units.Time, p units.Power, carry int64, bi
 }
 
 var _ kernel.SettleableDevice = (*Smdd)(nil)
-var _ kernel.SettleGuardDevice = (*Smdd)(nil)

@@ -1,10 +1,6 @@
 package msm
 
-import (
-	"fmt"
-
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
 // This file implements checkpoint/resume for the baseband path. A
 // checkpoint-quiet baseband has no call up, no GPS session, and no
@@ -16,64 +12,37 @@ import (
 // message can carry an old sequence number, so they are unreachable by
 // construction.
 
-// Snapshot serializes smdd and its ARM9 model.
-func (d *Smdd) Snapshot(w *snap.Writer) {
-	w.Section("smdd")
-	w.U64(d.seq)
-	w.I64(d.stats.BatteryReads)
-	w.I64(d.stats.SMSSent)
-	w.I64(d.stats.CallsPlaced)
-	w.I64(d.stats.GPSFixes)
-	w.I64(d.stats.IncomingSMS)
-	w.I64(d.callCarry)
-	w.I64(d.gpsCarry)
-	w.U64(uint64(d.arm9.call))
-	w.Bool(d.arm9.gpsOn)
-	w.I64(d.arm9.smsSent)
-	w.U64(uint64(len(d.sm.toApps)))
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt smdd. A snapshot
-// taken mid-call, mid-GPS-session or with shared-memory messages in
-// flight is rejected loudly: that state references threads and reserves
-// the restore cannot reattach.
-func (d *Smdd) Restore(r *snap.Reader) error {
-	r.Section("smdd")
-	seq := r.U64()
-	stats := Stats{
-		BatteryReads: r.I64(),
-		SMSSent:      r.I64(),
-		CallsPlaced:  r.I64(),
-		GPSFixes:     r.I64(),
-		IncomingSMS:  r.I64(),
+// Codec saves or restores smdd and its ARM9 model. A load refuses a
+// snapshot taken mid-call, mid-GPS-session or with shared-memory
+// messages in flight: that state references threads and reserves the
+// load cannot reattach.
+func (d *Smdd) Codec(c *snap.Codec) {
+	c.Section("smdd")
+	snap.Uint(c, &d.seq)
+	snap.Int(c, &d.stats.BatteryReads)
+	snap.Int(c, &d.stats.SMSSent)
+	snap.Int(c, &d.stats.CallsPlaced)
+	snap.Int(c, &d.stats.GPSFixes)
+	snap.Int(c, &d.stats.IncomingSMS)
+	snap.Int(c, &d.callCarry)
+	snap.Int(c, &d.gpsCarry)
+	snap.Uint(c, &d.arm9.call)
+	c.Bool(&d.arm9.gpsOn)
+	snap.Int(c, &d.arm9.smsSent)
+	inFlight := len(d.sm.toApps)
+	snap.Uint(c, &inFlight)
+	if !c.Loading() {
+		return
 	}
-	callCarry := r.I64()
-	gpsCarry := r.I64()
-	call := CallState(r.U64())
-	gpsOn := r.Bool()
-	smsSent := r.I64()
-	inFlight := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
+	switch {
+	case d.arm9.call != CallIdle:
+		c.Failf("msm: restore: snapshot taken with a voice call %v; calls cannot span a checkpoint", d.arm9.call)
+	case d.arm9.gpsOn:
+		c.Failf("msm: restore: snapshot taken with the GPS engine on; GPS sessions cannot span a checkpoint")
+	case inFlight > 0:
+		c.Failf("msm: restore: snapshot recorded %d undrained shared-memory messages", inFlight)
 	}
-	if call != CallIdle {
-		return fmt.Errorf("msm: restore: snapshot taken with a voice call %v; calls cannot span a checkpoint", call)
-	}
-	if gpsOn {
-		return fmt.Errorf("msm: restore: snapshot taken with the GPS engine on; GPS sessions cannot span a checkpoint")
-	}
-	if inFlight > 0 {
-		return fmt.Errorf("msm: restore: snapshot recorded %d undrained shared-memory messages", inFlight)
-	}
-	d.seq = seq
-	d.stats = stats
-	d.callCarry = callCarry
-	d.gpsCarry = gpsCarry
 	d.callBill = nil
 	d.gpsBill = nil
 	clear(d.pend)
-	d.arm9.call = call
-	d.arm9.gpsOn = gpsOn
-	d.arm9.smsSent = smsSent
-	return nil
 }

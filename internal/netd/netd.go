@@ -29,7 +29,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -679,73 +678,5 @@ func (n *Netd) runSession(now units.Time, w waiter) {
 
 // WaitingThreads returns the number of blocked callers (diagnostics).
 func (n *Netd) WaitingThreads() int { return len(n.waiters) }
-
-// Snapshot serializes the daemon's mutable state. Waiters cannot be
-// serialized (they hold thread and reserve references into a world the
-// restore rebuilds); the fleet checkpoints only at quiescent instants
-// where none exist, and Restore rejects a snapshot that recorded any.
-func (n *Netd) Snapshot(w *snap.Writer) {
-	w.Section("netd")
-	w.U64(uint64(len(n.waiters)))
-	w.I64(n.stats.Polls)
-	w.I64(n.stats.Blocked)
-	w.I64(n.stats.Immediate)
-	w.I64(n.stats.PowerUps)
-	w.I64(int64(n.stats.Pooled))
-	w.I64(n.stats.Abandoned)
-	w.I64(n.stats.SettledSweeps)
-	w.I64(int64(n.lastSweep))
-	w.Bool(n.settling)
-	w.Bool(!n.cfg.NoPoolTrace)
-	if !n.cfg.NoPoolTrace {
-		n.poolTrace.Snapshot(w)
-	}
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt daemon. The pooled
-// reserve's level belongs to the graph's snapshot.
-func (n *Netd) Restore(r *snap.Reader) error {
-	r.Section("netd")
-	waiters := int(r.U64())
-	stats := Stats{
-		Polls:         r.I64(),
-		Blocked:       r.I64(),
-		Immediate:     r.I64(),
-		PowerUps:      r.I64(),
-		Pooled:        units.Energy(r.I64()),
-		Abandoned:     r.I64(),
-		SettledSweeps: r.I64(),
-	}
-	lastSweep := units.Time(r.I64())
-	settling := r.Bool()
-	traced := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if waiters > 0 {
-		return fmt.Errorf("netd: restore: snapshot recorded %d blocked callers; "+
-			"a netd session spans executed instants whose waiter state (thread "+
-			"and reserve references, predicted pool-crossing) cannot be "+
-			"serialized — checkpoint at a quiet point between sessions instead "+
-			"(the fleet runner's chunk boundaries qualify; mid-wait instants do not)", waiters)
-	}
-	if settling {
-		// settling without waiters is unreachable (predictions exist only
-		// while callers wait); reject rather than resume inconsistently.
-		return fmt.Errorf("netd: restore: snapshot recorded a deferred sweep with no waiters")
-	}
-	if traced != !n.cfg.NoPoolTrace {
-		return fmt.Errorf("netd: restore: snapshot pool tracing %v, rebuilt daemon %v", traced, !n.cfg.NoPoolTrace)
-	}
-	if traced {
-		if err := n.poolTrace.Restore(r); err != nil {
-			return err
-		}
-	}
-	n.stats = stats
-	n.lastSweep = lastSweep
-	n.settling = false
-	return nil
-}
 
 var _ kernel.SweepSettler = (*Netd)(nil)

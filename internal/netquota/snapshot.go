@@ -1,23 +1,13 @@
 package netquota
 
-import (
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
-// Snapshot serializes the plan's mutable state: the underlying byte
-// graph carries every allowance level, tap carry and accounting
+// Codec saves or restores the plan's mutable state: the underlying
+// byte graph carries every allowance level, tap carry and accounting
 // counter, so the plan itself adds nothing beyond the section frame.
 // Allowance handles are structural — the rebuilt world re-creates them
-// in the same order, and the graph restore validates name-by-name.
-func (p *Plan) Snapshot(w *snap.Writer) {
-	w.Section("netquota")
-	p.graph.Snapshot(w)
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt plan whose
-// allowances were re-created by the same deterministic construction
-// path.
-func (p *Plan) Restore(r *snap.Reader) error {
-	r.Section("netquota")
-	return p.graph.Restore(r)
+// in the same order, and the graph section checks them name by name.
+func (p *Plan) Codec(c *snap.Codec) {
+	c.Section("netquota")
+	p.graph.Codec(c)
 }

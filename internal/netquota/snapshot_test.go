@@ -11,9 +11,7 @@ import (
 
 func planSnap(t *testing.T, p *Plan) []byte {
 	t.Helper()
-	w := snap.NewWriter()
-	p.Snapshot(w)
-	b, err := w.Finish()
+	b, err := snap.Save(p.Codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +21,7 @@ func planSnap(t *testing.T, p *Plan) []byte {
 // buildMeteredPlan is the deterministic construction path both sides of
 // the round trip share: a plan with a granted browser allowance and a
 // trickle-fed background allowance, mirroring how a fleet scenario's
-// Build re-creates the plan before Restore overlays the snapshot.
+// Build re-creates the plan before the load overlays the snapshot.
 func buildMeteredPlan(t *testing.T) (*Plan, *Allowance, *Allowance) {
 	t.Helper()
 	p, _ := newPlan(t, 100*Mebibyte)
@@ -50,11 +48,7 @@ func TestPlanSnapshotRoundTrip(t *testing.T) {
 	b := planSnap(t, p)
 
 	p2, browser2, _ := buildMeteredPlan(t)
-	r, err := snap.Open(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Restore(r); err != nil {
+	if err := snap.Load(b, p2.Codec); err != nil {
 		t.Fatal(err)
 	}
 	if lvl, _ := browser2.Level(label.Priv{}); lvl != 17*Mebibyte {
@@ -85,11 +79,7 @@ func TestPlanRestoreRejectsStructuralDrift(t *testing.T) {
 	if _, err := p2.NewAllowance("mailer", 0); err != nil {
 		t.Fatal(err)
 	}
-	r, err := snap.Open(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Restore(r); err == nil {
+	if err := snap.Load(b, p2.Codec); err == nil {
 		t.Fatal("restore onto a structurally different plan succeeded")
 	}
 }

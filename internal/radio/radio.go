@@ -29,7 +29,6 @@ import (
 	"repro/internal/label"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -110,12 +109,9 @@ type Radio struct {
 
 	// fund is the reserve radio draw is billed to first; netd pre-pays
 	// activation cost into it. Falls back to the battery.
-	fund *core.Reserve
-	// accounts is the cached SettleAccounts result ({fund}), so the
-	// kernel's per-instant settleability check allocates nothing.
-	accounts [1]*core.Reserve
-	priv     label.Priv
-	stats    Stats
+	fund  *core.Reserve
+	priv  label.Priv
+	stats Stats
 	// states records transitions for active-time analysis (Fig. 13).
 	states *trace.Series
 	// episodeStart snapshots cumulative above-baseline energy at
@@ -161,7 +157,6 @@ func (r *Radio) Reset(eng *sim.Engine, g *core.Graph, parent *kobj.Container, pr
 	r.onActivity = nil
 	r.states.Reset("radio-state", "state")
 	r.fund = g.NewReserve(parent, "radio-fund", label.Public(), core.ReserveOpts{DecayExempt: true})
-	r.accounts[0] = r.fund
 	r.states.Add(eng.Now(), int64(Sleep))
 }
 
@@ -363,63 +358,6 @@ func (r *Radio) consumeDevice(e units.Energy) {
 	_ = r.graph.Battery().Consume(r.priv, e)
 }
 
-// Snapshot serializes the radio's mutable state: the power state
-// machine, billing carries, activity counters and the state-transition
-// trace. The funding reserve itself belongs to the graph's snapshot.
-func (r *Radio) Snapshot(w *snap.Writer) {
-	w.Section("radio")
-	w.U64(uint64(r.state))
-	w.I64(int64(r.rampEnd))
-	w.I64(int64(r.lastActivity))
-	w.I64(r.plateauScale)
-	w.I64(r.carry)
-	w.I64(int64(r.episodeStart))
-	w.I64(r.stats.Activations)
-	w.I64(r.stats.PacketsSent)
-	w.I64(r.stats.BytesSent)
-	w.I64(r.stats.PacketsReceived)
-	w.I64(r.stats.BytesReceived)
-	w.I64(int64(r.stats.StateEnergy))
-	w.I64(int64(r.stats.DataEnergy))
-	w.I64(int64(r.stats.ActiveTime))
-	r.states.Snapshot(w)
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt radio.
-func (r *Radio) Restore(rd *snap.Reader) error {
-	rd.Section("radio")
-	state := State(rd.U64())
-	rampEnd := units.Time(rd.I64())
-	lastActivity := units.Time(rd.I64())
-	plateauScale := rd.I64()
-	carry := rd.I64()
-	episodeStart := units.Energy(rd.I64())
-	stats := Stats{
-		Activations:     rd.I64(),
-		PacketsSent:     rd.I64(),
-		BytesSent:       rd.I64(),
-		PacketsReceived: rd.I64(),
-		BytesReceived:   rd.I64(),
-		StateEnergy:     units.Energy(rd.I64()),
-		DataEnergy:      units.Energy(rd.I64()),
-		ActiveTime:      units.Time(rd.I64()),
-	}
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if err := r.states.Restore(rd); err != nil {
-		return err
-	}
-	r.state = state
-	r.rampEnd = rampEnd
-	r.lastActivity = lastActivity
-	r.plateauScale = plateauScale
-	r.carry = carry
-	r.episodeStart = episodeStart
-	r.stats = stats
-	return nil
-}
-
 // DeviceTick advances the state machine and bills state power; the
 // kernel calls it every tick.
 func (r *Radio) DeviceTick(now units.Time, dt units.Time) {
@@ -471,11 +409,10 @@ func (r *Radio) PeakDraw() units.Power {
 	return p
 }
 
-// SettleAccounts lists the radio's private billing reserves (the funding
-// pool). Closed-form settlement reorders device billing against tap
-// flows, which is only exact while no active tap touches these. The
-// returned slice is cached — callers must treat it as read-only.
-func (r *Radio) SettleAccounts() []*core.Reserve { return r.accounts[:] }
+// SettleSafe implements kernel.SettleableDevice: closed-form
+// settlement reorders device billing against tap flows, which is only
+// exact while no active tap touches the funding reserve.
+func (r *Radio) SettleSafe() bool { return !r.graph.ReserveTapped(r.fund) }
 
 // SettleTicks performs, in closed form, exactly the DeviceTick calls the
 // kernel skipped while its device task was parked: one per tick instant

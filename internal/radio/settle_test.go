@@ -50,10 +50,10 @@ func spanRadio(tb testing.TB, active bool, edge units.Time, scale, carry int64, 
 // accounting record.
 func radioState(tb testing.TB, r *Radio) []byte {
 	tb.Helper()
-	w := snap.NewWriter()
-	r.Snapshot(w)
-	r.graph.Snapshot(w)
-	b, err := w.Finish()
+	b, err := snap.Save(func(c *snap.Codec) {
+		r.Codec(c)
+		r.graph.Codec(c)
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/snap"
-	"repro/internal/units"
-)
+import "repro/internal/snap"
 
 // This file implements checkpoint/resume for the scheduler. A snapshot
 // records the tick accounting, the round-robin cursor and a per-thread
@@ -15,91 +10,55 @@ import (
 // differ would schedule differently even if the live populations
 // matched).
 //
-// Restore runs against a scheduler whose owner rebuilt the device's
+// A load runs against a scheduler whose owner rebuilt the device's
 // construction-time threads. Those form a prefix of the snapshot's
 // records (threads created mid-run always append after them) and are
 // matched by name; every record past the prefix must be an Exited
 // thread and is materialized as a tombstone — a list entry with the
 // right name and state that the scheduler skips but counts, exactly as
-// it would the genuinely exited thread.
+// it would the genuinely exited thread. A record that is neither a
+// rebuilt thread nor exited means the device had a live mid-run thread
+// at the checkpoint — not a quiescent state — and fails loudly.
 
-// Snapshot serializes the scheduler's mutable state.
-func (s *Scheduler) Snapshot(w *snap.Writer) {
-	w.Section("sched")
-	w.I64(int64(s.cpuPower))
-	w.I64(s.busyTicks)
-	w.I64(s.idleTicks)
-	w.U64(uint64(s.rr))
-	w.U64(uint64(len(s.threads)))
-	for _, t := range s.threads {
-		w.String(t.name)
-		w.U64(uint64(t.state))
-		w.I64(int64(t.wakeAt))
-		w.I64(int64(t.cpuConsumed))
-		w.I64(t.ticksRun)
-		w.I64(t.throttledTicks)
-	}
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt scheduler (see the
-// file comment for the matching rules). A snapshot record that is
-// neither a rebuilt thread nor exited means the device had a live
-// mid-run thread at the checkpoint — not a quiescent state — and fails
-// loudly.
-func (s *Scheduler) Restore(r *snap.Reader) error {
-	r.Section("sched")
-	cpuPower := units.Power(r.I64())
-	busyTicks := r.I64()
-	idleTicks := r.I64()
-	rr := int(r.U64())
-	n := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cpuPower != s.cpuPower {
-		return fmt.Errorf("sched: restore: snapshot CPU power %v, rebuilt scheduler bills %v", cpuPower, s.cpuPower)
-	}
-	if n < len(s.threads) {
-		return fmt.Errorf("sched: restore: snapshot has %d threads, rebuilt scheduler already has %d", n, len(s.threads))
+// Codec saves or restores the scheduler's mutable state.
+func (s *Scheduler) Codec(c *snap.Codec) {
+	c.Section("sched")
+	snap.SameInt(c, "CPU power", s.cpuPower)
+	snap.Int(c, &s.busyTicks)
+	snap.Int(c, &s.idleTicks)
+	snap.Uint(c, &s.rr)
+	rebuilt := len(s.threads)
+	n := c.Count(rebuilt)
+	if n < rebuilt {
+		c.Failf("sched: restore: snapshot has %d threads, rebuilt scheduler already has %d", n, rebuilt)
+		return
 	}
 	for i := 0; i < n; i++ {
-		name := r.String()
-		state := State(r.U64())
-		wakeAt := units.Time(r.I64())
-		cpuConsumed := units.Energy(r.I64())
-		ticksRun := r.I64()
-		throttled := r.I64()
-		if err := r.Err(); err != nil {
-			return err
+		if i < rebuilt {
+			c.Name("thread", i, s.threads[i].name)
+		} else { // only on load: a tombstone past the rebuilt prefix
+			s.threads = append(s.threads, &Thread{sched: s})
+			c.String(&s.threads[i].name)
 		}
-		var t *Thread
-		if i < len(s.threads) {
-			t = s.threads[i]
-			if t.name != name {
-				return fmt.Errorf("sched: restore: thread %d is %q, snapshot has %q", i, t.name, name)
-			}
-		} else {
-			if state != Exited {
-				return fmt.Errorf("sched: restore: snapshot thread %d (%q) is %v and not part of the rebuilt "+
-					"device; only exited mid-run threads can be restored as tombstones", i, name, state)
-			}
-			t = &Thread{name: name, sched: s}
-			s.threads = append(s.threads, t)
+		t := s.threads[i]
+		snap.Uint(c, &t.state)
+		snap.Int(c, &t.wakeAt)
+		snap.Int(c, &t.cpuConsumed)
+		snap.Int(c, &t.ticksRun)
+		snap.Int(c, &t.throttledTicks)
+		if i >= rebuilt && t.state != Exited {
+			c.Failf("sched: restore: snapshot thread %d (%q) is %v and not part of the rebuilt "+
+				"device; only exited mid-run threads can be restored as tombstones", i, t.name, t.state)
+			return
 		}
-		t.state = state
-		t.wakeAt = wakeAt
-		t.cpuConsumed = cpuConsumed
-		t.ticksRun = ticksRun
-		t.throttledTicks = throttled
 	}
-	s.busyTicks = busyTicks
-	s.idleTicks = idleTicks
-	s.rr = rr
+	if !c.Loading() {
+		return
+	}
 	s.runnable = 0
 	for _, t := range s.threads {
 		if t.state == Runnable {
 			s.runnable++
 		}
 	}
-	return nil
 }

@@ -23,9 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
-	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -186,7 +184,7 @@ func firstDueAt(period, phase, from units.Time) units.Time {
 // so a device that never draws — an idle phone — never pays for
 // seeding. Every draw delegates to that source, so the random stream is
 // bit-identical to an unwrapped rand.NewSource(seed). The draw count
-// makes the RNG state snapshotable: Restore replays the recorded number
+// makes the RNG state snapshotable: a load replays the recorded number
 // of draws through the same lazy path instead of serializing
 // math/rand's opaque internals, so a zero-draw snapshot never seeds.
 // Both Int63 and Uint64 advance the underlying generator by exactly one
@@ -664,177 +662,6 @@ func (e *Engine) EarliestWork(except *Task) units.Time {
 		}
 	}
 	return earliest
-}
-
-// Snapshot serializes the engine's run state: clock, step and sequence
-// counters, RNG draw count, per-task schedules, and the (At, seq)
-// identity of every pending one-shot event. Event and task *callbacks*
-// are not serialized — Restore runs against an engine whose owner has
-// re-registered the identical callbacks (by rebuilding the device from
-// its deterministic construction path) and validates that the rebuilt
-// schedule matches the snapshot exactly.
-func (e *Engine) Snapshot(w *snap.Writer) {
-	w.Section("engine")
-	w.U64(uint64(e.mode))
-	w.I64(int64(e.tick))
-	w.I64(int64(e.now))
-	w.U64(e.steps)
-	w.U64(e.seq)
-	w.U64(e.src.draws)
-	w.U64(uint64(len(e.tasks)))
-	for _, t := range e.tasks {
-		w.String(t.Name)
-		w.I64(int64(t.Period))
-		w.I64(int64(t.Phase))
-		w.I64(int64(t.nextDue))
-		w.Bool(t.deferred)
-	}
-	w.U64(uint64(len(e.events)))
-	for _, ev := range sortedEvents(e.events) {
-		w.I64(int64(ev.At))
-		w.U64(ev.seq)
-	}
-}
-
-// sortedEvents returns the pending events ordered by (At, seq) — a
-// deterministic serialization order independent of heap layout.
-func sortedEvents(h eventHeap) []*Event {
-	out := make([]*Event, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].seq < out[j].seq
-	})
-	return out
-}
-
-// Restore overlays a snapshot onto a freshly rebuilt engine: the caller
-// has re-run the device's deterministic construction sequence (which
-// re-registered every task and install-time event with callbacks
-// intact), and Restore advances the clock, counters and RNG to the
-// snapshot state, prunes the install-time events that had already fired
-// before the snapshot, and validates that what remains matches the
-// snapshot's pending set exactly. Any mismatch — a task list drift, a
-// pending event the rebuild cannot account for (e.g. one scheduled
-// dynamically mid-run, which means the device was not quiescent at the
-// checkpoint), or an RNG that would have to run backwards — is a loud,
-// descriptive error, never a silently wrong engine.
-func (e *Engine) Restore(r *snap.Reader) error {
-	r.Section("engine")
-	mode := Mode(r.U64())
-	tick := units.Time(r.I64())
-	now := units.Time(r.I64())
-	steps := r.U64()
-	seq := r.U64()
-	draws := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if mode != e.mode {
-		return fmt.Errorf("sim: restore: snapshot mode %v, engine mode %v", mode, e.mode)
-	}
-	if tick != e.tick {
-		return fmt.Errorf("sim: restore: snapshot tick %v, engine tick %v", tick, e.tick)
-	}
-	if now < e.now {
-		return fmt.Errorf("sim: restore: snapshot time %v behind engine time %v", now, e.now)
-	}
-	if draws < e.src.draws {
-		return fmt.Errorf("sim: restore: snapshot has %d RNG draws, engine already at %d", draws, e.src.draws)
-	}
-
-	nTasks := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nTasks != len(e.tasks) {
-		return fmt.Errorf("sim: restore: snapshot has %d tasks, rebuilt engine has %d", nTasks, len(e.tasks))
-	}
-	for i := 0; i < nTasks; i++ {
-		name := r.String()
-		period := units.Time(r.I64())
-		phase := units.Time(r.I64())
-		nextDue := units.Time(r.I64())
-		deferred := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		t := e.tasks[i]
-		if t.Name != name || t.Period != period || t.Phase != phase {
-			return fmt.Errorf("sim: restore: task %d is %q(%v+%v), snapshot has %q(%v+%v)",
-				i, t.Name, t.Period, t.Phase, name, period, phase)
-		}
-		t.nextDue = nextDue
-		t.deferred = deferred
-	}
-
-	// The rebuilt engine's seq counter marks the end of construction:
-	// every event scheduled during the rebuild carries a smaller seq. A
-	// pending snapshot event at or past it was scheduled dynamically
-	// mid-run — state the rebuild cannot reproduce.
-	buildSeq := e.seq
-	nEvents := int(r.U64())
-	type evKey struct {
-		at  units.Time
-		seq uint64
-	}
-	want := make(map[evKey]bool, nEvents)
-	for i := 0; i < nEvents; i++ {
-		at := units.Time(r.I64())
-		evSeq := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if evSeq >= buildSeq {
-			return fmt.Errorf("sim: restore: pending event at %v (seq %d) was scheduled mid-run; "+
-				"the device was not quiescent at the checkpoint", at, evSeq)
-		}
-		want[evKey{at, evSeq}] = true
-	}
-	// Prune rebuilt install-time events that had already fired before
-	// the snapshot instant, then require exact agreement.
-	live := e.events[:0]
-	for _, ev := range e.events {
-		if ev.At <= now {
-			ev.index = -1
-			ev.Fn = nil
-			continue
-		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = live
-	if len(e.events) != len(want) {
-		return fmt.Errorf("sim: restore: %d pending events after pruning, snapshot has %d",
-			len(e.events), len(want))
-	}
-	for i, ev := range e.events {
-		if !want[evKey{ev.At, ev.seq}] {
-			return fmt.Errorf("sim: restore: rebuilt event at %v (seq %d) not in snapshot", ev.At, ev.seq)
-		}
-		ev.index = i // re-anchor heap bookkeeping after the filter
-	}
-	heap.Init(&e.events)
-
-	// Fast-forward the RNG: both Int63 and Uint64 advance the underlying
-	// source one step, so replaying the draw-count difference lands the
-	// generator in the exact snapshot state. The replay draws through the
-	// lazy path, so a snapshot taken before any draw leaves the source
-	// unseeded.
-	for e.src.draws < draws {
-		e.src.Uint64()
-	}
-	e.now = now
-	e.steps = steps
-	e.seq = seq
-	e.stopRequested = false
-	e.tasksDirty = false
-	e.entry = false
-	return nil
 }
 
 // eventHeap orders events by (At, seq).

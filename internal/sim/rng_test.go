@@ -69,7 +69,7 @@ func TestRandStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestRandStreamAcrossSnapshot: Reset, draw k values, Snapshot, Restore
+// TestRandStreamAcrossSnapshot: Reset, draw k values, save, load
 // onto a recycled engine — the restored engine continues the stream
 // exactly where the snapshot left it. A snapshot taken before any draw
 // must restore without seeding the source.
@@ -81,9 +81,7 @@ func TestRandStreamAcrossSnapshot(t *testing.T) {
 			mixedDraws(e.Rand(), 5)
 			e.Reset(seed, ModeNextEvent)
 			mixedDraws(e.Rand(), k)
-			w := snap.NewWriter()
-			e.Snapshot(w)
-			b, err := w.Finish()
+			b, err := snap.Save(e.Codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,11 +89,7 @@ func TestRandStreamAcrossSnapshot(t *testing.T) {
 			restored := NewEngine(seed + 2)
 			mixedDraws(restored.Rand(), 9)
 			restored.Reset(seed, ModeNextEvent)
-			r, err := snap.Open(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Restore(r); err != nil {
+			if err := snap.Load(b, restored.Codec); err != nil {
 				t.Fatalf("seed %d, %d draws: %v", seed, k, err)
 			}
 			if restored.src.draws != e.src.draws {

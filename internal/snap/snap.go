@@ -1,16 +1,19 @@
 // Package snap implements the versioned binary snapshot format used by
 // checkpoint/resume: a magic header, a format version, a sequence of
 // tagged sections of varint-encoded integers and length-prefixed
-// strings, and a trailing CRC-32 of everything written. Every component
-// of a simulated device (engine, object table, graph, scheduler,
-// kernel, radio, netd, baseband) writes one section through a Writer
-// and reads it back through a Reader.
+// strings, and a trailing CRC-32 of everything written. Every
+// checkpointed component of a simulated device (engine, object table,
+// graph, scheduler, kernel, charger, radio, netd, baseband, trace
+// series, workload hooks), the fleet's epoch records and the
+// coordinator's journal records declare their section once, as one
+// function over a Codec that Save runs through a Writer and Load runs
+// through a Reader.
 //
 // The format is designed to fail loudly rather than restore a garbage
 // device: a wrong magic, an unsupported version, a section tag out of
-// order, a truncated stream, or a checksum mismatch each produce a
-// descriptive error, and the reader latches the first error so callers
-// can check once at the end.
+// order, a truncated stream, a checksum mismatch, or a structural value
+// that differs from the rebuilt device's each produce a descriptive
+// error, and the first error latches so callers check once at the end.
 package snap
 
 import (

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -81,50 +80,6 @@ func (s *Series) Last() Point {
 		return Point{}
 	}
 	return s.points[len(s.points)-1]
-}
-
-// Snapshot serializes the series. Timestamps are delta-encoded —
-// samples are non-decreasing in time, so the deltas are small
-// non-negative varints and a dense series costs a few bytes per point.
-func (s *Series) Snapshot(w *snap.Writer) {
-	w.Section("series")
-	w.String(s.name)
-	w.String(s.unit)
-	w.U64(uint64(len(s.points)))
-	var prevT units.Time
-	for _, p := range s.points {
-		w.U64(uint64(p.T - prevT))
-		w.I64(p.V)
-		prevT = p.T
-	}
-}
-
-// Restore overlays a snapshot onto the series, validating that it was
-// taken from a series of the same name (a mismatch means the restore
-// plumbing wired a snapshot to the wrong producer).
-func (s *Series) Restore(r *snap.Reader) error {
-	r.Section("series")
-	name := r.String()
-	unit := r.String()
-	n := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if name != s.name {
-		return fmt.Errorf("trace: restore: snapshot of series %q into series %q", name, s.name)
-	}
-	s.unit = unit
-	s.points = s.points[:0]
-	var t units.Time
-	for i := 0; i < n; i++ {
-		t += units.Time(r.U64())
-		v := r.I64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		s.points = append(s.points, Point{T: t, V: v})
-	}
-	return nil
 }
 
 // Stats summarizes a series over its full extent.
