@@ -110,3 +110,46 @@ func BenchmarkSteadySettleFlows(b *testing.B) {
 		g.SettleFlows(dt, 16, units.Milliwatts(700), nil)
 	}
 }
+
+// BenchmarkSteadySettleHoarder: the adversarial hoarder's tap shape —
+// battery → hoard at 250 mW, hoard → battery at 1000 PPM, decay on —
+// settled the way the kernel parks it, 100-batch SettleFlows chunks
+// with Decay(1 s) between them. The proportional tap makes the hoard
+// sensitive, so every batch goes through the replay loop; ns/batch is
+// the core layer's per-batch cost. CI-guarded to 0 B/op.
+func BenchmarkSteadySettleHoarder(b *testing.B) {
+	tbl := kobj.NewTable()
+	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: 1000 * units.Kilojoule})
+	hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+	p := label.NewPriv()
+	grab, err := g.NewTap(root, "grab", p, g.Battery(), hoard, label.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := grab.SetRate(p, units.Milliwatts(250)); err != nil {
+		b.Fatal(err)
+	}
+	tax, err := g.NewTap(root, "tax", p, hoard, g.Battery(), label.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tax.SetFrac(p, 1000); err != nil {
+		b.Fatal(err)
+	}
+	const batches = 100
+	dt := 10 * units.Millisecond
+	second := func() {
+		g.SettleFlows(dt, batches, 0, nil)
+		g.Decay(units.Second)
+	}
+	for i := 0; i < 600; i++ { // ten minutes: the hoard fills toward its equilibrium
+		second()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		second()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches), "ns/batch")
+}

@@ -77,10 +77,13 @@ type Graph struct {
 	halfLife  units.Time
 	strict    bool
 	// Settlement state (settle.go): per-plan epoch, reusable partition
-	// buffers, and the walk/settled counters surfaced in fleet reports.
+	// and replay buffers, and the walk/settled counters surfaced in
+	// fleet reports.
 	settleEpoch     uint64
 	settleTelescope []*Tap
-	settleReplay    []*Tap
+	settleReplay    []replayTap
+	settleSens      []*Reserve
+	settleLevels    []units.Energy
 	settleSrcs      []*Reserve
 	flowWalks       int64
 	settledBatches  int64
@@ -191,7 +194,10 @@ func (g *Graph) Reset(t *kobj.Table, root *kobj.Container, batteryLabel label.La
 	g.strict = cfg.StrictHoarding
 	g.settleEpoch = 0
 	g.settleTelescope = truncTaps(g.settleTelescope)
-	g.settleReplay = truncTaps(g.settleReplay)
+	clear(g.settleReplay)
+	g.settleReplay = g.settleReplay[:0]
+	g.settleSens = truncReserves(g.settleSens)
+	g.settleLevels = g.settleLevels[:0]
 	g.settleSrcs = truncReserves(g.settleSrcs)
 	g.flowWalks = 0
 	g.settledBatches = 0

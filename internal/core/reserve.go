@@ -105,9 +105,11 @@ type Reserve struct {
 	// decayCarry holds fixed-point residue of the exponential decay so
 	// long-run half-life is exact. Units: µJ·2⁻³⁰.
 	decayCarry int64
-	// Settlement scratch (settle.go): epoch marks and worst-case drain
-	// sums, valid only for the graph's current settleEpoch.
+	// Settlement scratch (settle.go): epoch marks, the reserve's slot in
+	// the replay loop's level buffer and worst-case drain sums, valid
+	// only for the graph's current settleEpoch.
 	sensitiveMark uint64
+	settleSlot    int
 	settleMark    uint64
 	settleDrain   int64
 	settleCarry   int64

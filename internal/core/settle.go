@@ -19,14 +19,24 @@ import (
 //     batches collapse into one exact debit/credit.
 //   - A proportional tap reads its *source* level every batch, so the
 //     source's whole per-batch trajectory matters. Such "sensitive"
-//     reserves — and every tap touching them — must be replayed batch by
-//     batch. The replay still runs in creation order, so it is exact; it
-//     merely skips the per-batch engine overhead.
+//     reserves — and every tap touching them — are replayed batch by
+//     batch, in creation order, in one flat integer loop over the
+//     chunk: the sensitive levels sit in a small local buffer, each
+//     replayed tap's endpoints are resolved once per chunk to a slot in
+//     it (or to "outside"), and per batch a tap only computes its draw
+//     (propDraw, shared with Tap.flow, or the constant OverRem), clamps
+//     it against a sensitive source's local level and adds it to its
+//     chunk totals. Levels, carries, tap stats and reserve In/Out are
+//     written back once per chunk, and each outside endpoint takes its
+//     tap's whole chunk total in one debit or credit. The replay costs
+//     O(replayed taps × batches) integer steps and no pointer chasing.
 //   - Starvation makes constant taps level-dependent too. The per-reserve
 //     depletion horizon bounds how many batches can pass before any
 //     source could fail to cover its worst-case outflow (ignoring all
 //     inflows); within that horizon, no tap clamps and order between
-//     telescoped and replayed taps is irrelevant.
+//     telescoped and replayed taps is irrelevant. In particular an
+//     outside source of a replayed tap never clamps and no proportional
+//     tap reads it, so its per-batch trajectory is never needed.
 //
 // The topological pass is the sensitive-set computation: frac-tap chains
 // (a proportional tap whose source is itself fed by a proportional tap)
@@ -59,8 +69,8 @@ func (g *Graph) HorizonBatches(dt units.Time, extraBatteryDrain units.Power) int
 // FlowWalks returns the number of batches the graph executed as
 // per-batch tap walks: full Flow calls (the kernel's flow task, or
 // settlement's outside-horizon fallback) plus batches whose sensitive
-// subset was replayed in sequence order inside a settled chunk. A
-// change that flips taps from telescoped to replayed — a new
+// subset was replayed, in sequence order, by a settled chunk's flat
+// loop. A change that flips taps from telescoped to replayed — a new
 // proportional tap marking a shared reserve sensitive — shows up here.
 func (g *Graph) FlowWalks() int64 { return g.flowWalks }
 
@@ -135,12 +145,39 @@ func (g *Graph) SettleFlows(dt units.Time, n int64, extraBatteryDrain units.Powe
 	}
 }
 
+// replayTap is one replayed tap in a settled chunk's flat loop: its
+// rate, its endpoints resolved to slots of g.settleLevels (outside, −1,
+// for a reserve not in the sensitive set), its running carry and its
+// chunk totals.
+type replayTap struct {
+	t         *Tap
+	kind      TapKind
+	rate      units.Power
+	frac      PPM
+	src, sink int
+	carry     int64
+	moved     units.Energy
+	starved   units.Energy
+}
+
+const outside = -1
+
+// replaySlot returns r's slot in the replay loop's level buffer, or
+// outside when r is not sensitive in the current planning epoch.
+func (r *Reserve) replaySlot(epoch uint64) int {
+	if r.sensitiveMark == epoch {
+		return r.settleSlot
+	}
+	return outside
+}
+
 // planSettle partitions the active set for one settlement chunk and
-// returns the depletion horizon. It fills g.settleTelescope (constant
-// taps whose endpoints are level-trajectory-independent), g.settleReplay
+// returns the depletion horizon. It fills g.settleSens (the sensitive
+// reserves, in slot order), g.settleTelescope (constant taps whose
+// endpoints are level-trajectory-independent), g.settleReplay
 // (proportional taps plus any tap touching a sensitive reserve, in
-// creation order) and g.settleSrcs (reserves with per-batch outflow,
-// carrying worst-case drain sums).
+// creation order, endpoints resolved to slots) and g.settleSrcs
+// (reserves with per-batch outflow, carrying worst-case drain sums).
 func (g *Graph) planSettle(dt units.Time, extra units.Power) int64 {
 	if dt <= 0 {
 		return 0
@@ -151,10 +188,15 @@ func (g *Graph) planSettle(dt units.Time, extra units.Power) int64 {
 	g.settleEpoch++
 	epoch := g.settleEpoch
 	hasProp := false
+	g.settleSens = g.settleSens[:0]
 	for _, t := range g.active {
 		if t.kind == TapProportional {
 			hasProp = true
-			t.src.sensitiveMark = epoch
+			if t.src.sensitiveMark != epoch {
+				t.src.sensitiveMark = epoch
+				t.src.settleSlot = len(g.settleSens)
+				g.settleSens = append(g.settleSens, t.src)
+			}
 		}
 	}
 	if hasProp && dt > units.Second {
@@ -171,7 +213,7 @@ func (g *Graph) planSettle(dt units.Time, extra units.Power) int64 {
 	g.settleSrcs = g.settleSrcs[:0]
 	for _, t := range g.active {
 		if t.kind == TapProportional {
-			g.settleReplay = append(g.settleReplay, t)
+			g.addReplay(t, epoch)
 			continue
 		}
 		if int64(t.rate) > horizonCap/int64(dt) {
@@ -186,7 +228,7 @@ func (g *Graph) planSettle(dt units.Time, extra units.Power) int64 {
 			g.addSettleDrain(t.src, epoch, int64(t.rate)*int64(dt), t.carry)
 		}
 		if t.src.sensitiveMark == epoch || t.sink.sensitiveMark == epoch {
-			g.settleReplay = append(g.settleReplay, t)
+			g.addReplay(t, epoch)
 		} else {
 			g.settleTelescope = append(g.settleTelescope, t)
 		}
@@ -230,6 +272,15 @@ func (g *Graph) planSettle(dt units.Time, extra units.Power) int64 {
 		}
 	}
 	return horizon
+}
+
+// addReplay appends t to the chunk's replay set with its endpoints
+// resolved to level slots.
+func (g *Graph) addReplay(t *Tap, epoch uint64) {
+	g.settleReplay = append(g.settleReplay, replayTap{
+		t: t, kind: t.kind, rate: t.rate, frac: t.frac, carry: t.carry,
+		src: t.src.replaySlot(epoch), sink: t.sink.replaySlot(epoch),
+	})
 }
 
 // addSettleDrain accumulates one tap's (or the caller's) per-batch
@@ -277,13 +328,74 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 		}
 	}
 	if len(g.settleReplay) > 0 {
-		for i := int64(0); i < k; i++ {
-			for _, t := range g.settleReplay {
-				t.flow(dt)
-			}
-		}
+		g.replayChunk(dt, k)
 		g.flowWalks += k
 	}
 	g.settledBatches += k
 	return k
+}
+
+// replayChunk runs k batches of the replay set in one flat loop,
+// byte-identical to k rounds of Tap.flow over it. Each batch visits the
+// taps in creation order; a tap draws from its carry and (proportional)
+// its source's local level, clamps only against a sensitive source
+// (within the horizon an outside source always covers its draw), and
+// moves the sensitive endpoints' local levels. Active taps have live
+// endpoints (releasing either end deactivates the tap), so Tap.flow's
+// dead checks cannot fire here.
+func (g *Graph) replayChunk(dt units.Time, k int64) {
+	levels := g.settleLevels[:0]
+	for _, r := range g.settleSens {
+		levels = append(levels, r.level)
+	}
+	g.settleLevels = levels
+	replay := g.settleReplay
+	for b := int64(0); b < k; b++ {
+		for i := range replay {
+			e := &replay[i]
+			var want units.Energy
+			if e.kind == TapConst {
+				want, e.carry = e.rate.OverRem(dt, e.carry)
+			} else {
+				want, e.carry = propDraw(levels[e.src], e.frac, dt, e.carry)
+			}
+			if want <= 0 {
+				continue
+			}
+			moved := want
+			if e.src != outside {
+				moved = units.Min(want, units.ClampNonNegative(levels[e.src]))
+				levels[e.src] -= moved
+			}
+			if e.sink != outside {
+				levels[e.sink] += moved
+			}
+			e.moved += moved
+			e.starved += want - moved
+		}
+	}
+
+	for i, r := range g.settleSens {
+		r.level = levels[i]
+	}
+	for i := range replay {
+		e := &replay[i]
+		t := e.t
+		t.carry = e.carry
+		t.stats.Starved += e.starved
+		if e.moved == 0 {
+			continue
+		}
+		t.stats.Moved += e.moved
+		if e.src == outside {
+			t.src.debit(e.moved)
+		} else {
+			t.src.stats.Out += e.moved
+		}
+		if e.sink == outside {
+			t.sink.credit(e.moved)
+		} else {
+			t.sink.stats.In += e.moved
+		}
+	}
 }

@@ -11,20 +11,27 @@ import (
 
 // FuzzSettle interprets the fuzz input as a little program over a random
 // graph of constant/proportional taps and reserves — create, rewire,
-// mutate rates, transfer, release — executed in lockstep on a per-batch
-// oracle and a closed-form-settled subject. After every advance it
-// asserts:
+// mutate rates, transfer, release, and drive debt-allowed reserves
+// negative with DebitSelf — executed in lockstep on a per-batch oracle
+// and a closed-form-settled subject. After every advance it asserts:
 //
 //   - byte-identical state (levels, carries, stats) between the two;
 //   - exact energy conservation on both
 //     (battery + Σ reserves + consumed == capacity);
-//   - no reserve overshoots past zero (no fuzz reserve allows debt);
+//   - no reserve that does not allow debt overshoots past zero;
 //   - horizon monotonicity: settling j batches shrinks the reported
 //     depletion horizon by at most j.
+//
+// Op bytes 0xE0 and above are the debt ops (even: a new debt-allowed
+// reserve, odd: DebitSelf); the rest select one of seven ops by op % 7.
 func FuzzSettle(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 1, 0x20, 3, 5, 50, 2, 1, 0x10, 5, 20})
 	f.Add([]byte{0, 255, 255, 1, 0xFF, 200, 5, 10, 0, 1, 1, 2, 0x01, 100, 5, 200, 5, 255})
 	f.Add([]byte{6, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	// A debt-allowed reserve, fed by a constant tap, debited into the
+	// red and then drained by a proportional tap: the replay loop sees
+	// a negative source level and carry.
+	f.Add([]byte{0xE0, 0x00, 0x10, 1, 0x10, 0x00, 0x10, 0xE1, 0x01, 0xFF, 0xFF, 2, 0x01, 0x20, 0xA1, 6, 63, 6, 20})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const battery = units.Joule
@@ -68,7 +75,7 @@ func FuzzSettle(f *testing.F) {
 					t.Fatalf("%s: conservation violated by %v", tag, g.ConservationError())
 				}
 				for _, r := range g.reserves {
-					if r.level < 0 {
+					if r.level < 0 && !r.allowDebt {
 						t.Fatalf("%s: reserve %s overshot to %d µJ", tag, r.name, r.level)
 					}
 				}
@@ -84,6 +91,37 @@ func FuzzSettle(f *testing.F) {
 			count++
 			if count > 200 {
 				break // bound runtime
+			}
+			if op >= 0xE0 && op&1 == 0 { // new debt-allowed reserve, funded from the battery
+				amt, ok := next16(&i)
+				if !ok {
+					return
+				}
+				fund := units.Energy(amt) * 20
+				or := og.NewReserve(oroot, "d", label.Public(), ReserveOpts{AllowDebt: true})
+				sr := sg.NewReserve(sroot, "d", label.Public(), ReserveOpts{AllowDebt: true})
+				_ = og.Transfer(label.Priv{}, og.Battery(), or, fund)
+				_ = sg.Transfer(label.Priv{}, sg.Battery(), sr, fund)
+				ores = append(ores, or)
+				sres = append(sres, sr)
+				continue
+			}
+			if op >= 0xE0 { // DebitSelf, into debt where the reserve allows it
+				a, ok1 := next(&i)
+				amt, ok2 := next16(&i)
+				if !ok1 || !ok2 {
+					return
+				}
+				ri := int(a) % len(ores)
+				if ores[ri].dead || sres[ri].dead {
+					continue
+				}
+				e1 := ores[ri].DebitSelf(label.Priv{}, units.Energy(amt)*20)
+				e2 := sres[ri].DebitSelf(label.Priv{}, units.Energy(amt)*20)
+				if (e1 == nil) != (e2 == nil) {
+					t.Fatal("twin DebitSelf diverged")
+				}
+				continue
 			}
 			switch op % 7 {
 			case 0: // new reserve, funded from the battery

@@ -196,13 +196,7 @@ func (t *Tap) flow(dt units.Time) units.Energy {
 	case TapConst:
 		want, t.carry = t.rate.OverRem(dt, t.carry)
 	case TapProportional:
-		// amount = level × frac/1e6 × dt/1000, carried at µJ·10⁻³
-		// resolution on the final division. level×frac stays well below
-		// overflow for any realistic battery (15 kJ × 1e6 PPM ≈ 1.5e16).
-		scaled := int64(t.src.level) * int64(t.frac) / 1_000_000
-		total := scaled*int64(dt) + t.carry
-		want = units.Energy(total / 1000)
-		t.carry = total % 1000
+		want, t.carry = propDraw(t.src.level, t.frac, dt, t.carry)
 	}
 	if want <= 0 {
 		return 0
@@ -218,6 +212,19 @@ func (t *Tap) flow(dt units.Time) units.Energy {
 		t.stats.Moved += moved
 	}
 	return moved
+}
+
+// propDraw returns a proportional tap's draw for one batch of dt from a
+// source at level, and the carry to keep: level × frac/1e6 × dt/1000,
+// carried at µJ·10⁻³ resolution on the final division. level×frac stays
+// well below overflow for any realistic battery (15 kJ × 1e6 PPM ≈
+// 1.5e16). A source in debt scales to a negative amount, so the draw
+// can be non-positive and the carry negative. Tap.flow and settlement's
+// flat replay loop both call it, so the two cannot drift.
+func propDraw(level units.Energy, frac PPM, dt units.Time, carry int64) (units.Energy, int64) {
+	scaled := int64(level) * int64(frac) / 1_000_000
+	total := scaled*int64(dt) + carry
+	return units.Energy(total / 1000), total % 1000
 }
 
 // String renders the tap for diagnostics.

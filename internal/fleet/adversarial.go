@@ -5,7 +5,7 @@ import (
 	"repro/internal/kobj"
 	"repro/internal/label"
 	"repro/internal/sched"
-	"repro/internal/sim"
+	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -159,10 +159,15 @@ func installHoarder(d *Device) error {
 		return err
 	}
 
+	// The thread exists from install time, so a device rebuilt for a
+	// resume has the same kernel objects as the one that was saved; its
+	// next evasion instant lives in the hoarder and travels in a hook.
 	h := &hoarder{g: k.Graph, greed: greed, stash: stash, every: advEvadeEvery}
-	k.Eng.At(0, func(*sim.Engine) {
-		k.Sched.NewThread(ctr, "hoarder", label.Public(), label.Priv{},
-			sched.RunnerFunc(h.step), greed)
+	k.Sched.NewThread(ctr, "hoarder", label.Public(), label.Priv{},
+		sched.RunnerFunc(h.step), greed)
+	d.Hooks = append(d.Hooks, func(c *snap.Codec) {
+		c.Section("hoarder")
+		snap.Int(c, &h.next)
 	})
 
 	d.Probes = append(d.Probes, func(res *DeviceResult) {
@@ -180,12 +185,11 @@ func installHoarder(d *Device) error {
 // hoarder is the evasion thread: every period it tries to transfer its
 // whole taxed balance into the untaxed stash.
 type hoarder struct {
-	g      *core.Graph
-	greed  *core.Reserve
-	stash  *core.Reserve
-	every  units.Time
-	next   units.Time
-	denied int64
+	g     *core.Graph
+	greed *core.Reserve
+	stash *core.Reserve
+	every units.Time
+	next  units.Time
 }
 
 func (h *hoarder) step(now units.Time, th *sched.Thread) {
@@ -195,9 +199,8 @@ func (h *hoarder) step(now units.Time, th *sched.Thread) {
 	}
 	h.next = now + h.every
 	if lvl, err := h.greed.Level(label.Priv{}); err == nil && lvl > 0 {
-		if _, err := h.g.TransferUpTo(label.Priv{}, h.greed, h.stash, lvl); err != nil {
-			h.denied++ // ErrHoarding under the strict cohort's kernel
-		}
+		// Refused with ErrHoarding under the strict cohort's kernel.
+		_, _ = h.g.TransferUpTo(label.Priv{}, h.greed, h.stash, lvl)
 	}
 	th.Sleep(h.next)
 }

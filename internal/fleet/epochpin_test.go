@@ -110,3 +110,42 @@ func TestPollerCheckpointMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("checkpointed poller run diverged from uninterrupted run:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestAdversarialCheckpointMatchesUninterrupted: a checkpointed
+// adversarial run rebuilds each hoarder with its evasion thread and
+// next evasion instant, so both the checkpointed run and a resume from
+// a middle epoch report the uninterrupted run's canonical bytes.
+func TestAdversarialCheckpointMatchesUninterrupted(t *testing.T) {
+	cfg := Config{
+		Devices:  20,
+		Seed:     1,
+		Duration: 24 * units.Hour,
+		Workers:  2,
+		Scenario: AdversarialCohorts(),
+	}
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonical(t, plain)
+	cfg.CheckpointDir = t.TempDir()
+	cfg.CheckpointEvery = 6 * units.Hour
+	ckpt, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(t, ckpt); !bytes.Equal(want, got) {
+		t.Fatalf("checkpointed adversarial run diverged from uninterrupted run:\n%s\nvs\n%s", want, got)
+	}
+	if err := os.Remove(epochPath(cfg, 2)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = true
+	resumed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(t, resumed); !bytes.Equal(want, got) {
+		t.Fatalf("adversarial run resumed from epoch 1 diverged from uninterrupted run:\n%s\nvs\n%s", want, got)
+	}
+}
