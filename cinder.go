@@ -311,16 +311,17 @@ type (
 // worker count.
 func RunFleet(cfg FleetConfig) (FleetReport, error) { return fleet.Run(cfg) }
 
-// FleetScenarios returns the built-in fleet workloads by name
-// (poller, idle, spinner, dayinthelife).
+// FleetScenarios returns the built-in fleet workloads by name (poller,
+// idle, spinner, dayinthelife, weekinthelife, monthinthelife,
+// adversarial).
 func FleetScenarios() map[string]FleetScenario { return fleet.Scenarios() }
 
 // Experiments lists the registered paper artifacts (fig3…table1).
 func Experiments() []string { return experiments.Names() }
 
-// ExtendedExperiments lists the beyond-the-paper experiments
-// (dayinthelife…), runnable by name but excluded from the frozen
-// RunAllExperiments output.
+// ExtendedExperiments lists the beyond-the-paper experiments (fig13),
+// runnable by name but excluded from the frozen RunAllExperiments
+// output. The fleet scenarios run through RunFleet, not here.
 func ExtendedExperiments() []string { return experiments.ExtendedNames() }
 
 // RunExperiment executes one registered experiment by ID (paper

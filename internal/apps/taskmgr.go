@@ -30,8 +30,7 @@ type TaskManager struct {
 	bgSupply   *core.Tap
 	fgRate     units.Power
 
-	apps       map[string]*ManagedApp
-	foreground string
+	apps map[string]*ManagedApp
 }
 
 // ManagedApp is one application under task-manager control.
@@ -122,7 +121,6 @@ func (tm *TaskManager) SetForeground(name string) error {
 			return fmt.Errorf("apps: taskmgr: unknown app %q", name)
 		}
 	}
-	tm.foreground = name
 	supply := units.Power(0)
 	for n, app := range tm.apps {
 		rate := units.Power(0)
@@ -136,9 +134,6 @@ func (tm *TaskManager) SetForeground(name string) error {
 	}
 	return tm.fgSupply.SetRate(tm.priv, supply)
 }
-
-// Foreground returns the current foreground app name ("" if none).
-func (tm *TaskManager) ForegroundApp() string { return tm.foreground }
 
 // Apps returns the managed applications keyed by name.
 func (tm *TaskManager) Apps() map[string]*ManagedApp {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/units"
 )
 
 // requirePass runs an experiment and fails the test with the formatted
@@ -87,7 +85,7 @@ func TestRegistry(t *testing.T) {
 	}
 	// Extended experiments resolve through Run but stay out of Names()
 	// (and therefore out of the frozen -all output).
-	extendedWant := []string{"adversarial", "dayinthelife", "fig13", "monthinthelife", "weekinthelife"}
+	extendedWant := []string{"fig13"}
 	if strings.Join(ExtendedNames(), ",") != strings.Join(extendedWant, ",") {
 		t.Fatalf("ExtendedNames() = %v, want %v", ExtendedNames(), extendedWant)
 	}
@@ -96,20 +94,6 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("experiment %q registered as both paper artifact and extended", n)
 		}
 	}
-}
-
-func TestDayInTheLife(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: two mixed 24 h fleet runs")
-	}
-	requirePass(t, DayInTheLife(DayInTheLifeOptions{Devices: 30, Duration: 24 * units.Hour, Seed: 1}))
-}
-
-func TestWeekInTheLife(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: heterogeneous 7-day fleet runs")
-	}
-	requirePass(t, WeekInTheLife(WeekInTheLifeOptions{Devices: 60, Seed: 1}))
 }
 
 func TestResultFormatting(t *testing.T) {

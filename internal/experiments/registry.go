@@ -29,14 +29,12 @@ var registry = map[string]Runner{
 }
 
 // extended maps the beyond-the-paper experiments: runnable by name
-// (`cinder-sim -exp dayinthelife`), listed separately, excluded from
-// RunAll's frozen output.
+// (`cinder-sim -exp fig13`), listed separately, excluded from RunAll's
+// frozen output. The fleet scenarios are not experiments: they run
+// through `cinder-fleet -scenario`, and internal/fleet holds their
+// checks.
 var extended = map[string]Runner{
-	"dayinthelife":   func() Result { return DayInTheLife(DefaultDayInTheLifeOptions()) },
-	"weekinthelife":  func() Result { return WeekInTheLife(DefaultWeekInTheLifeOptions()) },
-	"monthinthelife": func() Result { return MonthInTheLife(DefaultMonthInTheLifeOptions()) },
-	"adversarial":    func() Result { return Adversarial(DefaultAdversarialOptions()) },
-	"fig13":          func() Result { return Fig13PollerAlignment(DefaultTable1Options()) },
+	"fig13": func() Result { return Fig13PollerAlignment(DefaultTable1Options()) },
 }
 
 // Names returns the paper-artifact experiment IDs, sorted. The set is

@@ -220,3 +220,53 @@ func TestBucketStatsMatchDevices(t *testing.T) {
 		}
 	}
 }
+
+// TestPhasePowerDeltas: the phase primitives reproduce the §4.2 power
+// model. Against an otherwise idle single-device run, a one-hour screen
+// session adds the backlight's 555 mW × 1 h (within 1%), and a
+// two-minute call adds the modem's 800 mW call draw × 2 min (within 3%:
+// scheduler and call-setup costs ride along).
+func TestPhasePowerDeltas(t *testing.T) {
+	screen := phaseDelta(t, 2*units.Hour, Phase{
+		Workload: Screen{}, Start: 30 * units.Minute, Duration: units.Hour,
+	})
+	if want := units.Milliwatts(555).Over(units.Hour); !withinEnergy(screen, want, 1) {
+		t.Errorf("screen phase adds %v for a 1 h session, want %v ± 1%%", screen, want)
+	}
+	call := phaseDelta(t, 30*units.Minute, Phase{
+		Workload: Call{CallTime: 2 * units.Minute}, Start: 5 * units.Minute, Duration: 5 * units.Minute,
+	})
+	if want := units.Milliwatts(800).Over(2 * units.Minute); !withinEnergy(call, want, 3) {
+		t.Errorf("call phase adds %v for a 2 min call, want %v ± 3%%", call, want)
+	}
+}
+
+// phaseDelta measures the consumed-energy delta a single phase adds to
+// an otherwise idle single-device run of the given length.
+func phaseDelta(t *testing.T, duration units.Time, ph Phase) units.Energy {
+	t.Helper()
+	run := func(phases ...Phase) units.Energy {
+		rep, err := Run(Config{
+			Devices:     1,
+			Seed:        1,
+			Duration:    duration,
+			Workers:     1,
+			Scenario:    Compose{Label: "probe", Phases: phases},
+			KeepResults: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Results[0].Consumed
+	}
+	return run(ph) - run()
+}
+
+// withinEnergy reports |got−want| ≤ tolPct% of want.
+func withinEnergy(got, want units.Energy, tolPct int64) bool {
+	diff := got - want
+	if diff < 0 {
+		diff = -diff
+	}
+	return int64(diff)*100 <= int64(want)*tolPct
+}

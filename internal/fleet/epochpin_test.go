@@ -33,8 +33,9 @@ func fileMD5(t *testing.T, path string) string {
 
 // TestEpochBytesPinned: the month epoch files match their pins at 1 and
 // 4 workers, cover the charger, estimator, data-plan, smdd, browse and
-// pollers sections, and a resume after losing the newest file rewrites
-// it to the same pin and reports the same canonical bytes.
+// pollers sections, the checkpointed run reports the canonical bytes of
+// an uncheckpointed one, and a resume after losing the newest file
+// rewrites it to the same pin and reports the same canonical bytes.
 func TestEpochBytesPinned(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := Config{
@@ -65,6 +66,16 @@ func TestEpochBytesPinned(t *testing.T) {
 			if !bytes.Contains(first, []byte(tag)) {
 				t.Errorf("epoch 0 has no %q section", tag)
 			}
+		}
+
+		plain := cfg
+		plain.CheckpointDir = ""
+		uninterrupted, err := Run(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := canonical(t, uninterrupted), canonical(t, full); !bytes.Equal(a, b) {
+			t.Fatalf("checkpointed month diverged from uncheckpointed run:\n%s\nvs\n%s", a, b)
 		}
 
 		if err := os.Remove(epochPath(cfg, 1)); err != nil {

@@ -120,8 +120,8 @@ func runCanonical(t *testing.T, cfg Config) []byte {
 // The reference slice — a laptop and a phone over one hour, a window
 // the fixed-tick oracle walks quickly even under the race detector —
 // covers the first half hour of the laptop's 00:30 desk charge. (The
-// experiments' extended equivalence test walks a full overnight
-// charge.)
+// monthinthelife window of TestScenarioEngineEquivalence walks a full
+// overnight charge.)
 func TestMonthEquivalenceAcrossChargerModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day fleet run")
@@ -148,10 +148,11 @@ func TestMonthEquivalenceAcrossChargerModes(t *testing.T) {
 
 // TestMonthRechargeObservable asserts the month population actually
 // exercises the new machinery: charger credits land (non-monotone
-// batteries), both hardware classes appear, and the nightly charge
-// habit keeps the fleet overwhelmingly alive — the occasional death is
-// expected (the forgetful-night draw can strand a small battery), mass
-// death would mean the chargers never engaged.
+// batteries), both hardware classes appear, metered browsing loads
+// pages on phones and laptops alike, and the nightly charge habit keeps
+// the fleet overwhelmingly alive — the occasional death is expected
+// (the forgetful-night draw can strand a small battery), mass death
+// would mean the chargers never engaged.
 func TestMonthRechargeObservable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day fleet run")
@@ -164,15 +165,21 @@ func TestMonthRechargeObservable(t *testing.T) {
 		t.Fatal("no charger energy credited across three days of nightly charging")
 	}
 	var sawLaptop, sawPhone bool
+	var pages, laptopPages int64
 	for _, b := range rep.Buckets {
+		pages += b.Pages
 		if b.Name == "month-laptop" {
 			sawLaptop = b.Devices > 0
+			laptopPages = b.Pages
 		} else if b.Devices > 0 {
 			sawPhone = true
 		}
 	}
 	if !sawLaptop || !sawPhone {
 		t.Fatalf("population not mixed: laptop=%v phone=%v", sawLaptop, sawPhone)
+	}
+	if pages == 0 || laptopPages == 0 {
+		t.Errorf("metered browsing loaded %d pages, %d of them on laptops", pages, laptopPages)
 	}
 	if rep.Dead > rep.Devices/4 {
 		t.Fatalf("%d of %d devices died despite nightly charging", rep.Dead, rep.Devices)
@@ -205,6 +212,11 @@ func TestAdversarialContainment(t *testing.T) {
 	victim, lax, strict := byName["adv-victim"], byName["adv-lax"], byName["adv-strict"]
 	if victim.Devices == 0 || lax.Devices == 0 || strict.Devices == 0 {
 		t.Fatalf("missing cohorts: victim=%d lax=%d strict=%d devices", victim.Devices, lax.Devices, strict.Devices)
+	}
+	// Every battery is sized to die inside the day, so the cohorts'
+	// median lifetimes are directly comparable.
+	if rep.Dead != rep.Devices {
+		t.Errorf("%d of %d devices died in 24 h, want all", rep.Dead, rep.Devices)
 	}
 	// Uncontained hoarding costs real lifetime…
 	if lax.LifeP50 >= victim.LifeP50*95/100 {

@@ -1,0 +1,152 @@
+//go:build !race
+
+// The reference walks every millisecond of every window; under the
+// race detector these windows take minutes, so the race pass skips the
+// file and the plain test pass runs it.
+
+package fleet
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro/internal/units"
+)
+
+// referenceWindows sizes one production-versus-reference run for each
+// built-in scenario, by its Scenarios() name: small enough for the
+// fixed-tick oracle to walk, long enough to cross the scenario's
+// distinctive paths. The scenario itself comes from the registry.
+var referenceWindows = map[string]Config{
+	"dayinthelife": {Devices: 6, Seed: 3, Duration: 45 * units.Minute},
+	// 16 h of the heterogeneous week covers its weekday structure —
+	// per-device poller cadences over the morning commute, the midday
+	// call, the afternoon SMS burst.
+	"weekinthelife": {Devices: 3, Seed: 5, Duration: 16 * units.Hour},
+	// 26 h of the month covers a full overnight charge window (22:30 +
+	// 7 h, spanning midnight) plus the metered evening browse, with
+	// seed 3 drawing both T60p laptops and Dream phones among the four
+	// devices — the charger credit path and the mixed-hardware split
+	// both cross the oracle.
+	"monthinthelife": {Devices: 4, Seed: 3, Duration: 26 * units.Hour},
+	// 16 h of the adversarial day puts all three cohorts (seed 13:
+	// lax, two victims, strict) through the hoarder's grab tap, the
+	// backward tax and the once-a-minute evasion attempts, with the
+	// small-battery hoarders reaching their clamped endgame inside the
+	// horizon.
+	"adversarial": {Devices: 4, Seed: 13, Duration: 16 * units.Hour},
+	// The §6.4 rss+mail pair per device, long enough for dozens of
+	// pooled activations per device to cross the settled busy path.
+	"poller": {Devices: 4, Seed: 7, Duration: 40 * units.Minute},
+	// An idle hour on a 1,300 J battery: the baseline settles in closed
+	// form for about 31 minutes, then the battery watch declares the
+	// death.
+	"idle": {Devices: 4, Seed: 1, Duration: units.Hour, BatteryCapacity: units.Joules(1300)},
+	// Ten minutes of the CPU hog: every scheduler quantum is billed to
+	// the spinner's reserve.
+	"spinner": {Devices: 2, Seed: 1, Duration: 10 * units.Minute},
+}
+
+// TestScenarioEngineEquivalence runs every built-in scenario (the set
+// `cinder-fleet -scenario` accepts) in production and under the
+// reference configuration and asserts the canonical reports are
+// byte-identical. A scenario with no window fails the test: adding a
+// scenario requires adding its window. A busier synthetic mix (every
+// workload primitive compressed into 20 minutes) rides along so call,
+// SMS, browse and poller phases all cross the settled busy path.
+func TestScenarioEngineEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cases := map[string]Config{
+		"dense-mix": {Devices: 4, Seed: 9, Duration: 20 * units.Minute, Scenario: denseMix()},
+	}
+	for name, sc := range Scenarios() {
+		cfg, ok := referenceWindows[name]
+		if !ok {
+			t.Fatalf("scenario %q has no reference window: add one to referenceWindows", name)
+		}
+		cfg.Scenario = sc
+		cases[name] = cfg
+	}
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	for _, name := range names {
+		cfg := cases[name]
+		cfg.Workers = 2
+		t.Run(name, func(t *testing.T) {
+			run := func(reference bool) []byte {
+				cfg := cfg
+				cfg.Reference = reference
+				rep, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return canonical(t, rep)
+			}
+			if oracle, got := run(true), run(false); !bytes.Equal(oracle, got) {
+				t.Errorf("canonical fleet report diverges from the reference\n%s", firstDiff(oracle, got))
+			}
+		})
+	}
+}
+
+// denseMix compresses every workload primitive into a 20-minute day so
+// the differential test crosses calls, SMS bursts, browsing, pollers and
+// screen sessions without simulating hours tick by tick.
+func denseMix() Scenario {
+	busy := Compose{
+		Label: "busy",
+		Phases: []Phase{
+			{Workload: Screen{}, Start: 0, Duration: 4 * units.Minute, Jitter: units.Minute},
+			{Workload: Pollers{Interval: units.Minute}, Start: 2 * units.Minute, Duration: 8 * units.Minute, Jitter: units.Minute},
+			{Workload: Browse{Pages: 3}, Start: 5 * units.Minute, Duration: 4 * units.Minute, Jitter: units.Minute},
+			{Workload: Call{CallTime: units.Minute}, Start: 11 * units.Minute, Duration: 2 * units.Minute, Jitter: units.Minute},
+			{Workload: SMSBurst{Count: 2, Interval: 20 * units.Second}, Start: 15 * units.Minute, Duration: 3 * units.Minute, Jitter: units.Minute},
+		},
+	}
+	quiet := Compose{
+		Label: "quiet",
+		Phases: []Phase{
+			{Workload: Screen{}, Start: 3 * units.Minute, Duration: 2 * units.Minute, Jitter: units.Minute},
+		},
+	}
+	return Mix{
+		Label: "dense-mix",
+		Entries: []MixEntry{
+			{Weight: 3, Scenario: busy},
+			{Weight: 1, Scenario: quiet},
+		},
+	}
+}
+
+// firstDiff renders the first divergent region of two byte slices.
+func firstDiff(a, b []byte) string {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			lo := i - 120
+			if lo < 0 {
+				lo = 0
+			}
+			hiA, hiB := i+120, i+120
+			if hiA > len(a) {
+				hiA = len(a)
+			}
+			if hiB > len(b) {
+				hiB = len(b)
+			}
+			return fmt.Sprintf("first divergence at byte %d:\n  oracle: …%s…\n  got:    …%s…", i, a[lo:hiA], b[lo:hiB])
+		}
+	}
+	return fmt.Sprintf("length differs: %d vs %d bytes", len(a), len(b))
+}

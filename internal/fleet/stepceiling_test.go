@@ -14,6 +14,10 @@ import (
 // ~5.9k, so a regression that reintroduces per-period task firings on
 // the busy path (sweeps at 100 ms, throttled scheduler quanta at every
 // tap batch) trips this long before it reaches the recorded ceiling.
+// The same day pins the mix's shape: the idle-day bucket rides the
+// quiescent fast path (at least 50× fewer executed instants than ticks
+// over its life), and each bucket shows its signature workload —
+// commuters poll, chatty days call and text, idle days do neither.
 func TestBusyBucketStepCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -29,18 +33,35 @@ func TestBusyBucketStepCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	byName := map[string]Bucket{}
 	for _, b := range rep.Buckets {
-		switch b.Name {
-		case "chatty-day", "commuter-day":
-			checked++
-			if b.Mean.EngineSteps >= ceiling {
-				t.Errorf("bucket %q: mean %d executed instants per device-day, ceiling %d",
-					b.Name, b.Mean.EngineSteps, ceiling)
-			}
+		byName[b.Name] = b
+	}
+	idle, commuter, chatty := byName["idle-day"], byName["commuter-day"], byName["chatty-day"]
+	if idle.Devices == 0 || commuter.Devices == 0 || chatty.Devices == 0 {
+		t.Fatalf("missing buckets: idle=%d commuter=%d chatty=%d devices", idle.Devices, commuter.Devices, chatty.Devices)
+	}
+	for _, b := range []Bucket{chatty, commuter} {
+		if b.Mean.EngineSteps >= ceiling {
+			t.Errorf("bucket %q: mean %d executed instants per device-day, ceiling %d",
+				b.Name, b.Mean.EngineSteps, ceiling)
 		}
 	}
-	if checked != 2 {
-		t.Fatalf("expected chatty-day and commuter-day buckets, checked %d of %d", checked, len(rep.Buckets))
+
+	life := rep.Duration
+	if idle.Dead > 0 && idle.LifeP50 > 0 {
+		life = idle.LifeP50
+	}
+	if ticks := uint64(life / units.Millisecond); idle.Mean.EngineSteps*50 > ticks {
+		t.Errorf("idle-day: mean %d executed instants over %d ticks, want at least 50× fewer",
+			idle.Mean.EngineSteps, ticks)
+	}
+	if commuter.Polls == 0 || chatty.Calls == 0 || chatty.SMSSent == 0 {
+		t.Errorf("signature workloads missing: commuter polls %d, chatty calls %d sms %d",
+			commuter.Polls, chatty.Calls, chatty.SMSSent)
+	}
+	if idle.Polls != 0 || idle.Calls != 0 || idle.Activations != 0 {
+		t.Errorf("idle-day not idle: polls %d, calls %d, radio activations %d",
+			idle.Polls, idle.Calls, idle.Activations)
 	}
 }

@@ -286,13 +286,4 @@ func (c *BatteryCharger) InvalidateSweeps() {
 	c.task.Resume()
 }
 
-// PredictedFire returns the instant the deferred task expects to fire,
-// or 0 while it rides its periodic grid (diagnostics).
-func (c *BatteryCharger) PredictedFire() units.Time {
-	if !c.settling {
-		return 0
-	}
-	return c.predicted
-}
-
 var _ SweepSettler = (*BatteryCharger)(nil)

@@ -1057,14 +1057,6 @@ func (k *Kernel) Consumed() units.Energy { return k.Graph.Consumed() }
 // Battery returns the root reserve.
 func (k *Kernel) Battery() *core.Reserve { return k.Graph.Battery() }
 
-// BatteryExhausted reports whether the battery can no longer cover even
-// one batch of baseline idle draw — the practical definition of a dead
-// device (the residual level is below the billing quantum, so nothing
-// can ever be paid for again).
-func (k *Kernel) BatteryExhausted() bool {
-	return !k.Graph.Battery().CanConsume(k.kpriv, k.baselinePower().Over(k.tapBatch))
-}
-
 // BatteryExhaustedFor reports whether the battery can no longer sustain
 // the baseline idle draw for d more simulated time. The strict one-batch
 // test above can fail to trip on a drained device: clamped taps, label

@@ -141,13 +141,6 @@ func (as *AddressSpace) Lookup(va uint64) (Mapping, bool) {
 	return Mapping{}, false
 }
 
-// Mappings returns the installed mappings sorted by address.
-func (as *AddressSpace) Mappings() []Mapping {
-	out := make([]Mapping, len(as.maps))
-	copy(out, as.maps)
-	return out
-}
-
 // ResidentBytes sums the mapped segment sizes — the quota a container
 // hierarchy would account for.
 func (as *AddressSpace) ResidentBytes() int {

@@ -42,16 +42,3 @@ func ACCharger() Charger {
 func LaptopCharger() Charger {
 	return Charger{Name: "AC 65W", Rate: units.Watts(55)}
 }
-
-// TimeToFull returns the time to charge deficit µJ at the charger's
-// rate assuming zero concurrent draw, rounded up to the next
-// millisecond. Zero deficit (or an unplugged/zero-rate charger charging
-// anything) returns 0.
-func (c Charger) TimeToFull(deficit units.Energy) units.Time {
-	if deficit <= 0 || c.Rate <= 0 {
-		return 0
-	}
-	// Energy is µJ, Power is µW: t_ms = ceil(deficit·1000 / rate).
-	num := int64(deficit)*1000 + int64(c.Rate) - 1
-	return units.Time(num / int64(c.Rate))
-}

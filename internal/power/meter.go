@@ -56,9 +56,6 @@ func (m *Meter) Stop() { m.task.Stop() }
 // Series returns the recorded power series.
 func (m *Meter) Series() *trace.Series { return m.series }
 
-// TotalEnergy returns the cumulative energy observed since attachment.
-func (m *Meter) TotalEnergy() units.Energy { return m.read() - 0 }
-
 // AveragePower returns the mean power over the recorded series, or 0 if
 // no samples were taken.
 func (m *Meter) AveragePower() units.Power {
