@@ -130,6 +130,17 @@ func runSubmit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Without -wait, submit returns once the job is queued: a set flag
+	// that only -wait reads is refused by name, not dropped.
+	var ignored string
+	fs.Visit(func(f *flag.Flag) {
+		if ignored == "" && !*wait && (f.Name == "o" || f.Name == "canonical" || f.Name == "status-every") {
+			ignored = f.Name
+		}
+	})
+	if ignored != "" {
+		return fmt.Errorf("submit without -wait returns once the job is queued; -%s needs -wait", ignored)
+	}
 	if *every <= 0 {
 		return fmt.Errorf("-status-every must be positive, got %v", *every)
 	}

@@ -16,3 +16,23 @@ func TestSubmitRefusesNonPositiveStatusEvery(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRefusesWaitFlagsWithoutWait: -o, -canonical and
+// -status-every only shape what -wait does, so submit without -wait
+// refuses each, naming it and -wait, before it dials.
+func TestSubmitRefusesWaitFlagsWithoutWait(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-o", "report.json"}, "-o"},
+		{[]string{"-canonical"}, "-canonical"},
+		{[]string{"-status-every", "1s"}, "-status-every"},
+		{[]string{"-devices", "4", "-o", "report.json"}, "-o"},
+	} {
+		err := runSubmit(append([]string{"-coord", "http://127.0.0.1:1"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" needs -wait") {
+			t.Errorf("%v: got %v, want a refusal naming %s and -wait", tc.args, err, tc.flag)
+		}
+	}
+}

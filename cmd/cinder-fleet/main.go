@@ -9,9 +9,12 @@
 // Usage:
 //
 //	cinder-fleet -devices 1000 -duration 20m -scenario poller
-//	cinder-fleet -devices 200 -scenario idle -battery-j 100 -per-device
+//	cinder-fleet -devices 200 -scenario idle -battery-j 100 -per-device-out results.ndjson
 //	cinder-fleet -devices 1000 -duration 24h -scenario dayinthelife -json
-//	cinder-fleet -devices 500 -scenario dayinthelife -duration 24h -sweep battery-j=15000,30000,60000
+//
+// A battery-life sweep is one run per capacity:
+//
+//	for j in 15000 30000 60000; do cinder-fleet -devices 500 -scenario dayinthelife -duration 24h -battery-j $j; done
 //
 // Week-scale runs: checkpoint/resume and sharding.
 //
@@ -25,9 +28,8 @@
 //
 //	cinder-fleet -devices 200 -duration 10m -scenario dayinthelife -json -canonical -reference
 //
-// Each mode (-runner, -merge, -shards, -shard, -sweep, or a plain run)
-// refuses by name any flag set on the command line that it would
-// ignore.
+// Each mode (-runner, -merge, -shard, or a plain run) refuses by name
+// any flag set on the command line that it would ignore.
 package main
 
 import (
@@ -41,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/units"
 )
 
 func main() {
@@ -53,11 +54,9 @@ func main() {
 func realMain() int {
 	var (
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = one per CPU)")
-		perDevice = flag.Bool("per-device", false, "also print one line per device (with -json: include per-device results)")
 		reference = flag.Bool("reference", false, "run the reference configuration: fixed-tick engine, every periodic task executed, every device built fresh (single-process only)")
 		jsonOut   = flag.Bool("json", false, "emit the deterministic JSON report (docs/fleet-report.md) instead of text")
 		canonOut  = flag.Bool("canonical", false, "with -json: zero the engine diagnostics (engine_steps, flow_walks, settled_batches, settled_sweeps, settled_charges) — the form that is byte-identical between production and -reference, across worker counts, shards and checkpoint/resume")
-		sweep     = flag.String("sweep", "", "sweep mode, e.g. battery-j=15000,30000,60000: run the fleet once per value")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 
@@ -68,8 +67,6 @@ func realMain() int {
 
 		runnerURL = flag.String("runner", "", "attach to a cinder-coord service at this URL as a work-stealing runner")
 		runnerID  = flag.String("runner-id", "", "runner name in leases and logs (default hostname-pid)")
-		shardsN   = flag.Int("shards", 0, "run through a coordinator on an HTTP loopback with this many shards (the cluster code path, in one process)")
-		runnersN  = flag.Int("runners", 0, "with -shards: concurrent runner loops dialing the loopback coordinator (default 1)")
 		progress  = flag.Bool("progress", false, "print a progress line (completion, device-days/s, ETA, checkpoint) to stderr every few seconds")
 		perDevOut = flag.String("per-device-out", "", "stream one NDJSON line per device to this file, in device-index order, without retaining the per-device array in memory")
 	)
@@ -86,14 +83,10 @@ func realMain() int {
 	}{
 		{"-runner", "takes its work from the coordinator", "runner runner-id workers progress", *runnerURL != ""},
 		{"-merge", "combines finished partials", "merge json canonical o", *merge},
-		{"-shards", "runs the whole job through a coordinator",
-			"shards runners workers json canonical progress o" + run, *shardsN > 0 || *runnersN > 0},
 		{"-shard", "runs one shard of one fleet",
 			"shard workers canonical progress per-device-out resume o" + run, *shard != ""},
-		{"-sweep", "runs one fleet per battery",
-			"sweep workers reference json per-device resume devices seed duration scenario checkpoint-dir checkpoint-every", *sweep != ""},
 		{"a plain run", "simulates one fleet in this process",
-			"workers reference json canonical per-device per-device-out progress resume o" + run, true},
+			"workers reference json canonical per-device-out progress resume o" + run, true},
 	}
 	i := 0
 	for !modes[i].on {
@@ -105,7 +98,7 @@ func realMain() int {
 		reads[name] = true
 	}
 	if *reference && !reads["reference"] {
-		return fail(fmt.Errorf("-reference is single-process: it cannot combine with -shard, -shards, -runners, -runner or -merge"))
+		return fail(fmt.Errorf("-reference is single-process: it cannot combine with -shard, -runner or -merge"))
 	}
 	var ignored []string
 	flag.Visit(func(f *flag.Flag) {
@@ -151,9 +144,6 @@ func realMain() int {
 		return fail(err)
 	}
 	cfg.Workers = *workers
-	// Per-device output needs the result array retained; otherwise the
-	// run streams results and stays O(workers + buckets).
-	cfg.KeepResults = *perDevice
 	cfg.Reference = *reference
 	cfg.Resume = *resume
 	cfg.Warnf = logf
@@ -163,16 +153,8 @@ func realMain() int {
 		err = runRunner(*runnerURL, *runnerID, *workers, *progress)
 	case "-merge":
 		err = runMerge(flag.Args(), *jsonOut, *canonOut, *outPath)
-	case "-shards":
-		shards := *shardsN
-		if shards <= 0 {
-			shards = *runnersN
-		}
-		err = runLocalCoord(cfg, shards, *runnersN, *jsonOut, *canonOut, *progress, *outPath)
-	case "-sweep":
-		err = runSweep(cfg, *sweep, *jsonOut, *perDevice)
 	default:
-		err = runFleet(cfg, *shard, *perDevOut, *jsonOut, *canonOut, *perDevice, *progress, *outPath)
+		err = runFleet(cfg, *shard, *perDevOut, *jsonOut, *canonOut, *progress, *outPath)
 	}
 	if err != nil {
 		return fail(err)
@@ -183,7 +165,7 @@ func realMain() int {
 // runFleet simulates the fleet in this process and prints its report,
 // or, given a -shard spec "i/n", runs shard i of the job's n-shard plan
 // and writes its partial report.
-func runFleet(cfg fleet.Config, spec, perDevOut string, jsonOut, canonical, perDevice, progress bool, outPath string) error {
+func runFleet(cfg fleet.Config, spec, perDevOut string, jsonOut, canonical, progress bool, outPath string) error {
 	if spec != "" {
 		idx, count, err := parseShard(spec)
 		if err != nil {
@@ -232,15 +214,12 @@ func runFleet(cfg fleet.Config, spec, perDevOut string, jsonOut, canonical, perD
 		return nil
 	}
 	if jsonOut {
-		return emitJSON(rep, perDevice, canonical, outPath)
+		return emitJSON(rep, canonical, outPath)
 	}
 	fmt.Print(rep.Format())
 	simulated := time.Duration(int64(cfg.Duration)) * time.Millisecond * time.Duration(cfg.Devices)
 	fmt.Printf("  wall clock: %v with %d workers (%s realtime across the fleet)\n",
 		elapsed.Round(time.Millisecond), rep.Workers, realtimeRatio(simulated, elapsed))
-	if perDevice {
-		printPerDevice(rep)
-	}
 	return nil
 }
 
@@ -281,7 +260,7 @@ func runMerge(paths []string, jsonOut, canonical bool, outPath string) error {
 		return err
 	}
 	if jsonOut {
-		return emitJSON(rep, false, canonical, outPath)
+		return emitJSON(rep, canonical, outPath)
 	}
 	return emit(outPath, []byte(rep.Format()))
 }
@@ -295,31 +274,18 @@ func emit(path string, b []byte) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-func emitJSON(rep fleet.Report, perDevice, canonical bool, path string) error {
+func emitJSON(rep fleet.Report, canonical bool, path string) error {
 	var b []byte
 	var err error
 	if canonical {
-		b, err = rep.CanonicalJSON(perDevice)
+		b, err = rep.CanonicalJSON(false)
 	} else {
-		b, err = rep.JSON(perDevice)
+		b, err = rep.JSON(false)
 	}
 	if err != nil {
 		return err
 	}
 	return emit(path, append(b, '\n'))
-}
-
-// printPerDevice renders one line per device of a report.
-func printPerDevice(rep fleet.Report) {
-	fmt.Println("  per-device:")
-	for _, r := range rep.Results {
-		died := "-"
-		if r.Died {
-			died = r.DiedAt.String()
-		}
-		fmt.Printf("    #%04d seed=%-20d %-14s consumed=%-12v util=%6.2f%% polls=%-4d activations=%-3d died=%s\n",
-			r.Index, r.Seed, r.Scenario, r.Consumed, r.Utilization, r.Polls, r.RadioActivations, died)
-	}
 }
 
 // realtimeRatio formats simulated/elapsed defensively: a tiny run can
@@ -333,75 +299,6 @@ func realtimeRatio(simulated, elapsed time.Duration) string {
 		elapsed = time.Nanosecond
 	}
 	return fmt.Sprintf("%.0fx", simulated.Seconds()/elapsed.Seconds())
-}
-
-// runSweep parses a sweep spec ("battery-j=a,b,c"), runs the fleet once
-// per value, and prints a per-value summary (or a JSON array with
-// -json). Only the battery-life sweep is defined for now.
-func runSweep(cfg fleet.Config, spec string, jsonOut, perDevice bool) error {
-	key, list, ok := strings.Cut(spec, "=")
-	if !ok || key != "battery-j" {
-		return fmt.Errorf("unsupported sweep %q (want battery-j=v1,v2,...)", spec)
-	}
-	var caps []units.Energy
-	for _, f := range strings.Split(list, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("bad sweep value %q: want positive joules", f)
-		}
-		caps = append(caps, units.Joules(v))
-	}
-	if len(caps) == 0 {
-		return fmt.Errorf("empty sweep %q", spec)
-	}
-
-	reports := make([]fleet.Report, len(caps))
-	for i, c := range caps {
-		run := cfg
-		run.BatteryCapacity = c
-		rep, err := fleet.Run(run)
-		if err != nil {
-			return err
-		}
-		reports[i] = rep
-	}
-
-	if jsonOut {
-		fmt.Println("[")
-		for i, rep := range reports {
-			b, err := rep.JSON(perDevice)
-			if err != nil {
-				return err
-			}
-			sep := ","
-			if i == len(reports)-1 {
-				sep = ""
-			}
-			fmt.Printf("%s%s\n", b, sep)
-		}
-		fmt.Println("]")
-		return nil
-	}
-
-	fmt.Printf("battery-life sweep: %d devices × %v, scenario %q, seed %d\n",
-		cfg.Devices, cfg.Duration, cfg.Scenario.Name(), cfg.Seed)
-	fmt.Printf("  %-12s  %-12s  %-10s  %-12s  %-12s\n",
-		"battery", "mean drawn", "deaths", "life p50", "life p90")
-	for i, rep := range reports {
-		life50, life90 := "-", "-"
-		if rep.Dead > 0 {
-			life50, life90 = rep.LifeP50.String(), rep.LifeP90.String()
-		}
-		fmt.Printf("  %-12v  %-12v  %-10s  %-12s  %-12s\n",
-			caps[i], rep.MeanConsumed, fmt.Sprintf("%d/%d", rep.Dead, rep.Devices), life50, life90)
-	}
-	if perDevice {
-		for i, rep := range reports {
-			fmt.Printf("battery %v:\n", caps[i])
-			printPerDevice(rep)
-		}
-	}
-	return nil
 }
 
 // fail reports an error and returns realMain's failure exit code.

@@ -31,9 +31,9 @@ func fleetCmd(args ...string) *exec.Cmd {
 func TestReferenceRefusedWithShardingFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shard", "0/2"},
-		{"-shards", "2"},
-		{"-runners", "2"},
+		{"-shard", "1/2", "-o", "part1.json"},
 		{"-runner", "http://127.0.0.1:1"},
+		{"-runner", "http://127.0.0.1:1", "-runner-id", "r1"},
 		{"-merge", "part0.json"},
 	} {
 		out, err := fleetCmd(append([]string{"-reference", "-devices", "4", "-duration", "1s"}, args...)...).CombinedOutput()
@@ -52,20 +52,22 @@ func TestIgnoredFlagCombinationsRefused(t *testing.T) {
 		args        []string
 		mode, other string
 	}{
-		{[]string{"-shard", "0/2", "-sweep", "battery-j=100"}, "-shard", "-sweep"},
+		{[]string{"-shard", "0/2", "-runner-id", "r1"}, "-shard", "-runner-id"},
 		{[]string{"-shard", "0/2", "-json"}, "-shard", "-json"},
-		{[]string{"-merge", "-sweep", "battery-j=100", "part0.json"}, "-merge", "-sweep"},
+		{[]string{"-merge", "-per-device-out", "r.ndjson", "part0.json"}, "-merge", "-per-device-out"},
 		{[]string{"-merge", "-shard", "0/2", "part0.json"}, "-merge", "-shard"},
-		{[]string{"-merge", "-shards", "2", "part0.json"}, "-merge", "-shards"},
-		{[]string{"-merge", "-runners", "2", "part0.json"}, "-merge", "-runners"},
+		{[]string{"-merge", "-workers", "2", "part0.json"}, "-merge", "-workers"},
+		{[]string{"-merge", "-progress", "part0.json"}, "-merge", "-progress"},
 		{[]string{"-merge", "-checkpoint-dir", "ckpt", "part0.json"}, "-merge", "-checkpoint-dir"},
 		{[]string{"-merge", "-resume", "part0.json"}, "-merge", "-resume"},
 		{[]string{"-merge", "-seed", "3", "p.json"}, "-merge", "-seed"},
-		{[]string{"-merge", "-per-device", "p.json"}, "-merge", "-per-device"},
+		{[]string{"-merge", "-runner-id", "r1", "p.json"}, "-merge", "-runner-id"},
 		{[]string{"-runner", "http://127.0.0.1:1", "-o", "x"}, "-runner", "-o"},
 		{[]string{"-runner", "http://127.0.0.1:1", "-devices", "5"}, "-runner", "-devices"},
-		{[]string{"-sweep", "battery-j=100", "-o", "x"}, "-sweep", "-o"},
-		{[]string{"-sweep", "battery-j=100", "-battery-j", "5"}, "-sweep", "-battery-j"},
+		{[]string{"-runner", "http://127.0.0.1:1", "-merge"}, "-runner", "-merge"},
+		{[]string{"-runner", "http://127.0.0.1:1", "-shard", "0/2"}, "-runner", "-shard"},
+		{[]string{"-runner-id", "r1", "-o", "x"}, "a plain run", "-runner-id"},
+		{[]string{"-battery-j", "5", "-runner-id", "r1"}, "a plain run", "-runner-id"},
 	} {
 		out, err := fleetCmd(tc.args...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), tc.mode) || !strings.HasSuffix(string(out), " "+tc.other+"\n") {
@@ -74,42 +76,22 @@ func TestIgnoredFlagCombinationsRefused(t *testing.T) {
 	}
 }
 
-// TestShardsMatchesSingleProcess: -shards 4 -runners 2 runs the
-// coordinator/runner stack over an HTTP loopback and must print the
-// plain single-process run's JSON report byte for byte, with -progress
-// on.
-func TestShardsMatchesSingleProcess(t *testing.T) {
-	base := []string{"-devices", "40", "-duration", "6h", "-scenario", "dayinthelife", "-workers", "2", "-json"}
-	plain, err := fleetCmd(base...).Output()
-	if err != nil {
-		t.Fatalf("plain run: %v", err)
-	}
-	// -progress drives the shared progress line from both runner
-	// loops; the line goes to stderr, so stdout must still match.
-	sharded, err := fleetCmd(append(base, "-shards", "4", "-runners", "2", "-progress")...).Output()
-	if err != nil {
-		t.Fatalf("-shards run: %v", err)
-	}
-	if !bytes.Equal(plain, sharded) {
-		t.Fatalf("-shards 4 -runners 2 diverged from the single-process report:\n%s\nvs\n%s", sharded, plain)
-	}
-}
-
 // TestMergeFilesMatchesSingleProcess: two -shard partials written to
 // files and combined with -merge print the plain single-process JSON
 // report byte for byte. The merge reads the run's identity, scenario
-// included, from the partials alone.
+// included, from the partials alone. -progress rides the plain run and
+// the shards: its line goes to stderr, so the reports must not change.
 func TestMergeFilesMatchesSingleProcess(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-devices", "40", "-duration", "6h", "-scenario", "dayinthelife", "-battery-j", "2000", "-workers", "2"}
-	plain, err := fleetCmd(append(base, "-json")...).Output()
+	plain, err := fleetCmd(append(base, "-json", "-progress")...).Output()
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
 	var parts []string
 	for _, shard := range []string{"0/2", "1/2"} {
 		path := filepath.Join(dir, "part"+strings.ReplaceAll(shard, "/", "of")+".json")
-		if out, err := fleetCmd(append(base, "-shard", shard, "-o", path)...).CombinedOutput(); err != nil {
+		if out, err := fleetCmd(append(base, "-shard", shard, "-progress", "-o", path)...).CombinedOutput(); err != nil {
 			t.Fatalf("-shard %s: %v\n%s", shard, err, out)
 		}
 		parts = append(parts, path)

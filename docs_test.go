@@ -106,41 +106,54 @@ func TestReadmeCoversEntryPoints(t *testing.T) {
 	}
 }
 
-// fleetFlagDef matches a flag definition in cmd/cinder-fleet.
-var fleetFlagDef = regexp.MustCompile(`flag\.\w+\("([a-z0-9-]+)"`)
+// flagDef matches a flag definition: fs.String("name", ...) and kin.
+var flagDef = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)\("([a-z0-9-]+)"`)
 
 // cliFlag matches a -flag token on a command line.
 var cliFlag = regexp.MustCompile(`\s-([a-z][a-z0-9-]*)`)
 
-// TestDocsUseDefinedFleetFlags: every -flag on a cinder-fleet command
-// line in the user-facing documents must be a flag cmd/cinder-fleet
-// defines — its own, or the run flags fleet.BindFlags declares for it —
-// so removing or renaming a flag cannot leave a copy-pasteable example
-// behind. A command line runs from "cinder-fleet" to the end of
-// the line (backslash continuations joined), stopping at a pipe,
-// redirection, command separator, comment or closing backtick.
-func TestDocsUseDefinedFleetFlags(t *testing.T) {
+// definedFlags returns the flags the command in dir defines — its own,
+// and the run flags fleet.BindFlags declares for it — failing unless
+// every name in want is among them (a guard against a broken scan).
+func definedFlags(t *testing.T, dir string, want ...string) map[string]bool {
+	t.Helper()
 	defined := map[string]bool{}
-	srcs, err := filepath.Glob("cmd/cinder-fleet/*.go")
+	srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, src := range srcs {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
 		b, err := os.ReadFile(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range fleetFlagDef.FindAllStringSubmatch(string(b), -1) {
+		for _, m := range flagDef.FindAllStringSubmatch(string(b), -1) {
 			defined[m[1]] = true
 		}
 	}
-	if !defined["shard"] || !defined["merge"] {
-		t.Fatalf("flag scan of cmd/cinder-fleet found %d flags; the scan looks broken", len(defined))
+	for _, name := range want {
+		if !defined[name] {
+			t.Fatalf("flag scan of %s found %d flags, not -%s; the scan looks broken", dir, len(defined), name)
+		}
 	}
 	run := flag.NewFlagSet("run", flag.ContinueOnError)
 	fleet.BindFlags(run)
 	run.VisitAll(func(f *flag.Flag) { defined[f.Name] = true })
+	return defined
+}
 
+// checkDocFlags fails on every -flag of a command line in the
+// user-facing documents that defined lacks (name is the command), so
+// removing or renaming a flag cannot leave a copy-pasteable example
+// behind. A command line runs from a match of cmd to the end of the
+// line (backslash continuations joined), stopping at the next match of
+// cmd, a pipe, redirection, command separator, comment or closing
+// backtick.
+func checkDocFlags(t *testing.T, name string, cmd *regexp.Regexp, defined map[string]bool) {
+	t.Helper()
 	seen := 0
 	for _, doc := range userDocs(t) {
 		b, err := os.ReadFile(doc)
@@ -154,22 +167,36 @@ func TestDocsUseDefinedFleetFlags(t *testing.T) {
 				i++
 				line = strings.TrimSuffix(line, "\\") + " " + lines[i]
 			}
-			for _, seg := range strings.Split(line, "cinder-fleet")[1:] {
+			for _, seg := range cmd.Split(line, -1)[1:] {
 				if end := strings.IndexAny(seg, "|>&;#`"); end >= 0 {
 					seg = seg[:end]
 				}
 				for _, m := range cliFlag.FindAllStringSubmatch(seg, -1) {
 					seen++
 					if !defined[m[1]] {
-						t.Errorf("%s:%d: cinder-fleet has no -%s flag", doc, start, m[1])
+						t.Errorf("%s:%d: %s has no -%s flag", doc, start, name, m[1])
 					}
 				}
 			}
 		}
 	}
 	if seen == 0 {
-		t.Fatal("found no cinder-fleet flags in the documents; the scan looks broken")
+		t.Fatalf("found no %s flags in the documents; the scan looks broken", name)
 	}
+}
+
+// TestDocsUseDefinedFleetFlags: every -flag on a cinder-fleet command
+// line in the user-facing documents is a flag cmd/cinder-fleet defines.
+func TestDocsUseDefinedFleetFlags(t *testing.T) {
+	checkDocFlags(t, "cinder-fleet", regexp.MustCompile(`cinder-fleet`), definedFlags(t, "cmd/cinder-fleet", "shard", "merge"))
+}
+
+// TestDocsUseDefinedCoordFlags: every -flag on a cinder-coord
+// serve|submit|status|result command line in the user-facing documents
+// is a flag cmd/cinder-coord defines.
+func TestDocsUseDefinedCoordFlags(t *testing.T) {
+	checkDocFlags(t, "cinder-coord", regexp.MustCompile(`cinder-coord (?:serve|submit|status|result)\b`),
+		definedFlags(t, "cmd/cinder-coord", "listen", "wait", "status-every"))
 }
 
 // userDocs lists the user-facing documents the doc checks scan.

@@ -5,10 +5,9 @@
 // adapter that moves those values between processes. One mechanism
 // ships: HTTP, JSON over loopback or LAN (Handler on the coordinator
 // side, DialHTTP on the runner side). It serves remote runners and, on
-// a 127.0.0.1 listener, cinder-fleet's local -shards mode and the test
-// suites alike. Sockets or RPC slot in later by implementing Conn
-// against the same Service, without touching the coordinator or the
-// runners.
+// a 127.0.0.1 listener, coord.RunHTTP and the test suites alike.
+// Sockets or RPC slot in later by implementing Conn against the same
+// Service, without touching the coordinator or the runners.
 //
 // Delivery is by value: every message crosses its JSON wire form, so a
 // job that cannot survive a network hop (say, one referencing a

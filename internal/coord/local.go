@@ -21,8 +21,6 @@ type LocalOptions struct {
 	Workers int
 	// Coordinator tunes the embedded coordinator (zero = defaults).
 	Coordinator Options
-	// OnProgress observes every Progress update of every runner.
-	OnProgress func(runner string, shard int, p fleet.Progress)
 	// Logf receives coordinator and runner event lines.
 	Logf func(format string, args ...any)
 }
@@ -32,10 +30,12 @@ type LocalOptions struct {
 // 127.0.0.1 listener, with opt.Runners runner loops dialing it through
 // the wire like remote processes would. Every claim, heartbeat, partial
 // and status crosses a TCP connection and the full JSON encode/decode
-// path, so "cinder-fleet -shards n -runners k" (this function) is a
-// faithful rehearsal of a cluster run. A one-runner RunHTTP of a
-// one-shard job is the degenerate case whose report is byte-identical
-// to a plain fleet.Run (asserted in tests).
+// path, so this function is a faithful rehearsal of a cluster run
+// (cinder-coord serve, cinder-fleet -runner, cinder-coord submit) in
+// one process: the perfharness cluster scenario and the coord tests
+// run it. A one-runner RunHTTP of a one-shard job is the degenerate
+// case whose report is byte-identical to a plain fleet.Run (asserted
+// in tests).
 func RunHTTP(ctx context.Context, job fleet.Job, opt LocalOptions) (fleet.Report, error) {
 	runners := opt.Runners
 	if runners <= 0 {
@@ -72,17 +72,13 @@ func RunHTTP(ctx context.Context, job fleet.Job, opt LocalOptions) (fleet.Report
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < runners; i++ {
-		id := fmt.Sprintf("http-%d", i)
 		conn := delivery.DialHTTP(base)
 		r := &Runner{
-			ID:      id,
+			ID:      fmt.Sprintf("http-%d", i),
 			Conn:    conn,
 			Workers: opt.Workers,
 			Poll:    20 * time.Millisecond,
 			Logf:    opt.Logf,
-		}
-		if opt.OnProgress != nil {
-			r.OnProgress = func(shard int, p fleet.Progress) { opt.OnProgress(id, shard, p) }
 		}
 		wg.Add(1)
 		go func() {

@@ -101,9 +101,6 @@ func New(targetRate units.Power, epoch units.Time) *System {
 	return &System{targetRate: targetRate, epoch: epoch}
 }
 
-// Epoch returns the allocation period.
-func (s *System) Epoch() units.Time { return s.epoch }
-
 // AddTask registers a task with a proportional share and accumulation
 // cap.
 func (s *System) AddTask(name string, share int64, cap units.Energy) *Task {

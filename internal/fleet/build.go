@@ -45,7 +45,7 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 		if prov.BatteryCapacity != 0 {
 			if cfg.BatteryCapacity != 0 {
 				return nil, nil, fmt.Errorf("fleet: scenario %q provisions per-device batteries; "+
-					"the fleet-level battery override (-battery-j / battery-j sweeps) contradicts it — drop one",
+					"the fleet-level battery override (-battery-j) contradicts it — drop one",
 					cfg.Scenario.Name())
 			}
 			kcfg.BatteryCapacity = prov.BatteryCapacity

@@ -420,13 +420,6 @@ type Pollers struct {
 	// Interval is the poll period (default 60 s; day-scale mixes use
 	// coarser periods).
 	Interval units.Time
-	// Rate funds each poller (default 79 mW, §6.4).
-	Rate units.Power
-	// ReqBytes/RespBytes size each poll (defaults 300 B / 12 KiB).
-	ReqBytes  int
-	RespBytes int
-	// RespJitterPct varies payloads per poll (default 20 %).
-	RespJitterPct int
 }
 
 // Name implements Workload.
@@ -436,26 +429,11 @@ func (Pollers) Name() string { return "pollers" }
 func (p Pollers) Install(d *Device, w Window) error {
 	n := p.Pollers
 	if n <= 0 {
-		n = 2
+		n = pollerCount
 	}
 	interval := p.Interval
 	if interval == 0 {
-		interval = 60 * units.Second
-	}
-	rate := p.Rate
-	if rate == 0 {
-		rate = units.Milliwatts(79)
-	}
-	req, resp := p.ReqBytes, p.RespBytes
-	if req == 0 {
-		req = 300
-	}
-	if resp == 0 {
-		resp = 12 << 10
-	}
-	jitter := p.RespJitterPct
-	if jitter == 0 {
-		jitter = 20
+		interval = pollerInterval
 	}
 	phases := make([]units.Time, n)
 	for i := range phases {
@@ -472,10 +450,10 @@ func (p Pollers) Install(d *Device, w Window) error {
 				k.KernelPriv(), k.Battery(), apps.PollerConfig{
 					Interval:      interval,
 					Phase:         e.Now() + phases[i],
-					Rate:          rate,
-					ReqBytes:      req,
-					RespBytes:     resp,
-					RespJitterPct: jitter,
+					Rate:          pollerRate,
+					ReqBytes:      pollerReqBytes,
+					RespBytes:     pollerRespBytes,
+					RespJitterPct: pollerRespJitterPct,
 				})
 			if err != nil {
 				_ = k.Table.Delete(c.ObjectID())

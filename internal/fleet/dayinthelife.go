@@ -9,9 +9,9 @@ import (
 // across the fleet by weight. The timeline's t = 0 is the morning
 // pick-up, so the busiest phases land early — with the Dream's 15 kJ
 // battery and 699 mW idle floor a device lives ≈ 6 h (§4.2 makes a
-// day-long G1 impossible; the battery-life sweep mode exists to explore
-// bigger batteries), and front-loading keeps the buckets meaningfully
-// different before the first deaths.
+// day-long G1 impossible; a battery-life sweep, one run per -battery-j
+// value, explores bigger batteries), and front-loading keeps the
+// buckets meaningfully different before the first deaths.
 
 // IdleDay is the control-group day: a phone that is picked up twice and
 // otherwise sits in a pocket. No taps, no threads — the purest test of

@@ -221,8 +221,8 @@ type Scenario interface {
 // BatteryCapacity are a contradiction — the first says "every device
 // gets this battery", the second says "this device draws its own" —
 // so buildDevice rejects the combination loudly instead of letting one
-// silently win (a -sweep battery-j run against a provisioning scenario
-// used to quietly disable the heterogeneous population).
+// silently win (a -battery-j run against a provisioning scenario used
+// to quietly disable the heterogeneous population).
 type DeviceProvision struct {
 	// BatteryCapacity overrides the profile battery for this device.
 	// Zero keeps the fleet-level setting.

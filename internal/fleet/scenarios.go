@@ -11,66 +11,43 @@ import (
 
 func publicLabel() label.Label { return label.Public() }
 
+// The §6.4 cooperative-poller workload, shared by PollerScenario and
+// the Pollers phase: the paper's pair of periodic network applications
+// (an RSS feed and a pop3 mail checker), each funded with "enough
+// energy to activate the radio every two minutes", exchanging a small
+// request for a payload that varies per poll.
+const (
+	pollerCount         = 2
+	pollerInterval      = 60 * units.Second
+	pollerRate          = 79 * units.Milliwatt
+	pollerReqBytes      = 300
+	pollerRespBytes     = 12 << 10
+	pollerRespJitterPct = 20
+)
+
 // PollerScenario reproduces the §6.4 cooperative-poller workload at
-// fleet scale: each device runs Pollers pairs of periodic network
-// applications (the paper's RSS feed and pop3 mail checker) against the
-// cooperative netd, with per-device phase and payload jitter drawn from
-// the device's construction stream so no two phones poll in lockstep.
-type PollerScenario struct {
-	// Pollers is the number of polling applications per device
-	// (default 2, the paper's pair).
-	Pollers int
-	// Interval is the poll period (default 60 s).
-	Interval units.Time
-	// Rate funds each poller's reserve (default 79 mW, §6.4's "enough
-	// energy to activate the radio every two minutes").
-	Rate units.Power
-	// ReqBytes/RespBytes size each poll (defaults 300 B / 12 KiB).
-	ReqBytes  int
-	RespBytes int
-	// RespJitterPct varies payloads per poll (default 20%).
-	RespJitterPct int
-}
+// fleet scale: each device runs the paper's pair of periodic network
+// applications against the cooperative netd, polling every 60 s, with
+// per-device phase and payload jitter drawn from the device's
+// construction stream so no two phones poll in lockstep.
+type PollerScenario struct{}
 
 // Name implements Scenario.
-func (s PollerScenario) Name() string { return "poller" }
+func (PollerScenario) Name() string { return "poller" }
 
 // Build implements Scenario.
-func (s PollerScenario) Build(d *Device) error {
-	n := s.Pollers
-	if n <= 0 {
-		n = 2
-	}
-	interval := s.Interval
-	if interval == 0 {
-		interval = 60 * units.Second
-	}
-	rate := s.Rate
-	if rate == 0 {
-		rate = units.Milliwatts(79)
-	}
-	req, resp := s.ReqBytes, s.RespBytes
-	if req == 0 {
-		req = 300
-	}
-	if resp == 0 {
-		resp = 12 << 10
-	}
-	jitter := s.RespJitterPct
-	if jitter == 0 {
-		jitter = 20
-	}
-	pollers := make([]*apps.Poller, n)
+func (PollerScenario) Build(d *Device) error {
+	pollers := make([]*apps.Poller, pollerCount)
 	for i := range pollers {
-		phase := units.Time(d.Rand.Intn(int64(interval)))
+		phase := units.Time(d.Rand.Intn(int64(pollerInterval)))
 		p, err := apps.NewPoller(d.Kernel, d.Kernel.Root, fmt.Sprintf("poller-%d", i),
 			d.Kernel.KernelPriv(), d.Kernel.Battery(), apps.PollerConfig{
-				Interval:      interval,
+				Interval:      pollerInterval,
 				Phase:         phase,
-				Rate:          rate,
-				ReqBytes:      req,
-				RespBytes:     resp,
-				RespJitterPct: jitter,
+				Rate:          pollerRate,
+				ReqBytes:      pollerReqBytes,
+				RespBytes:     pollerRespBytes,
+				RespJitterPct: pollerRespJitterPct,
 			})
 		if err != nil {
 			return err
@@ -106,25 +83,21 @@ func (IdleScenario) Name() string { return "idle" }
 // Build implements Scenario.
 func (IdleScenario) Build(*Device) error { return nil }
 
+// spinnerRate funds the spinner: 68.5 mW, half the Dream CPU.
+const spinnerRate = 68500 * units.Microwatt
+
 // SpinnerScenario runs one energy-wrapped CPU hog per device (the Fig. 9
-// spinner), funded at Rate from the battery — a busy-CPU contrast to
-// IdleScenario for utilization sweeps.
-type SpinnerScenario struct {
-	// Rate funds the spinner (default 68.5 mW, half the Dream CPU).
-	Rate units.Power
-}
+// spinner), funded at spinnerRate from the battery — a busy-CPU
+// contrast to IdleScenario for utilization sweeps.
+type SpinnerScenario struct{}
 
 // Name implements Scenario.
 func (SpinnerScenario) Name() string { return "spinner" }
 
 // Build implements Scenario.
-func (s SpinnerScenario) Build(d *Device) error {
-	rate := s.Rate
-	if rate == 0 {
-		rate = units.Microwatt * 68500
-	}
+func (SpinnerScenario) Build(d *Device) error {
 	_, err := apps.NewSpinner(d.Kernel, d.Kernel.Root, "hog",
-		d.Kernel.KernelPriv(), d.Kernel.Battery(), rate, publicLabel())
+		d.Kernel.KernelPriv(), d.Kernel.Battery(), spinnerRate, publicLabel())
 	return err
 }
 

@@ -116,9 +116,6 @@ func (k *Kernel) Charger() *BatteryCharger { return k.charger }
 // Stats returns a copy of the counters.
 func (c *BatteryCharger) Stats() ChargerStats { return c.stats }
 
-// Plugged reports whether a supply is connected.
-func (c *BatteryCharger) Plugged() bool { return c.plugged }
-
 // Plug connects a supply. Charge accrues from the current instant and
 // is credited at every quantum boundary (plus a final partial interval
 // at Unplug). Plugging while already plugged is a no-op — swap supplies
