@@ -111,17 +111,19 @@ func BenchmarkSteadySettleFlows(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadySettleHoarder: the adversarial hoarder's tap shape —
-// battery → hoard at 250 mW, hoard → battery at 1000 PPM, decay on —
-// settled the way the kernel parks it, 100-batch SettleFlows chunks
-// with Decay(1 s) between them. The proportional tap makes the hoard
-// sensitive, so every batch goes through the replay loop; ns/batch is
-// the core layer's per-batch cost. CI-guarded to 0 B/op.
-func BenchmarkSteadySettleHoarder(b *testing.B) {
+// hoarderBench builds the adversarial hoarder's tap shape — battery →
+// hoard at 250 mW, hoard → battery at 1000 PPM, decay on — and returns
+// the graph, the hoard, and one simulated second settled the way the
+// kernel parks it: a 100-batch SettleFlows chunk, then Decay(1 s). The
+// proportional tap makes the hoard sensitive, so every batch is replayed.
+// Ten minutes are settled before it returns: the hoard fills toward its
+// equilibrium.
+func hoarderBench(b *testing.B) (g *Graph, hoard *Reserve, second func()) {
+	b.Helper()
 	tbl := kobj.NewTable()
 	root := kobj.NewContainer(tbl, nil, "root", label.Public())
-	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: 1000 * units.Kilojoule})
-	hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+	g = NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: 1000 * units.Kilojoule})
+	hoard = g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
 	p := label.NewPriv()
 	grab, err := g.NewTap(root, "grab", p, g.Battery(), hoard, label.Public())
 	if err != nil {
@@ -137,19 +139,75 @@ func BenchmarkSteadySettleHoarder(b *testing.B) {
 	if err := tax.SetFrac(p, 1000); err != nil {
 		b.Fatal(err)
 	}
-	const batches = 100
-	dt := 10 * units.Millisecond
-	second := func() {
-		g.SettleFlows(dt, batches, 0, nil)
+	second = func() {
+		g.SettleFlows(10*units.Millisecond, hoarderBatches, 0, nil)
 		g.Decay(units.Second)
 	}
-	for i := 0; i < 600; i++ { // ten minutes: the hoard fills toward its equilibrium
+	for i := 0; i < 600; i++ {
 		second()
+	}
+	return g, hoard, second
+}
+
+const hoarderBatches = 100
+
+// BenchmarkSteadySettleHoarder: the hoarder's seconds once they recur.
+// Set-up settles until the hoard's level has converged and 1000
+// consecutive chunks were answered by the replay memo (about three
+// simulated hours), so ns/batch is the memo's hit path. CI-guarded to
+// 0 B/op.
+func BenchmarkSteadySettleHoarder(b *testing.B) {
+	g, _, second := hoarderBench(b)
+	for run, s := 0, 0; run < 1000; s++ {
+		if s == 100_000 {
+			b.Fatal("the hoarder's chunks never recurred")
+		}
+		hits, _ := g.memoStats()
+		second()
+		if h, _ := g.memoStats(); h > hits {
+			run++
+		} else {
+			run = 0
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		second()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches), "ns/batch")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hoarderBatches), "ns/batch")
+}
+
+// BenchmarkSteadySettleHoarderMiss: the same seconds, but before each
+// chunk the hoard is moved to 1 µJ above the level the previous chunk
+// started from, so no start state repeats and every chunk misses the
+// replay memo: ns/batch is the flat replay loop's, plus the memo's
+// lookup and store. CI-guarded to 0 B/op.
+func BenchmarkSteadySettleHoarderMiss(b *testing.B) {
+	g, hoard, second := hoarderBench(b)
+	start := hoard.level
+	perturb := func() {
+		start++
+		var err error
+		if d := start - hoard.level; d > 0 {
+			err = g.Transfer(label.Priv{}, g.Battery(), hoard, d)
+		} else {
+			err = g.Transfer(label.Priv{}, hoard, g.Battery(), -d)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	_, misses := g.memoStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		perturb()
+		second()
+	}
+	b.StopTimer()
+	if _, m := g.memoStats(); m-misses != int64(b.N) {
+		b.Fatalf("%d of %d chunks missed the replay memo, want all", m-misses, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hoarderBatches), "ns/batch")
 }

@@ -87,6 +87,9 @@ type Graph struct {
 	settleSrcs      []*Reserve
 	flowWalks       int64
 	settledBatches  int64
+	// memo caches replayed chunks' results (memo.go); nil until the
+	// graph's first replay.
+	memo *replayMemo
 	// decayFactor is the per-Decay-interval retention in 2⁻³⁰ fixed
 	// point, memoized per interval length.
 	decayFactorDT units.Time
@@ -199,6 +202,9 @@ func (g *Graph) Reset(t *kobj.Table, root *kobj.Container, batteryLabel label.La
 	g.settleSens = truncReserves(g.settleSens)
 	g.settleLevels = g.settleLevels[:0]
 	g.settleSrcs = truncReserves(g.settleSrcs)
+	if g.memo != nil {
+		g.memo.reset()
+	}
 	g.flowWalks = 0
 	g.settledBatches = 0
 	g.decayFactorDT = 0

@@ -30,6 +30,18 @@ import (
 //     written back once per chunk, and each outside endpoint takes its
 //     tap's whole chunk total in one debit or credit. The replay costs
 //     O(replayed taps × batches) integer steps and no pointer chasing.
+//   - The flat loop reads nothing but the chunk's start state, so each
+//     start state is replayed once: a per-graph memo (memo.go) keys a
+//     chunk by a plan version (bumped whenever a replayed tap's identity,
+//     kind, rate, frac or endpoint slots, or dt, differ from the last
+//     replayed plan), k, the sensitive levels and the replayed carries,
+//     and holds the loop's end levels, end carries and per-tap moved and
+//     starved sums. A hit compares the whole key and feeds the same
+//     write-back as a miss, so it is exact, debit's overdraw panic and
+//     flowWalks included. The table is bounded (8,192 entries of at most
+//     8 words, 4-way) and allocated on the graph's first replay; it is
+//     derived state, so it is not checkpointed and Graph.Reset strands
+//     it by forcing a new version.
 //   - Starvation makes constant taps level-dependent too. The per-reserve
 //     depletion horizon bounds how many batches can pass before any
 //     source could fail to cover its worst-case outflow (ignoring all
@@ -335,14 +347,11 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 	return k
 }
 
-// replayChunk runs k batches of the replay set in one flat loop,
-// byte-identical to k rounds of Tap.flow over it. Each batch visits the
-// taps in creation order; a tap draws from its carry and (proportional)
-// its source's local level, clamps only against a sensitive source
-// (within the horizon an outside source always covers its draw), and
-// moves the sensitive endpoints' local levels. Active taps have live
-// endpoints (releasing either end deactivates the tap), so Tap.flow's
-// dead checks cannot fire here.
+// replayChunk settles k batches of the replay set: it takes the
+// results from the replay memo when the chunk's start state is there,
+// and otherwise runs replayLoop (and records its results). Either way
+// the results are written back once: levels, carries and tap stats, and
+// each outside endpoint's chunk total in one debit or credit.
 func (g *Graph) replayChunk(dt units.Time, k int64) {
 	levels := g.settleLevels[:0]
 	for _, r := range g.settleSens {
@@ -350,28 +359,17 @@ func (g *Graph) replayChunk(dt units.Time, k int64) {
 	}
 	g.settleLevels = levels
 	replay := g.settleReplay
-	for b := int64(0); b < k; b++ {
-		for i := range replay {
-			e := &replay[i]
-			var want units.Energy
-			if e.kind == TapConst {
-				want, e.carry = e.rate.OverRem(dt, e.carry)
-			} else {
-				want, e.carry = propDraw(levels[e.src], e.frac, dt, e.carry)
-			}
-			if want <= 0 {
-				continue
-			}
-			moved := want
-			if e.src != outside {
-				moved = units.Min(want, units.ClampNonNegative(levels[e.src]))
-				levels[e.src] -= moved
-			}
-			if e.sink != outside {
-				levels[e.sink] += moved
-			}
-			e.moved += moved
-			e.starved += want - moved
+	if g.memo == nil {
+		g.memo = newReplayMemo()
+	}
+	g.memo.sync(g, dt)
+	e, hit := g.memo.find(levels, replay, k)
+	if hit {
+		g.memo.load(e, levels, replay)
+	} else {
+		replayLoop(dt, k, levels, replay)
+		if e >= 0 {
+			g.memo.store(e, k, levels, replay)
 		}
 	}
 
@@ -396,6 +394,42 @@ func (g *Graph) replayChunk(dt units.Time, k int64) {
 			t.sink.credit(e.moved)
 		} else {
 			t.sink.stats.In += e.moved
+		}
+	}
+}
+
+// replayLoop runs k batches of the replay set in one flat loop over the
+// sensitive levels, byte-identical to k rounds of Tap.flow over it. Each
+// batch visits the taps in creation order; a tap draws from its carry
+// and (proportional) its source's local level, clamps only against a
+// sensitive source (within the horizon an outside source always covers
+// its draw), and moves the sensitive endpoints' local levels. Active
+// taps have live endpoints (releasing either end deactivates the tap),
+// so Tap.flow's dead checks cannot fire here. It reads nothing but its
+// arguments, which is what makes the replay memo exact.
+func replayLoop(dt units.Time, k int64, levels []units.Energy, replay []replayTap) {
+	for b := int64(0); b < k; b++ {
+		for i := range replay {
+			e := &replay[i]
+			var want units.Energy
+			if e.kind == TapConst {
+				want, e.carry = e.rate.OverRem(dt, e.carry)
+			} else {
+				want, e.carry = propDraw(levels[e.src], e.frac, dt, e.carry)
+			}
+			if want <= 0 {
+				continue
+			}
+			moved := want
+			if e.src != outside {
+				moved = units.Min(want, units.ClampNonNegative(levels[e.src]))
+				levels[e.src] -= moved
+			}
+			if e.sink != outside {
+				levels[e.sink] += moved
+			}
+			e.moved += moved
+			e.starved += want - moved
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kobj"
 	"repro/internal/label"
+	"repro/internal/snap"
 	"repro/internal/units"
 )
 
@@ -20,7 +21,11 @@ import (
 //     (battery + Σ reserves + consumed == capacity);
 //   - no reserve that does not allow debt overshoots past zero;
 //   - horizon monotonicity: settling j batches shrinks the reported
-//     depletion horizon by at most j.
+//     depletion horizon by at most j;
+//   - replay memo exactness: each advance settles from the same start
+//     state with a cold memo, with the memo that pass filled, and with
+//     the memo the whole program filled, and all three passes match the
+//     oracle.
 //
 // Op bytes 0xE0 and above are the debt ops (even: a new debt-allowed
 // reserve, odd: DebitSelf); the rest select one of seven ops by op % 7.
@@ -42,6 +47,7 @@ func FuzzSettle(f *testing.F) {
 		obill := &baselineBiller{g: og, power: units.Milliwatts(699)}
 		sbill := &baselineBiller{g: sg, power: units.Milliwatts(699)}
 
+		var coldMemo *replayMemo
 		var ores, sres []*Reserve
 		var otaps, staps []*Tap
 		ores = append(ores, og.Battery())
@@ -231,7 +237,36 @@ func FuzzSettle(f *testing.F) {
 					og.Flow(dt)
 					obill.bill(1)
 				}
+				// Settle the advance three times from the same start
+				// state: with a cold replay memo, with the memo that pass
+				// filled, and with the memo every earlier advance of the
+				// program filled (whose plan versions must have seen each
+				// mutation since).
+				start, err := snap.Save(sg.Codec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				billCarry := sbill.carry
+				history := sg.memo
+				if coldMemo == nil {
+					coldMemo = newReplayMemo()
+				}
+				coldMemo.reset()
+				sg.memo = coldMemo
 				sg.SettleFlows(dt, n, extra, sbill.bill)
+				check("after cold advance")
+				cold := graphState(sg)
+				for pass, memo := range []*replayMemo{coldMemo, history} {
+					if err := snap.Load(start, sg.Codec); err != nil {
+						t.Fatal(err)
+					}
+					sbill.carry = billCarry
+					sg.memo = memo
+					sg.SettleFlows(dt, n, extra, sbill.bill)
+					if got := graphState(sg); got != cold {
+						t.Fatalf("replay memo pass %d diverged from the cold pass:\n--- cold ---\n%s--- pass %d ---\n%s", pass+1, cold, pass+1, got)
+					}
+				}
 				h1 := sg.HorizonBatches(dt, extra)
 				// Monotone up to one batch of slack for the interleaved
 				// drain's sub-µJ carry (see HorizonBatches).

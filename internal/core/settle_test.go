@@ -352,3 +352,151 @@ func TestSettleFlowHookFallsBack(t *testing.T) {
 		t.Fatalf("flow walks = %d, want 25", got)
 	}
 }
+
+// hoarderTwin is one side of TestReplayMemoInvalidation: the adversarial
+// hoarder's tap shape — battery → hoard at a constant rate, a backward
+// proportional tax hoard → battery — on a graph with the global decay.
+type hoarderTwin struct {
+	tbl       *kobj.Table
+	g         *Graph
+	root      *kobj.Container
+	hoard     *Reserve
+	grab, tax *Tap
+	settled   bool // settle through SettleFlows, or walk Flow batch by batch
+}
+
+// build creates the shape on a fresh graph, or on the recycled one after
+// Graph.Reset.
+func (h *hoarderTwin) build(t *testing.T) {
+	t.Helper()
+	cfg := Config{BatteryCapacity: 1000 * units.Kilojoule}
+	if h.g == nil {
+		h.tbl = kobj.NewTable()
+		h.root = kobj.NewContainer(h.tbl, nil, "root", label.Public())
+		h.g = NewGraph(h.tbl, h.root, label.Public(), cfg)
+	} else {
+		h.tbl.Reset()
+		h.root = kobj.NewContainer(h.tbl, nil, "root", label.Public())
+		h.g.Reset(h.tbl, h.root, label.Public(), cfg)
+	}
+	h.hoard = h.g.NewReserve(h.root, "hoard", label.Public(), ReserveOpts{})
+	h.grab = mustTap(t, h.g, h.root, "grab", h.g.Battery(), h.hoard)
+	mustRate(t, h.grab, units.Milliwatts(250))
+	// A 10 %/s tax, so the hoard settles into its recurring states
+	// within minutes rather than hours.
+	h.tax = mustTap(t, h.g, h.root, "tax", h.hoard, h.g.Battery())
+	mustFrac(t, h.tax, 100_000)
+}
+
+// second advances one simulated second: 100 flow batches, then Decay.
+func (h *hoarderTwin) second() {
+	if h.settled {
+		h.g.SettleFlows(settleDT, 100, 0, nil)
+	} else {
+		for i := 0; i < 100; i++ {
+			h.g.Flow(settleDT)
+		}
+	}
+	h.g.Decay(units.Second)
+}
+
+// TestReplayMemoInvalidation warms the replay memo on the hoarder shape
+// until its chunks recur, then applies each change the memo must notice
+// — Graph.Reset with a rebuild of the same shape, a new fraction, a new
+// rate, a transfer into the hoard, a new tap on the hoard, releasing the
+// grab tap — and checks that the next chunk misses and that every chunk
+// matches the per-batch Flow oracle.
+func TestReplayMemoInvalidation(t *testing.T) {
+	oracle := &hoarderTwin{}
+	subject := &hoarderTwin{settled: true}
+	oracle.build(t)
+	subject.build(t)
+	sec := 0
+	step := func() (hit bool) {
+		t.Helper()
+		h0, m0 := subject.g.memoStats()
+		oracle.second()
+		subject.second()
+		sec++
+		os, ss := graphState(oracle.g), graphState(subject.g)
+		if os != ss {
+			t.Fatalf("second %d: settled state diverged from the per-batch oracle:\n--- oracle ---\n%s--- settled ---\n%s", sec, os, ss)
+		}
+		h1, m1 := subject.g.memoStats()
+		if h1-h0+m1-m0 != 1 {
+			t.Fatalf("second %d: %d hits and %d misses, want one replayed chunk", sec, h1-h0, m1-m0)
+		}
+		return h1 > h0
+	}
+	// warm runs until 20 consecutive chunks hit: the states recur, and
+	// the next chunk would hit too unless something invalidates it.
+	warm := func(what string) {
+		t.Helper()
+		for run, limit := 0, sec+3000; run < 20; {
+			if sec == limit {
+				t.Fatalf("%s: no 20 consecutive memo hits within 3000 s", what)
+			}
+			if step() {
+				run++
+			} else {
+				run = 0
+			}
+		}
+	}
+	both := func(f func(h *hoarderTwin)) {
+		f(oracle)
+		f(subject)
+	}
+	missNext := func(what string) {
+		t.Helper()
+		if step() {
+			t.Fatalf("%s: the next chunk hit the replay memo", what)
+		}
+	}
+
+	warm("initial")
+	// The rebuilt graph's plan equals the first life's, and its first
+	// chunk starts from the state the first life began from.
+	both(func(h *hoarderTwin) { h.build(t) })
+	if hits, misses := subject.g.memoStats(); hits != 0 || misses != 0 {
+		t.Fatalf("Graph.Reset left memo counters at %d hits, %d misses", hits, misses)
+	}
+	missNext("Graph.Reset and rebuild")
+
+	warm("after Graph.Reset")
+	both(func(h *hoarderTwin) { mustFrac(t, h.tax, 150_000) })
+	missNext("SetFrac")
+	both(func(h *hoarderTwin) { mustFrac(t, h.tax, 100_000) })
+	missNext("SetFrac back") // the plan equals an earlier one, but its version is new
+
+	warm("after SetFrac")
+	both(func(h *hoarderTwin) { mustRate(t, h.grab, units.Milliwatts(260)) })
+	missNext("SetRate")
+	both(func(h *hoarderTwin) { mustRate(t, h.grab, units.Milliwatts(250)) })
+	missNext("SetRate back")
+
+	warm("after SetRate")
+	both(func(h *hoarderTwin) {
+		if err := h.g.Transfer(label.Priv{}, h.g.Battery(), h.hoard, units.Joule); err != nil {
+			t.Fatal(err)
+		}
+	})
+	missNext("Transfer into the hoard")
+
+	warm("after Transfer")
+	both(func(h *hoarderTwin) {
+		stash := h.g.NewReserve(h.root, "stash", label.Public(), ReserveOpts{})
+		leak := mustTap(t, h.g, h.root, "leak", h.hoard, stash)
+		mustRate(t, leak, units.Milliwatts(1))
+	})
+	missNext("new tap on the hoard")
+
+	warm("after new tap")
+	both(func(h *hoarderTwin) {
+		if err := h.tbl.Delete(h.grab.ObjectID()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	missNext("grab tap released")
+
+}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -183,6 +184,44 @@ func TestMonthRechargeObservable(t *testing.T) {
 	}
 	if rep.Dead > rep.Devices/4 {
 		t.Fatalf("%d of %d devices died despite nightly charging", rep.Dead, rep.Devices)
+	}
+}
+
+// TestAdversarialDeterministicAcrossWorkerCounts: each worker recycles
+// one graph, and with it the replay memo its previous devices filled, so
+// the scenario whose taps are replayed must report the same at every
+// pool shape.
+func TestAdversarialDeterministicAcrossWorkerCounts(t *testing.T) {
+	var reports []Report
+	for _, w := range []int{1, 2, 7} {
+		r, err := Run(Config{
+			Devices:     20,
+			Seed:        3,
+			Duration:    6 * units.Hour,
+			Workers:     w,
+			Scenario:    AdversarialCohorts(),
+			KeepResults: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Workers = 0 // the only field allowed to differ
+		reports = append(reports, r)
+	}
+	hoarders := 0
+	for _, b := range reports[0].Buckets {
+		if b.Name == "adv-lax" || b.Name == "adv-strict" {
+			hoarders += b.Devices
+		}
+	}
+	if hoarders < 2 {
+		t.Fatalf("only %d hoarder devices among %d", hoarders, reports[0].Devices)
+	}
+	for i := 1; i < len(reports); i++ {
+		if !reflect.DeepEqual(reports[0], reports[i]) {
+			t.Fatalf("worker count changed the adversarial report:\n%s\nvs\n%s",
+				reports[0].Format(), reports[i].Format())
+		}
 	}
 }
 
