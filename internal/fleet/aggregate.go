@@ -134,7 +134,7 @@ func (a *aggregate) finish(id Identity) Report {
 			PowerUps:        s.PowerUps,
 			SMSSent:         s.SMSSent,
 			Calls:           s.CallsPlaced,
-			Mean:            s.Diagnostics.mean(b.devices),
+			MeanDiagnostics: s.Diagnostics.mean(b.devices),
 			Dead:            b.dead,
 		}
 		if b.dead > 0 {
@@ -174,8 +174,8 @@ func (a *aggregate) names() []string {
 }
 
 // mean divides every diagnostic by n devices (integer division).
-func (d Diagnostics) mean(n int) Diagnostics {
-	return Diagnostics{
+func (d Diagnostics) mean(n int) MeanDiagnostics {
+	return MeanDiagnostics{
 		EngineSteps:    d.EngineSteps / uint64(n),
 		FlowWalks:      d.FlowWalks / int64(n),
 		SettledBatches: d.SettledBatches / int64(n),

@@ -105,7 +105,7 @@ func TestCountersRoundTrip(t *testing.T) {
 			BusyTicks: c.BusyTicks, IdleTicks: c.IdleTicks,
 			RadioActivations: bk.Activations, Polls: bk.Polls, Pages: bk.Pages, PowerUps: bk.PowerUps,
 			SMSSent: bk.SMSSent, CallsPlaced: bk.Calls,
-			Diagnostics: bk.Mean,
+			Diagnostics: Diagnostics(bk.MeanDiagnostics),
 		}
 		if fromBucket != c {
 			t.Fatalf("bucket reads back %+v, want %+v", fromBucket, c)

@@ -38,7 +38,7 @@ func (r Report) RunMetrics() RunMetrics {
 	if len(r.Buckets) > 0 && days > 0 {
 		m.BucketInstantsPerDeviceDay = make(map[string]float64, len(r.Buckets))
 		for _, b := range r.Buckets {
-			m.BucketInstantsPerDeviceDay[b.Name] = float64(b.Mean.EngineSteps) / days
+			m.BucketInstantsPerDeviceDay[b.Name] = float64(b.MeanDiagnostics.EngineSteps) / days
 		}
 	}
 	return m

@@ -3,102 +3,121 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/units"
 )
 
-// Report is the deterministic aggregate of a fleet run.
+// Report is the deterministic aggregate of a fleet run. Its JSON tags
+// are the report's stable wire form, and its fields are in wire order:
+// JSON and CanonicalJSON marshal it directly, so a new report field is
+// one tagged field here. The form deliberately excludes the resolved
+// worker count and anything wall-clock-derived: for a fixed (seed,
+// devices, scenario, duration) the marshalled bytes are identical
+// regardless of parallelism — and regardless of shard count, which
+// -merge relies on. Energies are microjoules, times milliseconds (the
+// package's native units). docs/fleet-report.md documents every field.
 type Report struct {
-	Scenario string
-	Devices  int
-	Seed     int64
-	Duration units.Time
-	Workers  int
+	Scenario string     `json:"scenario"`
+	Devices  int        `json:"devices"`
+	Seed     int64      `json:"seed"`
+	Duration units.Time `json:"duration_ms"`
+	Workers  int        `json:"-"`
 
-	TotalConsumed units.Energy
-	MeanConsumed  units.Energy
-	MinConsumed   units.Energy
-	MaxConsumed   units.Energy
+	TotalConsumed units.Energy `json:"total_consumed_uj"`
+	MeanConsumed  units.Energy `json:"mean_consumed_uj"`
+	MinConsumed   units.Energy `json:"min_consumed_uj"`
+	MaxConsumed   units.Energy `json:"max_consumed_uj"`
 
 	// TotalRecharged is external charger energy credited fleet-wide;
 	// TotalReclaimed is hoarded energy the anti-hoarding decay pulled
 	// back (both zero on scenarios without chargers / hoard probes).
-	TotalRecharged units.Energy
-	TotalReclaimed units.Energy
+	TotalRecharged units.Energy `json:"recharged_uj,omitempty"`
+	TotalReclaimed units.Energy `json:"reclaimed_uj,omitempty"`
 
 	// MeanUtilization is the fleet-wide CPU busy percentage:
 	// 100·Σbusy/Σ(busy+idle) over all devices. The tick sums (not the
 	// ratio) are what aggregation carries, so sharded runs merge
 	// exactly.
-	MeanUtilization float64
+	MeanUtilization float64 `json:"mean_utilization_pct"`
 
-	TotalPolls       int64
-	TotalActivations int64
-	TotalPowerUps    int64
+	TotalPolls       int64 `json:"polls"`
+	TotalActivations int64 `json:"radio_activations"`
+	TotalPowerUps    int64 `json:"netd_power_ups"`
 
 	// Dead counts devices whose battery ran out; LifeP50/LifeP90 are
 	// nearest-rank percentiles of time-to-exhaustion across dead
 	// devices (0 when none died), read from a mergeable log-linear
 	// quantile sketch with ≤ 2⁻⁷ relative error — the report is exact
 	// in counts and sums, approximate only in these two fields.
-	Dead    int
-	LifeP50 units.Time
-	LifeP90 units.Time
+	Dead    int        `json:"dead"`
+	LifeP50 units.Time `json:"life_p50_ms"`
+	LifeP90 units.Time `json:"life_p90_ms"`
 
-	// Engine-level diagnostics (excluded from CanonicalJSON): executed
+	// Engine-level diagnostics (zeroed in CanonicalJSON): executed
 	// instants, per-batch flow walks and closed-form-settled batches
 	// summed over the fleet. CI diffs these across worker counts and
 	// watches them for busy-path perf regressions.
-	TotalEngineSteps    uint64
-	TotalFlowWalks      int64
-	TotalSettledBatches int64
-	TotalSettledSweeps  int64
-	TotalSettledCharges int64
+	TotalEngineSteps    uint64 `json:"engine_steps"`
+	TotalFlowWalks      int64  `json:"flow_walks"`
+	TotalSettledBatches int64  `json:"settled_batches"`
+	TotalSettledSweeps  int64  `json:"settled_sweeps"`
+	TotalSettledCharges int64  `json:"settled_charges,omitempty"`
 
 	// Buckets break the fleet down per scenario bucket, sorted by
 	// name. Single-scenario runs have exactly one bucket; Mix fleets
 	// have one per entry that was assigned at least one device.
-	Buckets []Bucket
+	Buckets []Bucket `json:"buckets"`
 
-	Results []DeviceResult
+	// Results marshal as deviceJSON records (see marshalJSON).
+	Results []DeviceResult `json:"-"`
 }
 
 // Bucket is the aggregate over the devices assigned one scenario bucket
-// of a (possibly mixed) fleet.
+// of a (possibly mixed) fleet. Like Report, its tags are its wire form
+// and its fields are in wire order.
 type Bucket struct {
-	Name    string
-	Devices int
+	Name    string `json:"name"`
+	Devices int    `json:"devices"`
 
-	TotalConsumed units.Energy
-	MeanConsumed  units.Energy
+	TotalConsumed units.Energy `json:"total_consumed_uj"`
+	MeanConsumed  units.Energy `json:"mean_consumed_uj"`
 
 	// Recharged and Reclaimed are the bucket's charger credits and
 	// anti-hoarding reclamation sums — the per-cohort split is what the
 	// §5.2.2 containment measurement reads (hoarder bucket's Reclaimed
 	// against victim bucket's LifeP50).
-	Recharged units.Energy
-	Reclaimed units.Energy
+	Recharged units.Energy `json:"recharged_uj,omitempty"`
+	Reclaimed units.Energy `json:"reclaimed_uj,omitempty"`
 
-	MeanUtilization float64
+	MeanUtilization float64 `json:"mean_utilization_pct"`
 
-	Polls       int64
-	Pages       int64
-	Activations int64
-	PowerUps    int64
-	SMSSent     int64
-	Calls       int64
+	Polls       int64 `json:"polls"`
+	Pages       int64 `json:"pages"`
+	Activations int64 `json:"radio_activations"`
+	PowerUps    int64 `json:"netd_power_ups"`
+	SMSSent     int64 `json:"sms_sent"`
+	Calls       int64 `json:"calls_placed"`
 
-	// Mean is the per-device mean of every engine diagnostic:
-	// Mean.EngineSteps is the per-bucket measure of how deeply the
-	// quiescence fast path was engaged, Mean.FlowWalks against
-	// Mean.SettledBatches splits the bucket's tap batches into per-batch
-	// walks vs closed-form settlement.
-	Mean Diagnostics
+	// MeanDiagnostics is the per-device mean of every engine
+	// diagnostic (EngineSteps measures how deeply the quiescence fast
+	// path was engaged), embedded so its mean_* fields inline.
+	MeanDiagnostics
 
-	Dead    int
-	LifeP50 units.Time
-	LifeP90 units.Time
+	Dead    int        `json:"dead"`
+	LifeP50 units.Time `json:"life_p50_ms"`
+	LifeP90 units.Time `json:"life_p90_ms"`
+}
+
+// MeanDiagnostics is Diagnostics under a bucket's mean_* wire names;
+// the two convert into each other (conversion ignores tags).
+type MeanDiagnostics struct {
+	EngineSteps    uint64 `json:"mean_engine_steps"`
+	FlowWalks      int64  `json:"mean_flow_walks"`
+	SettledBatches int64  `json:"mean_settled_batches"`
+	SettledSweeps  int64  `json:"mean_settled_sweeps"`
+	SettledCharges int64  `json:"mean_settled_charges,omitempty"`
 }
 
 // Format renders the report as a stable text block (the cinder-fleet
@@ -139,71 +158,13 @@ func (r Report) Format() string {
 	return b.String()
 }
 
-// reportJSON is the stable wire form of a Report. It deliberately
-// excludes the resolved worker count and anything wall-clock-derived:
-// for a fixed (seed, devices, scenario, duration) the marshalled bytes
-// are identical regardless of parallelism — and regardless of shard
-// count, which -merge relies on. Energies are microjoules, times
-// milliseconds (the package's native units). docs/fleet-report.md
-// documents every field.
-type reportJSON struct {
-	Scenario   string `json:"scenario"`
-	Devices    int    `json:"devices"`
-	Seed       int64  `json:"seed"`
-	DurationMS int64  `json:"duration_ms"`
-
-	TotalConsumedUJ int64   `json:"total_consumed_uj"`
-	MeanConsumedUJ  int64   `json:"mean_consumed_uj"`
-	MinConsumedUJ   int64   `json:"min_consumed_uj"`
-	MaxConsumedUJ   int64   `json:"max_consumed_uj"`
-	RechargedUJ     int64   `json:"recharged_uj,omitempty"`
-	ReclaimedUJ     int64   `json:"reclaimed_uj,omitempty"`
-	MeanUtilization float64 `json:"mean_utilization_pct"`
-
-	Polls       int64 `json:"polls"`
-	Activations int64 `json:"radio_activations"`
-	PowerUps    int64 `json:"netd_power_ups"`
-
-	Dead      int   `json:"dead"`
-	LifeP50MS int64 `json:"life_p50_ms"`
-	LifeP90MS int64 `json:"life_p90_ms"`
-
-	Diagnostics
-
-	Buckets []bucketJSON `json:"buckets"`
-	Results []deviceJSON `json:"results,omitempty"`
-}
-
-type bucketJSON struct {
-	Name            string  `json:"name"`
-	Devices         int     `json:"devices"`
-	TotalConsumedUJ int64   `json:"total_consumed_uj"`
-	MeanConsumedUJ  int64   `json:"mean_consumed_uj"`
-	RechargedUJ     int64   `json:"recharged_uj,omitempty"`
-	ReclaimedUJ     int64   `json:"reclaimed_uj,omitempty"`
-	MeanUtilization float64 `json:"mean_utilization_pct"`
-	Polls           int64   `json:"polls"`
-	Pages           int64   `json:"pages"`
-	Activations     int64   `json:"radio_activations"`
-	PowerUps        int64   `json:"netd_power_ups"`
-	SMSSent         int64   `json:"sms_sent"`
-	Calls           int64   `json:"calls_placed"`
-	meanDiagnostics
-	Dead      int   `json:"dead"`
-	LifeP50MS int64 `json:"life_p50_ms"`
-	LifeP90MS int64 `json:"life_p90_ms"`
-}
-
-// meanDiagnostics is Diagnostics under a bucket's mean_* wire names; the
-// two convert into each other (conversion ignores tags).
-type meanDiagnostics struct {
-	EngineSteps    uint64 `json:"mean_engine_steps"`
-	FlowWalks      int64  `json:"mean_flow_walks"`
-	SettledBatches int64  `json:"mean_settled_batches"`
-	SettledSweeps  int64  `json:"mean_settled_sweeps"`
-	SettledCharges int64  `json:"mean_settled_charges,omitempty"`
-}
-
+// deviceJSON is a device result's wire form: the entries of the
+// report's results array and the records the NDJSON emitter streams.
+// It stays hand-listed rather than riding Counters' tags: its field
+// order (consumed_uj, battery_left_uj, recharged_uj, …, died,
+// utilization_pct) interleaves DeviceResult's own fields with the
+// counters, and it omits busy_ticks and idle_ticks, which a partial's
+// bucket sums (Counters' tags) must carry.
 type deviceJSON struct {
 	Index         int     `json:"index"`
 	Seed          int64   `json:"seed"`
@@ -242,53 +203,18 @@ func (r Report) CanonicalJSON(perDevice bool) ([]byte, error) {
 }
 
 func (r Report) marshalJSON(perDevice, canonical bool) ([]byte, error) {
-	out := reportJSON{
-		Scenario:        r.Scenario,
-		Devices:         r.Devices,
-		Seed:            r.Seed,
-		DurationMS:      int64(r.Duration),
-		TotalConsumedUJ: int64(r.TotalConsumed),
-		MeanConsumedUJ:  int64(r.MeanConsumed),
-		MinConsumedUJ:   int64(r.MinConsumed),
-		MaxConsumedUJ:   int64(r.MaxConsumed),
-		RechargedUJ:     int64(r.TotalRecharged),
-		ReclaimedUJ:     int64(r.TotalReclaimed),
-		MeanUtilization: r.MeanUtilization,
-		Polls:           r.TotalPolls,
-		Activations:     r.TotalActivations,
-		PowerUps:        r.TotalPowerUps,
-		Dead:            r.Dead,
-		LifeP50MS:       int64(r.LifeP50),
-		LifeP90MS:       int64(r.LifeP90),
-		Diagnostics: Diagnostics{
-			EngineSteps:    r.TotalEngineSteps,
-			FlowWalks:      r.TotalFlowWalks,
-			SettledBatches: r.TotalSettledBatches,
-			SettledSweeps:  r.TotalSettledSweeps,
-			SettledCharges: r.TotalSettledCharges,
-		}.wire(canonical),
+	if canonical {
+		r.TotalEngineSteps, r.TotalFlowWalks = 0, 0
+		r.TotalSettledBatches, r.TotalSettledSweeps, r.TotalSettledCharges = 0, 0, 0
+		r.Buckets = slices.Clone(r.Buckets)
+		for i := range r.Buckets {
+			r.Buckets[i].MeanDiagnostics = MeanDiagnostics{}
+		}
 	}
-	for _, b := range r.Buckets {
-		out.Buckets = append(out.Buckets, bucketJSON{
-			Name:            b.Name,
-			Devices:         b.Devices,
-			TotalConsumedUJ: int64(b.TotalConsumed),
-			MeanConsumedUJ:  int64(b.MeanConsumed),
-			RechargedUJ:     int64(b.Recharged),
-			ReclaimedUJ:     int64(b.Reclaimed),
-			MeanUtilization: b.MeanUtilization,
-			Polls:           b.Polls,
-			Pages:           b.Pages,
-			Activations:     b.Activations,
-			PowerUps:        b.PowerUps,
-			SMSSent:         b.SMSSent,
-			Calls:           b.Calls,
-			meanDiagnostics: meanDiagnostics(b.Mean.wire(canonical)),
-			Dead:            b.Dead,
-			LifeP50MS:       int64(b.LifeP50),
-			LifeP90MS:       int64(b.LifeP90),
-		})
-	}
+	out := struct {
+		Report
+		Results []deviceJSON `json:"results,omitempty"`
+	}{Report: r}
 	if perDevice {
 		for _, d := range r.Results {
 			out.Results = append(out.Results, deviceWire(d, canonical))
@@ -297,11 +223,10 @@ func (r Report) marshalJSON(perDevice, canonical bool) ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// deviceWire converts one device result to its stable wire form — the
-// entries of the report's results array, and the records the NDJSON
-// emitter streams.
+// deviceWire converts one device result to its wire form; canonical
+// zeroes its Diagnostics.
 func deviceWire(d DeviceResult, canonical bool) deviceJSON {
-	return deviceJSON{
+	dj := deviceJSON{
 		Index:         d.Index,
 		Seed:          d.Seed,
 		Scenario:      d.Scenario,
@@ -318,8 +243,11 @@ func deviceWire(d DeviceResult, canonical bool) deviceJSON {
 		PowerUps:      d.PowerUps,
 		SMSSent:       d.SMSSent,
 		Calls:         d.CallsPlaced,
-		Diagnostics:   d.Diagnostics.wire(canonical),
 	}
+	if !canonical {
+		dj.Diagnostics = d.Diagnostics
+	}
+	return dj
 }
 
 // NDJSON renders the result as one compact JSON line (no trailing
@@ -329,13 +257,4 @@ func deviceWire(d DeviceResult, canonical bool) deviceJSON {
 // Report.CanonicalJSON does.
 func (d DeviceResult) NDJSON(canonical bool) ([]byte, error) {
 	return json.Marshal(deviceWire(d, canonical))
-}
-
-// wire returns the diagnostics as a report renders them. Zeroing them
-// here is the whole difference between canonical and full output.
-func (d Diagnostics) wire(canonical bool) Diagnostics {
-	if canonical {
-		return Diagnostics{}
-	}
-	return d
 }

@@ -78,6 +78,11 @@ func TestReportBytesPinned(t *testing.T) {
 			}
 			got[4+i] = md5hex(stream.Bytes())
 		}
+		// Canonical rendering zeroes diagnostics on a copy: the
+		// report itself still renders its full bytes.
+		if again, err := rep.JSON(false); err != nil || md5hex(again) != got[0] {
+			t.Errorf("%s: full JSON changed after a canonical rendering", pin.name)
+		}
 		if got != pin.md5s {
 			t.Errorf("%s: report md5s %q, pinned %q", pin.name, got, pin.md5s)
 		}

@@ -42,9 +42,9 @@ func TestBusyBucketStepCeiling(t *testing.T) {
 		t.Fatalf("missing buckets: idle=%d commuter=%d chatty=%d devices", idle.Devices, commuter.Devices, chatty.Devices)
 	}
 	for _, b := range []Bucket{chatty, commuter} {
-		if b.Mean.EngineSteps >= ceiling {
+		if b.MeanDiagnostics.EngineSteps >= ceiling {
 			t.Errorf("bucket %q: mean %d executed instants per device-day, ceiling %d",
-				b.Name, b.Mean.EngineSteps, ceiling)
+				b.Name, b.MeanDiagnostics.EngineSteps, ceiling)
 		}
 	}
 
@@ -52,9 +52,9 @@ func TestBusyBucketStepCeiling(t *testing.T) {
 	if idle.Dead > 0 && idle.LifeP50 > 0 {
 		life = idle.LifeP50
 	}
-	if ticks := uint64(life / units.Millisecond); idle.Mean.EngineSteps*50 > ticks {
+	if ticks := uint64(life / units.Millisecond); idle.MeanDiagnostics.EngineSteps*50 > ticks {
 		t.Errorf("idle-day: mean %d executed instants over %d ticks, want at least 50× fewer",
-			idle.Mean.EngineSteps, ticks)
+			idle.MeanDiagnostics.EngineSteps, ticks)
 	}
 	if commuter.Polls == 0 || chatty.Calls == 0 || chatty.SMSSent == 0 {
 		t.Errorf("signature workloads missing: commuter polls %d, chatty calls %d sms %d",
