@@ -260,7 +260,8 @@ type Config struct {
 	// Scenario is the workload; required.
 	Scenario Scenario
 	// BatteryCapacity overrides the profile battery on every device
-	// (and any Provisioner draw).
+	// (and any Provisioner draw). Zero keeps the profile battery; a
+	// negative capacity is refused.
 	BatteryCapacity units.Energy
 	// LifeResolution overrides DefaultLifeResolution.
 	LifeResolution units.Time
@@ -310,7 +311,8 @@ type Config struct {
 
 	// CheckpointDir, when set, makes the run interruptible: every
 	// device's full state is snapshotted at each CheckpointEvery
-	// boundary (default 24 h) into an epoch file, written in strict
+	// boundary (zero means the default 24 h; negative is refused) into
+	// an epoch file, written in strict
 	// device-index order. Resume restarts from the last complete epoch
 	// instead of t = 0; the resumed run's report is byte-identical to an
 	// uninterrupted one.
@@ -409,6 +411,9 @@ func (cfg *Config) validate() (workers int, err error) {
 	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return 0, fmt.Errorf("fleet: -resume needs a checkpoint dir")
+	}
+	if cfg.CheckpointEvery < 0 {
+		return 0, fmt.Errorf("fleet: negative checkpoint interval (CheckpointEvery) %v", cfg.CheckpointEvery)
 	}
 	workers = cfg.Workers
 	if workers <= 0 {

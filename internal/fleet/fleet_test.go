@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sketch"
@@ -349,6 +350,14 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Devices: 1, Scenario: IdleScenario{}, Duration: units.Second,
 		LifeResolution: -units.Second}); err == nil {
 		t.Error("negative life resolution accepted")
+	}
+	if _, err := Run(Config{Devices: 1, Scenario: IdleScenario{}, Duration: units.Second,
+		BatteryCapacity: -1}); err == nil || !strings.Contains(err.Error(), "battery") {
+		t.Errorf("negative battery capacity: got %v, want a refusal naming it", err)
+	}
+	if _, err := Run(Config{Devices: 1, Scenario: IdleScenario{}, Duration: units.Second,
+		CheckpointDir: t.TempDir(), CheckpointEvery: -units.Hour}); err == nil || !strings.Contains(err.Error(), "CheckpointEvery") {
+		t.Errorf("negative checkpoint interval: got %v, want a refusal naming CheckpointEvery", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -69,8 +70,8 @@ func (id Identity) config(sc Scenario) Config {
 	}
 }
 
-// check refuses an empty fleet and a non-positive horizon or life
-// resolution.
+// check refuses an empty fleet, a non-positive horizon or life
+// resolution, and a negative battery capacity.
 func (id Identity) check() error {
 	switch {
 	case id.Devices <= 0:
@@ -79,6 +80,8 @@ func (id Identity) check() error {
 		return fmt.Errorf("fleet: non-positive duration %v", id.Duration)
 	case id.LifeResolution <= 0:
 		return fmt.Errorf("fleet: non-positive life resolution %v", id.LifeResolution)
+	case id.BatteryCapacity < 0:
+		return fmt.Errorf("fleet: negative battery capacity (battery_uj) %d", int64(id.BatteryCapacity))
 	}
 	return nil
 }
@@ -170,8 +173,17 @@ func BindFlags(fs *flag.FlagSet) func() (Config, error) {
 			CheckpointDir:   *ckptDir,
 			CheckpointEvery: units.Time(ckptEvery.Milliseconds()),
 		}
-		if *batteryJ > 0 {
+		if *batteryJ != 0 {
+			// Refuses negatives, NaN, ±Inf, values beyond int64 µJ and
+			// values that round to 0 µJ (which would mean the profile).
+			if uj := *batteryJ * 1e6; !(uj >= 0.5 && uj < math.MaxInt64) {
+				return Config{}, fmt.Errorf("-battery-j %v is not a capacity from 1 µJ to %.0f J (0 keeps the profile battery)",
+					*batteryJ, math.MaxInt64/1e6)
+			}
 			cfg.BatteryCapacity = units.Joules(*batteryJ)
+		}
+		if *ckptEvery < 0 {
+			return Config{}, fmt.Errorf("-checkpoint-every %v is negative", *ckptEvery)
 		}
 		return cfg, nil
 	}
@@ -208,6 +220,9 @@ func (j Job) Validate() error {
 	}
 	if j.Shards <= 0 || j.Shards > j.Devices {
 		return fmt.Errorf("fleet: job shard plan %d over %d devices", j.Shards, j.Devices)
+	}
+	if j.CheckpointEveryMS < 0 {
+		return fmt.Errorf("fleet: negative checkpoint interval (checkpoint_every_ms) %d", j.CheckpointEveryMS)
 	}
 	return nil
 }

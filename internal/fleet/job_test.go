@@ -80,11 +80,26 @@ func TestJobValidate(t *testing.T) {
 		{"more shards than devices", func(j *Job) { j.Shards = 11 }, "shard plan"},
 		{"negative life resolution", func(j *Job) { j.LifeResolution = -1 }, "life resolution"},
 		{"unnormalized life resolution", func(j *Job) { j.LifeResolution = 0 }, "life resolution"},
+		{"negative battery", func(j *Job) { j.BatteryCapacity = -5 }, "battery_uj"},
+		{"negative checkpoint interval", func(j *Job) { j.CheckpointEveryMS = -1 }, "checkpoint_every_ms"},
 	} {
 		j := good
 		tc.mut(&j)
 		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// A wire job is refused the same way, by field.
+	for _, field := range []string{"battery_uj", "checkpoint_every_ms"} {
+		var wire map[string]any
+		b, _ := json.Marshal(good)
+		if err := json.Unmarshal(b, &wire); err != nil {
+			t.Fatal(err)
+		}
+		wire[field] = -5
+		b, _ = json.Marshal(wire)
+		if _, err := ParseJob(b); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("wire %s -5: got %v, want a refusal naming it", field, err)
 		}
 	}
 }
@@ -300,13 +315,39 @@ func TestBindFlags(t *testing.T) {
 		t.Fatalf("flags built\n%+v\nwant\n%+v", cfg, want)
 	}
 
-	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	build = BindFlags(fs)
-	if err := fs.Parse([]string{"-scenario", "nope"}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", "nope"}, `unknown scenario "nope" (have ` + scenarioNames()},
+		{[]string{"-battery-j", "-5"}, "-battery-j"},
+		{[]string{"-battery-j", "NaN"}, "-battery-j"},
+		{[]string{"-battery-j", "Inf"}, "-battery-j"},
+		{[]string{"-battery-j", "-Inf"}, "-battery-j"},
+		{[]string{"-battery-j", "1e30"}, "-battery-j"},
+		{[]string{"-battery-j", "1e-9"}, "-battery-j"},
+		{[]string{"-checkpoint-every", "-1h"}, "-checkpoint-every"},
+	} {
+		fs = flag.NewFlagSet("test", flag.ContinueOnError)
+		build = BindFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: got %v, want a refusal containing %q", tc.args, err, tc.want)
+		}
 	}
-	if _, err := build(); err == nil || !strings.Contains(err.Error(), `unknown scenario "nope"`) ||
-		!strings.Contains(err.Error(), scenarioNames()) {
-		t.Fatalf("unknown scenario: got %v, want a refusal listing %s", err, scenarioNames())
+
+	// The smallest and largest capacities that are refused by none of
+	// the above.
+	for arg, want := range map[string]units.Energy{"1e-6": 1, "9e12": 9e18} {
+		fs = flag.NewFlagSet("test", flag.ContinueOnError)
+		build = BindFlags(fs)
+		if err := fs.Parse([]string{"-battery-j", arg}); err != nil {
+			t.Fatal(err)
+		}
+		if cfg, err := build(); err != nil || cfg.BatteryCapacity != want {
+			t.Errorf("-battery-j %s: got %v, %v, want %v", arg, cfg.BatteryCapacity, err, want)
+		}
 	}
 }
