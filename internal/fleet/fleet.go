@@ -312,10 +312,9 @@ type Config struct {
 	// CheckpointDir, when set, makes the run interruptible: every
 	// device's full state is snapshotted at each CheckpointEvery
 	// boundary (zero means the default 24 h; negative is refused) into
-	// an epoch file, written in strict
-	// device-index order. Resume restarts from the last complete epoch
-	// instead of t = 0; the resumed run's report is byte-identical to an
-	// uninterrupted one.
+	// an epoch file, written in strict device-index order. Resume
+	// restarts from the last complete epoch instead of t = 0; the
+	// resumed run's report is byte-identical to an uninterrupted one.
 	CheckpointDir   string
 	CheckpointEvery units.Time
 	// Resume continues from the newest complete epoch file in
