@@ -118,10 +118,7 @@ func TestRestoreRejectsOversizedHistory(t *testing.T) {
 	for i := 0; i < 65; i++ {
 		w.I64(1)
 	}
-	b, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := w.Finish()
 	e := seeded(25, units.Joules(9.5))
 	if err := snap.Load(b, e.Codec); err == nil || !strings.Contains(err.Error(), "caps at 64") {
 		t.Fatalf("oversized history restore err = %v, want ring-cap complaint", err)

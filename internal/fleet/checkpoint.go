@@ -36,6 +36,11 @@ import (
 // boundary the week-in-the-life scenario quiesces at.
 const DefaultCheckpointEvery = 24 * units.Hour
 
+// epochBuffer sizes the buffered writer and reader of an epoch file:
+// large enough that a record frame rarely spans two system calls, small
+// enough that opening a file each epoch costs no large allocation.
+const epochBuffer = 64 << 10
+
 // Epoch record kinds.
 const (
 	recSnapshot = 1 // a live device's state snapshot
@@ -116,7 +121,7 @@ func newEpochWriter(cfg Config, plan epochPlan, e, lo, hi int) (*epochWriter, er
 	if err != nil {
 		return nil, err
 	}
-	ew := &epochWriter{f: f, bw: bufio.NewWriterSize(f, 1<<20), path: path, next: lo}
+	ew := &epochWriter{f: f, bw: bufio.NewWriterSize(f, epochBuffer), path: path, next: lo}
 	h := epochHeader{cfg.identity(), plan.every, e, lo, hi}
 	blob, err := snap.Save(h.codec)
 	if err != nil {
@@ -182,7 +187,7 @@ func openEpochReader(cfg Config, plan epochPlan, e, lo, hi int) (*epochReader, e
 	if err != nil {
 		return nil, err
 	}
-	er := &epochReader{f: f, br: bufio.NewReaderSize(f, 1<<20), next: lo}
+	er := &epochReader{f: f, br: bufio.NewReaderSize(f, epochBuffer), next: lo}
 	if err := er.checkHeader(cfg, plan, e, lo, hi); err != nil {
 		f.Close()
 		return nil, err
@@ -213,17 +218,21 @@ func (er *epochReader) checkHeader(cfg Config, plan epochPlan, e, lo, hi int) er
 	return nil
 }
 
-// read returns device idx's record; calls must arrive in index order.
-func (er *epochReader) read(idx int) ([]byte, error) {
+// read returns device idx's record and its kind (recSnapshot or
+// recResult); calls must arrive in index order.
+func (er *epochReader) read(idx int) (int, []byte, error) {
 	if idx != er.next {
-		return nil, fmt.Errorf("fleet: epoch read out of order: device %d, expected %d", idx, er.next)
+		return 0, nil, fmt.Errorf("fleet: epoch read out of order: device %d, expected %d", idx, er.next)
 	}
 	er.next++
-	_, blob, err := snap.ReadFrame(er.br)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: epoch record for device %d: %w", idx, err)
+	kind, blob, err := snap.ReadFrame(er.br)
+	if err == nil && kind != recSnapshot && kind != recResult {
+		err = fmt.Errorf("unknown kind %d", kind)
 	}
-	return blob, nil
+	if err != nil {
+		return 0, nil, fmt.Errorf("fleet: epoch record for device %d: %w", idx, err)
+	}
+	return kind, blob, nil
 }
 
 func (er *epochReader) close() { er.f.Close() }
@@ -254,12 +263,9 @@ func verifyEpoch(cfg Config, plan epochPlan, e, lo, hi int) error {
 	}
 	defer er.close()
 	for idx := lo; idx < hi; idx++ {
-		kind, blob, err := snap.ReadFrame(er.br)
+		_, blob, err := er.read(idx)
 		if err != nil {
-			return fmt.Errorf("record for device %d: %w", idx, err)
-		}
-		if kind != recSnapshot && kind != recResult {
-			return fmt.Errorf("record for device %d has unknown kind %d", idx, kind)
+			return err
 		}
 		if _, err := snap.Open(blob); err != nil {
 			return fmt.Errorf("record for device %d: %w", idx, err)
@@ -293,15 +299,6 @@ func quarantineEpoch(cfg Config, e int, verr error) error {
 			"runs are byte-identical). Delete the .corrupt files once diagnosed.\n",
 		path, path, verr)
 	return os.WriteFile(path+".corrupt.report", []byte(report), 0o644)
-}
-
-// blobKind classifies an epoch record payload by its leading section.
-func blobKind(blob []byte) (string, error) {
-	r, err := snap.Open(blob)
-	if err != nil {
-		return "", err
-	}
-	return r.String(), r.Err()
 }
 
 // runEpochs simulates the config's device range into the aggregate,
@@ -380,20 +377,16 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 			}
 		}
 
-		var feed func(idx int) ([]byte, error)
+		var feed func(idx int) (int, []byte, error)
 		if in != nil {
 			feed = in.read
 		}
-		work := func(idx int, blob []byte, rg *rig) outcome {
+		work := func(idx, kind int, blob []byte, rg *rig) outcome {
 			if e > 0 {
 				if blob == nil {
 					return outcome{err: fmt.Errorf("missing epoch %d snapshot", e-1)}
 				}
-				kind, err := blobKind(blob)
-				if err != nil {
-					return outcome{err: err}
-				}
-				if kind == "fleet-result" {
+				if kind == recResult {
 					// Died in an earlier epoch: pass the final result
 					// through (and decode it on the aggregating pass).
 					if final {

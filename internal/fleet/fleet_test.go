@@ -181,7 +181,7 @@ func runFresh(t *testing.T, cfg Config) Report {
 	agg := newAggregate()
 	var results []DeviceResult
 	err = pass(cfg, workers, 0, cfg.Devices, nil,
-		func(idx int, _ []byte, rg *rig) outcome {
+		func(idx, _ int, _ []byte, rg *rig) outcome {
 			*rg = rig{}
 			d, res, err := buildDevice(cfg, idx, rg)
 			if err != nil {

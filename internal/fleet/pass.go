@@ -67,8 +67,9 @@ type outcome struct {
 }
 
 // pass runs device indexes [lo, hi) through the worker pool. feed, when
-// non-nil, supplies each device's input blob and is called from the
-// dispatch side strictly in index order (so it can stream a file);
+// non-nil, supplies each device's input record kind and blob and is
+// called from the dispatch side strictly in index order (so it can
+// stream a file);
 // reduce is called strictly in index order as results stream back.
 //
 // The admission window bounds how far any device index may run ahead of
@@ -78,8 +79,8 @@ type outcome struct {
 // never fill with the frontier index still outstanding (the no-deadlock
 // argument).
 func pass(cfg Config, workers, lo, hi int,
-	feed func(idx int) ([]byte, error),
-	work func(idx int, in []byte, rg *rig) outcome,
+	feed func(idx int) (kind int, in []byte, err error),
+	work func(idx, kind int, in []byte, rg *rig) outcome,
 	reduce func(idx int, o outcome) error) error {
 
 	n := hi - lo
@@ -94,6 +95,7 @@ func pass(cfg Config, workers, lo, hi int,
 		window = n
 	}
 	type slot struct {
+		kind int
 		in   []byte
 		out  outcome
 		done bool
@@ -113,7 +115,7 @@ func pass(cfg Config, workers, lo, hi int,
 				// until the reducer receives i; the channel send is the
 				// happens-before edge.
 				s := &ring[(i-lo)%window]
-				s.out = work(i, s.in, &rg)
+				s.out = work(i, s.kind, s.in, &rg)
 				resultCh <- i
 			}
 		}()
@@ -122,13 +124,13 @@ func pass(cfg Config, workers, lo, hi int,
 	var feedErr error
 	dispatch := func(i int) bool {
 		s := &ring[(i-lo)%window]
-		s.in = nil
+		s.kind, s.in = 0, nil
 		if feed != nil && feedErr == nil {
-			s.in, feedErr = feed(i)
+			s.kind, s.in, feedErr = feed(i)
 			if feedErr != nil {
 				// Dispatch anyway with nil input; the worker result is
 				// discarded once firstErr is set below.
-				s.in = nil
+				s.kind, s.in = 0, nil
 			}
 		}
 		indexCh <- i

@@ -156,14 +156,18 @@ func ParsePartial(b []byte) (*Partial, error) {
 }
 
 // check verifies a partial against itself: a non-empty device range
-// inside the fleet, seen exactly once; uniquely named buckets with
-// positive device counts summing to it; deaths within each bucket; and
-// life sketches whose slots exist and whose counts sum to the deaths.
+// inside the fleet, seen exactly once; a valid run identity; uniquely
+// named buckets with positive device counts summing to it; deaths
+// within each bucket; and life sketches whose slots exist and whose
+// counts sum to the deaths.
 func (p *Partial) check() error {
 	shard := fmt.Sprintf("fleet: partial %d/%d", p.ShardIndex, p.ShardCount)
 	if p.RangeLo < 0 || p.RangeLo >= p.RangeHi || p.RangeHi > p.Devices {
 		return fmt.Errorf("%s: device range [%d,%d) is empty or outside the fleet's [0,%d)",
 			shard, p.RangeLo, p.RangeHi, p.Devices)
+	}
+	if err := p.Identity.check(); err != nil {
+		return fmt.Errorf("%s: %w", shard, err)
 	}
 	if p.Agg.Seen != p.RangeHi-p.RangeLo {
 		return fmt.Errorf("%s saw %d devices for range [%d,%d)", shard, p.Agg.Seen, p.RangeLo, p.RangeHi)

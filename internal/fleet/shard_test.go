@@ -167,7 +167,8 @@ func TestParsePartialRejectsInconsistent(t *testing.T) {
 	base := func() *Partial {
 		return &Partial{
 			Format: "cinder-fleet-partial", Version: PartialVersion,
-			Identity:   Identity{Scenario: "idle", Devices: 4, Seed: 1, Duration: units.Hour},
+			Identity: Identity{Scenario: "idle", Devices: 4, Seed: 1, Duration: units.Hour,
+				LifeResolution: DefaultLifeResolution},
 			ShardIndex: 0, ShardCount: 1, RangeLo: 0, RangeHi: 4,
 			Agg: partialAgg{Seen: 4},
 			Buckets: []partialBucket{
@@ -210,6 +211,10 @@ func TestParsePartialRejectsInconsistent(t *testing.T) {
 			"saw 3 devices for range [0,4)"},
 		{"empty fleet", func(p *Partial) { p.Devices, p.RangeHi, p.Agg.Seen, p.Buckets = 0, 0, 0, nil },
 			"device range [0,0) is empty"},
+		{"negative battery", func(p *Partial) { p.BatteryCapacity = -1 },
+			"negative battery capacity (battery_uj) -1"},
+		{"zero life resolution", func(p *Partial) { p.LifeResolution = 0 },
+			"non-positive life resolution"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := base()

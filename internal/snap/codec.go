@@ -16,8 +16,8 @@ import "fmt"
 // values. Code that is not the mirror of the save (pruning, tombstones,
 // derived indexes) runs under Loading.
 //
-// Errors latch: after the first failure every call is a no-op and
-// leaves its pointer untouched.
+// Load errors latch: after the first failure every call is a no-op and
+// leaves its pointer untouched. Saving cannot fail.
 type Codec struct {
 	w   *Writer
 	r   *Reader
@@ -31,10 +31,11 @@ type Integer interface {
 }
 
 // Save runs code over a saving codec and returns the finished snapshot.
+// The error is always nil.
 func Save(code func(*Codec)) ([]byte, error) {
 	c := Codec{w: NewWriter()}
 	code(&c)
-	return c.w.Finish()
+	return c.w.Finish(), nil
 }
 
 // Load opens a snapshot and runs code over a loading codec. The code
@@ -53,12 +54,12 @@ func Load(b []byte, code func(*Codec)) error {
 // Loading reports whether the codec is reading a snapshot back.
 func (c *Codec) Loading() bool { return c.r != nil }
 
-// Err returns the first error, if any.
+// Err returns the first load error, if any; saving never fails.
 func (c *Codec) Err() error {
 	if c.r != nil {
 		return c.r.err
 	}
-	return c.w.err
+	return nil
 }
 
 // ok reports whether a load may still assign: no error has latched.
@@ -206,7 +207,7 @@ func (c *Codec) SameString(what string, have string) {
 		c.w.String(have)
 		return
 	}
-	if v := c.r.String(); c.ok() && v != have {
+	if v := c.r.str(); c.ok() && string(v) != have {
 		c.mismatch(what, fmt.Sprintf("%q", v), fmt.Sprintf("%q", have))
 	}
 }
@@ -219,7 +220,7 @@ func (c *Codec) Name(list string, i int, have string) {
 		c.w.String(have)
 		return
 	}
-	if v := c.r.String(); c.ok() && v != have {
+	if v := c.r.str(); c.ok() && string(v) != have {
 		c.mismatch(fmt.Sprintf("%s %d", list, i), fmt.Sprintf("%q", v), fmt.Sprintf("%q", have))
 	}
 }

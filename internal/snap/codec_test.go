@@ -81,3 +81,60 @@ func TestWriterBytesPinned(t *testing.T) {
 		t.Fatalf("loaded %+v, saved %+v", dst, src)
 	}
 }
+
+// allocFields is a device-sized field list: 10 sections, each with 12
+// structural names and 100 integers.
+type allocFields struct {
+	names [12]string
+	ints  [10][100]int64
+}
+
+func (f *allocFields) codec(c *Codec) {
+	for s := range f.ints {
+		c.Section(sectionTags[s])
+		for i, name := range f.names {
+			if i%2 == 0 {
+				c.Name("task", i, name)
+			} else {
+				c.SameString("mode", name)
+			}
+		}
+		for i := range f.ints[s] {
+			Int(c, &f.ints[s][i])
+		}
+	}
+}
+
+var sectionTags = [10]string{"engine", "objects", "graph", "sched", "kernel", "charger", "radio", "netd", "baseband", "trace"}
+
+// TestCodecAllocs bounds the codec's allocations for a whole snapshot:
+// a field costs none, so Save allocates only its writer and the growth
+// of one buffer, and Load only its reader and codec.
+func TestCodecAllocs(t *testing.T) {
+	var f allocFields
+	for i := range f.names {
+		f.names[i] = sectionTags[i%len(sectionTags)] + "-worker"
+	}
+	for s := range f.ints {
+		for i := range f.ints[s] {
+			f.ints[s][i] = int64(s*1_000_003 - i*i*7919)
+		}
+	}
+	code := f.codec
+	var b []byte
+	save := testing.AllocsPerRun(20, func() {
+		var err error
+		if b, err = Save(code); err != nil {
+			t.Fatal(err)
+		}
+	})
+	load := testing.AllocsPerRun(20, func() {
+		if err := Load(b, code); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Save: %.0f allocs, Load: %.0f allocs (%d bytes)", save, load, len(b))
+	if save > 10 || load > 2 {
+		t.Fatalf("Save made %.0f allocations (ceiling 10), Load %.0f (ceiling 2)", save, load)
+	}
+}

@@ -1,7 +1,7 @@
 // Package snap implements the versioned binary snapshot format used by
 // checkpoint/resume: a magic header, a format version, a sequence of
 // tagged sections of varint-encoded integers and length-prefixed
-// strings, and a trailing CRC-32 of everything written. Every
+// strings, and a trailing CRC-32 of that payload. Every
 // checkpointed component of a simulated device (engine, object table,
 // graph, scheduler, kernel, charger, radio, netd, baseband, trace
 // series, workload hooks), the fleet's epoch records and the
@@ -51,46 +51,26 @@ var (
 	ErrTruncated = errors.New("snap: truncated snapshot")
 )
 
-// Writer serializes a snapshot. Errors latch: after the first failure
-// every subsequent call is a no-op and Finish returns the error.
+// Writer serializes a snapshot. Every field appends in place to one
+// growing buffer; the CRC-32 trailer is computed once, by Finish, over
+// the whole payload.
 type Writer struct {
 	buf []byte
-	crc uint32
-	err error
 }
 
 // NewWriter starts a snapshot stream with the magic and version header.
 func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 512), crc: 0}
+	w := &Writer{buf: make([]byte, 0, 512)}
 	w.buf = append(w.buf, Magic...)
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], Version)
-	w.buf = append(w.buf, v[:]...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, Version)
 	return w
 }
 
-// append adds raw bytes to the payload and the running checksum.
-func (w *Writer) append(b []byte) {
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, b...)
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, b)
-}
-
 // U64 writes an unsigned varint.
-func (w *Writer) U64(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.append(tmp[:n])
-}
+func (w *Writer) U64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 // I64 writes a signed (zig-zag) varint.
-func (w *Writer) I64(v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	w.append(tmp[:n])
-}
+func (w *Writer) I64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
 // Bool writes a boolean as one varint.
 func (w *Writer) Bool(v bool) {
@@ -104,13 +84,13 @@ func (w *Writer) Bool(v bool) {
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
-	w.append([]byte(s))
+	w.buf = append(w.buf, s...)
 }
 
 // Bytes writes a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
 	w.U64(uint64(len(b)))
-	w.append(b)
+	w.buf = append(w.buf, b...)
 }
 
 // Section starts a named section. The matching Reader.Section call
@@ -119,14 +99,11 @@ func (w *Writer) Bytes(b []byte) {
 // integers later.
 func (w *Writer) Section(tag string) { w.String(tag) }
 
-// Finish appends the CRC-32 trailer and returns the complete snapshot.
-func (w *Writer) Finish() ([]byte, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], w.crc)
-	return append(w.buf, tmp[:]...), nil
+// Finish appends the CRC-32 of the payload (everything after the
+// header) and returns the complete snapshot.
+func (w *Writer) Finish() []byte {
+	crc := crc32.ChecksumIEEE(w.buf[len(Magic)+4:])
+	return binary.LittleEndian.AppendUint32(w.buf, crc)
 }
 
 // Reader deserializes a snapshot produced by Writer. Errors latch: the
@@ -203,18 +180,22 @@ func (r *Reader) I64() int64 {
 func (r *Reader) Bool() bool { return r.U64() != 0 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.str()) }
+
+// str reads a length-prefixed string in place: the result aliases the
+// snapshot, so comparing it with string(b) != want does not allocate.
+func (r *Reader) str() []byte {
 	n := int(r.U64())
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n < 0 || r.pos+n > r.end {
 		r.fail(fmt.Errorf("%w: string of %d bytes at offset %d", ErrTruncated, n, r.pos))
-		return ""
+		return nil
 	}
-	s := string(r.buf[r.pos : r.pos+n])
+	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
-	return s
+	return b
 }
 
 // Bytes reads a length-prefixed byte slice.
@@ -234,8 +215,7 @@ func (r *Reader) Bytes() []byte {
 
 // Section validates that the next section tag is exactly `tag`.
 func (r *Reader) Section(tag string) {
-	got := r.String()
-	if r.err == nil && got != tag {
+	if got := r.str(); r.err == nil && string(got) != tag {
 		r.fail(fmt.Errorf("%w: want %q, found %q", ErrSection, tag, got))
 	}
 }

@@ -19,10 +19,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Bytes([]byte{1, 2, 3})
 	w.Section("beta")
 	w.I64(7)
-	b, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := w.Finish()
 
 	r, err := Open(b)
 	if err != nil {
@@ -70,7 +67,7 @@ func TestBadMagicFailsLoudly(t *testing.T) {
 func TestWrongVersionFailsLoudly(t *testing.T) {
 	w := NewWriter()
 	w.U64(1)
-	b, _ := w.Finish()
+	b := w.Finish()
 	b[len(Magic)] = 99 // corrupt the version field
 	_, err := Open(b)
 	if !errors.Is(err, ErrVersion) {
@@ -82,7 +79,7 @@ func TestCorruptPayloadFailsLoudly(t *testing.T) {
 	w := NewWriter()
 	w.Section("s")
 	w.U64(123456)
-	b, _ := w.Finish()
+	b := w.Finish()
 	b[len(b)-6] ^= 0xFF // flip a payload bit
 	_, err := Open(b)
 	if !errors.Is(err, ErrChecksum) {
@@ -99,7 +96,7 @@ func TestTruncatedFailsLoudly(t *testing.T) {
 func TestWrongSectionFailsLoudly(t *testing.T) {
 	w := NewWriter()
 	w.Section("alpha")
-	b, _ := w.Finish()
+	b := w.Finish()
 	r, err := Open(b)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +114,7 @@ func TestUnreadTrailerFailsLoudly(t *testing.T) {
 	w := NewWriter()
 	w.U64(1)
 	w.U64(2)
-	b, _ := w.Finish()
+	b := w.Finish()
 	r, err := Open(b)
 	if err != nil {
 		t.Fatal(err)
