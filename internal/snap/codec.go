@@ -54,7 +54,7 @@ func Load(b []byte, code func(*Codec)) error {
 // Loading reports whether the codec is reading a snapshot back.
 func (c *Codec) Loading() bool { return c.r != nil }
 
-// Err returns the first load error, if any; saving never fails.
+// Err returns the first load error, if any.
 func (c *Codec) Err() error {
 	if c.r != nil {
 		return c.r.err
