@@ -67,10 +67,10 @@ type outcome struct {
 }
 
 // pass runs device indexes [lo, hi) through the worker pool. feed, when
-// non-nil, supplies each device's input record kind and blob and is
-// called from the dispatch side strictly in index order (so it can
-// stream a file);
-// reduce is called strictly in index order as results stream back.
+// non-nil, supplies each device's input record, its kind and blob, and
+// is called from the dispatch side strictly in index order (so it can
+// stream a file); reduce is called strictly in index order as results
+// stream back.
 //
 // The admission window bounds how far any device index may run ahead of
 // the reduction frontier, which in turn bounds the reorder ring: index
