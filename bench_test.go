@@ -144,7 +144,7 @@ func BenchmarkFig14NetdReserve(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
 		k := kernel.New(kernel.Config{Seed: 14, DecayHalfLife: -1})
-		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
+		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile, Trace: true})
 		k.AddDevice(r)
 		n, err := netd.New(k, r, netd.Config{Cooperative: true})
 		if err != nil {

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/coord/delivery"
 	"repro/internal/fleet"
+	"repro/internal/snap"
 )
 
 // taskConfig is a leased shard's run config the way a runner makes it.
@@ -189,6 +191,69 @@ func TestRecoverTornTail(t *testing.T) {
 	}
 	if want := mustJSON(t, singleProcess(t, job)); !bytes.Equal(got, want) {
 		t.Fatalf("report after torn-tail recovery diverged:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestRecoverRefusesOtherVersion: a journal whose first record was
+// written by another snapshot format version — a coordinator build from
+// before or after a layout change — is refused with snap.ErrVersion and
+// left byte for byte as it was. It is not a torn tail: truncating it
+// would destroy the only record of the job.
+func TestRecoverRefusesOtherVersion(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	opts := Options{Heartbeat: time.Second, Lease: 10 * time.Second, MaxAttempts: 5, Now: clk.Now, Logf: t.Logf}
+	co := New(opts)
+	if err := co.Submit(weekJob(t, 6, 2, dir)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Claim("a"); err != nil {
+		t.Fatal(err)
+	}
+	co.Close()
+
+	// Rewrite the submit record's version field; the grant after it
+	// stays as written.
+	path := JournalPath(dir)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(b)
+	kind, blob, err := snap.ReadFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() == 0 {
+		t.Fatal("journal holds only the submit record")
+	}
+	binary.LittleEndian.PutUint32(blob[len(snap.Magic):], snap.Version-1)
+	stale := snap.AppendFrame(nil, kind, blob)
+	stale = append(stale, b[len(b)-r.Len():]...)
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	wopts := opts
+	wopts.Logf = func(format string, args ...any) {
+		if strings.Contains(format, "torn tail") {
+			t.Errorf("another version reported as a torn tail: "+format, args...)
+		}
+	}
+	co2, err := Recover(wopts, dir)
+	if err == nil {
+		co2.Close()
+		t.Fatal("recovered a journal written by another snapshot version")
+	}
+	if !errors.Is(err, snap.ErrVersion) {
+		t.Fatalf("err = %v, want one wrapping snap.ErrVersion", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, stale) {
+		t.Fatalf("refused journal changed: %d bytes, wrote %d", len(got), len(stale))
 	}
 }
 

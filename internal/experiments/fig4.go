@@ -37,6 +37,7 @@ func Fig4RadioActivation(opts Fig4Options) Result {
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{
 		Profile: k.Profile,
 		Jitter:  true,
+		Trace:   true,
 	})
 	k.AddDevice(r)
 	meter := k.NewMeter("supply")

@@ -84,6 +84,7 @@ func runCoop(opts Table1Options, cooperative bool) coopRun {
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{
 		Profile: k.Profile,
 		RTT:     opts.RTT,
+		Trace:   true,
 	})
 	k.AddDevice(r)
 	n, err := netd.New(k, r, netd.Config{Cooperative: cooperative})

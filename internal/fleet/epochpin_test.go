@@ -5,6 +5,7 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/units"
@@ -17,8 +18,8 @@ import (
 // snap.Version and re-pin them; a change that is not meant to touch the
 // layout must leave them alone.
 var monthPins = []string{
-	"46d6d52abf8bcdaad7da5ec8b75945a7", // epoch-0000.bin
-	"51723bbfd287c8f15d147d7e0020457b", // epoch-0001.bin
+	"3e53e13a04b6061b9621ed1911c84bbe", // epoch-0000.bin
+	"c51686b554c389d6b2e08875fda1efd1", // epoch-0001.bin
 }
 
 func fileMD5(t *testing.T, path string) string {
@@ -92,6 +93,43 @@ func TestEpochBytesPinned(t *testing.T) {
 		if a, b := canonical(t, full), canonical(t, resumed); !bytes.Equal(a, b) {
 			t.Fatalf("resumed month diverged from uninterrupted run:\n%s\nvs\n%s", a, b)
 		}
+	}
+}
+
+// TestEpochFilesDoNotGrow: a fleet device's checkpoint carries its
+// state, not its history, so a month run's daily epoch files stay flat
+// over ten days — the last no more than 10% above the first. A radio
+// state trace or netd pool trace written into every epoch grows them
+// with simulated time (about 65% over the same run).
+func TestEpochFilesDoNotGrow(t *testing.T) {
+	cfg := Config{
+		Devices:       8,
+		Seed:          1,
+		Duration:      240 * units.Hour,
+		Workers:       2,
+		Scenario:      MonthInTheLife(),
+		CheckpointDir: t.TempDir(),
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "epoch-*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 9 { // daily epochs, none at the horizon
+		t.Fatalf("run wrote %d epoch files, want 9: %v", len(files), files)
+	}
+	sizes := make([]int64, len(files))
+	for i, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = fi.Size()
+	}
+	if first, last := sizes[0], sizes[len(sizes)-1]; last*10 > first*11 {
+		t.Fatalf("epoch file sizes %v bytes: the last exceeds 1.1x the first, so files grow with simulated time", sizes)
 	}
 }
 

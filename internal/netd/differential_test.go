@@ -104,10 +104,13 @@ type chunkState struct {
 	stats    Stats
 }
 
-func newRigMode(t testing.TB, kcfg kernel.Config, cfg Config) *rig {
+// newRigMode builds a rig on a kernel and radio of the given
+// configurations; the radio's profile is the kernel's.
+func newRigMode(t testing.TB, kcfg kernel.Config, rcfg radio.Config, cfg Config) *rig {
 	t.Helper()
 	k := kernel.New(kcfg)
-	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
+	rcfg.Profile = k.Profile
+	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), rcfg)
 	k.AddDevice(r)
 	n, err := New(k, r, cfg)
 	if err != nil {
@@ -140,7 +143,7 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 	t.Helper()
 	r := newRigMode(t,
 		kernel.Config{Seed: 7, DecayHalfLife: -1, Reference: reference},
-		Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true})
+		radio.Config{}, Config{Cooperative: true, QuiescentSweep: true})
 	kp := r.k.KernelPriv()
 
 	var (

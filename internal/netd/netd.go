@@ -64,17 +64,10 @@ type Config struct {
 	Estimator interface{ Estimate() units.Energy }
 	// QuiescentSweep parks the periodic sweep while no caller is
 	// waiting; a new waiter revives it. A sweep with no waiters changes
-	// no state — it only samples the pool trace — so results are
-	// unaffected, but the device can fully quiesce between sessions
-	// (the fleet runner enables this; experiments keep the dense trace).
+	// no state — it only samples the pool trace, if any — so results
+	// are unaffected, but the device can fully quiesce between sessions
+	// (the fleet runner enables this; experiments sweep every period).
 	QuiescentSweep bool
-	// NoPoolTrace disables the 100 ms pool-level sampling entirely. The
-	// trace exists for the paper's Fig. 14; at fleet scale it is dead
-	// weight — a device-week accumulates tens of thousands of samples
-	// that no report reads but every checkpoint would have to carry —
-	// so the fleet runner turns it off. Zero value keeps the trace, as
-	// the experiments require.
-	NoPoolTrace bool
 }
 
 // Request is the argument applications pass through the netd gate: a
@@ -204,9 +197,14 @@ func (n *Netd) Reset(k *kernel.Kernel, r *radio.Radio, cfg Config) error {
 	clear(n.waiters)
 	n.waiters = n.waiters[:0]
 	n.stats = Stats{}
-	if n.poolTrace == nil {
+	// The pool is sampled exactly when the radio traces its states
+	// (radio.Config.Trace): the two series serve the same experiments.
+	switch {
+	case !r.Traced():
+		n.poolTrace = nil
+	case n.poolTrace == nil:
 		n.poolTrace = trace.NewSeries("netd-pool", "µJ")
-	} else {
+	default:
 		n.poolTrace.Reset("netd-pool", "µJ")
 	}
 
@@ -242,7 +240,8 @@ func (n *Netd) SetEstimator(est interface{ Estimate() units.Energy }) {
 // samples it).
 func (n *Netd) Pool() *core.Reserve { return n.pool }
 
-// PoolTrace returns the sampled pool-level series.
+// PoolTrace returns the pool level sampled at every sweep, or nil when
+// the radio is untraced.
 func (n *Netd) PoolTrace() *trace.Series { return n.poolTrace }
 
 // Stats returns a copy of the counters.
@@ -354,7 +353,7 @@ func (n *Netd) poolReady(now units.Time) bool {
 // the crossing instant and defers the task there instead of grinding
 // through every 100 ms boundary in between.
 func (n *Netd) sweep(now units.Time) {
-	if !n.cfg.NoPoolTrace {
+	if n.poolTrace != nil {
 		n.poolTrace.Add(now, func() int64 {
 			lvl, _ := n.pool.Level(n.priv)
 			return int64(lvl)
@@ -403,9 +402,9 @@ func (n *Netd) maybeSettle(now units.Time) {
 //
 //   - sweep boundaries lie on the tap-batch grid, so per-boundary
 //     credits decompose from telescoped batch flows;
-//   - no pool trace — a trace samples every boundary, which skipping
-//     would lose (experiments keep the trace and fall back to per-sweep
-//     execution, preserving the frozen plot hashes);
+//   - the radio is untraced — a pool trace samples every boundary,
+//     which skipping would lose (traced experiments fall back to
+//     per-sweep execution, preserving the frozen plot hashes);
 //   - the radio is asleep, so the activation cost — and with it the
 //     threshold — is constant until a wake-up, which invalidates;
 //   - no tap touches the pool, so contributions are its only inflow;
@@ -420,7 +419,7 @@ func (n *Netd) settleGuard() bool {
 	if n.cfg.SweepPeriod%n.k.TapBatch() != 0 {
 		return false
 	}
-	if !n.cfg.NoPoolTrace {
+	if n.radio.Traced() {
 		return false
 	}
 	if n.radio.State() != radio.Sleep {

@@ -21,14 +21,7 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
-	k := kernel.New(kernel.Config{Seed: 7, DecayHalfLife: -1})
-	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
-	k.AddDevice(r)
-	n, err := New(k, r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{k: k, radio: r, netd: n}
+	return newRigMode(t, kernel.Config{Seed: 7, DecayHalfLife: -1}, radio.Config{}, cfg)
 }
 
 // addPoller spawns a thread that polls via the netd gate every interval,
@@ -158,7 +151,7 @@ func TestPoolNeverEmptiesAfterFirstFire(t *testing.T) {
 	// Fig. 14: the 125 % threshold means the pool is debited by the
 	// activation cost but retains the ≈25 % margin — it "does not empty
 	// to 0" once cycling.
-	r := newRig(t, Config{Cooperative: true})
+	r := newRigMode(t, kernel.Config{Seed: 7, DecayHalfLife: -1}, radio.Config{Trace: true}, Config{Cooperative: true})
 	rate := units.Milliwatts(99)
 	r.addPoller(t, "rss", rate, 60*units.Second, units.Second,
 		Request{ReqBytes: 200, RespBytes: 4000})

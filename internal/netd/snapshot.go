@@ -2,11 +2,12 @@ package netd
 
 import "repro/internal/snap"
 
-// Codec saves or restores the daemon's mutable state. The pooled
-// reserve's level belongs to the graph's section. Waiters cannot be
-// recorded (they hold thread and reserve references into a world the
-// load rebuilds); the fleet checkpoints only at quiescent instants
-// where none exist, and a load refuses a snapshot that recorded any.
+// Codec saves or restores the daemon's mutable state and, when its
+// radio is traced, the pool series. The pooled reserve's level belongs
+// to the graph's section. Waiters cannot be recorded (they hold thread
+// and reserve references into a world the load rebuilds); the fleet
+// checkpoints only at quiescent instants where none exist, and a load
+// refuses a snapshot that recorded any.
 func (n *Netd) Codec(c *snap.Codec) {
 	c.Section("netd")
 	waiters := len(n.waiters)
@@ -34,9 +35,9 @@ func (n *Netd) Codec(c *snap.Codec) {
 		c.Failf("netd: restore: snapshot recorded a deferred sweep with no waiters")
 		return
 	}
-	traced := !n.cfg.NoPoolTrace
-	c.SameBool("pool tracing", traced)
-	if traced {
+	// The radio's section recorded the tracing switch, and a load
+	// refused a rebuild with the other setting there.
+	if n.radio.Traced() {
 		n.poolTrace.Codec(c)
 	}
 }

@@ -89,6 +89,12 @@ type Config struct {
 	// RTT is the network round-trip latency for Exchange; defaults to
 	// 200 ms.
 	RTT units.Time
+	// Trace records every state transition (StateSeries) and makes the
+	// netd driving this radio sample its pool (netd.PoolTrace). Only
+	// the experiments that read those histories set it (Fig. 4, and
+	// Table 1 with Figs. 13/14); off, neither series exists and a
+	// checkpoint carries neither.
+	Trace bool
 }
 
 // Radio is the simulated data path device.
@@ -112,7 +118,8 @@ type Radio struct {
 	fund  *core.Reserve
 	priv  label.Priv
 	stats Stats
-	// states records transitions for active-time analysis (Fig. 13).
+	// states records transitions for Fig. 4's episodes and Table 1's
+	// active time; nil unless Config.Trace.
 	states *trace.Series
 	// episodeStart snapshots cumulative above-baseline energy at
 	// wakeup so each completed episode's overhead can be reported.
@@ -126,16 +133,16 @@ type Radio struct {
 // New creates a radio whose funding reserve lives under parent. priv
 // must be able to use the battery (the radio is a kernel-side device).
 func New(eng *sim.Engine, g *core.Graph, parent *kobj.Container, priv label.Priv, cfg Config) *Radio {
-	r := &Radio{states: trace.NewSeries("radio-state", "state")}
+	r := &Radio{}
 	r.Reset(eng, g, parent, priv, cfg)
 	return r
 }
 
 // Reset reinitializes the radio in place to the exact state New would
 // produce — a fresh funding reserve in the given (typically recycled)
-// graph, the state machine asleep, all counters zero — reusing the
-// state-trace backing array. The fleet runner recycles one radio per
-// worker this way.
+// graph, the state machine asleep, all counters zero. A traced radio
+// reuses its state series' backing array; an untraced one drops it.
+// The fleet runner recycles one untraced radio per worker this way.
 func (r *Radio) Reset(eng *sim.Engine, g *core.Graph, parent *kobj.Container, priv label.Priv, cfg Config) {
 	if cfg.RTT == 0 {
 		cfg.RTT = 200 * units.Millisecond
@@ -155,8 +162,16 @@ func (r *Radio) Reset(eng *sim.Engine, g *core.Graph, parent *kobj.Container, pr
 	r.episodeStart = 0
 	r.onEpisode = nil
 	r.onActivity = nil
-	r.states.Reset("radio-state", "state")
 	r.fund = g.NewReserve(parent, "radio-fund", label.Public(), core.ReserveOpts{DecayExempt: true})
+	switch {
+	case !cfg.Trace:
+		r.states = nil
+		return
+	case r.states == nil:
+		r.states = trace.NewSeries("radio-state", "state")
+	default:
+		r.states.Reset("radio-state", "state")
+	}
 	r.states.Add(eng.Now(), int64(Sleep))
 }
 
@@ -175,8 +190,12 @@ func (r *Radio) State() State { return r.state }
 // Stats returns a copy of the activity counters.
 func (r *Radio) Stats() Stats { return r.stats }
 
-// StateSeries returns the state transition series.
+// StateSeries returns the state transition series, or nil when the
+// radio is untraced.
 func (r *Radio) StateSeries() *trace.Series { return r.states }
+
+// Traced reports whether the radio was built with Config.Trace.
+func (r *Radio) Traced() bool { return r.states != nil }
 
 // RTT returns the configured round-trip latency.
 func (r *Radio) RTT() units.Time { return r.rtt }
@@ -217,7 +236,9 @@ func (r *Radio) transition(now units.Time, s State) {
 		return
 	}
 	r.state = s
-	r.states.Add(now, int64(s))
+	if r.states != nil {
+		r.states.Add(now, int64(s))
+	}
 }
 
 // Quiescent reports whether the radio needs no per-tick servicing: a

@@ -214,7 +214,7 @@ func TestExchangeDeliversResponse(t *testing.T) {
 }
 
 func TestStateSeriesRecordsTransitions(t *testing.T) {
-	r := newRig(Config{})
+	r := newRig(Config{Trace: true})
 	r.eng.After(units.Second, func(e *sim.Engine) {
 		r.radio.Send(e.Now(), 1, nil, label.Priv{})
 	})

@@ -3,8 +3,11 @@ package radio
 import "repro/internal/snap"
 
 // Codec saves or restores the radio's mutable state: the power state
-// machine, billing carries, activity counters and the state-transition
-// trace. The funding reserve itself belongs to the graph's section.
+// machine, billing carries, activity counters and, when traced, the
+// state-transition series. The tracing switch is structural — it also
+// decides whether netd's section carries its pool series — so a load
+// into a rebuild with the other setting fails naming it. The funding
+// reserve itself belongs to the graph's section.
 func (r *Radio) Codec(c *snap.Codec) {
 	c.Section("radio")
 	snap.Uint(c, &r.state)
@@ -21,5 +24,8 @@ func (r *Radio) Codec(c *snap.Codec) {
 	snap.Int(c, &r.stats.StateEnergy)
 	snap.Int(c, &r.stats.DataEnergy)
 	snap.Int(c, &r.stats.ActiveTime)
-	r.states.Codec(c)
+	c.SameBool("tracing (radio.Config.Trace)", r.Traced())
+	if r.Traced() {
+		r.states.Codec(c)
+	}
 }

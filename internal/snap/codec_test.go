@@ -61,7 +61,7 @@ func (p *pinned) codec(c *Codec) {
 // cannot move the snapshot layout unnoticed. The same list loads back
 // to the values it was saved from.
 func TestWriterBytesPinned(t *testing.T) {
-	const pin = "388e0a6d4c920f9ac34e0cbb5227700f"
+	const pin = "b0bd2d9643ee2021d2becbbd2eeb5ebf"
 	src := newPinned()
 	b, err := Save(src.codec)
 	if err != nil {

@@ -32,8 +32,10 @@ const Magic = "CNDSNAP1"
 // header and renumbered the engine section's mode. Version 3 reordered
 // the fleet's dead-device result record to carry its counters as one
 // block. Version 4 writes the fleet's epoch header as the run identity
-// block followed by the interval, epoch and range.
-const Version uint32 = 4
+// block followed by the interval, epoch and range. Version 5 records
+// the radio's tracing switch and writes the radio state and netd pool
+// series only when it is on.
+const Version uint32 = 5
 
 // Errors the reader can return (wrapped with context).
 var (
