@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/label"
 	"repro/internal/units"
@@ -87,11 +89,11 @@ func TestEnergyWrapConfinesWorkload(t *testing.T) {
 		t.Fatalf("sandboxed workload consumed %v, above 1 mW budget", got)
 	}
 	// The workload itself cannot raise its rate.
-	if err := w.SetRate(label.Priv{}, units.Watt); err == nil {
+	if err := w.Tap.SetRate(label.Priv{}, units.Watt); err == nil {
 		t.Fatal("sandboxed workload raised its own rate")
 	}
 	// The wrapper can.
-	if err := w.SetRate(wrapperPriv, 2*units.Milliwatt); err != nil {
+	if err := w.Tap.SetRate(wrapperPriv, 2*units.Milliwatt); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,10 +135,12 @@ func TestEnergyWrapKillReturnsEnergy(t *testing.T) {
 	}
 	w.Thread.Exit() // let the reserve accumulate
 	k.Run(5 * units.Second)
-	if err := w.Kill(k); err != nil {
+	// Deleting the sandbox container tears down the thread, reserve and
+	// tap; the reserve's residual energy returns to the battery.
+	if err := k.Table.Delete(w.Container.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
-	if !w.Reserve.Dead() || !w.Tap.Dead() {
+	if !w.Reserve.Dead() || !errors.Is(w.Tap.SetRate(k.KernelPriv(), 0), core.ErrDead) {
 		t.Fatal("kill did not tear down sandbox objects")
 	}
 	if k.Graph.ConservationError() != 0 {

@@ -41,18 +41,6 @@ func EnergyWrap(k *kernel.Kernel, parent *kobj.Container, name string, ownerPriv
 	return &Wrapped{Name: name, Container: c, Thread: th, Reserve: res, Tap: tap}, nil
 }
 
-// SetRate adjusts the sandbox rate; only a holder of the tap label's
-// privileges may call it successfully.
-func (w *Wrapped) SetRate(p label.Priv, rate units.Power) error {
-	return w.Tap.SetRate(p, rate)
-}
-
-// Kill deletes the sandbox container, tearing down the thread, reserve
-// and tap (the reserve's residual energy returns to the battery).
-func (w *Wrapped) Kill(k *kernel.Kernel) error {
-	return k.Table.Delete(w.Container.ObjectID())
-}
-
 // Consumed reports the sandboxed workload's total consumption.
 func (w *Wrapped) Consumed() (units.Energy, error) {
 	st, err := w.Reserve.Stats(label.Priv{})

@@ -60,8 +60,7 @@ func (s *Spinner) CPUConsumed() units.Energy { return s.Thread.CPUConsumed() }
 // isolation from these forks is the experiment's headline.
 type Forker struct {
 	*Spinner
-	k        *kernel.Kernel
-	children []*Spinner
+	k *kernel.Kernel
 }
 
 // NewForker creates the parent spinner.
@@ -77,13 +76,5 @@ func NewForker(k *kernel.Kernel, parent *kobj.Container, name string, ownerPriv 
 // own reserve at the given rate (Fig. 9: "each of the taps has
 // one-quarter the power of B's tap").
 func (f *Forker) ForkChild(name string, rate units.Power) (*Spinner, error) {
-	child, err := NewSpinner(f.k, f.Container, name, label.Priv{}, f.Reserve, rate, label.Public())
-	if err != nil {
-		return nil, err
-	}
-	f.children = append(f.children, child)
-	return child, nil
+	return NewSpinner(f.k, f.Container, name, label.Priv{}, f.Reserve, rate, label.Public())
 }
-
-// Children returns the forked children.
-func (f *Forker) Children() []*Spinner { return f.children }

@@ -83,9 +83,6 @@ func NewTaskManager(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Pr
 	return tm, nil
 }
 
-// Priv returns the task manager's privilege set.
-func (tm *TaskManager) Priv() label.Priv { return tm.priv }
-
 // Manage creates a spinner application under the manager's policy with
 // its per-app background share (Fig. 7 wiring). The app starts in the
 // background.

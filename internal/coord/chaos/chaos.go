@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,22 +290,3 @@ func (r *Restarter) Result(canonical bool) ([]byte, error) {
 }
 
 var _ delivery.Service = (*Restarter)(nil)
-
-// Tear truncates the file at path to frac of its current size
-// (flooring at one byte), simulating a write torn by a crash — the
-// checkpoint-salvage and journal-recovery tests point it at epoch
-// files and coordinator journals.
-func Tear(path string, frac float64) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	n := int64(float64(fi.Size()) * frac)
-	if n < 1 {
-		n = 1
-	}
-	if n >= fi.Size() {
-		n = fi.Size() - 1
-	}
-	return os.Truncate(path, n)
-}

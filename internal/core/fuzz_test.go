@@ -82,18 +82,18 @@ func FuzzGraphConservation(f *testing.F) {
 					continue
 				}
 				tap := taps[pick(arg, len(taps))]
-				if !tap.Dead() {
+				if !tap.dead {
 					_ = tbl.Delete(tap.ObjectID())
 				}
 			}
 			if ce := g.ConservationError(); ce != 0 {
 				t.Fatalf("pc %d (op %d): conservation error %v", pc, op, ce)
 			}
-			g.EachReserve(func(r *Reserve) {
+			for _, r := range g.reserves {
 				if lvl, err := r.Level(label.Priv{}); err == nil && lvl < 0 {
-					t.Fatalf("pc %d: negative reserve %q: %v", pc, r.Name(), lvl)
+					t.Fatalf("pc %d: negative reserve %q: %v", pc, r.name, lvl)
 				}
-			})
+			}
 		}
 	})
 }

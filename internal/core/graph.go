@@ -230,9 +230,6 @@ func truncTaps(s []*Tap) []*Tap {
 // reserve representing the system battery").
 func (g *Graph) Battery() *Reserve { return g.battery }
 
-// Table returns the kernel object table backing the graph.
-func (g *Graph) Table() *kobj.Table { return g.table }
-
 // ReserveOpts carries optional reserve attributes.
 type ReserveOpts struct {
 	// AllowDebt permits DebitSelf to push the level negative (§5.5.2).
@@ -333,23 +330,13 @@ func (g *Graph) NewTap(parent *kobj.Container, name string, p label.Priv, src, s
 	if !p.CanUse(sink.Label()) {
 		return nil, fmt.Errorf("%w: tap %q needs use of sink %q", ErrAccess, name, sink.name)
 	}
-	t := &Tap{graph: g, name: name, src: src, sink: sink, priv: p, activeIdx: -1}
+	// A new tap carries no rate, so it does not join the active set.
+	t := &Tap{graph: g, name: name, src: src, sink: sink, priv: p, activeIdx: -1, seq: g.tapSeq}
 	t.OnRelease(func() { g.releaseTap(t) })
-	g.registerTap(&t.Base, lbl, parent, t)
-	return t, nil
-}
-
-// registerTap stamps the tap's creation sequence and enters it into the
-// graph's lists (and the active set, if it already carries a rate — the
-// CloneReserve path duplicates live proportional taps).
-func (g *Graph) registerTap(base *kobj.Base, lbl label.Label, parent *kobj.Container, t *Tap) {
-	g.table.Register(base, kobj.KindTap, lbl, parent, t)
-	t.seq = g.tapSeq
+	g.table.Register(&t.Base, kobj.KindTap, lbl, parent, t)
 	g.tapSeq++
 	g.taps = append(g.taps, t)
-	if t.moves() {
-		g.setTapActive(t, true)
-	}
+	return t, nil
 }
 
 func (g *Graph) releaseTap(t *Tap) {
@@ -511,38 +498,6 @@ func (g *Graph) backwardDrain(r *Reserve, ignorable label.Priv) PPM {
 	return total
 }
 
-// CloneReserve implements the reserve_clone alternative from §5.2.2: it
-// creates a new reserve and duplicates every backward proportional tap
-// draining the original that the caller lacks permission to remove, so
-// the clone cannot be used to escape taxation.
-func (g *Graph) CloneReserve(parent *kobj.Container, name string, p label.Priv, orig *Reserve, lbl label.Label) (*Reserve, error) {
-	if orig.dead {
-		return nil, fmt.Errorf("%w: clone of %q", ErrDead, orig.name)
-	}
-	if !p.CanObserve(orig.Label()) {
-		return nil, fmt.Errorf("%w: clone of %q", ErrAccess, orig.name)
-	}
-	clone := g.newReserve(parent, name, lbl, ReserveOpts{
-		AllowDebt:   orig.allowDebt,
-		DecayExempt: orig.decayExempt,
-	})
-	for _, t := range g.taps {
-		if t.dead || t.src != orig || t.kind != TapProportional {
-			continue
-		}
-		if p.CanModify(t.Label()) {
-			continue // caller could remove it anyway
-		}
-		dup := &Tap{
-			graph: g, name: t.name + "-clone", src: clone, sink: t.sink,
-			kind: TapProportional, frac: t.frac, priv: t.priv, activeIdx: -1,
-		}
-		dup.OnRelease(func() { g.releaseTap(dup) })
-		g.registerTap(&dup.Base, t.Label(), parent, dup)
-	}
-	return clone, nil
-}
-
 // Consumed returns the total energy consumed (gone from the system)
 // since the graph was created.
 func (g *Graph) Consumed() units.Energy { return g.consumed }
@@ -560,16 +515,12 @@ func (g *Graph) TotalHeld() units.Energy {
 	return sum
 }
 
-// Recharged returns the total external energy accepted into the battery
-// through ChargeBattery since the graph was created.
-func (g *Graph) Recharged() units.Energy { return g.recharged }
-
 // ChargeBattery credits up to amount of external energy (a wall or USB
 // charger) into the battery, clamping at the rated capacity: a full
 // battery accepts nothing, and the battery level never overshoots. It
 // returns the energy actually accepted. Unlike every other movement in
 // the graph this is not a redistribution of the initial capacity, so
-// the accepted amount is tracked separately (Recharged) and extends the
+// the accepted amount is tracked separately (recharged) and extends the
 // conservation identity rather than violating it.
 func (g *Graph) ChargeBattery(amount units.Energy) units.Energy {
 	if amount <= 0 {
@@ -592,39 +543,6 @@ func (g *Graph) ChargeBattery(amount units.Energy) units.Energy {
 // exactly zero across arbitrary operation sequences.
 func (g *Graph) ConservationError() units.Energy {
 	return g.TotalHeld() + g.consumed - g.capacity - g.recharged
-}
-
-// Reserves returns the live reserves in creation order (battery first).
-// It copies; iteration-only callers should prefer EachReserve, which
-// does not allocate.
-func (g *Graph) Reserves() []*Reserve {
-	out := make([]*Reserve, len(g.reserves))
-	copy(out, g.reserves)
-	return out
-}
-
-// EachReserve calls fn for every live reserve in creation order (battery
-// first) without allocating. fn must not create or release reserves.
-func (g *Graph) EachReserve(fn func(*Reserve)) {
-	for _, r := range g.reserves {
-		fn(r)
-	}
-}
-
-// Taps returns the live taps in creation order. It copies;
-// iteration-only callers should prefer EachTap, which does not allocate.
-func (g *Graph) Taps() []*Tap {
-	out := make([]*Tap, len(g.taps))
-	copy(out, g.taps)
-	return out
-}
-
-// EachTap calls fn for every live tap in creation order without
-// allocating. fn must not create or release taps.
-func (g *Graph) EachTap(fn func(*Tap)) {
-	for _, t := range g.taps {
-		fn(t)
-	}
 }
 
 // HalfLife returns the configured decay half-life (negative if decay is

@@ -18,7 +18,7 @@ func TestReleaseReserveDeactivatesTaps(t *testing.T) {
 	g, root := testGraph(Config{})
 	// The tap lives in root, the reserve in its own container, so
 	// deleting the reserve's container does NOT release the tap.
-	rc := kobj.NewContainer(g.Table(), root, "app", label.Public())
+	rc := kobj.NewContainer(g.table, root, "app", label.Public())
 	res := g.NewReserve(rc, "app-reserve", label.Public(), ReserveOpts{})
 	tap, err := g.NewTap(root, "app-tap", anyone, g.Battery(), res, label.Public())
 	if err != nil {
@@ -31,10 +31,10 @@ func TestReleaseReserveDeactivatesTaps(t *testing.T) {
 		t.Fatalf("ActiveTapCount = %d, want 1", g.ActiveTapCount())
 	}
 
-	if err := g.Table().Delete(rc.ObjectID()); err != nil {
+	if err := g.table.Delete(rc.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
-	if tap.Dead() {
+	if tap.dead {
 		t.Fatal("tap should survive its sink's deletion (it lives in root)")
 	}
 	if got := g.ActiveTapCount(); got != 0 {
@@ -79,7 +79,7 @@ func TestReleaseSourceReserveDeactivatesTaps(t *testing.T) {
 	if err := tap.SetFrac(anyone, 100_000); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Table().Delete(src.ObjectID()); err != nil {
+	if err := g.table.Delete(src.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.ActiveTapCount(); got != 0 {
@@ -95,7 +95,7 @@ func TestReleaseSourceReserveDeactivatesTaps(t *testing.T) {
 // energy — the battery absorbs the unsourced consumption.
 func TestReleaseReserveInDebtConservesEnergy(t *testing.T) {
 	g, root := testGraph(Config{})
-	rc := kobj.NewContainer(g.Table(), root, "app", label.Public())
+	rc := kobj.NewContainer(g.table, root, "app", label.Public())
 	res := g.NewReserve(rc, "debtor", label.Public(), ReserveOpts{AllowDebt: true})
 	if err := res.DebitSelf(anyone, units.Joule); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestReleaseReserveInDebtConservesEnergy(t *testing.T) {
 		t.Fatalf("conservation error %v while debt is held", g.ConservationError())
 	}
 	before, _ := g.Battery().Level(anyone)
-	if err := g.Table().Delete(rc.ObjectID()); err != nil {
+	if err := g.table.Delete(rc.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := g.Battery().Level(anyone)
@@ -141,8 +141,8 @@ func TestFlowSnapshotSurvivesMidBatchRelease(t *testing.T) {
 	// From within tap A's slot of the batch, release tap B — the next
 	// entry of the active set — compacting the slice under the batch.
 	g.flowHook = func(cur *Tap) {
-		if cur == tapA && !tapB.Dead() {
-			if err := g.Table().Delete(tapB.ObjectID()); err != nil {
+		if cur == tapA && !tapB.dead {
+			if err := g.table.Delete(tapB.ObjectID()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,7 +169,7 @@ func TestFlowSnapshotSurvivesMidBatchRelease(t *testing.T) {
 	if got := lvl(resC); got != want {
 		t.Fatalf("tap C moved %v, want %v (skipped by mid-batch compaction?)", got, want)
 	}
-	if tapC.Dead() || g.ActiveTapCount() != 2 {
+	if tapC.dead || g.ActiveTapCount() != 2 {
 		t.Fatalf("ActiveTapCount = %d, want 2 (A and C)", g.ActiveTapCount())
 	}
 	if g.ConservationError() != 0 {

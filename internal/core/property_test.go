@@ -94,7 +94,7 @@ func TestPropertyConservation(t *testing.T) {
 					continue
 				}
 				tap := taps[r.Intn(len(taps))]
-				if tap.Dead() {
+				if tap.dead {
 					continue
 				}
 				if err := tbl.Delete(tap.ObjectID()); err != nil {
@@ -105,12 +105,12 @@ func TestPropertyConservation(t *testing.T) {
 			if ce := g.ConservationError(); ce != 0 {
 				t.Fatalf("trial %d step %d: conservation error %v", trial, step, ce)
 			}
-			g.EachReserve(func(res *Reserve) {
+			for _, res := range g.reserves {
 				if lvl, err := res.Level(label.Priv{}); err == nil && lvl < 0 {
 					t.Fatalf("trial %d step %d: reserve %q negative: %v",
-						trial, step, res.Name(), lvl)
+						trial, step, res.name, lvl)
 				}
-			})
+			}
 		}
 	}
 }

@@ -118,9 +118,6 @@ type Reserve struct {
 	insufficient insufficientErr
 }
 
-// Name returns the reserve's diagnostic name.
-func (r *Reserve) Name() string { return r.name }
-
 // Level returns the current energy level after checking observe
 // privileges.
 func (r *Reserve) Level(p label.Priv) (units.Energy, error) {
@@ -210,17 +207,8 @@ func (r *Reserve) DebitSelf(p label.Priv, amount units.Energy) error {
 	return nil
 }
 
-// Empty reports whether the reserve has no energy available. The
-// energy-aware scheduler runs a thread only when one of its reserves is
-// non-empty (§3.2).
-func (r *Reserve) Empty() bool { return r.dead || r.level <= 0 }
-
 // Dead reports whether the reserve has been deallocated.
 func (r *Reserve) Dead() bool { return r.dead }
-
-// DecayExempt reports whether the reserve is excluded from the global
-// half-life decay.
-func (r *Reserve) DecayExempt() bool { return r.decayExempt }
 
 // credit adds energy arriving from a tap or transfer.
 func (r *Reserve) credit(amount units.Energy) {

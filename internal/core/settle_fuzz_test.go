@@ -210,8 +210,8 @@ func FuzzSettle(f *testing.F) {
 					continue
 				}
 				ti := int(a) % len(otaps)
-				_ = og.Table().Delete(otaps[ti].ObjectID())
-				_ = sg.Table().Delete(staps[ti].ObjectID())
+				_ = og.table.Delete(otaps[ti].ObjectID())
+				_ = sg.table.Delete(staps[ti].ObjectID())
 			case 5: // transfer between reserves
 				a, ok1 := next(&i)
 				amt, ok2 := next16(&i)

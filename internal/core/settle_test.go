@@ -296,15 +296,15 @@ func TestHorizonMonotonic(t *testing.T) {
 		}
 	}
 	// Nothing may have overshot: every level non-negative.
-	g.EachReserve(func(res *Reserve) {
+	for _, res := range g.reserves {
 		lvl, err := res.Level(label.Priv{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lvl < 0 {
-			t.Fatalf("reserve %s overshot to %v", res.Name(), lvl)
+			t.Fatalf("reserve %s overshot to %v", res.name, lvl)
 		}
-	})
+	}
 	if g.ConservationError() != 0 {
 		t.Fatalf("conservation violated: %v", g.ConservationError())
 	}

@@ -82,33 +82,14 @@ type TapStats struct {
 	Starved units.Energy
 }
 
-// Name returns the tap's diagnostic name.
-func (t *Tap) Name() string { return t.name }
-
-// Source returns the tap's source reserve.
-func (t *Tap) Source() *Reserve { return t.src }
-
-// Sink returns the tap's sink reserve.
-func (t *Tap) Sink() *Reserve { return t.sink }
-
 // Kind returns the tap's rate semantics.
 func (t *Tap) Kind() TapKind { return t.kind }
-
-// Dead reports whether the tap has been deallocated.
-func (t *Tap) Dead() bool { return t.dead }
 
 // Stats returns a copy of the tap's transfer record.
 func (t *Tap) Stats() TapStats { return t.stats }
 
 // Rate returns the constant rate (zero for proportional taps).
 func (t *Tap) Rate() units.Power { return t.rate }
-
-// Frac returns the proportional fraction (zero for constant taps).
-func (t *Tap) Frac() PPM { return t.frac }
-
-// Active reports whether the tap is in the graph's active set (carries a
-// non-zero rate with live endpoints).
-func (t *Tap) Active() bool { return t.activeIdx >= 0 }
 
 // Carry returns the tap's sub-microjoule flow residue in µJ·10⁻³ (the
 // const-tap carry of OverRem). Closed-form settlement planners (netd's

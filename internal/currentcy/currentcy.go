@@ -50,18 +50,6 @@ type Task struct {
 	denied  int64
 }
 
-// Name returns the task name.
-func (t *Task) Name() string { return t.name }
-
-// Balance returns the current currentcy balance.
-func (t *Task) Balance() units.Energy { return t.balance }
-
-// Spent returns the task's lifetime consumption.
-func (t *Task) Spent() units.Energy { return t.spent }
-
-// Denied returns the count of refused spends.
-func (t *Task) Denied() int64 { return t.denied }
-
 // Spend consumes currentcy from the task balance. Any process in the
 // task may call it — that is precisely the isolation gap: there is no
 // way to wall off a subset of the task's processes.
@@ -113,13 +101,6 @@ func (s *System) AddTask(name string, share int64, cap units.Energy) *Task {
 	return t
 }
 
-// Tasks returns the registered tasks.
-func (s *System) Tasks() []*Task {
-	out := make([]*Task, len(s.tasks))
-	copy(out, s.tasks)
-	return out
-}
-
 // Allocate runs one epoch: each task receives its proportional slice of
 // targetRate × epoch, clamped to its cap. Unused allocation above the
 // cap is simply lost — there is no battery to return it to, another
@@ -138,16 +119,4 @@ func (s *System) Allocate() {
 		}
 		s.allocated += slice
 	}
-}
-
-// Allocated returns the lifetime currentcy handed out.
-func (s *System) Allocated() units.Energy { return s.allocated }
-
-// TotalSpent sums task consumption.
-func (s *System) TotalSpent() units.Energy {
-	var sum units.Energy
-	for _, t := range s.tasks {
-		sum += t.spent
-	}
-	return sum
 }

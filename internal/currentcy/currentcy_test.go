@@ -15,11 +15,11 @@ func TestAllocationProportionalToShares(t *testing.T) {
 		s.Allocate()
 	}
 	// 100 mW × 10 s = 1 J split 3:1.
-	if a.Balance() != 750*units.Millijoule {
-		t.Fatalf("a = %v, want 750 mJ", a.Balance())
+	if a.balance != 750*units.Millijoule {
+		t.Fatalf("a = %v, want 750 mJ", a.balance)
 	}
-	if b.Balance() != 250*units.Millijoule {
-		t.Fatalf("b = %v, want 250 mJ", b.Balance())
+	if b.balance != 250*units.Millijoule {
+		t.Fatalf("b = %v, want 250 mJ", b.balance)
 	}
 }
 
@@ -34,11 +34,11 @@ func TestSpendAndDenial(t *testing.T) {
 	if !errors.Is(err, ErrBroke) {
 		t.Fatalf("overspend err = %v", err)
 	}
-	if a.Denied() != 1 {
-		t.Fatalf("denied = %d", a.Denied())
+	if a.denied != 1 {
+		t.Fatalf("denied = %d", a.denied)
 	}
-	if a.Spent() != 60*units.Millijoule {
-		t.Fatalf("spent = %v", a.Spent())
+	if a.spent != 60*units.Millijoule {
+		t.Fatalf("spent = %v", a.spent)
 	}
 	if a.CanSpend(50 * units.Millijoule) {
 		t.Fatal("CanSpend over balance")
@@ -54,8 +54,8 @@ func TestCapBoundsAccumulation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Allocate() // 10 J offered, cap 250 mJ
 	}
-	if a.Balance() != 250*units.Millijoule {
-		t.Fatalf("balance = %v, want cap", a.Balance())
+	if a.balance != 250*units.Millijoule {
+		t.Fatalf("balance = %v, want cap", a.balance)
 	}
 }
 
@@ -123,18 +123,18 @@ func TestAllocatedAccounting(t *testing.T) {
 	s.AddTask("a", 1, units.Kilojoule)
 	s.Allocate()
 	s.Allocate()
-	if s.Allocated() != 2*units.Joule {
-		t.Fatalf("allocated = %v", s.Allocated())
+	if s.allocated != 2*units.Joule {
+		t.Fatalf("allocated = %v", s.allocated)
 	}
-	if s.TotalSpent() != 0 {
-		t.Fatalf("spent = %v", s.TotalSpent())
+	if s.tasks[0].spent != 0 {
+		t.Fatalf("spent = %v", s.tasks[0].spent)
 	}
 }
 
 func TestZeroTaskAllocateNoop(t *testing.T) {
 	s := New(units.Watt, units.Second)
 	s.Allocate()
-	if s.Allocated() != 0 {
+	if s.allocated != 0 {
 		t.Fatal("allocation with no tasks")
 	}
 }

@@ -85,19 +85,6 @@ func (e *ActivationEstimator) Observe(cost units.Energy) {
 // Estimate returns the current activation-cost prediction.
 func (e *ActivationEstimator) Estimate() units.Energy { return e.estimate }
 
-// Observations returns the number of episodes folded in.
-func (e *ActivationEstimator) Observations() int64 { return e.observations }
-
-// Bounds returns the extremes observed so far, or (0, 0) before the
-// first observation — the internal min sentinel (MaxEnergy) and the
-// zero max are meaningless individually and used to leak through.
-func (e *ActivationEstimator) Bounds() (min, max units.Energy) {
-	if e.observations == 0 {
-		return 0, 0
-	}
-	return e.min, e.max
-}
-
 // String renders the estimator state.
 func (e *ActivationEstimator) String() string {
 	return fmt.Sprintf("activation≈%v after %d episodes (observed %v–%v)",

@@ -29,7 +29,7 @@ func TestSeedsWithProfilePrior(t *testing.T) {
 	if e.Estimate() != units.Joules(9.5) {
 		t.Fatalf("prior = %v, want 9.5 J", e.Estimate())
 	}
-	if e.Observations() != 0 {
+	if e.observations != 0 {
 		t.Fatal("fresh estimator has observations")
 	}
 }
@@ -44,13 +44,13 @@ func TestObserveEWMA(t *testing.T) {
 	if e.Estimate() != units.Joules(9) {
 		t.Fatalf("stable obs moved estimate to %v", e.Estimate())
 	}
-	min, max := e.Bounds()
+	min, max := e.min, e.max
 	if min != units.Joules(8) || max != units.Joules(9) {
 		t.Fatalf("bounds = %v, %v", min, max)
 	}
 	e.Observe(0) // ignored
-	if e.Observations() != 2 {
-		t.Fatalf("observations = %d", e.Observations())
+	if e.observations != 2 {
+		t.Fatalf("observations = %d", e.observations)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestConvergesOnMeasuredEpisodes(t *testing.T) {
 	if diff > units.Joule {
 		t.Fatalf("estimate %v vs sample mean %v: off by %v", e.Estimate(), mean, diff)
 	}
-	min, max := e.Bounds()
+	min, max := e.min, e.max
 	if e.Estimate() < min || e.Estimate() > max {
 		t.Fatalf("estimate %v outside observed [%v, %v]", e.Estimate(), min, max)
 	}
@@ -114,8 +114,8 @@ func TestNetdUsesEstimator(t *testing.T) {
 	if r.Stats().Activations < 3 {
 		t.Fatalf("activations = %d, want ≥3", r.Stats().Activations)
 	}
-	if est.Observations() < 3 {
-		t.Fatalf("estimator observations = %d", est.Observations())
+	if est.observations < 3 {
+		t.Fatalf("estimator observations = %d", est.observations)
 	}
 	if n.Stats().PowerUps == 0 {
 		t.Fatal("netd never fired with estimator-driven threshold")

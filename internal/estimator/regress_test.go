@@ -52,18 +52,6 @@ func TestOutlierRatchetWalksBackDown(t *testing.T) {
 	}
 }
 
-func TestBoundsZeroBeforeFirstObservation(t *testing.T) {
-	_, r := newRadioRig(t, false)
-	e := NewActivationEstimator(r, 0)
-	if min, max := e.Bounds(); min != 0 || max != 0 {
-		t.Fatalf("fresh Bounds() = (%d, %d), want (0, 0) — min sentinel leaked", min, max)
-	}
-	e.Observe(units.Joules(7))
-	if min, max := e.Bounds(); min != units.Joules(7) || max != units.Joules(7) {
-		t.Fatalf("Bounds() after one obs = (%v, %v), want both 7 J", min, max)
-	}
-}
-
 func snapBytes(t *testing.T, e *ActivationEstimator) []byte {
 	t.Helper()
 	b, err := snap.Save(e.Codec)

@@ -30,10 +30,14 @@ func chargeScenario(reference bool) *Kernel {
 	c := k.AttachCharger(ChargerConfig{})
 	k.Eng.At(10*units.Second, func(*sim.Engine) { c.Plug(power.ACCharger()) })
 	k.Eng.At(73*units.Second+400, func(*sim.Engine) { c.Unplug() })
-	k.Eng.At(100*units.Second, func(*sim.Engine) { c.Plug(power.USBCharger()) })
+	k.Eng.At(100*units.Second, func(*sim.Engine) { c.Plug(usbCharger) })
 	k.Eng.At(130*units.Second+7, func(*sim.Engine) { c.Unplug() })
 	return k
 }
+
+// usbCharger is a slow 2 W supply, so the tests cover two charge rates
+// on the Dream besides the laptop's.
+var usbCharger = power.Charger{Name: "USB 500mA", Rate: units.Watts(2)}
 
 // chargeSnapshot captures every canonically observable quantity. The
 // charger's SettledCharges counter is deliberately absent: it counts
@@ -155,7 +159,7 @@ func FuzzChargerSettle(f *testing.F) {
 			p2 += u1 - p2 + 1
 			u2 += u1 - p2 + 1
 		}
-		chargers := []power.Charger{power.USBCharger(), power.ACCharger(), power.LaptopCharger()}
+		chargers := []power.Charger{usbCharger, power.ACCharger(), power.LaptopCharger()}
 		sup := chargers[int(supply)%len(chargers)]
 
 		run := func(reference bool) string {

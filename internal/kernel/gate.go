@@ -68,12 +68,6 @@ type Gate struct {
 	dead          bool
 }
 
-// Name returns the gate's name.
-func (g *Gate) Name() string { return g.name }
-
-// Calls returns the number of completed invocations.
-func (g *Gate) Calls() int64 { return g.calls }
-
 // RegisterGate creates a gate named name in parent. daemonPriv are the
 // privileges the daemon embeds in the gate (used for daemon-side pools);
 // daemonReserve, which may be nil, is the daemon's own reserve — the

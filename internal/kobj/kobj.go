@@ -23,9 +23,6 @@ import (
 // allocated ("nil object").
 type ID uint64
 
-// NilID is the zero, never-allocated object ID.
-const NilID ID = 0
-
 // Kind enumerates the first-class object types of the Cinder kernel.
 type Kind uint8
 
@@ -35,7 +32,6 @@ const (
 	KindGate
 	KindReserve
 	KindTap
-	KindSegment
 	KindDevice
 )
 
@@ -45,7 +41,6 @@ var kindNames = [...]string{
 	KindGate:      "gate",
 	KindReserve:   "reserve",
 	KindTap:       "tap",
-	KindSegment:   "segment",
 	KindDevice:    "device",
 }
 
@@ -90,10 +85,6 @@ func (b *Base) ObjectKind() Kind { return b.kind }
 // Label implements Object.
 func (b *Base) Label() label.Label { return b.lbl }
 
-// SetLabel replaces the object's label. The caller is responsible for
-// the access-control check.
-func (b *Base) SetLabel(l label.Label) { b.lbl = l }
-
 // OnRelease registers a hook invoked when the object is deallocated.
 // Only one hook is supported; registering again replaces it.
 func (b *Base) OnRelease(fn func()) { b.onRel = fn }
@@ -104,13 +95,9 @@ func (b *Base) released() {
 	}
 }
 
-// Errors returned by table and container operations.
-var (
-	ErrNotFound    = errors.New("kobj: no such object")
-	ErrDead        = errors.New("kobj: object has been deallocated")
-	ErrKind        = errors.New("kobj: object has unexpected kind")
-	ErrNotEmptyRef = errors.New("kobj: object still referenced")
-)
+// ErrNotFound is returned by Delete for an ID that names no live
+// object.
+var ErrNotFound = errors.New("kobj: no such object")
 
 // Table allocates IDs and tracks all live objects of one kernel
 // instance.
@@ -156,38 +143,6 @@ func (t *Table) Register(b *Base, kind Kind, lbl label.Label, parent *Container,
 	}
 	return b.id
 }
-
-// Lookup returns the live object with the given ID.
-func (t *Table) Lookup(id ID) (Object, error) {
-	o, ok := t.objs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
-	}
-	return o, nil
-}
-
-// Live reports whether the object with the given ID is still allocated.
-func (t *Table) Live(id ID) bool {
-	_, ok := t.objs[id]
-	return ok
-}
-
-// Count returns the number of live objects.
-func (t *Table) Count() int { return len(t.objs) }
-
-// CountKind returns the number of live objects of the given kind.
-func (t *Table) CountKind(k Kind) int {
-	n := 0
-	for _, o := range t.objs {
-		if o.ObjectKind() == k {
-			n++
-		}
-	}
-	return n
-}
-
-// Parent returns the container holding the object, or nil for the root.
-func (t *Table) Parent(id ID) *Container { return t.parent[id] }
 
 // Delete deallocates the object and, if it is a container, everything
 // beneath it (paper §3.2: "reserves can be deleted directly or
@@ -237,9 +192,6 @@ func NewContainer(t *Table, parent *Container, name string, lbl label.Label) *Co
 	return c
 }
 
-// Name returns the container's diagnostic name.
-func (c *Container) Name() string { return c.name }
-
 func (c *Container) attach(o Object) { c.children[o.ObjectID()] = o }
 func (c *Container) detach(id ID)    { delete(c.children, id) }
 
@@ -254,23 +206,7 @@ func (c *Container) Children() []Object {
 	return out
 }
 
-// Len returns the number of direct children.
-func (c *Container) Len() int { return len(c.children) }
-
 // String renders the container for diagnostics.
 func (c *Container) String() string {
 	return fmt.Sprintf("container(%d %q, %d children)", c.ObjectID(), c.name, len(c.children))
-}
-
-// AsKind looks up id in the table and checks its kind, a convenience for
-// syscall-style entry points.
-func AsKind(t *Table, id ID, k Kind) (Object, error) {
-	o, err := t.Lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	if o.ObjectKind() != k {
-		return nil, fmt.Errorf("%w: id %d is %v, want %v", ErrKind, id, o.ObjectKind(), k)
-	}
-	return o, nil
 }

@@ -34,22 +34,6 @@ func TestRegisterAssignsSequentialIDs(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
-	a := newFake(tbl, root, KindReserve)
-	got, err := tbl.Lookup(a.ObjectID())
-	if err != nil || got != Object(a) {
-		t.Fatalf("Lookup = %v, %v", got, err)
-	}
-	if _, err := tbl.Lookup(999); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Lookup(999) err = %v, want ErrNotFound", err)
-	}
-	if _, err := tbl.Lookup(NilID); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Lookup(0) err = %v, want ErrNotFound", err)
-	}
-}
-
 func TestDeleteLeaf(t *testing.T) {
 	tbl := NewTable()
 	root := NewContainer(tbl, nil, "root", label.Public())
@@ -57,13 +41,13 @@ func TestDeleteLeaf(t *testing.T) {
 	if err := tbl.Delete(a.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Live(a.ObjectID()) {
+	if _, ok := tbl.objs[a.ObjectID()]; ok {
 		t.Fatal("object live after delete")
 	}
 	if a.releasedCount != 1 {
 		t.Fatalf("release hook ran %d times, want 1", a.releasedCount)
 	}
-	if root.Len() != 0 {
+	if len(root.children) != 0 {
 		t.Fatal("container still references deleted child")
 	}
 }
@@ -81,18 +65,18 @@ func TestDeleteCascades(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []ID{c1.ObjectID(), c2.ObjectID(), leaf.ObjectID()} {
-		if tbl.Live(id) {
+		if _, ok := tbl.objs[id]; ok {
 			t.Errorf("id %d live after ancestor delete", id)
 		}
 	}
 	if leaf.releasedCount != 1 {
 		t.Fatalf("leaf released %d times, want 1", leaf.releasedCount)
 	}
-	if !tbl.Live(sibling.ObjectID()) {
+	if _, ok := tbl.objs[sibling.ObjectID()]; !ok {
 		t.Fatal("sibling outside subtree was deleted")
 	}
-	if tbl.Count() != 2 { // root + sibling
-		t.Fatalf("Count = %d, want 2", tbl.Count())
+	if len(tbl.objs) != 2 { // root + sibling
+		t.Fatalf("live objects = %d, want 2", len(tbl.objs))
 	}
 }
 
@@ -108,35 +92,15 @@ func TestDeleteTwice(t *testing.T) {
 	}
 }
 
-func TestCountKind(t *testing.T) {
-	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
-	for i := 0; i < 3; i++ {
-		newFake(tbl, root, KindReserve)
-	}
-	for i := 0; i < 2; i++ {
-		newFake(tbl, root, KindTap)
-	}
-	if n := tbl.CountKind(KindReserve); n != 3 {
-		t.Fatalf("CountKind(reserve) = %d, want 3", n)
-	}
-	if n := tbl.CountKind(KindTap); n != 2 {
-		t.Fatalf("CountKind(tap) = %d, want 2", n)
-	}
-	if n := tbl.CountKind(KindContainer); n != 1 {
-		t.Fatalf("CountKind(container) = %d, want 1", n)
-	}
-}
-
 func TestParent(t *testing.T) {
 	tbl := NewTable()
 	root := NewContainer(tbl, nil, "root", label.Public())
 	c := NewContainer(tbl, root, "c", label.Public())
 	a := newFake(tbl, c, KindReserve)
-	if tbl.Parent(a.ObjectID()) != c {
-		t.Fatal("Parent(a) != c")
+	if tbl.parent[a.ObjectID()] != c {
+		t.Fatal("parent of a is not c")
 	}
-	if tbl.Parent(root.ObjectID()) != nil {
+	if tbl.parent[root.ObjectID()] != nil {
 		t.Fatal("root has a parent")
 	}
 }
@@ -146,7 +110,7 @@ func TestChildrenSorted(t *testing.T) {
 	root := NewContainer(tbl, nil, "root", label.Public())
 	var ids []ID
 	for i := 0; i < 10; i++ {
-		ids = append(ids, newFake(tbl, root, KindSegment).ObjectID())
+		ids = append(ids, newFake(tbl, root, KindReserve).ObjectID())
 	}
 	kids := root.Children()
 	if len(kids) != len(ids) {
@@ -156,21 +120,6 @@ func TestChildrenSorted(t *testing.T) {
 		if kids[i].ObjectID() <= kids[i-1].ObjectID() {
 			t.Fatal("Children not sorted by ID")
 		}
-	}
-}
-
-func TestAsKind(t *testing.T) {
-	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
-	a := newFake(tbl, root, KindReserve)
-	if _, err := AsKind(tbl, a.ObjectID(), KindReserve); err != nil {
-		t.Fatalf("AsKind correct kind: %v", err)
-	}
-	if _, err := AsKind(tbl, a.ObjectID(), KindTap); !errors.Is(err, ErrKind) {
-		t.Fatalf("AsKind wrong kind err = %v, want ErrKind", err)
-	}
-	if _, err := AsKind(tbl, 12345, KindTap); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("AsKind missing err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -216,12 +165,12 @@ func TestReleaseHookRunsOncePerObjectRandomTree(t *testing.T) {
 		}
 		mark(victim)
 
-		before := tbl.Count()
+		before := len(tbl.objs)
 		if err := tbl.Delete(victim.ObjectID()); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tbl.Count(), before-len(inSubtree); got != want {
-			t.Fatalf("trial %d: Count = %d, want %d", trial, got, want)
+		if got, want := len(tbl.objs), before-len(inSubtree); got != want {
+			t.Fatalf("trial %d: live objects = %d, want %d", trial, got, want)
 		}
 		for _, f := range leaves {
 			want := 0
@@ -232,7 +181,7 @@ func TestReleaseHookRunsOncePerObjectRandomTree(t *testing.T) {
 				t.Fatalf("trial %d: leaf %d released %d times, want %d",
 					trial, f.ObjectID(), f.releasedCount, want)
 			}
-			if tbl.Live(f.ObjectID()) == inSubtree[f.ObjectID()] {
+			if _, live := tbl.objs[f.ObjectID()]; live == inSubtree[f.ObjectID()] {
 				t.Fatalf("trial %d: liveness inconsistent for %d", trial, f.ObjectID())
 			}
 		}

@@ -87,9 +87,6 @@ func New(def Level, entries map[Category]Level) Label {
 // Public returns the default label carried by unrestricted objects.
 func Public() Label { return Label{def: DefaultLevel} }
 
-// Default returns the label's default level.
-func (l Label) Default() Level { return l.def }
-
 // Level returns the level for category c.
 func (l Label) Level(c Category) Level {
 	for _, e := range l.entries {
@@ -124,15 +121,6 @@ func (l Label) With(c Category, lv Level) Label {
 		es = nil // normalize: an exception-free label is always the nil form
 	}
 	return Label{def: l.def, entries: es}
-}
-
-// Categories returns the categories with non-default levels, sorted.
-func (l Label) Categories() []Category {
-	cs := make([]Category, 0, len(l.entries))
-	for _, e := range l.entries {
-		cs = append(cs, e.c)
-	}
-	return cs
 }
 
 // Equal reports whether two labels are identical (same default and same

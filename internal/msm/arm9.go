@@ -43,7 +43,6 @@ const (
 	RespSMSSent
 	RespCallState
 	EvIncomingSMS
-	EvIncomingCall
 	EvGPSFix
 )
 
@@ -55,7 +54,7 @@ func (k MsgKind) String() string {
 		ReqGPSStart: "ReqGPSStart", ReqGPSStop: "ReqGPSStop",
 		RespBatteryLevel: "RespBatteryLevel", RespSMSSent: "RespSMSSent",
 		RespCallState: "RespCallState", EvIncomingSMS: "EvIncomingSMS",
-		EvIncomingCall: "EvIncomingCall", EvGPSFix: "EvGPSFix",
+		EvGPSFix: "EvGPSFix",
 	}
 	if n, ok := names[k]; ok {
 		return n
@@ -265,19 +264,11 @@ func (a *ARM9) InjectIncomingSMS(body string) {
 	a.sm.postToApps(Message{Kind: EvIncomingSMS, Arg: int64(len(body)), Str: body})
 }
 
-// InjectIncomingCall simulates a mobile-terminated call.
-func (a *ARM9) InjectIncomingCall(number string) {
-	a.sm.postToApps(Message{Kind: EvIncomingCall, Str: number})
-}
-
 // CallStateNow returns the baseband's call state.
 func (a *ARM9) CallStateNow() CallState { return a.call }
 
 // GPSOn reports whether the GPS engine is powered.
 func (a *ARM9) GPSOn() bool { return a.gpsOn }
-
-// SMSSent returns the number of messages transmitted.
-func (a *ARM9) SMSSent() int64 { return a.smsSent }
 
 // alignUp rounds t up to the next multiple of step (the engine requires
 // phases on the tick grid; step is always tick-aligned here).

@@ -109,7 +109,7 @@ func TestSMSBilledToSender(t *testing.T) {
 	if st.Consumed < 2*units.Joule {
 		t.Fatalf("sender billed %v, want ≥ SMS energy 2 J", st.Consumed)
 	}
-	if r.d.ARM9().SMSSent() != 1 {
+	if r.d.ARM9().smsSent != 1 {
 		t.Fatal("baseband did not transmit")
 	}
 }
@@ -123,7 +123,7 @@ func TestSMSRefusedWithoutEnergy(t *testing.T) {
 		return nil
 	})
 	r.k.Run(units.Second)
-	if r.d.ARM9().SMSSent() != 0 {
+	if r.d.ARM9().smsSent != 0 {
 		t.Fatal("unfunded SMS transmitted")
 	}
 }
@@ -256,21 +256,6 @@ func TestIncomingSMSEvent(t *testing.T) {
 	}
 	if d.Stats().IncomingSMS != 1 {
 		t.Fatal("incoming SMS not counted")
-	}
-}
-
-func TestIncomingCallEvent(t *testing.T) {
-	k := kernel.New(kernel.Config{Seed: 10, DecayHalfLife: -1})
-	d, err := NewSmdd(k, DefaultSmddConfig(), DefaultARM9Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var from string
-	d.OnIncomingCall(func(number string) { from = number })
-	d.ARM9().InjectIncomingCall("+15550000000")
-	k.Run(100 * units.Millisecond)
-	if from != "+15550000000" {
-		t.Fatalf("incoming call from %q", from)
 	}
 }
 

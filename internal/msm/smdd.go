@@ -117,9 +117,8 @@ type Smdd struct {
 	gpsCarry  int64
 	onFix     func(at units.Time)
 
-	onIncomingSMS  func(body string)
-	onIncomingCall func(number string)
-	stats          Stats
+	onIncomingSMS func(body string)
+	stats         Stats
 }
 
 // NewSmdd boots the daemon: it creates the shared-memory channel and the
@@ -181,9 +180,6 @@ func (d *Smdd) Stats() Stats { return d.stats }
 // OnIncomingSMS registers the handler for mobile-terminated messages.
 func (d *Smdd) OnIncomingSMS(fn func(body string)) { d.onIncomingSMS = fn }
 
-// OnIncomingCall registers the handler for mobile-terminated calls.
-func (d *Smdd) OnIncomingCall(fn func(number string)) { d.onIncomingCall = fn }
-
 // post sends a request to the baseband and records the reply handler.
 func (d *Smdd) post(kind MsgKind, arg int64, str string, onReply func(Message)) {
 	d.seq++
@@ -204,10 +200,6 @@ func (d *Smdd) drain() {
 			d.stats.IncomingSMS++
 			if d.onIncomingSMS != nil {
 				d.onIncomingSMS(m.Str)
-			}
-		case EvIncomingCall:
-			if d.onIncomingCall != nil {
-				d.onIncomingCall(m.Str)
 			}
 		case EvGPSFix:
 			d.stats.GPSFixes++

@@ -236,19 +236,12 @@ func (n *Netd) SetEstimator(est interface{ Estimate() units.Energy }) {
 	n.cfg.Estimator = est
 }
 
-// Pool returns netd's pooled reserve (observable by anyone; Fig. 14
-// samples it).
-func (n *Netd) Pool() *core.Reserve { return n.pool }
-
 // PoolTrace returns the pool level sampled at every sweep, or nil when
 // the radio is untraced.
 func (n *Netd) PoolTrace() *trace.Series { return n.poolTrace }
 
 // Stats returns a copy of the counters.
 func (n *Netd) Stats() Stats { return n.stats }
-
-// Priv returns netd's privilege set (tests use it to inspect the pool).
-func (n *Netd) Priv() label.Priv { return n.priv }
 
 // handlePoll services one gate call.
 func (n *Netd) handlePoll(call *kernel.Call) error {

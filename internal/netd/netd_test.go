@@ -160,7 +160,7 @@ func TestPoolNeverEmptiesAfterFirstFire(t *testing.T) {
 	r.k.Run(10 * units.Minute)
 
 	ts := r.netd.PoolTrace()
-	if ts.Len() == 0 {
+	if len(ts.Points()) == 0 {
 		t.Fatal("no pool samples")
 	}
 	stats := ts.Summarize()
@@ -186,16 +186,16 @@ func TestPoolNeverEmptiesAfterFirstFire(t *testing.T) {
 func TestPoolProtectedFromApplications(t *testing.T) {
 	r := newRig(t, Config{Cooperative: true})
 	var app label.Priv
-	if err := r.netd.Pool().Consume(app, units.Microjoule); err == nil {
+	if err := r.netd.pool.Consume(app, units.Microjoule); err == nil {
 		t.Fatal("application consumed from netd pool")
 	}
 	// Direct observation is denied too (§3.5: even a failed consumption
 	// reveals the level, so observe is part of the protection); netd
 	// itself holds the category.
-	if _, err := r.netd.Pool().Level(app); err == nil {
+	if _, err := r.netd.pool.Level(app); err == nil {
 		t.Fatal("application observed protected pool directly")
 	}
-	if _, err := r.netd.Pool().Level(r.netd.Priv()); err != nil {
+	if _, err := r.netd.pool.Level(r.netd.priv); err != nil {
 		t.Fatalf("netd cannot observe its own pool: %v", err)
 	}
 }

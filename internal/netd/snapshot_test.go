@@ -61,9 +61,9 @@ func ranRig(t *testing.T, traced bool) *rig {
 	if r.radio.Stats().Activations == 0 {
 		t.Fatal("the radio never woke before the save")
 	}
-	if traced && (r.radio.StateSeries().Len() < 2 || r.netd.PoolTrace().Len() < 2) {
+	if traced && (len(r.radio.StateSeries().Points()) < 2 || len(r.netd.PoolTrace().Points()) < 2) {
 		t.Fatalf("traced rig recorded %d radio states and %d pool samples",
-			r.radio.StateSeries().Len(), r.netd.PoolTrace().Len())
+			len(r.radio.StateSeries().Points()), len(r.netd.PoolTrace().Points()))
 	}
 	return r
 }

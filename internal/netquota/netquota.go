@@ -80,12 +80,6 @@ func NewPlan(tbl *kobj.Table, parent *kobj.Container, cfg PlanConfig) *Plan {
 	return p
 }
 
-// Priv returns the plan-owner privilege set.
-func (p *Plan) Priv() label.Priv { return p.priv }
-
-// Pool returns the root byte reserve ("the logical battery").
-func (p *Plan) Pool() *core.Reserve { return p.graph.Battery() }
-
 // Remaining returns the unallocated bytes left in the pool.
 func (p *Plan) Remaining() (Bytes, error) {
 	return p.graph.Battery().Level(p.priv)
@@ -94,10 +88,6 @@ func (p *Plan) Remaining() (Bytes, error) {
 // Used returns the bytes consumed (actually transferred on the wire)
 // across all allowances.
 func (p *Plan) Used() Bytes { return p.graph.Consumed() }
-
-// Graph exposes the underlying consumption graph (for tap flow driving
-// and advanced wiring).
-func (p *Plan) Graph() *core.Graph { return p.graph }
 
 // Allowance is one application's byte budget.
 type Allowance struct {
@@ -165,21 +155,7 @@ func (a *Allowance) Charge(callerPriv label.Priv, n Bytes) error {
 	return nil
 }
 
-// CanAfford reports whether a transfer of n bytes would be admitted.
-func (a *Allowance) CanAfford(callerPriv label.Priv, n Bytes) bool {
-	return a.Reserve.CanConsume(callerPriv, n)
-}
-
 // Level returns the allowance's current byte balance.
 func (a *Allowance) Level(callerPriv label.Priv) (Bytes, error) {
 	return a.Reserve.Level(callerPriv)
-}
-
-// Used returns the bytes this allowance has consumed.
-func (a *Allowance) Used() (Bytes, error) {
-	st, err := a.Reserve.Stats(label.Priv{})
-	if err != nil {
-		return 0, err
-	}
-	return st.Consumed, nil
 }

@@ -47,9 +47,9 @@ func TestGrantAndCharge(t *testing.T) {
 	if lvl != 6*Mebibyte {
 		t.Fatalf("level = %d, want 6 MiB", lvl)
 	}
-	used, _ := a.Used()
-	if used != 4*Mebibyte {
-		t.Fatalf("used = %d", used)
+	st, _ := a.Reserve.Stats(label.Priv{})
+	if st.Consumed != 4*Mebibyte {
+		t.Fatalf("used = %d", st.Consumed)
 	}
 	if p.Used() != 4*Mebibyte {
 		t.Fatalf("plan used = %d", p.Used())
@@ -84,7 +84,7 @@ func TestRateLimitedAllowance(t *testing.T) {
 		t.Fatal("app raised its own byte rate")
 	}
 	// The plan owner can.
-	if err := a.Tap.SetRate(p.Priv(), ByteRate(2*Kibibyte)); err != nil {
+	if err := a.Tap.SetRate(p.priv, ByteRate(2*Kibibyte)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +113,7 @@ func TestPlanConservation(t *testing.T) {
 		p.Flow(units.Second)
 		_ = a.Charge(label.Priv{}, 512*Kibibyte)
 	}
-	if ce := p.Graph().ConservationError(); ce != 0 {
+	if ce := p.graph.ConservationError(); ce != 0 {
 		t.Fatalf("byte conservation error %d", ce)
 	}
 	rem, _ := p.Remaining()
@@ -126,7 +126,7 @@ func TestPlanConservation(t *testing.T) {
 func TestPoolProtected(t *testing.T) {
 	p, _ := newPlan(t, Gibibyte)
 	var app label.Priv
-	if err := p.Pool().Consume(app, Mebibyte); err == nil {
+	if err := p.graph.Battery().Consume(app, Mebibyte); err == nil {
 		t.Fatal("application drained plan pool directly")
 	}
 }
@@ -140,26 +140,13 @@ func TestDeleteAllowanceReturnsBytes(t *testing.T) {
 	before, _ := p.Remaining()
 	// Deleting the allowance's container returns its balance to the
 	// pool (container GC + release hook).
-	if err := tbl.Delete(tbl.Parent(a.Reserve.ObjectID()).ObjectID()); err != nil {
+	kids := p.root.Children() // the allowance's container is the newest
+	if err := tbl.Delete(kids[len(kids)-1].ObjectID()); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := p.Remaining()
 	if after-before != 20*Mebibyte {
 		t.Fatalf("pool gained %d, want 20 MiB back", after-before)
-	}
-}
-
-func TestCanAfford(t *testing.T) {
-	p, _ := newPlan(t, 10*Mebibyte)
-	a, _ := p.NewAllowance("x", 0)
-	if a.CanAfford(label.Priv{}, 1) {
-		t.Fatal("empty allowance affords a byte")
-	}
-	if err := p.Grant(a, Mebibyte); err != nil {
-		t.Fatal(err)
-	}
-	if !a.CanAfford(label.Priv{}, Mebibyte) {
-		t.Fatal("funded allowance cannot afford its balance")
 	}
 }
 
@@ -180,21 +167,21 @@ func TestSMSQuota(t *testing.T) {
 	if err := app.Send(label.Priv{}); !errors.Is(err, ErrSMSQuota) {
 		t.Fatalf("4th send err = %v, want ErrSMSQuota", err)
 	}
-	if q.Sent() != 3 {
-		t.Fatalf("sent = %d", q.Sent())
+	if q.graph.Consumed() != 3 {
+		t.Fatalf("sent = %d", q.graph.Consumed())
 	}
 	rem, _ := q.Remaining()
 	if rem != 97 {
 		t.Fatalf("pool = %d, want 97", rem)
 	}
 	// Top up and resume.
-	if err := q.TopUp(app, 2); err != nil {
+	if err := q.graph.Transfer(q.priv, q.graph.Battery(), app.Reserve, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Send(label.Priv{}); err != nil {
 		t.Fatal(err)
 	}
-	bal, _ := app.Balance(label.Priv{})
+	bal, _ := app.Reserve.Level(label.Priv{})
 	if bal != 1 {
 		t.Fatalf("balance = %d", bal)
 	}

@@ -48,9 +48,6 @@ func (q *SMSQuota) Remaining() (Messages, error) {
 	return q.graph.Battery().Level(q.priv)
 }
 
-// Sent returns the total messages consumed.
-func (q *SMSQuota) Sent() Messages { return q.graph.Consumed() }
-
 // AppAllowance is one application's message budget.
 type AppAllowance struct {
 	quota   *SMSQuota
@@ -70,11 +67,6 @@ func (q *SMSQuota) NewAppAllowance(name string, n Messages) (*AppAllowance, erro
 	return &AppAllowance{quota: q, Reserve: res, name: name}, nil
 }
 
-// TopUp grants the application additional messages.
-func (q *SMSQuota) TopUp(a *AppAllowance, n Messages) error {
-	return q.graph.Transfer(q.priv, q.graph.Battery(), a.Reserve, n)
-}
-
 // Send consumes one message from the allowance.
 func (a *AppAllowance) Send(callerPriv label.Priv) error {
 	if err := a.Reserve.Consume(callerPriv, 1); err != nil {
@@ -84,9 +76,4 @@ func (a *AppAllowance) Send(callerPriv label.Priv) error {
 		return err
 	}
 	return nil
-}
-
-// Balance returns the allowance's remaining messages.
-func (a *AppAllowance) Balance(callerPriv label.Priv) (Messages, error) {
-	return a.Reserve.Level(callerPriv)
 }

@@ -54,8 +54,8 @@ func TestPlanSnapshotRoundTrip(t *testing.T) {
 	if lvl, _ := browser2.Level(label.Priv{}); lvl != 17*Mebibyte {
 		t.Fatalf("restored browser level = %d, want 17 MiB", lvl)
 	}
-	if used, _ := browser2.Used(); used != 3*Mebibyte {
-		t.Fatalf("restored browser used = %d, want 3 MiB", used)
+	if st, _ := browser2.Reserve.Stats(label.Priv{}); st.Consumed != 3*Mebibyte {
+		t.Fatalf("restored browser used = %d, want 3 MiB", st.Consumed)
 	}
 	if p2.Used() != p.Used() {
 		t.Fatalf("restored plan used = %d, original %d", p2.Used(), p.Used())

@@ -190,26 +190,6 @@ func AppendTrend(path string, recs []Record) error {
 	return f.Close()
 }
 
-// ParseTrend decodes an NDJSON trend file, skipping records whose
-// schema this binary does not speak.
-func ParseTrend(raw []byte) ([]Record, error) {
-	var out []Record
-	for i, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return nil, fmt.Errorf("perfharness: trend line %d: %w", i+1, err)
-		}
-		if r.Schema != TrendSchema {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // Violation is one gate failure, formatted for the operator.
 type Violation struct {
 	Scenario string

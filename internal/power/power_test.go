@@ -33,10 +33,11 @@ func TestActivationSplitSumsToPublishedOverhead(t *testing.T) {
 	// Ramp energy + plateau energy must equal the 9.5 J the paper
 	// measured for a single activation (Fig. 4).
 	p := Dream()
-	total := p.RampEnergy() + p.ActivationPlateauEnergy()
-	if total != p.RadioActivationEnergy {
+	ramp := p.RadioRampExtra.Over(p.RadioRampTime)
+	plateau := p.RadioActiveExtra.Over(p.RadioIdleTimeout)
+	if total := ramp + plateau; total != p.RadioActivationEnergy {
 		t.Fatalf("ramp %v + plateau %v = %v, want %v",
-			p.RampEnergy(), p.ActivationPlateauEnergy(), total, p.RadioActivationEnergy)
+			ramp, plateau, total, p.RadioActivationEnergy)
 	}
 	if p.RadioActivationEnergyMin > p.RadioActivationEnergy ||
 		p.RadioActivationEnergy > p.RadioActivationEnergyMax {
@@ -87,7 +88,7 @@ func TestPacketEnergy(t *testing.T) {
 }
 
 func TestMeterSamplesEvery200ms(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngineMode(1, sim.ModeNextEvent)
 	var consumed units.Energy
 	m := NewMeter(e, "dev", func() units.Energy { return consumed })
 	// Consume at a steady 1 W: 1 mJ per ms.
@@ -107,33 +108,6 @@ func TestMeterSamplesEvery200ms(t *testing.T) {
 		if got < units.Watts(0.99) || got > units.Watts(1.01) {
 			t.Fatalf("sample power = %v, want ≈1 W", got)
 		}
-	}
-}
-
-func TestMeterAveragePower(t *testing.T) {
-	e := sim.NewEngine(1)
-	var consumed units.Energy
-	m := NewMeter(e, "dev", func() units.Energy { return consumed })
-	e.Every("load", 10*units.Millisecond, func(*sim.Engine) {
-		consumed += 5 * units.Millijoule // 500 mW
-	})
-	e.Run(10 * units.Second)
-	avg := m.AveragePower()
-	if avg < units.Milliwatts(495) || avg > units.Milliwatts(505) {
-		t.Fatalf("AveragePower = %v, want ≈500 mW", avg)
-	}
-}
-
-func TestMeterStop(t *testing.T) {
-	e := sim.NewEngine(1)
-	var consumed units.Energy
-	m := NewMeter(e, "dev", func() units.Energy { return consumed })
-	e.Run(units.Second)
-	n := m.Series().Len()
-	m.Stop()
-	e.Run(units.Second)
-	if m.Series().Len() != n {
-		t.Fatal("meter sampled after Stop")
 	}
 }
 

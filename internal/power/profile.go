@@ -133,18 +133,6 @@ func (p Profile) WorstCaseCPU() units.Power {
 	return p.CPUActive + p.CPUActive*units.Power(p.MemoryBoundExtraPct)/100
 }
 
-// ActivationPlateauEnergy returns the energy of the post-ramp plateau
-// implied by the profile's ramp/active split: RadioActiveExtra over the
-// idle timeout.
-func (p Profile) ActivationPlateauEnergy() units.Energy {
-	return p.RadioActiveExtra.Over(p.RadioIdleTimeout)
-}
-
-// RampEnergy returns the ramp phase's energy above baseline.
-func (p Profile) RampEnergy() units.Energy {
-	return p.RadioRampExtra.Over(p.RadioRampTime)
-}
-
 // TransferTime returns the time to move n bytes at the profile's
 // sustained bandwidth, rounded up to the next millisecond.
 func (p Profile) TransferTime(nBytes int64) units.Time {

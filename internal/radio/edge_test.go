@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kobj"
 	"repro/internal/label"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -27,17 +26,14 @@ func TestStateStrings(t *testing.T) {
 
 func TestIdleDeadline(t *testing.T) {
 	r := newRig(Config{})
-	if r.radio.IdleDeadline() != 0 {
-		t.Fatal("sleeping radio has an idle deadline")
-	}
 	r.eng.After(units.Second, func(e *sim.Engine) {
 		r.radio.Send(e.Now(), 1, nil, label.Priv{})
 	})
 	r.eng.Run(5 * units.Second)
-	// Last activity at ramp end (3 s); deadline 23 s.
-	want := 3*units.Second + power.Dream().RadioIdleTimeout
-	if got := r.radio.IdleDeadline(); got != want {
-		t.Fatalf("IdleDeadline = %v, want %v", got, want)
+	// Last activity at ramp end (3 s); the radio sleeps RadioIdleTimeout
+	// after it.
+	if r.radio.state == Sleep || r.radio.lastActivity != 3*units.Second {
+		t.Fatalf("state %v, last activity %v; want awake since 3 s", r.radio.state, r.radio.lastActivity)
 	}
 }
 
@@ -88,7 +84,7 @@ func TestBillDataFallsBackWhenReserveCannotPay(t *testing.T) {
 	// A bill reserve that forbids debt and holds nothing: the cost falls
 	// through to the battery, never lost.
 	r := newRig(Config{})
-	root := kobj.NewContainer(r.graph.Table(), nil, "apps", label.Public())
+	root := kobj.NewContainer(r.tbl, nil, "apps", label.Public())
 	broke := r.graph.NewReserve(root, "broke", label.Public(), core.ReserveOpts{})
 	before, _ := r.graph.Battery().Level(label.Priv{})
 	r.eng.After(units.Second, func(e *sim.Engine) {
@@ -110,12 +106,12 @@ func TestBillDataFallsBackWhenReserveCannotPay(t *testing.T) {
 
 func TestRTTAccessorAndDefault(t *testing.T) {
 	r := newRig(Config{})
-	if r.radio.RTT() != 200*units.Millisecond {
-		t.Fatalf("default RTT = %v", r.radio.RTT())
+	if r.radio.rtt != 200*units.Millisecond {
+		t.Fatalf("default RTT = %v", r.radio.rtt)
 	}
 	r2 := newRig(Config{RTT: units.Second})
-	if r2.radio.RTT() != units.Second {
-		t.Fatalf("configured RTT = %v", r2.radio.RTT())
+	if r2.radio.rtt != units.Second {
+		t.Fatalf("configured RTT = %v", r2.radio.rtt)
 	}
 }
 

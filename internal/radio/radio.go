@@ -197,18 +197,6 @@ func (r *Radio) StateSeries() *trace.Series { return r.states }
 // Traced reports whether the radio was built with Config.Trace.
 func (r *Radio) Traced() bool { return r.states != nil }
 
-// RTT returns the configured round-trip latency.
-func (r *Radio) RTT() units.Time { return r.rtt }
-
-// IdleDeadline returns the time at which the radio will sleep if no
-// further activity occurs, or 0 if already asleep.
-func (r *Radio) IdleDeadline() units.Time {
-	if r.state == Sleep {
-		return 0
-	}
-	return r.lastActivity + r.profile.RadioIdleTimeout
-}
-
 // ActivationCost returns the energy a power-up from the current state
 // will add above baseline, the estimate netd uses (§5.5.2): a sleeping
 // radio costs the full ramp + plateau; an active radio only the

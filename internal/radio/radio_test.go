@@ -13,6 +13,7 @@ import (
 
 type rig struct {
 	eng   *sim.Engine
+	tbl   *kobj.Table
 	graph *core.Graph
 	radio *Radio
 }
@@ -21,7 +22,7 @@ func newRig(cfg Config) *rig {
 	if cfg.Profile.Name == "" {
 		cfg.Profile = power.Dream()
 	}
-	eng := sim.NewEngine(42)
+	eng := sim.NewEngineMode(42, sim.ModeNextEvent)
 	tbl := kobj.NewTable()
 	root := kobj.NewContainer(tbl, nil, "root", label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{DecayHalfLife: -1})
@@ -29,7 +30,7 @@ func newRig(cfg Config) *rig {
 	eng.Every("radio", eng.Tick(), func(e *sim.Engine) {
 		r.DeviceTick(e.Now(), e.Tick())
 	})
-	return &rig{eng: eng, graph: g, radio: r}
+	return &rig{eng: eng, tbl: tbl, graph: g, radio: r}
 }
 
 func TestStartsAsleep(t *testing.T) {
@@ -149,7 +150,7 @@ func TestActivationCostEstimate(t *testing.T) {
 
 func TestSendBillsMarginalCostToReserve(t *testing.T) {
 	r := newRig(Config{})
-	root := kobj.NewContainer(r.graph.Table(), nil, "apps", label.Public())
+	root := kobj.NewContainer(r.tbl, nil, "apps", label.Public())
 	bill := r.graph.NewReserve(root, "app", label.Public(), core.ReserveOpts{AllowDebt: true})
 	r.eng.After(units.Second, func(e *sim.Engine) {
 		r.radio.Send(e.Now(), 1500, bill, label.Priv{})

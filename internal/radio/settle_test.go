@@ -22,7 +22,7 @@ const spanFrom = 1000 * units.Millisecond
 // funding reserve holds fund.
 func spanRadio(tb testing.TB, active bool, edge units.Time, scale, carry int64, fund, battery units.Energy) *Radio {
 	tb.Helper()
-	eng := sim.NewEngine(42)
+	eng := sim.NewEngineMode(42, sim.ModeNextEvent)
 	tbl := kobj.NewTable()
 	root := kobj.NewContainer(tbl, nil, "root", label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{BatteryCapacity: fund + battery, DecayHalfLife: -1})

@@ -118,15 +118,6 @@ func (s *Scheduler) AddIdleTicks(n int64) {
 	}
 }
 
-// Threads returns a copy of the scheduler's threads in creation order.
-// Iteration-only callers should prefer EachThread, which does not
-// allocate.
-func (s *Scheduler) Threads() []*Thread {
-	out := make([]*Thread, len(s.threads))
-	copy(out, s.threads)
-	return out
-}
-
 // EachThread calls fn for every thread in creation order without
 // allocating. fn must not create threads.
 func (s *Scheduler) EachThread(fn func(*Thread)) {

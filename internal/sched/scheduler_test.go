@@ -257,24 +257,6 @@ func TestFallbackReserve(t *testing.T) {
 	}
 }
 
-func TestSetActiveReserve(t *testing.T) {
-	// energywrap's child switches to the sandbox reserve before exec
-	// (Fig. 5).
-	r := newRig()
-	parentRes := r.reserveWith("parent", units.Joule)
-	sandbox := r.reserveWith("sandbox", 137*3*units.Microjoule)
-	th := r.sched.NewThread(r.root, "t", label.Public(), label.Priv{}, nil, parentRes)
-	th.SetActiveReserve(sandbox)
-	r.run(0, 10)
-	if th.TicksRun() != 3 {
-		t.Fatalf("ticks = %d, want 3 (sandbox only)", th.TicksRun())
-	}
-	ps, _ := parentRes.Stats(label.Priv{})
-	if ps.Consumed != 0 {
-		t.Fatal("switched thread still billed parent reserve")
-	}
-}
-
 func TestUtilizationAccounting(t *testing.T) {
 	r := newRig()
 	res := r.reserveWith("r", 137*500*units.Microjoule) // 500 ticks

@@ -83,9 +83,6 @@ type Thread struct {
 	throttledTicks int64
 }
 
-// Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
-
 // Priv returns the thread's privilege set.
 func (t *Thread) Priv() label.Priv { return t.priv }
 
@@ -100,30 +97,6 @@ func (t *Thread) EachReserve(fn func(*core.Reserve) bool) {
 			return
 		}
 	}
-}
-
-// Reserves returns the thread's draw list (index 0 is the active
-// reserve).
-func (t *Thread) Reserves() []*core.Reserve {
-	out := make([]*core.Reserve, len(t.reserves))
-	copy(out, t.reserves)
-	return out
-}
-
-// SetActiveReserve replaces the draw list with the single given reserve,
-// the self_set_active_reserve syscall of Fig. 5. It counts as scheduler
-// activity: a throttled thread pointed at a fresh reserve may be payable
-// at once, so any closed-form skip of its quanta must be re-derived.
-func (t *Thread) SetActiveReserve(r *core.Reserve) {
-	t.reserves = []*core.Reserve{r}
-	t.sched.notifyActivity()
-}
-
-// AddReserve appends a fallback reserve to the draw list. Like
-// SetActiveReserve, it fires the scheduler's activity hook.
-func (t *Thread) AddReserve(r *core.Reserve) {
-	t.reserves = append(t.reserves, r)
-	t.sched.notifyActivity()
 }
 
 // ActiveReserve returns the first reserve, or nil if none.

@@ -54,10 +54,10 @@ func TestTaskChurnKeepsCapacity(t *testing.T) {
 		tsk.Stop()
 		e.Run(units.Millisecond)
 	}
-	if got := e.Tasks(); got != 1 {
+	if got := len(e.tasks); got != 1 {
 		t.Fatalf("after churn, %d live tasks, want 1", got)
 	}
-	if keep.Stopped() {
+	if keep.stopped {
 		t.Fatal("keeper was stopped by compaction")
 	}
 	// The churn itself must not allocate task list capacity per cycle:
@@ -94,8 +94,8 @@ func TestResetRecyclesTasksAndEvents(t *testing.T) {
 		// Task and Event objects must come from the freelists.
 		t.Fatalf("engine rebuild allocates %v times, want ≤ 5 (the closures)", n)
 	}
-	if e.Now() != 10*units.Millisecond || e.Tasks() != 5 {
-		t.Fatalf("reset engine state: now %v tasks %d", e.Now(), e.Tasks())
+	if e.Now() != 10*units.Millisecond || len(e.tasks) != 5 {
+		t.Fatalf("reset engine state: now %v tasks %d", e.Now(), len(e.tasks))
 	}
 }
 

@@ -62,15 +62,11 @@ func (m Mode) String() string {
 	}
 }
 
-// Event is a one-shot callback scheduled for a particular simulated time.
-type Event struct {
-	// At is the simulated time the event fires.
-	At units.Time
-	// Fn is invoked with the engine when the event fires.
-	Fn func(e *Engine)
-
-	seq   uint64 // tie-break: FIFO among events at the same time
-	index int    // heap bookkeeping; -1 once popped or cancelled
+// event is a one-shot callback scheduled for a particular simulated time.
+type event struct {
+	at  units.Time
+	fn  func(e *Engine)
+	seq uint64 // tie-break: FIFO among events at the same time
 }
 
 // Task is a callback invoked on a fixed period. Tasks registered earlier
@@ -110,9 +106,6 @@ func (t *Task) Stop() {
 		t.eng.tasksDirty = true
 	}
 }
-
-// Stopped reports whether the task has been stopped.
-func (t *Task) Stopped() bool { return t.stopped }
 
 // NextDue returns the instant of the task's next firing (MaxTime when
 // parked).
@@ -264,23 +257,15 @@ type Engine struct {
 	// the instant sees fully up-to-date state.
 	advanceHook func(now units.Time)
 	// freeEvents is the fired-event freelist: step returns each event
-	// here after its callback runs, and At reuses them, so steady-state
-	// event scheduling allocates nothing. Cancelled events are not
-	// recycled (Cancel is a rare, test-only path) so a double Cancel can
-	// never free an event a later At has re-armed.
-	freeEvents []*Event
+	// here before its callback runs, and At reuses them, so steady-state
+	// event scheduling allocates nothing.
+	freeEvents []*event
 	// freeTasks is the Reset-time task freelist; see Reset.
 	freeTasks []*Task
 	// entry marks the advance-hook invocation at a RunUntil entry
 	// instant, whose due tasks rewindDue is about to re-arm (see
 	// EntryInstant).
 	entry bool
-}
-
-// NewEngine returns a next-event engine at time zero with the default
-// 1 ms tick and the given random seed.
-func NewEngine(seed int64) *Engine {
-	return NewEngineMode(seed, ModeNextEvent)
 }
 
 // NewEngineMode returns an engine with an explicit advancement mode.
@@ -299,14 +284,13 @@ func NewEngineMode(seed int64, mode Mode) *Engine {
 // Reset reinitializes the engine in place to the exact state
 // NewEngineMode(seed, mode) would produce, recycling the event heap,
 // the task list and their element objects. The fleet runner reuses one
-// engine per worker this way. Every *Event and *Task handed out during
-// the previous life is invalidated: pending events move to the
-// freelist and task objects are reused by subsequent Every calls, so
-// callers must drop all of them alongside the Reset.
+// engine per worker this way. Every *Task handed out during the
+// previous life is invalidated: pending events move to the freelist and
+// task objects are reused by subsequent Every calls, so callers must
+// drop them alongside the Reset.
 func (e *Engine) Reset(seed int64, mode Mode) {
 	for _, ev := range e.events {
-		ev.Fn = nil
-		ev.index = -1
+		ev.fn = nil
 		e.freeEvents = append(e.freeEvents, ev)
 	}
 	e.events = e.events[:0]
@@ -335,9 +319,6 @@ func (e *Engine) Now() units.Time { return e.now }
 // Tick returns the engine quantum.
 func (e *Engine) Tick() units.Time { return e.tick }
 
-// Mode returns the advancement mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
@@ -351,46 +332,31 @@ func (e *Engine) SetAdvanceHook(fn func(now units.Time)) { e.advanceHook = fn }
 func (e *Engine) Stop() { e.stopRequested = true }
 
 // At schedules fn to run at the given absolute simulated time, which must
-// not be in the past. It returns the event so callers may Cancel it. The
-// returned pointer is valid for Cancel only while the event is pending:
-// once it fires, the engine recycles the object for a later At.
-func (e *Engine) At(t units.Time, fn func(e *Engine)) *Event {
+// not be in the past. Events due at the same instant run in the order
+// they were scheduled.
+func (e *Engine) At(t units.Time, fn func(e *Engine)) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
-	var ev *Event
+	var ev *event
 	if n := len(e.freeEvents); n > 0 {
 		ev = e.freeEvents[n-1]
 		e.freeEvents[n-1] = nil
 		e.freeEvents = e.freeEvents[:n-1]
-		ev.At, ev.Fn, ev.seq = t, fn, e.seq
+		ev.at, ev.fn, ev.seq = t, fn, e.seq
 	} else {
-		ev = &Event{At: t, Fn: fn, seq: e.seq}
+		ev = &event{at: t, fn: fn, seq: e.seq}
 	}
 	e.seq++
 	heap.Push(&e.events, ev)
-	return ev
 }
 
 // After schedules fn to run after delay d from now.
-func (e *Engine) After(d units.Time, fn func(e *Engine)) *Event {
+func (e *Engine) After(d units.Time, fn func(e *Engine)) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
-}
-
-// Cancel removes a pending event. Cancelling an already-cancelled event
-// is a no-op, as is cancelling an already-fired one — provided the
-// caller has not let the pointer go stale past a later At, which may
-// have recycled the fired object (see At). Cancelled events are dropped,
-// not recycled, so repeated Cancel calls on the same pointer stay safe.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
-		return
-	}
-	heap.Remove(&e.events, ev.index)
-	ev.index = -1
+	e.At(e.now+d, fn)
 }
 
 // Every registers a periodic task and returns it. Period must be a
@@ -517,7 +483,7 @@ func (e *Engine) advance(end units.Time) {
 func (e *Engine) nextWork(end units.Time) units.Time {
 	next := end
 	if len(e.events) > 0 {
-		at := e.events[0].At
+		at := e.events[0].at
 		if at <= e.now {
 			at = e.now + e.tick
 		}
@@ -551,14 +517,13 @@ func (e *Engine) nextWork(end units.Time) units.Time {
 // a snapshot of the list).
 func (e *Engine) step() {
 	e.steps++
-	for len(e.events) > 0 && e.events[0].At <= e.now {
-		ev := heap.Pop(&e.events).(*Event)
-		ev.index = -1
-		fn := ev.Fn
+	for len(e.events) > 0 && e.events[0].at <= e.now {
+		ev := heap.Pop(&e.events).(*event)
+		fn := ev.fn
 		// Recycle before invoking: the callback may itself schedule
 		// events, and handing it the just-fired object keeps the
 		// steady-state event churn allocation-free.
-		ev.Fn = nil
+		ev.fn = nil
 		e.freeEvents = append(e.freeEvents, ev)
 		fn(e)
 	}
@@ -611,18 +576,12 @@ func (e *Engine) compactTasks() {
 // measure of how effective the quiescence machinery is.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Tasks reports the number of live registered tasks.
-func (e *Engine) Tasks() int { return len(e.tasks) }
-
-// PendingEvents reports the number of one-shot events not yet fired.
-func (e *Engine) PendingEvents() int { return len(e.events) }
-
 // PendingEventAt reports whether a pending event is due at or before t.
 // Called from an advance hook, it tells the hook whether the coming
 // step's event phase will run any callback — the kernel's fast boundary
 // path requires that it will not.
 func (e *Engine) PendingEventAt(t units.Time) bool {
-	return len(e.events) > 0 && e.events[0].At <= t
+	return len(e.events) > 0 && e.events[0].at <= t
 }
 
 // EntryInstant reports whether the current advance-hook invocation is
@@ -641,8 +600,8 @@ func (e *Engine) EntryInstant() bool { return e.entry }
 // battery watch) build their deferral horizon on.
 func (e *Engine) EarliestWork(except *Task) units.Time {
 	earliest := MaxTime
-	if len(e.events) > 0 && e.events[0].At < earliest {
-		earliest = e.events[0].At
+	if len(e.events) > 0 && e.events[0].at < earliest {
+		earliest = e.events[0].at
 	}
 	for _, t := range e.tasks {
 		if t == except || t.stopped {
@@ -656,25 +615,17 @@ func (e *Engine) EarliestWork(except *Task) units.Time {
 }
 
 // eventHeap orders events by (At, seq).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
@@ -17,7 +17,7 @@ func TestEngineStartsAtZero(t *testing.T) {
 }
 
 func TestRunAdvancesTime(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	e.Run(500 * units.Millisecond)
 	if e.Now() != 500*units.Millisecond {
 		t.Fatalf("Now() = %v, want 500 ms", e.Now())
@@ -29,7 +29,7 @@ func TestRunAdvancesTime(t *testing.T) {
 }
 
 func TestEventFiresAtScheduledTime(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	var fired units.Time = -1
 	e.At(42*units.Millisecond, func(e *Engine) { fired = e.Now() })
 	e.Run(100 * units.Millisecond)
@@ -39,7 +39,7 @@ func TestEventFiresAtScheduledTime(t *testing.T) {
 }
 
 func TestAfterSchedulesRelative(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	e.Run(10 * units.Millisecond)
 	var fired units.Time = -1
 	e.After(5*units.Millisecond, func(e *Engine) { fired = e.Now() })
@@ -50,7 +50,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 }
 
 func TestEventsAtSameTimeFIFO(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -65,7 +65,7 @@ func TestEventsAtSameTimeFIFO(t *testing.T) {
 }
 
 func TestEventOrderingAcrossTimes(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	var order []units.Time
 	times := []units.Time{30, 10, 20, 5, 25}
 	for _, at := range times {
@@ -83,43 +83,8 @@ func TestEventOrderingAcrossTimes(t *testing.T) {
 	}
 }
 
-func TestCancelEvent(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.At(10, func(*Engine) { fired = true })
-	e.Cancel(ev)
-	e.Run(20)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel and nil-cancel are no-ops.
-	e.Cancel(ev)
-	e.Cancel(nil)
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	e := NewEngine(1)
-	var got []int
-	var evs []*Event
-	for i := 0; i < 10; i++ {
-		i := i
-		evs = append(evs, e.At(units.Time(i+1), func(*Engine) { got = append(got, i) }))
-	}
-	e.Cancel(evs[3])
-	e.Cancel(evs[7])
-	e.Run(20)
-	if len(got) != 8 {
-		t.Fatalf("fired %d events, want 8 (%v)", len(got), got)
-	}
-	for _, v := range got {
-		if v == 3 || v == 7 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
 func TestPeriodicTask(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	count := 0
 	e.Every("counter", 10*units.Millisecond, func(*Engine) { count++ })
 	e.Run(100 * units.Millisecond)
@@ -130,7 +95,7 @@ func TestPeriodicTask(t *testing.T) {
 }
 
 func TestPeriodicTaskPhase(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	var at []units.Time
 	e.EveryPhased("phased", 50*units.Millisecond, 15*units.Millisecond,
 		func(e *Engine) { at = append(at, e.Now()) })
@@ -147,7 +112,7 @@ func TestPeriodicTaskPhase(t *testing.T) {
 }
 
 func TestTaskStop(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	count := 0
 	var task *Task
 	task = e.Every("self-stop", 10, func(*Engine) {
@@ -163,7 +128,7 @@ func TestTaskStop(t *testing.T) {
 }
 
 func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	e.At(50, func(e *Engine) { e.Stop() })
 	end := e.Run(1000)
 	if end != 50 {
@@ -179,7 +144,7 @@ func TestEngineStop(t *testing.T) {
 func TestEventScheduledDuringTickSameTime(t *testing.T) {
 	// An event that schedules another event for the same instant must see
 	// it fire within the same tick (cascading zero-delay work).
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	var order []string
 	e.At(10, func(e *Engine) {
 		order = append(order, "outer")
@@ -192,7 +157,7 @@ func TestEventScheduledDuringTickSameTime(t *testing.T) {
 }
 
 func TestPanicOnPastEvent(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	e.Run(100)
 	defer func() {
 		if recover() == nil {
@@ -203,7 +168,7 @@ func TestPanicOnPastEvent(t *testing.T) {
 }
 
 func TestPanicOnBadPeriod(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero period did not panic")
@@ -213,14 +178,14 @@ func TestPanicOnBadPeriod(t *testing.T) {
 }
 
 func TestDeterministicRand(t *testing.T) {
-	a := NewEngine(42)
-	b := NewEngine(42)
+	a := NewEngineMode(42, ModeNextEvent)
+	b := NewEngineMode(42, ModeNextEvent)
 	for i := 0; i < 100; i++ {
 		if a.Rand().Int63() != b.Rand().Int63() {
 			t.Fatal("same seed produced different sequences")
 		}
 	}
-	c := NewEngine(43)
+	c := NewEngineMode(43, ModeNextEvent)
 	same := true
 	for i := 0; i < 10; i++ {
 		if a.Rand().Int63() != c.Rand().Int63() {
@@ -233,20 +198,20 @@ func TestDeterministicRand(t *testing.T) {
 }
 
 func TestPendingEvents(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	e.At(10, func(*Engine) {})
 	e.At(20, func(*Engine) {})
-	if n := e.PendingEvents(); n != 2 {
-		t.Fatalf("PendingEvents = %d, want 2", n)
+	if n := len(e.events); n != 2 {
+		t.Fatalf("pending events = %d, want 2", n)
 	}
 	e.Run(15)
-	if n := e.PendingEvents(); n != 1 {
-		t.Fatalf("PendingEvents = %d, want 1", n)
+	if n := len(e.events); n != 1 {
+		t.Fatalf("pending events = %d, want 1", n)
 	}
 }
 
 func TestTasksRunInRegistrationOrder(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	var order []string
 	e.Every("b", 10, func(*Engine) { order = append(order, "b") })
 	e.Every("a", 10, func(*Engine) { order = append(order, "a") })
@@ -259,7 +224,7 @@ func TestTasksRunInRegistrationOrder(t *testing.T) {
 func TestLongRunTickCount(t *testing.T) {
 	// 20 simulated minutes at 1 ms ticks: the engine must visit every
 	// tick exactly once.
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	ticks := 0
 	e.Every("tick", units.Millisecond, func(*Engine) { ticks++ })
 	e.Run(20 * units.Minute)

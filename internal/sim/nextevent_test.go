@@ -139,20 +139,20 @@ func TestSkipAheadNeverLateNeverTwice(t *testing.T) {
 }
 
 func TestStoppedTasksAreRemoved(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, ModeNextEvent)
 	var tasks []*Task
 	for i := 0; i < 10; i++ {
 		tasks = append(tasks, e.Every(fmt.Sprintf("t%d", i), 10, func(*Engine) {}))
 	}
-	if e.Tasks() != 10 {
-		t.Fatalf("Tasks() = %d, want 10", e.Tasks())
+	if len(e.tasks) != 10 {
+		t.Fatalf("tasks = %d, want 10", len(e.tasks))
 	}
 	for _, task := range tasks[:7] {
 		task.Stop()
 	}
 	e.Run(20) // removal happens at the next executed instant
-	if e.Tasks() != 3 {
-		t.Fatalf("Tasks() = %d after stopping 7, want 3", e.Tasks())
+	if len(e.tasks) != 3 {
+		t.Fatalf("tasks = %d after stopping 7, want 3", len(e.tasks))
 	}
 }
 
@@ -245,19 +245,20 @@ func TestAdvanceHookRunsOncePerInstant(t *testing.T) {
 	}
 }
 
-// TestEngineModeSelection: NewEngine is next-event (the zero Mode), and
-// an explicit mode is honoured by construction and by Reset — there is
-// no process-wide default to consult.
+// TestEngineModeSelection: next-event is the zero Mode, and an explicit
+// mode is honoured by construction and by Reset — there is no
+// process-wide default to consult.
 func TestEngineModeSelection(t *testing.T) {
-	if e := NewEngine(1); e.Mode() != ModeNextEvent {
-		t.Fatalf("NewEngine mode = %v, want next-event", e.Mode())
+	var zero Mode
+	if zero != ModeNextEvent {
+		t.Fatalf("zero Mode = %v, want next-event", zero)
 	}
 	e := NewEngineMode(1, ModeFixedTick)
-	if e.Mode() != ModeFixedTick {
-		t.Fatalf("explicit mode ignored: %v", e.Mode())
+	if e.mode != ModeFixedTick {
+		t.Fatalf("explicit mode ignored: %v", e.mode)
 	}
 	e.Reset(1, ModeNextEvent)
-	if e.Mode() != ModeNextEvent {
-		t.Fatalf("Reset mode = %v, want next-event", e.Mode())
+	if e.mode != ModeNextEvent {
+		t.Fatalf("Reset mode = %v, want next-event", e.mode)
 	}
 }

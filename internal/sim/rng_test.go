@@ -55,10 +55,10 @@ func TestRandStreamMatchesMathRand(t *testing.T) {
 	for _, seed := range streamSeeds {
 		want := reference(seed, 0, n)
 
-		fresh := NewEngine(seed)
+		fresh := NewEngineMode(seed, ModeNextEvent)
 		equalDraws(t, "fresh engine", mixedDraws(fresh.Rand(), n), want)
 
-		recycled := NewEngine(seed + 1)
+		recycled := NewEngineMode(seed+1, ModeNextEvent)
 		mixedDraws(recycled.Rand(), 3)
 		recycled.Reset(seed, ModeNextEvent)
 		equalDraws(t, "recycled engine", mixedDraws(recycled.Rand(), n), want)
@@ -77,7 +77,7 @@ func TestRandStreamAcrossSnapshot(t *testing.T) {
 	const n = 32
 	for _, seed := range streamSeeds {
 		for _, k := range []int{0, 1, 17} {
-			e := NewEngine(seed + 1)
+			e := NewEngineMode(seed+1, ModeNextEvent)
 			mixedDraws(e.Rand(), 5)
 			e.Reset(seed, ModeNextEvent)
 			mixedDraws(e.Rand(), k)
@@ -86,7 +86,7 @@ func TestRandStreamAcrossSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			restored := NewEngine(seed + 2)
+			restored := NewEngineMode(seed+2, ModeNextEvent)
 			mixedDraws(restored.Rand(), 9)
 			restored.Reset(seed, ModeNextEvent)
 			if err := snap.Load(b, restored.Codec); err != nil {
@@ -106,7 +106,7 @@ func TestRandStreamAcrossSnapshot(t *testing.T) {
 // TestResetDoesNotSeed: Reset and NewEngine only record the seed; the
 // math/rand source is created and seeded by the first draw.
 func TestResetDoesNotSeed(t *testing.T) {
-	e := NewEngine(3)
+	e := NewEngineMode(3, ModeNextEvent)
 	if e.src.src != nil || e.src.seeded {
 		t.Fatal("NewEngine created or seeded the source before any draw")
 	}

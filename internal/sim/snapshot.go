@@ -70,7 +70,7 @@ func (e *Engine) Codec(c *snap.Codec) {
 func (e *Engine) pendingKeys() []evKey {
 	keys := make([]evKey, len(e.events))
 	for i, ev := range e.events {
-		keys[i] = evKey{ev.At, ev.seq}
+		keys[i] = evKey{ev.at, ev.seq}
 	}
 	slices.SortFunc(keys, func(a, b evKey) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
@@ -106,9 +106,8 @@ func (e *Engine) resume(c *snap.Codec, pending []evKey, now units.Time, steps, s
 	// the snapshot instant, then require exact agreement.
 	live := e.events[:0]
 	for _, ev := range e.events {
-		if ev.At <= now {
-			ev.index = -1
-			ev.Fn = nil
+		if ev.at <= now {
+			ev.fn = nil
 			continue
 		}
 		live = append(live, ev)
@@ -119,12 +118,11 @@ func (e *Engine) resume(c *snap.Codec, pending []evKey, now units.Time, steps, s
 		c.Failf("sim: restore: %d pending events after pruning, snapshot has %d", len(e.events), len(want))
 		return
 	}
-	for i, ev := range e.events {
-		if !want[evKey{ev.At, ev.seq}] {
-			c.Failf("sim: restore: rebuilt event at %v (seq %d) not in snapshot", ev.At, ev.seq)
+	for _, ev := range e.events {
+		if !want[evKey{ev.at, ev.seq}] {
+			c.Failf("sim: restore: rebuilt event at %v (seq %d) not in snapshot", ev.at, ev.seq)
 			return
 		}
-		ev.index = i // re-anchor heap bookkeeping after the filter
 	}
 	heap.Init(&e.events)
 

@@ -73,9 +73,6 @@ func (h *Hist) Add(v int64) {
 	h.n++
 }
 
-// N returns the number of recorded samples.
-func (h *Hist) N() uint64 { return h.n }
-
 // Merge adds every counter of other into h. Merging is associative and
 // commutative, so any grouping of shard histograms produces identical
 // counters.

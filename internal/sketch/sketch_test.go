@@ -67,8 +67,8 @@ func TestMergeOrderInvariant(t *testing.T) {
 	for _, i := range []int{2, 0, 3, 1} {
 		merged.Merge(parts[i])
 	}
-	if merged.N() != whole.N() {
-		t.Fatalf("n %d != %d", merged.N(), whole.N())
+	if merged.n != whole.n {
+		t.Fatalf("n %d != %d", merged.n, whole.n)
 	}
 	for _, p := range []int{5, 50, 95} {
 		if merged.Quantile(p) != whole.Quantile(p) {
@@ -84,8 +84,8 @@ func TestSparseRoundTrip(t *testing.T) {
 	}
 	var back Hist
 	h.Each(func(idx int, count uint64) { back.AddBucket(idx, count) })
-	if back.N() != h.N() {
-		t.Fatalf("n %d != %d", back.N(), h.N())
+	if back.n != h.n {
+		t.Fatalf("n %d != %d", back.n, h.n)
 	}
 	for p := 0; p <= 100; p += 10 {
 		if back.Quantile(p) != h.Quantile(p) {

@@ -147,9 +147,6 @@ func (r *Reader) fail(err error) {
 	}
 }
 
-// Err returns the first error encountered.
-func (r *Reader) Err() error { return r.err }
-
 // U64 reads an unsigned varint.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {

@@ -102,11 +102,11 @@ func TestWrongSectionFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Section("beta")
-	if err := r.Err(); !errors.Is(err, ErrSection) {
+	if err := r.err; !errors.Is(err, ErrSection) {
 		t.Fatalf("want ErrSection, got %v", err)
 	}
-	if !strings.Contains(r.Err().Error(), `"beta"`) || !strings.Contains(r.Err().Error(), `"alpha"`) {
-		t.Fatalf("error not descriptive: %v", r.Err())
+	if !strings.Contains(r.err.Error(), `"beta"`) || !strings.Contains(r.err.Error(), `"alpha"`) {
+		t.Fatalf("error not descriptive: %v", r.err)
 	}
 }
 

@@ -3,8 +3,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/units"
 )
 
 // PlotConfig controls ASCII rendering.
@@ -87,82 +85,5 @@ func Plot(s *Series, cfg PlotConfig) string {
 		b.WriteString("\n")
 	}
 	b.WriteString("+" + strings.Repeat("-", cfg.Width) + "\n")
-	return b.String()
-}
-
-// Sparkline renders the series as a single line of block characters,
-// handy in test failure messages.
-func Sparkline(s *Series, width int) string {
-	if width <= 0 {
-		width = 60
-	}
-	blocks := []rune(" ▁▂▃▄▅▆▇█")
-	pts := s.Points()
-	if len(pts) == 0 {
-		return "(empty)"
-	}
-	t0, t1 := pts[0].T, pts[len(pts)-1].T
-	span := t1 - t0
-	if span == 0 {
-		span = 1
-	}
-	sums := make([]float64, width)
-	counts := make([]int, width)
-	var maxV float64
-	for _, p := range pts {
-		b := int(int64(p.T-t0) * int64(width) / int64(span+1))
-		if b >= width {
-			b = width - 1
-		}
-		sums[b] += float64(p.V)
-		counts[b]++
-	}
-	out := make([]rune, width)
-	vals := make([]float64, width)
-	for i := range vals {
-		if counts[i] > 0 {
-			vals[i] = sums[i] / float64(counts[i])
-			if vals[i] > maxV {
-				maxV = vals[i]
-			}
-		}
-	}
-	for i := range out {
-		if maxV <= 0 || counts[i] == 0 {
-			out[i] = blocks[0]
-			continue
-		}
-		idx := int(vals[i] / maxV * float64(len(blocks)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(blocks) {
-			idx = len(blocks) - 1
-		}
-		out[i] = blocks[idx]
-	}
-	return string(out)
-}
-
-// StackedMeans renders a compact table of per-window means for several
-// series, the textual equivalent of the paper's stacked plots (Fig. 9,
-// Fig. 12). Windows are [i·win, (i+1)·win).
-func StackedMeans(series []*Series, win units.Time, from, to units.Time) string {
-	var b strings.Builder
-	b.WriteString("window_start_s")
-	for _, s := range series {
-		fmt.Fprintf(&b, ",%s_%s", s.Name(), s.Unit())
-	}
-	b.WriteString(",sum\n")
-	for t := from; t < to; t += win {
-		fmt.Fprintf(&b, "%.1f", t.Seconds())
-		var sum float64
-		for _, s := range series {
-			m := s.MeanOver(t, t+win)
-			sum += m
-			fmt.Fprintf(&b, ",%.0f", m)
-		}
-		fmt.Fprintf(&b, ",%.0f\n", sum)
-	}
 	return b.String()
 }

@@ -58,9 +58,6 @@ func (s *Series) Add(t units.Time, v int64) {
 	s.points = append(s.points, Point{T: t, V: v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.points) }
-
 // Points returns the underlying samples (not a copy; treat as
 // read-only).
 func (s *Series) Points() []Point { return s.points }
@@ -72,14 +69,6 @@ func (s *Series) At(t units.Time) int64 {
 		return 0
 	}
 	return s.points[i-1].V
-}
-
-// Last returns the final sample, or a zero Point for an empty series.
-func (s *Series) Last() Point {
-	if len(s.points) == 0 {
-		return Point{}
-	}
-	return s.points[len(s.points)-1]
 }
 
 // Stats summarizes a series over its full extent.
@@ -137,52 +126,6 @@ func (s *Series) MeanOver(from, to units.Time) float64 {
 		sum += float64(p.V)
 	}
 	return sum / float64(len(pts))
-}
-
-// Integrate returns the trapezoid-free (sample-and-hold) integral of
-// the series over [from, to): each sample's value is held until the
-// next sample. The result unit is value-unit × milliseconds.
-func (s *Series) Integrate(from, to units.Time) int64 {
-	var total int64
-	pts := s.points
-	for i, p := range pts {
-		start := p.T
-		if start < from {
-			start = from
-		}
-		end := to
-		if i+1 < len(pts) && pts[i+1].T < to {
-			end = pts[i+1].T
-		}
-		if end > start && p.T < to && (i+1 >= len(pts) || pts[i+1].T > from) {
-			total += p.V * int64(end-start)
-		}
-	}
-	return total
-}
-
-// TimeAbove returns the total duration (sample-and-hold) the series is
-// strictly above the threshold within [from, to).
-func (s *Series) TimeAbove(threshold int64, from, to units.Time) units.Time {
-	var total units.Time
-	pts := s.points
-	for i, p := range pts {
-		if p.V <= threshold {
-			continue
-		}
-		start := p.T
-		if start < from {
-			start = from
-		}
-		end := to
-		if i+1 < len(pts) && pts[i+1].T < to {
-			end = pts[i+1].T
-		}
-		if end > start {
-			total += end - start
-		}
-	}
-	return total
 }
 
 // CSV renders the series as "ms,value" lines with a header.

@@ -17,11 +17,11 @@ func s(points ...Point) *Series {
 
 func TestAddAndLen(t *testing.T) {
 	sr := s(Point{0, 1}, Point{10, 2}, Point{20, 3})
-	if sr.Len() != 3 {
-		t.Fatalf("Len = %d", sr.Len())
+	if len(sr.points) != 3 {
+		t.Fatalf("len = %d", len(sr.points))
 	}
-	if sr.Last() != (Point{20, 3}) {
-		t.Fatalf("Last = %v", sr.Last())
+	if last := sr.points[len(sr.points)-1]; last != (Point{20, 3}) {
+		t.Fatalf("last point = %v", last)
 	}
 }
 
@@ -82,31 +82,6 @@ func TestWindowAndMeanOver(t *testing.T) {
 	}
 }
 
-func TestIntegrate(t *testing.T) {
-	// Sample-and-hold: 10 µW for 10 ms, then 20 µW for 10 ms.
-	sr := s(Point{0, 10}, Point{10, 20}, Point{20, 0})
-	got := sr.Integrate(0, 20)
-	want := int64(10*10 + 20*10)
-	if got != want {
-		t.Fatalf("Integrate = %d, want %d", got, want)
-	}
-	// Partial window clips the first sample.
-	got = sr.Integrate(5, 15)
-	want = int64(10*5 + 20*5)
-	if got != want {
-		t.Fatalf("partial Integrate = %d, want %d", got, want)
-	}
-}
-
-func TestTimeAbove(t *testing.T) {
-	sr := s(Point{0, 5}, Point{10, 50}, Point{30, 5}, Point{40, 50})
-	// Above 10: [10,30) plus [40, end-of-window).
-	got := sr.TimeAbove(10, 0, 50)
-	if got != 30 {
-		t.Fatalf("TimeAbove = %v, want 30 ms", got)
-	}
-}
-
 func TestCSV(t *testing.T) {
 	sr := s(Point{0, 1}, Point{200, 2})
 	csv := sr.CSV()
@@ -128,31 +103,7 @@ func TestPlotAndSparklineDoNotPanic(t *testing.T) {
 	if !strings.Contains(out, "#") {
 		t.Fatalf("Plot produced no marks:\n%s", out)
 	}
-	sl := Sparkline(sr, 40)
-	if len([]rune(sl)) != 40 {
-		t.Fatalf("Sparkline width = %d", len([]rune(sl)))
-	}
 	if Plot(NewSeries("e", "x"), PlotConfig{}) == "" {
 		t.Fatal("empty Plot returned nothing")
-	}
-	if Sparkline(NewSeries("e", "x"), 10) != "(empty)" {
-		t.Fatal("empty Sparkline wrong")
-	}
-}
-
-func TestStackedMeans(t *testing.T) {
-	a := NewSeries("a", "µW")
-	b := NewSeries("b", "µW")
-	for i := 0; i < 100; i++ {
-		a.Add(units.Time(i*100), 10)
-		b.Add(units.Time(i*100), 20)
-	}
-	out := StackedMeans([]*Series{a, b}, units.Second, 0, 2*units.Second)
-	if !strings.Contains(out, "0.0,10,20,30") {
-		t.Fatalf("StackedMeans:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 2 windows
-		t.Fatalf("StackedMeans lines = %d:\n%s", len(lines), out)
 	}
 }

@@ -85,20 +85,11 @@ func Seconds(s float64) Time {
 // Joules reports the energy as a floating-point number of joules.
 func (e Energy) Joules() float64 { return float64(e) / 1e6 }
 
-// Millijoules reports the energy as floating-point millijoules.
-func (e Energy) Millijoules() float64 { return float64(e) / 1e3 }
-
-// Watts reports the power as a floating-point number of watts.
-func (p Power) Watts() float64 { return float64(p) / 1e6 }
-
 // Milliwatts reports the power as floating-point milliwatts.
 func (p Power) Milliwatts() float64 { return float64(p) / 1e3 }
 
 // Seconds reports the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e3 }
-
-// Milliseconds reports the time as an integer millisecond count.
-func (t Time) Milliseconds() int64 { return int64(t) }
 
 // Over returns the energy delivered by power p over duration d,
 // truncated toward zero. Callers that integrate repeatedly should
@@ -129,22 +120,9 @@ func (e Energy) DividedBy(d Time) Power {
 	return Power(int64(e) * 1000 / int64(d))
 }
 
-// PerSecond interprets the energy quantity as a per-second rate and
-// returns the equivalent power. Energy(x).PerSecond() == Power(x) since
-// µJ/s == µW, but the named conversion documents intent at call sites.
-func (e Energy) PerSecond() Power { return Power(e) }
-
 // Min returns the smaller of two energies.
 func Min(a, b Energy) Energy {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of two energies.
-func Max(a, b Energy) Energy {
-	if a > b {
 		return a
 	}
 	return b

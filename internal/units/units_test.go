@@ -120,9 +120,6 @@ func TestMinMaxClamp(t *testing.T) {
 	if Min(3, 5) != 3 || Min(5, 3) != 3 {
 		t.Error("Min broken")
 	}
-	if Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Max broken")
-	}
 	if ClampNonNegative(-4) != 0 {
 		t.Error("ClampNonNegative(-4) != 0")
 	}
