@@ -46,8 +46,6 @@ type Task struct {
 	// hoarding bounded; there is no equivalent of Cinder's taps).
 	cap     units.Energy
 	balance units.Energy
-	spent   units.Energy
-	denied  int64
 }
 
 // Spend consumes currentcy from the task balance. Any process in the
@@ -58,11 +56,9 @@ func (t *Task) Spend(amount units.Energy) error {
 		panic("currentcy: negative spend")
 	}
 	if t.balance < amount {
-		t.denied++
 		return fmt.Errorf("%w: task %q has %v, needs %v", ErrBroke, t.name, t.balance, amount)
 	}
 	t.balance -= amount
-	t.spent += amount
 	return nil
 }
 
@@ -75,7 +71,6 @@ type System struct {
 	epoch      units.Time
 	tasks      []*Task
 	totalShare int64
-	allocated  units.Energy
 	carry      int64
 }
 
@@ -117,6 +112,5 @@ func (s *System) Allocate() {
 		if t.balance > t.cap {
 			t.balance = t.cap
 		}
-		s.allocated += slice
 	}
 }

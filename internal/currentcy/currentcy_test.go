@@ -30,15 +30,15 @@ func TestSpendAndDenial(t *testing.T) {
 	if err := a.Spend(60 * units.Millijoule); err != nil {
 		t.Fatal(err)
 	}
+	if a.balance != 40*units.Millijoule {
+		t.Fatalf("balance after spending 60 of 100 mJ = %v", a.balance)
+	}
 	err := a.Spend(60 * units.Millijoule)
 	if !errors.Is(err, ErrBroke) {
 		t.Fatalf("overspend err = %v", err)
 	}
-	if a.denied != 1 {
-		t.Fatalf("denied = %d", a.denied)
-	}
-	if a.spent != 60*units.Millijoule {
-		t.Fatalf("spent = %v", a.spent)
+	if a.balance != 40*units.Millijoule {
+		t.Fatalf("denied spend moved the balance to %v", a.balance)
 	}
 	if a.CanSpend(50 * units.Millijoule) {
 		t.Fatal("CanSpend over balance")
@@ -120,21 +120,25 @@ func TestNoDelegation(t *testing.T) {
 
 func TestAllocatedAccounting(t *testing.T) {
 	s := New(units.Watt, units.Second)
-	s.AddTask("a", 1, units.Kilojoule)
+	a := s.AddTask("a", 1, units.Kilojoule)
 	s.Allocate()
 	s.Allocate()
-	if s.allocated != 2*units.Joule {
-		t.Fatalf("allocated = %v", s.allocated)
-	}
-	if s.tasks[0].spent != 0 {
-		t.Fatalf("spent = %v", s.tasks[0].spent)
+	if a.balance != 2*units.Joule {
+		t.Fatalf("balance after two 1 J epochs = %v", a.balance)
 	}
 }
 
 func TestZeroTaskAllocateNoop(t *testing.T) {
 	s := New(units.Watt, units.Second)
 	s.Allocate()
-	if s.allocated != 0 {
-		t.Fatal("allocation with no tasks")
+	// The empty epoch neither paid anyone nor banked a carry: a task
+	// added afterwards holds only what the next epoch allocates.
+	a := s.AddTask("a", 1, units.Kilojoule)
+	if a.balance != 0 {
+		t.Fatalf("new task starts with %v", a.balance)
+	}
+	s.Allocate()
+	if a.balance != units.Joule {
+		t.Fatalf("balance after one 1 J epoch = %v", a.balance)
 	}
 }

@@ -29,8 +29,6 @@ type ActivationEstimator struct {
 	estimate     units.Energy
 	observations int64
 	min, max     units.Energy
-	// history keeps recent observations for diagnostics.
-	history []units.Energy
 }
 
 // NewActivationEstimator seeds the estimator with the offline-measured
@@ -60,12 +58,6 @@ func (e *ActivationEstimator) Observe(cost units.Energy) {
 	}
 	if cost > e.max {
 		e.max = cost
-	}
-	if len(e.history) < 64 {
-		e.history = append(e.history, cost)
-	} else {
-		copy(e.history, e.history[1:])
-		e.history[len(e.history)-1] = cost
 	}
 	// estimate += α (cost − estimate), in integer percent arithmetic,
 	// rounding the correction half away from zero. Go's integer division

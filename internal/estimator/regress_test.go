@@ -91,24 +91,3 @@ func TestRestoreRejectsAlphaMismatch(t *testing.T) {
 		t.Fatalf("α mismatch restore err = %v, want loud α complaint", err)
 	}
 }
-
-func TestRestoreRejectsOversizedHistory(t *testing.T) {
-	// A snapshot claiming more history than the 64-entry ring must fail
-	// loudly instead of silently growing the ring (or reading garbage).
-	w := snap.NewWriter()
-	w.Section("estimator")
-	w.I64(25)          // α
-	w.I64(9_500_000)   // estimate
-	w.I64(65)          // observations
-	w.I64(1)           // min
-	w.I64(100_000_000) // max
-	w.U64(65)          // history length over the cap
-	for i := 0; i < 65; i++ {
-		w.I64(1)
-	}
-	b := w.Finish()
-	e := seeded(25, units.Joules(9.5))
-	if err := snap.Load(b, e.Codec); err == nil || !strings.Contains(err.Error(), "caps at 64") {
-		t.Fatalf("oversized history restore err = %v, want ring-cap complaint", err)
-	}
-}

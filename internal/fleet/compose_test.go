@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -147,61 +146,26 @@ func TestMixValidation(t *testing.T) {
 	}
 }
 
-// mixCfg is the shared config for the Mix determinism tests: a small
-// day-in-the-life fleet, long enough that every workload type fires.
-func mixCfg(workers int) Config {
-	return Config{
+// TestBucketStatsMatchDevices: a small day-in-the-life mix, long
+// enough that every workload type fires, splits into at least two
+// buckets that cover every device, and each bucket's aggregates equal
+// the sums of its member devices.
+func TestBucketStatsMatchDevices(t *testing.T) {
+	rep, err := Run(Config{
 		Devices:     12,
 		Seed:        9,
 		Duration:    4 * units.Hour,
-		Workers:     workers,
+		Workers:     3,
 		Scenario:    DayInTheLife(),
 		KeepResults: true,
-	}
-}
-
-// TestMixDeterministicAcrossWorkerCounts: bucket assignment draws from
-// each device's construction stream, so worker count must not leak into
-// any part of the report — including the serialized JSON.
-func TestMixDeterministicAcrossWorkerCounts(t *testing.T) {
-	var first []byte
-	for _, w := range []int{1, 2, 5} {
-		rep, err := Run(mixCfg(w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := rep.JSON(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = j
-			// Sanity: the mix actually split the population.
-			if len(rep.Buckets) < 2 {
-				t.Fatalf("mix produced %d buckets, want ≥ 2", len(rep.Buckets))
-			}
-			n := 0
-			for _, b := range rep.Buckets {
-				n += b.Devices
-			}
-			if n != rep.Devices {
-				t.Fatalf("buckets cover %d devices, want %d", n, rep.Devices)
-			}
-			continue
-		}
-		if !bytes.Equal(first, j) {
-			t.Fatalf("JSON report differs with %d workers", w)
-		}
-	}
-}
-
-// TestBucketStatsMatchDevices: bucket aggregates must equal the sums of
-// their member devices.
-func TestBucketStatsMatchDevices(t *testing.T) {
-	rep, err := Run(mixCfg(3))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.Buckets) < 2 {
+		t.Fatalf("mix produced %d buckets, want ≥ 2", len(rep.Buckets))
+	}
+	covered := 0
 	for _, b := range rep.Buckets {
 		var consumed units.Energy
 		var polls int64
@@ -218,6 +182,10 @@ func TestBucketStatsMatchDevices(t *testing.T) {
 			t.Fatalf("bucket %q (%d devices, %v, %d polls) does not match members (%d, %v, %d)",
 				b.Name, b.Devices, b.TotalConsumed, b.Polls, devices, consumed, polls)
 		}
+		covered += b.Devices
+	}
+	if covered != rep.Devices {
+		t.Fatalf("buckets cover %d devices, want %d", covered, rep.Devices)
 	}
 }
 

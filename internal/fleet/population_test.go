@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"bytes"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -91,65 +89,12 @@ func TestProvisionAppliesProfileAndPolicy(t *testing.T) {
 	}
 }
 
-// monthCfg is a short month slice: three simulated days cover nightly
-// charge windows (including the midnight-spanning one), metered evening
-// browsing, and both hardware classes (seed 11 draws three T60p laptops
-// among the 16 devices).
-func monthCfg(workers int) Config {
-	return Config{
-		Devices:  16,
-		Seed:     11,
-		Duration: 3 * 24 * units.Hour,
-		Workers:  workers,
-		Scenario: MonthInTheLife(),
-	}
-}
-
-func runCanonical(t *testing.T, cfg Config) []byte {
-	t.Helper()
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return canonical(t, rep)
-}
-
-// TestMonthEquivalenceAcrossChargerModes is the recharge-cycle
-// equivalence gate: the month scenario's canonical report must be
-// byte-identical whether charger credits are settled in closed form or
-// credited every quantum by the reference, and across worker counts.
-// The reference slice — a laptop and a phone over one hour, a window
-// the fixed-tick oracle walks quickly even under the race detector —
-// covers the first half hour of the laptop's 00:30 desk charge. (The
-// monthinthelife window of TestScenarioEngineEquivalence walks a full
-// overnight charge.)
-func TestMonthEquivalenceAcrossChargerModes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-day fleet run")
-	}
-	if got, want := runCanonical(t, monthCfg(4)), runCanonical(t, monthCfg(1)); !bytes.Equal(got, want) {
-		t.Error("worker count changed the canonical report")
-	}
-
-	slice := monthCfg(2)
-	slice.Devices, slice.Duration, slice.KeepResults = 2, units.Hour, true
-	rep, err := Run(slice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalRecharged == 0 || len(rep.Buckets) < 2 {
-		t.Fatalf("reference slice misses the charger or the hardware mix: recharged %v, %d buckets",
-			rep.TotalRecharged, len(rep.Buckets))
-	}
-	slice.Reference = true
-	if got := runCanonical(t, slice); !bytes.Equal(got, canonical(t, rep)) {
-		t.Error("closed-form charge settlement diverges from the reference")
-	}
-}
-
 // TestMonthRechargeObservable asserts the month population actually
-// exercises the new machinery: charger credits land (non-monotone
-// batteries), both hardware classes appear, metered browsing loads
+// exercises the new machinery, on TestScenarioVariants' month cell (16
+// devices, seed 11, three days), so every variant the table runs
+// crosses it: charger credits land over three nightly charge windows,
+// one spanning midnight (non-monotone batteries), both hardware classes
+// appear (seed 11 draws three T60p laptops), metered browsing loads
 // pages on phones and laptops alike, and the nightly charge habit keeps
 // the fleet overwhelmingly alive — the occasional death is expected
 // (the forgetful-night draw can strand a small battery), mass death
@@ -158,7 +103,9 @@ func TestMonthRechargeObservable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day fleet run")
 	}
-	rep, err := Run(monthCfg(4))
+	cfg := variantSizes["monthinthelife"]
+	cfg.Scenario, cfg.Workers = MonthInTheLife(), 4
+	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,44 +131,6 @@ func TestMonthRechargeObservable(t *testing.T) {
 	}
 	if rep.Dead > rep.Devices/4 {
 		t.Fatalf("%d of %d devices died despite nightly charging", rep.Dead, rep.Devices)
-	}
-}
-
-// TestAdversarialDeterministicAcrossWorkerCounts: each worker recycles
-// one graph, and with it the replay memo its previous devices filled, so
-// the scenario whose taps are replayed must report the same at every
-// pool shape.
-func TestAdversarialDeterministicAcrossWorkerCounts(t *testing.T) {
-	var reports []Report
-	for _, w := range []int{1, 2, 7} {
-		r, err := Run(Config{
-			Devices:     20,
-			Seed:        3,
-			Duration:    6 * units.Hour,
-			Workers:     w,
-			Scenario:    AdversarialCohorts(),
-			KeepResults: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Workers = 0 // the only field allowed to differ
-		reports = append(reports, r)
-	}
-	hoarders := 0
-	for _, b := range reports[0].Buckets {
-		if b.Name == "adv-lax" || b.Name == "adv-strict" {
-			hoarders += b.Devices
-		}
-	}
-	if hoarders < 2 {
-		t.Fatalf("only %d hoarder devices among %d", hoarders, reports[0].Devices)
-	}
-	for i := 1; i < len(reports); i++ {
-		if !reflect.DeepEqual(reports[0], reports[i]) {
-			t.Fatalf("worker count changed the adversarial report:\n%s\nvs\n%s",
-				reports[0].Format(), reports[i].Format())
-		}
 	}
 }
 

@@ -11,43 +11,6 @@ import (
 	"repro/internal/units"
 )
 
-// TestPerDeviceEmitterMatchesKeepResults: the streaming emitter must
-// deliver exactly the results KeepResults retains, in strict device-
-// index order, without the run holding the O(N) array.
-func TestPerDeviceEmitterMatchesKeepResults(t *testing.T) {
-	cfg := shardBase(40)
-	cfg.KeepResults = true
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var streamed []DeviceResult
-	cfg2 := shardBase(40)
-	cfg2.PerDevice = func(r DeviceResult) error {
-		streamed = append(streamed, r)
-		return nil
-	}
-	rep2, err := Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Results != nil {
-		t.Fatal("streaming run retained the results array")
-	}
-	if len(streamed) != len(rep.Results) {
-		t.Fatalf("streamed %d results, kept %d", len(streamed), len(rep.Results))
-	}
-	for i := range streamed {
-		if streamed[i] != rep.Results[i] {
-			t.Fatalf("device %d diverged:\n%+v\nvs\n%+v", i, streamed[i], rep.Results[i])
-		}
-		if streamed[i].Index != i {
-			t.Fatalf("emitter out of order: position %d got device %d", i, streamed[i].Index)
-		}
-	}
-}
-
 // TestPerDeviceEmitterCheckpointedRun: on a checkpointed run the
 // emitter fires only on the aggregating final pass — once per device,
 // in order, with the same values an uncheckpointed run streams.

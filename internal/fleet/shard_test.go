@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -16,65 +15,6 @@ func shardBase(devices int) Config {
 		Duration: 24 * units.Hour,
 		Workers:  2,
 		Scenario: DayInTheLife(),
-	}
-}
-
-// TestShardMergeMatchesSingleProcess: shard the fleet 3 ways, merge the
-// partials, and require byte identity with the single-process report —
-// both the canonical JSON and the full JSON (the engine diagnostics are
-// integer sums, so even they merge exactly).
-func TestShardMergeMatchesSingleProcess(t *testing.T) {
-	cfg := shardBase(50)
-	whole, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 3
-	job, err := NewJob(cfg, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]*Partial, 0, n)
-	for i := 0; i < n; i++ {
-		scfg, err := job.ShardConfig(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg.Workers = cfg.Workers
-		p, err := RunShard(scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Round-trip through JSON, as the CLI does.
-		b, err := p.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParsePartial(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, back)
-	}
-	// Merge in scrambled order; Merge places each by its shard index.
-	merged, err := Merge([]*Partial{parts[2], parts[0], parts[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wj, err1 := whole.JSON(false)
-	mj, err2 := merged.JSON(false)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !bytes.Equal(wj, mj) {
-		t.Fatalf("merged shards diverged from single process:\n%s\nvs\n%s", wj, mj)
-	}
-	wc, _ := whole.CanonicalJSON(false)
-	mc, _ := merged.CanonicalJSON(false)
-	if !bytes.Equal(wc, mc) {
-		t.Fatal("canonical JSON diverged between merged shards and single process")
 	}
 }
 
@@ -231,39 +171,5 @@ func TestParsePartialRejectsInconsistent(t *testing.T) {
 				t.Errorf("Merge: got %v, want an error containing %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestShardedCheckpointResume: sharding composes with checkpoint/resume
-// — a shard interrupted and resumed produces the same partial.
-func TestShardedCheckpointResume(t *testing.T) {
-	job, err := NewJob(Config{
-		Devices:       9,
-		Seed:          13,
-		Duration:      3 * 24 * units.Hour,
-		Scenario:      WeekInTheLife(),
-		CheckpointDir: t.TempDir(),
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := job.ShardConfig(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 2
-	full, err := RunShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Resume = true
-	resumed, err := RunShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := full.JSON()
-	b, _ := resumed.JSON()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("resumed shard partial diverged:\n%s\nvs\n%s", a, b)
 	}
 }

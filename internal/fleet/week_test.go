@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/units"
@@ -15,24 +14,6 @@ func weekRunCfg(devices, workers int) Config {
 		Workers:     workers,
 		Scenario:    WeekInTheLife(),
 		KeepResults: true,
-	}
-}
-
-// TestWeekDeterministicAcrossWorkerCounts: the heterogeneous week mix
-// must stay byte-identical under different pool shapes.
-func TestWeekDeterministicAcrossWorkerCounts(t *testing.T) {
-	a, err := Run(weekRunCfg(24, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(weekRunCfg(24, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, _ := a.JSON(true)
-	bj, _ := b.JSON(true)
-	if !bytes.Equal(aj, bj) {
-		t.Fatal("week report differs across worker counts")
 	}
 }
 

@@ -22,6 +22,8 @@
 package perfharness
 
 import (
+	"crypto/md5"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -395,14 +397,15 @@ func selectScenarios(tier string, names []string) ([]Scenario, error) {
 		return out, nil
 	}
 	byName := make(map[string]Scenario, len(all))
-	for _, sc := range all {
-		byName[sc.Name] = sc
+	have := make([]string, len(all))
+	for i, sc := range all {
+		byName[sc.Name], have[i] = sc, sc.Name
 	}
 	var out []Scenario
 	for _, n := range names {
 		sc, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("perfharness: unknown scenario %q (have %s)", n, strings.Join(Names(), "|"))
+			return nil, fmt.Errorf("perfharness: unknown scenario %q (have %s)", n, strings.Join(have, "|"))
 		}
 		if _, tok := sc.Tiers[tier]; !tok {
 			return nil, fmt.Errorf("perfharness: scenario %q has no %s tier", n, tier)
@@ -439,23 +442,28 @@ func measure(name, tier string, spec Spec, now func() time.Time) (Record, map[st
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
 
-	sample, err := spec.Run()
+	rep, extra, err := spec.Run()
 
 	wall := time.Since(start)
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 	rec.WallMS = wall.Milliseconds()
 
+	var canonical []byte
+	if err == nil {
+		canonical, err = rep.CanonicalJSON(false)
+	}
 	if err != nil {
 		rec.Pass = false
 		rec.Violations = []string{fmt.Sprintf("scenario failed: %v", err)}
 		return rec, nil, ""
 	}
+	sum := md5.Sum(canonical)
+	rec.MD5 = hex.EncodeToString(sum[:])
 
-	fm := sample.Report.RunMetrics()
-	deviceDays := fm.DeviceDays + sample.ExtraDeviceDays
+	fm := rep.RunMetrics()
+	deviceDays := fm.DeviceDays + extra
 	rec.DeviceDays = deviceDays
-	rec.MD5 = sample.MD5
 
 	metrics := map[string]float64{
 		MetricInstants: fm.InstantsPerDeviceDay,
@@ -474,5 +482,5 @@ func measure(name, tier string, spec Spec, now func() time.Time) (Record, map[st
 		metrics[MetricInstants+"/"+bucket] = v
 	}
 	rec.Metrics = metrics
-	return rec, metrics, sample.MD5
+	return rec, metrics, rec.MD5
 }

@@ -194,7 +194,7 @@ func TestPeakRSSLabeledWhenResetFails(t *testing.T) {
 	if peakRSSBytes() == 0 {
 		t.Skip("no /proc/self/status VmHWM on this platform")
 	}
-	spec := Spec{Budget: time.Minute, Run: plainRun(fleetCfg("idle", 4, 1, units.Hour))}
+	spec := Spec{Budget: time.Minute, Run: checkedRun(fleetCfg("idle", 4, 1, units.Hour), nil)}
 	defer func(p string) { clearRefsPath = p }(clearRefsPath)
 
 	clearRefsPath = filepath.Join(t.TempDir(), "missing", "clear_refs")

@@ -34,8 +34,10 @@ const Magic = "CNDSNAP1"
 // block. Version 4 writes the fleet's epoch header as the run identity
 // block followed by the interval, epoch and range. Version 5 records
 // the radio's tracing switch and writes the radio state and netd pool
-// series only when it is on.
-const Version uint32 = 5
+// series only when it is on. Version 6 drops the activation
+// estimator's 64-entry history ring, which nothing read back, from the
+// estimator section.
+const Version uint32 = 6
 
 // Errors the reader can return (wrapped with context).
 var (
