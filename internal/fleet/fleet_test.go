@@ -21,6 +21,38 @@ func testCfg(workers int) Config {
 	}
 }
 
+func TestFleetDeterministicAcrossRuns(t *testing.T) {
+	a, err := Run(testCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(testCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same config produced different reports:\n%s\nvs\n%s", a.Format(), b.Format())
+	}
+}
+
+func TestFleetDeterministicAcrossWorkerCounts(t *testing.T) {
+	var reports []Report
+	for _, w := range []int{1, 2, 7} {
+		r, err := Run(testCfg(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Workers = 0 // normalize the only field allowed to differ
+		reports = append(reports, r)
+	}
+	for i := 1; i < len(reports); i++ {
+		if !reflect.DeepEqual(reports[0], reports[i]) {
+			t.Fatalf("worker count changed the report:\n%s\nvs\n%s",
+				reports[0].Format(), reports[i].Format())
+		}
+	}
+}
+
 func TestFleetSeedChangesResults(t *testing.T) {
 	a, err := Run(testCfg(2))
 	if err != nil {

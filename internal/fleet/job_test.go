@@ -59,34 +59,6 @@ func TestJobWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(cfgA, cfgB) {
 		t.Fatalf("shard config diverged:\n%+v\nvs\n%+v", cfgA, cfgB)
 	}
-
-	// The one shard of a one-shard job is the whole run: Run accepts its
-	// config and reports the plain run's bytes.
-	one, err := NewJob(shardBase(8), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg, err := one.ShardConfig(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg.Workers = 2
-	whole, err := Run(shardBase(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaShard, err := Run(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err1 := whole.JSON(false)
-	c, err2 := viaShard.JSON(false)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !bytes.Equal(a, c) {
-		t.Fatalf("one-shard job diverged from fleet.Run:\n%s\nvs\n%s", a, c)
-	}
 }
 
 // TestJobValidate: every malformed spec must be rejected loudly.
@@ -129,6 +101,48 @@ func TestJobValidate(t *testing.T) {
 		if _, err := ParseJob(b); err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("wire %s -5: got %v, want a refusal naming it", field, err)
 		}
+	}
+}
+
+// TestOneShardJobMatchesRun: the one shard of a one-shard job, run
+// through RunShard and merged back, is exactly fleet.Run — the
+// single-process run is the degenerate one-runner case of the job path,
+// byte for byte. Run accepts that shard's config too.
+func TestOneShardJobMatchesRun(t *testing.T) {
+	cfg := shardBase(40)
+	whole, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := NewJob(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg, err := job.ShardConfig(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg.Workers = 2
+	part, err := RunShard(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := job.Merge([]*Partial{part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaRun, err := Run(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err1 := whole.JSON(false)
+	b, err2 := merged.JSON(false)
+	c, err3 := viaRun.JSON(false)
+	if err1 != nil || err2 != nil || err3 != nil {
+		t.Fatal(err1, err2, err3)
+	}
+	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
+		t.Fatalf("degenerate job run diverged from fleet.Run:\n%s\nvs\n%s\nvs\n%s", a, b, c)
 	}
 }
 
