@@ -296,3 +296,70 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 		t.Fatal("found no package-qualified identifiers in the documents; the scan looks broken")
 	}
 }
+
+// testName matches a test, fuzz target or benchmark name, with an
+// optional trailing * that makes it a prefix.
+var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
+
+// TestDocsNameDeclaredTests: every backticked TestXxx, FuzzXxx or
+// BenchmarkXxx in the user-facing documents must be declared in some
+// _test.go file of the repository, so renaming or deleting a test
+// cannot leave the documents pointing at nothing. A trailing * matches
+// every name it prefixes.
+func TestDocsNameDeclaredTests(t *testing.T) {
+	var declared []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testName.MatchString(fn.Name.Name) {
+				declared = append(declared, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isDeclared := func(name string) bool {
+		prefix, glob := strings.CutSuffix(name, "*")
+		for _, d := range declared {
+			if d == name || glob && strings.HasPrefix(d, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+
+	checked := 0
+	for _, doc := range userDocs(t) {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				for _, name := range testName.FindAllString(span[1], -1) {
+					checked++
+					if !isDeclared(name) {
+						t.Errorf("%s:%d: `%s`: no _test.go file declares it", doc, i+1, name)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no test names in the documents; the scan looks broken")
+	}
+}

@@ -111,18 +111,39 @@ func BenchmarkSteadySettleFlows(b *testing.B) {
 	}
 }
 
-// hoarderBench builds the adversarial hoarder's tap shape — battery →
-// hoard at 250 mW, hoard → battery at 1000 PPM, decay on — and returns
-// the graph, the hoard, and one simulated second settled the way the
-// kernel parks it: a 100-batch SettleFlows chunk, then Decay(1 s). The
-// proportional tap makes the hoard sensitive, so every batch is replayed.
-// Ten minutes are settled before it returns: the hoard fills toward its
+// hoarderBench builds the adversarial hoarder's tap shape on a new graph
+// (hoarderLife) and settles ten minutes: the hoard fills toward its
 // equilibrium.
 func hoarderBench(b *testing.B) (g *Graph, hoard *Reserve, second func()) {
 	b.Helper()
+	g, hoard, second = hoarderLife(b, nil)
+	for i := 0; i < 600; i++ {
+		second()
+	}
+	return g, hoard, second
+}
+
+// hoarderLife builds the adversarial hoarder's tap shape — battery →
+// hoard at 250 mW, hoard → battery at 1000 PPM, decay on — on a new
+// graph when g is nil, and otherwise on g recycled through Graph.Reset,
+// as a fleet worker recycles it for its next device. It returns the
+// graph, the hoard, and one simulated second settled the way the kernel
+// parks it: a 100-batch SettleFlows chunk, then Decay(1 s). The
+// proportional tap makes the hoard sensitive, so every batch is replayed.
+func hoarderLife(b *testing.B, g *Graph) (_ *Graph, hoard *Reserve, second func()) {
+	b.Helper()
+	cfg := Config{BatteryCapacity: 1000 * units.Kilojoule}
 	tbl := kobj.NewTable()
+	if g != nil {
+		tbl = g.table
+		tbl.Reset()
+	}
 	root := kobj.NewContainer(tbl, nil, "root", label.Public())
-	g = NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: 1000 * units.Kilojoule})
+	if g == nil {
+		g = NewGraph(tbl, root, label.Public(), cfg)
+	} else {
+		g.Reset(tbl, root, label.Public(), cfg)
+	}
 	hoard = g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
 	p := label.NewPriv()
 	grab, err := g.NewTap(root, "grab", p, g.Battery(), hoard, label.Public())
@@ -143,21 +164,14 @@ func hoarderBench(b *testing.B) (g *Graph, hoard *Reserve, second func()) {
 		g.SettleFlows(10*units.Millisecond, hoarderBatches, 0, nil)
 		g.Decay(units.Second)
 	}
-	for i := 0; i < 600; i++ {
-		second()
-	}
 	return g, hoard, second
 }
 
-const hoarderBatches = 100
-
-// BenchmarkSteadySettleHoarder: the hoarder's seconds once they recur.
-// Set-up settles until the hoard's level has converged and 1000
-// consecutive chunks were answered by the replay memo (about three
-// simulated hours), so ns/batch is the memo's hit path. CI-guarded to
-// 0 B/op.
-func BenchmarkSteadySettleHoarder(b *testing.B) {
-	g, _, second := hoarderBench(b)
+// hoarderConverge settles until the hoard's level has converged and
+// 1000 consecutive chunks were answered by the replay memo (about three
+// simulated hours).
+func hoarderConverge(b *testing.B, g *Graph, second func()) {
+	b.Helper()
 	for run, s := 0, 0; run < 1000; s++ {
 		if s == 100_000 {
 			b.Fatal("the hoarder's chunks never recurred")
@@ -170,11 +184,41 @@ func BenchmarkSteadySettleHoarder(b *testing.B) {
 			run = 0
 		}
 	}
+}
+
+const hoarderBatches = 100
+
+// BenchmarkSteadySettleHoarder: the hoarder's seconds once they recur.
+// Set-up settles until they do (hoarderConverge), so ns/batch is the
+// memo's hit path. CI-guarded to 0 B/op.
+func BenchmarkSteadySettleHoarder(b *testing.B) {
+	g, _, second := hoarderBench(b)
+	hoarderConverge(b, g, second)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		second()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hoarderBatches), "ns/batch")
+}
+
+// BenchmarkSteadySettleHoarderRelife: the hoarder's seconds on a
+// recycled graph. Set-up runs one life until it converges, then resets
+// the graph and rebuilds the same shape; ns/batch is the second life's
+// seconds from its start, whose chunks the first life already stored in
+// the memo the graph kept. CI-guarded to 0 B/op.
+func BenchmarkSteadySettleHoarderRelife(b *testing.B) {
+	g, _, second := hoarderBench(b)
+	hoarderConverge(b, g, second)
+	g, _, second = hoarderLife(b, g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		second()
+	}
+	b.StopTimer()
+	_, misses := g.memoStats()
+	b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hoarderBatches), "ns/batch")
 }
 

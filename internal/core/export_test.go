@@ -8,3 +8,9 @@ func (g *Graph) memoStats() (hits, misses int64) {
 	}
 	return g.memo.hits, g.memo.misses
 }
+
+// forget empties the memo, as if newly allocated.
+func (m *replayMemo) forget() {
+	*m = replayMemo{words: m.words}
+	clear(m.words)
+}

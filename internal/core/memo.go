@@ -8,8 +8,9 @@ import (
 
 // This file implements the replay memo: a fixed-size, set-associative
 // table of replayLoop results, so a settled chunk whose start state the
-// graph has already replayed takes its results from the table instead
-// of running the flat loop again.
+// graph — or any graph that shared the memo before it — has already
+// replayed takes its results from the table instead of running the flat
+// loop again.
 //
 // replayLoop is a pure function of the chunk length k, the batch
 // interval dt, the sensitive reserves' levels, and each replayed tap's
@@ -17,33 +18,44 @@ import (
 // two. Everything but k, the levels and the carries is the plan, which
 // changes rarely; the memo keeps a copy of the plan it last saw and
 // issues a new plan version whenever the replay set differs from it in
-// any of those fields (tap identity, by creation sequence, included).
-// Versions only grow, so an entry stored under an earlier version can
-// never match again. An entry's tag holds the version and k; its key
-// holds the levels and the carries (packed four to a word: a carry is
-// always in (−1000, 1000)); its value holds the end levels, end carries
-// and each tap's moved and starved sums. A hit compares the whole key,
-// not a hash, so it returns exactly what the loop would compute.
+// content. Tap identity is not part of the plan, and Graph.Reset keeps
+// both the plan and its version: a recycled graph rebuilt with the same
+// tap shape — the next device a fleet worker runs — hits the entries the
+// devices before it stored. Versions only grow, so an entry stored under
+// an earlier version can never match again.
 //
-// The table is bounded: memoSets × memoWays entries of memoEntryWords
-// words at most, allocated on a graph's first replay and kept across
-// Graph.Reset, which strands every entry by forcing a new version. A
-// replay set needing more words per entry gets fewer sets; one that does
-// not fit a single set, a k beyond the tag's 16 bits, or a carry outside
-// its packed lane is simply not memoized. The memo is derived state: it
-// is not checkpointed, and a restored device starts with it cold.
+// An entry is stride consecutive words, key then value. The key packs
+// k, the plan version and the carries into 16-bit lanes, four to a word
+// (a carry is always in (−1000, 1000)), then holds the levels; the value
+// is the end levels, the end carries, and the moved sum of each tap that
+// is not closed-form. A closed-form tap is a constant tap whose source
+// is outside: it never clamps, so its moved sum telescopes to
+// (rate·dt·k + carry)/1000 from the start carry in the key. No starved
+// sum is kept: a chunk in which any tap starved is not stored. A hit
+// compares the whole key, not a hash, so it returns exactly what the
+// loop would compute; an entry never written is all zeros, and no key
+// is, since k ≥ 1.
+//
+// The table is memoWords words, allocated on a graph's first replay.
+// Each set holds memoWays entries in recency order: a hit moves its
+// entry to the front, a store inserts at the front and evicts the last.
+// The set count is whatever fits the stride, picked by a multiply-shift
+// of the key's hash; a stride change clears the table, so an entry is
+// never read at another layout's offset, and so does the version
+// outgrowing its lane. A replay set that does not fit a single set, a k
+// beyond its lane, or a carry outside its lane is simply not memoized.
+// The memo is derived state: it is not checkpointed, and a restored
+// device starts with it cold.
 
 const (
-	memoSets       = 2048
-	memoWays       = 4
-	memoEntryWords = 8 // key and value words per entry at the full set count
-	memoKBits      = 16
+	memoWords = 73_728 // 576 KiB
+	memoWays  = 4
+	memoLane  = 16 // bits of k, the version and each carry in a key
 )
 
 // planSig is what the flat loop reads from one replayed tap, apart from
-// its carry, plus the tap's identity.
+// its carry.
 type planSig struct {
-	seq       uint64
 	kind      TapKind
 	rate      units.Power
 	frac      PPM
@@ -51,21 +63,26 @@ type planSig struct {
 }
 
 func (e *replayTap) sig() planSig {
-	return planSig{e.t.seq, e.kind, e.rate, e.frac, e.src, e.sink}
+	return planSig{e.kind, e.rate, e.frac, e.src, e.sink}
 }
 
-// replayMemo is a Graph's memo of replayLoop results.
+// closedForm reports whether the tap's moved sum over a chunk follows
+// from its start carry alone: a constant tap never reads a level, and
+// one whose source is outside never clamps.
+func (s *planSig) closedForm() bool {
+	return s.kind == TapConst && s.src == outside
+}
+
+// replayMemo is a memo of replayLoop results, shared by every graph
+// that a worker recycles through Graph.Reset.
 type replayMemo struct {
-	// tags holds each entry's version<<memoKBits | k; zero marks an
-	// entry never written. words holds stride words per entry: keyWords
-	// of key, then the value.
-	tags  []uint64
+	// words holds sets × memoWays entries of stride words each.
 	words []int64
 
 	version  uint64
 	plan     []planSig
 	planDT   units.Time
-	sets     int // a power of two; 0 when the plan cannot be memoized
+	sets     uint64 // 0 when the plan cannot be memoized
 	keyWords int
 	stride   int
 	key      []int64
@@ -74,16 +91,12 @@ type replayMemo struct {
 }
 
 func newReplayMemo() *replayMemo {
-	return &replayMemo{
-		tags:  make([]uint64, memoSets*memoWays),
-		words: make([]int64, memoSets*memoWays*memoEntryWords),
-	}
+	return &replayMemo{words: make([]int64, memoWords)}
 }
 
-// reset forgets the recorded plan, so the next replay issues a new
-// version and no entry stored before it can hit.
+// reset zeroes the hit and miss counters. The plan, its version and
+// every entry stay, for the next graph built on the same tap shape.
 func (m *replayMemo) reset() {
-	m.plan = m.plan[:0]
 	m.hits, m.misses = 0, 0
 }
 
@@ -100,84 +113,65 @@ func (m *replayMemo) sync(g *Graph, dt units.Time) {
 		return
 	}
 	m.plan = m.plan[:0]
+	sums := 0
 	for i := range replay {
 		m.plan = append(m.plan, replay[i].sig())
+		if !m.plan[i].closedForm() {
+			sums++
+		}
 	}
 	m.planDT = dt
 	m.version++
-	if m.version == 1<<(64-memoKBits) {
-		clear(m.tags)
+	if m.version == 1<<memoLane {
+		clear(m.words)
 		m.version = 1
 	}
-	carryWords := (len(replay) + 3) / 4
-	m.keyWords = len(g.settleSens) + carryWords
-	m.stride = 2*m.keyWords + 2*len(replay)
-	m.sets = memoSets
-	for m.sets > 0 && m.sets*memoWays*m.stride > len(m.words) {
-		m.sets /= 2
+	m.keyWords = (2+len(replay)+3)/4 + len(g.settleSens)
+	if stride := m.keyWords + len(g.settleSens) + (len(replay)+3)/4 + sums; stride != m.stride {
+		clear(m.words)
+		m.stride = stride
 	}
+	m.sets = uint64(len(m.words) / (memoWays * m.stride))
 }
 
-// find looks the chunk's start state up. It returns the entry holding
-// it and true on a hit; on a miss, the entry to store the chunk's
-// results in, or −1 when the chunk cannot be memoized. The start state
-// is kept in m.key for store.
+// find looks the chunk's start state up. It returns the offset of the
+// entry holding it and true on a hit; on a miss, the offset of the entry
+// store evicts, or −1 when the chunk cannot be memoized. The start state
+// is kept in m.key for load and store.
 func (m *replayMemo) find(levels []units.Energy, replay []replayTap, k int64) (int, bool) {
-	if m.sets == 0 || k >= 1<<memoKBits {
+	if m.sets == 0 || k >= 1<<memoLane {
 		return -1, false
 	}
-	key := m.key[:0]
-	for _, l := range levels {
-		key = append(key, int64(l))
-	}
-	key, ok := appendCarries(key, replay)
+	key, ok := appendCarries(m.key[:0], k|int64(m.version)<<memoLane, 2, replay)
 	if !ok {
 		return -1, false
 	}
+	for _, l := range levels {
+		key = append(key, int64(l))
+	}
 	m.key = key
 
-	tag := m.version<<memoKBits | uint64(k)
-	h := tag * 0x9E3779B97F4A7C15
+	h := uint64(0)
 	for _, w := range key {
 		h = (h ^ uint64(w)) * 0x9E3779B97F4A7C15
 	}
-	set := int(h>>32) & (m.sets - 1)
-	first := set * memoWays
-	victim := first + int(h>>60)%memoWays
-	for e := first; e < first+memoWays; e++ {
-		if m.tags[e] == tag && slices.Equal(m.words[e*m.stride:e*m.stride+m.keyWords], key) {
+	first := int((h>>32)*m.sets>>32) * memoWays * m.stride
+	e := first
+	for ; e < first+memoWays*m.stride; e += m.stride {
+		if slices.Equal(m.words[e:e+m.keyWords], key) {
 			m.hits++
 			return e, true
 		}
-		if m.tags[e]>>memoKBits != m.version {
-			victim = e
-		}
 	}
 	m.misses++
-	return victim, false
+	return e - m.stride, false
 }
 
-// store records the chunk's results, just computed by replayLoop, in
-// entry e under the start state find kept.
-func (m *replayMemo) store(e int, k int64, levels []units.Energy, replay []replayTap) {
-	w := append(m.words[e*m.stride:e*m.stride:(e+1)*m.stride], m.key...)
-	for _, l := range levels {
-		w = append(w, int64(l))
-	}
-	w, _ = appendCarries(w, replay) // the loop leaves every carry in (−1000, 1000)
-	for i := range replay {
-		w = append(w, int64(replay[i].moved))
-	}
-	for i := range replay {
-		w = append(w, int64(replay[i].starved))
-	}
-	m.tags[e] = m.version<<memoKBits | uint64(k)
-}
-
-// load copies entry e's value into the chunk's levels and replay set,
-// exactly as replayLoop would have left them.
-func (m *replayMemo) load(e int, levels []units.Energy, replay []replayTap) {
-	v := m.words[e*m.stride+m.keyWords : (e+1)*m.stride]
+// load copies the value of entry e, found for a chunk of k batches,
+// into the chunk's levels and replay set, exactly as replayLoop would
+// have left them, and moves the entry to the front of its set.
+func (m *replayMemo) load(e int, k int64, levels []units.Energy, replay []replayTap) {
+	v := m.words[e+m.keyWords : e+m.stride]
 	for i := range levels {
 		levels[i] = units.Energy(v[i])
 	}
@@ -185,24 +179,64 @@ func (m *replayMemo) load(e int, levels []units.Energy, replay []replayTap) {
 	sums := carries[(len(replay)+3)/4:]
 	for i := range replay {
 		r := &replay[i]
-		r.carry = int64(int16(carries[i/4] >> (16 * (i % 4))))
-		r.moved = units.Energy(sums[i])
-		r.starved = units.Energy(sums[len(replay)+i])
+		if m.plan[i].closedForm() {
+			r.moved = units.Energy((int64(r.rate)*int64(m.planDT)*k + r.carry) / 1000)
+		} else {
+			r.moved = units.Energy(sums[0])
+			sums = sums[1:]
+		}
+		r.carry = int64(int16(carries[i/4] >> (memoLane * (i % 4))))
+	}
+	if (e/m.stride)%memoWays != 0 {
+		m.insert(e, levels, replay)
 	}
 }
 
-// appendCarries appends the replay set's carries to dst, four 16-bit
-// lanes to a word. It reports false if a carry does not fit its lane.
-func appendCarries(dst []int64, replay []replayTap) ([]int64, bool) {
-	for i := 0; i < len(replay); i += 4 {
-		var w int64
-		for j := i; j < len(replay) && j < i+4; j++ {
-			c := replay[j].carry
-			if c != int64(int16(c)) {
-				return dst, false
-			}
-			w |= int64(uint16(c)) << (16 * (j - i))
+// store records the chunk's results, just computed by replayLoop, at
+// the front of the set find picked, evicting entry e — unless a tap
+// starved in the chunk.
+func (m *replayMemo) store(e int, levels []units.Energy, replay []replayTap) {
+	for i := range replay {
+		if replay[i].starved != 0 {
+			return
 		}
+	}
+	m.insert(e, levels, replay)
+}
+
+// insert writes the chunk under the start state in m.key at the front
+// of entry e's set, shifting the entries before e back by one.
+func (m *replayMemo) insert(e int, levels []units.Energy, replay []replayTap) {
+	first := e - (e/m.stride)%memoWays*m.stride
+	copy(m.words[first+m.stride:e+m.stride], m.words[first:e])
+	w := append(m.words[first:first:first+m.stride], m.key...)
+	for _, l := range levels {
+		w = append(w, int64(l))
+	}
+	w, _ = appendCarries(w, 0, 0, replay) // the loop leaves every carry in (−1000, 1000)
+	for i := range replay {
+		if !m.plan[i].closedForm() {
+			w = append(w, int64(replay[i].moved))
+		}
+	}
+}
+
+// appendCarries appends the replay set's carries to dst in 16-bit
+// lanes, four to a word, after the first lanes lanes already in w. It
+// reports false if a carry does not fit its lane.
+func appendCarries(dst []int64, w int64, lanes int, replay []replayTap) ([]int64, bool) {
+	for i := range replay {
+		c := replay[i].carry
+		if c != int64(int16(c)) {
+			return dst, false
+		}
+		w |= int64(uint16(c)) << (memoLane * lanes)
+		if lanes++; lanes == 4 {
+			dst = append(dst, w)
+			w, lanes = 0, 0
+		}
+	}
+	if lanes > 0 {
 		dst = append(dst, w)
 	}
 	return dst, true

@@ -31,17 +31,17 @@ import (
 //     tap's whole chunk total in one debit or credit. The replay costs
 //     O(replayed taps × batches) integer steps and no pointer chasing.
 //   - The flat loop reads nothing but the chunk's start state, so each
-//     start state is replayed once: a per-graph memo (memo.go) keys a
-//     chunk by a plan version (bumped whenever a replayed tap's identity,
-//     kind, rate, frac or endpoint slots, or dt, differ from the last
-//     replayed plan), k, the sensitive levels and the replayed carries,
-//     and holds the loop's end levels, end carries and per-tap moved and
-//     starved sums. A hit compares the whole key and feeds the same
+//     start state is replayed once: a memo (memo.go), which Graph.Reset
+//     keeps so every device a fleet worker runs shares it, keys a chunk
+//     by k, a plan version (bumped whenever a replayed tap's kind, rate,
+//     frac or endpoint slots, or dt, differ from the last replayed
+//     plan), the replayed carries and the sensitive levels, and holds
+//     the loop's end levels, end carries and the moved sums that do not
+//     telescope. A hit compares the whole key and feeds the same
 //     write-back as a miss, so it is exact, debit's overdraw panic and
-//     flowWalks included. The table is bounded (8,192 entries of at most
-//     8 words, 4-way) and allocated on the graph's first replay; it is
-//     derived state, so it is not checkpointed and Graph.Reset strands
-//     it by forcing a new version.
+//     flowWalks included. The table is bounded (576 KiB, 4-way LRU sets)
+//     and allocated on the graph's first replay; it is derived state, so
+//     it is not checkpointed.
 //   - Starvation makes constant taps level-dependent too. The per-reserve
 //     depletion horizon bounds how many batches can pass before any
 //     source could fail to cover its worst-case outflow (ignoring all
@@ -365,11 +365,11 @@ func (g *Graph) replayChunk(dt units.Time, k int64) {
 	g.memo.sync(g, dt)
 	e, hit := g.memo.find(levels, replay, k)
 	if hit {
-		g.memo.load(e, levels, replay)
+		g.memo.load(e, k, levels, replay)
 	} else {
 		replayLoop(dt, k, levels, replay)
 		if e >= 0 {
-			g.memo.store(e, k, levels, replay)
+			g.memo.store(e, levels, replay)
 		}
 	}
 

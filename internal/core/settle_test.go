@@ -402,10 +402,11 @@ func (h *hoarderTwin) second() {
 
 // TestReplayMemoInvalidation warms the replay memo on the hoarder shape
 // until its chunks recur, then applies each change the memo must notice
-// — Graph.Reset with a rebuild of the same shape, a new fraction, a new
-// rate, a transfer into the hoard, a new tap on the hoard, releasing the
-// grab tap — and checks that the next chunk misses and that every chunk
-// matches the per-batch Flow oracle.
+// — a new fraction, a new rate, a transfer into the hoard, a new tap on
+// the hoard, releasing the grab tap — and checks that the next chunk
+// misses and that every chunk matches the per-batch Flow oracle. A
+// Graph.Reset with a rebuild of the same shape is not such a change: the
+// recycled graph's first chunk hits what the first life stored.
 func TestReplayMemoInvalidation(t *testing.T) {
 	oracle := &hoarderTwin{}
 	subject := &hoarderTwin{settled: true}
@@ -453,15 +454,23 @@ func TestReplayMemoInvalidation(t *testing.T) {
 			t.Fatalf("%s: the next chunk hit the replay memo", what)
 		}
 	}
+	hitNext := func(what string) {
+		t.Helper()
+		if !step() {
+			t.Fatalf("%s: the next chunk missed the replay memo", what)
+		}
+	}
 
 	warm("initial")
 	// The rebuilt graph's plan equals the first life's, and its first
-	// chunk starts from the state the first life began from.
+	// chunk starts from the state the first life began from: the memo
+	// kept both across Graph.Reset, as a fleet worker's next device
+	// needs.
 	both(func(h *hoarderTwin) { h.build(t) })
 	if hits, misses := subject.g.memoStats(); hits != 0 || misses != 0 {
 		t.Fatalf("Graph.Reset left memo counters at %d hits, %d misses", hits, misses)
 	}
-	missNext("Graph.Reset and rebuild")
+	hitNext("Graph.Reset and rebuild")
 
 	warm("after Graph.Reset")
 	both(func(h *hoarderTwin) { mustFrac(t, h.tax, 150_000) })
@@ -498,5 +507,89 @@ func TestReplayMemoInvalidation(t *testing.T) {
 		}
 	})
 	missNext("grab tap released")
+}
 
+// relive settles build's graph through the given chunks three times:
+// batch by batch (the oracle), settled by a graph that fills the replay
+// memo, and settled by a second graph that takes over the first one's
+// memo, as the next device on a fleet worker does. It checks both
+// settled graphs against the oracle after every chunk and returns the
+// second graph's memo hits and misses, with its graph.
+func relive(t *testing.T, build func(g *Graph, root *kobj.Container) []*Tap, chunks ...int64) (hits, misses int64, second *Graph) {
+	t.Helper()
+	tw := newTwins(t, units.Kilojoule, 0, build)
+	var want []string
+	for i, n := range chunks {
+		tw.step(n)
+		tw.compare(fmt.Sprintf("first life, chunk %d", i))
+		want = append(want, graphState(tw.oracle))
+	}
+	second, root := newSettleGraph(units.Kilojoule)
+	build(second, root)
+	second.memo = tw.subject.memo
+	h0, m0 := second.memoStats()
+	for i, n := range chunks {
+		second.SettleFlows(settleDT, n, 0, nil)
+		if got := graphState(second); got != want[i] {
+			t.Fatalf("second life, chunk %d: diverged from the per-batch oracle:\n--- oracle ---\n%s--- second ---\n%s", i, want[i], got)
+		}
+	}
+	h1, m1 := second.memoStats()
+	return h1 - h0, m1 - m0, second
+}
+
+// TestReplayMemoSkipsStarvedChunks: a constant drain on a sensitive
+// reserve clamps once the reserve runs dry. The memo keeps no starved
+// sums, so that chunk is not stored: a second graph replaying the same
+// chunk misses again, and still matches the oracle.
+func TestReplayMemoSkipsStarvedChunks(t *testing.T) {
+	var drain *Tap
+	hits, misses, second := relive(t, func(g *Graph, root *kobj.Container) []*Tap {
+		hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+		if err := g.Transfer(label.Priv{}, g.Battery(), hoard, 500); err != nil {
+			t.Fatal(err)
+		}
+		sink := g.NewReserve(root, "sink", label.Public(), ReserveOpts{})
+		tax := mustTap(t, g, root, "tax", hoard, g.Battery())
+		mustFrac(t, tax, 1000)
+		drain = mustTap(t, g, root, "drain", hoard, sink)
+		mustRate(t, drain, units.Milliwatts(10)) // 100 µJ a batch: dry within five
+		return []*Tap{tax, drain}
+	}, 100)
+	if drain.Stats().Starved == 0 {
+		t.Fatal("the drain never starved: the chunk does not exercise the clamp")
+	}
+	if hits != 0 || misses != 1 {
+		t.Fatalf("second life: %d hits, %d misses; want the starved chunk unstored and missed", hits, misses)
+	}
+	if n := second.SettledBatches(); n != 100 {
+		t.Fatalf("second life settled %d batches, want the whole chunk", n)
+	}
+}
+
+// TestReplayMemoClosedFormMoved: a constant tap from outside the
+// sensitive set into it never clamps, so the memo stores no moved sum
+// for it and a hit telescopes the sum from the start carry. The rate
+// leaves a 670/1000 µJ remainder every batch, so the second 37-batch
+// chunk starts from a carry of 790 that adds one µJ to its sum; on a
+// hit both chunks' moved sums must equal the loop's.
+func TestReplayMemoClosedFormMoved(t *testing.T) {
+	var grab *Tap
+	hits, misses, second := relive(t, func(g *Graph, root *kobj.Container) []*Tap {
+		hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+		grab = mustTap(t, g, root, "grab", g.Battery(), hoard)
+		mustRate(t, grab, 1_234_567) // 12,345.67 µJ a batch
+		tax := mustTap(t, g, root, "tax", hoard, g.Battery())
+		mustFrac(t, tax, 1000)
+		return []*Tap{grab, tax}
+	}, 37, 37)
+	if hits != 2 || misses != 0 {
+		t.Fatalf("second life: %d hits, %d misses; want both chunks hit", hits, misses)
+	}
+	if !second.memo.plan[0].closedForm() || second.memo.plan[1].closedForm() {
+		t.Fatalf("plan %+v: want the grab closed-form and the tax not", second.memo.plan)
+	}
+	if want := units.Energy(74 * 1_234_567 * int64(settleDT) / 1000); grab.Stats().Moved != want {
+		t.Fatalf("grab moved %d µJ over 74 batches, want %d", grab.Stats().Moved, want)
+	}
 }

@@ -13,8 +13,6 @@
 package estimator
 
 import (
-	"fmt"
-
 	"repro/internal/radio"
 	"repro/internal/units"
 )
@@ -25,10 +23,8 @@ const DefaultAlphaPct = 25
 
 // ActivationEstimator tracks radio activation overhead online.
 type ActivationEstimator struct {
-	alphaPct     int64
-	estimate     units.Energy
-	observations int64
-	min, max     units.Energy
+	alphaPct int64
+	estimate units.Energy
 }
 
 // NewActivationEstimator seeds the estimator with the offline-measured
@@ -41,7 +37,6 @@ func NewActivationEstimator(r *radio.Radio, alphaPct int) *ActivationEstimator {
 	e := &ActivationEstimator{
 		alphaPct: int64(alphaPct),
 		estimate: r.Profile().RadioActivationEnergy,
-		min:      units.MaxEnergy,
 	}
 	r.OnEpisode(e.Observe)
 	return e
@@ -51,13 +46,6 @@ func NewActivationEstimator(r *radio.Radio, alphaPct int) *ActivationEstimator {
 func (e *ActivationEstimator) Observe(cost units.Energy) {
 	if cost <= 0 {
 		return
-	}
-	e.observations++
-	if cost < e.min {
-		e.min = cost
-	}
-	if cost > e.max {
-		e.max = cost
 	}
 	// estimate += α (cost − estimate), in integer percent arithmetic,
 	// rounding the correction half away from zero. Go's integer division
@@ -76,9 +64,3 @@ func (e *ActivationEstimator) Observe(cost units.Energy) {
 
 // Estimate returns the current activation-cost prediction.
 func (e *ActivationEstimator) Estimate() units.Energy { return e.estimate }
-
-// String renders the estimator state.
-func (e *ActivationEstimator) String() string {
-	return fmt.Sprintf("activation≈%v after %d episodes (observed %v–%v)",
-		e.estimate, e.observations, e.min, e.max)
-}

@@ -10,9 +10,9 @@ import (
 )
 
 // seeded builds an estimator in the post-construction state without a
-// radio rig: α set, profile prior folded in, min at its sentinel.
+// radio rig: α set, profile prior folded in.
 func seeded(alphaPct int64, prior units.Energy) *ActivationEstimator {
-	return &ActivationEstimator{alphaPct: alphaPct, estimate: prior, min: units.MaxEnergy}
+	return &ActivationEstimator{alphaPct: alphaPct, estimate: prior}
 }
 
 func TestSmallCorrectionsEscapeTruncationDeadBand(t *testing.T) {
@@ -72,8 +72,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := snap.Load(b, e2.Codec); err != nil {
 		t.Fatal(err)
 	}
-	if e2.String() != e.String() {
-		t.Fatalf("restored state %q != original %q", e2, e)
+	if *e2 != *e {
+		t.Fatalf("restored state %+v != original %+v", *e2, *e)
 	}
 	// Byte-equality is the bar the fleet resume path holds snapshots
 	// to: re-serializing the restored estimator must reproduce the

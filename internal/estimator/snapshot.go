@@ -6,12 +6,9 @@ import "repro/internal/snap"
 // subscription and α are structural — the rebuilt world re-creates
 // them, and a differing α means the rebuilt device was configured
 // differently from the checkpointed one — so only the running
-// estimate, the observation count and the extremes travel.
+// estimate travels.
 func (e *ActivationEstimator) Codec(c *snap.Codec) {
 	c.Section("estimator")
 	snap.SameInt(c, "α (percent)", e.alphaPct)
 	snap.Int(c, &e.estimate)
-	snap.Int(c, &e.observations)
-	snap.Int(c, &e.min)
-	snap.Int(c, &e.max)
 }

@@ -36,8 +36,10 @@ const Magic = "CNDSNAP1"
 // the radio's tracing switch and writes the radio state and netd pool
 // series only when it is on. Version 6 drops the activation
 // estimator's 64-entry history ring, which nothing read back, from the
-// estimator section.
-const Version uint32 = 6
+// estimator section. Version 7 drops the estimator's observation count
+// and its smallest and largest observed costs, which only a debug
+// string read, leaving the section the running estimate alone.
+const Version uint32 = 7
 
 // Errors the reader can return (wrapped with context).
 var (
