@@ -223,12 +223,13 @@ func (g *Graph) planSettle(dt units.Time, extra units.Power) int64 {
 	g.settleTelescope = g.settleTelescope[:0]
 	g.settleReplay = g.settleReplay[:0]
 	g.settleSrcs = g.settleSrcs[:0]
+	rateCap := horizonCap / int64(dt)
 	for _, t := range g.active {
 		if t.kind == TapProportional {
 			g.addReplay(t, epoch)
 			continue
 		}
-		if int64(t.rate) > horizonCap/int64(dt) {
+		if int64(t.rate) > rateCap {
 			return 0
 		}
 		// Sensitive reserves need no depletion bound: every tap touching
@@ -246,7 +247,7 @@ func (g *Graph) planSettle(dt units.Time, extra units.Power) int64 {
 		}
 	}
 	if extra > 0 {
-		if int64(extra) > horizonCap/int64(dt) {
+		if int64(extra) > rateCap {
 			return 0
 		}
 		// The caller's own carry is invisible here; budget a full one.

@@ -825,10 +825,7 @@ func (k *Kernel) settleBatches(flowLimit, baseLimit units.Time) {
 		flowDue, baseDue := ft <= flowLimit, bt <= baseLimit
 		switch {
 		case flowDue && baseDue && ft == bt:
-			n := int64((flowLimit-ft)/k.tapBatch) + 1
-			if nb := int64((baseLimit-bt)/k.tapBatch) + 1; nb < n {
-				n = nb
-			}
+			n := int64((min(flowLimit, baseLimit)-ft)/k.tapBatch) + 1
 			k.Graph.SettleFlows(k.tapBatch, n, k.baselinePower(), k.fn.billBaseline)
 			d := units.Time(n) * k.tapBatch
 			k.tapsPending += d

@@ -21,6 +21,8 @@ package netd
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -156,13 +158,32 @@ type Netd struct {
 	predLvls   []int64
 }
 
-// predTap is prediction scratch state for one constant tap feeding a
-// waiter: rdm is the per-sweep-period numerator rate·batch·(period/batch)
-// in µJ·10⁻³, carry the simulated sub-µJ residue, w the waiter index.
+// predTap is one constant tap feeding a waiter, as the prediction
+// sees it: rdm is the per-sweep-period numerator rate·batch·(period/batch)
+// in µJ·10⁻³, carry the tap's current sub-µJ residue, w the waiter
+// index. The prediction stores taps in waiter order and never mutates
+// them.
 type predTap struct {
 	rdm   int64
 	carry int64
 	w     int
+}
+
+// credit returns the µJ the tap credits through s sweep periods,
+// ⌊(rdm·s + carry)/1000⌋ with Go's truncating division. The per-sweep
+// walk — credit (rdm + carry)/1000, keep the remainder as the carry —
+// telescopes to it: a negative carry, left by a proportional phase,
+// credits nothing while the total stays negative, and from the first
+// non-negative total on, truncation is floor division. Where rdm·s +
+// carry would overflow int64 the credit exceeds 9·10¹⁵ µJ, past any
+// threshold; it saturates at math.MaxInt64 instead, which can only
+// predict the crossing early, the safe direction.
+func (t predTap) credit(s int64) int64 {
+	hi, lo := bits.Mul64(uint64(t.rdm), uint64(s))
+	if hi != 0 || lo > math.MaxInt64-999 {
+		return math.MaxInt64
+	}
+	return (int64(lo) + t.carry) / 1000
 }
 
 // New creates netd, its pooled reserve (decay-exempt: §5.5.2 trusts
@@ -440,15 +461,15 @@ func (n *Netd) settleGuard() bool {
 	return true
 }
 
+// sweepCap bounds how many sweep periods one prediction looks ahead.
+const sweepCap = 1 << 14
+
 // predictFire returns the first sweep boundary after now at which the
-// pool reaches the threshold, simulating the per-boundary drains in
-// closed form: each constant tap credits ⌊(rate·batch·m + carry)/1000⌋ µJ
-// per sweep period (m batches), carries telescope exactly, and every
-// boundary drains each waiter's positive level into the pool. The result
-// is capped at the depletion horizon — beyond it a source could clamp
-// and constant-rate extrapolation lies — and at a fixed iteration bound;
-// a capped prediction just re-predicts when the sweep fires there.
-// Returns 0 when no boundary can be trusted.
+// pool reaches the threshold, capped at the depletion horizon — beyond
+// it a source could clamp and constant-rate extrapolation lies — and at
+// sweepCap sweeps; a capped prediction just re-predicts when the sweep
+// fires there. It models the per-boundary drains in closed form (see
+// crossingSweep). Returns 0 when no boundary can be trusted.
 func (n *Netd) predictFire(now units.Time) units.Time {
 	poolLvl, err := n.pool.Level(n.priv)
 	if err != nil {
@@ -459,7 +480,6 @@ func (n *Netd) predictFire(now units.Time) units.Time {
 	dt := n.k.TapBatch()
 	m := int64(period / dt)
 	maxSweeps := n.k.SweepHorizonBatches() / m
-	const sweepCap = 1 << 14
 	if maxSweeps > sweepCap {
 		maxSweeps = sweepCap
 	}
@@ -488,25 +508,59 @@ func (n *Netd) predictFire(now units.Time) units.Time {
 			})
 		}
 	}
-	pool := int64(poolLvl)
-	for s := int64(1); s <= maxSweeps; s++ {
-		for ti := range n.predTaps {
-			t := &n.predTaps[ti]
-			tot := t.rdm + t.carry
-			t.carry = tot % 1000
-			n.predLvls[t.w] += tot / 1000
-		}
-		for wi := range n.predLvls {
-			if n.predLvls[wi] > 0 {
-				pool += n.predLvls[wi]
-				n.predLvls[wi] = 0
-			}
-		}
-		if pool >= int64(need) {
-			return now + units.Time(s)*period
+	s := crossingSweep(n.predTaps, n.predLvls, int64(poolLvl), int64(need), maxSweeps)
+	return now + units.Time(s)*period
+}
+
+// crossingSweep returns the first sweep s in [1, maxSweeps] after which
+// the pool holds at least need, or maxSweeps when none does. lvls are
+// the waiters' levels L₀ ≤ 0 after the last drain; taps feed them, in
+// waiter order.
+//
+// Every boundary drains each waiter's positive level into the pool. A
+// waiter's level through s sweeps, undrained, is L₀ + C(s), where C(s)
+// sums its taps' credits (predTap.credit); C never falls, because
+// SetRate refuses negative rates. By induction on s the drains through
+// boundary s then move max(0, L₀ + C(s)) in total — the identity
+// replayThrough applies — so the pool after s sweeps is
+//
+//	pooled(s) = pool + Σ_waiters max(0, L₀ + C(s)),
+//
+// non-decreasing in s, and a binary search finds the first crossing in
+// O(taps · log maxSweeps).
+func crossingSweep(taps []predTap, lvls []int64, pool, need, maxSweeps int64) int64 {
+	lo, hi := int64(1), maxSweeps
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if pooledAfter(taps, lvls, pool, mid) >= need {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return now + units.Time(maxSweeps)*period
+	return lo
+}
+
+// pooledAfter returns pooled(s), saturating at math.MaxInt64.
+func pooledAfter(taps []predTap, lvls []int64, pool, s int64) int64 {
+	ti := 0
+	for wi, lvl := range lvls {
+		for ; ti < len(taps) && taps[ti].w == wi; ti++ {
+			lvl = addSat(lvl, taps[ti].credit(s))
+		}
+		if lvl > 0 {
+			pool = addSat(pool, lvl)
+		}
+	}
+	return pool
+}
+
+// addSat returns a+b for b ≥ 0, saturating at math.MaxInt64.
+func addSat(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // replayThrough applies, in one exact fixup per waiter, the drains the
