@@ -22,6 +22,7 @@ import (
 	"repro/internal/kobj"
 	"repro/internal/label"
 	"repro/internal/netd"
+	"repro/internal/power"
 	"repro/internal/radio"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -86,7 +87,7 @@ func benchViewer(b *testing.B, adaptive bool) {
 	b.Helper()
 	var finished units.Time
 	for i := 0; i < b.N; i++ {
-		k := kernel.New(kernel.Config{Seed: 5, Profile: laptop(), DecayHalfLife: -1})
+		k := kernel.New(kernel.Config{Seed: 5, Profile: power.LaptopT60p(), DecayHalfLife: -1})
 		cfg := apps.DefaultViewerConfig(adaptive)
 		cfg.Batches = 3
 		v, err := apps.NewImageViewer(k, k.Root, k.KernelPriv(), k.Battery(), cfg)
@@ -162,7 +163,7 @@ func BenchmarkFig14NetdReserve(b *testing.B) {
 			}
 		}
 		k.Run(5 * units.Minute)
-		peak = units.Energy(n.PoolTrace().Summarize().Max).Joules()
+		peak = units.Energy(n.PoolTrace().Max()).Joules()
 	}
 	b.ReportMetric(peak, "J-pool-peak")
 }
@@ -246,7 +247,7 @@ func BenchmarkAblationDecayOff(b *testing.B) {
 func benchDecay(b *testing.B, half units.Time) {
 	b.Helper()
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{DecayHalfLife: half})
 	for i := 0; i < 500; i++ {
 		r := g.NewReserve(root, "r", label.Public(), core.ReserveOpts{})
@@ -379,7 +380,7 @@ func BenchmarkAblationProportionalTaps(b *testing.B) {
 		kind := kind
 		b.Run(kind, func(b *testing.B) {
 			tbl := kobj.NewTable()
-			root := kobj.NewContainer(tbl, nil, "root", label.Public())
+			root := kobj.NewContainer(tbl, nil, label.Public())
 			g := core.NewGraph(tbl, root, label.Public(), core.Config{DecayHalfLife: -1})
 			for i := 0; i < 200; i++ {
 				r := g.NewReserve(root, "r", label.Public(), core.ReserveOpts{})
@@ -496,7 +497,7 @@ func BenchmarkFleet100Pollers(b *testing.B) {
 // 50 runnable threads.
 func BenchmarkSchedulerTick(b *testing.B) {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{
 		DecayHalfLife: -1, BatteryCapacity: 1000 * units.Kilojoule,
 	})
@@ -526,7 +527,7 @@ type tapFarmTable struct {
 // thread-per-tap variant.
 func tapFarm(nTaps int) (*core.Graph, tapFarmTable, []*core.Reserve) {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{
 		DecayHalfLife: -1, BatteryCapacity: 1000 * units.Kilojoule,
 	})
@@ -550,8 +551,6 @@ func tapFarm(nTaps int) (*core.Graph, tapFarmTable, []*core.Reserve) {
 	}
 	return g, tapFarmTable{table: tbl, root: root}, reserves
 }
-
-func laptop() Profile { return LaptopProfile() }
 
 var firstNumber = regexp.MustCompile(`\d+(\.\d+)?`)
 

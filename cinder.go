@@ -47,20 +47,17 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/kernel"
-	"repro/internal/kobj"
 	"repro/internal/label"
 	"repro/internal/netd"
 	"repro/internal/power"
 	"repro/internal/radio"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
-// Re-exported core types. The facade keeps the full API of the internal
-// packages available to library users without reaching into internal/.
+// Re-exported types: the ones the examples and commands name, and those
+// the facade's own signatures name.
 type (
 	// Energy is microjoules; Power is microwatts; Time is simulated
 	// milliseconds.
@@ -68,91 +65,44 @@ type (
 	Power  = units.Power
 	Time   = units.Time
 
-	// Reserve and Tap are the paper's §3.2/§3.3 abstractions.
+	// Reserve is the paper's §3.2 abstraction.
 	Reserve = core.Reserve
-	Tap     = core.Tap
-	// TapKind selects constant vs proportional rate semantics.
-	TapKind = core.TapKind
-	// PPM is a proportional tap's fraction in parts-per-million/s.
-	PPM = core.PPM
-	// Graph is the resource consumption graph (§3.4).
-	Graph = core.Graph
-	// Accounting is a reserve's consumption record.
-	Accounting = core.Accounting
 
 	// Kernel bundles the object table, scheduler, graph and gates.
 	Kernel = kernel.Kernel
-	// KernelConfig parameterizes a standalone kernel.
-	KernelConfig = kernel.Config
-	// Call is a gate invocation context (§5.5.1 billing).
-	Call = kernel.Call
 
-	// Thread is a schedulable principal; Runner is its behaviour.
-	Thread = sched.Thread
+	// Runner is a thread's behaviour.
 	Runner = sched.Runner
-	// RunnerFunc adapts a function to Runner.
-	RunnerFunc = sched.RunnerFunc
 
 	// Label and Priv are the §3.5 security label and privilege set.
 	Label = label.Label
 	Priv  = label.Priv
-	// Category is a privilege category.
-	Category = label.Category
 
-	// Container holds kernel objects and controls their lifetime.
-	Container = kobj.Container
-
-	// Profile is a device power model; Meter the simulated bench
-	// supply.
+	// Profile is a device power model.
 	Profile = power.Profile
-	Meter   = power.Meter
 
 	// Radio is the simulated cellular data path (§4.3).
 	Radio = radio.Radio
-	// Netd is the cooperative network stack (§5.5).
-	Netd = netd.Netd
-	// NetRequest is a poll session passed through the netd gate.
-	NetRequest = netd.Request
 
-	// Series is a recorded time series (power traces, reserve levels).
-	Series = trace.Series
-
-	// Experiment results.
+	// Result is an experiment's outcome.
 	Result = experiments.Result
-	Check  = experiments.Check
 
 	// Applications from §5.
 	Browser        = apps.Browser
 	BrowserConfig  = apps.BrowserConfig
-	ImageViewer    = apps.ImageViewer
-	ViewerConfig   = apps.ViewerConfig
 	TaskManager    = apps.TaskManager
 	TaskManagerCfg = apps.TaskManagerConfig
 	Poller         = apps.Poller
 	PollerConfig   = apps.PollerConfig
-	Spinner        = apps.Spinner
 	Wrapped        = apps.Wrapped
 )
 
 // Unit constructors and constants.
 const (
-	Microjoule = units.Microjoule
 	Millijoule = units.Millijoule
-	Joule      = units.Joule
-	Kilojoule  = units.Kilojoule
-
-	Microwatt = units.Microwatt
-	Milliwatt = units.Milliwatt
-	Watt      = units.Watt
-
-	Millisecond = units.Millisecond
-	Second      = units.Second
-	Minute      = units.Minute
-	Hour        = units.Hour
-
-	// TapConst and TapProportional select tap semantics.
-	TapConst        = core.TapConst
-	TapProportional = core.TapProportional
+	Watt       = units.Watt
+	Second     = units.Second
+	Minute     = units.Minute
 )
 
 // Joules converts joules to Energy.
@@ -160,9 +110,6 @@ func Joules(j float64) Energy { return units.Joules(j) }
 
 // Milliwatts converts milliwatts to Power.
 func Milliwatts(mw float64) Power { return units.Milliwatts(mw) }
-
-// Watts converts watts to Power.
-func Watts(w float64) Power { return units.Watts(w) }
 
 // Seconds converts seconds to Time.
 func Seconds(s float64) Time { return units.Seconds(s) }
@@ -174,14 +121,8 @@ func PublicLabel() Label { return label.Public() }
 // application).
 func NoPrivileges() Priv { return label.Priv{} }
 
-// OwnerOf returns a privilege set owning the given categories.
-func OwnerOf(cats ...Category) Priv { return label.NewPriv(cats...) }
-
 // DreamProfile returns the HTC Dream power model (§4.2).
 func DreamProfile() Profile { return power.Dream() }
-
-// LaptopProfile returns the Lenovo T60p model used in §6.2.
-func LaptopProfile() Profile { return power.LaptopT60p() }
 
 // Options configures a System.
 type Options struct {
@@ -208,7 +149,6 @@ type Options struct {
 type System struct {
 	Kernel *Kernel
 	Radio  *Radio
-	Netd   *Netd
 }
 
 // NewSystem builds a System.
@@ -234,11 +174,10 @@ func NewSystem(o Options) (*System, error) {
 	if o.CooperativeNetd != nil {
 		coop = *o.CooperativeNetd
 	}
-	n, err := netd.New(k, r, netd.Config{Cooperative: coop})
-	if err != nil {
+	if _, err := netd.New(k, r, netd.Config{Cooperative: coop}); err != nil {
 		return nil, err
 	}
-	return &System{Kernel: k, Radio: r, Netd: n}, nil
+	return &System{Kernel: k, Radio: r}, nil
 }
 
 // Battery returns the root reserve.
@@ -247,24 +186,13 @@ func (s *System) Battery() *Reserve { return s.Kernel.Battery() }
 // Run advances simulated time by d.
 func (s *System) Run(d Time) { s.Kernel.Run(d) }
 
-// Now returns the current simulated time.
-func (s *System) Now() Time { return s.Kernel.Now() }
-
 // Consumed returns total energy drawn from the battery so far.
 func (s *System) Consumed() Energy { return s.Kernel.Consumed() }
-
-// NewMeter attaches a bench-supply meter (200 ms samples, §4.2).
-func (s *System) NewMeter(name string) *Meter { return s.Kernel.NewMeter(name) }
 
 // EnergyWrap confines a workload to a rate limit (§5.1). The tap is
 // owned by the caller's privileges.
 func (s *System) EnergyWrap(name string, p Priv, from *Reserve, rate Power, tapLbl Label, r Runner) (*Wrapped, error) {
 	return apps.EnergyWrap(s.Kernel, s.Kernel.Root, name, p, from, rate, tapLbl, r)
-}
-
-// NewSpinner creates a CPU-bound process fed at rate from src.
-func (s *System) NewSpinner(name string, p Priv, src *Reserve, rate Power) (*Spinner, error) {
-	return apps.NewSpinner(s.Kernel, s.Kernel.Root, name, p, src, rate, label.Public())
 }
 
 // NewBrowser builds the §5.2 browser/plugin pair.
@@ -282,46 +210,12 @@ func (s *System) NewPoller(name string, p Priv, cfg PollerConfig) (*Poller, erro
 	return apps.NewPoller(s.Kernel, s.Kernel.Root, name, p, s.Battery(), cfg)
 }
 
-// NewImageViewer builds the §5.3 adaptive gallery.
-func (s *System) NewImageViewer(p Priv, cfg ViewerConfig) (*ImageViewer, error) {
-	return apps.NewImageViewer(s.Kernel, s.Kernel.Root, p, s.Battery(), cfg)
-}
-
-// DefaultViewerConfig returns the §6.2 parameters.
-func DefaultViewerConfig(adaptive bool) ViewerConfig {
-	return apps.DefaultViewerConfig(adaptive)
-}
-
-// Fleet-scale simulation. A fleet runs N independent Systems
-// concurrently on a worker pool with deterministically derived
-// per-device seeds; see internal/fleet for scenarios and semantics.
-type (
-	// FleetConfig parameterizes a fleet run.
-	FleetConfig = fleet.Config
-	// FleetReport is the deterministic aggregate of a fleet run.
-	FleetReport = fleet.Report
-	// FleetScenario builds a workload onto each fleet device.
-	FleetScenario = fleet.Scenario
-	// FleetDeviceResult is one device's outcome.
-	FleetDeviceResult = fleet.DeviceResult
-)
-
-// RunFleet simulates a fleet of devices and returns the aggregate
-// report. For a fixed FleetConfig the report is identical regardless of
-// worker count.
-func RunFleet(cfg FleetConfig) (FleetReport, error) { return fleet.Run(cfg) }
-
-// FleetScenarios returns the built-in fleet workloads by name (poller,
-// idle, spinner, dayinthelife, weekinthelife, monthinthelife,
-// adversarial).
-func FleetScenarios() map[string]FleetScenario { return fleet.Scenarios() }
-
 // Experiments lists the registered paper artifacts (fig3…table1).
 func Experiments() []string { return experiments.Names() }
 
 // ExtendedExperiments lists the beyond-the-paper experiments (fig13),
 // runnable by name but excluded from the frozen RunAllExperiments
-// output. The fleet scenarios run through RunFleet, not here.
+// output. The fleet scenarios run through cmd/cinder-fleet, not here.
 func ExtendedExperiments() []string { return experiments.ExtendedNames() }
 
 // RunExperiment executes one registered experiment by ID (paper

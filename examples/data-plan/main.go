@@ -16,7 +16,7 @@ import (
 
 func main() {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 
 	// A 2 GiB monthly plan, protected by the plan owner's category.
 	plan := netquota.NewPlan(tbl, root, netquota.PlanConfig{

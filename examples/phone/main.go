@@ -101,5 +101,6 @@ func main() {
 	fmt.Printf("  messenger billed: %v (2 J per SMS)\n", sst.Consumed)
 	gst, _ := gpsRes.Stats(cinder.NoPrivileges())
 	fmt.Printf("  nav billed:       %v for %d GPS fixes\n", gst.Consumed, fixes)
-	fmt.Printf("  smdd stats:       %+v\n", smdd.Stats())
+	st := smdd.Stats()
+	fmt.Printf("  smdd stats:       %d SMS sent, %d calls placed\n", st.SMSSent, st.CallsPlaced)
 }

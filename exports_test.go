@@ -11,14 +11,17 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// testOnlyAllowed names the declarations under internal/ that no
-// non-test code uses but that stay on purpose, each with its reason.
-// Keys are the names TestNoTestOnlyExports prints.
+// testOnlyAllowed names the declarations and struct fields that no
+// non-test code uses or reads but that stay on purpose, each with its
+// reason. Keys are the names TestNoTestOnlyExports prints.
 var testOnlyAllowed = map[string]string{
 	"core.(*Graph).ConservationError": "the conservation oracle (held + consumed = capacity + recharged) the graph, kernel, radio, netd and app tests check against",
 	"label.New":                       "builds a label with arbitrary exceptions; the label lattice tests draw random labels with it",
@@ -26,6 +29,8 @@ var testOnlyAllowed = map[string]string{
 	"label.Label.Level":               "per-category lookup the label tests use to read back what New and With stored",
 	"label.Priv.WithOwned":            "adds ownership without raising clearance; the label property tests grow privilege sets with it",
 	"sched.(*Thread).TicksRun":        "scheduled-tick count the scheduler, kernel and integration tests assert fairness and throttling on",
+	"core.replayMemo.hits":            "the replay memo's hit count, the oracle TestReplayMemoInvalidation and the memo's relife tests assert on; a memo that never hits still settles exactly, so only a count shows it working",
+	"core.replayMemo.misses":          "the replay memo's miss count, read with hits by the same memo tests",
 
 	// The coordinator's fault-injection harness, which only the
 	// cluster tests run, entry by entry.
@@ -36,23 +41,119 @@ var testOnlyAllowed = map[string]string{
 }
 
 // TestNoTestOnlyExports type-checks every non-test package of the
-// module (the nested benchmark module aside) and fails on each
-// function, method, type, var or const declared under internal/ that
-// no non-test code uses. Such code is kept alive only by its tests: it
-// gets a production caller, goes, or gets a reasoned entry in
-// testOnlyAllowed.
+// module and fails on each function, method, type, var or const
+// declared under internal/, cmd/ or in the root facade that no non-test
+// code uses, and on each struct field declared there that no non-test
+// code reads. Such code is kept alive only by its tests: it gets a
+// production caller or reader, goes, or gets a reasoned entry in
+// testOnlyAllowed. The nested benchmark module is loaded as a reader
+// only: its uses count, its declarations are not checked. The rule
+// cases in testdata/usecheck are checked too, but only
+// TestUseCheckerFieldRules reads what they report.
 //
 // A use inside the declaration itself (recursion, a method's own
-// receiver) does not count, nor does a type alias: the root facade's
-// aliases re-export names, they do not run them. A method is used when
-// its receiver, or a pointer to it, implements an interface of the
-// module, of a standard package the module imports, or
+// receiver) does not count, nor does a type alias's right-hand side: the
+// root facade's aliases re-export names, they do not run them. A method
+// is used when its receiver, or a pointer to it, implements an
+// interface of the module, of a standard package the module imports, or
 // interface{ Unwrap() error } (which errors.Is calls), and the method
 // is one of that interface's. A const group written with iota is used
-// when any member is.
+// when any member is. A command's main and init run without a caller.
+//
+// A field is read by any selection of it except these, which only
+// store or carry its value:
+//   - the left side of an assignment, ++/-- or compound update,
+//     through the struct- and array-valued fields that hold it. A
+//     right-hand read still counts, unless it feeds only the field
+//     itself (x.f = max(x.f, v), x.f = append(x.f, v));
+//   - &x.f or &x.f[i] handed to a call inside a function taking a
+//     *snap.Codec, and x.f passed to snap.Same*: the codec both saves
+//     and loads, so it alone does not keep state live;
+//   - a read inside a String() method, unless non-test code formats
+//     its type: calls its String, or passes a value of it to a ...any
+//     parameter (fmt, log, a Failf-style wrapper).
+//
+// Every field of a struct is read when non-test code compares the
+// struct with == or !=, keys a map with it or passes it whole to a
+// ...any parameter, recursively through struct and array fields. A
+// field with a json tag is read by the encoder. Embedded fields are
+// not checked.
 func TestNoTestOnlyExports(t *testing.T) {
+	decls, fields := checkModule(t)
+	var unused []string
+	allowed := map[string]bool{}
+	for _, f := range append(decls, fields...) {
+		switch _, ok := testOnlyAllowed[f.name]; {
+		case strings.HasPrefix(f.pos, "testdata/"):
+		case ok:
+			allowed[f.name] = true
+		default:
+			unused = append(unused, f.pos+" "+f.name)
+		}
+	}
+	for name := range testOnlyAllowed {
+		if !allowed[name] {
+			t.Errorf("testOnlyAllowed names %s, which is gone or used outside tests: drop the entry", name)
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("%d declarations and fields are used only by tests; delete them or add them to testOnlyAllowed with a reason:\n%s",
+			len(unused), strings.Join(unused, "\n"))
+	}
+}
+
+// TestUseCheckerFieldRules runs the field rules over
+// testdata/usecheck, which holds one case per rule: each field named
+// dead… is only stored, saved or read by an unformatted String, and
+// must be reported; each field named live… or Live is read in one of
+// the ways the rules count, and must not be.
+func TestUseCheckerFieldRules(t *testing.T) {
+	_, fields := checkModule(t)
+	var got []string
+	for _, f := range fields {
+		if strings.HasPrefix(f.pos, "testdata/usecheck/") {
+			got = append(got, f.name)
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"usecheck.counters.deadCount",
+		"usecheck.counters.deadList",
+		"usecheck.counters.deadMax",
+		"usecheck.counters.deadSame",
+		"usecheck.counters.deadSaved",
+		"usecheck.counters.deadShown",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("unread fields in testdata/usecheck:\n  got  %v\n  want %v", got, want)
+	}
+}
+
+// finding is one unused declaration or unread field: its "file:line"
+// and its printed name.
+type finding struct{ pos, name string }
+
+var (
+	moduleOnce                sync.Once
+	moduleDecls, moduleFields []finding
+	moduleErr                 error
+)
+
+// checkModule runs the use check once per test binary over every
+// non-test package of the module, benchmark/ as a reader and the rule
+// cases in testdata/usecheck, and returns the unused declarations and
+// the unread fields, each sorted by position.
+func checkModule(t *testing.T) (decls, fields []finding) {
+	moduleOnce.Do(func() { moduleDecls, moduleFields, moduleErr = runUseCheck() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleDecls, moduleFields
+}
+
+func runUseCheck() (decls, fields []finding, err error) {
 	c := newUseChecker()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -62,37 +163,38 @@ func TestNoTestOnlyExports(t *testing.T) {
 		_, err = c.load(filepath.ToSlash(path))
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	for _, dir := range []string{"benchmark", "testdata/usecheck"} {
+		if err == nil {
+			_, err = c.load(dir)
+		}
 	}
-	if len(c.decls) < 100 {
-		t.Fatalf("found only %d declarations under internal/; the walk looks broken", len(c.decls))
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(c.decls) < 100 || len(c.fields) < 500 {
+		return nil, nil, fmt.Errorf("found only %d declarations and %d fields to check; the walk looks broken", len(c.decls), len(c.fields))
 	}
 	c.markInterfaceMethods()
+	c.markFormatted()
 
-	var unused []string
-	allowed := map[string]bool{}
+	at := func(name string, pos token.Pos) finding {
+		p := c.fset.Position(pos)
+		return finding{fmt.Sprintf("%s:%d", filepath.ToSlash(p.Filename), p.Line), name}
+	}
 	for obj, d := range c.decls {
-		if c.used[obj] || c.anyUsed(d.group) {
-			continue
-		}
-		if _, ok := testOnlyAllowed[d.name]; ok {
-			allowed[d.name] = true
-			continue
-		}
-		pos := c.fset.Position(obj.Pos())
-		unused = append(unused, fmt.Sprintf("%s:%d %s", filepath.ToSlash(pos.Filename), pos.Line, d.name))
-	}
-	for name := range testOnlyAllowed {
-		if !allowed[name] {
-			t.Errorf("testOnlyAllowed names %s, which is gone or used outside tests: drop the entry", name)
+		if !c.used[obj] && !c.anyUsed(d.group) {
+			decls = append(decls, at(d.name, obj.Pos()))
 		}
 	}
-	if len(unused) > 0 {
-		sort.Strings(unused)
-		t.Errorf("%d declarations under internal/ are used only by tests; delete them or add them to testOnlyAllowed with a reason:\n%s",
-			len(unused), strings.Join(unused, "\n"))
+	for f, name := range c.fields {
+		if !c.read[f] {
+			fields = append(fields, at(name, f.Pos()))
+		}
 	}
+	for _, fs := range [][]finding{decls, fields} {
+		sort.Slice(fs, func(i, j int) bool { return fs[i].pos+fs[i].name < fs[j].pos+fs[j].name })
+	}
+	return decls, fields, nil
 }
 
 // declInfo is one checked declaration: its printed name and, for a
@@ -114,22 +216,31 @@ type useChecker struct {
 	stdImp  types.ImporterFrom
 	pkgs    map[string]*types.Package // module packages, by directory
 	stdPkgs map[*types.Package]bool   // standard packages the module imports
-	decls   map[types.Object]declInfo // declarations under internal/
+	decls   map[types.Object]declInfo // checked declarations
 	used    map[types.Object]bool
 	own     map[types.Object][]span // where a use of the object is a self-use
 	ifaces  []*types.Interface      // the module's interface types, named or not
+
+	fields    map[*types.Var]string // checked struct fields, by printed name
+	read      map[*types.Var]bool
+	inString  map[*types.TypeName][]*types.Var // fields read by the type's String method
+	formatted map[*types.TypeName]bool         // types non-test code formats
 }
 
 func newUseChecker() *useChecker {
 	fset := token.NewFileSet()
 	return &useChecker{
-		fset:    fset,
-		stdImp:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs:    map[string]*types.Package{},
-		stdPkgs: map[*types.Package]bool{},
-		decls:   map[types.Object]declInfo{},
-		used:    map[types.Object]bool{},
-		own:     map[types.Object][]span{},
+		fset:      fset,
+		stdImp:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:      map[string]*types.Package{},
+		stdPkgs:   map[*types.Package]bool{},
+		decls:     map[types.Object]declInfo{},
+		used:      map[types.Object]bool{},
+		own:       map[types.Object][]span{},
+		fields:    map[*types.Var]string{},
+		read:      map[*types.Var]bool{},
+		inString:  map[*types.TypeName][]*types.Var{},
+		formatted: map[*types.TypeName]bool{},
 	}
 }
 
@@ -194,15 +305,11 @@ func (c *useChecker) load(dir string) (*types.Package, error) {
 	}
 	c.pkgs[dir] = pkg
 
+	checked := dir == "." || strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "testdata/")
 	var aliases []span
 	for _, f := range files {
-		aliases = append(aliases, c.declare(pkg, f, info, strings.HasPrefix(dir, "internal/"))...)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				c.ifaces = append(c.ifaces, info.TypeOf(it).(*types.Interface))
-			}
-			return true
-		})
+		aliases = append(aliases, c.declare(pkg, f, info, checked)...)
+		c.walk(f, info)
 	}
 	use := func(id *ast.Ident, obj types.Object) {
 		if obj == nil || obj.Pkg() == nil {
@@ -212,6 +319,9 @@ func (c *useChecker) load(dir string) (*types.Package, error) {
 		case *types.Func:
 			obj = o.Origin()
 		case *types.Var:
+			if o.IsField() {
+				return // walk classifies field selections
+			}
 			obj = o.Origin()
 		}
 		for _, s := range aliases {
@@ -237,12 +347,13 @@ func (c *useChecker) load(dir string) (*types.Package, error) {
 
 // declare records the package-level declarations of f and their
 // self-use spans, the latter for every package so that a method's
-// receiver never counts as a use of its type. Only declarations under
-// internal/ are checked. It returns the spans of f's type aliases.
+// receiver never counts as a use of its type. Only the declarations
+// and struct fields of checked packages are checked. It returns the
+// spans of f's type aliases.
 func (c *useChecker) declare(pkg *types.Package, f *ast.File, info *types.Info, checked bool) (aliases []span) {
 	add := func(id *ast.Ident, name string, s span, group []types.Object) {
 		obj := info.Defs[id]
-		if obj == nil || id.Name == "_" {
+		if obj == nil || id.Name == "_" || name == "main.main" || name == pkg.Name()+".init" {
 			return
 		}
 		c.own[obj] = append(c.own[obj], s)
@@ -294,6 +405,9 @@ func (c *useChecker) declare(pkg *types.Package, f *ast.File, info *types.Info, 
 						aliases = append(aliases, span{s.Pos(), s.End()})
 					}
 					add(s.Name, pkg.Name()+"."+s.Name.Name, span{s.Pos(), s.End()}, nil)
+					if st, ok := s.Type.(*ast.StructType); ok && checked {
+						c.declareFields(pkg.Name()+"."+s.Name.Name, st, info)
+					}
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						add(id, pkg.Name()+"."+id.Name, span{s.Pos(), s.End()}, group)
@@ -303,6 +417,302 @@ func (c *useChecker) declare(pkg *types.Package, f *ast.File, info *types.Info, 
 		}
 	}
 	return aliases
+}
+
+// declareFields records the named fields of st, and of the anonymous
+// structs they hold, under prefix. A json-tagged field is read by the
+// encoder.
+func (c *useChecker) declareFields(prefix string, st *ast.StructType, info *types.Info) {
+	for _, fd := range st.Fields.List {
+		for _, id := range fd.Names {
+			v, ok := info.Defs[id].(*types.Var)
+			if !ok || id.Name == "_" {
+				continue
+			}
+			c.fields[v] = prefix + "." + id.Name
+			if fd.Tag != nil {
+				tag, _ := strconv.Unquote(fd.Tag.Value)
+				if name, ok := reflect.StructTag(tag).Lookup("json"); ok && name != "-" {
+					c.read[v] = true
+				}
+			}
+			if inner, ok := fd.Type.(*ast.StructType); ok {
+				c.declareFields(prefix+"."+id.Name, inner, info)
+			}
+		}
+	}
+}
+
+// walk records the interface types f spells out and how it reads struct
+// fields, by the rules TestNoTestOnlyExports states.
+func (c *useChecker) walk(f *ast.File, info *types.Info) {
+	stores := map[*ast.SelectorExpr]bool{} // field selections that only store
+	for _, decl := range f.Decls {
+		stringer := stringRecv(decl, info)
+		var stack []ast.Node // enclosing nodes, for the codec rule
+		ast.Inspect(decl, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				c.ifaces = append(c.ifaces, info.TypeOf(n).(*types.Interface))
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, l := range n.Lhs {
+						store(l, false, info, stores)
+					}
+				}
+				if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+					selfUpdate(n.Lhs[0], n.Rhs[0], info, stores)
+				}
+			case *ast.IncDecStmt:
+				store(n.X, false, info, stores)
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					c.readAll(info.TypeOf(n.X), false)
+				}
+			case *ast.MapType:
+				c.readAll(info.TypeOf(n.Key), false)
+			case *ast.CallExpr:
+				c.call(n, info, stack, stores)
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				switch {
+				case sel == nil || stores[n]:
+				case sel.Kind() == types.FieldVal && stringer != nil:
+					c.inString[stringer] = append(c.inString[stringer], sel.Obj().(*types.Var).Origin())
+				case sel.Kind() == types.FieldVal:
+					c.read[sel.Obj().(*types.Var).Origin()] = true
+				case sel.Obj().Name() == "String":
+					c.format(sel.Recv())
+				}
+			}
+			return true
+		})
+	}
+}
+
+// call applies the call rules: arguments to snap.Same* and, inside a
+// codec function, &x.f arguments only store; ...any arguments are read
+// whole.
+func (c *useChecker) call(n *ast.CallExpr, info *types.Info, stack []ast.Node, stores map[*ast.SelectorExpr]bool) {
+	if fn := callee(n, info); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "repro/internal/snap" && strings.HasPrefix(fn.Name(), "Same") {
+		for _, a := range n.Args {
+			store(a, false, info, stores)
+		}
+	}
+	if inCodec(stack, info) {
+		for _, a := range n.Args {
+			if u, ok := ast.Unparen(a).(*ast.UnaryExpr); ok && u.Op == token.AND {
+				store(u.X, true, info, stores)
+			}
+		}
+	}
+	sig, ok := info.TypeOf(n.Fun).(*types.Signature)
+	if !ok || !sig.Variadic() || n.Ellipsis.IsValid() {
+		return
+	}
+	last := sig.Params().Len() - 1
+	if it, ok := sig.Params().At(last).Type().(*types.Slice).Elem().Underlying().(*types.Interface); ok && it.Empty() {
+		for _, a := range n.Args[min(last, len(n.Args)):] {
+			c.readAll(info.TypeOf(a), true)
+		}
+	}
+}
+
+// callee returns the function or method a call names, or nil.
+func callee(n *ast.CallExpr, info *types.Info) *types.Func {
+	fun := ast.Unparen(n.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var id *ast.Ident
+	switch x := fun.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// store marks the field selections of e as stores: e itself and, through
+// struct- and array-valued parts (and with refs, slice elements too),
+// the fields that hold it.
+func store(e ast.Expr, refs bool, info *types.Info, stores map[*ast.SelectorExpr]bool) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			stores[x] = true
+			if sel.Indirect() {
+				return
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			switch info.TypeOf(x.X).Underlying().(type) {
+			case *types.Array:
+			case *types.Slice:
+				if !refs {
+					return
+				}
+			default:
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// selfUpdate marks as stores the selections in rhs of the field that
+// lhs assigns: in x.f = append(x.f, v) or x.f = max(x.f, v) the read
+// feeds only f itself.
+func selfUpdate(lhs, rhs ast.Expr, info *types.Info, stores map[*ast.SelectorExpr]bool) {
+	l, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok || info.Selections[l] == nil || info.Selections[l].Kind() != types.FieldVal {
+		return
+	}
+	f := info.Selections[l].Obj()
+	ast.Inspect(rhs, func(n ast.Node) bool {
+		if r, ok := n.(*ast.SelectorExpr); ok && info.Selections[r] != nil && info.Selections[r].Obj() == f {
+			stores[r] = true
+		}
+		return true
+	})
+}
+
+// inCodec reports whether the innermost function of stack takes a
+// *snap.Codec.
+func inCodec(stack []ast.Node, info *types.Info) bool {
+	for i := len(stack) - 1; i >= 0; i-- {
+		var ft *ast.FuncType
+		switch fn := stack[i].(type) {
+		case *ast.FuncLit:
+			ft = fn.Type
+		case *ast.FuncDecl:
+			ft = fn.Type
+		default:
+			continue
+		}
+		for _, p := range ft.Params.List {
+			if ptr, ok := info.TypeOf(p.Type).(*types.Pointer); ok {
+				if n, ok := ptr.Elem().(*types.Named); ok && n.Obj().Name() == "Codec" && n.Obj().Pkg().Path() == "repro/internal/snap" {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return false
+}
+
+// stringRecv returns the receiver type of decl when decl is a
+// String() string method, or nil.
+func stringRecv(decl ast.Decl, info *types.Info) *types.TypeName {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok || fd.Recv == nil || fd.Name.Name != "String" {
+		return nil
+	}
+	sig := info.Defs[fd.Name].Type().(*types.Signature)
+	if sig.Params().Len() != 0 || sig.Results().Len() != 1 || sig.Results().At(0).Type() != types.Typ[types.String] {
+		return nil
+	}
+	return namedOf(sig.Recv().Type())
+}
+
+// namedOf returns the generic origin of t or *t's named type, or nil.
+func namedOf(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// format records that non-test code formats values of t.
+func (c *useChecker) format(t types.Type) {
+	if tn := namedOf(t); tn != nil {
+		c.formatted[tn] = true
+	}
+}
+
+// readAll marks every field of t read, recursively through struct and
+// array fields: t is compared, used as a map key or, when formatting,
+// passed whole to a ...any parameter. Formatting also looks through a
+// top-level pointer and through slices and maps, and a value with a
+// String or Error method is formatted by that method, not field by
+// field.
+func (c *useChecker) readAll(t types.Type, formatting bool) {
+	if t == nil {
+		return
+	}
+	if p, ok := t.(*types.Pointer); ok && formatting {
+		t = p.Elem()
+	}
+	seen := map[types.Type]bool{}
+	var visit func(types.Type)
+	visit = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		if formatting {
+			if m, _, _ := types.LookupFieldOrMethod(t, false, nil, "String"); m != nil {
+				c.format(t)
+				return
+			}
+			if m, _, _ := types.LookupFieldOrMethod(t, false, nil, "Error"); m != nil {
+				return
+			}
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				c.read[u.Field(i).Origin()] = true
+				visit(u.Field(i).Type())
+			}
+		case *types.Array:
+			visit(u.Elem())
+		case *types.Slice:
+			if formatting {
+				visit(u.Elem())
+			}
+		case *types.Map:
+			if formatting {
+				visit(u.Key())
+				visit(u.Elem())
+			}
+		}
+	}
+	visit(t)
+}
+
+// markFormatted counts the field reads of each formatted type's String
+// method.
+func (c *useChecker) markFormatted() {
+	for tn, vs := range c.inString {
+		if c.formatted[tn] {
+			for _, v := range vs {
+				c.read[v] = true
+			}
+		}
+	}
 }
 
 func usesIota(d *ast.GenDecl) bool {

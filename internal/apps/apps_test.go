@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/kobj"
 	"repro/internal/label"
 	"repro/internal/units"
 )
@@ -58,11 +59,11 @@ func TestForkerSubdivision(t *testing.T) {
 	if bDelta < wantB*90/100 || bDelta > wantB*110/100 {
 		t.Fatalf("B consumed %v after forks, want ≈%v", bDelta, wantB)
 	}
-	for _, c := range []*Spinner{b1, b2} {
+	for i, c := range []*Spinner{b1, b2} {
 		got := c.CPUConsumed()
 		want := units.Energy(171_250)
 		if got < want*85/100 || got > want*115/100 {
-			t.Fatalf("%s consumed %v, want ≈%v", c.Name, got, want)
+			t.Fatalf("B%d consumed %v, want ≈%v", i+1, got, want)
 		}
 	}
 	if k.Graph.ConservationError() != 0 {
@@ -88,12 +89,16 @@ func TestEnergyWrapConfinesWorkload(t *testing.T) {
 	if got > 10*units.Millijoule {
 		t.Fatalf("sandboxed workload consumed %v, above 1 mW budget", got)
 	}
+	taps := k.Graph.TapsInto(w.Reserve, nil)
+	if len(taps) != 1 {
+		t.Fatalf("%d taps feed the sandbox, want 1", len(taps))
+	}
 	// The workload itself cannot raise its rate.
-	if err := w.Tap.SetRate(label.Priv{}, units.Watt); err == nil {
+	if err := taps[0].SetRate(label.Priv{}, units.Watt); err == nil {
 		t.Fatal("sandboxed workload raised its own rate")
 	}
 	// The wrapper can.
-	if err := w.Tap.SetRate(wrapperPriv, 2*units.Milliwatt); err != nil {
+	if err := taps[0].SetRate(wrapperPriv, 2*units.Milliwatt); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,7 +114,7 @@ func TestEnergyWrapNesting(t *testing.T) {
 		t.Fatal(err)
 	}
 	outer.Thread.Exit() // outer acts as a pure budget envelope here
-	inner, err := EnergyWrap(k, outer.Container, "inner", label.Priv{}, outer.Reserve,
+	inner, err := EnergyWrap(k, k.Root, "inner", label.Priv{}, outer.Reserve,
 		units.Watt /* asks for far more than outer provides */, label.Public(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -128,19 +133,22 @@ func TestEnergyWrapNesting(t *testing.T) {
 
 func TestEnergyWrapKillReturnsEnergy(t *testing.T) {
 	k := newK(t)
-	w, err := EnergyWrap(k, k.Root, "w", k.KernelPriv(), k.Battery(),
+	box := kobj.NewContainer(k.Table, k.Root, label.Public())
+	w, err := EnergyWrap(k, box, "w", k.KernelPriv(), k.Battery(),
 		100*units.Milliwatt, label.Public(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tap := k.Graph.TapsInto(w.Reserve, nil)[0]
 	w.Thread.Exit() // let the reserve accumulate
 	k.Run(5 * units.Second)
-	// Deleting the sandbox container tears down the thread, reserve and
-	// tap; the reserve's residual energy returns to the battery.
-	if err := k.Table.Delete(w.Container.ObjectID()); err != nil {
+	// Deleting the container holding the sandbox tears down the thread,
+	// reserve and tap; the reserve's residual energy returns to the
+	// battery.
+	if err := k.Table.Delete(box.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
-	if !w.Reserve.Dead() || !errors.Is(w.Tap.SetRate(k.KernelPriv(), 0), core.ErrDead) {
+	if !w.Reserve.Dead() || !errors.Is(tap.SetRate(k.KernelPriv(), 0), core.ErrDead) {
 		t.Fatal("kill did not tear down sandbox objects")
 	}
 	if k.Graph.ConservationError() != 0 {
@@ -303,11 +311,11 @@ func TestTaskManagerForegroundSwitch(t *testing.T) {
 	}
 	k.Run(10 * units.Second)
 	// Background phase: each ≈7 mW.
-	for _, app := range []*ManagedApp{a, bApp} {
+	for name, app := range map[string]*ManagedApp{"A": a, "B": bApp} {
 		got := app.CPUConsumed()
 		want := units.Milliwatts(7).Over(10 * units.Second)
 		if got < want*80/100 || got > want*120/100 {
-			t.Fatalf("%s bg consumed %v, want ≈%v", app.Name, got, want)
+			t.Fatalf("%s bg consumed %v, want ≈%v", name, got, want)
 		}
 	}
 	if err := tm.SetForeground("A"); err != nil {

@@ -31,7 +31,7 @@ type Browser struct {
 
 	Plugin *Plugin
 
-	pages map[string]*page
+	pages map[string]*kobj.Container // open pages' containers, by name
 }
 
 // Plugin is the browser's extension process.
@@ -41,17 +41,10 @@ type Plugin struct {
 	Tap       *core.Tap
 	BackTap   *core.Tap // nil without reclamation
 	Thread    *sched.Thread
-	// Requests counts extension requests served (ad-block lookups).
-	Requests int64
 	// Unresponsive counts requests the plugin could not serve for lack
 	// of energy — the case where "the browser can display the
 	// unaugmented page" (§5.2).
 	Unresponsive int64
-}
-
-type page struct {
-	container *kobj.Container
-	tap       *core.Tap
 }
 
 // BrowserConfig parameterizes NewBrowser.
@@ -74,12 +67,12 @@ func NewBrowser(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Priv, 
 	if cfg.ReclaimFrac == 0 {
 		cfg.ReclaimFrac = 100_000 // 0.1×/s
 	}
-	b := &Browser{k: k, pages: make(map[string]*page)}
+	b := &Browser{k: k, pages: make(map[string]*kobj.Container)}
 	b.cat = k.NewCategory()
 	b.priv = label.NewPriv(b.cat)
 	tapLbl := label.Public().With(b.cat, label.Level2)
 
-	b.Container = kobj.NewContainer(k.Table, parent, "browser", label.Public())
+	b.Container = kobj.NewContainer(k.Table, parent, label.Public())
 	b.Reserve = k.CreateReserve(b.Container, "browser-reserve", label.Public())
 	var err error
 	b.Tap, err = k.CreateTap(b.Container, "browser-tap", ownerPriv, src, b.Reserve, tapLbl)
@@ -95,7 +88,7 @@ func NewBrowser(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Priv, 
 	// browser's own reserve by a low-rate tap the plugin cannot modify
 	// (Fig. 6a).
 	p := &Plugin{}
-	p.Container = kobj.NewContainer(k.Table, b.Container, "plugin", label.Public())
+	p.Container = kobj.NewContainer(k.Table, b.Container, label.Public())
 	p.Reserve = k.CreateReserve(p.Container, "plugin-reserve", label.Public())
 	p.Tap, err = k.CreateTap(p.Container, "plugin-tap", b.priv, b.Reserve, p.Reserve, tapLbl)
 	if err != nil {
@@ -141,7 +134,7 @@ func (b *Browser) OpenPage(name string, rate units.Power) error {
 	if _, dup := b.pages[name]; dup {
 		return fmt.Errorf("apps: page %q already open", name)
 	}
-	c := kobj.NewContainer(b.k.Table, b.Container, "page-"+name, label.Public())
+	c := kobj.NewContainer(b.k.Table, b.Container, label.Public())
 	tap, err := b.k.CreateTap(c, "page-tap-"+name, b.priv, b.Reserve, b.Plugin.Reserve,
 		label.Public().With(b.cat, label.Level2))
 	if err != nil {
@@ -150,19 +143,19 @@ func (b *Browser) OpenPage(name string, rate units.Power) error {
 	if err := tap.SetRate(b.priv, rate); err != nil {
 		return err
 	}
-	b.pages[name] = &page{container: c, tap: tap}
+	b.pages[name] = c
 	return nil
 }
 
 // ClosePage deletes the page container; kernel GC revokes its tap,
 // "effectively revoking those power sources" (§5.2).
 func (b *Browser) ClosePage(name string) error {
-	p, ok := b.pages[name]
+	c, ok := b.pages[name]
 	if !ok {
 		return fmt.Errorf("apps: page %q not open", name)
 	}
 	delete(b.pages, name)
-	return b.k.Table.Delete(p.container.ObjectID())
+	return b.k.Table.Delete(c.ObjectID())
 }
 
 // OpenPages returns the number of live per-page taps.
@@ -177,6 +170,5 @@ func (b *Browser) AskExtension(reqCost units.Energy) bool {
 		b.Plugin.Unresponsive++
 		return false
 	}
-	b.Plugin.Requests++
 	return true
 }

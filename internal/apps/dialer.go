@@ -20,7 +20,6 @@ import (
 // applied to the most user-visible feature of a phone.
 type Dialer struct {
 	Container *kobj.Container
-	Thread    *sched.Thread
 	Reserve   *core.Reserve
 
 	// MinBatteryPct is the refusal floor.
@@ -29,7 +28,6 @@ type Dialer struct {
 	// Outcome of the last call attempt.
 	LastBatteryPct int64
 	Refused        bool
-	CallStates     []msm.CallState
 	HungUpAt       units.Time
 
 	k        *kernel.Kernel
@@ -59,7 +57,7 @@ func NewDialer(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Priv, s
 		duration:      cfg.Duration,
 		MinBatteryPct: cfg.MinBatteryPct,
 	}
-	d.Container = kobj.NewContainer(k.Table, parent, "dialer", label.Public())
+	d.Container = kobj.NewContainer(k.Table, parent, label.Public())
 	d.Reserve = k.CreateReserveOpts(d.Container, "dialer-reserve", label.Public(),
 		core.ReserveOpts{AllowDebt: true})
 	tap, err := k.CreateTap(d.Container, "dialer-tap", ownerPriv, src, d.Reserve, label.Public())
@@ -69,7 +67,7 @@ func NewDialer(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Priv, s
 	if err := tap.SetRate(ownerPriv, cfg.Rate); err != nil {
 		return nil, fmt.Errorf("apps: dialer: %w", err)
 	}
-	d.Thread = k.Sched.NewThread(d.Container, "dialer", label.Public(), label.Priv{},
+	k.Sched.NewThread(d.Container, "dialer", label.Public(), label.Priv{},
 		sched.RunnerFunc(d.step), d.Reserve)
 	return d, nil
 }
@@ -106,7 +104,6 @@ func (d *Dialer) step(now units.Time, th *sched.Thread) {
 		_, err := d.k.GateCall(msm.GateDial, th, msm.DialRequest{
 			Number: d.number,
 			OnState: func(s msm.CallState) {
-				d.CallStates = append(d.CallStates, s)
 				if s == msm.CallActive && d.hangAt == 0 {
 					d.hangAt = d.k.Now() + d.duration
 				}

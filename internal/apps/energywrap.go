@@ -17,11 +17,8 @@ import (
 // exec sequence of Fig. 5, so even energy-unaware programs acquire an
 // energy policy.
 type Wrapped struct {
-	Name      string
-	Container *kobj.Container
-	Thread    *sched.Thread
-	Reserve   *core.Reserve
-	Tap       *core.Tap
+	Thread  *sched.Thread
+	Reserve *core.Reserve
 }
 
 // EnergyWrap runs the given runner under a rate limit drawn from the
@@ -32,13 +29,13 @@ type Wrapped struct {
 // falls out naturally: pass a Wrapped's Reserve as `from` to a second
 // call.
 func EnergyWrap(k *kernel.Kernel, parent *kobj.Container, name string, ownerPriv label.Priv, from *core.Reserve, rate units.Power, tapLbl label.Label, runner sched.Runner) (*Wrapped, error) {
-	c := kobj.NewContainer(k.Table, parent, name, label.Public())
-	res, tap, err := k.Wrap(c, name, ownerPriv, from, rate, tapLbl)
+	c := kobj.NewContainer(k.Table, parent, label.Public())
+	res, _, err := k.Wrap(c, name, ownerPriv, from, rate, tapLbl)
 	if err != nil {
 		return nil, fmt.Errorf("apps: energywrap %q: %w", name, err)
 	}
 	th := k.Sched.NewThread(c, name, label.Public(), label.Priv{}, runner, res)
-	return &Wrapped{Name: name, Container: c, Thread: th, Reserve: res, Tap: tap}, nil
+	return &Wrapped{Thread: th, Reserve: res}, nil
 }
 
 // Consumed reports the sandboxed workload's total consumption.

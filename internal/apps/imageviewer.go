@@ -72,7 +72,6 @@ type ImageRecord struct {
 	Batch      int
 	Bytes      int64
 	QualityPct int
-	StartedAt  units.Time
 	DoneAt     units.Time
 }
 
@@ -81,14 +80,12 @@ type ImageRecord struct {
 // distinct downloader reserve (§5.3: "a separate thread for downloading
 // images, using an energy reserve distinct from the main thread").
 type ImageViewer struct {
-	k   *kernel.Kernel
 	cfg ViewerConfig
 
 	Container  *kobj.Container
 	Main       *core.Reserve
 	Downloader *core.Reserve
 	Tap        *core.Tap
-	Thread     *sched.Thread
 
 	// LevelTrace samples the downloader reserve (the Fig. 10/11 line).
 	LevelTrace *trace.Series
@@ -102,7 +99,6 @@ type ImageViewer struct {
 	// state machine
 	batch, img    int
 	remaining     int64
-	imgStart      units.Time
 	imgBytes      int64
 	imgQuality    int
 	pauseUntil    units.Time
@@ -120,8 +116,8 @@ func (v *ImageViewer) perByteCost(bytes int64) units.Energy {
 // (battery). The main reserve is funded generously: the experiment's
 // subject is the downloader reserve.
 func NewImageViewer(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Priv, src *core.Reserve, cfg ViewerConfig) (*ImageViewer, error) {
-	v := &ImageViewer{k: k, cfg: cfg}
-	v.Container = kobj.NewContainer(k.Table, parent, "viewer", label.Public())
+	v := &ImageViewer{cfg: cfg}
+	v.Container = kobj.NewContainer(k.Table, parent, label.Public())
 	v.Main = k.CreateReserve(v.Container, "viewer-main", label.Public())
 	if err := k.Graph.Transfer(ownerPriv, src, v.Main, 100*units.Joule); err != nil {
 		return nil, err
@@ -136,9 +132,9 @@ func NewImageViewer(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Pr
 		return nil, err
 	}
 	v.LevelTrace = trace.NewSeries("downloader-reserve", "µJ")
-	v.Thread = k.Sched.NewThread(v.Container, "downloader", label.Public(), label.Priv{},
+	k.Sched.NewThread(v.Container, "downloader", label.Public(), label.Priv{},
 		sched.RunnerFunc(v.step), v.Main)
-	v.startImage(0)
+	v.startImage()
 	// Sample the reserve level once a second for the figure.
 	k.Eng.Every("viewer:sample", units.Second, func(e *sim.Engine) {
 		if v.FinishedAt == 0 {
@@ -150,7 +146,7 @@ func NewImageViewer(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Pr
 }
 
 // startImage initializes the next image's state, choosing quality.
-func (v *ImageViewer) startImage(now units.Time) {
+func (v *ImageViewer) startImage() {
 	quality := 100
 	if v.cfg.Adaptive {
 		quality = v.chooseQuality()
@@ -158,7 +154,6 @@ func (v *ImageViewer) startImage(now units.Time) {
 	v.imgQuality = quality
 	v.imgBytes = v.cfg.FullImageBytes * int64(quality) / 100
 	v.remaining = v.imgBytes
-	v.imgStart = now
 }
 
 // chooseQuality implements the §5.3 policy: a dropping reserve level
@@ -198,7 +193,7 @@ func (v *ImageViewer) step(now units.Time, th *sched.Thread) {
 			return
 		}
 		v.pauseUntil = 0
-		v.startImage(now)
+		v.startImage()
 	}
 	chunk := v.cfg.ChunkBytes
 	if chunk > v.remaining {
@@ -231,12 +226,11 @@ func (v *ImageViewer) step(now units.Time, th *sched.Thread) {
 		Batch:      v.batch,
 		Bytes:      v.imgBytes,
 		QualityPct: v.imgQuality,
-		StartedAt:  v.imgStart,
 		DoneAt:     now + transferT,
 	})
 	v.img++
 	if v.img < v.cfg.ImagesPerBatch {
-		v.startImage(now + transferT)
+		v.startImage()
 		th.Sleep(now + transferT)
 		return
 	}

@@ -36,9 +36,7 @@ type PollerConfig struct {
 
 // Poller is one periodic network application.
 type Poller struct {
-	Name      string
 	Container *kobj.Container
-	Thread    *sched.Thread
 	Reserve   *core.Reserve
 	Tap       *core.Tap
 
@@ -56,8 +54,8 @@ type Poller struct {
 // ownerPriv must be able to use src (battery). The poller's reserve
 // allows debt so incoming bytes can be charged after the fact (§5.5.2).
 func NewPoller(k *kernel.Kernel, parent *kobj.Container, name string, ownerPriv label.Priv, src *core.Reserve, cfg PollerConfig) (*Poller, error) {
-	p := &Poller{Name: name, cfg: cfg, k: k, next: cfg.Phase}
-	p.Container = kobj.NewContainer(k.Table, parent, name, label.Public())
+	p := &Poller{cfg: cfg, k: k, next: cfg.Phase}
+	p.Container = kobj.NewContainer(k.Table, parent, label.Public())
 	p.Reserve = k.CreateReserveOpts(p.Container, name+"-reserve", label.Public(),
 		core.ReserveOpts{AllowDebt: true})
 	var err error
@@ -68,7 +66,7 @@ func NewPoller(k *kernel.Kernel, parent *kobj.Container, name string, ownerPriv 
 	if err := p.Tap.SetRate(ownerPriv, cfg.Rate); err != nil {
 		return nil, fmt.Errorf("apps: poller %q: %w", name, err)
 	}
-	p.Thread = k.Sched.NewThread(p.Container, name, label.Public(), label.Priv{},
+	k.Sched.NewThread(p.Container, name, label.Public(), label.Priv{},
 		sched.RunnerFunc(p.step), p.Reserve)
 	return p, nil
 }

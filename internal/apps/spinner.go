@@ -25,7 +25,6 @@ import (
 // behaviour beyond burning CPU, and a reserve fed by a constant tap.
 // It is the workload of Figures 9 and 12.
 type Spinner struct {
-	Name      string
 	Container *kobj.Container
 	Thread    *sched.Thread
 	Reserve   *core.Reserve
@@ -37,7 +36,7 @@ type Spinner struct {
 // unprotected tap) and created with ownerPriv, which must be able to use
 // src.
 func NewSpinner(k *kernel.Kernel, parent *kobj.Container, name string, ownerPriv label.Priv, src *core.Reserve, rate units.Power, ownerLbl label.Label) (*Spinner, error) {
-	c := kobj.NewContainer(k.Table, parent, name, label.Public())
+	c := kobj.NewContainer(k.Table, parent, label.Public())
 	res := k.CreateReserve(c, name+"-reserve", label.Public())
 	tap, err := k.CreateTap(c, name+"-tap", ownerPriv, src, res, ownerLbl)
 	if err != nil {
@@ -47,7 +46,7 @@ func NewSpinner(k *kernel.Kernel, parent *kobj.Container, name string, ownerPriv
 		return nil, fmt.Errorf("apps: spinner %q: %w", name, err)
 	}
 	th := k.Sched.NewThread(c, name, label.Public(), label.Priv{}, nil, res)
-	return &Spinner{Name: name, Container: c, Thread: th, Reserve: res, Tap: tap}, nil
+	return &Spinner{Container: c, Thread: th, Reserve: res, Tap: tap}, nil
 }
 
 // CPUConsumed returns the spinner's total CPU energy.

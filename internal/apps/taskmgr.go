@@ -37,7 +37,6 @@ type TaskManager struct {
 type ManagedApp struct {
 	*Spinner
 	fgTap *core.Tap
-	bgTap *core.Tap
 }
 
 // TaskManagerConfig parameterizes NewTaskManager.
@@ -59,7 +58,7 @@ func NewTaskManager(k *kernel.Kernel, parent *kobj.Container, ownerPriv label.Pr
 	tm.priv = label.NewPriv(tm.cat)
 	tapLbl := label.Public().With(tm.cat, label.Level2)
 
-	tm.Container = kobj.NewContainer(k.Table, parent, "taskmgr", label.Public())
+	tm.Container = kobj.NewContainer(k.Table, parent, label.Public())
 	tm.Foreground = k.CreateReserve(tm.Container, "foreground", label.Public())
 	tm.Background = k.CreateReserve(tm.Container, "background", label.Public())
 
@@ -103,7 +102,7 @@ func (tm *TaskManager) Manage(name string, bgShare units.Power) (*ManagedApp, er
 	if err := fgTap.SetRate(tm.priv, 0); err != nil {
 		return nil, err
 	}
-	app := &ManagedApp{Spinner: sp, fgTap: fgTap, bgTap: sp.Tap}
+	app := &ManagedApp{Spinner: sp, fgTap: fgTap}
 	tm.apps[name] = app
 	return app, nil
 }

@@ -104,8 +104,7 @@ func checkKind(kind int) error {
 
 // journal is an open, appendable journal file.
 type journal struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // openJournal opens the journal at path for appending: a fresh one
@@ -117,7 +116,7 @@ func openJournal(path string, flag int) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: open journal: %w", err)
 	}
-	return &journal{f: f, path: path}, nil
+	return &journal{f: f}, nil
 }
 
 // append writes one record. With sync, the record is fsynced before

@@ -14,7 +14,7 @@ import (
 func allocGraph(tb testing.TB) *Graph {
 	tb.Helper()
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: 1000 * units.Kilojoule})
 	app := g.NewReserve(root, "app", label.Public(), ReserveOpts{})
 	pool := g.NewReserve(root, "pool", label.Public(), ReserveOpts{})
@@ -65,7 +65,7 @@ func TestSettleFlowsZeroAllocs(t *testing.T) {
 // reusable error instance).
 func TestConsumeFailureZeroAllocs(t *testing.T) {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: units.Microjoule})
 	p := label.NewPriv()
 	if err := g.Battery().Consume(p, units.Joule); err == nil {
@@ -138,7 +138,7 @@ func hoarderLife(b *testing.B, g *Graph) (_ *Graph, hoard *Reserve, second func(
 		tbl = g.table
 		tbl.Reset()
 	}
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	if g == nil {
 		g = NewGraph(tbl, root, label.Public(), cfg)
 	} else {

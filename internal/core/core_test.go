@@ -12,7 +12,7 @@ import (
 // testGraph builds a graph with an accessible battery for tests.
 func testGraph(cfg Config) (*Graph, *kobj.Container) {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := NewGraph(tbl, root, label.Public(), cfg)
 	return g, root
 }
@@ -85,7 +85,8 @@ func TestConstTapSubMicrojouleCarry(t *testing.T) {
 }
 
 func TestTapStarvation(t *testing.T) {
-	// A tap whose source is empty moves nothing and records starvation.
+	// A tap whose source is empty moves nothing of what its rate entitles
+	// it to.
 	g, root := testGraph(Config{DecayHalfLife: -1})
 	a := g.NewReserve(root, "a", label.Public(), ReserveOpts{})
 	b := g.NewReserve(root, "b", label.Public(), ReserveOpts{})
@@ -97,8 +98,8 @@ func TestTapStarvation(t *testing.T) {
 	if lvl, _ := b.Level(anyone); lvl != 0 {
 		t.Fatalf("sink got %v from empty source", lvl)
 	}
-	if tap.Stats().Starved != units.Joule {
-		t.Fatalf("starved = %v, want 1 J", tap.Stats().Starved)
+	if short := units.Watt.Over(units.Second) - tap.Stats().Moved; short != units.Joule {
+		t.Fatalf("shortfall = %v, want 1 J", short)
 	}
 	// Partially-filled source moves what it has.
 	if err := g.Transfer(anyone, g.Battery(), a, 300*units.Millijoule); err != nil {
@@ -163,9 +164,6 @@ func TestConsume(t *testing.T) {
 	st, _ := r.Stats(anyone)
 	if st.Consumed != 400*units.Millijoule {
 		t.Fatalf("Consumed = %v", st.Consumed)
-	}
-	if st.ConsumeFailures != 1 {
-		t.Fatalf("ConsumeFailures = %d, want 1", st.ConsumeFailures)
 	}
 	if g.Consumed() != 400*units.Millijoule {
 		t.Fatalf("graph Consumed = %v", g.Consumed())
@@ -385,7 +383,7 @@ func TestDeadTapStopsFlowing(t *testing.T) {
 func TestDeleteContainerRevokesTaps(t *testing.T) {
 	// §5.2: per-page taps are deleted when the page's container goes.
 	g, root := testGraph(Config{DecayHalfLife: -1})
-	page := kobj.NewContainer(g.table, root, "page", label.Public())
+	page := kobj.NewContainer(g.table, root, label.Public())
 	plugin := g.NewReserve(root, "plugin", label.Public(), ReserveOpts{})
 	tap, _ := g.NewTap(page, "page-tap", anyone, g.Battery(), plugin, label.Public())
 	if err := tap.SetRate(anyone, units.Milliwatts(10)); err != nil {

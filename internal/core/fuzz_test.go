@@ -21,7 +21,7 @@ func FuzzGraphConservation(f *testing.F) {
 			program = program[:256]
 		}
 		tbl := kobj.NewTable()
-		root := kobj.NewContainer(tbl, nil, "root", label.Public())
+		root := kobj.NewContainer(tbl, nil, label.Public())
 		g := NewGraph(tbl, root, label.Public(), Config{
 			BatteryCapacity: units.Kilojoule,
 		})

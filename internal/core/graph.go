@@ -278,7 +278,6 @@ func (g *Graph) releaseReserve(r *Reserve) {
 	}
 	if r.level > 0 {
 		g.battery.credit(r.level)
-		r.stats.Out += r.level
 		r.level = 0
 	} else if r.level < 0 {
 		// A reserve deleted in debt (§5.5.2 after-the-fact billing that
@@ -288,7 +287,6 @@ func (g *Graph) releaseReserve(r *Reserve) {
 		// create nor destroy energy.
 		debt := -r.level
 		g.battery.level -= debt
-		g.battery.stats.Out += debt
 		r.stats.In += debt
 		r.level = 0
 	}
@@ -312,8 +310,9 @@ func (g *Graph) releaseReserve(r *Reserve) {
 // NewTap creates a tap between src and sink, the tap_create syscall of
 // Fig. 5. The creator must hold use privileges on both reserves — a tap
 // actively moves resources, so it "needs privileges to observe and
-// modify both reserve levels" (§3.5) — and those privileges are embedded
-// in the tap. The tap starts with rate zero; call SetRate or SetFrac.
+// modify both reserve levels" (§3.5). The privileges are checked here,
+// once: the tap keeps none, and its flows need none. The tap starts with
+// rate zero; call SetRate or SetFrac.
 func (g *Graph) NewTap(parent *kobj.Container, name string, p label.Priv, src, sink *Reserve, lbl label.Label) (*Tap, error) {
 	if src == nil || sink == nil {
 		return nil, fmt.Errorf("core: tap %q: nil reserve", name)
@@ -331,7 +330,7 @@ func (g *Graph) NewTap(parent *kobj.Container, name string, p label.Priv, src, s
 		return nil, fmt.Errorf("%w: tap %q needs use of sink %q", ErrAccess, name, sink.name)
 	}
 	// A new tap carries no rate, so it does not join the active set.
-	t := &Tap{graph: g, name: name, src: src, sink: sink, priv: p, activeIdx: -1, seq: g.tapSeq}
+	t := &Tap{graph: g, name: name, src: src, sink: sink, activeIdx: -1, seq: g.tapSeq}
 	t.OnRelease(func() { g.releaseTap(t) })
 	g.table.Register(&t.Base, kobj.KindTap, lbl, parent, t)
 	g.tapSeq++
@@ -394,7 +393,6 @@ func (g *Graph) Decay(dt units.Time) {
 		}
 		r.level = retained
 		r.stats.Decayed += leaked
-		r.stats.Out += leaked
 		g.battery.credit(leaked)
 	}
 }

@@ -18,7 +18,7 @@ func TestReleaseReserveDeactivatesTaps(t *testing.T) {
 	g, root := testGraph(Config{})
 	// The tap lives in root, the reserve in its own container, so
 	// deleting the reserve's container does NOT release the tap.
-	rc := kobj.NewContainer(g.table, root, "app", label.Public())
+	rc := kobj.NewContainer(g.table, root, label.Public())
 	res := g.NewReserve(rc, "app-reserve", label.Public(), ReserveOpts{})
 	tap, err := g.NewTap(root, "app-tap", anyone, g.Battery(), res, label.Public())
 	if err != nil {
@@ -95,7 +95,7 @@ func TestReleaseSourceReserveDeactivatesTaps(t *testing.T) {
 // energy — the battery absorbs the unsourced consumption.
 func TestReleaseReserveInDebtConservesEnergy(t *testing.T) {
 	g, root := testGraph(Config{})
-	rc := kobj.NewContainer(g.table, root, "app", label.Public())
+	rc := kobj.NewContainer(g.table, root, label.Public())
 	res := g.NewReserve(rc, "debtor", label.Public(), ReserveOpts{AllowDebt: true})
 	if err := res.DebitSelf(anyone, units.Joule); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestPropertyConservation(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		r := rand.New(rand.NewSource(int64(1000 + trial)))
 		tbl := kobj.NewTable()
-		root := kobj.NewContainer(tbl, nil, "root", label.Public())
+		root := kobj.NewContainer(tbl, nil, label.Public())
 		g := NewGraph(tbl, root, label.Public(), Config{
 			BatteryCapacity: 15 * units.Kilojoule,
 		})

@@ -76,14 +76,9 @@ type Accounting struct {
 	Consumed units.Energy
 	// In is the total energy that arrived via taps and transfers.
 	In units.Energy
-	// Out is the total energy that left via taps and transfers.
-	Out units.Energy
 	// Decayed is the total energy returned to the battery by the global
 	// half-life decay.
 	Decayed units.Energy
-	// ConsumeFailures counts all-or-nothing consumptions rejected for
-	// insufficient level, the signal the scheduler uses for throttling.
-	ConsumeFailures int64
 }
 
 // Reserve is a right to use a quantity of energy (§3.2). Create reserves
@@ -157,7 +152,6 @@ func (r *Reserve) Consume(p label.Priv, amount units.Energy) error {
 		return fmt.Errorf("%w: use reserve %q", ErrAccess, r.name)
 	}
 	if r.level < amount {
-		r.stats.ConsumeFailures++
 		r.insufficient = insufficientErr{name: r.name, have: r.level, need: amount}
 		return &r.insufficient
 	}
@@ -223,7 +217,6 @@ func (r *Reserve) debit(amount units.Energy) {
 		panic(fmt.Sprintf("core: debit %v exceeds level %v of %q", amount, r.level, r.name))
 	}
 	r.level -= amount
-	r.stats.Out += amount
 }
 
 // String renders the reserve for diagnostics.

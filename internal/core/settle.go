@@ -8,7 +8,7 @@ import (
 
 // This file implements closed-form tap settlement: advancing the graph
 // through many Flow batches in far less than one walk per batch while
-// remaining byte-identical — levels, carries, stats, starvation — to the
+// remaining byte-identical — levels, carries, stats — to the
 // per-batch sequence. The kernel uses it to park its flow task between
 // engine instants and catch up lazily.
 //
@@ -381,15 +381,12 @@ func (g *Graph) replayChunk(dt units.Time, k int64) {
 		e := &replay[i]
 		t := e.t
 		t.carry = e.carry
-		t.stats.Starved += e.starved
 		if e.moved == 0 {
 			continue
 		}
 		t.stats.Moved += e.moved
 		if e.src == outside {
 			t.src.debit(e.moved)
-		} else {
-			t.src.stats.Out += e.moved
 		}
 		if e.sink == outside {
 			t.sink.credit(e.moved)

@@ -20,7 +20,7 @@ const settleDT = 10 * units.Millisecond
 
 func newSettleGraph(battery units.Energy) (*Graph, *kobj.Container) {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: battery, DecayHalfLife: -1})
 	return g, root
 }
@@ -32,12 +32,12 @@ func graphState(g *Graph) string {
 	fmt.Fprintf(&b, "consumed=%d held=%d conserr=%d active=%d\n",
 		g.consumed, g.TotalHeld(), g.ConservationError(), len(g.active))
 	for _, r := range g.reserves {
-		fmt.Fprintf(&b, "r %s level=%d in=%d out=%d cons=%d fails=%d\n",
-			r.name, r.level, r.stats.In, r.stats.Out, r.stats.Consumed, r.stats.ConsumeFailures)
+		fmt.Fprintf(&b, "r %s level=%d in=%d cons=%d decayed=%d\n",
+			r.name, r.level, r.stats.In, r.stats.Consumed, r.stats.Decayed)
 	}
 	for _, t := range g.taps {
-		fmt.Fprintf(&b, "t %s carry=%d moved=%d starved=%d active=%v\n",
-			t.name, t.carry, t.stats.Moved, t.stats.Starved, t.activeIdx >= 0)
+		fmt.Fprintf(&b, "t %s carry=%d moved=%d active=%v\n",
+			t.name, t.carry, t.stats.Moved, t.activeIdx >= 0)
 	}
 	return b.String()
 }
@@ -372,11 +372,11 @@ func (h *hoarderTwin) build(t *testing.T) {
 	cfg := Config{BatteryCapacity: 1000 * units.Kilojoule}
 	if h.g == nil {
 		h.tbl = kobj.NewTable()
-		h.root = kobj.NewContainer(h.tbl, nil, "root", label.Public())
+		h.root = kobj.NewContainer(h.tbl, nil, label.Public())
 		h.g = NewGraph(h.tbl, h.root, label.Public(), cfg)
 	} else {
 		h.tbl.Reset()
-		h.root = kobj.NewContainer(h.tbl, nil, "root", label.Public())
+		h.root = kobj.NewContainer(h.tbl, nil, label.Public())
 		h.g.Reset(h.tbl, h.root, label.Public(), cfg)
 	}
 	h.hoard = h.g.NewReserve(h.root, "hoard", label.Public(), ReserveOpts{})
@@ -556,8 +556,8 @@ func TestReplayMemoSkipsStarvedChunks(t *testing.T) {
 		mustRate(t, drain, units.Milliwatts(10)) // 100 µJ a batch: dry within five
 		return []*Tap{tax, drain}
 	}, 100)
-	if drain.Stats().Starved == 0 {
-		t.Fatal("the drain never starved: the chunk does not exercise the clamp")
+	if drain.Stats().Moved >= units.Milliwatts(10).Over(100*settleDT) {
+		t.Fatal("the drain moved all it was entitled to: the chunk does not exercise the clamp")
 	}
 	if hits != 0 || misses != 1 {
 		t.Fatalf("second life: %d hits, %d misses; want the starved chunk unstored and missed", hits, misses)

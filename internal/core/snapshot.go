@@ -27,9 +27,7 @@ func (g *Graph) Codec(c *snap.Codec) {
 		snap.Int(c, &r.level)
 		snap.Int(c, &r.stats.Consumed)
 		snap.Int(c, &r.stats.In)
-		snap.Int(c, &r.stats.Out)
 		snap.Int(c, &r.stats.Decayed)
-		snap.Int(c, &r.stats.ConsumeFailures)
 		snap.Int(c, &r.decayCarry)
 	}
 	// A tap created mid-run means the device was not quiescent at the
@@ -42,7 +40,6 @@ func (g *Graph) Codec(c *snap.Codec) {
 		snap.Int(c, &t.frac)
 		snap.Int(c, &t.carry)
 		snap.Int(c, &t.stats.Moved)
-		snap.Int(c, &t.stats.Starved)
 	}
 	if !c.Loading() {
 		return

@@ -57,10 +57,6 @@ type Tap struct {
 	// frac is the fraction of the source level moved per second for
 	// TapProportional.
 	frac PPM
-	// priv holds the privileges embedded in the tap at creation (§3.5:
-	// "taps can have privileges embedded in them"); the tap itself uses
-	// them to move energy between the two reserves.
-	priv label.Priv
 	// carry accumulates sub-microjoule flow residue (µJ·10⁻³ for const,
 	// µJ·10⁻⁹-scale fixed point folded into flowProportional for
 	// proportional taps).
@@ -77,9 +73,6 @@ type Tap struct {
 type TapStats struct {
 	// Moved is the total energy transferred source→sink.
 	Moved units.Energy
-	// Starved is the total shortfall: energy the rate entitled the tap
-	// to move but the source did not hold.
-	Starved units.Energy
 }
 
 // Kind returns the tap's rate semantics.
@@ -164,10 +157,10 @@ func (t *Tap) moves() bool {
 	return t.frac > 0
 }
 
-// flow moves one batch interval's worth of energy. Amounts are clamped
-// to the source level; the shortfall is recorded as starvation. Flow is
-// a kernel-internal operation: the label checks happened at creation
-// time, when the creator proved it held the embedded privileges.
+// flow moves one batch interval's worth of energy, clamped to the source
+// level. Flow is a kernel-internal operation: the label checks happened
+// at creation time, when the creator proved it held use of both
+// reserves.
 func (t *Tap) flow(dt units.Time) units.Energy {
 	if t.dead || t.src.dead || t.sink.dead {
 		return 0
@@ -182,11 +175,7 @@ func (t *Tap) flow(dt units.Time) units.Energy {
 	if want <= 0 {
 		return 0
 	}
-	avail := units.ClampNonNegative(t.src.level)
-	moved := units.Min(want, avail)
-	if short := want - moved; short > 0 {
-		t.stats.Starved += short
-	}
+	moved := units.Min(want, units.ClampNonNegative(t.src.level))
 	if moved > 0 {
 		t.src.debit(moved)
 		t.sink.credit(moved)

@@ -37,13 +37,12 @@ func DefaultFig9Options() Fig9Options {
 // powerSampler records a thread's CPU power per 1 s window — exactly
 // Cinder's accounting estimate, the quantity Fig. 9 stacks.
 type powerSampler struct {
-	th     *sched.Thread
 	series *trace.Series
 	last   units.Energy
 }
 
 func sampleThread(k *kernel.Kernel, name string, th *sched.Thread) *powerSampler {
-	ps := &powerSampler{th: th, series: trace.NewSeries(name, "µW")}
+	ps := &powerSampler{series: trace.NewSeries(name, "µW")}
 	k.Eng.Every("sample:"+name, units.Second, func(e *sim.Engine) {
 		cur := th.CPUConsumed()
 		ps.series.Add(e.Now(), int64((cur - ps.last).DividedBy(units.Second)))

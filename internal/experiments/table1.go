@@ -71,11 +71,10 @@ type coopRun struct {
 	MailPolls    int
 	// RSSAt/MailAt are the poll completion instants — Fig. 13's
 	// activity marks (fig13.go plots and shape-checks them).
-	RSSAt       []units.Time
-	MailAt      []units.Time
-	Meter       *trace.Series
-	PoolTrace   *trace.Series
-	RadioStates *trace.Series
+	RSSAt     []units.Time
+	MailAt    []units.Time
+	Meter     *trace.Series
+	PoolTrace *trace.Series
 }
 
 // runCoop executes one condition of the experiment.
@@ -120,7 +119,6 @@ func runCoop(opts Table1Options, cooperative bool) coopRun {
 		MailAt:      mail.CompletedAt,
 		Meter:       meter.Series(),
 		PoolTrace:   n.PoolTrace(),
-		RadioStates: r.StateSeries(),
 	}
 	run.ActiveTime = r.Stats().ActiveTime
 	run.ActiveEnergy = activeEnergy(meter.Series(), r.StateSeries(), opts.Duration)
@@ -195,8 +193,7 @@ func Table1Cooperative(opts Table1Options) Result {
 		Series: []*trace.Series{uncoop.Meter, coop.Meter, coop.PoolTrace},
 	}
 
-	poolStats := coop.PoolTrace.Summarize()
-	poolPeak := units.Energy(poolStats.Max)
+	poolPeak := units.Energy(coop.PoolTrace.Max())
 	poolFloorOK := fig14FloorHolds(coop.PoolTrace)
 
 	res.Checks = append(res.Checks,

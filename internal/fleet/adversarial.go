@@ -134,7 +134,7 @@ func (a advScenario) Build(d *Device) error {
 // stash fills and the energy is lost to the device.
 func installHoarder(d *Device) error {
 	k := d.Kernel
-	ctr := kobj.NewContainer(k.Table, k.Root, "hoarder", label.Public())
+	ctr := kobj.NewContainer(k.Table, k.Root, label.Public())
 	greed := k.CreateReserve(ctr, "hoard", label.Public())
 	stash := k.CreateReserveOpts(ctr, "stash", label.Public(),
 		core.ReserveOpts{DecayExempt: true})

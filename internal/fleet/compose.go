@@ -214,7 +214,7 @@ func (s SMSBurst) Install(d *Device, w Window) error {
 	budget := units.Energy(count)*msm.DefaultSmddConfig().SMSEnergy + units.Joule
 	var ctr *kobj.Container
 	k.Eng.At(w.Start, func(*sim.Engine) {
-		c := kobj.NewContainer(k.Table, k.Root, "sms-burst", label.Public())
+		c := kobj.NewContainer(k.Table, k.Root, label.Public())
 		res := k.CreateReserve(c, "sms-reserve", label.Public())
 		if err := k.Graph.Transfer(k.KernelPriv(), k.Battery(), res, budget); err != nil {
 			// Battery cannot fund the burst (device dying): drop the
@@ -329,7 +329,7 @@ func (b Browse) Install(d *Device, w Window) error {
 	br := &browser{k: k, pageBytes: pageBytes, reqBytes: reqBytes, thinks: thinks, allow: b.Allowance}
 	var ctr *kobj.Container
 	k.Eng.At(w.Start, func(*sim.Engine) {
-		c := kobj.NewContainer(k.Table, k.Root, "browse", label.Public())
+		c := kobj.NewContainer(k.Table, k.Root, label.Public())
 		res := k.CreateReserveOpts(c, "browse-reserve", label.Public(),
 			core.ReserveOpts{AllowDebt: true})
 		tap, err := k.CreateTap(c, "browse-tap", k.KernelPriv(), k.Battery(), res, label.Public())
@@ -444,7 +444,7 @@ func (p Pollers) Install(d *Device, w Window) error {
 	pollers := make([]*apps.Poller, 0, n)
 	var ctr *kobj.Container
 	k.Eng.At(w.Start, func(e *sim.Engine) {
-		c := kobj.NewContainer(k.Table, k.Root, "pollers", label.Public())
+		c := kobj.NewContainer(k.Table, k.Root, label.Public())
 		for i := 0; i < n; i++ {
 			pl, err := apps.NewPoller(k, c, fmt.Sprintf("poller-%d", i),
 				k.KernelPriv(), k.Battery(), apps.PollerConfig{

@@ -12,11 +12,10 @@ package fleet
 type RunMetrics struct {
 	// DeviceDays is the simulated coverage: devices × horizon, in days.
 	DeviceDays float64
-	// EngineSteps is the fleet-wide executed-instant count.
-	EngineSteps uint64
-	// InstantsPerDeviceDay is EngineSteps normalized by DeviceDays — the
-	// quiescence/settlement engagement measure the busy-path
-	// optimizations drove from ~1M down to thousands.
+	// InstantsPerDeviceDay is the fleet-wide executed-instant count
+	// normalized by DeviceDays — the quiescence/settlement engagement
+	// measure the busy-path optimizations drove from ~1M down to
+	// thousands.
 	InstantsPerDeviceDay float64
 	// BucketInstantsPerDeviceDay breaks InstantsPerDeviceDay down per
 	// scenario bucket (mean executed instants per device in the bucket,
@@ -28,10 +27,7 @@ type RunMetrics struct {
 // RunMetrics derives the perf harness's metric sample from the report.
 func (r Report) RunMetrics() RunMetrics {
 	days := r.Duration.Seconds() / 86400
-	m := RunMetrics{
-		DeviceDays:  days * float64(r.Devices),
-		EngineSteps: r.TotalEngineSteps,
-	}
+	m := RunMetrics{DeviceDays: days * float64(r.Devices)}
 	if m.DeviceDays > 0 {
 		m.InstantsPerDeviceDay = float64(r.TotalEngineSteps) / m.DeviceDays
 	}

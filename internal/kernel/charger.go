@@ -50,13 +50,8 @@ type ChargerConfig struct {
 
 // ChargerStats counts charger activity.
 type ChargerStats struct {
-	// Plugs is the number of Plug calls that found the device unplugged.
-	Plugs int64
 	// Recharged is the energy accepted into the battery.
 	Recharged units.Energy
-	// Clamped is the energy the charger offered but the full battery
-	// refused (the top-off regime's discarded surplus).
-	Clamped units.Energy
 	// SettledCharges is the number of charge boundaries accounted in
 	// closed form instead of executed as task firings. Reported outside
 	// the canonical fleet JSON: the reference legitimately differs.
@@ -81,7 +76,6 @@ type BatteryCharger struct {
 
 	closedForm bool
 	settling   bool
-	predicted  units.Time
 	stats      ChargerStats
 }
 
@@ -129,7 +123,6 @@ func (c *BatteryCharger) Plug(supply power.Charger) {
 	c.lastCharge = c.k.Eng.Now()
 	c.carry = 0
 	c.settling = false
-	c.stats.Plugs++
 	c.task.Resume()
 }
 
@@ -179,7 +172,6 @@ func (c *BatteryCharger) creditThrough(t units.Time) {
 	accepted := c.k.Graph.ChargeBattery(offered)
 	c.stats.Recharged += accepted
 	if accepted < offered {
-		c.stats.Clamped += offered - accepted
 		c.carry = 0
 	}
 }
@@ -197,7 +189,6 @@ func (c *BatteryCharger) maybeSettle(now units.Time) {
 	}
 	c.task.DeferUntil(t)
 	c.settling = true
-	c.predicted = t
 }
 
 // predictSafe returns the latest quantum boundary through which skipped

@@ -37,7 +37,7 @@ func chargeScenario(reference bool) *Kernel {
 
 // usbCharger is a slow 2 W supply, so the tests cover two charge rates
 // on the Dream besides the laptop's.
-var usbCharger = power.Charger{Name: "USB 500mA", Rate: units.Watts(2)}
+var usbCharger = power.Charger{Rate: units.Watts(2)}
 
 // chargeSnapshot captures every canonically observable quantity. The
 // charger's SettledCharges counter is deliberately absent: it counts
@@ -46,8 +46,8 @@ var usbCharger = power.Charger{Name: "USB 500mA", Rate: units.Watts(2)}
 func chargeSnapshot(k *Kernel) string {
 	lvl, _ := k.Battery().Level(k.KernelPriv())
 	cs := k.Charger().Stats()
-	return fmt.Sprintf("battery=%v consumed=%v recharged=%v clamped=%v plugs=%d conserr=%v",
-		lvl, k.Consumed(), cs.Recharged, cs.Clamped, cs.Plugs, k.Graph.ConservationError())
+	return fmt.Sprintf("battery=%v consumed=%v recharged=%v conserr=%v",
+		lvl, k.Consumed(), cs.Recharged, k.Graph.ConservationError())
 }
 
 // TestChargerSettlementModeEquivalence is the charger's differential:
@@ -68,7 +68,10 @@ func TestChargerSettlementModeEquivalence(t *testing.T) {
 			k.Run(d)
 			snaps = append(snaps, chargeSnapshot(k))
 		}
-		if cs := k.Charger().Stats(); cs.Clamped == 0 {
+		// Both plug windows together offer about 314 J to a 40 J battery;
+		// the battery accepting visibly less is the clamp.
+		offered := power.ACCharger().Rate.Over(63*units.Second+400) + usbCharger.Rate.Over(30*units.Second+7)
+		if k.Charger().Stats().Recharged+units.Millijoule >= offered {
 			t.Fatalf("reference=%v: scenario never hit the full-battery clamp — top-off regime untested", reference)
 		}
 		return snaps
@@ -100,8 +103,8 @@ func TestChargerClampNeverOvershoots(t *testing.T) {
 		t.Fatalf("battery not topped off under a 4 W supply vs 699 mW draw: %v", lvl)
 	}
 	cs := c.Stats()
-	if cs.Clamped <= 0 {
-		t.Fatal("top-off discarded no surplus")
+	if offered := units.Watts(4).Over(2*units.Minute - 5*units.Second); cs.Recharged >= offered {
+		t.Fatalf("top-off discarded no surplus: recharged %v of %v offered", cs.Recharged, offered)
 	}
 	if err := k.Graph.ConservationError(); err != 0 {
 		t.Fatalf("conservation error %v", err)

@@ -64,7 +64,6 @@ type Gate struct {
 	service       Service
 	daemonPriv    label.Priv
 	daemonReserve *core.Reserve
-	calls         int64
 	dead          bool
 }
 
@@ -110,9 +109,5 @@ func (k *Kernel) GateCall(name string, caller *sched.Thread, args any) (any, err
 		return nil, fmt.Errorf("%w: enter gate %q", core.ErrAccess, name)
 	}
 	call := &Call{Caller: caller, Now: k.Now(), Args: args, gate: g}
-	reply, err := g.service(call)
-	if err == nil {
-		g.calls++
-	}
-	return reply, err
+	return g.service(call)
 }

@@ -288,7 +288,7 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 		k.Table = kobj.NewTable()
 	}
 	eng := k.Eng
-	k.Root = kobj.NewContainer(k.Table, nil, "root", label.Public())
+	k.Root = kobj.NewContainer(k.Table, nil, label.Public())
 	k.Profile = cfg.Profile
 	k.billing = cfg.Billing
 	if k.gates == nil {
@@ -454,13 +454,13 @@ func (k *Kernel) maybeQuiesceSched(now units.Time) {
 // tick (Tick finds no payable thread), so the closed-form catch-up in
 // the task body and in settle reproduces Consumed, BusyTicks, IdleTicks
 // and Utilization byte-identically. Only the per-thread throttle
-// diagnostic and per-reserve ConsumeFailures stop counting attempts
-// that were never made; neither feeds a Result. The bound is sound
-// because every ignored effect — clamping, decay leakage, outflow taps,
-// other threads' billing — only lowers a reserve's true level below the
-// unclamped-inflow projection, and every credit outside the flow
-// machinery (transfers, reserve teardown refunds, draw-list changes,
-// thread wakes) fires an activity hook that resumes the task.
+// diagnostic stops counting attempts that were never made; it feeds no
+// Result. The bound is sound because every ignored effect — clamping,
+// decay leakage, outflow taps, other threads' billing — only lowers a
+// reserve's true level below the unclamped-inflow projection, and every
+// credit outside the flow machinery (transfers, reserve teardown
+// refunds, draw-list changes, thread wakes) fires an activity hook that
+// resumes the task.
 func (k *Kernel) maybeSkipThrottled(now units.Time) {
 	tick := k.Eng.Tick()
 	cost := k.Sched.CPUPower().Over(tick)
@@ -1179,7 +1179,7 @@ func (k *Kernel) Wrap(parent *kobj.Container, name string, p label.Priv, from *c
 // draws from the given reserves. It mirrors fork + set_active_reserve +
 // exec in Fig. 5.
 func (k *Kernel) Spawn(parent *kobj.Container, name string, p label.Priv, runner sched.Runner, reserves ...*core.Reserve) (*kobj.Container, *sched.Thread) {
-	c := kobj.NewContainer(k.Table, parent, name, label.Public())
+	c := kobj.NewContainer(k.Table, parent, label.Public())
 	th := k.Sched.NewThread(c, name, label.Public(), p, runner, reserves...)
 	return c, th
 }

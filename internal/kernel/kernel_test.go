@@ -253,7 +253,7 @@ func TestMeterSeesBaseline(t *testing.T) {
 	k := newTestKernel(Config{})
 	m := k.NewMeter("agilent")
 	k.Run(5 * units.Second)
-	avg := units.Power(int64(m.Series().Summarize().Mean))
+	avg := units.Power(int64(m.Series().MeanOver(0, 5*units.Second+1)))
 	want := units.Milliwatts(699)
 	if avg < want*98/100 || avg > want*102/100 {
 		t.Fatalf("meter mean = %v, want ≈699 mW", avg)

@@ -44,7 +44,7 @@ func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	// An app whose reserve lives in its own container while the feeding
 	// tap lives in root: deleting the app container kills the reserve
 	// but not the tap — the exact shape that leaked.
-	app := kobj.NewContainer(k.Table, k.Root, "app", label.Public())
+	app := kobj.NewContainer(k.Table, k.Root, label.Public())
 	res := k.CreateReserve(app, "app-reserve", label.Public())
 	tap, err := k.CreateTap(k.Root, "app-tap", k.KernelPriv(), k.Battery(), res, label.Public())
 	if err != nil {
@@ -76,7 +76,7 @@ func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 
 	// And the accounting must still match the reference.
 	k2 := New(Config{Seed: 3, Reference: true})
-	app2 := kobj.NewContainer(k2.Table, k2.Root, "app", label.Public())
+	app2 := kobj.NewContainer(k2.Table, k2.Root, label.Public())
 	res2 := k2.CreateReserve(app2, "app-reserve", label.Public())
 	tap2, err := k2.CreateTap(k2.Root, "app-tap", k2.KernelPriv(), k2.Battery(), res2, label.Public())
 	if err != nil {

@@ -38,7 +38,6 @@ func (k *Kernel) Codec(c *snap.Codec) {
 	snap.SameUint(c, "gates", len(names))
 	for i, name := range names {
 		c.Name("gate", i, name)
-		snap.Int(c, &k.gates[name].calls)
 	}
 	k.Table.Codec(c)
 	k.Graph.Codec(c)
@@ -68,7 +67,6 @@ func (k *Kernel) Codec(c *snap.Codec) {
 func (c *BatteryCharger) Codec(cd *snap.Codec) {
 	cd.Section("charger")
 	cd.Bool(&c.plugged)
-	cd.String(&c.supply.Name)
 	snap.Int(cd, &c.supply.Rate)
 	snap.Int(cd, &c.lastCharge)
 	snap.Int(cd, &c.carry)
@@ -79,10 +77,7 @@ func (c *BatteryCharger) Codec(cd *snap.Codec) {
 			"the checkpoint was written under")
 		return
 	}
-	snap.Int(cd, &c.predicted)
-	snap.Int(cd, &c.stats.Plugs)
 	snap.Int(cd, &c.stats.Recharged)
-	snap.Int(cd, &c.stats.Clamped)
 	snap.Int(cd, &c.stats.SettledCharges)
 }
 

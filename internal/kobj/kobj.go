@@ -180,14 +180,13 @@ func (t *Table) release(o Object) {
 // lifetime.
 type Container struct {
 	Base
-	name     string
 	children map[ID]Object
 }
 
 // NewContainer creates a container inside parent (nil for the root) and
 // registers it with the table.
-func NewContainer(t *Table, parent *Container, name string, lbl label.Label) *Container {
-	c := &Container{name: name, children: make(map[ID]Object)}
+func NewContainer(t *Table, parent *Container, lbl label.Label) *Container {
+	c := &Container{children: make(map[ID]Object)}
 	t.Register(&c.Base, KindContainer, lbl, parent, c)
 	return c
 }
@@ -208,5 +207,5 @@ func (c *Container) Children() []Object {
 
 // String renders the container for diagnostics.
 func (c *Container) String() string {
-	return fmt.Sprintf("container(%d %q, %d children)", c.ObjectID(), c.name, len(c.children))
+	return fmt.Sprintf("container(%d, %d children)", c.ObjectID(), len(c.children))
 }

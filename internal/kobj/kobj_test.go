@@ -23,7 +23,7 @@ func newFake(t *Table, parent *Container, kind Kind) *fakeObj {
 
 func TestRegisterAssignsSequentialIDs(t *testing.T) {
 	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
+	root := NewContainer(tbl, nil, label.Public())
 	a := newFake(tbl, root, KindReserve)
 	b := newFake(tbl, root, KindTap)
 	if root.ObjectID() != 1 || a.ObjectID() != 2 || b.ObjectID() != 3 {
@@ -36,7 +36,7 @@ func TestRegisterAssignsSequentialIDs(t *testing.T) {
 
 func TestDeleteLeaf(t *testing.T) {
 	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
+	root := NewContainer(tbl, nil, label.Public())
 	a := newFake(tbl, root, KindReserve)
 	if err := tbl.Delete(a.ObjectID()); err != nil {
 		t.Fatal(err)
@@ -55,9 +55,9 @@ func TestDeleteLeaf(t *testing.T) {
 func TestDeleteCascades(t *testing.T) {
 	// root > c1 > c2 > leaf; deleting c1 must release c2 and leaf.
 	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
-	c1 := NewContainer(tbl, root, "c1", label.Public())
-	c2 := NewContainer(tbl, c1, "c2", label.Public())
+	root := NewContainer(tbl, nil, label.Public())
+	c1 := NewContainer(tbl, root, label.Public())
+	c2 := NewContainer(tbl, c1, label.Public())
 	leaf := newFake(tbl, c2, KindReserve)
 	sibling := newFake(tbl, root, KindReserve)
 
@@ -82,7 +82,7 @@ func TestDeleteCascades(t *testing.T) {
 
 func TestDeleteTwice(t *testing.T) {
 	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
+	root := NewContainer(tbl, nil, label.Public())
 	a := newFake(tbl, root, KindReserve)
 	if err := tbl.Delete(a.ObjectID()); err != nil {
 		t.Fatal(err)
@@ -94,8 +94,8 @@ func TestDeleteTwice(t *testing.T) {
 
 func TestParent(t *testing.T) {
 	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
-	c := NewContainer(tbl, root, "c", label.Public())
+	root := NewContainer(tbl, nil, label.Public())
+	c := NewContainer(tbl, root, label.Public())
 	a := newFake(tbl, c, KindReserve)
 	if tbl.parent[a.ObjectID()] != c {
 		t.Fatal("parent of a is not c")
@@ -107,7 +107,7 @@ func TestParent(t *testing.T) {
 
 func TestChildrenSorted(t *testing.T) {
 	tbl := NewTable()
-	root := NewContainer(tbl, nil, "root", label.Public())
+	root := NewContainer(tbl, nil, label.Public())
 	var ids []ID
 	for i := 0; i < 10; i++ {
 		ids = append(ids, newFake(tbl, root, KindReserve).ObjectID())
@@ -139,13 +139,13 @@ func TestReleaseHookRunsOncePerObjectRandomTree(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
 		tbl := NewTable()
-		root := NewContainer(tbl, nil, "root", label.Public())
+		root := NewContainer(tbl, nil, label.Public())
 		containers := []*Container{root}
 		var leaves []*fakeObj
 		for i := 0; i < 40; i++ {
 			parent := containers[r.Intn(len(containers))]
 			if r.Intn(3) == 0 {
-				containers = append(containers, NewContainer(tbl, parent, "c", label.Public()))
+				containers = append(containers, NewContainer(tbl, parent, label.Public()))
 			} else {
 				leaves = append(leaves, newFake(tbl, parent, KindReserve))
 			}

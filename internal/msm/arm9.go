@@ -170,12 +170,9 @@ type ARM9 struct {
 	// visibility the ARM9 grants, §4.1).
 	batteryPercent func() int64
 
-	call     CallState
-	gpsOn    bool
-	gpsTask  *sim.Task
-	smsSent  int64
-	seq      uint64
-	statsSMS int64
+	call    CallState
+	gpsOn   bool
+	gpsTask *sim.Task
 	// onActivity, when set, fires the moment the baseband starts a
 	// continuous draw (call goes active, GPS engine powers on) — the
 	// instants at which smdd stops being quiescent and the kernel must
@@ -213,7 +210,6 @@ func (a *ARM9) Request(m Message) {
 		a.sm.postToApps(Message{Kind: RespBatteryLevel, Seq: m.Seq, Arg: p})
 	case ReqSendSMS:
 		a.eng.After(a.cfg.SMSTransmitTime, func(*sim.Engine) {
-			a.smsSent++
 			a.sm.postToApps(Message{Kind: RespSMSSent, Seq: m.Seq, Arg: int64(len(m.Str))})
 		})
 	case ReqDial:

@@ -81,16 +81,8 @@ func DefaultSmddConfig() SmddConfig {
 
 // Stats counts smdd activity.
 type Stats struct {
-	BatteryReads int64
-	SMSSent      int64
-	CallsPlaced  int64
-	GPSFixes     int64
-	IncomingSMS  int64
-}
-
-type pending struct {
-	kind    MsgKind
-	onReply func(m Message)
+	SMSSent     int64
+	CallsPlaced int64
 }
 
 // Smdd is the ARM11-side shared-memory daemon.
@@ -104,7 +96,7 @@ type Smdd struct {
 
 	container *kobj.Container
 	seq       uint64
-	pend      map[uint64]pending
+	pend      map[uint64]func(Message)
 
 	// Continuous-draw billing targets (set while a call / GPS session
 	// is active).
@@ -124,10 +116,10 @@ type Smdd struct {
 // NewSmdd boots the daemon: it creates the shared-memory channel and the
 // ARM9 model, registers its gates, and hooks the inter-core interrupt.
 func NewSmdd(k *kernel.Kernel, cfg SmddConfig, arm9cfg ARM9Config) (*Smdd, error) {
-	d := &Smdd{k: k, cfg: cfg, pend: make(map[uint64]pending)}
+	d := &Smdd{k: k, cfg: cfg, pend: make(map[uint64]func(Message))}
 	d.cat = k.NewCategory()
 	d.priv = label.NewPriv(d.cat)
-	d.container = kobj.NewContainer(k.Table, k.Root, "smdd", label.Public())
+	d.container = kobj.NewContainer(k.Table, k.Root, label.Public())
 
 	d.sm = NewSharedMemory(k.Eng, 5*units.Millisecond)
 	d.arm9 = NewARM9(k.Eng, d.sm, arm9cfg, func() int64 {
@@ -184,7 +176,7 @@ func (d *Smdd) OnIncomingSMS(fn func(body string)) { d.onIncomingSMS = fn }
 func (d *Smdd) post(kind MsgKind, arg int64, str string, onReply func(Message)) {
 	d.seq++
 	if onReply != nil {
-		d.pend[d.seq] = pending{kind: kind, onReply: onReply}
+		d.pend[d.seq] = onReply
 	}
 	m := Message{Kind: kind, Seq: d.seq, Arg: arg, Str: str}
 	// Request delivery crosses the shared memory with the same latency
@@ -197,12 +189,10 @@ func (d *Smdd) drain() {
 	for _, m := range d.sm.DrainApps() {
 		switch m.Kind {
 		case EvIncomingSMS:
-			d.stats.IncomingSMS++
 			if d.onIncomingSMS != nil {
 				d.onIncomingSMS(m.Str)
 			}
 		case EvGPSFix:
-			d.stats.GPSFixes++
 			if d.onFix != nil {
 				d.onFix(d.k.Now())
 			}
@@ -214,17 +204,15 @@ func (d *Smdd) drain() {
 			if d.onCall != nil {
 				d.onCall(CallState(m.Arg))
 			}
-			if p, ok := d.pend[m.Seq]; ok && p.onReply != nil {
-				p.onReply(m)
+			if reply, ok := d.pend[m.Seq]; ok {
+				reply(m)
 				// Keep the pending entry: dial gets two replies
 				// (dialing, then active); it is dropped on hangup.
 			}
 		default:
-			if p, ok := d.pend[m.Seq]; ok {
+			if reply, ok := d.pend[m.Seq]; ok {
 				delete(d.pend, m.Seq)
-				if p.onReply != nil {
-					p.onReply(m)
-				}
+				reply(m)
 			}
 		}
 	}
@@ -237,7 +225,6 @@ func (d *Smdd) handleBattery(call *kernel.Call) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("msm: bad battery request %T", call.Args)
 	}
-	d.stats.BatteryReads++
 	th := call.Caller
 	th.Block()
 	d.post(ReqBatteryLevel, 0, "", func(m Message) {

@@ -5,8 +5,8 @@ import "repro/internal/snap"
 // This file implements checkpoint/resume for the baseband path. A
 // checkpoint-quiet baseband has no call up, no GPS session, and no
 // message in flight across the shared memory; what survives a
-// checkpoint is pure accounting — smdd's counters and sequence number,
-// the ARM9's transmit count — plus the billing carries. smdd's pending
+// checkpoint is pure accounting — smdd's counters and sequence number —
+// plus the billing carries. smdd's pending
 // reply table may hold inert entries (a dial's reply record is kept
 // until hangup and never reclaimed); those are dropped: no future
 // message can carry an old sequence number, so they are unreachable by
@@ -19,16 +19,12 @@ import "repro/internal/snap"
 func (d *Smdd) Codec(c *snap.Codec) {
 	c.Section("smdd")
 	snap.Uint(c, &d.seq)
-	snap.Int(c, &d.stats.BatteryReads)
 	snap.Int(c, &d.stats.SMSSent)
 	snap.Int(c, &d.stats.CallsPlaced)
-	snap.Int(c, &d.stats.GPSFixes)
-	snap.Int(c, &d.stats.IncomingSMS)
 	snap.Int(c, &d.callCarry)
 	snap.Int(c, &d.gpsCarry)
 	snap.Uint(c, &d.arm9.call)
 	c.Bool(&d.arm9.gpsOn)
-	snap.Int(c, &d.arm9.smsSent)
 	inFlight := len(d.sm.toApps)
 	snap.Uint(c, &inFlight)
 	if !c.Loading() {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/label"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -49,16 +50,34 @@ type rateChange struct {
 	rate   units.Power
 }
 
+// linkSpec is a debtor reserve tapped into one poller's reserve. The
+// tap first draws proportionally on the debtor in debt, which leaves
+// the tap a negative carry; at the switch the debtor is paid back into
+// credit and the tap turns constant, carrying that negative carry into
+// the waiter's inflow.
+type linkSpec struct {
+	into int // the poller whose reserve the tap feeds
+	debt units.Energy
+	frac core.PPM
+	at   units.Time // the switch
+	rate units.Power
+}
+
 type scenario struct {
 	pollers []pollerSpec
 	changes []rateChange
 	chunks  []units.Time
+	link    *linkSpec
+	probe   units.Time
 }
 
 // decodeScenario maps fuzz bytes onto 1–3 pollers (rate, period, phase,
 // request shape), up to 3 mid-run tap-rate changes — including to zero,
 // which strands the waiters with no inflow — and three run chunks whose
-// boundaries force a settlement sync at arbitrary instants.
+// boundaries force a settlement sync at arbitrary instants. Six more
+// bytes past those the scenario read, never cycled, add a link and set
+// the probe period (500 ms otherwise); every shorter input decodes as
+// it did before links existed.
 func decodeScenario(data []byte) scenario {
 	c := &cursor{data: data}
 	var sc scenario
@@ -86,10 +105,22 @@ func decodeScenario(data []byte) scenario {
 	for i := 0; i < 3; i++ {
 		sc.chunks = append(sc.chunks, units.Time(15+int(c.next()%90))*units.Second)
 	}
+	sc.probe = 500 * units.Millisecond
+	if rest := data[min(c.i, len(data)):]; len(rest) >= 6 {
+		sc.link = &linkSpec{
+			into: int(rest[0]) % n,
+			debt: units.Energy(rest[1]) * 10 * units.Millijoule,
+			frac: core.PPM(250 * (1 + int(rest[2]%8))),
+			at:   units.Time(rest[3]) * 50 * units.Millisecond,
+			rate: units.Power(1+int(rest[4]%10)) * units.Microwatt,
+		}
+		sc.probe = units.Time(1+int(rest[5]%60)) * 10 * units.Millisecond
+	}
 	return sc
 }
 
-// chunkState is the observable device state at a chunk boundary.
+// chunkState is the observable device state at a chunk boundary, with
+// the pool and reserve levels the probe saw since the previous one.
 // SettledSweeps is zeroed before comparison: it is the one counter the
 // reference and production legitimately disagree on.
 type chunkState struct {
@@ -102,6 +133,14 @@ type chunkState struct {
 	consumed units.Energy
 	waiting  int
 	stats    Stats
+	probes   []probeState
+}
+
+// probeState is what the probe saw at one of its instants.
+type probeState struct {
+	now    units.Time
+	pool   units.Energy
+	levels []units.Energy
 }
 
 // newRigMode builds a rig on a kernel and radio of the given
@@ -120,9 +159,10 @@ func newRigMode(t testing.TB, kcfg kernel.Config, rcfg radio.Config, cfg Config)
 }
 
 // runScenario executes sc on one rig — the reference configuration or
-// production — and returns the state at every chunk boundary. On the
-// production rig, a 500 ms
-// probe asserts mid-run properties the chunk comparison cannot see:
+// production — and returns the state at every chunk boundary. A probe
+// (every sc.probe) records the pool and reserve levels on both rigs,
+// and on the production rig asserts mid-run properties the chunk
+// comparison cannot see:
 //
 //   - the predicted fire instant is strictly in the future, on the
 //     sweep grid, and ahead of lastSweep, which itself never rewinds
@@ -163,12 +203,52 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 			}
 		})
 	}
-
+	// held lists every reserve conservation counts besides the pool,
+	// fund and battery.
+	held := ress
 	// maxRate bounds one boundary's pool inflow for the overshoot
 	// check: decodeScenario never hands a tap more than 240 mW.
 	maxRate := units.Milliwatts(float64(240 * len(sc.pollers)))
+	if l := sc.link; l != nil {
+		debtor := r.k.CreateReserveOpts(r.k.Root, "debtor", label.Public(), core.ReserveOpts{AllowDebt: true})
+		if err := debtor.DebitSelf(kp, l.debt); err != nil {
+			t.Fatal(err)
+		}
+		link, err := r.k.CreateTap(r.k.Root, "link", kp, debtor, ress[l.into], label.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := link.SetFrac(kp, l.frac); err != nil {
+			t.Fatal(err)
+		}
+		r.k.Eng.At(l.at, func(*sim.Engine) {
+			if err := link.SetRate(kp, l.rate); err != nil {
+				t.Errorf("link setrate: %v", err)
+			}
+			if err := r.k.Graph.Transfer(kp, r.k.Battery(), debtor, l.debt+units.Joule); err != nil {
+				t.Errorf("pay debtor: %v", err)
+			}
+		})
+		held = append(held[:len(held):len(held)], debtor)
+		maxRate += l.rate
+	}
+
+	var probes []probeState
 	var lastSweepSeen units.Time
-	r.k.Eng.Every("probe", 500*units.Millisecond, func(e *sim.Engine) {
+	r.k.Eng.Every("probe", sc.probe, func(e *sim.Engine) {
+		p := probeState{now: e.Now()}
+		var err error
+		if p.pool, err = r.netd.pool.Level(kp); err != nil {
+			t.Errorf("pool level: %v", err)
+		}
+		for _, res := range held {
+			lvl, err := res.Level(kp)
+			if err != nil {
+				t.Errorf("reserve level: %v", err)
+			}
+			p.levels = append(p.levels, lvl)
+		}
+		probes = append(probes, p)
 		if reference {
 			return
 		}
@@ -182,14 +262,15 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 		// the future, on the sweep grid, ahead of the last accounted
 		// boundary — and lastSweep itself never rewinds.
 		if n.settling {
-			if n.predicted <= now {
-				t.Errorf("t=%v: predicted fire %v is not in the future", now, n.predicted)
+			predicted := n.sweepTask.NextDue()
+			if predicted <= now {
+				t.Errorf("t=%v: predicted fire %v is not in the future", now, predicted)
 			}
-			if n.predicted%n.cfg.SweepPeriod != 0 {
-				t.Errorf("t=%v: predicted fire %v is off the sweep grid", now, n.predicted)
+			if predicted%n.cfg.SweepPeriod != 0 {
+				t.Errorf("t=%v: predicted fire %v is off the sweep grid", now, predicted)
 			}
-			if n.predicted <= n.lastSweep {
-				t.Errorf("t=%v: predicted fire %v not ahead of lastSweep %v", now, n.predicted, n.lastSweep)
+			if predicted <= n.lastSweep {
+				t.Errorf("t=%v: predicted fire %v not ahead of lastSweep %v", now, predicted, n.lastSweep)
 			}
 		}
 		if n.lastSweep < lastSweepSeen {
@@ -221,13 +302,15 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 			consumed: r.k.Consumed(),
 			waiting:  r.netd.WaitingThreads(),
 			stats:    r.netd.Stats(),
+			probes:   probes,
 		}
+		probes = nil
 		st.stats.SettledSweeps = 0
 		total := st.consumed
 		for _, dn := range dones {
 			st.done = append(st.done, *dn)
 		}
-		for _, res := range ress {
+		for _, res := range held {
 			lvl, err := res.Level(kp)
 			if err != nil {
 				t.Fatalf("reserve level: %v", err)
@@ -261,6 +344,12 @@ func diffStates(a, b []chunkState) string {
 		return fmt.Sprintf("chunk counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
+		pa, pb := a[i].probes, b[i].probes
+		for j := range min(len(pa), len(pb)) {
+			if fmt.Sprintf("%+v", pa[j]) != fmt.Sprintf("%+v", pb[j]) {
+				return fmt.Sprintf("chunk %d, probe %d:\n  a: %+v\n  b: %+v", i, j, pa[j], pb[j])
+			}
+		}
 		if fmt.Sprintf("%+v", a[i]) != fmt.Sprintf("%+v", b[i]) {
 			return fmt.Sprintf("chunk %d:\n  a: %+v\n  b: %+v", i, a[i], b[i])
 		}
@@ -270,12 +359,15 @@ func diffStates(a, b []chunkState) string {
 
 // fuzzSeeds are shared by the differential test and FuzzPoolSettle's seed
 // corpus: the zero scenario, a single slow poller, a three-poller mix
-// with rate changes, and a sequence that drives a tap to zero mid-wait.
+// with rate changes, a sequence that drives a tap to zero mid-wait, and
+// a 20 mW poller whose reserve a 1 µW link feeds with a negative carry
+// (1000 PPM on a −1.23 J debtor, switched at 0.75 s, probed every 130 ms).
 var fuzzSeeds = [][]byte{
 	{},
 	{0, 3, 17, 2, 1, 4, 1, 0},
 	{2, 7, 40, 1, 3, 2, 2, 16, 55, 0, 5, 6, 1, 3, 30, 2, 2, 9, 60, 1, 12, 0, 80, 2, 24, 40, 70, 10},
 	{1, 0, 10, 0, 2, 3, 3, 1, 20, 0, 0, 50, 80, 20},
+	{0, 0, 25, 1, 0, 1, 0, 0, 5, 5, 5, 0, 123, 3, 15, 0, 12},
 }
 
 // TestPoolSettleDifferential runs each seed scenario under the

@@ -91,22 +91,8 @@ type Request struct {
 
 // Stats counts netd activity.
 type Stats struct {
-	// Polls is the number of gate calls accepted.
-	Polls int64
-	// Blocked is the number of calls that had to wait for the pool.
-	Blocked int64
-	// Immediate is the number of calls served without waiting.
-	Immediate int64
 	// PowerUps is the number of radio activations netd paid for.
 	PowerUps int64
-	// Pooled is the total energy swept into the pool from callers.
-	Pooled units.Energy
-	// Abandoned is the number of waiters dropped because their thread
-	// exited or their billing reserve died mid-wait (a workload torn
-	// down around them). They can never complete a session; keeping
-	// them queued would pin the sweep loop at its period forever and
-	// leave the device permanently checkpoint-unquiet.
-	Abandoned int64
 	// SettledSweeps is the number of sweep boundaries accounted in
 	// closed form instead of executed as task firings. Together with the
 	// engine's step counter it quantifies the busy-path win; it is
@@ -145,14 +131,13 @@ type Netd struct {
 	// regime it engages in — cooperative pooling on a production kernel
 	// (the reference executes every sweep); settling marks the sweep task deferred to the
 	// predicted pool-crossing instant; lastSweep is the last boundary
-	// whose waiter drains are applied (executed or replayed); predicted
-	// is the deferred-to instant, for diagnostics. The scratch slices
-	// make prediction and replay allocation-free in steady state.
+	// whose waiter drains are applied (executed or replayed). The
+	// scratch slices make prediction and replay allocation-free in
+	// steady state.
 	closedForm bool
 	settling   bool
 	replaying  bool
 	lastSweep  units.Time
-	predicted  units.Time
 	scratch    []*core.Tap
 	predTaps   []predTap
 	predLvls   []int64
@@ -210,7 +195,7 @@ func (n *Netd) Reset(k *kernel.Kernel, r *radio.Radio, cfg Config) error {
 	n.k, n.radio, n.cfg = k, r, cfg
 	n.cat = k.NewCategory()
 	n.priv = label.NewPriv(n.cat)
-	n.container = kobj.NewContainer(k.Table, k.Root, "netd", label.Public())
+	n.container = kobj.NewContainer(k.Table, k.Root, label.Public())
 	poolLabel := label.Public().With(n.cat, label.Level2)
 	n.pool = k.CreateReserveOpts(n.container, "netd-pool", poolLabel, core.ReserveOpts{
 		DecayExempt: true,
@@ -239,7 +224,6 @@ func (n *Netd) Reset(k *kernel.Kernel, r *radio.Radio, cfg Config) error {
 	n.closedForm = cfg.Cooperative && k.LazySettle()
 	n.settling = false
 	n.lastSweep = 0
-	n.predicted = 0
 	if n.closedForm {
 		k.AddSweepSettler(n)
 	}
@@ -270,7 +254,6 @@ func (n *Netd) handlePoll(call *kernel.Call) error {
 	if th.ActiveReserve() == nil {
 		return ErrNotThread
 	}
-	n.stats.Polls++
 	req, ok := call.Args.(Request)
 	if !ok {
 		return fmt.Errorf("netd: bad request type %T", call.Args)
@@ -282,7 +265,6 @@ func (n *Netd) handlePoll(call *kernel.Call) error {
 	if !n.cfg.Cooperative {
 		// Baseline: straight to the radio, marginal cost on the caller,
 		// activation cost on the battery.
-		n.stats.Immediate++
 		n.runSession(call.Now, waiter{th: th, priv: call.BillPriv(), bill: call.BillTo(), req: req})
 		return nil
 	}
@@ -300,11 +282,8 @@ func (n *Netd) handlePoll(call *kernel.Call) error {
 	// Contribute whatever the caller's taps have accumulated (§5.5.2).
 	n.contribute(w)
 	if n.poolReady(call.Now) {
-		n.stats.Immediate++
 		n.fire(call.Now)
-		return nil
 	}
-	n.stats.Blocked++
 	return nil
 }
 
@@ -320,7 +299,6 @@ func (n *Netd) pruneWaiters() {
 	kept := n.waiters[:0]
 	for _, w := range n.waiters {
 		if w.th.State() == sched.Exited || w.bill.Dead() {
-			n.stats.Abandoned++
 			continue
 		}
 		kept = append(kept, w)
@@ -328,12 +306,10 @@ func (n *Netd) pruneWaiters() {
 	n.waiters = kept
 }
 
-// contribute sweeps the caller's available energy into the pool.
+// contribute sweeps the caller's available energy into the pool. A
+// refused transfer leaves the energy with the caller.
 func (n *Netd) contribute(w waiter) {
-	moved, err := n.k.Graph.TransferUpTo(w.priv, w.th.ActiveReserve(), n.pool, units.MaxEnergy)
-	if err == nil {
-		n.stats.Pooled += moved
-	}
+	n.k.Graph.TransferUpTo(w.priv, w.th.ActiveReserve(), n.pool, units.MaxEnergy)
 }
 
 // activationCost returns the energy a power-up is expected to add: the
@@ -408,7 +384,6 @@ func (n *Netd) maybeSettle(now units.Time) {
 	}
 	n.sweepTask.DeferUntil(t)
 	n.settling = true
-	n.predicted = t
 }
 
 // settleGuard reports whether the pooling loop is in the regime the
@@ -424,7 +399,12 @@ func (n *Netd) maybeSettle(now units.Time) {
 //   - no tap touches the pool, so contributions are its only inflow;
 //   - every waiter's billing reserve is alive, drained by no tap, and
 //     fed only by constant-rate taps (proportional inflow is
-//     level-coupled and does not telescope).
+//     level-coupled and does not telescope) whose carries are
+//     non-negative. A proportional phase on a reserve in debt leaves a
+//     negative carry; from a non-negative one, a non-negative rate keeps
+//     the carry in [0, 1000) until SetRate or SetFrac, which
+//     invalidates, so replayThrough recovers the carry at a skipped
+//     boundary from the current one exactly.
 //
 // Decay needs no guard: decay bites occur at executed 1 s instants,
 // the settler is synchronized before each, and a prediction that
@@ -453,7 +433,7 @@ func (n *Netd) settleGuard() bool {
 		}
 		n.scratch = g.TapsInto(w.bill, n.scratch[:0])
 		for _, t := range n.scratch {
-			if t.Kind() != core.TapConst {
+			if t.Kind() != core.TapConst || t.Carry() < 0 {
 				return false
 			}
 		}
@@ -572,7 +552,8 @@ func addSat(a, b int64) int64 {
 // already includes ρ, the credits applied after bₖ (the kernel settles
 // tap batches before synchronizing settlers), so the fixup transfers
 // max(0, level−ρ); ρ decomposes backward from each tap's current carry,
-// since constant-tap carries evolve linearly mod 1000.
+// since constant-tap carries evolve linearly mod 1000 and, by
+// settleGuard, stay in [0, 1000).
 func (n *Netd) replayThrough(limit units.Time) {
 	period := n.cfg.SweepPeriod
 	last := limit - limit%period
@@ -609,9 +590,7 @@ func (n *Netd) replayThrough(limit units.Time) {
 			}
 		}
 		if pre := lvl - rho; pre > 0 {
-			if moved, err := g.TransferUpTo(w.priv, w.bill, n.pool, pre); err == nil {
-				n.stats.Pooled += moved
-			}
+			g.TransferUpTo(w.priv, w.bill, n.pool, pre)
 		}
 	}
 	n.stats.SettledSweeps += swept

@@ -72,8 +72,9 @@ func (r *rig) addPollerWithTap(t testing.TB, name string, rate units.Power, inte
 
 func TestUncooperativePollGoesStraightToRadio(t *testing.T) {
 	r := newRig(t, Config{Cooperative: false})
+	var doneAt units.Time
 	_, done := r.addPoller(t, "rss", units.Milliwatts(99), 60*units.Second, units.Second,
-		Request{ReqBytes: 100, RespBytes: 2000})
+		Request{ReqBytes: 100, RespBytes: 2000, OnDone: func(at units.Time) { doneAt = at }})
 	r.k.Run(50 * units.Second)
 	if *done != 1 {
 		t.Fatalf("polls done = %d, want 1", *done)
@@ -81,9 +82,10 @@ func TestUncooperativePollGoesStraightToRadio(t *testing.T) {
 	if r.radio.Stats().Activations != 1 {
 		t.Fatalf("activations = %d", r.radio.Stats().Activations)
 	}
-	st := r.netd.Stats()
-	if st.Immediate != 1 || st.Blocked != 0 {
-		t.Fatalf("stats = %+v", st)
+	// Served at once (radio wake-up plus transfer, 3.2 s): no wait for
+	// a pool, which 99 mW would take about 120 s to fill.
+	if doneAt > 5*units.Second {
+		t.Fatalf("poll at 1 s done at %v", doneAt)
 	}
 }
 
@@ -163,11 +165,10 @@ func TestPoolNeverEmptiesAfterFirstFire(t *testing.T) {
 	if len(ts.Points()) == 0 {
 		t.Fatal("no pool samples")
 	}
-	stats := ts.Summarize()
 	// Peaks near the threshold (≈11.9 J), never back to zero after the
 	// first firing.
-	if units.Energy(stats.Max) < units.Joules(11) {
-		t.Fatalf("pool max = %v, want ≳11.9 J", units.Energy(stats.Max))
+	if peak := units.Energy(ts.Max()); peak < units.Joules(11) {
+		t.Fatalf("pool max = %v, want ≳11.9 J", peak)
 	}
 	firstFire := false
 	for _, p := range ts.Points() {

@@ -20,12 +20,7 @@ func (n *Netd) Codec(c *snap.Codec) {
 			"(the fleet runner's chunk boundaries qualify; mid-wait instants do not)", waiters)
 		return
 	}
-	snap.Int(c, &n.stats.Polls)
-	snap.Int(c, &n.stats.Blocked)
-	snap.Int(c, &n.stats.Immediate)
 	snap.Int(c, &n.stats.PowerUps)
-	snap.Int(c, &n.stats.Pooled)
-	snap.Int(c, &n.stats.Abandoned)
 	snap.Int(c, &n.stats.SettledSweeps)
 	snap.Int(c, &n.lastSweep)
 	c.Bool(&n.settling)

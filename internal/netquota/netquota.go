@@ -65,7 +65,7 @@ type PlanConfig struct {
 // object table. Deleting root tears the whole plan down.
 func NewPlan(tbl *kobj.Table, parent *kobj.Container, cfg PlanConfig) *Plan {
 	p := &Plan{table: tbl, cat: cfg.Category}
-	p.root = kobj.NewContainer(tbl, parent, "data-plan", label.Public())
+	p.root = kobj.NewContainer(tbl, parent, label.Public())
 	poolLabel := label.Public()
 	if cfg.Category != 0 {
 		p.priv = label.NewPriv(cfg.Category)
@@ -91,9 +91,7 @@ func (p *Plan) Used() Bytes { return p.graph.Consumed() }
 
 // Allowance is one application's byte budget.
 type Allowance struct {
-	plan    *Plan
 	Reserve *core.Reserve
-	Tap     *core.Tap // nil for grant-only allowances
 	name    string
 }
 
@@ -103,9 +101,9 @@ type Allowance struct {
 // cannot raise their own rate — the exact energywrap pattern applied to
 // bytes.
 func (p *Plan) NewAllowance(name string, rate ByteRate) (*Allowance, error) {
-	c := kobj.NewContainer(p.table, p.root, name, label.Public())
+	c := kobj.NewContainer(p.table, p.root, label.Public())
 	res := p.graph.NewReserve(c, name+"-bytes", label.Public(), core.ReserveOpts{})
-	a := &Allowance{plan: p, Reserve: res, name: name}
+	a := &Allowance{Reserve: res, name: name}
 	if rate > 0 {
 		lbl := label.Public()
 		if p.cat != 0 {
@@ -118,7 +116,6 @@ func (p *Plan) NewAllowance(name string, rate ByteRate) (*Allowance, error) {
 		if err := tap.SetRate(p.priv, rate); err != nil {
 			return nil, fmt.Errorf("netquota: allowance %q: %w", name, err)
 		}
-		a.Tap = tap
 	}
 	return a, nil
 }

@@ -13,7 +13,7 @@ import (
 func newPlan(t *testing.T, quota Bytes) (*Plan, *kobj.Table) {
 	t.Helper()
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	return NewPlan(tbl, root, PlanConfig{Quota: quota, Category: 99}), tbl
 }
 
@@ -80,11 +80,12 @@ func TestRateLimitedAllowance(t *testing.T) {
 		t.Fatalf("level = %d, want exactly 10 KiB", lvl)
 	}
 	// The app cannot raise its own tap.
-	if err := a.Tap.SetRate(label.Priv{}, ByteRate(Mebibyte)); err == nil {
+	tap := p.graph.TapsInto(a.Reserve, nil)[0]
+	if err := tap.SetRate(label.Priv{}, ByteRate(Mebibyte)); err == nil {
 		t.Fatal("app raised its own byte rate")
 	}
 	// The plan owner can.
-	if err := a.Tap.SetRate(p.priv, ByteRate(2*Kibibyte)); err != nil {
+	if err := tap.SetRate(p.priv, ByteRate(2*Kibibyte)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -152,7 +153,7 @@ func TestDeleteAllowanceReturnsBytes(t *testing.T) {
 
 func TestSMSQuota(t *testing.T) {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	q := NewSMSQuota(tbl, root, 100, 7)
 
 	app, err := q.NewAppAllowance("messenger", 3)
@@ -189,7 +190,7 @@ func TestSMSQuota(t *testing.T) {
 
 func TestSMSOverGrant(t *testing.T) {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	q := NewSMSQuota(tbl, root, 5, 7)
 	if _, err := q.NewAppAllowance("greedy", 10); !errors.Is(err, core.ErrInsufficient) {
 		t.Fatalf("over-grant err = %v, want ErrInsufficient", err)

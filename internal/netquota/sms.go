@@ -24,13 +24,12 @@ type SMSQuota struct {
 	table *kobj.Table
 	root  *kobj.Container
 	priv  label.Priv
-	cat   label.Category
 }
 
 // NewSMSQuota creates a quota of n messages per period.
 func NewSMSQuota(tbl *kobj.Table, parent *kobj.Container, n Messages, cat label.Category) *SMSQuota {
-	q := &SMSQuota{table: tbl, cat: cat}
-	q.root = kobj.NewContainer(tbl, parent, "sms-quota", label.Public())
+	q := &SMSQuota{table: tbl}
+	q.root = kobj.NewContainer(tbl, parent, label.Public())
 	poolLabel := label.Public()
 	if cat != 0 {
 		q.priv = label.NewPriv(cat)
@@ -50,7 +49,6 @@ func (q *SMSQuota) Remaining() (Messages, error) {
 
 // AppAllowance is one application's message budget.
 type AppAllowance struct {
-	quota   *SMSQuota
 	Reserve *core.Reserve
 	name    string
 }
@@ -59,12 +57,12 @@ type AppAllowance struct {
 // The balance is a hard cap: when it is gone, Send fails until the
 // owner grants more.
 func (q *SMSQuota) NewAppAllowance(name string, n Messages) (*AppAllowance, error) {
-	c := kobj.NewContainer(q.table, q.root, name, label.Public())
+	c := kobj.NewContainer(q.table, q.root, label.Public())
 	res := q.graph.NewReserve(c, name+"-sms", label.Public(), core.ReserveOpts{})
 	if err := q.graph.Transfer(q.priv, q.graph.Battery(), res, n); err != nil {
 		return nil, fmt.Errorf("netquota: sms allowance %q: %w", name, err)
 	}
-	return &AppAllowance{quota: q, Reserve: res, name: name}, nil
+	return &AppAllowance{Reserve: res, name: name}, nil
 }
 
 // Send consumes one message from the allowance.

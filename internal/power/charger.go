@@ -17,8 +17,6 @@ import (
 // device charges at (Rate − draw) and the level trajectory stays exact
 // integer arithmetic on both sides.
 type Charger struct {
-	// Name identifies the supply class.
-	Name string
 	// Rate is the sustained charge power delivered into the battery.
 	Rate units.Power
 }
@@ -27,11 +25,11 @@ type Charger struct {
 // nominal), derated to 4 W delivered — the overnight fast-charge case.
 // At 4 W a depleted 15 kJ Dream battery refills in just over an hour.
 func ACCharger() Charger {
-	return Charger{Name: "AC 1A", Rate: units.Watts(4)}
+	return Charger{Rate: units.Watts(4)}
 }
 
 // LaptopCharger returns a 65 W laptop supply derated to 55 W delivered,
 // matching the T60p profile's 200 kJ battery (≈1 h to full).
 func LaptopCharger() Charger {
-	return Charger{Name: "AC 65W", Rate: units.Watts(55)}
+	return Charger{Rate: units.Watts(55)}
 }

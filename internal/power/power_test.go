@@ -39,10 +39,6 @@ func TestActivationSplitSumsToPublishedOverhead(t *testing.T) {
 		t.Fatalf("ramp %v + plateau %v = %v, want %v",
 			ramp, plateau, total, p.RadioActivationEnergy)
 	}
-	if p.RadioActivationEnergyMin > p.RadioActivationEnergy ||
-		p.RadioActivationEnergy > p.RadioActivationEnergyMax {
-		t.Fatal("activation bounds do not bracket the mean")
-	}
 }
 
 func TestWorstCaseCPU(t *testing.T) {

@@ -34,11 +34,8 @@ type Profile struct {
 
 	// RadioActivationEnergy is the average energy consumed above
 	// baseline by bringing the radio from its lowest power state to
-	// active and back to sleep, 9.5 J on the Dream (Fig. 4). Min and
-	// Max bound the outliers the paper observed (8.8–11.9 J).
-	RadioActivationEnergy    units.Energy
-	RadioActivationEnergyMin units.Energy
-	RadioActivationEnergyMax units.Energy
+	// active and back to sleep, 9.5 J on the Dream (Fig. 4).
+	RadioActivationEnergy units.Energy
 	// RadioIdleTimeout is the inactivity period after which the closed
 	// ARM9 returns the radio to low power: 20 s, not changeable from
 	// the application processor (§4.3).
@@ -70,16 +67,14 @@ type Profile struct {
 // published in §4.2–§4.3 of the paper.
 func Dream() Profile {
 	return Profile{
-		Name:                     "HTC Dream (MSM7201A)",
-		Idle:                     units.Milliwatts(699),
-		Backlight:                units.Milliwatts(555),
-		CPUActive:                units.Milliwatts(137),
-		MemoryBoundExtraPct:      13,
-		RadioActivationEnergy:    units.Joules(9.5),
-		RadioActivationEnergyMin: units.Joules(8.8),
-		RadioActivationEnergyMax: units.Joules(11.9),
-		RadioIdleTimeout:         20 * units.Second,
-		RadioRampTime:            2 * units.Second,
+		Name:                  "HTC Dream (MSM7201A)",
+		Idle:                  units.Milliwatts(699),
+		Backlight:             units.Milliwatts(555),
+		CPUActive:             units.Milliwatts(137),
+		MemoryBoundExtraPct:   13,
+		RadioActivationEnergy: units.Joules(9.5),
+		RadioIdleTimeout:      20 * units.Second,
+		RadioRampTime:         2 * units.Second,
 		// The ramp and plateau split the 9.5 J activation overhead:
 		// 2 s × 1.2 W = 2.4 J ramp + 20 s × 355 mW = 7.1 J plateau.
 		RadioRampExtra:   units.Milliwatts(1200),
@@ -109,14 +104,12 @@ func LaptopT60p() Profile {
 		MemoryBoundExtraPct: 8,
 		// 802.11-class interface: negligible activation cost relative
 		// to the data path, always-on semantics.
-		RadioActivationEnergy:    500 * units.Millijoule,
-		RadioActivationEnergyMin: 400 * units.Millijoule,
-		RadioActivationEnergyMax: 700 * units.Millijoule,
-		RadioIdleTimeout:         100 * units.Millisecond,
-		RadioRampTime:            50 * units.Millisecond,
-		RadioRampExtra:           units.Watts(1),
-		RadioActiveExtra:         units.Milliwatts(800),
-		RadioPerPacket:           50 * units.Microjoule,
+		RadioActivationEnergy: 500 * units.Millijoule,
+		RadioIdleTimeout:      100 * units.Millisecond,
+		RadioRampTime:         50 * units.Millisecond,
+		RadioRampExtra:        units.Watts(1),
+		RadioActiveExtra:      units.Milliwatts(800),
+		RadioPerPacket:        50 * units.Microjoule,
 		// Per-KiB cost such that a 700 KiB image costs ≈143 mJ of
 		// download energy — the scale Fig. 10/11's 0–200 mJ reserve
 		// axis implies.

@@ -48,8 +48,8 @@ func TestNetworkInitiatedWakeup(t *testing.T) {
 	if r.radio.State() == Sleep {
 		t.Fatal("inbound packet did not wake the radio")
 	}
-	if r.radio.Stats().PacketsReceived != 1 {
-		t.Fatal("delivery not counted")
+	if got, want := r.radio.Stats().DataEnergy, r.radio.profile.PacketEnergy(500); got != want {
+		t.Fatalf("delivery billed %v, want one 500 B packet's %v", got, want)
 	}
 	r.eng.Run(30 * units.Second)
 	if r.radio.State() != Sleep {
@@ -84,7 +84,7 @@ func TestBillDataFallsBackWhenReserveCannotPay(t *testing.T) {
 	// A bill reserve that forbids debt and holds nothing: the cost falls
 	// through to the battery, never lost.
 	r := newRig(Config{})
-	root := kobj.NewContainer(r.tbl, nil, "apps", label.Public())
+	root := kobj.NewContainer(r.tbl, nil, label.Public())
 	broke := r.graph.NewReserve(root, "broke", label.Public(), core.ReserveOpts{})
 	before, _ := r.graph.Battery().Level(label.Priv{})
 	r.eng.After(units.Second, func(e *sim.Engine) {

@@ -63,12 +63,6 @@ func (s State) String() string {
 type Stats struct {
 	// Activations counts sleep→ramp transitions.
 	Activations int64
-	// PacketsSent and BytesSent count outbound traffic.
-	PacketsSent int64
-	BytesSent   int64
-	// PacketsReceived and BytesReceived count inbound traffic.
-	PacketsReceived int64
-	BytesReceived   int64
 	// StateEnergy is the total above-baseline energy drawn by ramp and
 	// plateau states.
 	StateEnergy units.Energy
@@ -295,8 +289,6 @@ func (r *Radio) Send(now units.Time, sizeBytes int, bill *core.Reserve, priv lab
 		txAt = now
 	}
 	r.lastActivity = txAt
-	r.stats.PacketsSent++
-	r.stats.BytesSent += int64(sizeBytes)
 	r.billData(r.profile.PacketEnergy(sizeBytes), bill, priv)
 	return txAt + r.profile.TransferTime(int64(sizeBytes))
 }
@@ -313,8 +305,6 @@ func (r *Radio) Deliver(now units.Time, sizeBytes int, bill *core.Reserve, priv 
 	if now > r.lastActivity {
 		r.lastActivity = now
 	}
-	r.stats.PacketsReceived++
-	r.stats.BytesReceived += int64(sizeBytes)
 	r.billData(r.profile.PacketEnergy(sizeBytes), bill, priv)
 }
 

@@ -24,7 +24,7 @@ func newRig(cfg Config) *rig {
 	}
 	eng := sim.NewEngineMode(42, sim.ModeNextEvent)
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{DecayHalfLife: -1})
 	r := New(eng, g, root, label.Priv{}, cfg)
 	eng.Every("radio", eng.Tick(), func(e *sim.Engine) {
@@ -89,10 +89,8 @@ func TestJitterBoundsMatchPaper(t *testing.T) {
 		prev = cur
 	}
 	distinct := map[units.Energy]bool{}
-	p := power.Dream()
 	for i, e := range energies {
-		if e < p.RadioActivationEnergyMin-500*units.Millijoule ||
-			e > p.RadioActivationEnergyMax+500*units.Millijoule {
+		if e < units.Joules(8.8)-500*units.Millijoule || e > units.Joules(11.9)+500*units.Millijoule {
 			t.Fatalf("activation %d cost %v, outside [8.8, 11.9] J envelope", i, e)
 		}
 		distinct[e/(100*units.Millijoule)] = true
@@ -150,7 +148,7 @@ func TestActivationCostEstimate(t *testing.T) {
 
 func TestSendBillsMarginalCostToReserve(t *testing.T) {
 	r := newRig(Config{})
-	root := kobj.NewContainer(r.tbl, nil, "apps", label.Public())
+	root := kobj.NewContainer(r.tbl, nil, label.Public())
 	bill := r.graph.NewReserve(root, "app", label.Public(), core.ReserveOpts{AllowDebt: true})
 	r.eng.After(units.Second, func(e *sim.Engine) {
 		r.radio.Send(e.Now(), 1500, bill, label.Priv{})
@@ -205,12 +203,10 @@ func TestExchangeDeliversResponse(t *testing.T) {
 	if deliveredAt < min {
 		t.Fatalf("delivered at %v, before minimum %v", deliveredAt, min)
 	}
-	st := r.radio.Stats()
-	if st.PacketsSent != 1 || st.PacketsReceived != 1 {
-		t.Fatalf("packets = %d/%d", st.PacketsSent, st.PacketsReceived)
-	}
-	if st.BytesReceived != 1000 {
-		t.Fatalf("bytes received = %d", st.BytesReceived)
+	// One 100 B request and one 1000 B response, each billed once.
+	want := power.Dream().PacketEnergy(100) + power.Dream().PacketEnergy(1000)
+	if got := r.radio.Stats().DataEnergy; got != want {
+		t.Fatalf("data energy = %v, want %v", got, want)
 	}
 }
 

@@ -24,7 +24,7 @@ func spanRadio(tb testing.TB, active bool, edge units.Time, scale, carry int64, 
 	tb.Helper()
 	eng := sim.NewEngineMode(42, sim.ModeNextEvent)
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{BatteryCapacity: fund + battery, DecayHalfLife: -1})
 	r := New(eng, g, root, label.Priv{}, Config{Profile: power.Dream()})
 	if fund > 0 {

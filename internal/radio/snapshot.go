@@ -17,10 +17,6 @@ func (r *Radio) Codec(c *snap.Codec) {
 	snap.Int(c, &r.carry)
 	snap.Int(c, &r.episodeStart)
 	snap.Int(c, &r.stats.Activations)
-	snap.Int(c, &r.stats.PacketsSent)
-	snap.Int(c, &r.stats.BytesSent)
-	snap.Int(c, &r.stats.PacketsReceived)
-	snap.Int(c, &r.stats.BytesReceived)
 	snap.Int(c, &r.stats.StateEnergy)
 	snap.Int(c, &r.stats.DataEnergy)
 	snap.Int(c, &r.stats.ActiveTime)

@@ -153,11 +153,7 @@ func (s *Scheduler) Tick(now units.Time, dt units.Time) *Thread {
 		}
 		r := t.payable(cost)
 		if r == nil {
-			// Runnable but energy-throttled: record the failed
-			// consumption attempt (it shows up in reserve stats too).
-			if ar := t.ActiveReserve(); ar != nil {
-				_ = ar.Consume(t.priv, cost) // records ConsumeFailures
-			}
+			// Runnable but energy-throttled.
 			t.throttledTicks++
 			continue
 		}

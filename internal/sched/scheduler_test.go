@@ -19,7 +19,7 @@ type rig struct {
 
 func newRig() *rig {
 	tbl := kobj.NewTable()
-	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	root := kobj.NewContainer(tbl, nil, label.Public())
 	g := core.NewGraph(tbl, root, label.Public(), core.Config{DecayHalfLife: -1})
 	return &rig{tbl: tbl, root: root, graph: g,
 		sched: New(tbl, units.Milliwatts(137))}
@@ -82,9 +82,11 @@ func TestEmptyReserveThrottles(t *testing.T) {
 	if th.ThrottledTicks() != 9 {
 		t.Fatalf("throttled = %d, want 9", th.ThrottledTicks())
 	}
+	// The throttled ticks' consumptions failed whole: the one tick's
+	// 137 µJ is all the reserve gave.
 	st, _ := res.Stats(label.Priv{})
-	if st.ConsumeFailures == 0 {
-		t.Fatal("throttling did not record consume failures")
+	if lvl, _ := res.Level(label.Priv{}); lvl != 0 || st.Consumed != 137*units.Microjoule {
+		t.Fatalf("level %v, consumed %v; want 0 and one tick's 137 µJ", lvl, st.Consumed)
 	}
 }
 
@@ -227,7 +229,7 @@ func TestExitIsPermanent(t *testing.T) {
 
 func TestThreadDeletedViaContainer(t *testing.T) {
 	r := newRig()
-	c := kobj.NewContainer(r.tbl, r.root, "proc", label.Public())
+	c := kobj.NewContainer(r.tbl, r.root, label.Public())
 	res := r.reserveWith("r", units.Joule)
 	th := r.sched.NewThread(c, "t", label.Public(), label.Priv{}, nil, res)
 	if err := r.tbl.Delete(c.ObjectID()); err != nil {

@@ -38,8 +38,15 @@ const Magic = "CNDSNAP1"
 // estimator's 64-entry history ring, which nothing read back, from the
 // estimator section. Version 7 drops the estimator's observation count
 // and its smallest and largest observed costs, which only a debug
-// string read, leaving the section the running estimate alone.
-const Version uint32 = 7
+// string read, leaving the section the running estimate alone. Version
+// 8 drops the counters no code read back: the graph's per-reserve
+// outflow and failed-consume counts and per-tap starvation, the gates'
+// call counts, the charger's plug count, clamped surplus, predicted
+// instant and supply name, smdd's battery-read, GPS-fix and
+// incoming-SMS counts and the ARM9's transmit count, netd's poll,
+// blocked, immediate, pooled and abandoned counts, and the radio's
+// packet and byte counts.
+const Version uint32 = 8
 
 // Errors the reader can return (wrapped with context).
 var (

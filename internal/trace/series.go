@@ -71,40 +71,16 @@ func (s *Series) At(t units.Time) int64 {
 	return s.points[i-1].V
 }
 
-// Stats summarizes a series over its full extent.
-type Stats struct {
-	N        int
-	Min, Max int64
-	Mean     float64
-	First    Point
-	Last     Point
-}
-
-// Summarize computes summary statistics. An empty series yields a zero
-// Stats.
-func (s *Series) Summarize() Stats {
+// Max returns the largest sample, or 0 for an empty series.
+func (s *Series) Max() int64 {
 	if len(s.points) == 0 {
-		return Stats{}
+		return 0
 	}
-	st := Stats{
-		N:     len(s.points),
-		Min:   s.points[0].V,
-		Max:   s.points[0].V,
-		First: s.points[0],
-		Last:  s.points[len(s.points)-1],
-	}
-	var sum float64
+	m := s.points[0].V
 	for _, p := range s.points {
-		if p.V < st.Min {
-			st.Min = p.V
-		}
-		if p.V > st.Max {
-			st.Max = p.V
-		}
-		sum += float64(p.V)
+		m = max(m, p.V)
 	}
-	st.Mean = sum / float64(st.N)
-	return st
+	return m
 }
 
 // Window returns the samples with from ≤ T < to.

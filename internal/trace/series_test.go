@@ -50,21 +50,16 @@ func TestAt(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
+func TestMax(t *testing.T) {
 	sr := s(Point{0, 10}, Point{10, 30}, Point{20, 20})
-	st := sr.Summarize()
-	if st.N != 3 || st.Min != 10 || st.Max != 30 {
-		t.Fatalf("Stats = %+v", st)
+	if m := sr.Max(); m != 30 {
+		t.Fatalf("Max = %d", m)
 	}
-	if st.Mean != 20 {
-		t.Fatalf("Mean = %f", st.Mean)
+	if mean := sr.MeanOver(0, 21); mean != 20 {
+		t.Fatalf("MeanOver = %f", mean)
 	}
-	if st.First != (Point{0, 10}) || st.Last != (Point{20, 20}) {
-		t.Fatalf("First/Last = %v/%v", st.First, st.Last)
-	}
-	empty := NewSeries("e", "x").Summarize()
-	if empty.N != 0 {
-		t.Fatal("empty Summarize has samples")
+	if m := NewSeries("e", "x").Max(); m != 0 {
+		t.Fatalf("empty Max = %d", m)
 	}
 }
 
