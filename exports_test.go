@@ -57,8 +57,10 @@ var testOnlyAllowed = map[string]string{
 // is used when its receiver, or a pointer to it, implements an
 // interface of the module, of a standard package the module imports, or
 // interface{ Unwrap() error } (which errors.Is calls), and the method
-// is one of that interface's. A const group written with iota is used
-// when any member is. A command's main and init run without a caller.
+// is one of that interface's — except a String() string method, which
+// is used only when non-test code formats its type (below). A const
+// group written with iota is used when any member is. A command's main
+// and init run without a caller.
 //
 // A field is read by any selection of it except these, which only
 // store or carry its value:
@@ -70,8 +72,11 @@ var testOnlyAllowed = map[string]string{
 //     *snap.Codec, and x.f passed to snap.Same*: the codec both saves
 //     and loads, so it alone does not keep state live;
 //   - a read inside a String() method, unless non-test code formats
-//     its type: calls its String, or passes a value of it to a ...any
-//     parameter (fmt, log, a Failf-style wrapper).
+//     its type: calls its String, passes a value of it to a ...any
+//     parameter (fmt, log, a Failf-style wrapper) or to snap.Same*
+//     (whose load mismatch formats it), or formats a value of an
+//     interface type it implements (the %v of a kobj.Object) either
+//     way. A value passed as an empty interface names no type.
 //
 // Every field of a struct is read when non-test code compares the
 // struct with == or !=, keys a map with it or passes it whole to a
@@ -99,6 +104,24 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if len(unused) > 0 {
 		t.Errorf("%d declarations and fields are used only by tests; delete them or add them to testOnlyAllowed with a reason:\n%s",
 			len(unused), strings.Join(unused, "\n"))
+	}
+}
+
+// TestUseCheckerStringRule runs the String rule over testdata/usecheck:
+// a String() method nothing formats is reported even though its type
+// satisfies fmt.Stringer, and one formatted through an interface, a
+// ...any argument or snap.Same* is not.
+func TestUseCheckerStringRule(t *testing.T) {
+	decls, _ := checkModule(t)
+	var got []string
+	for _, f := range decls {
+		if strings.HasPrefix(f.pos, "testdata/usecheck/") && strings.HasSuffix(f.name, ".String") {
+			got = append(got, f.name)
+		}
+	}
+	want := []string{"usecheck.(*counters).String", "usecheck.deadStringer.String"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("unused String methods in testdata/usecheck:\n  got  %v\n  want %v", got, want)
 	}
 }
 
@@ -225,6 +248,7 @@ type useChecker struct {
 	read      map[*types.Var]bool
 	inString  map[*types.TypeName][]*types.Var // fields read by the type's String method
 	formatted map[*types.TypeName]bool         // types non-test code formats
+	fmtIfaces []*types.Interface               // interface types non-test code formats values of
 }
 
 func newUseChecker() *useChecker {
@@ -503,6 +527,7 @@ func (c *useChecker) call(n *ast.CallExpr, info *types.Info, stack []ast.Node, s
 		for _, a := range n.Args {
 			store(a, false, info, stores)
 		}
+		c.format(info.TypeOf(n.Args[len(n.Args)-1]))
 	}
 	if inCodec(stack, info) {
 		for _, a := range n.Args {
@@ -628,10 +653,15 @@ func stringRecv(decl ast.Decl, info *types.Info) *types.TypeName {
 		return nil
 	}
 	sig := info.Defs[fd.Name].Type().(*types.Signature)
-	if sig.Params().Len() != 0 || sig.Results().Len() != 1 || sig.Results().At(0).Type() != types.Typ[types.String] {
+	if !isStringer(sig) {
 		return nil
 	}
 	return namedOf(sig.Recv().Type())
+}
+
+// isStringer reports whether sig is that of a String() string method.
+func isStringer(sig *types.Signature) bool {
+	return sig.Params().Len() == 0 && sig.Results().Len() == 1 && sig.Results().At(0).Type() == types.Typ[types.String]
 }
 
 // namedOf returns the generic origin of t or *t's named type, or nil.
@@ -645,8 +675,15 @@ func namedOf(t types.Type) *types.TypeName {
 	return nil
 }
 
-// format records that non-test code formats values of t.
+// format records that non-test code formats values of t, or of the
+// types implementing t when t is a non-empty interface.
 func (c *useChecker) format(t types.Type) {
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		if !it.Empty() {
+			c.fmtIfaces = append(c.fmtIfaces, it)
+		}
+		return
+	}
 	if tn := namedOf(t); tn != nil {
 		c.formatted[tn] = true
 	}
@@ -680,6 +717,10 @@ func (c *useChecker) readAll(t types.Type, formatting bool) {
 			if m, _, _ := types.LookupFieldOrMethod(t, false, nil, "Error"); m != nil {
 				return
 			}
+			if _, ok := t.Underlying().(*types.Interface); ok {
+				c.format(t)
+				return
+			}
 		}
 		switch u := t.Underlying().(type) {
 		case *types.Struct:
@@ -703,16 +744,45 @@ func (c *useChecker) readAll(t types.Type, formatting bool) {
 	visit(t)
 }
 
-// markFormatted counts the field reads of each formatted type's String
-// method.
+// markFormatted marks formatted each module type implementing a
+// formatted interface, then marks used the String method of each
+// formatted type and counts that method's field reads.
 func (c *useChecker) markFormatted() {
-	for tn, vs := range c.inString {
-		if c.formatted[tn] {
-			for _, v := range vs {
-				c.read[v] = true
+	for _, n := range c.moduleNamed() {
+		for _, it := range c.fmtIfaces {
+			if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
+				c.formatted[n.Obj()] = true
 			}
 		}
 	}
+	for tn := range c.formatted {
+		if m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), "String"); m != nil {
+			c.used[m.(*types.Func).Origin()] = true
+		}
+		for _, v := range c.inString[tn] {
+			c.read[v] = true
+		}
+	}
+}
+
+// moduleNamed returns the module's named non-interface types.
+func (c *useChecker) moduleNamed() []*types.Named {
+	var named []*types.Named
+	for _, pkg := range c.pkgs {
+		if pkg == nil {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+				named = append(named, n)
+			}
+		}
+	}
+	return named
 }
 
 func usesIota(d *ast.GenDecl) bool {
@@ -739,43 +809,28 @@ func (c *useChecker) anyUsed(objs []types.Object) bool {
 // type satisfy an interface: the module's own interface types (named or
 // written inline, as in a parameter), the named interfaces of the
 // standard packages it imports, error, and the Unwrap interface that
-// errors.Is and errors.As call.
+// errors.Is and errors.As call. A String() string method is left to
+// markFormatted.
 func (c *useChecker) markInterfaceMethods() {
 	unwrap := types.NewSignatureType(nil, nil, nil, nil,
 		types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("error").Type())), false)
 	ifaces := append(c.ifaces,
 		types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
 		types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Unwrap", unwrap)}, nil).Complete())
-	var named []*types.Named
-	scan := func(pkg *types.Package, module bool) {
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
+	for pkg := range c.stdPkgs {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
 			}
-			n, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			if it, ok := n.Underlying().(*types.Interface); !ok {
-				if module {
-					named = append(named, n)
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				if it, ok := n.Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
 				}
-			} else if !module && n.TypeParams().Len() == 0 {
-				ifaces = append(ifaces, it)
 			}
 		}
 	}
-	for _, pkg := range c.pkgs {
-		if pkg != nil {
-			scan(pkg, true)
-		}
-	}
-	for pkg := range c.stdPkgs {
-		scan(pkg, false)
-	}
-	for _, n := range named {
+	for _, n := range c.moduleNamed() {
 		for _, it := range ifaces {
 			if it.NumMethods() == 0 || !it.IsMethodSet() {
 				continue
@@ -784,7 +839,11 @@ func (c *useChecker) markInterfaceMethods() {
 				continue
 			}
 			for i := 0; i < it.NumMethods(); i++ {
-				obj, _, _ := types.LookupFieldOrMethod(n, true, n.Obj().Pkg(), it.Method(i).Name())
+				m := it.Method(i)
+				if m.Name() == "String" && isStringer(m.Type().(*types.Signature)) {
+					continue
+				}
+				obj, _, _ := types.LookupFieldOrMethod(n, true, n.Obj().Pkg(), m.Name())
 				if f, ok := obj.(*types.Func); ok {
 					c.used[f.Origin()] = true
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/label"
@@ -77,33 +76,6 @@ func TestTapValidationErrors(t *testing.T) {
 	}
 	if _, err := g.NewTap(root, "nil", anyone, nil, r, label.Public()); err == nil {
 		t.Error("nil source accepted")
-	}
-}
-
-func TestStringers(t *testing.T) {
-	g, root := testGraph(Config{DecayHalfLife: -1})
-	r := g.NewReserve(root, "myres", label.Public(), ReserveOpts{})
-	if s := r.String(); !strings.Contains(s, "myres") {
-		t.Errorf("Reserve.String() = %q", s)
-	}
-	tap, _ := g.NewTap(root, "mytap", anyone, g.Battery(), r, label.Public())
-	if err := tap.SetRate(anyone, units.Milliwatt); err != nil {
-		t.Fatal(err)
-	}
-	if s := tap.String(); !strings.Contains(s, "mytap") || !strings.Contains(s, "battery") {
-		t.Errorf("Tap.String() = %q", s)
-	}
-	if err := tap.SetFrac(anyone, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	if s := tap.String(); !strings.Contains(s, "0.1") {
-		t.Errorf("proportional Tap.String() = %q", s)
-	}
-	if TapConst.String() != "const" || TapProportional.String() != "proportional" {
-		t.Error("TapKind strings")
-	}
-	if TapKind(7).String() != "tapkind(7)" {
-		t.Error("unknown TapKind string")
 	}
 }
 

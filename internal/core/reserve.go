@@ -218,8 +218,3 @@ func (r *Reserve) debit(amount units.Energy) {
 	}
 	r.level -= amount
 }
-
-// String renders the reserve for diagnostics.
-func (r *Reserve) String() string {
-	return fmt.Sprintf("reserve(%q id=%d level=%v)", r.name, r.ObjectID(), r.level)
-}

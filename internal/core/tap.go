@@ -22,18 +22,6 @@ const (
 	TapProportional
 )
 
-// String returns the kind name.
-func (k TapKind) String() string {
-	switch k {
-	case TapConst:
-		return "const"
-	case TapProportional:
-		return "proportional"
-	default:
-		return fmt.Sprintf("tapkind(%d)", uint8(k))
-	}
-}
-
 // PPM expresses a proportional tap's fraction in parts per million per
 // second: a tap with frac 100_000 PPM (0.1×/s) drains a tenth of its
 // source's level each second, the figure the paper uses in Fig. 6b.
@@ -195,16 +183,6 @@ func propDraw(level units.Energy, frac PPM, dt units.Time, carry int64) (units.E
 	scaled := int64(level) * int64(frac) / 1_000_000
 	total := scaled*int64(dt) + carry
 	return units.Energy(total / 1000), total % 1000
-}
-
-// String renders the tap for diagnostics.
-func (t *Tap) String() string {
-	switch t.kind {
-	case TapProportional:
-		return fmt.Sprintf("tap(%q %s→%s %.3g×/s)", t.name, t.src.name, t.sink.name, float64(t.frac)/1e6)
-	default:
-		return fmt.Sprintf("tap(%q %s→%s %v)", t.name, t.src.name, t.sink.name, t.rate)
-	}
 }
 
 var _ kobj.Object = (*Tap)(nil)

@@ -129,6 +129,10 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 			watch.DeferUntil(h)
 		}
 	})
+	// What exists now is what a restore rebuilds: the device saves and
+	// loads only while its census and pending events are the build's.
+	k.Table.MarkBuilt()
+	k.Eng.MarkBuilt()
 	return d, res, nil
 }
 

@@ -18,8 +18,9 @@ import (
 // horizon without a checkpoint dir, one per CheckpointEvery (default:
 // one simulated day) with one. Every pass runs the whole device range
 // through the worker pool; at a non-final boundary each surviving
-// device saves its record (snapshot.go declares every record) and the
-// reducer streams the records into an epoch file in strict device-index
+// device saves its record (snapshot.go declares every record) at its
+// first savable instant at or after the boundary (concludeEpoch), and
+// the reducer streams the records into an epoch file in strict device-index
 // order. Devices that died during the epoch contribute their final
 // DeviceResult instead, which later epochs pass through untouched. The
 // final pass aggregates exactly as an uninterrupted run would.
@@ -32,8 +33,7 @@ import (
 // the resumed run's canonical report byte-identical to an uninterrupted
 // one (the resume-equivalence suite asserts it).
 
-// DefaultCheckpointEvery is the epoch length: one simulated day, the
-// boundary the week-in-the-life scenario quiesces at.
+// DefaultCheckpointEvery is the epoch length: one simulated day.
 const DefaultCheckpointEvery = 24 * units.Hour
 
 // epochBuffer sizes the buffered writer and reader of an epoch file:
@@ -349,7 +349,7 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 
 	m := newMeter(&cfg, lo, hi, plan.count)
 	for e := start; e < plan.count; e++ {
-		endT := plan.end(cfg, e)
+		endT, next := plan.end(cfg, e), plan.end(cfg, e+1)
 		final := e == plan.count-1
 		passStart := units.Time(0)
 		if e > 0 {
@@ -378,8 +378,10 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 		}
 
 		var feed func(idx int) (int, []byte, error)
+		var inName string // names the input file in a record's load error
 		if in != nil {
 			feed = in.read
+			inName = filepath.Base(epochPath(cfg, e-1))
 		}
 		work := func(idx, kind int, blob []byte, rg *rig) outcome {
 			if e > 0 {
@@ -391,8 +393,10 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 					// through (and decode it on the aggregating pass).
 					if final {
 						var res DeviceResult
-						err := snap.Load(blob, res.codec)
-						return outcome{res: res, err: err}
+						if err := snap.Load(blob, res.codec); err != nil {
+							return outcome{err: fmt.Errorf("%s: %w", inName, err)}
+						}
+						return outcome{res: res}
 					}
 					return outcome{blob: blob, kind: recResult}
 				}
@@ -401,17 +405,17 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 					return outcome{err: err}
 				}
 				if err := snap.Load(blob, d.codec); err != nil {
-					return outcome{err: err}
+					return outcome{err: fmt.Errorf("%s: %w", inName, err)}
 				}
 				d.Kernel.ResumeRun(endT)
-				return concludeEpoch(d, res, final)
+				return concludeEpoch(d, res, final, next)
 			}
 			d, res, err := buildDevice(cfg, idx, rg)
 			if err != nil {
 				return outcome{err: err}
 			}
 			d.Kernel.Run(endT)
-			return concludeEpoch(d, res, final)
+			return concludeEpoch(d, res, final, next)
 		}
 		reduce := func(idx int, o outcome) error {
 			if final {
@@ -449,16 +453,43 @@ func runEpochs(cfg Config, workers int, agg *aggregate) error {
 }
 
 // concludeEpoch finishes a device's epoch: dead or final-epoch devices
-// extract their result; survivors snapshot for the next epoch.
-func concludeEpoch(d *Device, res *DeviceResult, final bool) outcome {
-	if res.Died || final {
-		extractResult(d, res)
-		if final {
-			return outcome{res: *res}
+// extract their result; survivors save their record for the next epoch
+// at their first savable instant at or after the boundary. While a
+// section refuses the save, the device advances one executed instant at
+// a time — instants its uninterrupted run executes too — but never past
+// next, the following boundary: a device still unsavable there fails the
+// run before the epoch file is published. The record carries its own
+// clock, so the next pass resumes from wherever the device stopped.
+func concludeEpoch(d *Device, res *DeviceResult, final bool, next units.Time) outcome {
+	boundary := d.Kernel.Eng.Now()
+	for !res.Died && !final {
+		blob, err := snap.Save(d.codec)
+		if err == nil {
+			return outcome{blob: blob, kind: recSnapshot}
 		}
-		blob, err := snap.Save(res.codec)
-		return outcome{blob: blob, kind: recResult, err: err}
+		if !stepInstant(d, next) {
+			return outcome{err: fmt.Errorf("scenario bucket %q cannot be saved at the %v boundary "+
+				"or at any instant up to the next boundary, %v: %w", d.Scenario, boundary, next, err)}
+		}
 	}
-	blob, err := snapshotDevice(d)
-	return outcome{blob: blob, kind: recSnapshot, err: err}
+	extractResult(d, res)
+	if final {
+		return outcome{res: *res}
+	}
+	blob, err := snap.Save(res.codec)
+	return outcome{blob: blob, kind: recResult, err: err}
+}
+
+// stepInstant advances d through its next executed instant, but not past
+// limit, and reports whether it was short of limit to begin with.
+// ResumeRun does not re-step the instant d stands at, so the instants
+// stepped are those an uninterrupted run executes, plus limit, which the
+// next pass executes anyway as its clamped end.
+func stepInstant(d *Device, limit units.Time) bool {
+	eng := d.Kernel.Eng
+	if eng.Now() >= limit {
+		return false
+	}
+	d.Kernel.ResumeRun(min(max(eng.EarliestWork(nil), eng.Now()+eng.Tick()), limit))
+	return true
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // weekCfg is the checkpoint suite's base config: a small heterogeneous
-// week-in-the-life fleet whose day boundaries are checkpoint-quiet and
-// whose battery draws put a death or two inside the horizon.
+// week-in-the-life fleet whose battery draws put a death or two inside
+// the horizon.
 func weekCfg(t *testing.T, devices int, dir string) Config {
 	t.Helper()
 	return Config{
@@ -146,7 +146,7 @@ func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Kernel.Run(24 * units.Hour)
-	blob, err := snapshotDevice(d)
+	blob, err := snap.Save(d.codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRestoreOntoWrongDeviceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	d0.Kernel.Run(24 * units.Hour)
-	blob, err := snapshotDevice(d0)
+	blob, err := snap.Save(d0.codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,18 +214,16 @@ func TestRestoreOntoWrongDeviceFails(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesNonQuietBoundary: snapshotting a device mid-
-// activity (here: a browse phase straddling the boundary, with live
-// taps and threads) must fail loudly at snapshot or restore — never
-// produce a device that silently dropped its workload.
+// TestCheckpointRefusesNonQuietBoundary: a device mid-activity (here:
+// a browse phase straddling the boundary, with a live container, thread
+// and funding tap) must refuse to save, naming the object census — never
+// produce a record that silently drops its workload.
 func TestCheckpointRefusesNonQuietBoundary(t *testing.T) {
 	cfg := Config{
 		Devices:  1,
 		Seed:     3,
 		Duration: time2h(),
 		Workers:  1,
-		// A browse session spanning the 1 h boundary: at the boundary
-		// the device has a live container, thread and funding tap.
 		Scenario: Compose{Label: "straddle", Phases: []Phase{
 			{Workload: Browse{Pages: 200, ThinkMin: 20 * units.Second, ThinkMax: 40 * units.Second},
 				Start: 30 * units.Minute, Duration: 90 * units.Minute},
@@ -237,17 +235,8 @@ func TestCheckpointRefusesNonQuietBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Kernel.Run(units.Hour)
-	blob, serr := snapshotDevice(d)
-	if serr != nil {
-		return // refused at snapshot time: loud and fine
-	}
-	var rg2 rig
-	d2, _, err := buildDevice(cfg, 0, &rg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rerr := snap.Load(blob, d2.codec); rerr == nil {
-		t.Fatal("snapshot of a mid-phase device restored without error")
+	if _, serr := snap.Save(d.codec); serr == nil || !strings.HasPrefix(serr.Error(), "kobj: ") {
+		t.Fatalf("save of a mid-phase device: got %v, want the kobj census refusal", serr)
 	}
 }
 
@@ -329,39 +318,24 @@ func TestWatchEquivalence(t *testing.T) {
 // TestSnapshotMidNetdWaitFails: a device whose caller is blocked inside
 // the cooperative netd pool holds live references — a blocked thread,
 // its billing reserve, the pool-crossing prediction over them — that
-// the restore path rebuilds from scratch and cannot reattach. Such a
-// device must refuse to snapshot with a descriptive error rather than
-// serialize a state it cannot faithfully revive.
+// the restore path rebuilds from scratch and cannot reattach. Its save
+// must fail in netd's section, naming the blocked callers, rather than
+// write a record no load accepts. The poller scenario builds its
+// pollers with the device, so netd's is the only refusal.
 func TestSnapshotMidNetdWaitFails(t *testing.T) {
-	cfg := Config{
-		Devices:  1,
-		Seed:     5,
-		Duration: units.Hour,
-		Workers:  1,
-		Scenario: Compose{Label: "pollers", Phases: []Phase{
-			{Workload: Pollers{Pollers: 2, Interval: 60 * units.Second},
-				Start: 0, Duration: units.Hour},
-		}},
-	}
+	cfg := Config{Devices: 1, Seed: 5, Duration: units.Hour, Workers: 1, Scenario: PollerScenario{}}
 	var rg rig
 	d, _, err := buildDevice(cfg, 0, &rg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 600 && d.Netd.WaitingThreads() == 0; i++ {
+	var serr error
+	for i := 0; i < 600 && serr == nil; i++ {
 		d.Kernel.Run(units.Second)
+		_, serr = snap.Save(d.codec)
 	}
-	if d.Netd.WaitingThreads() == 0 {
-		t.Fatal("no netd waiter appeared within 10 simulated minutes")
-	}
-	if _, serr := snapshotDevice(d); serr == nil {
-		t.Fatal("snapshot of a device with blocked netd callers succeeded")
-	} else {
-		for _, want := range []string{"not checkpoint-quiet", "blocked in netd"} {
-			if !strings.Contains(serr.Error(), want) {
-				t.Errorf("snapshot error %q does not mention %q", serr, want)
-			}
-		}
+	if serr == nil || !strings.HasPrefix(serr.Error(), "netd: ") || !strings.Contains(serr.Error(), "blocked callers") {
+		t.Fatalf("save over 10 simulated minutes of polling: got %v, want netd's blocked-callers refusal", serr)
 	}
 }
 
@@ -390,13 +364,10 @@ func TestSnapshotQuietNetdRoundTrips(t *testing.T) {
 	}
 	// Run through the first phase and into the quiet gap between phases.
 	d.Kernel.Run(40 * units.Minute)
-	if n := d.Netd.WaitingThreads(); n > 0 {
-		t.Fatalf("device not netd-quiet between phases: %d waiters", n)
-	}
 	if d.Netd.Stats().SettledSweeps == 0 {
 		t.Fatal("scenario exercised no closed-form sweep settlement; the round trip would not cover it")
 	}
-	blob, serr := snapshotDevice(d)
+	blob, serr := snap.Save(d.codec)
 	if serr != nil {
 		t.Fatal(serr)
 	}
@@ -411,12 +382,25 @@ func TestSnapshotQuietNetdRoundTrips(t *testing.T) {
 	// Continue both through the second phase to its teardown and beyond.
 	d.Kernel.Run(50 * units.Minute)
 	d2.Kernel.Run(50 * units.Minute)
-	a, aerr := snapshotDevice(d)
-	b, berr := snapshotDevice(d2)
+	a, aerr := snap.Save(d.codec)
+	b, berr := snap.Save(d2.codec)
 	if aerr != nil || berr != nil {
 		t.Fatalf("post-restore snapshots failed: %v / %v", aerr, berr)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("restored device diverged from original after identical continuation")
+	}
+}
+
+// TestCheckpointAtAnyBoundary: at the 4 h boundary of this day-mix
+// fleet some devices are inside a phase, whose objects a restore cannot
+// rebuild. Each device is saved at its first savable instant at or after
+// the boundary, and the run killed after that epoch and resumed reports
+// the plain run's bytes.
+func TestCheckpointAtAnyBoundary(t *testing.T) {
+	cfg := Config{Devices: 24, Seed: 9, Duration: 8 * units.Hour, Workers: 2,
+		Scenario: DayInTheLife(), CheckpointEvery: 4 * units.Hour}
+	if _, _, err := CheckVariants(cfg, VaryResume); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -311,8 +311,9 @@ type Config struct {
 
 	// CheckpointDir, when set, makes the run interruptible: every
 	// device's full state is snapshotted at each CheckpointEvery
-	// boundary (zero means the default 24 h; negative is refused) into
-	// an epoch file, written in strict device-index order. Resume
+	// boundary (zero means the default 24 h; negative is refused), or at
+	// its first savable instant after it, into an epoch file, written in
+	// strict device-index order. Resume
 	// restarts from the last complete epoch instead of t = 0; the
 	// resumed run's report is byte-identical to an uninterrupted one.
 	CheckpointDir   string

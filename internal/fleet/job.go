@@ -158,7 +158,7 @@ func BindFlags(fs *flag.FlagSet) func() (Config, error) {
 		scenario  = fs.String("scenario", "poller", "workload: "+scenarioNames())
 		batteryJ  = fs.Float64("battery-j", 0, "override battery capacity in joules (0 = profile default)")
 		ckptDir   = fs.String("checkpoint-dir", "", "write resumable epoch files to this directory (shared by a job's runners, so a lost runner's shard resumes)")
-		ckptEvery = fs.Duration("checkpoint-every", 24*time.Hour, "simulated interval between checkpoints")
+		ckptEvery = fs.Duration("checkpoint-every", 24*time.Hour, "simulated interval between checkpoint boundaries; each device is saved at its first savable instant at or after one")
 	)
 	return func() (Config, error) {
 		sc, ok := Scenarios()[*scenario]

@@ -29,13 +29,10 @@ import (
 //     against a monthly netquota data plan — both previously unit-test
 //     fixtures, now exercised (and checkpointed) by the fleet path.
 //
-// The week scenario's checkpoint discipline carries over: workload
-// phases end hours before midnight so day boundaries stay quiet. The
-// one deliberate exception is the nightly charge window, which *spans*
-// midnight — epoch snapshots must carry a live plugged charger (quantum
-// cursor, sub-quantum carry, any closed-form deferral), which is
-// exactly the integration the charger's snapshot section exists for.
-// Plug and unplug instants avoid the exact midnight instant.
+// The nightly charge window *spans* midnight, so daily epoch snapshots
+// carry a live plugged charger (quantum cursor, sub-quantum carry, any
+// closed-form deferral), which is exactly the integration the charger's
+// snapshot section exists for.
 
 const (
 	monthDays = 30
@@ -218,7 +215,7 @@ func nightlyCharge(days int, forget []bool) []Phase {
 // hours, a mail/RSS poller pair at laptop cadence, and metered evening
 // browsing. The 18 W idle floor means even the one-hour unplugged gaps
 // cost ≈65 kJ — a third of the battery — so the charge windows do real
-// work every single day. All plug/unplug instants avoid exact midnight.
+// work every single day.
 func laptopMonth(days int, screen units.Time, allow *netquota.Allowance) []Phase {
 	work := Pollers{Interval: 5 * units.Minute}
 	wall := power.LaptopCharger()

@@ -93,32 +93,3 @@ func TestScenarioEngineEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// denseMix compresses every workload primitive into a 20-minute day so
-// the differential test crosses calls, SMS bursts, browsing, pollers and
-// screen sessions without simulating hours tick by tick.
-func denseMix() Scenario {
-	busy := Compose{
-		Label: "busy",
-		Phases: []Phase{
-			{Workload: Screen{}, Start: 0, Duration: 4 * units.Minute, Jitter: units.Minute},
-			{Workload: Pollers{Interval: units.Minute}, Start: 2 * units.Minute, Duration: 8 * units.Minute, Jitter: units.Minute},
-			{Workload: Browse{Pages: 3}, Start: 5 * units.Minute, Duration: 4 * units.Minute, Jitter: units.Minute},
-			{Workload: Call{CallTime: units.Minute}, Start: 11 * units.Minute, Duration: 2 * units.Minute, Jitter: units.Minute},
-			{Workload: SMSBurst{Count: 2, Interval: 20 * units.Second}, Start: 15 * units.Minute, Duration: 3 * units.Minute, Jitter: units.Minute},
-		},
-	}
-	quiet := Compose{
-		Label: "quiet",
-		Phases: []Phase{
-			{Workload: Screen{}, Start: 3 * units.Minute, Duration: 2 * units.Minute, Jitter: units.Minute},
-		},
-	}
-	return Mix{
-		Label: "dense-mix",
-		Entries: []MixEntry{
-			{Weight: 3, Scenario: busy},
-			{Weight: 1, Scenario: quiet},
-		},
-	}
-}

@@ -189,11 +189,11 @@ func TestResumeSkipsForeignEpochWithoutQuarantine(t *testing.T) {
 	}
 }
 
-// TestCheckpointBoundaryMidPollNamesWorkload: a full checkpointed run
-// whose epoch boundary lands while a poller's request is blocked in
-// netd must fail with an error naming the device, its scenario bucket,
-// and the remedy — the operator has to know which workload to blame
-// and which knob to turn.
+// TestCheckpointBoundaryMidPollNamesWorkload: a device whose poll phase
+// spans two epoch boundaries cannot be saved at the first or at any
+// instant up to the second. The run fails before publishing an epoch
+// file, with an error naming the device, its scenario bucket, the
+// boundary and the section that refused.
 func TestCheckpointBoundaryMidPollNamesWorkload(t *testing.T) {
 	cfg := Config{
 		Devices:  1,
@@ -204,39 +204,21 @@ func TestCheckpointBoundaryMidPollNamesWorkload(t *testing.T) {
 			{Workload: Pollers{Pollers: 2, Interval: 60 * units.Second},
 				Start: 0, Duration: units.Hour},
 		}},
+		CheckpointDir:   t.TempDir(),
+		CheckpointEvery: 20 * units.Minute,
 	}
-
-	// Probe the deterministic device second by second for an instant
-	// with a caller blocked in netd; that instant becomes the epoch
-	// boundary of the real run.
-	var rg rig
-	d, _, err := buildDevice(cfg, 0, &rg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundary := units.Time(0)
-	for i := 1; i <= 600; i++ {
-		d.Kernel.Run(units.Second)
-		if d.Netd.WaitingThreads() > 0 {
-			boundary = units.Time(i) * units.Second
-			break
-		}
-	}
-	if boundary == 0 {
-		t.Fatal("no netd waiter appeared within 10 simulated minutes")
-	}
-
-	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = boundary
-	_, err = Run(cfg)
+	_, err := Run(cfg)
 	if err == nil {
-		t.Fatal("checkpoint at a mid-poll boundary succeeded")
+		t.Fatal("a phase spanning two boundaries checkpointed")
 	}
-	for _, want := range []string{"device 0", `scenario "pollers"`, "not checkpoint-quiet",
-		`"pollers" workload has a poll in flight`, "-checkpoint-every"} {
+	for _, want := range []string{"device 0", `bucket "pollers"`,
+		fmt.Sprintf("the %v boundary", 20*units.Minute), fmt.Sprint(40 * units.Minute), "kobj: "} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("boundary error %q does not mention %q", err, want)
 		}
+	}
+	if left, _ := os.ReadDir(cfg.CheckpointDir); len(left) != 0 {
+		t.Fatalf("the failed run left %d files in the checkpoint dir", len(left))
 	}
 }
 
@@ -283,7 +265,8 @@ func TestResumeSkipsStaleFormatEpoch(t *testing.T) {
 
 // TestResumeRefusesReferenceEpoch: epoch headers no longer record the
 // engine configuration, so a production resume from a reference run's
-// epoch file is caught by the engine section's mode check — loudly.
+// epoch file is caught by the engine section's mode check — loudly,
+// naming the device and the file its record came from.
 func TestResumeRefusesReferenceEpoch(t *testing.T) {
 	cfg := Config{
 		Devices:         1,
@@ -299,7 +282,8 @@ func TestResumeRefusesReferenceEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Reference, cfg.Resume = false, true
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "snapshot mode fixed-tick, engine mode next-event") {
-		t.Fatalf("production resume of a reference epoch: got %v, want the engine mode mismatch", err)
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(),
+		"fleet: device 0: epoch-0000.bin: engine: restore: snapshot mode fixed-tick, engine mode next-event") {
+		t.Fatalf("production resume of a reference epoch: got %v, want the engine mode mismatch naming the device and its file", err)
 	}
 }

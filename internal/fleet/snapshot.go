@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/snap"
@@ -12,30 +11,12 @@ import (
 // dead device's final result (with its Counters), and the epoch header
 // (with the run's Identity).
 
-// snapshotDevice serializes a device's complete state at a quiescent
-// epoch boundary: engine clock and schedules, RNG position, object
-// census, reserve levels, tap carries, scheduler accounting,
-// radio/netd/baseband state and workload hook counters.
-func snapshotDevice(d *Device) ([]byte, error) {
-	if n := d.Netd.WaitingThreads(); n > 0 {
-		// Netd's parked-sweep and settled-sweep state snapshots fine; what
-		// cannot is a waiter itself — a live reference to a blocked thread
-		// and its billing reserve, plus a pool-crossing prediction over
-		// them, in an object world the restore rebuilds from scratch.
-		return nil, fmt.Errorf("fleet: device %d (scenario %q) not checkpoint-quiet: %d callers blocked in netd; "+
-			"a cooperative-pooling session (and its predicted pool-crossing) cannot span a "+
-			"checkpoint — the %q workload has a poll in flight at this epoch boundary; "+
-			"move the boundary (-checkpoint-every) to an instant where no poll is in flight",
-			d.Index, d.Scenario, n, d.Scenario)
-	}
-	return snap.Save(d.codec)
-}
-
 // codec saves a device's record or loads it onto a freshly built
 // device. Every divergence between the record and the rebuilt device —
 // a different device or scenario bucket, workload drift, mid-run state
 // the rebuild cannot reproduce — fails the load with a descriptive
-// error rather than producing a silently wrong device.
+// error rather than producing a silently wrong device, and a section
+// refuses to save the mid-run state its load would refuse.
 func (d *Device) codec(c *snap.Codec) {
 	c.Section("fleet-device")
 	idx, seed := d.Index, d.Seed

@@ -15,14 +15,6 @@ import (
 // Dream's 699 mW floor), so deaths arrive heterogeneously across days
 // five through seven — the lifetime-scale argument the paper's reserves
 // are for.
-//
-// Every phase is scheduled to end — including its jitter, teardown,
-// netd tails and the radio's fixed 20 s idle timeout — hours before its
-// day's midnight, so at each day boundary the device is checkpoint-
-// quiet: no live workload objects, no active taps, no dynamic engine
-// events. That is the property fleet checkpointing leans on (epoch
-// files are written at sim-day boundaries), and the restore path
-// verifies it loudly rather than assuming it.
 
 // Per-device parameter ranges (drawn uniformly per device).
 const (

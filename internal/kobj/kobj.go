@@ -35,23 +35,6 @@ const (
 	KindDevice
 )
 
-var kindNames = [...]string{
-	KindContainer: "container",
-	KindThread:    "thread",
-	KindGate:      "gate",
-	KindReserve:   "reserve",
-	KindTap:       "tap",
-	KindDevice:    "device",
-}
-
-// String returns the kind's lower-case name.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
 // Object is the interface all kernel objects implement.
 type Object interface {
 	// ObjectID returns the object's table-unique ID.
@@ -107,6 +90,9 @@ type Table struct {
 	// parent maps each object to the container holding it. The root
 	// container has no entry.
 	parent map[ID]*Container
+	// built is the live census MarkBuilt recorded: the one a restore,
+	// which rebuilds the owner, can reproduce.
+	built int
 }
 
 // NewTable returns an empty object table.
@@ -126,7 +112,12 @@ func (t *Table) Reset() {
 	t.next = 1
 	clear(t.objs)
 	clear(t.parent)
+	t.built = 0
 }
+
+// MarkBuilt records the live census once the owner has finished
+// building: a snapshot saves and loads only while the census equals it.
+func (t *Table) MarkBuilt() { t.built = len(t.objs) }
 
 // Register assigns an ID to the object, initializes its Base, and files
 // it in the given container. The container may be nil only for the root
@@ -203,9 +194,4 @@ func (c *Container) Children() []Object {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ObjectID() < out[j].ObjectID() })
 	return out
-}
-
-// String renders the container for diagnostics.
-func (c *Container) String() string {
-	return fmt.Sprintf("container(%d, %d children)", c.ObjectID(), len(c.children))
 }

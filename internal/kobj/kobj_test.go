@@ -123,15 +123,6 @@ func TestChildrenSorted(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if KindReserve.String() != "reserve" || KindTap.String() != "tap" {
-		t.Fatal("Kind.String wrong")
-	}
-	if Kind(200).String() != "kind(200)" {
-		t.Fatal("unknown kind string wrong")
-	}
-}
-
 func TestReleaseHookRunsOncePerObjectRandomTree(t *testing.T) {
 	// Property: build a random container tree, delete a random container;
 	// every object in the subtree is released exactly once, everything

@@ -13,11 +13,7 @@
 // observe/modify rights on every reserve operation.
 package label
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Category is an opaque privilege category, allocated by the kernel.
 // Category 0 is never allocated and may be used as a sentinel.
@@ -137,17 +133,6 @@ func (l Label) Equal(o Label) bool {
 	return true
 }
 
-// String renders the label as e.g. "{1, c3=2, c7=0}".
-func (l Label) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{%d", l.def)
-	for _, e := range l.entries {
-		fmt.Fprintf(&b, ", c%d=%d", e.c, e.lv)
-	}
-	b.WriteString("}")
-	return b.String()
-}
-
 // Priv is a thread's privilege set: the categories it owns (★) plus its
 // clearance level. The zero value owns nothing and has the default
 // clearance, which suffices to use public objects.
@@ -259,13 +244,6 @@ func (p Priv) Clearance() Level {
 	return p.clearance
 }
 
-// Owned returns a copy of the owned categories, sorted.
-func (p Priv) Owned() []Category {
-	cs := make([]Category, len(p.owned))
-	copy(cs, p.owned)
-	return cs
-}
-
 // CanObserve reports whether a thread with privileges p may observe an
 // object labelled l: for every category, either the thread owns it or
 // the object's level does not exceed the thread's clearance.
@@ -321,22 +299,4 @@ func (p Priv) CanUse(l Label) bool {
 
 func (p Priv) levelOK(lv Level) bool {
 	return lv <= p.Clearance()
-}
-
-// String renders the privilege set as e.g. "priv{clearance=1, own:[c3 c7]}".
-func (p Priv) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "priv{clearance=%d", p.Clearance())
-	if len(p.owned) > 0 {
-		b.WriteString(", own:[")
-		for i, c := range p.Owned() {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "c%d", c)
-		}
-		b.WriteString("]")
-	}
-	b.WriteString("}")
-	return b.String()
 }

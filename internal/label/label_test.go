@@ -168,22 +168,13 @@ func TestUnionGrantsCombinedRights(t *testing.T) {
 	}
 }
 
+// TestOwnedSorted: NewPriv keeps the owned categories sorted, which
+// Owns' early exit relies on.
 func TestOwnedSorted(t *testing.T) {
 	p := NewPriv(9, 1, 5)
 	want := []Category{1, 5, 9}
-	if !reflect.DeepEqual(p.Owned(), want) {
-		t.Errorf("Owned() = %v, want %v", p.Owned(), want)
-	}
-}
-
-func TestStrings(t *testing.T) {
-	l := Public().With(3, Level2).With(7, Level0)
-	if got := l.String(); got != "{1, c3=2, c7=0}" {
-		t.Errorf("Label.String() = %q", got)
-	}
-	p := NewPriv(7, 3)
-	if got := p.String(); got != "priv{clearance=1, own:[c3 c7]}" {
-		t.Errorf("Priv.String() = %q", got)
+	if !reflect.DeepEqual(p.owned, want) {
+		t.Errorf("owned = %v, want %v", p.owned, want)
 	}
 }
 

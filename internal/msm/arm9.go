@@ -20,8 +20,6 @@
 package msm
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -45,22 +43,6 @@ const (
 	EvIncomingSMS
 	EvGPSFix
 )
-
-// String returns the message kind name.
-func (k MsgKind) String() string {
-	names := map[MsgKind]string{
-		ReqBatteryLevel: "ReqBatteryLevel", ReqSendSMS: "ReqSendSMS",
-		ReqDial: "ReqDial", ReqHangup: "ReqHangup",
-		ReqGPSStart: "ReqGPSStart", ReqGPSStop: "ReqGPSStop",
-		RespBatteryLevel: "RespBatteryLevel", RespSMSSent: "RespSMSSent",
-		RespCallState: "RespCallState", EvIncomingSMS: "EvIncomingSMS",
-		EvGPSFix: "EvGPSFix",
-	}
-	if n, ok := names[k]; ok {
-		return n
-	}
-	return fmt.Sprintf("MsgKind(%d)", uint8(k))
-}
 
 // Message is one shared-memory datagram between the cores.
 type Message struct {

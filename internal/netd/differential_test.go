@@ -300,7 +300,7 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 		st := chunkState{
 			now:      r.k.Now(),
 			consumed: r.k.Consumed(),
-			waiting:  r.netd.WaitingThreads(),
+			waiting:  len(r.netd.waiters),
 			stats:    r.netd.Stats(),
 			probes:   probes,
 		}

@@ -690,7 +690,4 @@ func (n *Netd) runSession(now units.Time, w waiter) {
 	doOne(now)
 }
 
-// WaitingThreads returns the number of blocked callers (diagnostics).
-func (n *Netd) WaitingThreads() int { return len(n.waiters) }
-
 var _ kernel.SweepSettler = (*Netd)(nil)

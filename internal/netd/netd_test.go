@@ -99,8 +99,8 @@ func TestCooperativeBlocksUntilPoolFills(t *testing.T) {
 	if *done != 0 {
 		t.Fatal("poll completed before pool could fill")
 	}
-	if r.netd.WaitingThreads() != 1 {
-		t.Fatalf("waiting = %d, want 1", r.netd.WaitingThreads())
+	if len(r.netd.waiters) != 1 {
+		t.Fatalf("waiting = %d, want 1", len(r.netd.waiters))
 	}
 	if r.radio.Stats().Activations != 0 {
 		t.Fatal("radio activated early")

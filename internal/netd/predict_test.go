@@ -194,7 +194,7 @@ func BenchmarkSteadyNetdPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	r.k.Run(2 * units.Second)
-	if w := r.netd.WaitingThreads(); w != 2 {
+	if w := len(r.netd.waiters); w != 2 {
 		b.Fatalf("waiting = %d, want 2", w)
 	}
 	now := r.k.Now()

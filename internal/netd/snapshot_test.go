@@ -55,7 +55,7 @@ func ranRig(t *testing.T, traced bool) *rig {
 	t.Helper()
 	r := tracedRig(t, traced)
 	r.k.Run(50 * units.Second)
-	if n := r.netd.WaitingThreads(); n != 0 {
+	if n := len(r.netd.waiters); n != 0 {
 		t.Fatalf("%d callers still waiting at the save instant", n)
 	}
 	if r.radio.Stats().Activations == 0 {

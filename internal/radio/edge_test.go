@@ -10,20 +10,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestStateStrings(t *testing.T) {
-	cases := map[State]string{
-		Sleep:    "sleep",
-		Ramp:     "ramp",
-		Active:   "active",
-		State(9): "state(9)",
-	}
-	for s, want := range cases {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
-		}
-	}
-}
-
 func TestIdleDeadline(t *testing.T) {
 	r := newRig(Config{})
 	r.eng.After(units.Second, func(e *sim.Engine) {

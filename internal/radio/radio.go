@@ -22,8 +22,6 @@
 package radio
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/kobj"
 	"repro/internal/label"
@@ -44,20 +42,6 @@ const (
 	// Active is the transmitting/awaiting-timeout plateau.
 	Active
 )
-
-// String returns the state name.
-func (s State) String() string {
-	switch s {
-	case Sleep:
-		return "sleep"
-	case Ramp:
-		return "ramp"
-	case Active:
-		return "active"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
-}
 
 // Stats accumulates radio activity counters.
 type Stats struct {

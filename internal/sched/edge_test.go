@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/label"
@@ -20,15 +19,6 @@ func TestStateStrings(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
 		}
-	}
-}
-
-func TestThreadString(t *testing.T) {
-	r := newRig()
-	th := r.sched.NewThread(r.root, "worker", label.Public(), label.Priv{}, nil)
-	s := th.String()
-	if !strings.Contains(s, "worker") || !strings.Contains(s, "runnable") {
-		t.Fatalf("String() = %q", s)
 	}
 }
 

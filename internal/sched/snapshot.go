@@ -18,7 +18,7 @@ import "repro/internal/snap"
 // right name and state that the scheduler skips but counts, exactly as
 // it would the genuinely exited thread. A record that is neither a
 // rebuilt thread nor exited means the device had a live mid-run thread
-// at the checkpoint — not a quiescent state — and fails loudly.
+// at the checkpoint, which no rebuild reproduces, and fails loudly.
 
 // Codec saves or restores the scheduler's mutable state.
 func (s *Scheduler) Codec(c *snap.Codec) {

@@ -174,8 +174,3 @@ func (t *Thread) payable(cost units.Energy) *core.Reserve {
 	}
 	return nil
 }
-
-// String renders the thread for diagnostics.
-func (t *Thread) String() string {
-	return fmt.Sprintf("thread(%q id=%d %v)", t.name, t.ObjectID(), t.state)
-}

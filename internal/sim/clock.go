@@ -241,6 +241,10 @@ type Engine struct {
 	rng    *rand.Rand
 	src    *countingSource
 	seq    uint64
+	// built is seq when MarkBuilt ran: an event with a seq at or past it
+	// was scheduled mid-run, and a restore, which rebuilds the owner,
+	// cannot reproduce it.
+	built uint64
 	// steps counts executed instants. In next-event mode it is the
 	// direct measure of how much of the timeline was actually visited —
 	// the quiescence fast path shows up as steps ≪ duration/tick — and
@@ -303,6 +307,7 @@ func (e *Engine) Reset(seed int64, mode Mode) {
 	e.now = 0
 	e.mode = mode
 	e.seq = 0
+	e.built = 0
 	e.steps = 0
 	e.stopRequested = false
 	e.tasksDirty = false
@@ -312,6 +317,11 @@ func (e *Engine) Reset(seed int64, mode Mode) {
 	// seeded on the first draw.
 	e.rng.Seed(seed)
 }
+
+// MarkBuilt records the end of the owner's construction: a snapshot
+// saves and loads only while every pending event was scheduled before
+// it.
+func (e *Engine) MarkBuilt() { e.built = e.seq }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }

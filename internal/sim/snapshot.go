@@ -18,11 +18,12 @@ import (
 // construction path. The load advances the clock, counters and RNG to
 // the snapshot state, prunes the install-time events that had already
 // fired before the snapshot, and requires what remains to match the
-// snapshot's pending set exactly. Any mismatch — a task list drift, a
-// pending event the rebuild cannot account for (one scheduled
-// dynamically mid-run, which means the device was not quiescent at the
-// checkpoint), or an RNG that would have to run backwards — is a loud,
-// descriptive error, never a silently wrong engine.
+// snapshot's pending set exactly. A pending event scheduled after the
+// owner's build (MarkBuilt) has no rebuild, so a save refuses it as a
+// load does. Any load mismatch — a task list drift, a pending event
+// the rebuild cannot account for, or an RNG that would have to run
+// backwards — is a loud, descriptive error, never a silently wrong
+// engine.
 
 // evKey is a pending event's identity.
 type evKey struct {
@@ -59,6 +60,11 @@ func (e *Engine) Codec(c *snap.Codec) {
 	for i := range pending {
 		snap.Int(c, &pending[i].at)
 		snap.Uint(c, &pending[i].seq)
+		if pending[i].seq >= e.built {
+			c.Failf("sim: pending event at %v (seq %d) was scheduled mid-run, at or past the build's seq %d; "+
+				"a restore cannot rebuild it", pending[i].at, pending[i].seq, e.built)
+			return
+		}
 	}
 	if c.Loading() && c.Err() == nil {
 		e.resume(c, pending, now, steps, seq, draws)
@@ -89,17 +95,8 @@ func (e *Engine) resume(c *snap.Codec, pending []evKey, now units.Time, steps, s
 		c.Failf("sim: restore: snapshot has %d RNG draws, engine already at %d", draws, e.src.draws)
 		return
 	}
-	// The rebuilt engine's seq counter marks the end of construction:
-	// every event scheduled during the rebuild carries a smaller seq. A
-	// pending snapshot event at or past it was scheduled dynamically
-	// mid-run — state the rebuild cannot reproduce.
 	want := make(map[evKey]bool, len(pending))
 	for _, k := range pending {
-		if k.seq >= e.seq {
-			c.Failf("sim: restore: pending event at %v (seq %d) was scheduled mid-run; "+
-				"the device was not quiescent at the checkpoint", k.at, k.seq)
-			return
-		}
 		want[k] = true
 	}
 	// Prune rebuilt install-time events that had already fired before

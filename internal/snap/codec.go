@@ -17,12 +17,19 @@ import "fmt"
 // derived indexes) runs under Loading.
 //
 // Load errors latch: after the first failure every call is a no-op and
-// leaves its pointer untouched. Saving cannot fail.
+// leaves its pointer untouched. A save fails only where a component
+// refuses it with Failf: a component refuses to save any state its load
+// would refuse, so every snapshot Save returns can be restored.
 type Codec struct {
 	w   *Writer
 	r   *Reader
 	tag string // the current section, naming structural mismatches
 }
+
+// refusal carries a save's Failf out to Save: a refused save stops at
+// once, so a caller retrying at each instant until the save succeeds
+// pays for the sections up to the refusal, not for a whole record.
+type refusal struct{ err error }
 
 // Integer is any integer type a field may have.
 type Integer interface {
@@ -30,9 +37,18 @@ type Integer interface {
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-// Save runs code over a saving codec and returns the finished snapshot.
-// The error is always nil.
-func Save(code func(*Codec)) ([]byte, error) {
+// Save runs code over a saving codec and returns the finished snapshot,
+// or the refusal a component raised with Failf, which ends the save.
+func Save(code func(*Codec)) (b []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ref, ok := r.(refusal)
+			if !ok {
+				panic(r)
+			}
+			b, err = nil, ref.err
+		}
+	}()
 	c := Codec{w: NewWriter()}
 	code(&c)
 	return c.w.Finish(), nil
@@ -65,12 +81,14 @@ func (c *Codec) Err() error {
 // ok reports whether a load may still assign: no error has latched.
 func (c *Codec) ok() bool { return c.r.err == nil }
 
-// Failf refuses the load with a descriptive error. It is a no-op once
-// an error has latched, and on save.
+// Failf refuses the load or the save with a descriptive error. A
+// refused save ends there; a load's refusal is a no-op once an error has
+// latched.
 func (c *Codec) Failf(format string, args ...any) {
-	if c.r != nil {
-		c.r.fail(fmt.Errorf(format, args...))
+	if c.r == nil {
+		panic(refusal{fmt.Errorf(format, args...)})
 	}
+	c.r.fail(fmt.Errorf(format, args...))
 }
 
 // Section starts (on save) or validates (on load) a named section.

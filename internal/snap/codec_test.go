@@ -138,3 +138,22 @@ func TestCodecAllocs(t *testing.T) {
 		t.Fatalf("Save made %.0f allocations (ceiling 10), Load %.0f (ceiling 2)", save, load)
 	}
 }
+
+// TestSaveRefusal: a Failf on a saving codec ends the save with that
+// refusal and returns no snapshot, as a load would fail on the same
+// check.
+func TestSaveRefusal(t *testing.T) {
+	code := func(c *Codec) {
+		c.Section("refuser")
+		live := 3
+		Uint(c, &live)
+		if live != 2 {
+			c.Failf("refuser: %d live, 2 at build", live)
+		}
+		t.Error("the save ran on past its refusal")
+	}
+	b, err := Save(code)
+	if b != nil || err == nil || err.Error() != "refuser: 3 live, 2 at build" {
+		t.Fatalf("Save = %d bytes, %v; want no bytes and the refusal", len(b), err)
+	}
+}

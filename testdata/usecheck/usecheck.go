@@ -65,3 +65,29 @@ type named struct{ liveName string }
 func (n named) String() string { return n.liveName }
 
 func show() string { return fmt.Sprintf("%+v %v", whole{}, named{}) }
+
+// deadStringer has a String nothing formats, though it satisfies
+// fmt.Stringer.
+type deadStringer int
+
+func (d deadStringer) String() string { return "dead" }
+
+func nonzero(d deadStringer) bool { return d != 0 }
+
+// shape is an interface; formatting a shape formats every type that
+// implements it, liveShape among them.
+type shape interface{ sides() int }
+
+type liveShape struct{}
+
+func (liveShape) sides() int     { return 3 }
+func (liveShape) String() string { return "triangle" }
+
+func describe(s shape) string { return fmt.Sprint(s) }
+
+// liveMode is formatted by a snap.SameUint load mismatch.
+type liveMode uint8
+
+func (m liveMode) String() string { return "mode" }
+
+func checkMode(cd *snap.Codec, m liveMode) { snap.SameUint(cd, "mode", m) }
