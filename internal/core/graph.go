@@ -54,11 +54,10 @@ type Graph struct {
 	// rate. The kernel hooks it to resume a deferred flow batch task.
 	onTapActivity func()
 	// onDecayActivity, when set, is invoked when a decayable reserve is
-	// created. The kernel hooks it to resume the parked half-life decay
-	// task: while no decayable reserve exists, Decay is provably a no-op
-	// and its 1 s cadence is the only thing forcing an otherwise
-	// quiescent device to execute 86 400 empty instants per simulated
-	// day.
+	// created. The kernel hooks it to drop its sweep settlers'
+	// predictions and, where the decay task bites on its own (the
+	// reference), to resume that task, which parks while no decayable
+	// reserve exists and Decay is a no-op.
 	onDecayActivity func()
 	// flowScratch is Flow's reusable snapshot buffer, so a tap released
 	// or zeroed mid-batch cannot shift later taps out of the batch.
@@ -108,8 +107,24 @@ func (g *Graph) SetDecayActivityHook(fn func()) { g.onDecayActivity = fn }
 // global half-life. While it is zero, Decay is a no-op by construction.
 func (g *Graph) DecayableCount() int { return len(g.decayable) }
 
-// ActiveTapCount returns the number of taps with a non-zero rate.
-func (g *Graph) ActiveTapCount() int { return len(g.active) }
+// DrainBound bounds the power the active taps can draw from r while
+// no inflow raises its level: a constant tap at its rate and a
+// proportional tap at its draw for r's current level, rounded up. A
+// proportional draw only falls as r drains, and over any span each
+// tap's telescoped transfer exceeds rate × span by less than 1 µJ.
+func (g *Graph) DrainBound(r *Reserve) units.Power {
+	var p units.Power
+	for _, t := range g.active {
+		switch {
+		case t.src != r:
+		case t.kind == TapConst:
+			p += t.rate
+		case r.level > 0:
+			p += units.Power((int64(r.level)*int64(t.frac) + 999_999) / 1_000_000)
+		}
+	}
+	return p
+}
 
 // notifyTapActivity fires the tap-activity hook if one is installed.
 // Beyond activation, it also runs for rate changes on already-active taps,
@@ -269,9 +284,9 @@ func (g *Graph) newReserve(parent *kobj.Container, name string, lbl label.Label,
 // to the battery so deleting a reserve can never destroy energy, then
 // the reserve stops participating in flows. Every tap touching the
 // reserve is deactivated as well: a tap with a dead endpoint can never
-// move energy again, so leaving it in the active set would pin
-// ActiveTapCount above zero forever and permanently defeat the kernel's
-// quiescence fast path.
+// move energy again, so leaving it in the active set would keep the
+// set non-empty forever and permanently defeat the kernel's quiescence
+// fast path.
 func (g *Graph) releaseReserve(r *Reserve) {
 	if r == g.battery {
 		panic("core: battery reserve deleted")

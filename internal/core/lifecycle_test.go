@@ -12,7 +12,7 @@ import (
 // TestReleaseReserveDeactivatesTaps is the regression test for the
 // quiescence-defeating leak: deleting a reserve used to leave taps whose
 // endpoint died in the active set forever — Flow skipped them as dead,
-// but ActiveTapCount stayed positive, so the kernel's batch tasks never
+// but the active set stayed non-empty, so the kernel's batch tasks never
 // parked again.
 func TestReleaseReserveDeactivatesTaps(t *testing.T) {
 	g, root := testGraph(Config{})
@@ -27,8 +27,8 @@ func TestReleaseReserveDeactivatesTaps(t *testing.T) {
 	if err := tap.SetRate(anyone, units.Milliwatts(5)); err != nil {
 		t.Fatal(err)
 	}
-	if g.ActiveTapCount() != 1 {
-		t.Fatalf("ActiveTapCount = %d, want 1", g.ActiveTapCount())
+	if len(g.active) != 1 {
+		t.Fatalf("active taps = %d, want 1", len(g.active))
 	}
 
 	if err := g.table.Delete(rc.ObjectID()); err != nil {
@@ -37,8 +37,8 @@ func TestReleaseReserveDeactivatesTaps(t *testing.T) {
 	if tap.dead {
 		t.Fatal("tap should survive its sink's deletion (it lives in root)")
 	}
-	if got := g.ActiveTapCount(); got != 0 {
-		t.Fatalf("ActiveTapCount = %d after sink deletion, want 0", got)
+	if got := len(g.active); got != 0 {
+		t.Fatalf("active taps = %d after sink deletion, want 0", got)
 	}
 
 	// The orphaned tap must stay inert: no re-activation through the
@@ -49,8 +49,8 @@ func TestReleaseReserveDeactivatesTaps(t *testing.T) {
 	if err := tap.SetFrac(anyone, 100_000); !errors.Is(err, ErrDead) {
 		t.Fatalf("SetFrac on orphaned tap: err = %v, want ErrDead", err)
 	}
-	if g.ActiveTapCount() != 0 {
-		t.Fatalf("ActiveTapCount = %d after rejected reactivation, want 0", g.ActiveTapCount())
+	if len(g.active) != 0 {
+		t.Fatalf("active taps = %d after rejected reactivation, want 0", len(g.active))
 	}
 	before, _ := g.Battery().Level(anyone)
 	g.Flow(units.Second)
@@ -82,8 +82,8 @@ func TestReleaseSourceReserveDeactivatesTaps(t *testing.T) {
 	if err := g.table.Delete(src.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.ActiveTapCount(); got != 0 {
-		t.Fatalf("ActiveTapCount = %d after source deletion, want 0", got)
+	if got := len(g.active); got != 0 {
+		t.Fatalf("active taps = %d after source deletion, want 0", got)
 	}
 	if g.ConservationError() != 0 {
 		t.Fatalf("conservation error %v", g.ConservationError())
@@ -169,8 +169,8 @@ func TestFlowSnapshotSurvivesMidBatchRelease(t *testing.T) {
 	if got := lvl(resC); got != want {
 		t.Fatalf("tap C moved %v, want %v (skipped by mid-batch compaction?)", got, want)
 	}
-	if tapC.dead || g.ActiveTapCount() != 2 {
-		t.Fatalf("ActiveTapCount = %d, want 2 (A and C)", g.ActiveTapCount())
+	if tapC.dead || len(g.active) != 2 {
+		t.Fatalf("active taps = %d, want 2 (A and C)", len(g.active))
 	}
 	if g.ConservationError() != 0 {
 		t.Fatalf("conservation error %v", g.ConservationError())

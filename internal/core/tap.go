@@ -79,6 +79,11 @@ func (t *Tap) Rate() units.Power { return t.rate }
 // ⌊(rate·dt·j + carry)/1000⌋ µJ, telescoping exactly.
 func (t *Tap) Carry() int64 { return t.carry }
 
+// SourceDecays reports whether the global half-life leaks the tap's
+// source. The depletion horizon counts tap outflow only, so such a
+// source can run dry before the horizon says it could.
+func (t *Tap) SourceDecays() bool { return !t.src.decayExempt && t.graph.halfLife >= 0 }
+
 // SetRate changes a constant tap's rate, the tap_set_rate syscall of
 // Fig. 5. Only a caller that can modify the tap object may change it —
 // the task manager retains exclusive control of foreground taps this way

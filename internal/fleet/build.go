@@ -120,11 +120,12 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 			e.Stop() // dead device: nothing left to measure
 			return
 		}
-		// While the device is provably quiescent, skip ahead: the kernel
-		// bounds how far the battery could possibly drain, and the
-		// deferral lands the next check at the exact grid instant dense
-		// polling would first have detected anything. (The reference
-		// kernel's horizon is always 0: its watch polls densely.)
+		// While no thread runs and every peripheral is quiescent, skip
+		// ahead: the kernel bounds how far the baseline and the active
+		// taps could drain the battery, and the deferral lands the next
+		// check at the exact grid instant dense polling would first have
+		// detected anything. (The reference kernel's horizon is always
+		// 0: its watch polls densely.)
 		if h := k.WatchHorizon(watch); h > e.Now() {
 			watch.DeferUntil(h)
 		}

@@ -469,7 +469,9 @@ func concludeEpoch(d *Device, res *DeviceResult, final bool, next units.Time) ou
 		}
 		if !stepInstant(d, next) {
 			return outcome{err: fmt.Errorf("scenario bucket %q cannot be saved at the %v boundary "+
-				"or at any instant up to the next boundary, %v: %w", d.Scenario, boundary, next, err)}
+				"or at any instant up to the next boundary, %v: %w (a phase spans both boundaries: "+
+				"pick a -checkpoint-every longer than the scenario's longest phase, which "+
+				"docs/fleet-report.md lists)", d.Scenario, boundary, next, err)}
 		}
 	}
 	extractResult(d, res)

@@ -278,41 +278,75 @@ func TestDeadDevicePassthrough(t *testing.T) {
 // TestWatchEquivalence: the adaptive battery watch must detect every
 // death at exactly the instant the reference's dense per-second polling
 // does — idle devices after hours of deferred watching, busier ones
-// after shorter quiescent stretches.
+// after shorter quiescent stretches, and hoarders whose grab tap drains
+// the battery the whole time. The hoarder cell also requires the watch
+// to have deferred while that tap ran: each device executed fewer
+// instants than the seconds it lived, which a watch polling every
+// second would execute on its own.
 func TestWatchEquivalence(t *testing.T) {
-	cfg := Config{
-		Devices:         4, // commuter, two idle, chatty
-		Seed:            9,
-		Duration:        units.Hour,
-		Workers:         2,
-		Scenario:        DayInTheLife(),
-		BatteryCapacity: 2 * units.Kilojoule, // every device dies mid-run
-		KeepResults:     true,
+	for _, cell := range []struct {
+		scenario Scenario
+		deferred bool
+	}{
+		{DayInTheLife(), false}, // commuter, two idle, chatty
+		{hoarderDrain{}, true},
+	} {
+		cfg := Config{
+			Devices:         4,
+			Seed:            9,
+			Duration:        units.Hour,
+			Workers:         2,
+			Scenario:        cell.scenario,
+			BatteryCapacity: 2 * units.Kilojoule, // every device dies mid-run
+			KeepResults:     true,
+		}
+		adaptive, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Reference = true
+		dense, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Canonical comparison: the adaptive watch executes fewer engine
+		// instants (that is its point), so the step diagnostics differ;
+		// everything observable — consumption, every death instant,
+		// utilization, workload counters — must match to the byte.
+		aj, err1 := adaptive.CanonicalJSON(true)
+		dj, err2 := dense.CanonicalJSON(true)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if !bytes.Equal(aj, dj) {
+			t.Fatalf("%s: adaptive battery watch diverged from dense polling:\n%s\nvs\n%s", cfg.Scenario.Name(), aj, dj)
+		}
+		if adaptive.Dead != adaptive.Devices {
+			t.Fatalf("%s: %d of %d devices died; watch equivalence needs every death exercised",
+				cfg.Scenario.Name(), adaptive.Dead, adaptive.Devices)
+		}
+		for _, r := range adaptive.Results {
+			if lived := uint64(r.DiedAt / units.Second); cell.deferred && r.EngineSteps >= lived {
+				t.Errorf("%s: device %d executed %d instants in %d s of life; the watch did not defer while its tap drained the battery",
+					cfg.Scenario.Name(), r.Index, r.EngineSteps, lived)
+			}
+		}
 	}
-	adaptive, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// hoarderDrain installs the adversarial hoarder on an otherwise idle
+// phone, so its grab tap drains the battery until the device dies.
+type hoarderDrain struct{}
+
+func (hoarderDrain) Name() string { return "hoarder-drain" }
+
+func (hoarderDrain) Build(d *Device) error {
+	if err := installHoarder(d); err != nil {
+		return err
 	}
-	cfg.Reference = true
-	dense, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Canonical comparison: the adaptive watch executes fewer engine
-	// instants (that is its point), so the step diagnostics differ;
-	// everything observable — consumption, every death instant,
-	// utilization, workload counters — must match to the byte.
-	aj, err1 := adaptive.CanonicalJSON(true)
-	dj, err2 := dense.CanonicalJSON(true)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !bytes.Equal(aj, dj) {
-		t.Fatalf("adaptive battery watch diverged from dense polling:\n%s\nvs\n%s", aj, dj)
-	}
-	if adaptive.Dead != adaptive.Devices {
-		t.Fatalf("%d of %d devices died; watch equivalence needs every death exercised", adaptive.Dead, adaptive.Devices)
-	}
+	return Compose{Label: "hoarder-drain", Phases: []Phase{
+		{Workload: Screen{}, Start: 10 * units.Minute, Duration: 5 * units.Minute, Jitter: 10 * units.Minute},
+	}}.Build(d)
 }
 
 // TestSnapshotMidNetdWaitFails: a device whose caller is blocked inside

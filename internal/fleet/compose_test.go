@@ -10,8 +10,8 @@ import (
 // TestComposeTeardownRestoresQuiescence is the fleet-level face of the
 // tap-lifecycle fix: a composed day whose only workload is a short
 // poller window must quiesce again after the phase container is torn
-// down. Before the releaseReserve fix the orphaned poller taps pinned
-// ActiveTapCount, the 10 ms batch tasks never parked, and the idle
+// down. Before the releaseReserve fix the orphaned poller taps stayed
+// in the graph's active set, the 10 ms batch tasks never parked, and the idle
 // remainder of the day ran tick-by-tick.
 func TestComposeTeardownRestoresQuiescence(t *testing.T) {
 	day := Compose{

@@ -28,20 +28,20 @@ type reportPin struct {
 var reportPins = []reportPin{
 	{"month", Config{Devices: 6, Seed: 1, Duration: 26 * units.Hour, Scenario: MonthInTheLife()},
 		[6]string{
-			"124e9cc7086c70d095e5bd4afa6e0e2e", "dbde769d16b8fa71e2ef5b8e87ec122b",
+			"4ae63418baad370d7fb18bcf9dedc9d3", "82076e561d72474de941652e3a60e6f4",
 			"5226d4958a9face534a99e4bc4da98d7", "992cec8f9430615f5538c09ab7ac1ecd",
-			"01b43a6839c299535c4ae363b042ee30", "60ec6e89563f087426d556de67b1735a"}},
+			"1d9932879ba3cf67954728d91764c641", "60ec6e89563f087426d556de67b1735a"}},
 	{"adversarial", Config{Devices: 6, Seed: 1, Duration: 2 * units.Hour, Scenario: AdversarialCohorts()},
 		[6]string{
-			"9095b11dd658ad10ba935f160d03ecb4", "b3742ac0172282359d4e47740ba3fd64",
+			"7f24496b8858a2b572b79096f0cdcbef", "0dc95f441242f23872ef0c9be9962965",
 			"48208f3ac4e7077522eb83c60dc87266", "2ba160edc9dd6e6dffd21a1210f3d04c",
-			"3ac0b35299bd1f29085f4ddd37382869", "fb19945bafc591e796228a883199df7a"}},
+			"c40864168423ac79a9213c1758ab56d0", "fb19945bafc591e796228a883199df7a"}},
 	{"daymix", Config{Devices: 8, Seed: 1, Duration: 26 * units.Hour, Scenario: DayInTheLife(),
 		BatteryCapacity: units.Joules(67000)},
 		[6]string{
-			"ef9c189830e73bb1ee30317a098db58b", "44007cdf74c2e9a834c3b2706fae8e84",
+			"a6f84f7f255cb8bd1da61352605cf527", "003a5f36b6ecfcc15ce46af567dcbaa5",
 			"f20a966c19a2751992817d7c2956fae1", "faeb1c895884f5ce2bcb82fe579a1887",
-			"60a1b449a897d26b5dcb945d23a3f0af", "ec728729c91eb959b6b2a3823e612ae8"}},
+			"610605f634ec9d1090434c77365af7d9", "ec728729c91eb959b6b2a3823e612ae8"}},
 }
 
 // TestReportBytesPinned: the report's wire bytes — every JSON rendering

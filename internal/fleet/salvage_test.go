@@ -193,7 +193,8 @@ func TestResumeSkipsForeignEpochWithoutQuarantine(t *testing.T) {
 // spans two epoch boundaries cannot be saved at the first or at any
 // instant up to the second. The run fails before publishing an epoch
 // file, with an error naming the device, its scenario bucket, the
-// boundary and the section that refused.
+// boundary, the section that refused and the remedy, a longer
+// -checkpoint-every.
 func TestCheckpointBoundaryMidPollNamesWorkload(t *testing.T) {
 	cfg := Config{
 		Devices:  1,
@@ -212,7 +213,8 @@ func TestCheckpointBoundaryMidPollNamesWorkload(t *testing.T) {
 		t.Fatal("a phase spanning two boundaries checkpointed")
 	}
 	for _, want := range []string{"device 0", `bucket "pollers"`,
-		fmt.Sprintf("the %v boundary", 20*units.Minute), fmt.Sprint(40 * units.Minute), "kobj: "} {
+		fmt.Sprintf("the %v boundary", 20*units.Minute), fmt.Sprint(40 * units.Minute), "kobj: ",
+		"pick a -checkpoint-every longer"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("boundary error %q does not mention %q", err, want)
 		}

@@ -248,6 +248,14 @@ func (c *BatteryCharger) SyncSweeps(now units.Time) {
 	}
 }
 
+// ReplaySweeps implements SweepSettler: credits the boundaries the
+// deferred task skipped at or before limit, ahead of a decay bite.
+func (c *BatteryCharger) ReplaySweeps(limit units.Time) {
+	if c.settling {
+		c.replayThrough(limit)
+	}
+}
+
 // SettleSweeps implements SweepSettler: closes out a Run whose stop
 // instant the engine never executed. A boundary exactly at the stop
 // credits directly; the deferral (and its pending prediction) survives

@@ -14,6 +14,10 @@
 //     and context-switch overheads" (§3.3);
 //   - the global half-life decay applies every second (§5.2.2).
 //
+// On production kernels the decay bite rides with the baseline batch at
+// each whole second (biteAt) instead of executing its own task, so a
+// busy device need not execute every simulated second.
+//
 // Baseline device power (the Dream's 699 mW idle, plus 555 mW when the
 // backlight is on) is consumed directly from the battery each batch, so
 // the attached power meter reproduces the Agilent traces.
@@ -117,6 +121,11 @@ type Kernel struct {
 	taskBaseline *sim.Task
 	taskDecay    *sim.Task
 	tapBatch     units.Time
+	// foldDecay is set on production kernels whose whole seconds lie on
+	// the batch grid: the decay task stays parked and the bite due at
+	// each whole second is applied right after that boundary's baseline
+	// batch (biteAt), the decay task's own registration slot.
+	foldDecay bool
 	// baselinePending is the earliest baseline batch boundary not yet
 	// billed; lastSchedAt is the instant of the last scheduler quantum.
 	baselinePending units.Time
@@ -222,6 +231,11 @@ type SettleableDevice interface {
 //     instant — the settler replays the firings its parked task skipped
 //     and, if a firing is due exactly now, re-arms the task so it fires
 //     in its registration slot (after the kernel's own boundary tasks);
+//   - ReplaySweeps right before each decay bite the kernel applies
+//     (biteAt), inside a settled window as well as at an executed
+//     instant: the settler replays the firings its parked task skipped
+//     at or before limit and re-arms nothing, so the bite reads the
+//     levels per-sweep execution leaves;
 //   - SettleSweeps at the end of a Run, after the kernel's at-now
 //     boundary work, where no task firing can cover the stop instant;
 //   - InvalidateSweeps whenever an activity hook fires (thread woken,
@@ -230,6 +244,7 @@ type SettleableDevice interface {
 //     periodic grid until the settler re-establishes one.
 type SweepSettler interface {
 	SyncSweeps(now units.Time)
+	ReplaySweeps(limit units.Time)
 	SettleSweeps(now units.Time)
 	InvalidateSweeps()
 }
@@ -334,9 +349,14 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	k.taskTaps = eng.Every("kernel:taps", cfg.TapBatch, k.fn.taps)
 	k.taskBaseline = eng.Every("kernel:baseline", cfg.TapBatch, k.fn.baseline)
 	k.taskDecay = nil
+	k.foldDecay = false
 	if k.Graph.HalfLife() >= 0 {
 		k.taskDecay = eng.Every("kernel:decay", units.Second, k.fn.decay)
 		k.Graph.SetDecayActivityHook(k.fn.decayActivity)
+		k.foldDecay = k.lazySettle && units.Second%cfg.TapBatch == 0
+		if k.foldDecay {
+			k.taskDecay.Park()
+		}
 	}
 	if k.lazySettle {
 		eng.SetAdvanceHook(k.fn.advance)
@@ -381,22 +401,28 @@ func (k *Kernel) baselineTask(e *sim.Engine) {
 	}
 }
 
-// decayTask is the kernel:decay task body.
+// decayTask is the kernel:decay task body. Where the bite rides with
+// the baseline batch (foldDecay) the task only fires when a Run-entry
+// re-step re-arms it, and the baseline task's re-step at the same
+// instant has already applied that bite, so it parks again. Otherwise
+// it bites, and parks while no decayable reserve exists: every firing
+// would be a no-op until one is created.
 func (k *Kernel) decayTask(*sim.Engine) {
-	k.Graph.Decay(units.Second)
-	// While no decayable reserve exists, every firing is a no-op by
-	// construction; park until one is created. This is what lets a
-	// quiescent device skip whole simulated hours — the 1 s decay
-	// cadence is otherwise the densest permanent task.
-	if k.Graph.DecayableCount() == 0 {
-		k.taskDecay.Park()
+	if !k.foldDecay {
+		k.Graph.Decay(units.Second)
+		if k.Graph.DecayableCount() > 0 {
+			return
+		}
 	}
+	k.taskDecay.Park()
 }
 
 // decayActivity is the graph's decay-activity hook: a new decayable
-// reserve resumes the decay task.
+// reserve resumes the decay task where it bites on its own.
 func (k *Kernel) decayActivity() {
-	k.taskDecay.Resume()
+	if !k.foldDecay {
+		k.taskDecay.Resume()
+	}
 	// A new decayable reserve introduces 1 s decay bites that a sweep
 	// settler's prediction did not model.
 	k.invalidateSettlers()
@@ -661,14 +687,31 @@ func (k *Kernel) syncSettlers(now units.Time) {
 	}
 }
 
-// settleWindow advances the pending cursors through their limits by the
-// cheapest exact strategy: with every device quiescent the device ticks
-// are no-ops, so no ordering proof is needed and SettleFlows /
-// billBaselineBatches self-guard their own clamping exactly; otherwise
-// the depletion horizon must clear the whole window before device
-// billing may be reordered against flows, and a window it cannot clear
-// replays instant by instant.
+// settleWindow advances the pending cursors through their limits. A
+// window that holds decay bites settles as segments ending at each bite
+// boundary b — devices, flows and baseline through b, then the bite —
+// so every bite reads the levels the reference's decay task reads at b,
+// and no segment's ordering proof (windowSafe, the depletion horizon)
+// spans a bite, which leaks energy that proof does not count.
 func (k *Kernel) settleWindow(devLimit, flowLimit, baseLimit units.Time) {
+	for {
+		b := k.nextBite(k.baselinePending)
+		if b > baseLimit {
+			break
+		}
+		k.settleSegment(min(devLimit, b), min(flowLimit, b), b)
+	}
+	k.settleSegment(devLimit, flowLimit, baseLimit)
+}
+
+// settleSegment settles a window that holds no decay bite before its
+// end by the cheapest exact strategy: with every device quiescent the
+// device ticks are no-ops, so no ordering proof is needed and
+// SettleFlows / billBaselineBatches self-guard their own clamping
+// exactly; otherwise the depletion horizon must clear the whole window
+// before device billing may be reordered against flows, and a window it
+// cannot clear replays instant by instant.
+func (k *Kernel) settleSegment(devLimit, flowLimit, baseLimit units.Time) {
 	if k.devicesQuiescent() {
 		k.settleDevices(devLimit)
 		k.settleBatches(flowLimit, baseLimit)
@@ -748,6 +791,34 @@ func (k *Kernel) fireBaseline(now units.Time) {
 	if due := now + k.tapBatch; due > k.baselinePending {
 		k.baselinePending = due
 	}
+	k.biteAt(now)
+}
+
+// biteAt applies the decay bite due at t when decay rides with the
+// baseline batches (foldDecay) and t is a whole second; it runs right
+// after t's baseline batch, where the reference's decay task fires.
+// Every sweep settler first replays the firings it skipped strictly
+// before t, so the bite reads each reserve at the level per-sweep
+// execution leaves there. While no decayable reserve exists the bite
+// is a no-op.
+func (k *Kernel) biteAt(t units.Time) {
+	if !k.foldDecay || t%units.Second != 0 || k.Graph.DecayableCount() == 0 {
+		return
+	}
+	for _, s := range k.settlers {
+		s.ReplaySweeps(t - 1)
+	}
+	k.Graph.Decay(units.Second)
+}
+
+// nextBite returns the first whole second at or after t, where
+// settlement stops for a bite, or MaxTime while no bite can move
+// energy.
+func (k *Kernel) nextBite(t units.Time) units.Time {
+	if !k.foldDecay || k.Graph.DecayableCount() == 0 {
+		return sim.MaxTime
+	}
+	return t + (units.Second-t%units.Second)%units.Second
 }
 
 // syncPendingBefore settles every pending tap batch, baseline batch and
@@ -818,7 +889,8 @@ func (k *Kernel) settleDevices(devLimit units.Time) {
 // aligned boundaries settle as interleaved chunks — the graph picks the
 // chunk size from its depletion horizon and bills the matching number of
 // baseline batches after each chunk, preserving the flow-then-baseline
-// order of every boundary.
+// order of every boundary. settleWindow ends a window at each bite, so
+// only a chunk's last boundary can be due one, which then follows it.
 func (k *Kernel) settleBatches(flowLimit, baseLimit units.Time) {
 	for k.tapsPending <= flowLimit || k.baselinePending <= baseLimit {
 		ft, bt := k.tapsPending, k.baselinePending
@@ -830,6 +902,7 @@ func (k *Kernel) settleBatches(flowLimit, baseLimit units.Time) {
 			d := units.Time(n) * k.tapBatch
 			k.tapsPending += d
 			k.baselinePending += d
+			k.biteAt(ft + d - k.tapBatch)
 		case flowDue && (!baseDue || ft < bt):
 			k.fireTaps(ft)
 		default:
@@ -1074,31 +1147,33 @@ func (k *Kernel) BatteryExhaustedFor(d units.Time) bool {
 // provably cannot reach exhaustion, for adaptive battery watchdogs (the
 // fleet's per-second battery watch defers itself to this horizon
 // instead of polling 86 400 times per simulated day). It returns 0 —
-// "do not defer" — unless the device is fully quiescent right now: no
-// active tap, no runnable thread, every peripheral quiescent. In that
-// state the baseline draw is the only drain on the battery, and every
-// way the device can leave the state begins at an executed instant,
-// which only occurs where an event or another task is due — so the
-// horizon is the earlier of (a) the instant baseline draw alone could
-// approach the exhaustion threshold, with a full watch period plus one
-// batch of slack so the watchdog's own grid re-check lands strictly
-// before exhaustion, and (b) the engine's earliest other pending work
-// (`except` is the watchdog itself). Deferring to the horizon detects
-// battery death at exactly the same grid instant dense polling would,
-// which the fleet's watch-equivalence test asserts against the
-// reference, whose watch never defers.
+// "do not defer" — unless no thread is runnable and every peripheral is
+// quiescent. Then the battery's only drains are the baseline draw and
+// the active taps it sources, which Graph.DrainBound bounds at the
+// current level (every inflow — decay leaks, taps into the battery,
+// charge — only delays exhaustion), and every way the device can leave
+// the state begins at an executed instant, which only occurs where an
+// event or another task is due. So the horizon is the earlier of (a)
+// the instant that drain could approach the exhaustion threshold, with
+// a full watch period plus one batch of slack so the watchdog's own
+// grid re-check lands strictly before exhaustion, and (b) the engine's
+// earliest other pending work (`except` is the watchdog itself).
+// Deferring to the horizon detects battery death at exactly the same
+// grid instant dense polling would, which the fleet's watch-equivalence
+// test asserts against the reference, whose watch never defers.
 func (k *Kernel) WatchHorizon(except *sim.Task) units.Time {
 	if !k.lazySettle {
 		return 0
 	}
-	if k.Graph.ActiveTapCount() > 0 || k.Sched.RunnableCount() > 0 || !k.devicesQuiescent() {
+	if k.Sched.RunnableCount() > 0 || !k.devicesQuiescent() {
 		return 0
 	}
-	lvl, err := k.Graph.Battery().Level(k.kpriv)
+	bat := k.Graph.Battery()
+	lvl, err := bat.Level(k.kpriv)
 	if err != nil {
 		return 0
 	}
-	p := k.baselinePower()
+	p := k.baselinePower() + k.Graph.DrainBound(bat)
 	thresh := p.Over(k.tapBatch)
 	// Slack: the exhaustion threshold itself, one extra batch for carry
 	// rounding, and one watch period for the deferral's grid ceiling.

@@ -36,8 +36,8 @@ func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
 // tap used to leave the tap in the graph's active set forever, so the
 // kernel's flow/baseline batch tasks never parked again and an idle
 // post-deletion run degenerated to tick-by-tick execution. After the
-// fix, the deletion deactivates the orphaned tap, ActiveTapCount drops
-// to zero, and the remainder of the run re-enters the next-event fast
+// fix, the deletion deactivates the orphaned tap, the battery's tap
+// drain drops to zero, and the remainder of the run re-enters the next-event fast
 // path (executed instants ≪ ticks).
 func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	k := New(Config{Seed: 3})
@@ -58,8 +58,8 @@ func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	if err := k.Table.Delete(app.ObjectID()); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.Graph.ActiveTapCount(); got != 0 {
-		t.Fatalf("ActiveTapCount = %d after reserve deletion, want 0", got)
+	if got := k.Graph.DrainBound(k.Battery()); got != 0 {
+		t.Fatalf("battery tap drain = %v after reserve deletion, want 0", got)
 	}
 
 	// The rest of the run is pure idle: the engine must visit only a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/label"
 	"repro/internal/radio"
 	"repro/internal/sched"
@@ -67,10 +68,10 @@ func busyScenario(reference bool) (*Kernel, *radio.Radio) {
 func busySnapshot(k *Kernel, r *radio.Radio) string {
 	lvl, _ := k.Battery().Level(k.KernelPriv())
 	rs := r.Stats()
-	return fmt.Sprintf("consumed=%v battery=%v busy=%d idle=%d util=%.6f radio{act=%d state=%v statE=%v dataE=%v activeT=%v} taps=%d",
+	return fmt.Sprintf("consumed=%v battery=%v busy=%d idle=%d util=%.6f radio{act=%d state=%v statE=%v dataE=%v activeT=%v} drain=%v",
 		k.Consumed(), lvl, k.Sched.BusyTicks(), k.Sched.IdleTicks(), k.Sched.Utilization(),
 		rs.Activations, r.State(), rs.StateEnergy, rs.DataEnergy, rs.ActiveTime,
-		k.Graph.ActiveTapCount())
+		k.Graph.DrainBound(k.Battery()))
 }
 
 // TestBusySettlementModeEquivalence is the kernel-level differential:
@@ -169,5 +170,67 @@ func TestDyingDeviceSettlementEquivalence(t *testing.T) {
 	closed := run(false)
 	if ref != closed {
 		t.Fatalf("dying device diverges:\nreference:   %s\nclosed-form: %s", ref, closed)
+	}
+}
+
+// meter is a settleable device that bills a constant draw to a reserve
+// every tick, as a voice call bills its caller: it never quiesces, so
+// the kernel settles its ticks in closed form between executed
+// instants.
+type meter struct {
+	bill  *core.Reserve
+	priv  label.Priv
+	draw  units.Power
+	carry int64
+}
+
+func (m *meter) DeviceTick(_, dt units.Time) {
+	var e units.Energy
+	e, m.carry = m.draw.OverRem(dt, m.carry)
+	_ = m.bill.DebitSelf(m.priv, e)
+}
+
+func (m *meter) SettleTicks(from, to, dt units.Time) {
+	total := int64(m.draw)*int64(dt)*(int64((to-from)/dt)+1) + m.carry
+	m.carry = total % 1000
+	_ = m.bill.DebitSelf(m.priv, units.Energy(total/1000))
+}
+
+func (m *meter) PeakDraw() units.Power { return m.draw }
+func (m *meter) SettleSafe() bool      { return true }
+
+// TestDecayBitesBetweenSettledDeviceTicks: a device billing a decaying
+// reserve across settled windows many seconds long. Each bite must read
+// the reserve after exactly the ticks up to its own second, as the
+// reference's decay task does, so the kernel ends a settled window at
+// every bite; settling all of a window's ticks before its bites leaks a
+// different amount.
+func TestDecayBitesBetweenSettledDeviceTicks(t *testing.T) {
+	run := func(reference bool) []string {
+		k := New(Config{Seed: 4, Reference: reference, DecayHalfLife: 20 * units.Second})
+		bill := k.CreateReserveOpts(k.Root, "bill", label.Public(), core.ReserveOpts{AllowDebt: true})
+		if err := k.Graph.Transfer(k.KernelPriv(), k.Battery(), bill, 5*units.Joule); err != nil {
+			t.Fatal(err)
+		}
+		k.AddDevice(&meter{bill: bill, priv: k.KernelPriv(), draw: units.Milliwatts(90)})
+		var snaps []string
+		for _, d := range []units.Time{7 * units.Second, 12*units.Second + 345, 40 * units.Second, 61*units.Second + 7} {
+			k.Run(d)
+			lvl, _ := bill.Level(k.KernelPriv())
+			acc, _ := bill.Stats(k.KernelPriv())
+			bat, _ := k.Battery().Level(k.KernelPriv())
+			snaps = append(snaps, fmt.Sprintf("t=%v bill=%v decayed=%v battery=%v consumed=%v",
+				k.Now(), lvl, acc.Decayed, bat, k.Consumed()))
+		}
+		if !reference && k.Eng.Steps() > 200 {
+			t.Errorf("production executed %d instants; the settled windows should span many seconds", k.Eng.Steps())
+		}
+		return snaps
+	}
+	ref, got := run(true), run(false)
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Errorf("after span %d:\n  reference:  %s\n  production: %s", i, ref[i], got[i])
+		}
 	}
 }

@@ -404,11 +404,21 @@ func (n *Netd) maybeSettle(now units.Time) {
 //     negative carry; from a non-negative one, a non-negative rate keeps
 //     the carry in [0, 1000) until SetRate or SetFrac, which
 //     invalidates, so replayThrough recovers the carry at a skipped
-//     boundary from the current one exactly.
+//     boundary from the current one exactly;
+//   - no such tap draws from a decaying source: the deferral is capped
+//     by the depletion horizon, which counts tap outflow only, and a
+//     source that decay also leaks could starve its tap inside it.
 //
-// Decay needs no guard: decay bites occur at executed 1 s instants,
-// the settler is synchronized before each, and a prediction that
-// ignores future bites only errs early.
+// Decay bites on a waiter's own reserve need no guard. The kernel
+// applies them inside settled windows too, but replays this settler's
+// skipped drains strictly before each (ReplaySweeps), so a bite reads
+// the level per-sweep execution leaves. A bite only takes from a
+// positive level and leaves it non-negative, and the next drain empties
+// a positive level anyway, so the reserve's level after that drain is
+// the same with or without the bite: the drains replayThrough applies
+// across a bite still total max(0, level − ρ), the current level
+// already net of the leak. A prediction that ignores future bites only
+// errs early.
 func (n *Netd) settleGuard() bool {
 	if n.cfg.SweepPeriod%n.k.TapBatch() != 0 {
 		return false
@@ -433,7 +443,7 @@ func (n *Netd) settleGuard() bool {
 		}
 		n.scratch = g.TapsInto(w.bill, n.scratch[:0])
 		for _, t := range n.scratch {
-			if t.Kind() != core.TapConst || t.Carry() < 0 {
+			if t.Kind() != core.TapConst || t.Carry() < 0 || t.SourceDecays() {
 				return false
 			}
 		}
@@ -611,6 +621,15 @@ func (n *Netd) SyncSweeps(now units.Time) {
 	if now%n.cfg.SweepPeriod == 0 && n.sweepTask.NextDue() > now {
 		n.settling = false
 		n.sweepTask.ResumeAt(now)
+	}
+}
+
+// ReplaySweeps implements kernel.SweepSettler: replays the drains the
+// deferred sweep task skipped at or before limit, ahead of a decay bite
+// (see settleGuard).
+func (n *Netd) ReplaySweeps(limit units.Time) {
+	if n.settling {
+		n.replayThrough(limit)
 	}
 }
 
