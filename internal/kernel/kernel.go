@@ -121,11 +121,6 @@ type Kernel struct {
 	taskBaseline *sim.Task
 	taskDecay    *sim.Task
 	tapBatch     units.Time
-	// foldDecay is set on production kernels whose whole seconds lie on
-	// the batch grid: the decay task stays parked and the bite due at
-	// each whole second is applied right after that boundary's baseline
-	// batch (biteAt), the decay task's own registration slot.
-	foldDecay bool
 	// baselinePending is the earliest baseline batch boundary not yet
 	// billed; lastSchedAt is the instant of the last scheduler quantum.
 	baselinePending units.Time
@@ -291,6 +286,11 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	if cfg.TapBatch == 0 {
 		cfg.TapBatch = DefaultTapBatch
 	}
+	if cfg.TapBatch < 0 || units.Second%cfg.TapBatch != 0 {
+		// Production kernels apply each whole second's decay bite right
+		// after that second's baseline batch (biteAt).
+		panic(fmt.Sprintf("kernel: TapBatch %d ms does not divide 1 s", cfg.TapBatch))
+	}
 	mode := sim.ModeNextEvent
 	if cfg.Reference {
 		mode = sim.ModeFixedTick
@@ -349,12 +349,10 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	k.taskTaps = eng.Every("kernel:taps", cfg.TapBatch, k.fn.taps)
 	k.taskBaseline = eng.Every("kernel:baseline", cfg.TapBatch, k.fn.baseline)
 	k.taskDecay = nil
-	k.foldDecay = false
 	if k.Graph.HalfLife() >= 0 {
 		k.taskDecay = eng.Every("kernel:decay", units.Second, k.fn.decay)
 		k.Graph.SetDecayActivityHook(k.fn.decayActivity)
-		k.foldDecay = k.lazySettle && units.Second%cfg.TapBatch == 0
-		if k.foldDecay {
+		if k.lazySettle {
 			k.taskDecay.Park()
 		}
 	}
@@ -401,14 +399,14 @@ func (k *Kernel) baselineTask(e *sim.Engine) {
 	}
 }
 
-// decayTask is the kernel:decay task body. Where the bite rides with
-// the baseline batch (foldDecay) the task only fires when a Run-entry
-// re-step re-arms it, and the baseline task's re-step at the same
-// instant has already applied that bite, so it parks again. Otherwise
-// it bites, and parks while no decayable reserve exists: every firing
-// would be a no-op until one is created.
+// decayTask is the kernel:decay task body. On production kernels the
+// bite rides with the baseline batch (biteAt): the task only fires when
+// a Run-entry re-step re-arms it, and the baseline task's re-step at the
+// same instant has already applied that bite, so it parks again. On the
+// reference it bites, and parks while no decayable reserve exists: every
+// firing would be a no-op until one is created.
 func (k *Kernel) decayTask(*sim.Engine) {
-	if !k.foldDecay {
+	if !k.lazySettle {
 		k.Graph.Decay(units.Second)
 		if k.Graph.DecayableCount() > 0 {
 			return
@@ -418,9 +416,9 @@ func (k *Kernel) decayTask(*sim.Engine) {
 }
 
 // decayActivity is the graph's decay-activity hook: a new decayable
-// reserve resumes the decay task where it bites on its own.
+// reserve resumes the reference's decay task.
 func (k *Kernel) decayActivity() {
-	if !k.foldDecay {
+	if !k.lazySettle {
 		k.taskDecay.Resume()
 	}
 	// A new decayable reserve introduces 1 s decay bites that a sweep
@@ -794,15 +792,15 @@ func (k *Kernel) fireBaseline(now units.Time) {
 	k.biteAt(now)
 }
 
-// biteAt applies the decay bite due at t when decay rides with the
-// baseline batches (foldDecay) and t is a whole second; it runs right
-// after t's baseline batch, where the reference's decay task fires.
+// biteAt applies the decay bite due at t on a production kernel when t
+// is a whole second; it runs right after t's baseline batch, where the
+// reference's decay task fires.
 // Every sweep settler first replays the firings it skipped strictly
 // before t, so the bite reads each reserve at the level per-sweep
 // execution leaves there. While no decayable reserve exists the bite
 // is a no-op.
 func (k *Kernel) biteAt(t units.Time) {
-	if !k.foldDecay || t%units.Second != 0 || k.Graph.DecayableCount() == 0 {
+	if k.nextBite(t) != t {
 		return
 	}
 	for _, s := range k.settlers {
@@ -812,10 +810,10 @@ func (k *Kernel) biteAt(t units.Time) {
 }
 
 // nextBite returns the first whole second at or after t, where
-// settlement stops for a bite, or MaxTime while no bite can move
-// energy.
+// settlement stops for a bite, or MaxTime on the reference (whose decay
+// task bites) and while no bite can move energy.
 func (k *Kernel) nextBite(t units.Time) units.Time {
-	if !k.foldDecay || k.Graph.DecayableCount() == 0 {
+	if !k.lazySettle || k.taskDecay == nil || k.Graph.DecayableCount() == 0 {
 		return sim.MaxTime
 	}
 	return t + (units.Second-t%units.Second)%units.Second

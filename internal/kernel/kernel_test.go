@@ -38,6 +38,25 @@ func TestBaselineDrawMatchesIdlePower(t *testing.T) {
 	}
 }
 
+// TestTapBatchMustDivideSecond: every whole second must be a batch
+// boundary, where a production kernel applies that second's decay bite.
+func TestTapBatchMustDivideSecond(t *testing.T) {
+	for _, tb := range []units.Time{3 * units.Millisecond, 300 * units.Millisecond, -units.Millisecond} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("TapBatch %d ms did not panic", tb)
+				}
+			}()
+			New(Config{TapBatch: tb})
+		}()
+	}
+	k := New(Config{TapBatch: 4 * units.Millisecond})
+	if got := k.TapBatch(); got != 4*units.Millisecond {
+		t.Fatalf("TapBatch() = %d ms, want 4", got)
+	}
+}
+
 func TestBacklightAddsDraw(t *testing.T) {
 	k := newTestKernel(Config{BacklightOn: true})
 	k.Run(10 * units.Second)

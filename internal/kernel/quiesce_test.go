@@ -37,8 +37,8 @@ func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
 // kernel's flow/baseline batch tasks never parked again and an idle
 // post-deletion run degenerated to tick-by-tick execution. After the
 // fix, the deletion deactivates the orphaned tap, the battery's tap
-// drain drops to zero, and the remainder of the run re-enters the next-event fast
-// path (executed instants ≪ ticks).
+// drain drops to zero, and the remainder of the run re-enters the
+// next-event fast path (executed instants ≪ ticks).
 func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	k := New(Config{Seed: 3})
 	// An app whose reserve lives in its own container while the feeding
@@ -63,8 +63,8 @@ func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	}
 
 	// The rest of the run is pure idle: the engine must visit only a
-	// tiny fraction of the remaining ticks (1 s decay task + horizon
-	// instants, not 10 ms tap batches).
+	// tiny fraction of the remaining ticks (horizon instants, not 10 ms
+	// tap batches).
 	before := k.Eng.Steps()
 	idle := units.Time(10 * units.Minute)
 	k.Run(idle)
