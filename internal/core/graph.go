@@ -54,10 +54,10 @@ type Graph struct {
 	// rate. The kernel hooks it to resume a deferred flow batch task.
 	onTapActivity func()
 	// onDecayActivity, when set, is invoked when a decayable reserve is
-	// created. The kernel hooks it to drop its sweep settlers'
-	// predictions and, where the decay task bites on its own (the
-	// reference), to resume that task, which parks while no decayable
-	// reserve exists and Decay is a no-op.
+	// created. The kernel hooks it to end its deferrals' predictions
+	// and, where the decay task bites on its own (the reference), to
+	// resume that task, which parks while no decayable reserve exists
+	// and Decay is a no-op.
 	onDecayActivity func()
 	// flowScratch is Flow's reusable snapshot buffer, so a tap released
 	// or zeroed mid-batch cannot shift later taps out of the batch.

@@ -9,7 +9,7 @@ import (
 // This file implements closed-form tap settlement: advancing the graph
 // through many Flow batches in far less than one walk per batch while
 // remaining byte-identical — levels, carries, stats — to the
-// per-batch sequence. The kernel uses it to park its flow task between
+// per-batch sequence. The kernel uses it to park its batch task between
 // engine instants and catch up lazily.
 //
 // The key observations:
@@ -79,7 +79,7 @@ func (g *Graph) HorizonBatches(dt units.Time, extraBatteryDrain units.Power) int
 }
 
 // FlowWalks returns the number of batches the graph executed as
-// per-batch tap walks: full Flow calls (the kernel's flow task, or
+// per-batch tap walks: full Flow calls (the kernel's batch task, or
 // settlement's outside-horizon fallback) plus batches whose sensitive
 // subset was replayed, in sequence order, by a settled chunk's flat
 // loop. A change that flips taps from telescoped to replayed — a new

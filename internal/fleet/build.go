@@ -55,7 +55,7 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 		}
 		kcfg.StrictHoarding = prov.StrictHoarding
 	}
-	ncfg := netd.Config{Cooperative: true, QuiescentSweep: !cfg.Reference}
+	ncfg := netd.Config{Cooperative: true}
 	if cfg.Reference {
 		*rg = rig{}
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"repro/internal/kernel"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -38,7 +37,7 @@ func (c Charge) Install(d *Device, w Window) error {
 	}
 	k := d.Kernel
 	if k.Charger() == nil {
-		k.AttachCharger(kernel.ChargerConfig{})
+		k.AttachCharger()
 	}
 	ch := k.Charger()
 	k.Eng.At(w.Start, func(*sim.Engine) { ch.Plug(supply) })

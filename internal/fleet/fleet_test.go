@@ -271,10 +271,10 @@ func TestFleetRecycleEquivalenceMixed(t *testing.T) {
 // maxRecycledIdleBuildAllocs is the allocation ceiling of one recycled
 // idle device build: the per-device object graph (root container,
 // reserves, gates, labels) and the device's result and battery watch.
-// The engine seeds its RNG on the first draw and the kernel binds its
-// task bodies and hooks once per rig, so neither costs a recycled build
-// anything.
-const maxRecycledIdleBuildAllocs = 24
+// The engine seeds its RNG on the first draw, and the kernel and netd
+// bind their task bodies and hooks once per rig, so none of them costs
+// a recycled build anything.
+const maxRecycledIdleBuildAllocs = 23
 
 // TestRecycledIdleBuildAllocs pins the per-device fixed cost of a
 // recycled rig: an idle device never draws from its RNG and runs no

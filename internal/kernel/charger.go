@@ -12,7 +12,7 @@ import (
 // only closes once the battery level is non-monotone, so the
 // month-in-the-life scenarios plug the device in overnight.
 //
-// The charger is a periodic task plus the kernel's second SweepSettler
+// The charger is a periodic task plus the kernel's second Deferral
 // (netd's pool sweep being the first): while plugged it credits the
 // battery every charge quantum, and under closed-form settlement it
 // defers its own task across provably uneventful stretches and replays
@@ -26,8 +26,9 @@ import (
 //     released-reserve refunds, all of which only move energy already
 //     counted in TotalHeld;
 //   - no exhaustion: the deferral never passes the kernel's sweep
-//     horizon, within which no reserve (battery included) can clamp
-//     under worst-case outflow with all inflows ignored.
+//     horizon (SweepHorizonBatches), within which no reserve (battery
+//     included) can clamp under worst-case outflow with all inflows
+//     ignored.
 //
 // Inside such a window credits and drains are pure integer additions
 // with no clamp and no starvation, so they commute: replaying the
@@ -36,17 +37,11 @@ import (
 // configuration (Config.Reference) credits every quantum, and the
 // differential tests assert exactly that equality.
 
-// DefaultChargeQuantum is the charger's crediting interval. Coarser
-// than the tap batch: charge arrives in 30 s quanta, which bounds the
+// ChargeQuantum is the charger's crediting interval. Coarser than the
+// tap batch: charge arrives in 30 s quanta, which bounds the
 // executed-instant load of the clamped top-off regime (a full battery
 // still plugged in) at a few thousand instants per simulated night.
-const DefaultChargeQuantum = 30 * units.Second
-
-// ChargerConfig parameterizes AttachCharger.
-type ChargerConfig struct {
-	// Quantum overrides DefaultChargeQuantum.
-	Quantum units.Time
-}
+const ChargeQuantum = 30 * units.Second
 
 // ChargerStats counts charger activity.
 type ChargerStats struct {
@@ -62,9 +57,8 @@ type ChargerStats struct {
 // kernel, created by AttachCharger; scenarios drive it through Plug and
 // Unplug from scheduled events.
 type BatteryCharger struct {
-	k       *Kernel
-	quantum units.Time
-	task    *sim.Task
+	k    *Kernel
+	task *sim.Task
 
 	supply  power.Charger
 	plugged bool
@@ -74,9 +68,8 @@ type BatteryCharger struct {
 	lastCharge units.Time
 	carry      int64
 
-	closedForm bool
-	settling   bool
-	stats      ChargerStats
+	def   Deferral
+	stats ChargerStats
 }
 
 // AttachCharger creates the kernel's battery charger and registers its
@@ -85,20 +78,14 @@ type BatteryCharger struct {
 // registers the task in the same engine slot. The charger starts
 // unplugged with its task parked; an unplugged charger adds no executed
 // instants and leaves every discharge-only result untouched.
-func (k *Kernel) AttachCharger(cfg ChargerConfig) *BatteryCharger {
+func (k *Kernel) AttachCharger() *BatteryCharger {
 	if k.charger != nil {
 		panic("kernel: AttachCharger called twice")
 	}
-	if cfg.Quantum == 0 {
-		cfg.Quantum = DefaultChargeQuantum
-	}
-	c := &BatteryCharger{k: k, quantum: cfg.Quantum}
-	c.task = k.Eng.Every("kernel:charger", cfg.Quantum, func(e *sim.Engine) { c.fire(e.Now()) })
+	c := &BatteryCharger{k: k}
+	c.task = k.Eng.Every("kernel:charger", ChargeQuantum, func(e *sim.Engine) { c.fire(e.Now()) })
 	c.task.Park()
-	c.closedForm = k.LazySettle()
-	if c.closedForm {
-		k.AddSweepSettler(c)
-	}
+	k.AddDeferral(&c.def, c.task, c.replayThrough, c.creditThrough)
 	k.charger = c
 	return c
 }
@@ -122,7 +109,7 @@ func (c *BatteryCharger) Plug(supply power.Charger) {
 	c.supply = supply
 	c.lastCharge = c.k.Eng.Now()
 	c.carry = 0
-	c.settling = false
+	c.def.End()
 	c.task.Resume()
 }
 
@@ -132,11 +119,11 @@ func (c *BatteryCharger) Unplug() {
 	if !c.plugged {
 		return
 	}
-	// Boundaries strictly before now were replayed by SyncSweeps before
-	// this event callback ran; what remains is the partial tail.
+	// Boundaries strictly before now were replayed before this event
+	// callback ran; what remains is the partial tail.
 	c.creditThrough(c.k.Eng.Now())
 	c.plugged = false
-	c.settling = false
+	c.def.End()
 	c.carry = 0
 	c.task.Park()
 }
@@ -147,7 +134,7 @@ func (c *BatteryCharger) fire(now units.Time) {
 		c.task.Park()
 		return
 	}
-	c.settling = false
+	c.def.End()
 	c.creditThrough(now)
 	c.maybeSettle(now)
 }
@@ -180,15 +167,14 @@ func (c *BatteryCharger) creditThrough(t units.Time) {
 // boundaries are provably exact to replay, per the two conservative
 // bounds in the file comment.
 func (c *BatteryCharger) maybeSettle(now units.Time) {
-	if !c.closedForm || !c.plugged || now%c.quantum != 0 {
+	if !c.def.Enabled() || !c.plugged || now%ChargeQuantum != 0 {
 		return
 	}
 	t := c.predictSafe(now)
-	if t <= now+c.quantum {
+	if t <= now+ChargeQuantum {
 		return // next boundary fires anyway; stay on the grid
 	}
-	c.task.DeferUntil(t)
-	c.settling = true
+	c.def.Defer(t)
 }
 
 // predictSafe returns the latest quantum boundary through which skipped
@@ -209,7 +195,7 @@ func (c *BatteryCharger) predictSafe(now units.Time) units.Time {
 	if hb > 1<<40 {
 		hb = 1 << 40 // keep the product in int64; far beyond any real run
 	}
-	dtHorizon := hb * int64(c.k.TapBatch())
+	dtHorizon := hb * int64(TapBatch)
 	dt := dtClamp
 	if dtHorizon < dt {
 		dt = dtHorizon
@@ -218,68 +204,20 @@ func (c *BatteryCharger) predictSafe(now units.Time) units.Time {
 		return 0
 	}
 	t := now + units.Time(dt)
-	return t - t%c.quantum
+	return t - t%ChargeQuantum
 }
 
-// replayThrough credits, in one exact telescoped call, every quantum
-// boundary the deferred task skipped in (lastCharge, limit].
+// replayThrough is the deferral's replay: it credits, in one exact
+// telescoped call, every quantum boundary the deferred task skipped in
+// (lastCharge, limit]. A boundary exactly at a Run's stop instant
+// credits directly (creditThrough, the deferral's atStop); the deferral
+// and its pending prediction survive into a checkpoint, whose snapshot
+// carries the charger cursor.
 func (c *BatteryCharger) replayThrough(limit units.Time) {
-	last := limit - limit%c.quantum
+	last := limit - limit%ChargeQuantum
 	if last <= c.lastCharge {
 		return
 	}
-	c.stats.SettledCharges += int64(last/c.quantum) - int64(c.lastCharge/c.quantum)
+	c.stats.SettledCharges += int64(last/ChargeQuantum) - int64(c.lastCharge/ChargeQuantum)
 	c.creditThrough(last)
 }
-
-// SyncSweeps implements SweepSettler: called before every executed
-// instant (after tap/baseline/device settlement has caught up), it
-// replays the boundaries the deferred task skipped strictly before now
-// and, when a boundary lands exactly now, hands the firing back to the
-// task so it runs in its registration slot.
-func (c *BatteryCharger) SyncSweeps(now units.Time) {
-	if !c.settling {
-		return
-	}
-	c.replayThrough(now - 1)
-	if now%c.quantum == 0 && c.task.NextDue() > now {
-		c.settling = false
-		c.task.ResumeAt(now)
-	}
-}
-
-// ReplaySweeps implements SweepSettler: credits the boundaries the
-// deferred task skipped at or before limit, ahead of a decay bite.
-func (c *BatteryCharger) ReplaySweeps(limit units.Time) {
-	if c.settling {
-		c.replayThrough(limit)
-	}
-}
-
-// SettleSweeps implements SweepSettler: closes out a Run whose stop
-// instant the engine never executed. A boundary exactly at the stop
-// credits directly; the deferral (and its pending prediction) survives
-// into a checkpoint, whose snapshot carries the charger cursor.
-func (c *BatteryCharger) SettleSweeps(now units.Time) {
-	if !c.settling {
-		return
-	}
-	c.replayThrough(now - 1)
-	if now%c.quantum == 0 && c.task.NextDue() > now {
-		c.creditThrough(now)
-	}
-}
-
-// InvalidateSweeps implements SweepSettler: any activity that could
-// move the sweep horizon or the battery's headroom returns the task to
-// its periodic grid. Boundaries skipped so far replay at the next
-// executed instant; none are lost.
-func (c *BatteryCharger) InvalidateSweeps() {
-	if !c.settling {
-		return
-	}
-	c.settling = false
-	c.task.Resume()
-}
-
-var _ SweepSettler = (*BatteryCharger)(nil)

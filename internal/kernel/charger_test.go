@@ -27,7 +27,7 @@ func chargeScenario(reference bool) *Kernel {
 	if err := tap.SetRate(k.KernelPriv(), units.Milliwatts(150)); err != nil {
 		panic(err)
 	}
-	c := k.AttachCharger(ChargerConfig{})
+	c := k.AttachCharger()
 	k.Eng.At(10*units.Second, func(*sim.Engine) { c.Plug(power.ACCharger()) })
 	k.Eng.At(73*units.Second+400, func(*sim.Engine) { c.Unplug() })
 	k.Eng.At(100*units.Second, func(*sim.Engine) { c.Plug(usbCharger) })
@@ -91,7 +91,7 @@ func TestChargerSettlementModeEquivalence(t *testing.T) {
 // stays exact.
 func TestChargerClampNeverOvershoots(t *testing.T) {
 	k := New(Config{Seed: 2, BatteryCapacity: 20 * units.Joule})
-	c := k.AttachCharger(ChargerConfig{})
+	c := k.AttachCharger()
 	k.Eng.At(5*units.Second, func(*sim.Engine) { c.Plug(power.ACCharger()) })
 	k.Run(2 * units.Minute)
 
@@ -124,7 +124,7 @@ func TestChargerUnpluggedIsFree(t *testing.T) {
 	steps := func(attach bool) (uint64, units.Energy) {
 		k := New(Config{Seed: 4})
 		if attach {
-			k.AttachCharger(ChargerConfig{})
+			k.AttachCharger()
 		}
 		k.Run(10 * units.Minute)
 		lvl, _ := k.Battery().Level(k.KernelPriv())
@@ -177,7 +177,7 @@ func FuzzChargerSettle(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			c := k.AttachCharger(ChargerConfig{})
+			c := k.AttachCharger()
 			k.Eng.At(p1, func(*sim.Engine) { c.Plug(sup) })
 			k.Eng.At(u1, func(*sim.Engine) { c.Unplug() })
 			if p2 < horizon {

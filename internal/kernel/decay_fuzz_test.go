@@ -81,7 +81,7 @@ func runDecay(t *testing.T, reference bool, sc decayScenario) string {
 		BatteryCapacity: 60 * units.Joule, DecayHalfLife: sc.halfLife})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 	k.AddDevice(r)
-	if _, err := netd.New(k, r, netd.Config{Cooperative: true, QuiescentSweep: true}); err != nil {
+	if _, err := netd.New(k, r, netd.Config{Cooperative: true}); err != nil {
 		t.Fatal(err)
 	}
 	kp := k.KernelPriv()
@@ -131,7 +131,7 @@ func runDecay(t *testing.T, reference bool, sc decayScenario) string {
 		}), bill)
 		held = append(held, bill)
 	}
-	c := k.AttachCharger(kernel.ChargerConfig{})
+	c := k.AttachCharger()
 	if sc.plug {
 		c.Plug(power.ACCharger())
 	}

@@ -6,21 +6,19 @@
 // consumption it causes, even while executing in the other address
 // space").
 //
-// A Kernel registers three periodic activities on its engine, mirroring
-// the paper's implementation notes:
+// A Kernel runs its periodic activities on its engine, mirroring the
+// paper's implementation notes:
 //
 //   - the scheduler runs every tick (1 ms quantum);
 //   - taps flow in batch every TapBatch (10 ms), "to minimize scheduling
-//     and context-switch overheads" (§3.3);
-//   - the global half-life decay applies every second (§5.2.2).
-//
-// On production kernels the decay bite rides with the baseline batch at
-// each whole second (biteAt) instead of executing its own task, so a
-// busy device need not execute every simulated second.
-//
-// Baseline device power (the Dream's 699 mW idle, plus 555 mW when the
-// backlight is on) is consumed directly from the battery each batch, so
-// the attached power meter reproduces the Agilent traces.
+//     and context-switch overheads" (§3.3), and the same batch bills the
+//     baseline device power (the Dream's 699 mW idle, plus 555 mW when
+//     the backlight is on) directly from the battery, so the attached
+//     power meter reproduces the Agilent traces;
+//   - the global half-life decay applies every second (§5.2.2). On
+//     production kernels the bite rides with the batch at each whole
+//     second (biteAt), so a busy device need not execute every simulated
+//     second; the reference executes its own 1 s decay task.
 package kernel
 
 import (
@@ -36,8 +34,13 @@ import (
 	"repro/internal/units"
 )
 
-// DefaultTapBatch is the tap flow batching interval.
-const DefaultTapBatch = 10 * units.Millisecond
+// TapBatch is the tap flow and baseline billing interval. It divides
+// 1 s, so every whole second, where a production kernel applies that
+// second's decay bite, is a batch boundary.
+const TapBatch = 10 * units.Millisecond
+
+// A compile-time check that TapBatch divides 1 s.
+const _ = uint(-(units.Second % TapBatch))
 
 // BillingMode selects how gate calls attribute resource consumption
 // (§7.1).
@@ -63,14 +66,12 @@ type Config struct {
 	BatteryCapacity units.Energy
 	// DecayHalfLife overrides core.DefaultHalfLife; negative disables.
 	DecayHalfLife units.Time
-	// TapBatch overrides DefaultTapBatch.
-	TapBatch units.Time
 	// Billing selects gate billing semantics; default BillCaller.
 	Billing BillingMode
 	// Reference selects the reference configuration the differential
 	// tests check production against: the fixed-tick engine with every
-	// periodic task — scheduler, tap flows, baseline billing, devices,
-	// netd sweeps, charger quanta — executed at its period, and nothing
+	// periodic task — scheduler, batches, decay, devices, netd sweeps,
+	// charger quanta — executed at its period, and nothing
 	// settled in closed form. Production (the zero value) runs the
 	// next-event engine with closed-form settlement; the two are
 	// byte-identical in every energy, lifetime and workload quantity.
@@ -106,50 +107,43 @@ type Kernel struct {
 	// Quiescence and settlement machinery (production kernels only; the
 	// reference executes every firing). When no thread is runnable the
 	// scheduler task defers to the earliest sleeping-thread wake (or
-	// parks), and skipped quanta are settled as idle ticks. The
-	// tap-flow, baseline and device tasks park outright whenever
-	// possible and everything they skipped — flow batches, baseline
-	// batches, device ticks — settles lazily via syncAt before any
-	// callback at an executed instant, in closed form inside the
-	// depletion horizon and by exact replay outside it. Activity hooks
-	// (thread wake/creation, tap activation, radio wake-up) resume the
-	// tasks instantly, so the callback sequence — and therefore every
-	// experiment Result — is byte-identical to a tick-by-tick run.
-	taskDevices  *sim.Task
-	taskSched    *sim.Task
-	taskTaps     *sim.Task
-	taskBaseline *sim.Task
-	taskDecay    *sim.Task
-	tapBatch     units.Time
-	// baselinePending is the earliest baseline batch boundary not yet
-	// billed; lastSchedAt is the instant of the last scheduler quantum.
-	baselinePending units.Time
-	lastSchedAt     units.Time
-	// Closed-form settlement state: lazySettle is set on production
-	// kernels, whose engine is next-event, and clear on the reference.
-	// The flow and device tasks park outright and the work they skipped
-	// — tap batches, baseline batches, device ticks — settles lazily, in
-	// closed form where the depletion horizon allows and by exact replay
-	// where it does not, before any callback at an executed instant.
-	// tapsPending / devicesPending are the earliest tap batch boundary
-	// not yet flowed and the earliest tick not yet device-ticked.
+	// parks), and skipped quanta are settled as idle ticks. The batch
+	// and device tasks park outright whenever possible and everything
+	// they skipped — batches, device ticks — settles lazily via syncAt
+	// before any callback at an executed instant, in closed form inside
+	// the depletion horizon and by exact replay outside it. Activity
+	// hooks (thread wake/creation, tap activation, radio wake-up) resume
+	// the tasks instantly, so the callback sequence — and therefore
+	// every experiment Result — is byte-identical to a tick-by-tick run.
+	// taskDecay is the reference's 1 s decay task (nil on production
+	// kernels and with decay disabled).
+	taskDevices *sim.Task
+	taskSched   *sim.Task
+	taskBatch   *sim.Task
+	taskDecay   *sim.Task
+	// lastSchedAt is the instant of the last scheduler quantum.
+	lastSchedAt units.Time
+	// lazySettle is set on production kernels, whose engine is
+	// next-event, and clear on the reference. batchPending /
+	// devicesPending are the earliest batch boundary not yet flowed and
+	// billed and the earliest tick not yet device-ticked.
 	lazySettle     bool
-	tapsPending    units.Time
+	batchPending   units.Time
 	devicesPending units.Time
 	// fn holds the task bodies and hooks bound once per Kernel (bind),
 	// so a recycled Reset re-registers them without allocating a
 	// closure, and settleBatches hands SettleFlows its interleave
 	// callback without allocating one per settlement window.
 	fn struct {
-		devices, sched, taps, baseline, decay func(*sim.Engine)
-		decayActivity, resume                 func()
-		advance                               func(units.Time)
-		billBaseline                          func(int64)
+		devices, sched, batch, decay func(*sim.Engine)
+		decayActivity, resume        func()
+		advance                      func(units.Time)
+		billBaseline                 func(int64)
 	}
-	// settlers are the registered SweepSettlers (netd, the battery
+	// deferrals are the registered Deferrals (netd, the battery
 	// charger), synchronized at every executed instant and invalidated
 	// from the activity hooks.
-	settlers []SweepSettler
+	deferrals []*Deferral
 	// charger is the optional battery charger (AttachCharger); nil on
 	// discharge-only kernels, which is every kernel the frozen
 	// experiments build.
@@ -215,35 +209,6 @@ type SettleableDevice interface {
 	SettleSafe() bool
 }
 
-// SweepSettler is implemented by subsystems that own a periodic task
-// whose firings can be settled in closed form between executed instants
-// (netd's 100 ms pool sweep). The subsystem parks or defers its own task
-// when it can predict the next firing that matters; the kernel then keeps
-// it exact by calling:
-//
-//   - SyncSweeps from the advance hook at every executed instant, after
-//     tap/baseline/device settlement has caught up strictly before the
-//     instant — the settler replays the firings its parked task skipped
-//     and, if a firing is due exactly now, re-arms the task so it fires
-//     in its registration slot (after the kernel's own boundary tasks);
-//   - ReplaySweeps right before each decay bite the kernel applies
-//     (biteAt), inside a settled window as well as at an executed
-//     instant: the settler replays the firings its parked task skipped
-//     at or before limit and re-arms nothing, so the bite reads the
-//     levels per-sweep execution leaves;
-//   - SettleSweeps at the end of a Run, after the kernel's at-now
-//     boundary work, where no task firing can cover the stop instant;
-//   - InvalidateSweeps whenever an activity hook fires (thread woken,
-//     tap activated/changed/released, decayable created, radio woken):
-//     anything that could perturb the prediction returns the task to its
-//     periodic grid until the settler re-establishes one.
-type SweepSettler interface {
-	SyncSweeps(now units.Time)
-	ReplaySweeps(limit units.Time)
-	SettleSweeps(now units.Time)
-	InvalidateSweeps()
-}
-
 // New builds a kernel and registers its periodic activities on a fresh
 // engine.
 func New(cfg Config) *Kernel {
@@ -258,8 +223,7 @@ func New(cfg Config) *Kernel {
 func (k *Kernel) bind() {
 	k.fn.devices = k.devicesTask
 	k.fn.sched = k.schedTask
-	k.fn.taps = k.tapsTask
-	k.fn.baseline = k.baselineTask
+	k.fn.batch = k.batchTask
 	k.fn.decay = k.decayTask
 	k.fn.decayActivity = k.decayActivity
 	k.fn.resume = k.resumeKernelTasks
@@ -282,14 +246,6 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	}
 	if cfg.BatteryCapacity == 0 {
 		cfg.BatteryCapacity = cfg.Profile.BatteryCapacity
-	}
-	if cfg.TapBatch == 0 {
-		cfg.TapBatch = DefaultTapBatch
-	}
-	if cfg.TapBatch < 0 || units.Second%cfg.TapBatch != 0 {
-		// Production kernels apply each whole second's decay bite right
-		// after that second's baseline batch (biteAt).
-		panic(fmt.Sprintf("kernel: TapBatch %d ms does not divide 1 s", cfg.TapBatch))
 	}
 	mode := sim.ModeNextEvent
 	if cfg.Reference {
@@ -318,12 +274,11 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	k.baseCarry = 0
 	clear(k.devices)
 	k.devices = k.devices[:0]
-	k.baselinePending = 0
 	k.lastSchedAt = 0
-	k.tapsPending = 0
+	k.batchPending = 0
 	k.devicesPending = 0
-	clear(k.settlers)
-	k.settlers = k.settlers[:0]
+	clear(k.deferrals)
+	k.deferrals = k.deferrals[:0]
 	k.charger = nil
 
 	batteryLabel := label.Public().With(k.sysCategory, label.Level2)
@@ -343,18 +298,15 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	k.lazySettle = !cfg.Reference
 
 	tick := eng.Tick()
-	k.tapBatch = cfg.TapBatch
 	k.taskDevices = eng.Every("kernel:devices", tick, k.fn.devices)
 	k.taskSched = eng.Every("kernel:sched", tick, k.fn.sched)
-	k.taskTaps = eng.Every("kernel:taps", cfg.TapBatch, k.fn.taps)
-	k.taskBaseline = eng.Every("kernel:baseline", cfg.TapBatch, k.fn.baseline)
+	k.taskBatch = eng.Every("kernel:batch", TapBatch, k.fn.batch)
 	k.taskDecay = nil
 	if k.Graph.HalfLife() >= 0 {
-		k.taskDecay = eng.Every("kernel:decay", units.Second, k.fn.decay)
-		k.Graph.SetDecayActivityHook(k.fn.decayActivity)
-		if k.lazySettle {
-			k.taskDecay.Park()
+		if !k.lazySettle {
+			k.taskDecay = eng.Every("kernel:decay", units.Second, k.fn.decay)
 		}
+		k.Graph.SetDecayActivityHook(k.fn.decayActivity)
 	}
 	if k.lazySettle {
 		eng.SetAdvanceHook(k.fn.advance)
@@ -383,47 +335,32 @@ func (k *Kernel) schedTask(e *sim.Engine) {
 	k.maybeQuiesceSched(now)
 }
 
-// tapsTask is the kernel:taps task body.
-func (k *Kernel) tapsTask(e *sim.Engine) {
-	k.fireTaps(e.Now())
+// batchTask is the kernel:batch task body.
+func (k *Kernel) batchTask(e *sim.Engine) {
+	k.fireBatch(e.Now())
 	if k.lazySettle {
-		k.taskTaps.Park()
+		k.taskBatch.Park()
 	}
 }
 
-// baselineTask is the kernel:baseline task body.
-func (k *Kernel) baselineTask(e *sim.Engine) {
-	k.fireBaseline(e.Now())
-	if k.lazySettle {
-		k.taskBaseline.Park()
-	}
-}
-
-// decayTask is the kernel:decay task body. On production kernels the
-// bite rides with the baseline batch (biteAt): the task only fires when
-// a Run-entry re-step re-arms it, and the baseline task's re-step at the
-// same instant has already applied that bite, so it parks again. On the
-// reference it bites, and parks while no decayable reserve exists: every
-// firing would be a no-op until one is created.
+// decayTask is the reference's kernel:decay task body: it bites, and
+// parks while no decayable reserve exists, since every firing would be a
+// no-op until one is created.
 func (k *Kernel) decayTask(*sim.Engine) {
-	if !k.lazySettle {
-		k.Graph.Decay(units.Second)
-		if k.Graph.DecayableCount() > 0 {
-			return
-		}
+	k.Graph.Decay(units.Second)
+	if k.Graph.DecayableCount() == 0 {
+		k.taskDecay.Park()
 	}
-	k.taskDecay.Park()
 }
 
 // decayActivity is the graph's decay-activity hook: a new decayable
-// reserve resumes the reference's decay task.
+// reserve resumes the reference's decay task, and introduces 1 s decay
+// bites that a deferral's prediction did not model.
 func (k *Kernel) decayActivity() {
 	if !k.lazySettle {
 		k.taskDecay.Resume()
 	}
-	// A new decayable reserve introduces 1 s decay bites that a sweep
-	// settler's prediction did not model.
-	k.invalidateSettlers()
+	k.invalidateDeferrals()
 }
 
 // devicesQuiescent reports whether every registered device declares its
@@ -568,7 +505,7 @@ func (k *Kernel) threadPayableBound(t *sched.Thread, cost units.Energy, now, tic
 				sound = false
 				return false
 			}
-			num += int64(tp.Rate()) * int64(k.tapBatch)
+			num += int64(tp.Rate()) * int64(TapBatch)
 			carry += tp.Carry()
 		}
 		if num <= 0 {
@@ -584,12 +521,12 @@ func (k *Kernel) threadPayableBound(t *sched.Thread, cost units.Energy, now, tic
 		if q < 1 {
 			q = 1
 		}
-		// The q-th future batch boundary (multiples of tapBatch at or
+		// The q-th future batch boundary (multiples of TapBatch at or
 		// after now; the boundary at now itself has not credited when the
 		// scheduler observes lvl) must have settled strictly before the
 		// first quantum that could pay.
-		b0 := now + (k.tapBatch-now%k.tapBatch)%k.tapBatch
-		if e := b0 + units.Time(q-1)*k.tapBatch + 1; e < earliest {
+		b0 := now + (TapBatch-now%TapBatch)%TapBatch
+		if e := b0 + units.Time(q-1)*TapBatch + 1; e < earliest {
 			earliest = e
 		}
 		return true
@@ -599,34 +536,27 @@ func (k *Kernel) threadPayableBound(t *sched.Thread, cost units.Energy, now, tic
 
 // resumeKernelTasks revives every deferred kernel task; it runs from the
 // activity hooks (thread created or woken, tap activated, radio woken)
-// and is a near-no-op when nothing is deferred. The flow and baseline
-// tasks stay parked — their boundaries settle lazily and the
-// boundary-at-now dance in syncAt hands them back their registration
-// slot — but the device task is revived so it can re-evaluate whether
-// its settlement preconditions still hold (a freshly activated tap may
-// now touch a device's private account).
+// and is a near-no-op when nothing is deferred. The batch task stays
+// parked — its boundaries settle lazily and the boundary-at-now dance in
+// syncAt hands it back its registration slot — but the device task is
+// revived so it can re-evaluate whether its settlement preconditions
+// still hold (a freshly activated tap may now touch a device's private
+// account).
 func (k *Kernel) resumeKernelTasks() {
 	k.taskSched.Resume()
 	k.taskDevices.Resume()
 	// Every activity this hook observes — a thread able to run, a tap
 	// activated, changed or released, the radio waking — can perturb a
-	// sweep settler's closed-form prediction; drop it and let the settler
+	// deferral's closed-form prediction; drop it and let the owner
 	// re-establish one from post-activity state.
-	k.invalidateSettlers()
-}
-
-// invalidateSettlers drops every registered sweep settler's prediction.
-func (k *Kernel) invalidateSettlers() {
-	for _, s := range k.settlers {
-		s.InvalidateSweeps()
-	}
+	k.invalidateDeferrals()
 }
 
 // syncAtAdvance is the advance-hook flavour of syncAt: it first tries
 // the fast boundary path, which handles the common quiescent instant —
 // no event due, scheduler parked, devices quiescent or settleable — in
 // one settlement call instead of resuming, firing and re-parking the
-// three boundary tasks. Direct syncAt callers (SetBacklight, about to
+// boundary tasks. Direct syncAt callers (SetBacklight, about to
 // change a rate themselves) must not take the fast path: it performs
 // boundary work at pre-event rates, which is only exact when nothing at
 // the instant can change them.
@@ -645,8 +575,8 @@ func (k *Kernel) syncAtAdvance(now units.Time) {
 //   - no pending event fires here (events may change rates, and
 //     boundary work must run at post-event rates);
 //   - the scheduler task is not due (a scheduled thread runs before the
-//     tap/baseline slots and may change rates; the kernel's tasks are
-//     registered first, so nothing else precedes them);
+//     batch slot and may change rates; the kernel's tasks are registered
+//     first, so nothing else precedes them);
 //   - every device is quiescent or settleable, so the device boundary
 //     tick telescopes like the rest of the span;
 //   - the boundary tasks themselves are parked past now (always true
@@ -655,8 +585,8 @@ func (k *Kernel) syncAtAdvance(now units.Time) {
 //     re-arm the parked tasks for the Run-boundary re-step — settling
 //     through now as well would perform the boundary work twice.
 func (k *Kernel) fastBoundary(now units.Time) bool {
-	if k.taskDevices.NextDue() <= now || k.taskTaps.NextDue() <= now ||
-		k.taskBaseline.NextDue() <= now || k.taskSched.NextDue() <= now {
+	if k.taskDevices.NextDue() <= now || k.taskBatch.NextDue() <= now ||
+		k.taskSched.NextDue() <= now {
 		return false
 	}
 	eng := k.Eng
@@ -666,40 +596,30 @@ func (k *Kernel) fastBoundary(now units.Time) bool {
 	if !k.devicesQuiescent() && !k.devicesSettleable() {
 		return false
 	}
-	if k.devicesPending > now && k.tapsPending > now && k.baselinePending > now {
-		k.syncSettlers(now)
+	if k.devicesPending > now && k.batchPending > now {
+		k.syncDeferrals(now)
 		return true // nothing due through now
 	}
-	k.settleWindow(now, now, now)
-	k.syncSettlers(now)
+	k.settleWindow(now, now)
+	k.syncDeferrals(now)
 	return true
-}
-
-// syncSettlers lets every sweep settler replay the firings its parked
-// task skipped strictly before now (tap batches through those boundaries
-// are settled by the time this runs) and re-arm the task if a firing is
-// due exactly now.
-func (k *Kernel) syncSettlers(now units.Time) {
-	for _, s := range k.settlers {
-		s.SyncSweeps(now)
-	}
 }
 
 // settleWindow advances the pending cursors through their limits. A
 // window that holds decay bites settles as segments ending at each bite
-// boundary b — devices, flows and baseline through b, then the bite —
-// so every bite reads the levels the reference's decay task reads at b,
-// and no segment's ordering proof (windowSafe, the depletion horizon)
-// spans a bite, which leaks energy that proof does not count.
-func (k *Kernel) settleWindow(devLimit, flowLimit, baseLimit units.Time) {
+// boundary b — devices and batches through b, then the bite — so every
+// bite reads the levels the reference's decay task reads at b, and no
+// segment's ordering proof (windowSafe, the depletion horizon) spans a
+// bite, which leaks energy that proof does not count.
+func (k *Kernel) settleWindow(devLimit, batchLimit units.Time) {
 	for {
-		b := k.nextBite(k.baselinePending)
-		if b > baseLimit {
+		b := k.nextBite(k.batchPending)
+		if b > batchLimit {
 			break
 		}
-		k.settleSegment(min(devLimit, b), min(flowLimit, b), b)
+		k.settleSegment(min(devLimit, b), b)
 	}
-	k.settleSegment(devLimit, flowLimit, baseLimit)
+	k.settleSegment(devLimit, batchLimit)
 }
 
 // settleSegment settles a window that holds no decay bite before its
@@ -707,26 +627,21 @@ func (k *Kernel) settleWindow(devLimit, flowLimit, baseLimit units.Time) {
 // device ticks are no-ops, so no ordering proof is needed and
 // SettleFlows / billBaselineBatches self-guard their own clamping
 // exactly; otherwise the depletion horizon must clear the whole window
-// before device billing may be reordered against flows, and a window it
-// cannot clear replays instant by instant.
-func (k *Kernel) settleSegment(devLimit, flowLimit, baseLimit units.Time) {
-	if k.devicesQuiescent() {
-		k.settleDevices(devLimit)
-		k.settleBatches(flowLimit, baseLimit)
-		return
-	}
-	if !k.windowSafe(devLimit, flowLimit, baseLimit) {
-		k.replayWindow(devLimit, flowLimit, baseLimit)
+// before device billing may be reordered against batches, and a window
+// it cannot clear replays instant by instant.
+func (k *Kernel) settleSegment(devLimit, batchLimit units.Time) {
+	if !k.devicesQuiescent() && !k.windowSafe(devLimit, batchLimit) {
+		k.replayWindow(devLimit, batchLimit)
 		return
 	}
 	k.settleDevices(devLimit)
-	k.settleBatches(flowLimit, baseLimit)
+	k.settleBatches(batchLimit)
 }
 
 // syncAt is the engine's advance hook: it runs once per executed
-// instant, before any callback at that instant, and settles every tap
-// batch, baseline batch and device tick that came due while the
-// corresponding tasks were parked — so meters, experiments, the
+// instant, before any callback at that instant, and settles every batch
+// and device tick that came due while the corresponding tasks were
+// parked — so meters, experiments, the
 // scheduler and netd always observe reserves exactly as a tick-by-tick
 // run would have left them. Work due strictly before the instant is
 // settled here; work due exactly at the instant is handed back to its
@@ -743,13 +658,10 @@ func (k *Kernel) syncAt(now units.Time) {
 	if k.devicesPending == now && k.taskDevices.NextDue() > now {
 		k.taskDevices.ResumeAt(now)
 	}
-	if k.tapsPending == now && k.taskTaps.NextDue() > now {
-		k.taskTaps.ResumeAt(now)
+	if k.batchPending == now && k.taskBatch.NextDue() > now {
+		k.taskBatch.ResumeAt(now)
 	}
-	if k.baselinePending == now && k.taskBaseline.NextDue() > now {
-		k.taskBaseline.ResumeAt(now)
-	}
-	k.syncSettlers(now)
+	k.syncDeferrals(now)
 }
 
 // syncLimit bounds lazy settlement at `now`: work strictly before the
@@ -762,9 +674,8 @@ func syncLimit(now units.Time, t *sim.Task) units.Time {
 	return limit
 }
 
-// fireDevices / fireTaps / fireBaseline perform exactly one firing's
-// worth of work at the given instant and advance the matching pending
-// cursor. They are the single definition shared by the periodic task
+// fireDevices / fireBatch perform exactly one firing's worth of work at
+// the given instant and advance the matching pending cursor. They are the single definition shared by the periodic task
 // callbacks, the exact-replay fallback and the end-of-Run settlement,
 // so the three paths cannot drift apart.
 func (k *Kernel) fireDevices(now units.Time) {
@@ -777,70 +688,63 @@ func (k *Kernel) fireDevices(now units.Time) {
 	}
 }
 
-func (k *Kernel) fireTaps(now units.Time) {
-	k.Graph.Flow(k.tapBatch)
-	if due := now + k.tapBatch; due > k.tapsPending {
-		k.tapsPending = due
-	}
-}
-
-func (k *Kernel) fireBaseline(now units.Time) {
-	k.billBaseline(k.tapBatch)
-	if due := now + k.tapBatch; due > k.baselinePending {
-		k.baselinePending = due
+// fireBatch flows the taps, then bills the baseline, then applies the
+// decay bite due at a whole second: the order in which the reference's
+// adjacent tasks fire.
+func (k *Kernel) fireBatch(now units.Time) {
+	k.Graph.Flow(TapBatch)
+	k.billBaseline(TapBatch)
+	if due := now + TapBatch; due > k.batchPending {
+		k.batchPending = due
 	}
 	k.biteAt(now)
 }
 
 // biteAt applies the decay bite due at t on a production kernel when t
-// is a whole second; it runs right after t's baseline batch, where the
-// reference's decay task fires.
-// Every sweep settler first replays the firings it skipped strictly
-// before t, so the bite reads each reserve at the level per-sweep
-// execution leaves there. While no decayable reserve exists the bite
-// is a no-op.
+// is a whole second; it runs right after t's batch, where the
+// reference's decay task fires. Every standing deferral first replays
+// the firings it skipped strictly before t, so the bite reads each
+// reserve at the level per-firing execution leaves there. While no
+// decayable reserve exists the bite is a no-op.
 func (k *Kernel) biteAt(t units.Time) {
 	if k.nextBite(t) != t {
 		return
 	}
-	for _, s := range k.settlers {
-		s.ReplaySweeps(t - 1)
-	}
+	k.replayDeferrals(t - 1)
 	k.Graph.Decay(units.Second)
 }
 
 // nextBite returns the first whole second at or after t, where
 // settlement stops for a bite, or MaxTime on the reference (whose decay
-// task bites) and while no bite can move energy.
+// task bites), with decay disabled and while no bite can move energy.
 func (k *Kernel) nextBite(t units.Time) units.Time {
-	if !k.lazySettle || k.taskDecay == nil || k.Graph.DecayableCount() == 0 {
+	if !k.lazySettle || k.Graph.HalfLife() < 0 || k.Graph.DecayableCount() == 0 {
 		return sim.MaxTime
 	}
 	return t + (units.Second-t%units.Second)%units.Second
 }
 
-// syncPendingBefore settles every pending tap batch, baseline batch and
-// device tick strictly before now. When the depletion horizon proves no
-// reserve can clamp anywhere in the window — counting worst-case tap
-// outflow, baseline draw and peak device draw against every source, with
-// all inflows ignored — the pieces commute and each settles in closed
-// form; otherwise the window replays instant by instant in exact task
-// order (a dying battery's partial-drain sequence must match a
-// tick-by-tick run to the microjoule).
+// syncPendingBefore settles every pending batch and device tick strictly
+// before now. When the depletion horizon proves no reserve can clamp
+// anywhere in the window — counting worst-case tap outflow, baseline
+// draw and peak device draw against every source, with all inflows
+// ignored — the pieces commute and each settles in closed form;
+// otherwise the window replays instant by instant in exact task order (a
+// dying battery's partial-drain sequence must match a tick-by-tick run
+// to the microjoule).
 func (k *Kernel) syncPendingBefore(now units.Time) {
 	devLimit := syncLimit(now, k.taskDevices)
-	flowLimit := syncLimit(now, k.taskTaps)
-	baseLimit := syncLimit(now, k.taskBaseline)
-	if k.devicesPending > devLimit && k.tapsPending > flowLimit && k.baselinePending > baseLimit {
+	batchLimit := syncLimit(now, k.taskBatch)
+	if k.devicesPending > devLimit && k.batchPending > batchLimit {
 		return
 	}
-	k.settleWindow(devLimit, flowLimit, baseLimit)
+	k.settleWindow(devLimit, batchLimit)
 }
 
 // windowSafe reports whether the whole pending window is clamp-free
 // under worst-case assumptions, making device billing, tap flows and
 // baseline billing order-independent.
-func (k *Kernel) windowSafe(devLimit, flowLimit, baseLimit units.Time) bool {
+func (k *Kernel) windowSafe(devLimit, batchLimit units.Time) bool {
 	start := units.Time(math.MaxInt64)
 	end := units.Time(0)
 	span := func(pending, limit units.Time) {
@@ -854,14 +758,13 @@ func (k *Kernel) windowSafe(devLimit, flowLimit, baseLimit units.Time) bool {
 		}
 	}
 	span(k.devicesPending, devLimit)
-	span(k.tapsPending, flowLimit)
-	span(k.baselinePending, baseLimit)
+	span(k.batchPending, batchLimit)
 	if start > end {
 		return true // nothing pending
 	}
-	batches := int64((end-start)/k.tapBatch) + 2
+	batches := int64((end-start)/TapBatch) + 2
 	extra := k.baselinePower() + k.devicesPeakDraw()
-	return k.Graph.HorizonBatches(k.tapBatch, extra) >= batches
+	return k.Graph.HorizonBatches(TapBatch, extra) >= batches
 }
 
 // settleDevices advances every settleable device through the ticks the
@@ -882,48 +785,34 @@ func (k *Kernel) settleDevices(devLimit units.Time) {
 	k.devicesPending = devLimit + tick
 }
 
-// settleBatches advances the tap-flow and baseline cursors through their
-// pending boundaries. The two grids coincide (same period and phase), so
-// aligned boundaries settle as interleaved chunks — the graph picks the
-// chunk size from its depletion horizon and bills the matching number of
-// baseline batches after each chunk, preserving the flow-then-baseline
-// order of every boundary. settleWindow ends a window at each bite, so
-// only a chunk's last boundary can be due one, which then follows it.
-func (k *Kernel) settleBatches(flowLimit, baseLimit units.Time) {
-	for k.tapsPending <= flowLimit || k.baselinePending <= baseLimit {
-		ft, bt := k.tapsPending, k.baselinePending
-		flowDue, baseDue := ft <= flowLimit, bt <= baseLimit
-		switch {
-		case flowDue && baseDue && ft == bt:
-			n := int64((min(flowLimit, baseLimit)-ft)/k.tapBatch) + 1
-			k.Graph.SettleFlows(k.tapBatch, n, k.baselinePower(), k.fn.billBaseline)
-			d := units.Time(n) * k.tapBatch
-			k.tapsPending += d
-			k.baselinePending += d
-			k.biteAt(ft + d - k.tapBatch)
-		case flowDue && (!baseDue || ft < bt):
-			k.fireTaps(ft)
-		default:
-			k.fireBaseline(bt)
-		}
+// settleBatches advances the batch cursor through its pending
+// boundaries as chunks: the graph picks the chunk size from its
+// depletion horizon and bills the matching number of baseline batches
+// after each chunk, preserving the flow-then-baseline order of every
+// boundary. settleWindow ends a window at each bite, so only the last
+// boundary can be due one, which then follows it.
+func (k *Kernel) settleBatches(batchLimit units.Time) {
+	if k.batchPending > batchLimit {
+		return
 	}
+	n := int64((batchLimit-k.batchPending)/TapBatch) + 1
+	k.Graph.SettleFlows(TapBatch, n, k.baselinePower(), k.fn.billBaseline)
+	k.batchPending += units.Time(n) * TapBatch
+	k.biteAt(k.batchPending - TapBatch)
 }
 
 // replayWindow settles the pending window instant by instant in exact
-// task order — device ticks, then the tap batch, then the baseline batch
-// at each boundary — the fallback when a reserve could clamp inside the
-// window and ordering therefore matters.
-func (k *Kernel) replayWindow(devLimit, flowLimit, baseLimit units.Time) {
+// task order — device ticks, then the batch at each boundary — the
+// fallback when a reserve could clamp inside the window and ordering
+// therefore matters.
+func (k *Kernel) replayWindow(devLimit, batchLimit units.Time) {
 	for {
 		t := units.Time(math.MaxInt64)
-		if k.devicesPending <= devLimit && k.devicesPending < t {
+		if k.devicesPending <= devLimit {
 			t = k.devicesPending
 		}
-		if k.tapsPending <= flowLimit && k.tapsPending < t {
-			t = k.tapsPending
-		}
-		if k.baselinePending <= baseLimit && k.baselinePending < t {
-			t = k.baselinePending
+		if k.batchPending <= batchLimit && k.batchPending < t {
+			t = k.batchPending
 		}
 		if t == units.Time(math.MaxInt64) {
 			return
@@ -931,11 +820,8 @@ func (k *Kernel) replayWindow(devLimit, flowLimit, baseLimit units.Time) {
 		if k.devicesPending == t && t <= devLimit {
 			k.fireDevices(t)
 		}
-		if k.tapsPending == t && t <= flowLimit {
-			k.fireTaps(t)
-		}
-		if k.baselinePending == t && t <= baseLimit {
-			k.fireBaseline(t)
+		if k.batchPending == t && t <= batchLimit {
+			k.fireBatch(t)
 		}
 	}
 }
@@ -968,12 +854,12 @@ func (k *Kernel) devicesPeakDraw() units.Power {
 }
 
 // settle closes out lazily-deferred accounting at the end of a Run: any
-// tap batches, baseline batches, device ticks and idle quanta the parked
-// tasks would have performed up to the stop instant are applied in
-// closed form, so callers reading Consumed or Utilization between Runs
-// see exactly what a tick-by-tick engine would have produced. Work due
-// exactly at the stop instant is performed in task order (devices, taps,
-// baseline) if the owning task did not itself fire there.
+// batches, device ticks and idle quanta the parked tasks would have
+// performed up to the stop instant are applied in closed form, so
+// callers reading Consumed or Utilization between Runs see exactly what
+// a tick-by-tick engine would have produced. Work due exactly at the
+// stop instant is performed in task order (devices, batch) if the owning
+// task did not itself fire there.
 func (k *Kernel) settle() {
 	now := k.Eng.Now()
 	if k.lazySettle {
@@ -981,15 +867,10 @@ func (k *Kernel) settle() {
 		if k.devicesPending == now && k.taskDevices.NextDue() > now {
 			k.fireDevices(now)
 		}
-		if k.tapsPending == now && k.taskTaps.NextDue() > now {
-			k.fireTaps(now)
+		if k.batchPending == now && k.taskBatch.NextDue() > now {
+			k.fireBatch(now)
 		}
-		if k.baselinePending == now && k.taskBaseline.NextDue() > now {
-			k.fireBaseline(now)
-		}
-		for _, s := range k.settlers {
-			s.SettleSweeps(now)
-		}
+		k.stopDeferrals(now)
 	}
 	if n := int64((now - k.lastSchedAt) / k.Eng.Tick()); n > 0 {
 		k.Sched.AddIdleTicks(n)
@@ -1021,11 +902,11 @@ func (k *Kernel) billBaselineBatches(n int64) {
 		return
 	}
 	if n == 1 {
-		k.billBaseline(k.tapBatch)
+		k.billBaseline(TapBatch)
 		return
 	}
 	p := k.baselinePower()
-	total := int64(p)*int64(k.tapBatch)*n + k.baseCarry
+	total := int64(p)*int64(TapBatch)*n + k.baseCarry
 	e := units.Energy(total / 1000)
 	if e <= 0 || k.Graph.Battery().CanConsume(k.kpriv, e) {
 		k.baseCarry = total % 1000
@@ -1035,7 +916,7 @@ func (k *Kernel) billBaselineBatches(n int64) {
 		return
 	}
 	for i := int64(0); i < n; i++ {
-		k.billBaseline(k.tapBatch)
+		k.billBaseline(TapBatch)
 	}
 }
 
@@ -1052,9 +933,9 @@ func (k *Kernel) baselinePower() units.Power {
 func (k *Kernel) SetBacklight(on bool) {
 	k.syncAt(k.Eng.Now())
 	k.backlight = on
-	// The baseline power change moves the depletion horizon a sweep
-	// settler's prediction was capped by.
-	k.invalidateSettlers()
+	// The baseline power change moves the depletion horizon a deferral's
+	// prediction was capped by.
+	k.invalidateDeferrals()
 }
 
 // KernelPriv returns the kernel's privilege set (owns the system
@@ -1086,37 +967,20 @@ func (k *Kernel) AddDevice(d Device) {
 	k.taskDevices.Resume()
 }
 
-// AddSweepSettler registers a subsystem's closed-form sweep settlement
-// with the kernel's per-instant synchronization (see SweepSettler).
-func (k *Kernel) AddSweepSettler(s SweepSettler) {
-	k.settlers = append(k.settlers, s)
-}
+// TapsSettledThrough returns the last batch boundary whose flows have
+// been applied. At a deferral's replay point every boundary strictly
+// before the replay limit is settled.
+func (k *Kernel) TapsSettledThrough() units.Time { return k.batchPending - TapBatch }
 
-// LazySettle reports whether this kernel runs closed-form settlement —
-// true on every production (next-event) kernel, false on the reference
-// configuration. It is the regime in which a SweepSettler's parked task
-// has its skipped firings replayed lazily; sweep settlers refuse to
-// predict outside it, since the reference executes every firing.
-func (k *Kernel) LazySettle() bool { return k.lazySettle }
-
-// TapsSettledThrough returns the last tap-batch boundary whose flows
-// have been applied. At a sweep settler's replay point (inside
-// SyncSweeps at an executed instant) every boundary strictly before now
-// is settled; the accessor lets the settler assert that invariant.
-func (k *Kernel) TapsSettledThrough() units.Time { return k.tapsPending - k.tapBatch }
-
-// SweepHorizonBatches bounds how many tap batches ahead a sweep settler
-// may trust constant-rate extrapolation: within the horizon no reserve
+// SweepHorizonBatches bounds how many tap batches ahead a deferral's
+// owner may trust constant-rate extrapolation: within the horizon no reserve
 // can clamp (counting worst-case tap outflow, baseline draw and peak
 // device draw against every source, all inflows ignored), so const-tap
 // carries telescope exactly and a skipped window decomposes per
 // boundary. Predictions must not defer past it.
 func (k *Kernel) SweepHorizonBatches() int64 {
-	return k.Graph.HorizonBatches(k.tapBatch, k.baselinePower()+k.devicesPeakDraw())
+	return k.Graph.HorizonBatches(TapBatch, k.baselinePower()+k.devicesPeakDraw())
 }
-
-// TapBatch returns the tap flow batching interval.
-func (k *Kernel) TapBatch() units.Time { return k.tapBatch }
 
 // Consumed returns total energy consumed across the system — what the
 // bench supply has delivered. Experiments attach power.Meter to this.
@@ -1135,8 +999,8 @@ func (k *Kernel) Battery() *core.Reserve { return k.Graph.Battery() }
 // declare death at their own granularity: a device that cannot fund one
 // watch period of idle floor has no measurable life left in it.
 func (k *Kernel) BatteryExhaustedFor(d units.Time) bool {
-	if d < k.tapBatch {
-		d = k.tapBatch
+	if d < TapBatch {
+		d = TapBatch
 	}
 	return !k.Graph.Battery().CanConsume(k.kpriv, k.baselinePower().Over(d))
 }
@@ -1172,7 +1036,7 @@ func (k *Kernel) WatchHorizon(except *sim.Task) units.Time {
 		return 0
 	}
 	p := k.baselinePower() + k.Graph.DrainBound(bat)
-	thresh := p.Over(k.tapBatch)
+	thresh := p.Over(TapBatch)
 	// Slack: the exhaustion threshold itself, one extra batch for carry
 	// rounding, and one watch period for the deferral's grid ceiling.
 	margin := lvl - 2*thresh
@@ -1184,10 +1048,10 @@ func (k *Kernel) WatchHorizon(except *sim.Task) units.Time {
 	if except != nil {
 		period = except.Period
 	}
-	if safe <= period+k.tapBatch {
+	if safe <= period+TapBatch {
 		return 0
 	}
-	horizon := k.Eng.Now() + safe - period - k.tapBatch
+	horizon := k.Eng.Now() + safe - period - TapBatch
 	if w := k.Eng.EarliestWork(except); w < horizon {
 		horizon = w
 	}

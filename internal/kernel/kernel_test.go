@@ -29,31 +29,12 @@ func TestBaselineDrawMatchesIdlePower(t *testing.T) {
 	want := units.Milliwatts(699).Over(10 * units.Second)
 	// The t=0 batch fires once more than the interval count; allow one
 	// batch of slop.
-	slop := units.Milliwatts(699).Over(DefaultTapBatch)
+	slop := units.Milliwatts(699).Over(TapBatch)
 	if got < want || got > want+slop {
 		t.Fatalf("consumed = %v, want %v (+%v slop)", got, want, slop)
 	}
 	if k.Graph.ConservationError() != 0 {
 		t.Fatalf("conservation error %v", k.Graph.ConservationError())
-	}
-}
-
-// TestTapBatchMustDivideSecond: every whole second must be a batch
-// boundary, where a production kernel applies that second's decay bite.
-func TestTapBatchMustDivideSecond(t *testing.T) {
-	for _, tb := range []units.Time{3 * units.Millisecond, 300 * units.Millisecond, -units.Millisecond} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("TapBatch %d ms did not panic", tb)
-				}
-			}()
-			New(Config{TapBatch: tb})
-		}()
-	}
-	k := New(Config{TapBatch: 4 * units.Millisecond})
-	if got := k.TapBatch(); got != 4*units.Millisecond {
-		t.Fatalf("TapBatch() = %d ms, want 4", got)
 	}
 }
 
@@ -64,7 +45,7 @@ func TestBacklightAddsDraw(t *testing.T) {
 	base.Run(10 * units.Second)
 	delta := k.Consumed() - base.Consumed()
 	want := units.Milliwatts(555).Over(10 * units.Second)
-	slop := units.Milliwatts(555).Over(DefaultTapBatch)
+	slop := units.Milliwatts(555).Over(TapBatch)
 	if delta < want-slop || delta > want+slop {
 		t.Fatalf("backlight delta = %v, want ≈%v", delta, want)
 	}

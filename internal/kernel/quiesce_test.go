@@ -14,7 +14,7 @@ import (
 // baseline power exactly on a batch boundary, while the kernel is fully
 // quiescent, must be billed identically under both engines — the
 // fixed-tick engine bills the boundary batch after the instant's
-// events, so the parked baseline task is handed that boundary back
+// events, so the parked batch task is handed that boundary back
 // rather than having the advance hook bill it at the pre-event rate.
 func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
 	consumed := func(reference bool) units.Energy {
@@ -34,11 +34,11 @@ func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
 // TestReserveDeletionRestoresQuiescence is the regression test for the
 // tap-lifecycle leak: deleting a reserve that is the endpoint of a live
 // tap used to leave the tap in the graph's active set forever, so the
-// kernel's flow/baseline batch tasks never parked again and an idle
-// post-deletion run degenerated to tick-by-tick execution. After the
-// fix, the deletion deactivates the orphaned tap, the battery's tap
-// drain drops to zero, and the remainder of the run re-enters the
-// next-event fast path (executed instants ≪ ticks).
+// kernel's batch task never parked again and an idle post-deletion run
+// degenerated to tick-by-tick execution. After the fix, the deletion
+// deactivates the orphaned tap, the battery's tap drain drops to zero,
+// and the remainder of the run re-enters the next-event fast path
+// (executed instants ≪ ticks).
 func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	k := New(Config{Seed: 3})
 	// An app whose reserve lives in its own container while the feeding

@@ -129,7 +129,7 @@ func TestBusyTapFastPath(t *testing.T) {
 	}
 	_, want := run(true)
 	steps, got := run(false)
-	if batches := uint64(horizon / DefaultTapBatch); steps*20 >= batches {
+	if batches := uint64(horizon / TapBatch); steps*20 >= batches {
 		t.Fatalf("closed-form executed %d instants over %d tap batches — busy fast path not engaged (want ≥ 20x fewer)", steps, batches)
 	}
 	// And the accounting must agree exactly.

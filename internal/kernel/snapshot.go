@@ -27,8 +27,7 @@ func (k *Kernel) Codec(c *snap.Codec) {
 	c.Bool(&k.backlight)
 	snap.Uint(c, &k.nextCat)
 	snap.Int(c, &k.lastSchedAt)
-	snap.Int(c, &k.baselinePending)
-	snap.Int(c, &k.tapsPending)
+	snap.Int(c, &k.batchPending)
 	snap.Int(c, &k.devicesPending)
 	names := make([]string, 0, len(k.gates))
 	for name := range k.gates {
@@ -70,8 +69,8 @@ func (c *BatteryCharger) Codec(cd *snap.Codec) {
 	snap.Int(cd, &c.supply.Rate)
 	snap.Int(cd, &c.lastCharge)
 	snap.Int(cd, &c.carry)
-	cd.Bool(&c.settling)
-	if c.settling && !c.closedForm {
+	cd.Bool(&c.def.standing)
+	if c.def.standing && !c.k.lazySettle {
 		cd.Failf("kernel: charger restore: snapshot recorded a deferred charge prediction but the rebuilt charger " +
 			"credits every quantum (reference configuration) — resume in the configuration " +
 			"the checkpoint was written under")

@@ -183,7 +183,7 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 	t.Helper()
 	r := newRigMode(t,
 		kernel.Config{Seed: 7, DecayHalfLife: -1, Reference: reference},
-		radio.Config{}, Config{Cooperative: true, QuiescentSweep: true})
+		radio.Config{}, Config{Cooperative: true})
 	kp := r.k.KernelPriv()
 
 	var (
@@ -261,12 +261,12 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 		// the machinery does guarantee: the prediction is strictly in
 		// the future, on the sweep grid, ahead of the last accounted
 		// boundary — and lastSweep itself never rewinds.
-		if n.settling {
+		if n.def.Standing() {
 			predicted := n.sweepTask.NextDue()
 			if predicted <= now {
 				t.Errorf("t=%v: predicted fire %v is not in the future", now, predicted)
 			}
-			if predicted%n.cfg.SweepPeriod != 0 {
+			if predicted%SweepPeriod != 0 {
 				t.Errorf("t=%v: predicted fire %v is off the sweep grid", now, predicted)
 			}
 			if predicted <= n.lastSweep {
@@ -283,7 +283,7 @@ func runScenario(t testing.TB, reference bool, sc scenario) []chunkState {
 				t.Errorf("pool level: %v", err)
 				return
 			}
-			if thr := n.threshold(now); lvl >= thr+maxRate.Over(n.cfg.SweepPeriod) {
+			if thr := n.threshold(now); lvl >= thr+maxRate.Over(SweepPeriod) {
 				t.Errorf("t=%v: pool overshoot: level %v >= threshold %v with %d waiters",
 					now, lvl, thr, len(n.waiters))
 			}

@@ -43,9 +43,14 @@ const GateName = "netd.poll"
 // before turning the radio on").
 const DefaultThresholdPct = 125
 
-// DefaultSweepPeriod is how often netd sweeps waiting threads' reserves
-// into the pool and re-checks the threshold.
-const DefaultSweepPeriod = 100 * units.Millisecond
+// SweepPeriod is how often netd sweeps waiting threads' reserves into
+// the pool and re-checks the threshold.
+const SweepPeriod = 100 * units.Millisecond
+
+// Sweep boundaries lie on the tap-batch grid, so per-boundary credits
+// decompose from telescoped batch flows (settleGuard, replayThrough);
+// this fails to compile otherwise.
+const _ = uint(-(SweepPeriod % kernel.TapBatch))
 
 // ErrNotThread reports a gate call without a thread context.
 var ErrNotThread = errors.New("netd: caller has no reserve")
@@ -58,18 +63,10 @@ type Config struct {
 	Cooperative bool
 	// ThresholdPct overrides DefaultThresholdPct.
 	ThresholdPct int
-	// SweepPeriod overrides DefaultSweepPeriod.
-	SweepPeriod units.Time
 	// Estimator optionally replaces the static activation-cost constant
 	// with an online estimate refined from past activations (§9 /
 	// internal/estimator). Nil keeps the offline-measured 9.5 J.
 	Estimator interface{ Estimate() units.Energy }
-	// QuiescentSweep parks the periodic sweep while no caller is
-	// waiting; a new waiter revives it. A sweep with no waiters changes
-	// no state — it only samples the pool trace, if any — so results
-	// are unaffected, but the device can fully quiesce between sessions
-	// (the fleet runner enables this; experiments sweep every period).
-	QuiescentSweep bool
 }
 
 // Request is the argument applications pass through the netd gate: a
@@ -125,22 +122,23 @@ type Netd struct {
 
 	// Closed-form sweep settlement: instead of executing a sweep every
 	// 100 ms while callers wait, netd computes the exact boundary at
-	// which the pool crosses the threshold, defers the sweep task there,
-	// and replays the skipped drains in one exact fixup per waiter when
-	// the prediction is synchronized or dropped. closedForm marks the
-	// regime it engages in — cooperative pooling on a production kernel
-	// (the reference executes every sweep); settling marks the sweep task deferred to the
-	// predicted pool-crossing instant; lastSweep is the last boundary
-	// whose waiter drains are applied (executed or replayed). The
-	// scratch slices make prediction and replay allocation-free in
-	// steady state.
-	closedForm bool
-	settling   bool
-	replaying  bool
-	lastSweep  units.Time
-	scratch    []*core.Tap
-	predTaps   []predTap
-	predLvls   []int64
+	// which the pool crosses the threshold, defers the sweep task there
+	// (def), and replays the skipped drains in one exact fixup per
+	// waiter when the kernel synchronizes or drops the deferral.
+	// lastSweep is the last boundary whose waiter drains are applied
+	// (executed or replayed). The scratch slices make prediction and
+	// replay allocation-free in steady state.
+	def       kernel.Deferral
+	lastSweep units.Time
+	scratch   []*core.Tap
+	predTaps  []predTap
+	predLvls  []int64
+	// fn holds the sweep task body and the deferral's callbacks, bound
+	// once so a recycled Reset re-registers them without allocating.
+	fn struct {
+		sweep          func(*sim.Engine)
+		replay, atStop func(units.Time)
+	}
 }
 
 // predTap is one constant tap feeding a waiter, as the prediction
@@ -189,8 +187,10 @@ func (n *Netd) Reset(k *kernel.Kernel, r *radio.Radio, cfg Config) error {
 	if cfg.ThresholdPct == 0 {
 		cfg.ThresholdPct = DefaultThresholdPct
 	}
-	if cfg.SweepPeriod == 0 {
-		cfg.SweepPeriod = DefaultSweepPeriod
+	if n.fn.sweep == nil {
+		n.fn.sweep = func(e *sim.Engine) { n.sweep(e.Now()) }
+		n.fn.replay = n.replayThrough
+		n.fn.atStop = n.sweep
 	}
 	n.k, n.radio, n.cfg = k, r, cfg
 	n.cat = k.NewCategory()
@@ -219,14 +219,11 @@ func (n *Netd) Reset(k *kernel.Kernel, r *radio.Radio, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("netd: %w", err)
 	}
-	n.sweepTask = k.Eng.Every("netd:sweep", cfg.SweepPeriod, func(e *sim.Engine) { n.sweep(e.Now()) })
-
-	n.closedForm = cfg.Cooperative && k.LazySettle()
-	n.settling = false
+	n.sweepTask = k.Eng.Every("netd:sweep", SweepPeriod, n.fn.sweep)
+	// A Run stopping on a boundary the deferred task skipped sweeps
+	// there directly (atStop), after the kernel's own at-stop work.
+	k.AddDeferral(&n.def, n.sweepTask, n.fn.replay, n.fn.atStop)
 	n.lastSweep = 0
-	if n.closedForm {
-		k.AddSweepSettler(n)
-	}
 	return nil
 }
 
@@ -272,13 +269,13 @@ func (n *Netd) handlePoll(call *kernel.Call) error {
 	n.pruneWaiters()
 	w := waiter{th: th, priv: call.BillPriv(), bill: call.BillTo(), req: req}
 	n.waiters = append(n.waiters, w)
-	if n.cfg.QuiescentSweep {
-		n.sweepTask.Resume()
-	}
-	// A new waiter changes the pool inflow; any closed-form prediction
-	// made without it is stale. (The kernel's activity hooks usually
-	// dropped it already when this caller's thread last woke.)
-	n.InvalidateSweeps()
+	// A new waiter revives a parked sweep and changes the pool inflow,
+	// so any closed-form prediction made without it is stale. (The
+	// kernel's activity hooks usually dropped it already when this
+	// caller's thread last woke.) The boundaries it skipped so far were
+	// replayed before this callback ran.
+	n.def.End()
+	n.sweepTask.Resume()
 	// Contribute whatever the caller's taps have accumulated (§5.5.2).
 	n.contribute(w)
 	if n.poolReady(call.Now) {
@@ -341,7 +338,10 @@ func (n *Netd) poolReady(now units.Time) bool {
 // inflow, and the pool fires when it reaches the threshold. Under
 // closed-form settlement a sweep that leaves the pool short re-predicts
 // the crossing instant and defers the task there instead of grinding
-// through every 100 ms boundary in between.
+// through every 100 ms boundary in between, and a sweep with no waiter
+// parks the task until a caller arrives: it changes no state but the
+// pool trace, so it parks only when the pool is untraced, and only on a
+// production kernel (the reference executes every sweep).
 func (n *Netd) sweep(now units.Time) {
 	if n.poolTrace != nil {
 		n.poolTrace.Add(now, func() int64 {
@@ -349,11 +349,11 @@ func (n *Netd) sweep(now units.Time) {
 			return int64(lvl)
 		}())
 	}
-	n.settling = false
+	n.def.End()
 	n.lastSweep = now
 	n.pruneWaiters()
 	if len(n.waiters) == 0 {
-		if n.cfg.QuiescentSweep {
+		if n.poolTrace == nil && n.def.Enabled() {
 			n.sweepTask.Park()
 		}
 		return
@@ -369,28 +369,25 @@ func (n *Netd) sweep(now units.Time) {
 }
 
 // maybeSettle predicts the boundary at which the pool will cross the
-// threshold and defers the sweep task there. The engine keeps the
-// deferral exact: the kernel synchronizes the settler before every
-// executed instant (replaying the skipped drains), any activity that
-// could perturb the prediction invalidates it, and a prediction that
-// fires early is harmless — the sweep re-checks and re-predicts.
+// threshold and defers the sweep task there. The kernel keeps the
+// deferral exact (see kernel.Deferral): it replays the skipped drains
+// before every executed instant, any activity that could perturb the
+// prediction ends it, and a prediction that fires early is harmless —
+// the sweep re-checks and re-predicts.
 func (n *Netd) maybeSettle(now units.Time) {
-	if !n.closedForm || now%n.cfg.SweepPeriod != 0 || !n.settleGuard() {
+	if !n.def.Enabled() || now%SweepPeriod != 0 || !n.settleGuard() {
 		return
 	}
 	t := n.predictFire(now)
-	if t <= now+n.cfg.SweepPeriod {
+	if t <= now+SweepPeriod {
 		return // next boundary fires anyway; stay on the grid
 	}
-	n.sweepTask.DeferUntil(t)
-	n.settling = true
+	n.def.Defer(t)
 }
 
 // settleGuard reports whether the pooling loop is in the regime the
 // closed-form model covers exactly:
 //
-//   - sweep boundaries lie on the tap-batch grid, so per-boundary
-//     credits decompose from telescoped batch flows;
 //   - the radio is untraced — a pool trace samples every boundary,
 //     which skipping would lose (traced experiments fall back to
 //     per-sweep execution, preserving the frozen plot hashes);
@@ -410,19 +407,16 @@ func (n *Netd) maybeSettle(now units.Time) {
 //     source that decay also leaks could starve its tap inside it.
 //
 // Decay bites on a waiter's own reserve need no guard. The kernel
-// applies them inside settled windows too, but replays this settler's
-// skipped drains strictly before each (ReplaySweeps), so a bite reads
-// the level per-sweep execution leaves. A bite only takes from a
-// positive level and leaves it non-negative, and the next drain empties
-// a positive level anyway, so the reserve's level after that drain is
+// applies them inside settled windows too, but replays this
+// deferral's skipped drains strictly before each, so a bite reads the
+// level per-sweep execution leaves. A bite only takes from a positive
+// level and leaves it non-negative, and the next drain empties a
+// positive level anyway, so the reserve's level after that drain is
 // the same with or without the bite: the drains replayThrough applies
 // across a bite still total max(0, level − ρ), the current level
-// already net of the leak. A prediction that ignores future bites only
-// errs early.
+// already net of the leak. A prediction that ignores future bites
+// only errs early.
 func (n *Netd) settleGuard() bool {
-	if n.cfg.SweepPeriod%n.k.TapBatch() != 0 {
-		return false
-	}
 	if n.radio.Traced() {
 		return false
 	}
@@ -466,9 +460,8 @@ func (n *Netd) predictFire(now units.Time) units.Time {
 		return 0
 	}
 	need := n.threshold(now)
-	period := n.cfg.SweepPeriod
-	dt := n.k.TapBatch()
-	m := int64(period / dt)
+	dt := kernel.TapBatch
+	m := int64(SweepPeriod / dt)
 	maxSweeps := n.k.SweepHorizonBatches() / m
 	if maxSweeps > sweepCap {
 		maxSweeps = sweepCap
@@ -499,7 +492,7 @@ func (n *Netd) predictFire(now units.Time) units.Time {
 		}
 	}
 	s := crossingSweep(n.predTaps, n.predLvls, int64(poolLvl), int64(need), maxSweeps)
-	return now + units.Time(s)*period
+	return now + units.Time(s)*SweepPeriod
 }
 
 // crossingSweep returns the first sweep s in [1, maxSweeps] after which
@@ -553,33 +546,29 @@ func addSat(a, b int64) int64 {
 	return a + b
 }
 
-// replayThrough applies, in one exact fixup per waiter, the drains the
-// deferred sweep task skipped at every boundary in (lastSweep, limit].
+// replayThrough is the deferral's replay: it applies, in one exact fixup
+// per waiter, the drains the deferred sweep task skipped at every
+// boundary in (lastSweep, limit].
 // For a reserve whose only credits are non-negative constant-tap flows,
 // draining max(0, level) at boundaries b₁..bₖ moves in total
 // max(0, L₀ + Cₖ) — L₀ the level after the lastSweep drain, Cₖ the
 // credits through bₖ — and leaves min(0, L₀+Cₖ). The current level
 // already includes ρ, the credits applied after bₖ (the kernel settles
-// tap batches before synchronizing settlers), so the fixup transfers
+// batches before any deferral replays), so the fixup transfers
 // max(0, level−ρ); ρ decomposes backward from each tap's current carry,
 // since constant-tap carries evolve linearly mod 1000 and, by
-// settleGuard, stay in [0, 1000).
+// settleGuard, stay in [0, 1000). The fixup transfers fire the graph's
+// tap-activity hook; the deferral's replay guard keeps them from ending
+// the deferral they service.
 func (n *Netd) replayThrough(limit units.Time) {
-	period := n.cfg.SweepPeriod
-	last := limit - limit%period
+	last := limit - limit%SweepPeriod
 	if last <= n.lastSweep {
 		return
 	}
-	swept := int64((last - n.lastSweep) / period)
+	swept := int64((last - n.lastSweep) / SweepPeriod)
 	settled := n.k.TapsSettledThrough()
-	dt := n.k.TapBatch()
+	dt := kernel.TapBatch
 	g := n.k.Graph
-	// The fixup transfers below fire the graph's tap-activity hook, which
-	// routes back here as InvalidateSweeps. Those transfers are the
-	// replay's own — modeled exactly by the prediction — so invalidating
-	// on them would tear down the deferral it is servicing.
-	n.replaying = true
-	defer func() { n.replaying = false }()
 	for i := range n.waiters {
 		w := &n.waiters[i]
 		lvl, err := w.bill.Level(w.priv)
@@ -605,62 +594,6 @@ func (n *Netd) replayThrough(limit units.Time) {
 	}
 	n.stats.SettledSweeps += swept
 	n.lastSweep = last
-}
-
-// SyncSweeps implements kernel.SweepSettler: called before every
-// executed instant (after tap/baseline/device settlement has caught up),
-// it replays the boundaries the deferred sweep task skipped strictly
-// before now and, when a boundary lands exactly now, hands the firing
-// back to the task so it runs in its registration slot — after the
-// kernel's decay task, exactly where per-sweep execution puts it.
-func (n *Netd) SyncSweeps(now units.Time) {
-	if !n.settling {
-		return
-	}
-	n.replayThrough(now - 1)
-	if now%n.cfg.SweepPeriod == 0 && n.sweepTask.NextDue() > now {
-		n.settling = false
-		n.sweepTask.ResumeAt(now)
-	}
-}
-
-// ReplaySweeps implements kernel.SweepSettler: replays the drains the
-// deferred sweep task skipped at or before limit, ahead of a decay bite
-// (see settleGuard).
-func (n *Netd) ReplaySweeps(limit units.Time) {
-	if n.settling {
-		n.replayThrough(limit)
-	}
-}
-
-// SettleSweeps implements kernel.SweepSettler: closes out a Run whose
-// stop instant the engine never executed. Skipped boundaries strictly
-// before the stop replay as usual; a boundary exactly at the stop runs
-// as a direct sweep, after the kernel's own at-stop boundary work.
-func (n *Netd) SettleSweeps(now units.Time) {
-	if !n.settling {
-		return
-	}
-	n.replayThrough(now - 1)
-	if now%n.cfg.SweepPeriod == 0 && n.sweepTask.NextDue() > now {
-		n.settling = false
-		n.sweep(now)
-	}
-}
-
-// InvalidateSweeps implements kernel.SweepSettler: any activity that
-// could perturb the prediction — a thread woken, a tap activated,
-// changed or released, a decayable reserve created, the radio woken, a
-// new waiter — returns the sweep task to its periodic grid. Boundaries
-// skipped so far replay at the next executed instant; none are lost,
-// because the resumed task's next firing is the first grid boundary at
-// or after now.
-func (n *Netd) InvalidateSweeps() {
-	if n.replaying || !n.settling {
-		return
-	}
-	n.settling = false
-	n.sweepTask.Resume()
 }
 
 // fire pays the radio's activation estimate out of the pool and
@@ -708,5 +641,3 @@ func (n *Netd) runSession(now units.Time, w waiter) {
 	}
 	doOne(now)
 }
-
-var _ kernel.SweepSettler = (*Netd)(nil)

@@ -198,7 +198,7 @@ func BenchmarkSteadyNetdPredict(b *testing.B) {
 		b.Fatalf("waiting = %d, want 2", w)
 	}
 	now := r.k.Now()
-	if got := (r.netd.predictFire(now) - now) / r.netd.cfg.SweepPeriod; got < 9_900 || got > 10_100 {
+	if got := (r.netd.predictFire(now) - now) / SweepPeriod; got < 9_900 || got > 10_100 {
 		b.Fatalf("crossing %d sweeps out, want about 10,000", got)
 	}
 	b.ReportAllocs()

@@ -20,8 +20,9 @@ func (n *Netd) Codec(c *snap.Codec) {
 	snap.Int(c, &n.stats.PowerUps)
 	snap.Int(c, &n.stats.SettledSweeps)
 	snap.Int(c, &n.lastSweep)
-	c.Bool(&n.settling)
-	if n.settling {
+	standing := n.def.Standing()
+	c.Bool(&standing)
+	if standing {
 		// settling without waiters is unreachable (predictions exist only
 		// while callers wait); refuse rather than resume inconsistently.
 		c.Failf("netd: a deferred sweep with no waiters")

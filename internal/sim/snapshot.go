@@ -51,6 +51,12 @@ func (e *Engine) Codec(c *snap.Codec) {
 	}
 	var pending []evKey
 	if !c.Loading() {
+		// A device waiting out a phase refuses a save at instant after
+		// instant, so the refusal takes one pass, before any sort.
+		if k, ok := e.firstMidRun(); ok {
+			e.refuseMidRun(c, k)
+			return
+		}
 		pending = e.pendingKeys()
 	}
 	n := c.Count(len(pending))
@@ -61,14 +67,35 @@ func (e *Engine) Codec(c *snap.Codec) {
 		snap.Int(c, &pending[i].at)
 		snap.Uint(c, &pending[i].seq)
 		if pending[i].seq >= e.built {
-			c.Failf("sim: pending event at %v (seq %d) was scheduled mid-run, at or past the build's seq %d; "+
-				"a restore cannot rebuild it", pending[i].at, pending[i].seq, e.built)
+			e.refuseMidRun(c, pending[i])
 			return
 		}
 	}
 	if c.Loading() && c.Err() == nil {
 		e.resume(c, pending, now, steps, seq, draws)
 	}
+}
+
+// refuseMidRun fails c on k, a pending event scheduled after the build.
+func (e *Engine) refuseMidRun(c *snap.Codec, k evKey) {
+	c.Failf("sim: pending event at %v (seq %d) was scheduled mid-run, at or past the build's seq %d; "+
+		"a restore cannot rebuild it", k.at, k.seq, e.built)
+}
+
+// firstMidRun returns the earliest pending event by (At, seq) that was
+// scheduled at or past the build, if any.
+func (e *Engine) firstMidRun() (evKey, bool) {
+	var first evKey
+	found := false
+	for _, ev := range e.events {
+		if ev.seq < e.built {
+			continue
+		}
+		if !found || ev.at < first.at || ev.at == first.at && ev.seq < first.seq {
+			first, found = evKey{ev.at, ev.seq}, true
+		}
+	}
+	return first, found
 }
 
 // pendingKeys returns the pending events' identities ordered by

@@ -61,7 +61,7 @@ func (p *pinned) codec(c *Codec) {
 // cannot move the snapshot layout unnoticed. The same list loads back
 // to the values it was saved from.
 func TestWriterBytesPinned(t *testing.T) {
-	const pin = "b9798ed4711e18ba19eb10b8e231a7e3"
+	const pin = "1755c695ce2060a2a5adf6045b632c57"
 	src := newPinned()
 	b, err := Save(src.codec)
 	if err != nil {

@@ -45,8 +45,11 @@ const Magic = "CNDSNAP1"
 // instant and supply name, smdd's battery-read, GPS-fix and
 // incoming-SMS counts and the ARM9's transmit count, netd's poll,
 // blocked, immediate, pooled and abandoned counts, and the radio's
-// packet and byte counts.
-const Version uint32 = 8
+// packet and byte counts. Version 9 folds the kernel's tap-flow and
+// baseline cursors into one batch cursor; the engine section lists one
+// kernel:batch task where it listed kernel:taps and kernel:baseline,
+// and no kernel:decay task on production kernels.
+const Version uint32 = 9
 
 // Errors the reader can return (wrapped with context).
 var (
