@@ -102,12 +102,16 @@ type Reserve struct {
 	decayCarry int64
 	// Settlement scratch (settle.go): epoch marks, the reserve's slot in
 	// the replay loop's level buffer and worst-case drain sums, valid
-	// only for the graph's current settleEpoch.
+	// only for the graph's current settleEpoch; and, in SettleBites, a
+	// decayable reserve's credit before its first bite and before each
+	// later one.
 	sensitiveMark uint64
 	settleSlot    int
 	settleMark    uint64
 	settleDrain   int64
 	settleCarry   int64
+	biteFirst     units.Energy
+	biteSecond    units.Energy
 	// insufficient is the reusable ErrInsufficient instance returned by
 	// failing Consume/DebitSelf calls (see insufficientErr).
 	insufficient insufficientErr

@@ -49,6 +49,16 @@ import (
 //     telescoped and replayed taps is irrelevant. In particular an
 //     outside source of a replayed tap never clamps and no proportional
 //     tap reads it, so its per-batch trajectory is never needed.
+//   - A window's 1 s decay bites need per-second order only where a
+//     flow could see them (SettleBites). When no decayable reserve is
+//     sensitive or drained by a tap, every tap into one telescopes, and
+//     the battery (which every bite credits) is not sensitive, no flow
+//     reads a level a bite moves. The window's flows then settle as one
+//     chunk, and each decayable reserve bites in its own per-second
+//     loop, fed its taps' telescoped credit for the first partial second
+//     and exactly their summed rate each whole second after. A window
+//     that fails any of these checks is refused untouched, and the
+//     caller settles it one second at a time.
 //
 // The topological pass is the sensitive-set computation: frac-tap chains
 // (a proportional tap whose source is itself fed by a proportional tap)
@@ -154,6 +164,105 @@ func (g *Graph) SettleFlows(dt units.Time, n int64, extraBatteryDrain units.Powe
 			interleave(k)
 		}
 		n -= k
+	}
+}
+
+// SettleBites settles a quiet window that ends on a decay bite in one
+// pass: n = first + (bites−1)·(1 s/dt) consecutive Flow(dt) batches with
+// a Decay(1 s) after batch first and after every 1 s/dt batches from
+// there, byte-identical to that sequence. The caller bills its own
+// per-batch battery drain, bounded by extraBatteryDrain, for the n
+// batches itself; within the horizon it commutes with the pass.
+//
+// It accepts only a window no bite can perturb and no flow can see: the
+// battery, which every bite credits, is not sensitive; no decayable
+// reserve is sensitive or drained by a tap, so no flow reads a level a
+// bite moves; every tap into a decayable reserve is telescoped, so a
+// whole second of it credits exactly rate µJ with its carry unchanged;
+// and the horizon covers n+1 batches, so the per-second sequence would
+// also have settled each of its chunks in closed form (the caller's
+// drain carry can cost the horizon one batch across a bite), which keeps
+// FlowWalks and SettledBatches equal too. Otherwise it returns false
+// with the graph unchanged.
+//
+// Accepted, each decayable reserve bites in a per-second loop over its
+// own level, in Decay's arithmetic, fed the first partial second's
+// telescoped credit and then its taps' summed rate each second; the
+// summed leak credits the battery once, and the flows settle as one
+// chunk.
+func (g *Graph) SettleBites(dt units.Time, first, bites int64, extraBatteryDrain units.Power) bool {
+	if g.halfLife < 0 || dt <= 0 || units.Second%dt != 0 || bites < 1 ||
+		first < 1 || first > int64(units.Second/dt) {
+		return false
+	}
+	n := first + (bites-1)*int64(units.Second/dt)
+	if g.planSettle(dt, extraBatteryDrain) <= n {
+		return false
+	}
+	epoch := g.settleEpoch
+	if g.battery.sensitiveMark == epoch {
+		return false
+	}
+	for _, r := range g.decayable {
+		if r.sensitiveMark == epoch || r.settleMark == epoch {
+			return false
+		}
+	}
+	for i := range g.settleReplay {
+		if !g.settleReplay[i].t.sink.decayExempt {
+			return false
+		}
+	}
+	for _, r := range g.decayable {
+		r.biteFirst, r.biteSecond = 0, 0
+	}
+	for _, t := range g.settleTelescope {
+		if r := t.sink; !r.decayExempt {
+			r.biteFirst += units.Energy((int64(t.rate)*int64(dt)*first + t.carry) / 1000)
+			r.biteSecond += units.Energy(t.rate)
+		}
+	}
+	g.biteSeconds(bites)
+	g.applyChunk(dt, n)
+	return true
+}
+
+// biteSeconds runs bites Decay(1 s) bites over every decayable reserve's
+// level as the window's flows move it, biteFirst before the first bite
+// and biteSecond before each later one, and takes only the leak out of
+// the live level: applyChunk credits the flows. It keeps Decay's skip of
+// a level ≤ 0 and its carry update on a bite that leaks nothing.
+func (g *Graph) biteSeconds(bites int64) {
+	f := g.retentionFactor(units.Second)
+	var leakedAll units.Energy
+	for _, r := range g.decayable {
+		level, carry := r.level, r.decayCarry
+		if level <= 0 && r.biteFirst == 0 && r.biteSecond == 0 {
+			continue // a bite skips it every second
+		}
+		in := r.biteFirst
+		var leaked units.Energy
+		for b := int64(0); b < bites; b++ {
+			level += in
+			in = r.biteSecond
+			if level <= 0 {
+				continue
+			}
+			total := int64(level)*f + carry
+			retained := units.Energy(total >> 30)
+			carry = total & (1<<30 - 1)
+			if l := level - retained; l > 0 {
+				level = retained
+				leaked += l
+			}
+		}
+		r.decayCarry = carry
+		r.level -= leaked
+		r.stats.Decayed += leaked
+		leakedAll += leaked
+	}
+	if leakedAll > 0 {
+		g.battery.credit(leakedAll)
 	}
 }
 
@@ -330,6 +439,14 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 	if k > n {
 		k = n
 	}
+	g.applyChunk(dt, k)
+	return k
+}
+
+// applyChunk settles k batches of the current plan, which must cover
+// them: the telescoped taps in one debit and credit each, the replay
+// set through replayChunk.
+func (g *Graph) applyChunk(dt units.Time, k int64) {
 	for _, t := range g.settleTelescope {
 		total := int64(t.rate)*int64(dt)*k + t.carry
 		moved := units.Energy(total / 1000)
@@ -345,7 +462,6 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 		g.flowWalks += k
 	}
 	g.settledBatches += k
-	return k
 }
 
 // replayChunk settles k batches of the replay set: it takes the

@@ -19,9 +19,15 @@ import (
 const settleDT = 10 * units.Millisecond
 
 func newSettleGraph(battery units.Energy) (*Graph, *kobj.Container) {
+	return newHalfLifeGraph(battery, -1)
+}
+
+// newHalfLifeGraph builds a graph whose reserves decay with halfLife
+// (negative disables decay).
+func newHalfLifeGraph(battery units.Energy, halfLife units.Time) (*Graph, *kobj.Container) {
 	tbl := kobj.NewTable()
 	root := kobj.NewContainer(tbl, nil, label.Public())
-	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: battery, DecayHalfLife: -1})
+	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: battery, DecayHalfLife: halfLife})
 	return g, root
 }
 
@@ -32,8 +38,8 @@ func graphState(g *Graph) string {
 	fmt.Fprintf(&b, "consumed=%d held=%d conserr=%d active=%d\n",
 		g.consumed, g.TotalHeld(), g.ConservationError(), len(g.active))
 	for _, r := range g.reserves {
-		fmt.Fprintf(&b, "r %s level=%d in=%d cons=%d decayed=%d\n",
-			r.name, r.level, r.stats.In, r.stats.Consumed, r.stats.Decayed)
+		fmt.Fprintf(&b, "r %s level=%d in=%d cons=%d decayed=%d dcarry=%d\n",
+			r.name, r.level, r.stats.In, r.stats.Consumed, r.stats.Decayed, r.decayCarry)
 	}
 	for _, t := range g.taps {
 		fmt.Fprintf(&b, "t %s carry=%d moved=%d active=%v\n",
@@ -76,8 +82,15 @@ type twins struct {
 func newTwins(t *testing.T, battery units.Energy, baseline units.Power,
 	build func(g *Graph, root *kobj.Container) []*Tap) *twins {
 	t.Helper()
-	oracle, oroot := newSettleGraph(battery)
-	subject, sroot := newSettleGraph(battery)
+	return newHalfLifeTwins(t, battery, -1, baseline, build)
+}
+
+// newHalfLifeTwins is newTwins on graphs that decay with halfLife.
+func newHalfLifeTwins(t *testing.T, battery units.Energy, halfLife units.Time, baseline units.Power,
+	build func(g *Graph, root *kobj.Container) []*Tap) *twins {
+	t.Helper()
+	oracle, oroot := newHalfLifeGraph(battery, halfLife)
+	subject, sroot := newHalfLifeGraph(battery, halfLife)
 	tw := &twins{
 		t: t, oracle: oracle, subject: subject,
 		otaps: build(oracle, oroot), staps: build(subject, sroot),

@@ -3,11 +3,17 @@ package kernel_test
 // FuzzDecaySettle is the differential for the decay bite that rides
 // with the baseline batches: a production kernel applies the bite due at
 // each whole second inside its settled windows, and the reference
-// executes its 1 s decay task. Everything it reaches — decayable
+// executes its 1 s decay task. Where nothing in a quiet window needs
+// per-second order, production settles all of its bites in one pass
+// (Kernel.settleBites); otherwise, and when the pass declines, it
+// settles one second at a time. Everything it reaches — decayable
 // reserves drained by constant and proportional taps, near-dry sources,
 // a netd waiter whose billing reserve decays, a charger topping off a
 // full battery, Run boundaries on and off the 1 s grid — must read the
-// same on both, byte for byte.
+// same on both, byte for byte. The pass needs the hoard neither drained
+// nor read by a proportional tap: the corpus entries named quiet-feed-*
+// (drain 0, back 0, feed > 0, Runs of minutes off the 1 s grid, with and
+// without a probe) reach it.
 
 import (
 	"fmt"

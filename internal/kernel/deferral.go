@@ -85,6 +85,16 @@ func (d *Deferral) replayThrough(limit units.Time) {
 	d.replaying = false
 }
 
+// deferralStanding reports whether any deferral stands.
+func (k *Kernel) deferralStanding() bool {
+	for _, d := range k.deferrals {
+		if d.standing {
+			return true
+		}
+	}
+	return false
+}
+
 // syncDeferrals replays every standing deferral's skipped firings
 // strictly before now and, where a firing is due exactly now, hands it
 // back to the task.

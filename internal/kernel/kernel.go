@@ -18,7 +18,9 @@
 //   - the global half-life decay applies every second (§5.2.2). On
 //     production kernels the bite rides with the batch at each whole
 //     second (biteAt), so a busy device need not execute every simulated
-//     second; the reference executes its own 1 s decay task.
+//     second, and a quiet window's bites settle in one pass where none
+//     needs per-second order (settleBites); the reference executes its
+//     own 1 s decay task.
 package kernel
 
 import (
@@ -606,12 +608,19 @@ func (k *Kernel) fastBoundary(now units.Time) bool {
 }
 
 // settleWindow advances the pending cursors through their limits. A
-// window that holds decay bites settles as segments ending at each bite
-// boundary b — devices and batches through b, then the bite — so every
-// bite reads the levels the reference's decay task reads at b, and no
-// segment's ordering proof (windowSafe, the depletion horizon) spans a
-// bite, which leaks energy that proof does not count.
+// window that holds two or more decay bites first tries to settle them
+// all, through the last whole second at or before batchLimit, in one
+// pass (settleBites). Where that declines, the bites settle as segments
+// ending at each bite boundary b — devices and batches through b, then
+// the bite — so every bite reads the levels the reference's decay task
+// reads at b, and no segment's ordering proof (windowSafe, the depletion
+// horizon) spans a bite, which leaks energy that proof does not count.
+// The pass is tried once per window, so a window it declines pays for
+// one extra plan, not one per second.
 func (k *Kernel) settleWindow(devLimit, batchLimit units.Time) {
+	if b, last := k.nextBite(k.batchPending), batchLimit-batchLimit%units.Second; b < last {
+		k.settleBites(b, last)
+	}
 	for {
 		b := k.nextBite(k.batchPending)
 		if b > batchLimit {
@@ -620,6 +629,26 @@ func (k *Kernel) settleWindow(devLimit, batchLimit units.Time) {
 		k.settleSegment(min(devLimit, b), b)
 	}
 	k.settleSegment(devLimit, batchLimit)
+}
+
+// settleBites settles the batches through last and the bites from first
+// to last, both whole seconds, in one pass when none of those bites
+// needs per-second order: every device is quiescent, so the device
+// ticks in between are no-ops and the window's last segment advances
+// their cursor; no deferral stands, so no bite waits on a replay
+// (biteAt); and the graph accepts the window (core.Graph.SettleBites).
+// The baseline then bills once for every batch. A declined window is
+// left as it was.
+func (k *Kernel) settleBites(first, last units.Time) {
+	if !k.devicesQuiescent() || k.deferralStanding() {
+		return
+	}
+	firstBatches := int64((first-k.batchPending)/TapBatch) + 1
+	bites := int64((last-first)/units.Second) + 1
+	if k.Graph.SettleBites(TapBatch, firstBatches, bites, k.baselinePower()) {
+		k.billBaselineBatches(int64((last-k.batchPending)/TapBatch) + 1)
+		k.batchPending = last + TapBatch
+	}
 }
 
 // settleSegment settles a window that holds no decay bite before its
@@ -705,7 +734,8 @@ func (k *Kernel) fireBatch(now units.Time) {
 // reference's decay task fires. Every standing deferral first replays
 // the firings it skipped strictly before t, so the bite reads each
 // reserve at the level per-firing execution leaves there. While no
-// decayable reserve exists the bite is a no-op.
+// decayable reserve exists the bite is a no-op. Bites that settleBites
+// takes in one pass do not come through here.
 func (k *Kernel) biteAt(t units.Time) {
 	if k.nextBite(t) != t {
 		return
@@ -715,8 +745,9 @@ func (k *Kernel) biteAt(t units.Time) {
 }
 
 // nextBite returns the first whole second at or after t, where
-// settlement stops for a bite, or MaxTime on the reference (whose decay
-// task bites), with decay disabled and while no bite can move energy.
+// settlement stops for a bite unless settleBites takes it with the
+// window's later bites, or MaxTime on the reference (whose decay task
+// bites), with decay disabled and while no bite can move energy.
 func (k *Kernel) nextBite(t units.Time) units.Time {
 	if !k.lazySettle || k.Graph.HalfLife() < 0 || k.Graph.DecayableCount() == 0 {
 		return sim.MaxTime
@@ -789,8 +820,9 @@ func (k *Kernel) settleDevices(devLimit units.Time) {
 // boundaries as chunks: the graph picks the chunk size from its
 // depletion horizon and bills the matching number of baseline batches
 // after each chunk, preserving the flow-then-baseline order of every
-// boundary. settleWindow ends a window at each bite, so only the last
-// boundary can be due one, which then follows it.
+// boundary. settleWindow ends a segment at each bite it does not settle
+// in one pass (settleBites), so only the last boundary can be due one,
+// which then follows it.
 func (k *Kernel) settleBatches(batchLimit units.Time) {
 	if k.batchPending > batchLimit {
 		return

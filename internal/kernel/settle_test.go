@@ -234,3 +234,42 @@ func TestDecayBitesBetweenSettledDeviceTicks(t *testing.T) {
 		}
 	}
 }
+
+// quietDecayKernel is a production kernel with nothing to execute: no
+// thread, no device, and three decayable reserves (one fed by two
+// constant taps from the battery, one untouched that starts with a
+// level, one at 0), so a Run settles as one quiet window of 1 s decay
+// bites.
+func quietDecayKernel(tb testing.TB) *Kernel {
+	k := New(Config{Seed: 1, BatteryCapacity: 1 << 50})
+	kp := k.KernelPriv()
+	fed := k.CreateReserve(k.Root, "fed", label.Public())
+	idle := k.CreateReserve(k.Root, "idle", label.Public())
+	k.CreateReserve(k.Root, "zero", label.Public())
+	if err := k.Graph.Transfer(kp, k.Battery(), idle, 50*units.Joule); err != nil {
+		tb.Fatal(err)
+	}
+	for _, rate := range []units.Power{123_457, units.Milliwatts(90)} {
+		tap, err := k.CreateTap(k.Root, "feed", kp, k.Battery(), fed, label.Public())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := tap.SetRate(kp, rate); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return k
+}
+
+// BenchmarkSteadyQuietDecay settles one quiet hour per op, 3,600 decay
+// bites over the fed, untouched and empty reserves; CI-guarded to
+// 0 B/op.
+func BenchmarkSteadyQuietDecay(b *testing.B) {
+	k := quietDecayKernel(b)
+	k.Run(units.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Run(units.Hour)
+	}
+}
