@@ -84,6 +84,7 @@ type Graph struct {
 	settleSens      []*Reserve
 	settleLevels    []units.Energy
 	settleSrcs      []*Reserve
+	settleBiters    []*Reserve
 	flowWalks       int64
 	settledBatches  int64
 	// memo caches replayed chunks' results (memo.go); nil until the
@@ -217,6 +218,7 @@ func (g *Graph) Reset(t *kobj.Table, root *kobj.Container, batteryLabel label.La
 	g.settleSens = truncReserves(g.settleSens)
 	g.settleLevels = g.settleLevels[:0]
 	g.settleSrcs = truncReserves(g.settleSrcs)
+	g.settleBiters = truncReserves(g.settleBiters)
 	if g.memo != nil {
 		g.memo.reset()
 	}
@@ -397,11 +399,8 @@ func (g *Graph) Decay(dt units.Time) {
 		if r.level <= 0 {
 			continue
 		}
-		// retained = level × f / 2³⁰, with per-reserve fixed-point carry
-		// so the long-run half-life is exact.
-		total := int64(r.level)*f + r.decayCarry
-		retained := units.Energy(total >> 30)
-		r.decayCarry = total & (1<<30 - 1)
+		var retained units.Energy
+		retained, r.decayCarry = bite(r.level, r.decayCarry, f)
 		leaked := r.level - retained
 		if leaked <= 0 {
 			continue
@@ -410,6 +409,18 @@ func (g *Graph) Decay(dt units.Time) {
 		r.stats.Decayed += leaked
 		g.battery.credit(leaked)
 	}
+}
+
+// bite applies one decay bite of retention factor f (2⁻³⁰ fixed point)
+// to a positive level: retained = level × f / 2³⁰, with the per-reserve
+// fixed-point carry so the long-run half-life is exact. Decay and both
+// of settlement's bite loops call it. The level is split as a·2³⁰ + b,
+// so retained = a·f + ⌊(b·f + carry)/2³⁰⌋ and no product overflows
+// int64 at any level, where level × f alone would above 2³³ µJ.
+func bite(level units.Energy, carry, f int64) (retained units.Energy, newCarry int64) {
+	a, b := int64(level)>>30, int64(level)&(1<<30-1)
+	total := b*f + carry
+	return units.Energy(a*f + total>>30), total & (1<<30 - 1)
 }
 
 // retentionFactor returns 2³⁰ × 2^(−dt/halfLife), memoized for the

@@ -49,16 +49,20 @@ import (
 //     telescoped and replayed taps is irrelevant. In particular an
 //     outside source of a replayed tap never clamps and no proportional
 //     tap reads it, so its per-batch trajectory is never needed.
-//   - A window's 1 s decay bites need per-second order only where a
-//     flow could see them (SettleBites). When no decayable reserve is
-//     sensitive or drained by a tap, every tap into one telescopes, and
-//     the battery (which every bite credits) is not sensitive, no flow
-//     reads a level a bite moves. The window's flows then settle as one
-//     chunk, and each decayable reserve bites in its own per-second
-//     loop, fed its taps' telescoped credit for the first partial second
-//     and exactly their summed rate each whole second after. A window
-//     that fails any of these checks is refused untouched, and the
-//     caller settles it one second at a time.
+//   - A window's 1 s decay bites settle in one pass too (SettleBites),
+//     planned once. A decayable reserve outside the sensitive set is
+//     read by no flow, so it bites in its own per-second loop, fed its
+//     taps' telescoped credit for the first partial second and exactly
+//     their summed rate each whole second after. A sensitive decayable
+//     reserve — a hoard that a proportional tax reads — bites in the
+//     replay's level buffer after each second's run of batches, which
+//     the memo or the flat loop settles exactly as the per-second
+//     sequence's chunk, so the replay set is written back once for the
+//     whole window. The pass refuses, untouched, a window where the
+//     battery (which every bite credits) is sensitive, a decayable
+//     reserve outside the sensitive set is drained by a tap or is a
+//     replayed tap's outside sink, or the horizon does not cover one
+//     batch beyond it; the caller then settles it one second at a time.
 //
 // The topological pass is the sensitive-set computation: frac-tap chains
 // (a proportional tap whose source is itself fed by a proportional tap)
@@ -174,22 +178,27 @@ func (g *Graph) SettleFlows(dt units.Time, n int64, extraBatteryDrain units.Powe
 // per-batch battery drain, bounded by extraBatteryDrain, for the n
 // batches itself; within the horizon it commutes with the pass.
 //
-// It accepts only a window no bite can perturb and no flow can see: the
-// battery, which every bite credits, is not sensitive; no decayable
-// reserve is sensitive or drained by a tap, so no flow reads a level a
-// bite moves; every tap into a decayable reserve is telescoped, so a
-// whole second of it credits exactly rate µJ with its carry unchanged;
-// and the horizon covers n+1 batches, so the per-second sequence would
-// also have settled each of its chunks in closed form (the caller's
-// drain carry can cost the horizon one batch across a bite), which keeps
-// FlowWalks and SettledBatches equal too. Otherwise it returns false
-// with the graph unchanged.
+// It accepts only a window in which every level a bite moves is either
+// replayed or read by no flow: the battery, which every bite credits,
+// is not sensitive; no decayable reserve outside the sensitive set is
+// drained by a tap, whose horizon a bite would shrink; no replayed
+// tap's outside sink decays, since an outside endpoint takes its whole
+// total once, after the bites; and the horizon covers n+1 batches, so
+// the per-second sequence would also have settled each of its chunks in
+// closed form (the caller's drain carry can cost the horizon one batch
+// across a bite), which keeps FlowWalks and SettledBatches equal too.
+// Otherwise it returns false with the graph unchanged.
 //
-// Accepted, each decayable reserve bites in a per-second loop over its
-// own level, in Decay's arithmetic, fed the first partial second's
-// telescoped credit and then its taps' summed rate each second; the
-// summed leak credits the battery once, and the flows settle as one
-// chunk.
+// Accepted, the pass plans once. A decayable reserve outside the
+// sensitive set is fed only by telescoped taps, so it bites in a
+// per-second loop over its own level, in Decay's arithmetic, fed the
+// first partial second's telescoped credit and then its taps' summed
+// rate each second. A sensitive decayable reserve (a hoard that a
+// proportional tap reads) bites in the replay's level buffer after each
+// second's batches, exactly where the per-second sequence bites it.
+// The telescoped taps settle in one debit and credit each, the replay
+// set and outside endpoints are written back once, and the summed leak
+// credits the battery once.
 func (g *Graph) SettleBites(dt units.Time, first, bites int64, extraBatteryDrain units.Power) bool {
 	if g.halfLife < 0 || dt <= 0 || units.Second%dt != 0 || bites < 1 ||
 		first < 1 || first > int64(units.Second/dt) {
@@ -204,17 +213,21 @@ func (g *Graph) SettleBites(dt units.Time, first, bites int64, extraBatteryDrain
 		return false
 	}
 	for _, r := range g.decayable {
-		if r.sensitiveMark == epoch || r.settleMark == epoch {
+		if r.settleMark == epoch {
 			return false
 		}
 	}
 	for i := range g.settleReplay {
-		if !g.settleReplay[i].t.sink.decayExempt {
+		if e := &g.settleReplay[i]; e.sink == outside && !e.t.sink.decayExempt {
 			return false
 		}
 	}
+	g.settleBiters = g.settleBiters[:0]
 	for _, r := range g.decayable {
 		r.biteFirst, r.biteSecond = 0, 0
+		if r.sensitiveMark == epoch {
+			g.settleBiters = append(g.settleBiters, r)
+		}
 	}
 	for _, t := range g.settleTelescope {
 		if r := t.sink; !r.decayExempt {
@@ -222,20 +235,26 @@ func (g *Graph) SettleBites(dt units.Time, first, bites int64, extraBatteryDrain
 			r.biteSecond += units.Energy(t.rate)
 		}
 	}
-	g.biteSeconds(bites)
-	g.applyChunk(dt, n)
+	leaked := g.biteSeconds(bites) + g.applyChunk(dt, first, bites, true)
+	if leaked > 0 {
+		g.battery.credit(leaked)
+	}
 	return true
 }
 
-// biteSeconds runs bites Decay(1 s) bites over every decayable reserve's
-// level as the window's flows move it, biteFirst before the first bite
-// and biteSecond before each later one, and takes only the leak out of
-// the live level: applyChunk credits the flows. It keeps Decay's skip of
-// a level ≤ 0 and its carry update on a bite that leaks nothing.
-func (g *Graph) biteSeconds(bites int64) {
+// biteSeconds runs bites Decay(1 s) bites over every decayable reserve
+// outside the sensitive set as the window's flows move its level,
+// biteFirst before the first bite and biteSecond before each later one,
+// takes only the leak out of the live level (applyChunk credits the
+// flows) and returns the summed leak. It keeps Decay's skip of a level
+// ≤ 0 and its carry update on a bite that leaks nothing.
+func (g *Graph) biteSeconds(bites int64) units.Energy {
 	f := g.retentionFactor(units.Second)
 	var leakedAll units.Energy
 	for _, r := range g.decayable {
+		if r.sensitiveMark == g.settleEpoch {
+			continue // it bites in the replay's level buffer
+		}
 		level, carry := r.level, r.decayCarry
 		if level <= 0 && r.biteFirst == 0 && r.biteSecond == 0 {
 			continue // a bite skips it every second
@@ -248,9 +267,8 @@ func (g *Graph) biteSeconds(bites int64) {
 			if level <= 0 {
 				continue
 			}
-			total := int64(level)*f + carry
-			retained := units.Energy(total >> 30)
-			carry = total & (1<<30 - 1)
+			var retained units.Energy
+			retained, carry = bite(level, carry, f)
 			if l := level - retained; l > 0 {
 				level = retained
 				leaked += l
@@ -261,15 +279,14 @@ func (g *Graph) biteSeconds(bites int64) {
 		r.stats.Decayed += leaked
 		leakedAll += leaked
 	}
-	if leakedAll > 0 {
-		g.battery.credit(leakedAll)
-	}
+	return leakedAll
 }
 
 // replayTap is one replayed tap in a settled chunk's flat loop: its
 // rate, its endpoints resolved to slots of g.settleLevels (outside, −1,
-// for a reserve not in the sensitive set), its running carry and its
-// chunk totals.
+// for a reserve not in the sensitive set), its running carry, its moved
+// and starved sums over the current run, and its moved total over the
+// chunk.
 type replayTap struct {
 	t         *Tap
 	kind      TapKind
@@ -279,6 +296,7 @@ type replayTap struct {
 	carry     int64
 	moved     units.Energy
 	starved   units.Energy
+	total     units.Energy
 }
 
 const outside = -1
@@ -439,14 +457,18 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 	if k > n {
 		k = n
 	}
-	g.applyChunk(dt, k)
+	g.applyChunk(dt, k, 1, false)
 	return k
 }
 
-// applyChunk settles k batches of the current plan, which must cover
-// them: the telescoped taps in one debit and credit each, the replay
-// set through replayChunk.
-func (g *Graph) applyChunk(dt units.Time, k int64) {
+// applyChunk settles the current plan's batches, which it must cover,
+// in runs: first batches, then runs−1 of 1 s/dt each. The telescoped
+// taps settle all of them in one debit and credit each, the replay set
+// through replayChunk, which with decay set bites every sensitive
+// decayable reserve after each run. It returns the leak those bites
+// took, which the caller credits to the battery.
+func (g *Graph) applyChunk(dt units.Time, first, runs int64, decay bool) units.Energy {
+	k := first + (runs-1)*int64(units.Second/dt)
 	for _, t := range g.settleTelescope {
 		total := int64(t.rate)*int64(dt)*k + t.carry
 		moved := units.Energy(total / 1000)
@@ -457,19 +479,26 @@ func (g *Graph) applyChunk(dt units.Time, k int64) {
 			t.stats.Moved += moved
 		}
 	}
+	var leaked units.Energy
 	if len(g.settleReplay) > 0 {
-		g.replayChunk(dt, k)
+		leaked = g.replayChunk(dt, first, runs, decay)
 		g.flowWalks += k
 	}
 	g.settledBatches += k
+	return leaked
 }
 
-// replayChunk settles k batches of the replay set: it takes the
-// results from the replay memo when the chunk's start state is there,
-// and otherwise runs replayLoop (and records its results). Either way
-// the results are written back once: levels, carries and tap stats, and
-// each outside endpoint's chunk total in one debit or credit.
-func (g *Graph) replayChunk(dt units.Time, k int64) {
+// replayChunk settles the replay set through applyChunk's runs over one
+// level buffer, planned and synced with the replay memo once. Each run
+// takes its results from the memo when its start state is there, and
+// otherwise runs replayLoop (and records its results); with decay set,
+// every sensitive decayable reserve (g.settleBiters) then takes
+// Decay(1 s)'s bite in the buffer, and replayChunk returns the summed
+// leak. A run is exactly the chunk the per-second sequence settles
+// between two bites, so the memo sees the same keys either way. The
+// results are written back once: levels, carries and tap stats, and
+// each outside endpoint's total in one debit or credit.
+func (g *Graph) replayChunk(dt units.Time, first, runs int64, decay bool) units.Energy {
 	levels := g.settleLevels[:0]
 	for _, r := range g.settleSens {
 		levels = append(levels, r.level)
@@ -480,13 +509,15 @@ func (g *Graph) replayChunk(dt units.Time, k int64) {
 		g.memo = newReplayMemo()
 	}
 	g.memo.sync(g, dt)
-	e, hit := g.memo.find(levels, replay, k)
-	if hit {
-		g.memo.load(e, k, levels, replay)
-	} else {
-		replayLoop(dt, k, levels, replay)
-		if e >= 0 {
-			g.memo.store(e, levels, replay)
+	var f int64
+	if decay {
+		f = g.retentionFactor(units.Second)
+	}
+	var leaked units.Energy
+	for k := first; runs > 0; k, runs = int64(units.Second/dt), runs-1 {
+		g.replayRun(dt, k, levels, replay)
+		if decay {
+			leaked += g.biteLevels(levels, f)
 		}
 	}
 
@@ -497,19 +528,64 @@ func (g *Graph) replayChunk(dt units.Time, k int64) {
 		e := &replay[i]
 		t := e.t
 		t.carry = e.carry
-		if e.moved == 0 {
+		if e.total == 0 {
 			continue
 		}
-		t.stats.Moved += e.moved
+		t.stats.Moved += e.total
 		if e.src == outside {
-			t.src.debit(e.moved)
+			t.src.debit(e.total)
 		}
 		if e.sink == outside {
-			t.sink.credit(e.moved)
+			t.sink.credit(e.total)
 		} else {
-			t.sink.stats.In += e.moved
+			t.sink.stats.In += e.total
 		}
 	}
+	return leaked
+}
+
+// replayRun advances the level buffer and the replay set's carries by k
+// batches, from the memo or through replayLoop, and adds each tap's
+// moved sum to its total.
+func (g *Graph) replayRun(dt units.Time, k int64, levels []units.Energy, replay []replayTap) {
+	e, hit := g.memo.find(levels, replay, k)
+	if hit {
+		g.memo.load(e, k, levels, replay)
+	} else {
+		for i := range replay {
+			replay[i].moved, replay[i].starved = 0, 0
+		}
+		replayLoop(dt, k, levels, replay)
+		if e >= 0 {
+			g.memo.store(e, levels, replay)
+		}
+	}
+	for i := range replay {
+		replay[i].total += replay[i].moved
+	}
+}
+
+// biteLevels applies one Decay(1 s) bite, of retention factor f, to each
+// sensitive decayable reserve's level in the buffer, with Decay's skip
+// of a level ≤ 0 and its carry update on a bite that leaks nothing, and
+// returns the summed leak. The carry and the Decayed stat go straight to
+// the reserve, which no flow reads them from.
+func (g *Graph) biteLevels(levels []units.Energy, f int64) units.Energy {
+	var leaked units.Energy
+	for _, r := range g.settleBiters {
+		level := levels[r.settleSlot]
+		if level <= 0 {
+			continue
+		}
+		var retained units.Energy
+		retained, r.decayCarry = bite(level, r.decayCarry, f)
+		if l := level - retained; l > 0 {
+			levels[r.settleSlot] = retained
+			r.stats.Decayed += l
+			leaked += l
+		}
+	}
+	return leaked
 }
 
 // replayLoop runs k batches of the replay set in one flat loop over the

@@ -10,10 +10,15 @@ package kernel_test
 // reserves drained by constant and proportional taps, near-dry sources,
 // a netd waiter whose billing reserve decays, a charger topping off a
 // full battery, Run boundaries on and off the 1 s grid — must read the
-// same on both, byte for byte. The pass needs the hoard neither drained
-// nor read by a proportional tap: the corpus entries named quiet-feed-*
-// (drain 0, back 0, feed > 0, Runs of minutes off the 1 s grid, with and
-// without a probe) reach it.
+// same on both, byte for byte. The pass needs the hoard not drained by
+// the constant tap: the corpus entries named quiet-feed-* (drain 0,
+// back 0, feed > 0, Runs of minutes off the 1 s grid, with and without
+// a probe) reach it with the hoard biting outside the replay, and those
+// named hoard-tax-* (drain 0, back > 0, feed > 0, the same Runs, with
+// and without a probe, one with a plugged charger) with the taxed hoard
+// biting inside the replay's level buffer, as the §5.2.2 hoarder's
+// does. TestDecayLargeHoard runs the taxed hoard at 10 kJ, where a
+// bite's level × factor product no longer fits int64.
 
 import (
 	"fmt"
@@ -53,6 +58,8 @@ type decayScenario struct {
 	halfLife units.Time
 	// probe, when non-zero, samples every level at this period.
 	probe units.Time
+	// battery overrides the 60 J default capacity.
+	battery units.Energy
 }
 
 func decodeDecay(fund uint32, drainMW, backPPM, feedMW uint16, pollMW uint8, runs uint64, flags uint8) decayScenario {
@@ -83,8 +90,12 @@ func decodeDecay(fund uint32, drainMW, backPPM, feedMW uint16, pollMW uint8, run
 // runDecay runs sc on one kernel and returns its observable state at
 // every Run boundary and probe instant.
 func runDecay(t *testing.T, reference bool, sc decayScenario) string {
+	battery := sc.battery
+	if battery == 0 {
+		battery = 60 * units.Joule
+	}
 	k := kernel.New(kernel.Config{Seed: 3, Reference: reference,
-		BatteryCapacity: 60 * units.Joule, DecayHalfLife: sc.halfLife})
+		BatteryCapacity: battery, DecayHalfLife: sc.halfLife})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 	k.AddDevice(r)
 	if _, err := netd.New(k, r, netd.Config{Cooperative: true}); err != nil {
@@ -189,6 +200,18 @@ func FuzzDecaySettle(f *testing.F) {
 			t.Fatalf("production diverges from the reference:\n%s", firstLineDiff(ref, prod))
 		}
 	})
+}
+
+// TestDecayLargeHoard: a taxed, fed hoard holding 10 kJ, above the 2³³ µJ
+// where a bite's level × factor product overflows int64, reads the same
+// on a production kernel as on the reference.
+func TestDecayLargeHoard(t *testing.T) {
+	sc := decayScenario{fund: 10 * units.Kilojoule, back: 1000, feed: units.Milliwatts(250),
+		runs: []units.Time{90*units.Second + 371, 30 * units.Second}, battery: 15 * units.Kilojoule}
+	ref := runDecay(t, true, sc)
+	if prod := runDecay(t, false, sc); ref != prod {
+		t.Fatalf("production diverges from the reference:\n%s", firstLineDiff(ref, prod))
+	}
 }
 
 // firstLineDiff names the first line at which two states differ.

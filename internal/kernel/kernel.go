@@ -610,13 +610,15 @@ func (k *Kernel) fastBoundary(now units.Time) bool {
 // settleWindow advances the pending cursors through their limits. A
 // window that holds two or more decay bites first tries to settle them
 // all, through the last whole second at or before batchLimit, in one
-// pass (settleBites). Where that declines, the bites settle as segments
-// ending at each bite boundary b — devices and batches through b, then
-// the bite — so every bite reads the levels the reference's decay task
-// reads at b, and no segment's ordering proof (windowSafe, the depletion
-// horizon) spans a bite, which leaks energy that proof does not count.
-// The pass is tried once per window, so a window it declines pays for
-// one extra plan, not one per second.
+// pass (settleBites), which plans the graph once for the window — a
+// hoarder's window included, whose taxed hoard bites inside the pass's
+// replay. Where that declines, the bites settle as segments ending at
+// each bite boundary b — devices and batches through b, then the bite —
+// so every bite reads the levels the reference's decay task reads at b,
+// and no segment's ordering proof (windowSafe, the depletion horizon)
+// spans a bite, which leaks energy that proof does not count. The pass
+// is tried once per window, so a window it declines pays for one extra
+// plan, not one per second.
 func (k *Kernel) settleWindow(devLimit, batchLimit units.Time) {
 	if b, last := k.nextBite(k.batchPending), batchLimit-batchLimit%units.Second; b < last {
 		k.settleBites(b, last)
@@ -632,13 +634,15 @@ func (k *Kernel) settleWindow(devLimit, batchLimit units.Time) {
 }
 
 // settleBites settles the batches through last and the bites from first
-// to last, both whole seconds, in one pass when none of those bites
-// needs per-second order: every device is quiescent, so the device
-// ticks in between are no-ops and the window's last segment advances
-// their cursor; no deferral stands, so no bite waits on a replay
-// (biteAt); and the graph accepts the window (core.Graph.SettleBites).
-// The baseline then bills once for every batch. A declined window is
-// left as it was.
+// to last, both whole seconds, in one pass when no device or deferral
+// needs those bites in per-second order: every device is quiescent, so
+// the device ticks in between are no-ops and the window's last segment
+// advances their cursor; no deferral stands, so no bite waits on a
+// replay (biteAt); and the graph accepts the window
+// (core.Graph.SettleBites), keeping inside its pass the per-second order
+// that a reserve read by a proportional tap, such as a taxed hoard,
+// needs. The baseline then bills once for every batch. A declined
+// window is left as it was.
 func (k *Kernel) settleBites(first, last units.Time) {
 	if !k.devicesQuiescent() || k.deferralStanding() {
 		return

@@ -273,3 +273,41 @@ func BenchmarkSteadyQuietDecay(b *testing.B) {
 		k.Run(units.Hour)
 	}
 }
+
+// hoarderKernel is a production kernel with nothing to execute and the
+// §5.2.2 hoarder's graph: a decayable hoard that a 250 mW constant tap
+// fills from the battery and a 0.1 %/s proportional tap taxes back to
+// it, so every quiet window replays the tax and bites the hoard inside
+// the replay.
+func hoarderKernel(tb testing.TB) *Kernel {
+	k := New(Config{Seed: 1, BatteryCapacity: 1 << 50})
+	kp := k.KernelPriv()
+	hoard := k.CreateReserve(k.Root, "hoard", label.Public())
+	grab, err := k.CreateTap(k.Root, "grab", kp, k.Battery(), hoard, label.Public())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := grab.SetRate(kp, units.Milliwatts(250)); err != nil {
+		tb.Fatal(err)
+	}
+	tax, err := k.CreateTap(k.Root, "tax", kp, hoard, k.Battery(), label.Public())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := tax.SetFrac(kp, 1000); err != nil {
+		tb.Fatal(err)
+	}
+	return k
+}
+
+// BenchmarkSteadyHoarderWindow settles one quiet minute of the hoarder's
+// graph per op, 60 decay bites of the taxed hoard; CI-guarded to 0 B/op.
+func BenchmarkSteadyHoarderWindow(b *testing.B) {
+	k := hoarderKernel(b)
+	k.Run(units.Minute)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Run(units.Minute)
+	}
+}
