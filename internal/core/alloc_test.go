@@ -114,7 +114,7 @@ func BenchmarkSteadySettleFlows(b *testing.B) {
 // hoarderBench builds the adversarial hoarder's tap shape on a new graph
 // (hoarderLife) and settles ten minutes: the hoard fills toward its
 // equilibrium.
-func hoarderBench(b *testing.B) (g *Graph, hoard *Reserve, second func()) {
+func hoarderBench(b testing.TB) (g *Graph, hoard *Reserve, second func()) {
 	b.Helper()
 	g, hoard, second = hoarderLife(b, nil)
 	for i := 0; i < 600; i++ {
@@ -130,7 +130,7 @@ func hoarderBench(b *testing.B) (g *Graph, hoard *Reserve, second func()) {
 // graph, the hoard, and one simulated second settled the way the kernel
 // parks it: a 100-batch SettleFlows chunk, then Decay(1 s). The
 // proportional tap makes the hoard sensitive, so every batch is replayed.
-func hoarderLife(b *testing.B, g *Graph) (_ *Graph, hoard *Reserve, second func()) {
+func hoarderLife(b testing.TB, g *Graph) (_ *Graph, hoard *Reserve, second func()) {
 	b.Helper()
 	cfg := Config{BatteryCapacity: 1000 * units.Kilojoule}
 	tbl := kobj.NewTable()
@@ -170,7 +170,7 @@ func hoarderLife(b *testing.B, g *Graph) (_ *Graph, hoard *Reserve, second func(
 // hoarderConverge settles until the hoard's level has converged and
 // 1000 consecutive chunks were answered by the replay memo (about three
 // simulated hours).
-func hoarderConverge(b *testing.B, g *Graph, second func()) {
+func hoarderConverge(b testing.TB, g *Graph, second func()) {
 	b.Helper()
 	for run, s := 0, 0; run < 1000; s++ {
 		if s == 100_000 {

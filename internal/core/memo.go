@@ -26,15 +26,20 @@ import (
 //
 // An entry is stride consecutive words, key then value. The key packs
 // k, the plan version and the carries into 16-bit lanes, four to a word
-// (a carry is always in (−1000, 1000)), then holds the levels; the value
-// is the end levels, the end carries, and the moved sum of each tap that
-// is not closed-form. A closed-form tap is a constant tap whose source
-// is outside: it never clamps, so its moved sum telescopes to
-// (rate·dt·k + carry)/1000 from the start carry in the key. No starved
-// sum is kept: a chunk in which any tap starved is not stored. A hit
-// compares the whole key, not a hash, so it returns exactly what the
-// loop would compute; an entry never written is all zeros, and no key
-// is, since k ≥ 1.
+// (a carry is always in (−1000, 1000)), then holds the levels. The value
+// holds only what the key cannot give back: one word per tap that is
+// not closed-form, its moved sum shifted left by memoLane bits above its
+// end carry's lane. A closed-form tap is a constant tap whose source is
+// outside: it never clamps, so its moved sum and end carry telescope
+// from the start carry in the key, as (rate·dt·k + carry)/1000 and
+// %1000. The end levels are not kept either: every tap that touches a
+// sensitive reserve is replayed, so each end level is its start level
+// plus the moved sums of the taps into it minus those of the taps out
+// of it. A chunk in which any tap starved is not stored, since no
+// starved sum is kept, nor is one whose stored moved sum would not fit
+// above its carry's lane (2⁴⁷ µJ or more). A hit compares the whole
+// key, not a hash, so it returns exactly what the loop would compute;
+// an entry never written is all zeros, and no key is, since k ≥ 1.
 //
 // The table is memoWords words, allocated on a graph's first replay.
 // Each set holds memoWays entries in recency order: a hit moves its
@@ -49,8 +54,8 @@ import (
 
 const (
 	memoWords = 73_728 // 576 KiB
-	memoWays  = 4
-	memoLane  = 16 // bits of k, the version and each carry in a key
+	memoWays  = 8
+	memoLane  = 16 // bits of k, the version and each carry in a key, and of an end carry
 )
 
 // planSig is what the flat loop reads from one replayed tap, apart from
@@ -127,7 +132,7 @@ func (m *replayMemo) sync(g *Graph, dt units.Time) {
 		m.version = 1
 	}
 	m.keyWords = (2+len(replay)+3)/4 + len(g.settleSens)
-	if stride := m.keyWords + len(g.settleSens) + (len(replay)+3)/4 + sums; stride != m.stride {
+	if stride := m.keyWords + sums; stride != m.stride {
 		clear(m.words)
 		m.stride = stride
 	}
@@ -167,56 +172,55 @@ func (m *replayMemo) find(levels []units.Energy, replay []replayTap, k int64) (i
 	return e - m.stride, false
 }
 
-// load copies the value of entry e, found for a chunk of k batches,
-// into the chunk's levels and replay set, exactly as replayLoop would
-// have left them, and moves the entry to the front of its set.
+// load rebuilds, from entry e found for a chunk of k batches, the
+// chunk's end levels and the replay set's moved sums and end carries,
+// exactly as replayLoop would have left them, and moves the entry to the
+// front of its set.
 func (m *replayMemo) load(e int, k int64, levels []units.Energy, replay []replayTap) {
 	v := m.words[e+m.keyWords : e+m.stride]
-	for i := range levels {
-		levels[i] = units.Energy(v[i])
-	}
-	carries := v[len(levels):]
-	sums := carries[(len(replay)+3)/4:]
 	for i := range replay {
 		r := &replay[i]
 		if m.plan[i].closedForm() {
-			r.moved = units.Energy((int64(r.rate)*int64(m.planDT)*k + r.carry) / 1000)
+			r.moved, r.carry = r.rate.OverRem(m.planDT*units.Time(k), r.carry)
 		} else {
-			r.moved = units.Energy(sums[0])
-			sums = sums[1:]
+			r.moved, r.carry = units.Energy(v[0]>>memoLane), int64(int16(v[0]))
+			v = v[1:]
 		}
-		r.carry = int64(int16(carries[i/4] >> (memoLane * (i % 4))))
+		if r.src != outside {
+			levels[r.src] -= r.moved
+		}
+		if r.sink != outside {
+			levels[r.sink] += r.moved
+		}
 	}
 	if (e/m.stride)%memoWays != 0 {
-		m.insert(e, levels, replay)
+		m.insert(e, replay)
 	}
 }
 
 // store records the chunk's results, just computed by replayLoop, at
 // the front of the set find picked, evicting entry e — unless a tap
-// starved in the chunk.
-func (m *replayMemo) store(e int, levels []units.Energy, replay []replayTap) {
+// starved in the chunk or a moved sum does not fit its lane.
+func (m *replayMemo) store(e int, replay []replayTap) {
 	for i := range replay {
-		if replay[i].starved != 0 {
+		r := &replay[i]
+		if r.starved != 0 || !m.plan[i].closedForm() && r.moved >= 1<<(63-memoLane) {
 			return
 		}
 	}
-	m.insert(e, levels, replay)
+	m.insert(e, replay)
 }
 
 // insert writes the chunk under the start state in m.key at the front
-// of entry e's set, shifting the entries before e back by one.
-func (m *replayMemo) insert(e int, levels []units.Energy, replay []replayTap) {
+// of entry e's set, shifting the entries before e back by one. The loop
+// leaves every carry in (−1000, 1000), so each end carry fits its lane.
+func (m *replayMemo) insert(e int, replay []replayTap) {
 	first := e - (e/m.stride)%memoWays*m.stride
 	copy(m.words[first+m.stride:e+m.stride], m.words[first:e])
 	w := append(m.words[first:first:first+m.stride], m.key...)
-	for _, l := range levels {
-		w = append(w, int64(l))
-	}
-	w, _ = appendCarries(w, 0, 0, replay) // the loop leaves every carry in (−1000, 1000)
 	for i := range replay {
 		if !m.plan[i].closedForm() {
-			w = append(w, int64(replay[i].moved))
+			w = append(w, int64(replay[i].moved)<<memoLane|int64(uint16(replay[i].carry)))
 		}
 	}
 }

@@ -36,12 +36,13 @@ import (
 //     by k, a plan version (bumped whenever a replayed tap's kind, rate,
 //     frac or endpoint slots, or dt, differ from the last replayed
 //     plan), the replayed carries and the sensitive levels, and holds
-//     the loop's end levels, end carries and the moved sums that do not
-//     telescope. A hit compares the whole key and feeds the same
-//     write-back as a miss, so it is exact, debit's overdraw panic and
-//     flowWalks included. The table is bounded (576 KiB, 4-way LRU sets)
-//     and allocated on the graph's first replay; it is derived state, so
-//     it is not checkpointed.
+//     only the moved sums that do not telescope and their end carries:
+//     a hit rebuilds the end levels from the moved sums and the
+//     closed-form taps' carries from the key. A hit compares the whole
+//     key and feeds the same write-back as a miss, so it is exact,
+//     debit's overdraw panic and flowWalks included. The table is
+//     bounded (576 KiB, 8-way LRU sets) and allocated on the graph's
+//     first replay; it is derived state, so it is not checkpointed.
 //   - Starvation makes constant taps level-dependent too. The per-reserve
 //     depletion horizon bounds how many batches can pass before any
 //     source could fail to cover its worst-case outflow (ignoring all
@@ -557,7 +558,7 @@ func (g *Graph) replayRun(dt units.Time, k int64, levels []units.Energy, replay 
 		}
 		replayLoop(dt, k, levels, replay)
 		if e >= 0 {
-			g.memo.store(e, levels, replay)
+			g.memo.store(e, replay)
 		}
 	}
 	for i := range replay {

@@ -528,16 +528,16 @@ func TestReplayMemoInvalidation(t *testing.T) {
 // memo, as the next device on a fleet worker does. It checks both
 // settled graphs against the oracle after every chunk and returns the
 // second graph's memo hits and misses, with its graph.
-func relive(t *testing.T, build func(g *Graph, root *kobj.Container) []*Tap, chunks ...int64) (hits, misses int64, second *Graph) {
+func relive(t *testing.T, battery units.Energy, build func(g *Graph, root *kobj.Container) []*Tap, chunks ...int64) (hits, misses int64, second *Graph) {
 	t.Helper()
-	tw := newTwins(t, units.Kilojoule, 0, build)
+	tw := newTwins(t, battery, 0, build)
 	var want []string
 	for i, n := range chunks {
 		tw.step(n)
 		tw.compare(fmt.Sprintf("first life, chunk %d", i))
 		want = append(want, graphState(tw.oracle))
 	}
-	second, root := newSettleGraph(units.Kilojoule)
+	second, root := newSettleGraph(battery)
 	build(second, root)
 	second.memo = tw.subject.memo
 	h0, m0 := second.memoStats()
@@ -557,7 +557,7 @@ func relive(t *testing.T, build func(g *Graph, root *kobj.Container) []*Tap, chu
 // chunk misses again, and still matches the oracle.
 func TestReplayMemoSkipsStarvedChunks(t *testing.T) {
 	var drain *Tap
-	hits, misses, second := relive(t, func(g *Graph, root *kobj.Container) []*Tap {
+	hits, misses, second := relive(t, units.Kilojoule, func(g *Graph, root *kobj.Container) []*Tap {
 		hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
 		if err := g.Transfer(label.Priv{}, g.Battery(), hoard, 500); err != nil {
 			t.Fatal(err)
@@ -588,7 +588,7 @@ func TestReplayMemoSkipsStarvedChunks(t *testing.T) {
 // hit both chunks' moved sums must equal the loop's.
 func TestReplayMemoClosedFormMoved(t *testing.T) {
 	var grab *Tap
-	hits, misses, second := relive(t, func(g *Graph, root *kobj.Container) []*Tap {
+	hits, misses, second := relive(t, units.Kilojoule, func(g *Graph, root *kobj.Container) []*Tap {
 		hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
 		grab = mustTap(t, g, root, "grab", g.Battery(), hoard)
 		mustRate(t, grab, 1_234_567) // 12,345.67 µJ a batch
@@ -604,5 +604,110 @@ func TestReplayMemoClosedFormMoved(t *testing.T) {
 	}
 	if want := units.Energy(74 * 1_234_567 * int64(settleDT) / 1000); grab.Stats().Moved != want {
 		t.Fatalf("grab moved %d µJ over 74 batches, want %d", grab.Stats().Moved, want)
+	}
+}
+
+// TestReplayMemoDerivedEndState: a hit rebuilds the end levels from the
+// start levels and the moved sums, and a closed-form tap's end carry from
+// its start carry, since the memo stores neither. The replay set holds a
+// frac chain (head → tail → battery, both proportional), a constant tap
+// between the two sensitive reserves (tail → head, not closed-form), and
+// two closed-form taps into them: grab from the battery, starting at a
+// carry of 670, and owe from an outside reserve, starting at −230 (a
+// proportional draw on that reserve while it was in debt left it, and
+// SetRate keeps it). A second graph sharing the memo must hit every
+// chunk and match the per-batch oracle.
+func TestReplayMemoDerivedEndState(t *testing.T) {
+	hits, misses, second := relive(t, units.Kilojoule, func(g *Graph, root *kobj.Container) []*Tap {
+		fund := func(r *Reserve, e units.Energy) {
+			t.Helper()
+			if err := g.Transfer(label.Priv{}, g.Battery(), r, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		debtor := g.NewReserve(root, "debtor", label.Public(), ReserveOpts{AllowDebt: true})
+		if err := debtor.DebitSelf(label.Priv{}, 123_457); err != nil {
+			t.Fatal(err)
+		}
+		head := g.NewReserve(root, "head", label.Public(), ReserveOpts{})
+		tail := g.NewReserve(root, "tail", label.Public(), ReserveOpts{})
+		fund(head, units.Joule)
+		fund(tail, units.Joule)
+		grab := mustTap(t, g, root, "grab", g.Battery(), head)
+		mustRate(t, grab, 1_234_567) // 12,345.67 µJ a batch
+		owe := mustTap(t, g, root, "owe", debtor, tail)
+		mustFrac(t, owe, 1000)
+		g.Flow(settleDT)
+		fund(debtor, units.Joule)
+		mustRate(t, owe, 7) // 0.07 µJ a batch: the carry is still negative after three
+		if grab.carry != 670 || owe.carry != -230 {
+			t.Fatalf("start carries grab %d, owe %d; want 670 and -230", grab.carry, owe.carry)
+		}
+		fwd := mustTap(t, g, root, "fwd", head, tail)
+		mustFrac(t, fwd, 100_000)
+		back := mustTap(t, g, root, "back", tail, g.Battery())
+		mustFrac(t, back, 50_000)
+		pass := mustTap(t, g, root, "pass", tail, head)
+		mustRate(t, pass, units.Milliwatts(10))
+		return []*Tap{grab, owe, fwd, back, pass}
+	}, 37, 37, 100)
+	if hits != 3 || misses != 0 {
+		t.Fatalf("second life: %d hits, %d misses; want every chunk hit", hits, misses)
+	}
+	closed := []bool{true, true, false, false, false}
+	for i, s := range second.memo.plan {
+		if s.closedForm() != closed[i] {
+			t.Fatalf("plan %+v: want grab and owe closed-form and the rest not", second.memo.plan)
+		}
+	}
+}
+
+// TestReplayMemoSkipsWideMovedSums: a value word holds a tap's moved sum
+// above its end carry's 16-bit lane, so a chunk whose moved sum that is
+// not closed-form reaches 2⁴⁷ µJ is not stored: a second graph replaying
+// the same chunk misses again, and still matches the oracle. The drain
+// moves exactly 2⁴⁷ µJ, the first sum that does not fit.
+func TestReplayMemoSkipsWideMovedSums(t *testing.T) {
+	var drain *Tap
+	hits, misses, second := relive(t, 1_000_000*units.Kilojoule, func(g *Graph, root *kobj.Container) []*Tap {
+		hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+		if err := g.Transfer(label.Priv{}, g.Battery(), hoard, 300_000*units.Kilojoule); err != nil {
+			t.Fatal(err)
+		}
+		sink := g.NewReserve(root, "sink", label.Public(), ReserveOpts{})
+		tax := mustTap(t, g, root, "tax", hoard, g.Battery())
+		mustFrac(t, tax, 1000)
+		drain = mustTap(t, g, root, "drain", hoard, sink)
+		mustRate(t, drain, 1<<47) // 2⁴⁷ µJ a second
+		return []*Tap{tax, drain}
+	}, 100)
+	if drain.Stats().Moved != 1<<47 {
+		t.Fatalf("the drain moved %d µJ, want 2⁴⁷", drain.Stats().Moved)
+	}
+	if hits != 0 || misses != 1 {
+		t.Fatalf("second life: %d hits, %d misses; want the wide chunk unstored and missed", hits, misses)
+	}
+	if n := second.SettledBatches(); n != 100 {
+		t.Fatalf("second life settled %d batches, want the whole chunk", n)
+	}
+}
+
+// TestReplayMemoHoldsHoarderLife: the memo holds a whole converged
+// hoarder life, so a recycled graph rebuilt with the same shape — a
+// fleet worker's next device — replays almost nothing of its first
+// 1,000 seconds, which retrace the first life's chunks from its start.
+func TestReplayMemoHoldsHoarderLife(t *testing.T) {
+	g, _, second := hoarderBench(t)
+	hoarderConverge(t, g, second)
+	g, _, second = hoarderLife(t, g)
+	for i := 0; i < 1000; i++ {
+		second()
+	}
+	hits, misses := g.memoStats()
+	if hits+misses != 1000 {
+		t.Fatalf("%d replayed chunks in 1,000 seconds, want one a second", hits+misses)
+	}
+	if misses*100 >= 1000 {
+		t.Fatalf("%d of the second life's first 1,000 chunks missed the replay memo, want under 1%%", misses)
 	}
 }
