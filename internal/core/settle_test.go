@@ -707,7 +707,7 @@ func TestReplayMemoHoldsHoarderLife(t *testing.T) {
 	if hits+misses != 1000 {
 		t.Fatalf("%d replayed chunks in 1,000 seconds, want one a second", hits+misses)
 	}
-	if misses*100 >= 1000 {
+	if misses >= 10 {
 		t.Fatalf("%d of the second life's first 1,000 chunks missed the replay memo, want under 1%%", misses)
 	}
 }
